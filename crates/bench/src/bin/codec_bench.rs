@@ -5,8 +5,9 @@
 //!
 //! * **Micro-kernels** — each of the hot-loop kernels (`sad16`, forward and
 //!   inverse DCT, `quantize64`, `sse_u8` for MSE, `avg2x2_f32` for the
-//!   lookahead/SIFT downsample) timed through the runtime dispatcher and
-//!   through the scalar reference tier, back to back in one process.
+//!   lookahead/SIFT downsample, `gf256_mul_acc` for the uplink's FEC) timed
+//!   through the runtime dispatcher and through the scalar reference tier,
+//!   back to back in one process.
 //! * **Whole pipeline** — encode throughput at scalar/1-thread (the seed
 //!   configuration), SIMD/1-thread, and SIMD/N-thread GOP-parallel; decode
 //!   throughput scalar vs SIMD over the batch decoder.
@@ -268,6 +269,29 @@ fn kernel_sweep(samples: usize) -> (Vec<KernelPoint>, Vec<Vec<String>>) {
                 scalar::avg2x2_f32(top, bottom, &mut row_b);
                 black_box(&row_b);
             }
+        },
+    );
+
+    // GF(256) multiply-accumulate (the uplink's FEC): 256 fragments of the
+    // 1172 bytes a 1200-byte MTU leaves after the header, each under its own
+    // coefficient (`| 2` keeps clear of 0, which short-circuits).
+    const FRAGMENT: usize = 1172;
+    let fragments = noise_bytes(256 * FRAGMENT, 0xFEC);
+    let mut parity_a = vec![0u8; FRAGMENT];
+    let mut parity_b = vec![0u8; FRAGMENT];
+    bench.pair(
+        "gf256_mul_acc",
+        || {
+            for (c, frag) in fragments.chunks_exact(FRAGMENT).enumerate() {
+                kernels::gf256_mul_acc(&mut parity_a, c as u8 | 2, frag);
+            }
+            black_box(&parity_a);
+        },
+        || {
+            for (c, frag) in fragments.chunks_exact(FRAGMENT).enumerate() {
+                scalar::gf256_mul_acc(&mut parity_b, c as u8 | 2, frag);
+            }
+            black_box(&parity_b);
         },
     );
     (bench.points, bench.rows)

@@ -136,9 +136,10 @@ const ENCODE_KEYS: &[&str] = &[
 ];
 const DECODE_KEYS: &[&str] = &["samples", "scalar_fps", "simd_fps", "speedup"];
 
-/// Kernels every artifact must sweep, in this order (the five hot loops:
-/// SAD, forward/inverse DCT, quantize, SSE for MSE, and the 2x2 box
-/// average behind both the lookahead and SIFT downsampling).
+/// Kernels every artifact must sweep, in this order (the codec's hot
+/// loops — SAD, forward/inverse DCT, quantize, SSE for MSE, the 2x2 box
+/// average behind both the lookahead and SIFT downsampling — and the
+/// GF(256) multiply-accumulate of the uplink's FEC).
 pub const REQUIRED_KERNELS: &[&str] = &[
     "sad16",
     "dct8_forward",
@@ -146,6 +147,7 @@ pub const REQUIRED_KERNELS: &[&str] = &[
     "quantize64",
     "sse_u8",
     "avg2x2_f32",
+    "gf256_mul_acc",
 ];
 
 fn expect_keys(map: &serde::Map, keys: &[&str], what: &str) -> Result<(), String> {

@@ -159,6 +159,19 @@ impl EdgeSession {
         frame_type: FrameType,
         payload: Vec<u8>,
     ) -> EdgeOutcome {
+        self.observe_bytes(index, frame_type, &payload)
+    }
+
+    /// [`EdgeSession::observe`] over a borrowed payload: the decoder only
+    /// reads the bytes, so a caller that still needs them afterwards (the
+    /// fleet's keep sink ships a kept frame's encoded payload) lends them
+    /// instead of cloning every frame up front.
+    pub fn observe_bytes(
+        &mut self,
+        index: usize,
+        frame_type: FrameType,
+        payload: &[u8],
+    ) -> EdgeOutcome {
         let meta = EncodedFrameMeta {
             frame_type,
             payload_len: payload.len(),
@@ -171,11 +184,7 @@ impl EdgeSession {
             // must advance even through dropped frames. The decoder recycles
             // its frame buffers across the stream; only kept frames are
             // cloned out.
-            let ef = sieve_video::EncodedFrame {
-                frame_type,
-                data: payload,
-            };
-            let frame = match self.stream_decoder.decode_next(&ef) {
+            let frame = match self.stream_decoder.decode_next_bytes(frame_type, payload) {
                 Ok(f) => f,
                 Err(_) => return EdgeOutcome::Failed,
             };
@@ -195,7 +204,7 @@ impl EdgeSession {
             if first == Decision::Drop {
                 return EdgeOutcome::Dropped;
             }
-            let frame = match Decoder::decode_iframe(self.resolution, self.quality, &payload) {
+            let frame = match Decoder::decode_iframe(self.resolution, self.quality, payload) {
                 Ok(f) => f,
                 Err(_) => return EdgeOutcome::Failed,
             };

@@ -651,13 +651,10 @@ fn process_frame(ctx: &ShardCtx, worker: &mut StreamWorker, qf: QueuedFrame) {
     }
     let packet = qf.packet;
     let payload_len = packet.payload.len() as u64;
-    // The decode consumes the payload; keep a copy only when a sink will
-    // want the encoded bytes back (uplink wiring).
-    let uplink_payload = worker.on_keep.as_ref().map(|_| packet.payload.clone());
     let outcome =
         worker
             .session(&ctx.pool)
-            .observe(packet.index, packet.frame_type, packet.payload);
+            .observe_bytes(packet.index, packet.frame_type, &packet.payload);
     let kept = matches!(outcome, EdgeOutcome::Kept(_));
     let counters = &worker.cell.counters;
     match outcome {
@@ -669,11 +666,7 @@ fn process_frame(ctx: &ShardCtx, worker: &mut StreamWorker, qf: QueuedFrame) {
                 emit.kept_payload_bytes.add(payload_len);
             }
             if let Some(sink) = &mut worker.on_keep {
-                sink(
-                    packet.index,
-                    &frame,
-                    uplink_payload.as_deref().unwrap_or(&[]),
-                );
+                sink(packet.index, &frame, &packet.payload);
             }
         }
         EdgeOutcome::Dropped => {

@@ -204,6 +204,9 @@ pub struct WanChannel {
     last_now: SimTime,
     /// Packets in flight, keyed by (delivery time, tie-break).
     in_flight: BTreeMap<(SimTime, u64), Packet>,
+    /// Fragments in flight per `(stream, block_id)`; an entry leaves with
+    /// its last fragment.
+    in_flight_per_block: BTreeMap<(u16, u64), u32>,
     next_tie: u64,
     counts: ChannelCounts,
     taps: Option<WanTaps>,
@@ -219,6 +222,7 @@ impl WanChannel {
             link_free_at: SimTime::ZERO,
             last_now: SimTime::ZERO,
             in_flight: BTreeMap::new(),
+            in_flight_per_block: BTreeMap::new(),
             next_tie: 0,
             counts: ChannelCounts::default(),
             taps: None,
@@ -315,23 +319,36 @@ impl WanChannel {
         let ready = self.link_free_at.after_secs(delay);
         let tie = self.next_tie;
         self.next_tie += 1;
+        *self
+            .in_flight_per_block
+            .entry((packet.header.stream, packet.header.block_id))
+            .or_insert(0) += 1;
         self.in_flight.insert((ready, tie), packet);
+    }
+
+    /// Takes the earliest in-flight packet off the wire, if it has arrived
+    /// by `deadline` (`None`: whenever it arrives).
+    fn arrive(&mut self, deadline: Option<SimTime>) -> Option<Packet> {
+        let entry = self.in_flight.first_entry()?;
+        if deadline.is_some_and(|now| entry.key().0 > now) {
+            return None;
+        }
+        let packet = entry.remove();
+        self.counts.delivered += 1;
+        let block = (packet.header.stream, packet.header.block_id);
+        if let Some(n) = self.in_flight_per_block.get_mut(&block) {
+            *n -= 1;
+            if *n == 0 {
+                self.in_flight_per_block.remove(&block);
+            }
+        }
+        Some(packet)
     }
 
     /// Delivers every packet whose arrival time is at or before `now`,
     /// in arrival order.
     pub fn poll(&mut self, now: SimTime) -> Vec<Packet> {
-        let mut out = Vec::new();
-        while let Some((&(ready, _), _)) = self.in_flight.first_key_value() {
-            if ready > now {
-                break;
-            }
-            if let Some((_, pkt)) = self.in_flight.pop_first() {
-                self.counts.delivered += 1;
-                out.push(pkt);
-            }
-        }
-        out
+        std::iter::from_fn(|| self.arrive(Some(now))).collect()
     }
 
     /// Arrival time of the next in-flight packet, if any.
@@ -341,12 +358,7 @@ impl WanChannel {
 
     /// Delivers everything still in flight regardless of time.
     pub fn drain(&mut self) -> Vec<Packet> {
-        let mut out = Vec::new();
-        while let Some((_, pkt)) = self.in_flight.pop_first() {
-            self.counts.delivered += 1;
-            out.push(pkt);
-        }
-        out
+        std::iter::from_fn(|| self.arrive(None)).collect()
     }
 
     /// Packets currently in flight.
@@ -354,16 +366,13 @@ impl WanChannel {
         self.in_flight.len()
     }
 
-    /// The `(stream, block_id)` pairs that still have at least one
-    /// fragment in transit. The sending side uses this to tell "not yet
-    /// arrived" apart from "never going to arrive": a sent block with no
-    /// pending reassembly *and* no fragment in flight was dropped
-    /// wholesale and can be declared lost immediately.
-    pub fn in_flight_blocks(&self) -> std::collections::BTreeSet<(u16, u64)> {
-        self.in_flight
-            .values()
-            .map(|p| (p.header.stream, p.header.block_id))
-            .collect()
+    /// True while at least one fragment of the block is still in transit.
+    /// The sending side uses this to tell "not yet arrived" apart from
+    /// "never going to arrive": a sent block with no pending reassembly
+    /// *and* no fragment in flight was dropped wholesale and can be
+    /// declared lost immediately.
+    pub fn block_in_flight(&self, stream: u16, block_id: u64) -> bool {
+        self.in_flight_per_block.contains_key(&(stream, block_id))
     }
 }
 
@@ -516,6 +525,33 @@ mod tests {
             max_back <= 60,
             "displacement {max_back} exceeds the delay bound"
         );
+    }
+
+    #[test]
+    fn per_block_in_flight_count_follows_send_and_poll() {
+        let mut ch = WanChannel::new(WanConfig::clean(1)).expect("channel");
+        let frag = |block_id: u64, seq: u64| Packet {
+            header: PacketHeader {
+                block_id,
+                seq,
+                ..pkt(0, 10).header
+            },
+            payload: vec![0u8; 10],
+        };
+        let t0 = SimTime::ZERO;
+        ch.send(t0, frag(4, 0));
+        ch.send(t0.after_secs(0.1), frag(4, 1));
+        ch.send(SimTime::from_secs_f64(1.0), frag(5, 2));
+        assert!(ch.block_in_flight(0, 4) && ch.block_in_flight(0, 5));
+        assert!(!ch.block_in_flight(0, 6) && !ch.block_in_flight(1, 4));
+        // One fragment of block 4 down, one to go: the block is still out.
+        assert_eq!(ch.poll(t0.after_secs(0.05)).len(), 1);
+        assert!(ch.block_in_flight(0, 4));
+        assert_eq!(ch.poll(SimTime::from_secs_f64(0.5)).len(), 1);
+        assert!(!ch.block_in_flight(0, 4) && ch.block_in_flight(0, 5));
+        assert_eq!(ch.drain().len(), 1);
+        assert!(!ch.block_in_flight(0, 5));
+        assert_eq!(ch.in_flight(), 0);
     }
 
     #[test]

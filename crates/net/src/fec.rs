@@ -11,11 +11,19 @@
 //! plain XOR parity happens to cover. (XOR is the field's addition: with
 //! `R = 1` the decode degenerates to the familiar XOR chain.)
 //!
-//! The arithmetic is table-driven (one 512-byte exp table, one 256-byte
-//! log table, built once) and all fragment operations are byte-parallel
-//! loops over equal-length slices.
+//! Every fragment-length operation is one call of
+//! [`sieve_video::kernels::gf256_mul_acc`] (`dst ^= c · src`, `vpshufb`
+//! nibble tables on AVX2, the same tables bytewise elsewhere) — the field
+//! itself is defined there, once. This module only does the small
+//! coefficient-matrix arithmetic around it: a `(K, R)` shape's Cauchy rows
+//! are computed once per packetizer / depacketizer, and recovery inverts
+//! the `M × M` submatrix of the missing columns in scalar code, then
+//! rebuilds each missing fragment as a kernel-applied combination of the
+//! survivors.
 
 use std::sync::OnceLock;
+
+use sieve_video::kernels::{gf256_mul, gf256_mul_acc};
 
 use crate::NetError;
 
@@ -71,72 +79,165 @@ impl FecConfig {
     }
 }
 
-/// exp table doubled so `exp[log a + log b]` never needs a modulo, plus
-/// the log table (`log[0]` unused).
-fn tables() -> &'static ([u8; 512], [u8; 256]) {
-    static TABLES: OnceLock<([u8; 512], [u8; 256])> = OnceLock::new();
-    TABLES.get_or_init(|| {
-        let mut exp = [0u8; 512];
-        let mut log = [0u8; 256];
-        let mut x: u16 = 1;
-        for (i, e) in exp.iter_mut().enumerate().take(255) {
-            *e = x as u8;
-            log[x as usize] = i as u8;
-            x <<= 1;
-            if x & 0x100 != 0 {
-                x ^= 0x11d; // the AES-adjacent primitive polynomial
+/// Multiplicative inverses of GF(256), built once from the kernel module's
+/// field (`inv[0]` is unused and stays 0).
+fn inverses() -> &'static [u8; 256] {
+    static INVERSES: OnceLock<[u8; 256]> = OnceLock::new();
+    INVERSES.get_or_init(|| {
+        let mut inv = [0u8; 256];
+        for a in 1..=255u8 {
+            for b in a..=255 {
+                if gf256_mul(a, b) == 1 {
+                    inv[a as usize] = b;
+                    inv[b as usize] = a;
+                }
             }
         }
-        for i in 255..512 {
-            exp[i] = exp[i - 255];
-        }
-        (exp, log)
+        inv
     })
-}
-
-/// GF(256) product.
-fn gf_mul(a: u8, b: u8) -> u8 {
-    if a == 0 || b == 0 {
-        return 0;
-    }
-    let (exp, log) = tables();
-    exp[log[a as usize] as usize + log[b as usize] as usize]
 }
 
 /// GF(256) inverse of a non-zero element.
 fn gf_inv(a: u8) -> u8 {
     debug_assert_ne!(a, 0, "zero has no inverse");
-    let (exp, log) = tables();
-    exp[255 - log[a as usize] as usize]
+    inverses()[a as usize]
 }
 
-/// The Cauchy coefficient of parity row `r` over data column `j`:
-/// `inv(x_r ⊕ y_j)` with `x_r = r` and `y_j = 255 - j`. The node sets are
-/// disjoint for any valid [`FecConfig`], so the inverse always exists and
-/// every square submatrix of the coefficient matrix is invertible — the
-/// property that makes "any ≤R losses" recoverable.
-fn coef(r: usize, j: usize) -> u8 {
-    gf_inv((r as u8) ^ (255 - j as u8))
+/// The Cauchy parity rows of one `(K, R)` shape, computed once and shared
+/// by every block a [`crate::Packetizer`] / [`crate::Depacketizer`] handles.
+///
+/// `coef(r, j) = inv(x_r ⊕ y_j)` with `x_r = r` and `y_j = 255 - j`. The
+/// node sets are disjoint for any valid [`FecConfig`], so the inverse always
+/// exists and every square submatrix of the coefficient matrix is
+/// invertible — the property that makes "any ≤R losses" recoverable.
+#[derive(Debug, Clone)]
+pub(crate) struct CauchyRows {
+    k: usize,
+    /// Row-major `R × K`.
+    coefs: Vec<u8>,
 }
 
-/// `dst ^= c · src`, byte-parallel. Slices must be equal length.
-fn mul_acc(dst: &mut [u8], c: u8, src: &[u8]) {
-    debug_assert_eq!(dst.len(), src.len());
-    if c == 0 {
-        return;
+impl CauchyRows {
+    pub(crate) fn new(k: usize, r: usize) -> Self {
+        let coefs = (0..r)
+            .flat_map(|row| (0..k).map(move |j| gf_inv((row as u8) ^ (255 - j as u8))))
+            .collect();
+        Self { k, coefs }
     }
-    if c == 1 {
-        for (d, s) in dst.iter_mut().zip(src) {
-            *d ^= s;
-        }
-        return;
+
+    fn coef(&self, r: usize, j: usize) -> u8 {
+        self.coefs[r * self.k + j]
     }
-    let (exp, log) = tables();
-    let lc = log[c as usize] as usize;
-    for (d, s) in dst.iter_mut().zip(src) {
-        if *s != 0 {
-            *d ^= exp[lc + log[*s as usize] as usize];
+
+    /// Accumulates each parity row over one group's data fragments:
+    /// `parity[r] ^= Σ_j coef(r, j) · data[j]`. The parity buffers arrive
+    /// zeroed at the group's longest fragment length; shorter data fragments
+    /// count as zero-padded.
+    pub(crate) fn encode_into<'a>(
+        &self,
+        data: impl Iterator<Item = &'a [u8]> + Clone,
+        parity: impl Iterator<Item = &'a mut [u8]>,
+    ) {
+        for (r, p) in parity.enumerate() {
+            for (j, frag) in data.clone().enumerate() {
+                gf256_mul_acc(&mut p[..frag.len()], self.coef(r, j), frag);
+            }
         }
+    }
+
+    /// Rebuilds the missing data fragments of one group from views of the
+    /// survivors: `data[j]` / `parity[r]` are `None` where lost. Returns the
+    /// recovered fragments, each `frag_len` long, in ascending slot order
+    /// (empty when nothing was missing).
+    ///
+    /// Solving `A · x = s` for the missing columns `x`, where row `i` of `A`
+    /// holds a surviving parity row's coefficients over the missing slots
+    /// and `s_i` is that parity ⊕ the known data's contribution, gives
+    /// `x_c = Σ_i A⁻¹[c][i] · s_i` — expanded here so that every survivor is
+    /// read once per missing fragment with one combined coefficient, and no
+    /// syndrome buffer is ever materialised.
+    pub(crate) fn recover(
+        &self,
+        data: &[Option<&[u8]>],
+        parity: &[Option<&[u8]>],
+        frag_len: usize,
+    ) -> Result<Vec<Vec<u8>>, NetError> {
+        let missing: Vec<usize> = (0..data.len()).filter(|&j| data[j].is_none()).collect();
+        let m = missing.len();
+        if m == 0 {
+            return Ok(Vec::new());
+        }
+        let rows: Vec<usize> = (0..parity.len())
+            .filter(|&r| parity[r].is_some())
+            .take(m)
+            .collect();
+        if rows.len() < m {
+            return Err(NetError::Unrecoverable {
+                missing: m,
+                parity: rows.len(),
+            });
+        }
+        let inverse = self.invert_submatrix(&rows, &missing)?;
+        Ok((0..m)
+            .map(|c| {
+                let weights = &inverse[c * m..(c + 1) * m];
+                let mut out = vec![0u8; frag_len];
+                for (&w, &r) in weights.iter().zip(&rows) {
+                    if let Some(p) = parity[r] {
+                        let n = p.len().min(frag_len);
+                        gf256_mul_acc(&mut out[..n], w, &p[..n]);
+                    }
+                }
+                for (j, frag) in data.iter().enumerate() {
+                    if let Some(frag) = frag {
+                        let combined = weights
+                            .iter()
+                            .zip(&rows)
+                            .fold(0, |acc, (&w, &r)| acc ^ gf256_mul(w, self.coef(r, j)));
+                        let n = frag.len().min(frag_len);
+                        gf256_mul_acc(&mut out[..n], combined, &frag[..n]);
+                    }
+                }
+                out
+            })
+            .collect())
+    }
+
+    /// Gauss–Jordan inverse (row-major `M × M`) of the Cauchy submatrix
+    /// `rows × cols`. The Cauchy property guarantees a pivot, but a typed
+    /// error beats a panic if an impossible state ever arrives.
+    fn invert_submatrix(&self, rows: &[usize], cols: &[usize]) -> Result<Vec<u8>, NetError> {
+        let m = rows.len();
+        // Augmented [A | I], 2M bytes per row.
+        let w = 2 * m;
+        let mut aug = vec![0u8; m * w];
+        for (i, &r) in rows.iter().enumerate() {
+            for (c, &j) in cols.iter().enumerate() {
+                aug[i * w + c] = self.coef(r, j);
+            }
+            aug[i * w + m + i] = 1;
+        }
+        for col in 0..m {
+            let pivot = (col..m)
+                .find(|&row| aug[row * w + col] != 0)
+                .ok_or(NetError::SingularSystem)?;
+            for x in 0..w {
+                aug.swap(col * w + x, pivot * w + x);
+            }
+            let inv = gf_inv(aug[col * w + col]);
+            for x in 0..w {
+                aug[col * w + x] = gf256_mul(aug[col * w + x], inv);
+            }
+            for row in 0..m {
+                let factor = aug[row * w + col];
+                if row != col && factor != 0 {
+                    for x in 0..w {
+                        aug[row * w + x] ^= gf256_mul(factor, aug[col * w + x]);
+                    }
+                }
+            }
+        }
+        Ok(aug.chunks(w).flat_map(|row| &row[m..]).copied().collect())
     }
 }
 
@@ -145,15 +246,12 @@ fn mul_acc(dst: &mut [u8], c: u8, src: &[u8]) {
 /// zero-padded; every parity fragment has the group's maximum length.
 pub fn encode_group(data: &[&[u8]], parity_count: usize) -> Vec<Vec<u8>> {
     let frag_len = data.iter().map(|d| d.len()).max().unwrap_or(0);
-    (0..parity_count)
-        .map(|r| {
-            let mut p = vec![0u8; frag_len];
-            for (j, frag) in data.iter().enumerate() {
-                mul_acc(&mut p[..frag.len()], coef(r, j), frag);
-            }
-            p
-        })
-        .collect()
+    let mut parity = vec![vec![0u8; frag_len]; parity_count];
+    CauchyRows::new(data.len(), parity_count).encode_into(
+        data.iter().copied(),
+        parity.iter_mut().map(Vec::as_mut_slice),
+    );
+    parity
 }
 
 /// Recovers the missing data fragments of one group in place.
@@ -174,69 +272,17 @@ pub fn recover_group(
     parity: &[Option<Vec<u8>>],
     frag_len: usize,
 ) -> Result<usize, NetError> {
-    let missing: Vec<usize> = (0..data.len()).filter(|&j| data[j].is_none()).collect();
-    if missing.is_empty() {
-        return Ok(0);
+    let recovered = {
+        let data: Vec<Option<&[u8]>> = data.iter().map(Option::as_deref).collect();
+        let parity: Vec<Option<&[u8]>> = parity.iter().map(Option::as_deref).collect();
+        CauchyRows::new(data.len(), parity.len()).recover(&data, &parity, frag_len)?
+    };
+    let n = recovered.len();
+    let slots = data.iter_mut().filter(|d| d.is_none());
+    for (slot, frag) in slots.zip(recovered) {
+        *slot = Some(frag);
     }
-    let rows: Vec<usize> = (0..parity.len())
-        .filter(|&r| parity[r].is_some())
-        .take(missing.len())
-        .collect();
-    if rows.len() < missing.len() {
-        return Err(NetError::Unrecoverable {
-            missing: missing.len(),
-            parity: rows.len(),
-        });
-    }
-    let m = missing.len();
-    // Augmented system rows: the M×M Cauchy submatrix over the missing
-    // columns, each with its syndrome (parity ⊕ known-data contributions).
-    let mut matrix: Vec<Vec<u8>> = Vec::with_capacity(m);
-    let mut rhs: Vec<Vec<u8>> = Vec::with_capacity(m);
-    for &r in &rows {
-        matrix.push(missing.iter().map(|&j| coef(r, j)).collect());
-        let mut s = vec![0u8; frag_len];
-        if let Some(p) = &parity[r] {
-            s[..p.len()].copy_from_slice(p);
-        }
-        for (j, frag) in data.iter().enumerate() {
-            if let Some(frag) = frag {
-                mul_acc(&mut s[..frag.len()], coef(r, j), frag);
-            }
-        }
-        rhs.push(s);
-    }
-    // Gaussian elimination; the Cauchy property guarantees a pivot, but a
-    // typed error beats a panic if an impossible state ever arrives.
-    for col in 0..m {
-        let pivot = (col..m)
-            .find(|&row| matrix[row][col] != 0)
-            .ok_or(NetError::SingularSystem)?;
-        matrix.swap(col, pivot);
-        rhs.swap(col, pivot);
-        let inv = gf_inv(matrix[col][col]);
-        for x in &mut matrix[col] {
-            *x = gf_mul(*x, inv);
-        }
-        for x in &mut rhs[col] {
-            *x = gf_mul(*x, inv);
-        }
-        for row in 0..m {
-            if row != col && matrix[row][col] != 0 {
-                let factor = matrix[row][col];
-                let pivot_row = matrix[col].clone();
-                for (x, p) in matrix[row].iter_mut().zip(&pivot_row) {
-                    *x ^= gf_mul(factor, *p);
-                }
-                let pivot_rhs = rhs[col].clone();
-                mul_acc(&mut rhs[row], factor, &pivot_rhs);
-            }
-        }
-    }
-    for (slot, solved) in missing.iter().zip(rhs) {
-        data[*slot] = Some(solved);
-    }
-    Ok(m)
+    Ok(n)
 }
 
 #[cfg(test)]
@@ -254,15 +300,12 @@ mod tests {
     #[test]
     fn field_arithmetic_sanity() {
         for a in 1..=255u8 {
-            assert_eq!(gf_mul(a, gf_inv(a)), 1, "a={a}");
-            assert_eq!(gf_mul(a, 1), a);
-            assert_eq!(gf_mul(a, 0), 0);
+            assert_eq!(gf256_mul(a, gf_inv(a)), 1, "a={a}");
+            assert_eq!(gf_inv(gf_inv(a)), a, "a={a}");
         }
-        // Commutativity + distributivity spot checks.
-        assert_eq!(gf_mul(7, 9), gf_mul(9, 7));
         assert_eq!(
-            gf_mul(5, 13 ^ 200),
-            gf_mul(5, 13) ^ gf_mul(5, 200),
+            gf256_mul(5, 13 ^ 200),
+            gf256_mul(5, 13) ^ gf256_mul(5, 200),
             "multiplication distributes over XOR"
         );
     }

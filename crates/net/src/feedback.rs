@@ -28,6 +28,9 @@ pub struct WanTaps {
     pub packets_marked: Arc<Counter>,
     pub packets_delivered: Arc<Counter>,
     pub packets_reordered: Arc<Counter>,
+    /// Fragments the depacketizer dropped as malformed: a header that
+    /// contradicts the shared layout or the block's first fragment.
+    pub rejected: Arc<Counter>,
     pub blocks_sent: Arc<Counter>,
     pub blocks_delivered: Arc<Counter>,
     pub blocks_recovered: Arc<Counter>,
@@ -52,6 +55,7 @@ impl WanTaps {
             packets_marked: stage.counter("packets_marked"),
             packets_delivered: stage.counter("packets_delivered"),
             packets_reordered: stage.counter("packets_reordered"),
+            rejected: stage.counter("rejected"),
             blocks_sent: stage.counter("blocks_sent"),
             blocks_delivered: stage.counter("blocks_delivered"),
             blocks_recovered: stage.counter("blocks_recovered"),

@@ -6,10 +6,13 @@
 //!
 //! * [`fec`] — GF(256) Cauchy-matrix erasure coding: `K` data + `R`
 //!   parity fragments per group, *any* ≤R losses per group recoverable;
+//!   the byte arithmetic is `sieve_video::kernels::gf256_mul_acc`, the
+//!   workspace's one SIMD dispatcher;
 //! * [`packet`] — block/fragment packetization to a fixed MTU
 //!   (`(block_id, frag_index, frag_count)` headers) and out-of-order
 //!   reassembly surfacing [`BlockOutcome::Delivered`] /
-//!   [`BlockOutcome::Recovered`] / [`BlockOutcome::Lost`];
+//!   [`BlockOutcome::Recovered`] / [`BlockOutcome::Lost`]; malformed
+//!   fragments are counted (`wan.rejected`) and dropped, never indexed;
 //! * [`channel`] — [`WanChannel`], a deterministic seeded channel model:
 //!   i.i.d. or Gilbert–Elliott burst loss, bounded reordering, jitter and
 //!   a token-bucket bandwidth cap with a bounded queue (overflow is

@@ -16,10 +16,22 @@
 //! Blocks resolve either eagerly (the moment enough fragments are in) or
 //! when they age past the reassembly *horizon*: once packets for block
 //! `id + horizon` show up on a stream, block `id` is forced to a verdict.
+//!
+//! Payload bytes are copied once on each side. The packetizer cuts the
+//! block into the fragment `Vec`s it ships and accumulates parity straight
+//! into the parity packets' payloads. The depacketizer appends in-order
+//! fragments to one buffer per block — fragment `i` at `i × frag_payload` —
+//! and hands that buffer over as the delivered payload; a fragment that
+//! arrives past a gap waits as the `Vec` it came in, and only a block that
+//! needs FEC recovery looks at per-fragment views. Everything off the wire
+//! is hostile: a fragment whose header disagrees with the configured
+//! layout, or with its block's first fragment, is counted under
+//! `wan.rejected` and dropped, and reassembly memory grows only with
+//! payload bytes actually received — never from a declared length.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
-use crate::fec::{self, FecConfig};
+use crate::fec::{CauchyRows, FecConfig};
 use crate::feedback::WanTaps;
 use crate::NetError;
 
@@ -110,11 +122,26 @@ impl Packet {
     }
 }
 
+/// Validates the wire layout a packetizer/depacketizer pair shares; returns
+/// the fragment payload size and the checked FEC shape.
+fn layout(mtu: usize, fec: FecConfig) -> Result<(usize, FecConfig), NetError> {
+    if mtu <= HEADER_BYTES {
+        return Err(NetError::config(format!(
+            "mtu {mtu} leaves no room after the {HEADER_BYTES}-byte header"
+        )));
+    }
+    Ok((
+        mtu - HEADER_BYTES,
+        FecConfig::new(fec.group_data, fec.group_parity)?,
+    ))
+}
+
 /// Splits blocks into MTU-sized fragments and appends FEC parity.
 #[derive(Debug)]
 pub struct Packetizer {
-    mtu: usize,
+    frag_payload: usize,
     fec: FecConfig,
+    rows: CauchyRows,
     stream: u16,
     next_block: u64,
     next_seq: u64,
@@ -123,14 +150,11 @@ pub struct Packetizer {
 impl Packetizer {
     /// `mtu` is the full on-wire packet budget, header included.
     pub fn new(mtu: usize, fec: FecConfig, stream: u16) -> Result<Self, NetError> {
-        if mtu <= HEADER_BYTES {
-            return Err(NetError::config(format!(
-                "mtu {mtu} leaves no room after the {HEADER_BYTES}-byte header"
-            )));
-        }
+        let (frag_payload, fec) = layout(mtu, fec)?;
         Ok(Self {
-            mtu,
+            frag_payload,
             fec,
+            rows: CauchyRows::new(fec.group_data, fec.group_parity),
             stream,
             next_block: 0,
             next_seq: 0,
@@ -139,7 +163,7 @@ impl Packetizer {
 
     /// Payload bytes that fit in one fragment.
     pub fn frag_payload(&self) -> usize {
-        self.mtu - HEADER_BYTES
+        self.frag_payload
     }
 
     /// The id the next call to [`packetize`](Self::packetize) will use.
@@ -152,73 +176,52 @@ impl Packetizer {
     pub fn packetize(&mut self, block: &[u8]) -> (u64, Vec<Packet>) {
         let block_id = self.next_block;
         self.next_block += 1;
-        let fp = self.frag_payload();
+        let fp = self.frag_payload;
+        let (k, r) = (self.fec.group_data, self.fec.group_parity);
+        // An empty block still ships one empty data fragment so the
+        // receiver sees the block exist and can report on it.
         let data_frags = block.len().div_ceil(fp).max(1);
         debug_assert!(
             data_frags <= u16::MAX as usize,
             "block too large for u16 fragment index"
         );
+        let parity_frags = data_frags.div_ceil(k) * r;
 
-        let mut packets = Vec::with_capacity(data_frags);
-        for (i, chunk) in block.chunks(fp).enumerate() {
-            packets.push(self.stamp(
-                block_id,
-                i as u16,
-                data_frags as u16,
-                block.len() as u32,
-                chunk.to_vec(),
-            ));
-        }
-        if block.is_empty() {
-            // An empty block still ships one empty data fragment so the
-            // receiver sees the block exist and can report on it.
-            packets.push(self.stamp(block_id, 0, 1, 0, Vec::new()));
-        }
-
-        if self.fec.group_parity > 0 {
-            let k = self.fec.group_data;
-            let r = self.fec.group_parity;
-            let mut parity_index = data_frags as u16;
-            let mut parity_packets = Vec::new();
-            for group in packets.chunks(k) {
-                let refs: Vec<&[u8]> = group.iter().map(|p| p.payload.as_slice()).collect();
-                for parity in fec::encode_group(&refs, r) {
-                    parity_packets.push(self.stamp(
-                        block_id,
-                        parity_index,
-                        data_frags as u16,
-                        block.len() as u32,
-                        parity,
-                    ));
-                    parity_index += 1;
-                }
+        let mut packets = Vec::with_capacity(data_frags + parity_frags);
+        let mut stamp = |frag_index: usize, payload: Vec<u8>| {
+            let seq = self.next_seq;
+            self.next_seq += 1;
+            Packet {
+                header: PacketHeader {
+                    stream: self.stream,
+                    block_id,
+                    seq,
+                    frag_index: frag_index as u16,
+                    data_frags: data_frags as u16,
+                    block_len: block.len() as u32,
+                },
+                payload,
             }
-            packets.extend(parity_packets);
+        };
+        for i in 0..data_frags {
+            let chunk = &block[(i * fp).min(block.len())..((i + 1) * fp).min(block.len())];
+            packets.push(stamp(i, chunk.to_vec()));
+        }
+        for p in 0..parity_frags {
+            // Parity is as long as its group's longest fragment — the first.
+            let len = packets[p / r * k].payload.len();
+            packets.push(stamp(data_frags + p, vec![0u8; len]));
+        }
+        if r > 0 {
+            let (data, parity) = packets.split_at_mut(data_frags);
+            for (group, out) in data.chunks(k).zip(parity.chunks_mut(r)) {
+                self.rows.encode_into(
+                    group.iter().map(|p| p.payload.as_slice()),
+                    out.iter_mut().map(|p| p.payload.as_mut_slice()),
+                );
+            }
         }
         (block_id, packets)
-    }
-
-    fn stamp(
-        &mut self,
-        block_id: u64,
-        frag_index: u16,
-        data_frags: u16,
-        block_len: u32,
-        payload: Vec<u8>,
-    ) -> Packet {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        Packet {
-            header: PacketHeader {
-                stream: self.stream,
-                block_id,
-                seq,
-                frag_index,
-                data_frags,
-                block_len,
-            },
-            payload,
-        }
     }
 }
 
@@ -251,21 +254,144 @@ pub struct BlockReport {
     pub outcome: BlockOutcome,
 }
 
+/// One block with at least one fragment in and no verdict yet. Holds
+/// exactly the payload bytes that arrived for it, nothing sized from a
+/// header field.
 #[derive(Debug)]
 struct PendingBlock {
-    data: Vec<Option<Vec<u8>>>,
-    parity: Vec<Option<Vec<u8>>>,
+    data_frags: u16,
     block_len: u32,
+    /// Data fragments `0..in_order`, fragment `i` at `i × frag_payload`.
+    buf: Vec<u8>,
+    in_order: usize,
+    /// Data fragments that arrived past a gap, ascending by index, each
+    /// still the `Vec` it arrived in.
+    ahead: Vec<(u16, Vec<u8>)>,
+    /// Parity fragments, ascending by parity position.
+    parity: Vec<(u16, Vec<u8>)>,
+}
+
+/// Inserts into an index-sorted fragment list; a duplicate is dropped.
+fn insert_sorted(list: &mut Vec<(u16, Vec<u8>)>, index: u16, payload: Vec<u8>) {
+    if let Err(at) = list.binary_search_by_key(&index, |(i, _)| *i) {
+        list.insert(at, (index, payload));
+    }
+}
+
+fn find_sorted(list: &[(u16, Vec<u8>)], index: usize) -> Option<&[u8]> {
+    list.binary_search_by_key(&index, |(i, _)| *i as usize)
+        .ok()
+        .map(|at| list[at].1.as_slice())
 }
 
 impl PendingBlock {
-    fn new(data_frags: usize, parity_frags: usize, block_len: u32) -> Self {
+    fn new(h: &PacketHeader) -> Self {
         Self {
-            data: vec![None; data_frags],
-            parity: vec![None; parity_frags],
-            block_len,
+            data_frags: h.data_frags,
+            block_len: h.block_len,
+            buf: Vec::new(),
+            in_order: 0,
+            ahead: Vec::new(),
+            parity: Vec::new(),
         }
     }
+
+    fn complete(&self) -> bool {
+        self.in_order == self.data_frags as usize
+    }
+
+    fn append(&mut self, payload: Vec<u8>) {
+        if self.in_order == 0 {
+            self.buf = payload;
+        } else {
+            self.buf.extend_from_slice(&payload);
+        }
+        self.in_order += 1;
+    }
+
+    fn insert_data(&mut self, index: u16, payload: Vec<u8>) {
+        match (index as usize).cmp(&self.in_order) {
+            std::cmp::Ordering::Less => {} // duplicate
+            std::cmp::Ordering::Greater => insert_sorted(&mut self.ahead, index, payload),
+            std::cmp::Ordering::Equal => {
+                self.append(payload);
+                // The gap closed: take in whatever was waiting right behind it.
+                let mut taken = 0;
+                while taken < self.ahead.len() && self.ahead[taken].0 as usize == self.in_order {
+                    let waiting = std::mem::take(&mut self.ahead[taken].1);
+                    self.append(waiting);
+                    taken += 1;
+                }
+                self.ahead.drain(..taken);
+            }
+        }
+    }
+
+    /// The bytes of data fragment `index`, if it is in.
+    fn data(&self, index: usize, frag_payload: usize) -> Option<&[u8]> {
+        if index < self.in_order {
+            let lo = index * frag_payload;
+            Some(&self.buf[lo..(lo + frag_payload).min(self.buf.len())])
+        } else {
+            find_sorted(&self.ahead, index)
+        }
+    }
+
+    fn held_bytes(&self) -> usize {
+        let listed = |l: &[(u16, Vec<u8>)]| l.iter().map(|(_, p)| p.len()).sum::<usize>();
+        self.buf.len() + listed(&self.ahead) + listed(&self.parity)
+    }
+}
+
+/// Which of a stream's blocks already have a verdict: every id below
+/// `floor`, plus the listed ids at or above it — so stragglers and
+/// duplicates for a settled block are dropped silently, and a very late one
+/// (e.g. queued behind a full congestion backlog) can never resurrect — and
+/// double-resolve — a settled block. The floor trails the newest block by
+/// two horizons, so the list never holds more than `2 × horizon + 2` ids.
+#[derive(Debug, Default)]
+struct SettledWindow {
+    floor: u64,
+    /// Settled ids at or above `floor`, ascending.
+    ids: VecDeque<u64>,
+}
+
+impl SettledWindow {
+    fn contains(&self, id: u64) -> bool {
+        id < self.floor || self.ids.binary_search(&id).is_ok()
+    }
+
+    /// Marks `id` settled and slides the floor up to `keep_from`.
+    fn insert(&mut self, id: u64, keep_from: u64) {
+        if id >= keep_from {
+            // Blocks mostly settle in id order: the common insert is a push.
+            if let Err(at) = self.ids.binary_search(&id) {
+                self.ids.insert(at, id);
+            }
+        }
+        while self.ids.front().is_some_and(|&settled| settled < keep_from) {
+            self.ids.pop_front();
+        }
+        self.floor = self.floor.max(keep_from);
+    }
+}
+
+#[derive(Debug)]
+struct StreamState {
+    highest_seq: u64,
+    /// Highest block id a well-formed fragment has carried.
+    newest: u64,
+    settled: SettledWindow,
+}
+
+/// Counts one fragment dropped for contradicting the shared layout or its
+/// block's first fragment; it resolves nothing.
+fn reject(rejected: &mut u64, taps: Option<&WanTaps>) -> Vec<BlockReport> {
+    *rejected += 1;
+    if let Some(t) = taps {
+        t.rejected.inc();
+    }
+    Vec::new()
 }
 
 /// Reassembles blocks from fragments arriving in any order.
@@ -273,19 +399,12 @@ impl PendingBlock {
 pub struct Depacketizer {
     frag_payload: usize,
     fec: FecConfig,
+    rows: CauchyRows,
     horizon: u64,
     pending: BTreeMap<(u16, u64), PendingBlock>,
-    /// Block ids already resolved, kept within the horizon window so
-    /// stragglers and duplicates for a settled block are dropped silently.
-    resolved: BTreeMap<u16, BTreeSet<u64>>,
-    /// Low-water mark per stream: every id below it is treated as settled
-    /// forever, so pruning [`Self::resolved`] can never let a very late
-    /// straggler (e.g. one queued behind a full congestion backlog)
-    /// resurrect — and double-resolve — an already-settled block.
-    settled_floor: BTreeMap<u16, u64>,
-    newest: BTreeMap<u16, u64>,
-    highest_seq: BTreeMap<u16, u64>,
+    streams: BTreeMap<u16, StreamState>,
     reordered: u64,
+    rejected: u64,
     taps: Option<WanTaps>,
 }
 
@@ -298,21 +417,16 @@ impl Depacketizer {
     /// `mtu` and `fec` must match the sender's — the fragment payload
     /// size is shared configuration, not derivable from the wire.
     pub fn new(mtu: usize, fec: FecConfig) -> Result<Self, NetError> {
-        if mtu <= HEADER_BYTES {
-            return Err(NetError::config(format!(
-                "mtu {mtu} leaves no room after the {HEADER_BYTES}-byte header"
-            )));
-        }
+        let (frag_payload, fec) = layout(mtu, fec)?;
         Ok(Self {
-            frag_payload: mtu - HEADER_BYTES,
+            frag_payload,
             fec,
+            rows: CauchyRows::new(fec.group_data, fec.group_parity),
             horizon: DEFAULT_HORIZON,
             pending: BTreeMap::new(),
-            resolved: BTreeMap::new(),
-            settled_floor: BTreeMap::new(),
-            newest: BTreeMap::new(),
-            highest_seq: BTreeMap::new(),
+            streams: BTreeMap::new(),
             reordered: 0,
+            rejected: 0,
             taps: None,
         })
     }
@@ -334,15 +448,56 @@ impl Depacketizer {
         self.reordered
     }
 
+    /// Fragments dropped because their header contradicts the shared
+    /// layout or their block's first fragment.
+    pub fn rejected(&self) -> u64 {
+        self.rejected
+    }
+
     /// Blocks still waiting for fragments.
     pub fn pending(&self) -> usize {
         self.pending.len()
+    }
+
+    /// Payload bytes held for blocks still waiting — never more than the
+    /// payload bytes pushed.
+    pub fn pending_bytes(&self) -> usize {
+        self.pending.values().map(PendingBlock::held_bytes).sum()
     }
 
     /// True while at least one fragment of the block has arrived and the
     /// block has not yet resolved.
     pub fn is_pending(&self, stream: u16, block_id: u64) -> bool {
         self.pending.contains_key(&(stream, block_id))
+    }
+
+    /// The payload length the shared layout dictates for this fragment, or
+    /// `None` when the header is not one a [`Packetizer`] of this layout
+    /// can have stamped.
+    fn expected_len(&self, h: &PacketHeader) -> Option<usize> {
+        let fp = self.frag_payload;
+        let (k, r) = (self.fec.group_data, self.fec.group_parity);
+        let block_len = h.block_len as usize;
+        let data_frags = h.data_frags as usize;
+        if block_len.div_ceil(fp).max(1) != data_frags {
+            return None;
+        }
+        let tail = data_frags - 1;
+        let tail_len = block_len - tail * fp;
+        let index = h.frag_index as usize;
+        if index < data_frags {
+            return Some(if index < tail { fp } else { tail_len });
+        }
+        let position = index - data_frags;
+        if position >= data_frags.div_ceil(k) * r {
+            return None;
+        }
+        // Parity is as long as its group's longest fragment — the first.
+        Some(if position / r * k < tail {
+            fp
+        } else {
+            tail_len
+        })
     }
 
     /// Feeds one arrived packet; returns every block this arrival
@@ -352,70 +507,59 @@ impl Depacketizer {
         if let Some(t) = &self.taps {
             t.packets_delivered.inc();
         }
-        match self.highest_seq.get(&h.stream) {
-            Some(&hi) if h.seq < hi => {
-                self.reordered += 1;
-                if let Some(t) = &self.taps {
-                    t.packets_reordered.inc();
-                }
-            }
-            Some(&hi) => {
-                self.highest_seq.insert(h.stream, hi.max(h.seq));
-            }
-            None => {
-                self.highest_seq.insert(h.stream, h.seq);
+        let well_formed = self.expected_len(&h) == Some(packet.payload.len());
+        let stream = self.streams.entry(h.stream).or_insert(StreamState {
+            highest_seq: h.seq,
+            newest: h.block_id,
+            settled: SettledWindow::default(),
+        });
+        if h.seq < stream.highest_seq {
+            self.reordered += 1;
+            if let Some(t) = &self.taps {
+                t.packets_reordered.inc();
             }
         }
-
-        let mut reports = Vec::new();
-        let settled = h.block_id < self.settled_floor.get(&h.stream).copied().unwrap_or(0)
-            || self
-                .resolved
-                .get(&h.stream)
-                .is_some_and(|set| set.contains(&h.block_id));
-        if settled {
-            return reports; // straggler for a block already settled
+        stream.highest_seq = stream.highest_seq.max(h.seq);
+        if stream.settled.contains(h.block_id) {
+            return Vec::new(); // straggler for a block already settled
         }
-
-        let data_frags = h.data_frags as usize;
-        let groups = data_frags.div_ceil(self.fec.group_data.max(1));
-        let parity_frags = groups * self.fec.group_parity;
+        if !well_formed {
+            return reject(&mut self.rejected, self.taps.as_ref());
+        }
         let entry = self
             .pending
             .entry((h.stream, h.block_id))
-            .or_insert_with(|| PendingBlock::new(data_frags, parity_frags, h.block_len));
-
-        let idx = h.frag_index as usize;
-        if idx < data_frags {
-            if entry.data[idx].is_none() {
-                entry.data[idx] = Some(packet.payload);
-            }
-        } else if idx - data_frags < parity_frags {
-            let p = idx - data_frags;
-            if entry.parity[p].is_none() {
-                entry.parity[p] = Some(packet.payload);
-            }
+            .or_insert_with(|| PendingBlock::new(&h));
+        if (entry.data_frags, entry.block_len) != (h.data_frags, h.block_len) {
+            return reject(&mut self.rejected, self.taps.as_ref());
         }
-        // A frag_index beyond the parity range is a malformed straggler;
-        // it was counted as delivered and is otherwise ignored.
-
-        if let Some(report) = self.try_resolve(h.stream, h.block_id) {
-            reports.push(report);
+        match h.frag_index.checked_sub(h.data_frags) {
+            None => entry.insert_data(h.frag_index, packet.payload),
+            Some(position) => insert_sorted(&mut entry.parity, position, packet.payload),
         }
-
-        let newest = self
-            .newest
-            .entry(h.stream)
-            .and_modify(|n| *n = (*n).max(h.block_id))
-            .or_insert(h.block_id);
-        let newest = *newest;
-        let expired: Vec<u64> = self
+        // Recovery is deliberately *lazy* — jitter routinely lands parity
+        // ahead of the last data fragment, and recovering while the data is
+        // still in flight would misreport a healthy channel as lossy. Parity
+        // is only spent at `finalize` / horizon expiry, when waiting is no
+        // longer an option.
+        let mut reports = Vec::new();
+        if entry.complete() {
+            reports.push(self.force_resolve(h.stream, h.block_id));
+        }
+        // Only now: the completing block settles against the floor as it
+        // stood before this fragment moved `newest`.
+        let newest = self.streams.get_mut(&h.stream).map_or(h.block_id, |state| {
+            state.newest = state.newest.max(h.block_id);
+            state.newest
+        });
+        // Pending blocks sort by id, so the aged-out ones lead the stream's range.
+        while let Some(id) = self
             .pending
             .range((h.stream, 0)..=(h.stream, u64::MAX))
-            .map(|((_, id), _)| *id)
-            .filter(|id| id + self.horizon < newest)
-            .collect();
-        for id in expired {
+            .next()
+            .map(|(&(_, id), _)| id)
+            .filter(|id| id.saturating_add(self.horizon) < newest)
+        {
             reports.push(self.force_resolve(h.stream, id));
         }
         reports
@@ -424,11 +568,9 @@ impl Depacketizer {
     /// Forces a verdict on one block now — used by synchronous adapters
     /// that resolve each block before the next is sent.
     pub fn finalize(&mut self, stream: u16, block_id: u64) -> Option<BlockReport> {
-        if self.pending.contains_key(&(stream, block_id)) {
-            Some(self.force_resolve(stream, block_id))
-        } else {
-            None
-        }
+        self.pending
+            .contains_key(&(stream, block_id))
+            .then(|| self.force_resolve(stream, block_id))
     }
 
     /// Forces a verdict on everything still pending.
@@ -439,93 +581,62 @@ impl Depacketizer {
             .collect()
     }
 
-    /// Resolves the block if every data fragment is in; leaves it pending
-    /// otherwise. Recovery is deliberately *lazy* — jitter routinely lands
-    /// parity ahead of the last data fragment, and recovering while the
-    /// data is still in flight would misreport a healthy channel as lossy.
-    /// Parity is only spent at [`finalize`](Self::finalize) / horizon
-    /// expiry, when waiting is no longer an option.
-    fn try_resolve(&mut self, stream: u16, block_id: u64) -> Option<BlockReport> {
-        let complete = self
-            .pending
-            .get(&(stream, block_id))
-            .is_some_and(|entry| entry.data.iter().all(Option::is_some));
-        if !complete {
-            return None;
-        }
-        let entry = self.pending.remove(&(stream, block_id))?;
-        let outcome = BlockOutcome::Delivered(assemble(&entry));
-        Some(self.settle(stream, block_id, outcome))
-    }
-
-    /// Resolves the block with whatever is present: recovery if possible,
-    /// otherwise [`BlockOutcome::Lost`].
+    /// Resolves the block with whatever is present: its buffer if every
+    /// data fragment is in, recovery if possible, otherwise
+    /// [`BlockOutcome::Lost`].
     fn force_resolve(&mut self, stream: u16, block_id: u64) -> BlockReport {
-        // lint:allow(no-unwrap): every caller checked membership in `pending` under this borrow
-        let mut entry = self
-            .pending
-            .remove(&(stream, block_id))
-            .expect("checked by caller");
-        let outcome = if entry.data.iter().all(Option::is_some) {
-            BlockOutcome::Delivered(assemble(&entry))
-        } else if self.fec.group_parity > 0 && self.recoverable(&entry) {
-            self.recover(&mut entry)
-        } else {
-            BlockOutcome::Lost
+        let outcome = match self.pending.remove(&(stream, block_id)) {
+            Some(entry) if entry.complete() => BlockOutcome::Delivered(entry.buf),
+            Some(entry) if self.fec.group_parity > 0 => self.recover(entry),
+            _ => BlockOutcome::Lost,
         };
         self.settle(stream, block_id, outcome)
     }
 
-    /// True when every group's losses fit inside its surviving parity.
-    fn recoverable(&self, entry: &PendingBlock) -> bool {
-        let k = self.fec.group_data;
-        let r = self.fec.group_parity;
-        entry.data.chunks(k).enumerate().all(|(g, group)| {
-            let missing = group.iter().filter(|d| d.is_none()).count();
-            let parity_have = entry.parity[g * r..(g + 1) * r]
-                .iter()
-                .filter(|p| p.is_some())
-                .count();
-            missing <= parity_have
-        })
-    }
-
-    /// Runs per-group recovery; downgrades to [`BlockOutcome::Lost`] if
-    /// the solver reports the group unrecoverable after all.
-    fn recover(&self, entry: &mut PendingBlock) -> BlockOutcome {
-        let k = self.fec.group_data;
-        let r = self.fec.group_parity;
-        let groups = entry.data.len().div_ceil(k);
-        let mut recovered_frags = 0usize;
-        for g in 0..groups {
-            let lo = g * k;
-            let hi = (lo + k).min(entry.data.len());
-            // Every data fragment but a short tail is full-size; the
-            // group-local fragment length is the max present length, with
-            // the shared frag_payload as the upper bound.
-            let frag_len = entry.data[lo..hi]
-                .iter()
-                .flatten()
-                .chain(entry.parity[g * r..(g + 1) * r].iter().flatten())
-                .map(Vec::len)
-                .max()
-                .unwrap_or(self.frag_payload);
-            let group = &mut entry.data[lo..hi];
-            let parity = &entry.parity[g * r..(g + 1) * r];
-            match fec::recover_group(group, parity, frag_len) {
-                Ok(n) => recovered_frags += n,
-                Err(_) => return BlockOutcome::Lost,
+    /// Runs per-group recovery over views of what arrived, then completes
+    /// the block's buffer; [`BlockOutcome::Lost`] if any group lost more
+    /// fragments than it has parity.
+    fn recover(&self, mut entry: PendingBlock) -> BlockOutcome {
+        let fp = self.frag_payload;
+        let (k, r) = (self.fec.group_data, self.fec.group_parity);
+        let data_frags = entry.data_frags as usize;
+        let block_len = entry.block_len as usize;
+        let tail = data_frags - 1;
+        let mut rebuilt: Vec<(usize, Vec<u8>)> = Vec::new();
+        for (g, lo) in (0..data_frags).step_by(k).enumerate() {
+            let hi = (lo + k).min(data_frags);
+            let data: Vec<Option<&[u8]>> = (lo..hi).map(|i| entry.data(i, fp)).collect();
+            if data.iter().all(Option::is_some) {
+                continue;
             }
+            let parity: Vec<Option<&[u8]>> = (g * r..(g + 1) * r)
+                .map(|p| find_sorted(&entry.parity, p))
+                .collect();
+            let frag_len = if lo < tail { fp } else { block_len - tail * fp };
+            let Ok(frags) = self.rows.recover(&data, &parity, frag_len) else {
+                return BlockOutcome::Lost;
+            };
+            let missing = (lo..hi).filter(|i| data[i - lo].is_none());
+            rebuilt.extend(missing.zip(frags));
         }
-        let bytes = assemble(entry);
-        if recovered_frags == 0 {
-            BlockOutcome::Delivered(bytes)
-        } else {
-            if let Some(t) = &self.taps {
-                t.frags_recovered.add(recovered_frags as u64);
-            }
-            BlockOutcome::Recovered(bytes)
+        if let Some(t) = &self.taps {
+            t.frags_recovered.add(rebuilt.len() as u64);
         }
+        // Behind the in-order prefix, every index is either rebuilt or was
+        // waiting ahead of the gap; both lists ascend.
+        let mut out = std::mem::take(&mut entry.buf);
+        let mut rebuilt = rebuilt.into_iter().peekable();
+        let mut ahead = entry.ahead.into_iter();
+        for i in entry.in_order..data_frags {
+            let frag = match rebuilt.next_if(|(index, _)| *index == i) {
+                Some((_, frag)) => frag,
+                None => ahead.next().map(|(_, frag)| frag).unwrap_or_default(),
+            };
+            out.extend_from_slice(&frag);
+        }
+        // A rebuilt tail fragment carries FEC zero-padding past the end.
+        out.truncate(block_len);
+        BlockOutcome::Recovered(out)
     }
 
     fn settle(&mut self, stream: u16, block_id: u64, outcome: BlockOutcome) -> BlockReport {
@@ -542,33 +653,16 @@ impl Depacketizer {
                 BlockOutcome::Lost => t.blocks_lost.inc(),
             }
         }
-        let set = self.resolved.entry(stream).or_default();
-        set.insert(block_id);
-        // Prune the resolved set to the horizon window so it stays
-        // O(horizon); the floor remembers what was pruned, so stragglers
-        // below it still read as settled.
-        let newest = self.newest.get(&stream).copied().unwrap_or(block_id);
-        let keep_from = newest.saturating_sub(self.horizon * 2);
-        set.retain(|id| *id >= keep_from);
-        let floor = self.settled_floor.entry(stream).or_insert(0);
-        *floor = (*floor).max(keep_from);
+        if let Some(state) = self.streams.get_mut(&stream) {
+            let keep_from = state.newest.saturating_sub(self.horizon.saturating_mul(2));
+            state.settled.insert(block_id, keep_from);
+        }
         BlockReport {
             stream,
             block_id,
             outcome,
         }
     }
-}
-
-/// Concatenates data fragments and truncates to the declared block
-/// length — recovered tail fragments carry FEC zero-padding past the end.
-fn assemble(entry: &PendingBlock) -> Vec<u8> {
-    let mut out = Vec::with_capacity(entry.block_len as usize);
-    for frag in entry.data.iter().flatten() {
-        out.extend_from_slice(frag);
-    }
-    out.truncate(entry.block_len as usize);
-    out
 }
 
 /// Convenience used by tests and the uplink: run `packets` through a
@@ -725,5 +819,122 @@ mod tests {
         assert_eq!(reports.len(), 1);
         assert_eq!(reports[0].block_id, id);
         assert_eq!(reports[0].outcome, BlockOutcome::Delivered(Vec::new()));
+    }
+
+    #[test]
+    fn in_order_delivery_hands_over_the_reassembly_buffer() {
+        // One fragment: the delivered payload *is* the packet's own Vec.
+        let (mut tx, mut rx) = mk(200, FecConfig::off());
+        let (_, mut pkts) = tx.packetize(&payload(100));
+        let arrived = pkts.remove(0);
+        let arrived_at = arrived.payload.as_ptr();
+        let reports = rx.push(arrived);
+        let delivered = reports[0].outcome.payload().expect("delivered");
+        assert_eq!(delivered.as_ptr(), arrived_at, "no copy on the way out");
+        assert_eq!(rx.rejected(), 0);
+    }
+
+    #[test]
+    fn pending_bytes_track_what_arrived_not_what_was_declared() {
+        let fec = FecConfig::new(4, 2).expect("fec");
+        let (mut tx, mut rx) = mk(128, fec);
+        let (_, pkts) = tx.packetize(&payload(5000));
+        // The tail data fragment first: a gap of 49 fragments ahead of it.
+        let tail = pkts
+            .iter()
+            .find(|p| p.header.frag_index + 1 == p.header.data_frags)
+            .expect("tail")
+            .clone();
+        let tail_len = tail.payload.len();
+        assert!(rx.push(tail).is_empty());
+        assert_eq!(rx.pending_bytes(), tail_len, "no hole is materialised");
+        let mut pushed = tail_len;
+        for p in pkts.into_iter().take(10) {
+            pushed += p.payload.len();
+            rx.push(p);
+            assert!(rx.pending_bytes() <= pushed);
+        }
+    }
+
+    type Edit = fn(&mut Packet);
+
+    /// A block's packets, and a forgery of its second fragment.
+    fn forged(edit: impl Fn(&mut Packet)) -> (Depacketizer, Vec<Packet>, Packet) {
+        let (mut tx, rx) = mk(128, FecConfig::new(4, 2).expect("fec"));
+        let (_, pkts) = tx.packetize(&payload(900));
+        let mut bad = pkts[1].clone();
+        edit(&mut bad);
+        (rx, pkts, bad)
+    }
+
+    #[test]
+    fn fragments_contradicting_the_layout_are_rejected_not_indexed() {
+        let edits: [(&str, Edit); 6] = [
+            ("data_frags grown past the block", |p| {
+                p.header.data_frags += 7
+            }),
+            ("block_len no longer matching data_frags", |p| {
+                p.header.block_len = 90_000
+            }),
+            ("payload longer than a fragment", |p| {
+                p.payload.resize(500, 0)
+            }),
+            ("payload shorter than its slot", |p| p.payload.truncate(3)),
+            ("frag_index past the parity range", |p| {
+                p.header.frag_index = 60_000
+            }),
+            ("consistent header, but not this block's", |p| {
+                p.header.data_frags = 10;
+                p.header.block_len = 901;
+            }),
+        ];
+        for (what, edit) in edits {
+            let (mut rx, pkts, bad) = forged(edit);
+            // The genuine first fragment fixes the block's shape...
+            assert!(rx.push(pkts[0].clone()).is_empty());
+            // ...so the forged one is counted and dropped, whatever it claims.
+            assert!(rx.push(bad).is_empty(), "{what}");
+            assert_eq!(rx.rejected(), 1, "{what}");
+            let reports = roundtrip(&mut rx, pkts);
+            assert_eq!(reports.len(), 1, "{what}");
+            assert_eq!(
+                reports[0].outcome,
+                BlockOutcome::Delivered(payload(900)),
+                "{what}: the block itself is unharmed"
+            );
+        }
+    }
+
+    #[test]
+    fn a_forged_first_fragment_cannot_size_the_reassembly_state() {
+        let (mut rx, _, bad) = forged(|p| {
+            // Self-consistent and enormous: 65 535 fragments, 6.5 MB.
+            p.header.data_frags = u16::MAX;
+            p.header.block_len = 65_534 * 100 + 1;
+            p.header.frag_index = 65_000;
+            p.header.block_id = u64::MAX;
+        });
+        let len = bad.payload.len();
+        assert!(rx.push(bad).is_empty());
+        assert_eq!(rx.rejected(), 0, "well-formed, merely implausible");
+        assert_eq!(rx.pending_bytes(), len);
+        assert_eq!(rx.finish()[0].outcome, BlockOutcome::Lost);
+    }
+
+    #[test]
+    fn settled_window_keeps_a_floor_and_the_ids_above_it() {
+        let mut w = SettledWindow::default();
+        w.insert(5, 0);
+        w.insert(3, 0);
+        assert!(w.contains(3) && w.contains(5) && !w.contains(4));
+        // The floor slides to 4: 3 leaves the list but stays settled.
+        w.insert(9, 4);
+        assert!(w.contains(0) && w.contains(3), "below the floor");
+        assert!(!w.contains(4) && w.contains(5) && w.contains(9));
+        assert_eq!(w.ids, [5, 9]);
+        // An id under the new floor is never listed.
+        w.insert(6, 8);
+        assert_eq!(w.ids, [9]);
+        assert!(w.contains(6) && !w.contains(8));
     }
 }

@@ -255,12 +255,13 @@ impl Uplink {
         if self.outstanding.is_empty() {
             return Vec::new();
         }
-        let in_flight = self.channel.in_flight_blocks();
         let dead: Vec<u64> = self
             .outstanding
             .iter()
             .copied()
-            .filter(|&id| !self.depacketizer.is_pending(0, id) && !in_flight.contains(&(0, id)))
+            .filter(|&id| {
+                !self.channel.block_in_flight(0, id) && !self.depacketizer.is_pending(0, id)
+            })
             .collect();
         dead.into_iter()
             .map(|block_id| {
@@ -295,18 +296,6 @@ impl Uplink {
         self.feedback_quanta += 1;
         if self.feedback_enabled {
             self.signal.apply(&fb);
-        }
-        if std::env::var_os("SIEVE_WAN_TRACE").is_some() {
-            eprintln!(
-                "q{:04} factor={:.3} marked={} cong={} lost={} unrec={} rec={}",
-                self.feedback_quanta,
-                self.signal.factor(),
-                fb.marked,
-                fb.congestion_dropped,
-                fb.lost,
-                fb.unrecoverable,
-                fb.recovered
-            );
         }
         let factor = self.signal.factor();
         self.factor_sum += factor;

@@ -124,21 +124,32 @@ impl Decoder {
     /// error the decoder's reference state is unchanged, as if the frame had
     /// never been submitted.
     pub fn decode_next(&mut self, ef: &EncodedFrame) -> Result<&Frame, DecodeError> {
+        self.decode_next_bytes(ef.frame_type, &ef.data)
+    }
+
+    /// [`Decoder::decode_next`] over a borrowed payload — for callers that
+    /// hold the encoded bytes in a buffer of their own (a queued packet)
+    /// and should not have to wrap them in an [`EncodedFrame`] to decode.
+    ///
+    /// # Errors
+    ///
+    /// As [`Decoder::decode_next`].
+    pub fn decode_next_bytes(
+        &mut self,
+        frame_type: FrameType,
+        data: &[u8],
+    ) -> Result<&Frame, DecodeError> {
         let mut frame = self
             .work
             .take()
             .unwrap_or_else(|| Frame::grey(self.resolution));
-        let result = match ef.frame_type {
-            FrameType::I => decode_i_into(&self.luma_q, &self.chroma_q, &ef.data, &mut frame),
+        let result = match frame_type {
+            FrameType::I => decode_i_into(&self.luma_q, &self.chroma_q, data, &mut frame),
             FrameType::P => match self.reference.as_ref() {
                 None => Err(DecodeError::MissingReference),
-                Some(reference) => decode_p_into(
-                    &self.luma_q,
-                    &self.chroma_q,
-                    reference,
-                    &ef.data,
-                    &mut frame,
-                ),
+                Some(reference) => {
+                    decode_p_into(&self.luma_q, &self.chroma_q, reference, data, &mut frame)
+                }
             },
         };
         match result {

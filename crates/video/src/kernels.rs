@@ -2,8 +2,10 @@
 //!
 //! Every vectorized inner loop of the codec — macroblock SAD, the 8x8 DCT
 //! pair, quantization, squared-error accumulation and 2x2 box downsampling —
-//! lives here, so dispatch happens in exactly one place. Each kernel has
-//! three tiers:
+//! lives here, and so does the one vectorized loop of the transport: the
+//! GF(256) multiply-accumulate behind `sieve-net`'s FEC
+//! ([`gf256_mul_acc`]). Dispatch happens in exactly one place. Each kernel
+//! has three tiers:
 //!
 //! * a **scalar** reference in [`scalar`], written so the compiler can
 //!   autovectorize it and so it is **bit-exact** with the SIMD tiers (same
@@ -274,10 +276,90 @@ pub fn avg2x2_f32(top: &[f32], bottom: &[f32], out: &mut [f32]) {
     }
 }
 
+/// Reduction polynomial of the FEC field: x^8 + x^4 + x^3 + x^2 + 1.
+const GF256_POLY: u16 = 0x11d;
+
+/// Carry-less shift-and-reduce product in GF(256). Only used to build
+/// [`GF256_NIBBLES`] at compile time.
+const fn gf256_mul_slow(a: u8, b: u8) -> u8 {
+    let mut acc = 0u16;
+    let mut a = a as u16;
+    let mut b = b;
+    while b != 0 {
+        if b & 1 != 0 {
+            acc ^= a;
+        }
+        a <<= 1;
+        if a & 0x100 != 0 {
+            a ^= GF256_POLY;
+        }
+        b >>= 1;
+    }
+    acc as u8
+}
+
+/// Per coefficient `c`, two 16-entry product tables: bytes `0..16` hold
+/// `c · n` and bytes `16..32` hold `c · (n << 4)` for every nibble `n`.
+/// Multiplication distributes over XOR, so `c · s` is the XOR of one lookup
+/// per nibble of `s` — which is exactly what one `pshufb` per table computes
+/// for a whole vector of `s` at once.
+static GF256_NIBBLES: [[u8; 32]; 256] = {
+    let mut tables = [[0u8; 32]; 256];
+    let mut c = 0;
+    while c < 256 {
+        let mut n = 0;
+        while n < 16 {
+            tables[c][n] = gf256_mul_slow(c as u8, n as u8);
+            tables[c][16 + n] = gf256_mul_slow(c as u8, (n as u8) << 4);
+            n += 1;
+        }
+        c += 1;
+    }
+    tables
+};
+
+/// `dst[i] ^= c · src[i]` one byte at a time, branch-free, from `c`'s row of
+/// [`GF256_NIBBLES`] — the whole scalar tier, and the SIMD tier's tail.
+fn gf256_mul_acc_bytes(dst: &mut [u8], tables: &[u8; 32], src: &[u8]) {
+    for (d, s) in dst.iter_mut().zip(src) {
+        *d ^= tables[(s & 0x0f) as usize] ^ tables[16 + (s >> 4) as usize];
+    }
+}
+
+/// Product of two GF(256) elements (polynomial `0x11d`) — the scalar
+/// companion of [`gf256_mul_acc`], for coefficient-matrix arithmetic.
+#[inline]
+pub fn gf256_mul(a: u8, b: u8) -> u8 {
+    let t = &GF256_NIBBLES[a as usize];
+    t[(b & 0x0f) as usize] ^ t[16 + (b >> 4) as usize]
+}
+
+/// `dst[i] ^= c · src[i]` over GF(256) — the multiply-accumulate every FEC
+/// encode and recovery is made of. Exact field arithmetic, so every tier
+/// produces the same bytes.
+///
+/// # Panics
+///
+/// Panics if the lengths differ.
+pub fn gf256_mul_acc(dst: &mut [u8], c: u8, src: &[u8]) {
+    assert_eq!(dst.len(), src.len(), "gf256_mul_acc requires equal lengths");
+    if c == 0 {
+        return;
+    }
+    match active_level() {
+        #[cfg(target_arch = "x86_64")]
+        KernelLevel::Avx2 => unsafe {
+            x86::gf256_mul_acc_avx2(dst, &GF256_NIBBLES[c as usize], src)
+        },
+        // `pshufb` is SSSE3, above the SSE2 baseline: that tier stays bytewise.
+        _ => scalar::gf256_mul_acc(dst, c, src),
+    }
+}
+
 /// The scalar reference tier. Public so tests and benchmarks can pin it
 /// regardless of the dispatcher's cached level.
 pub mod scalar {
-    use super::dct_tables;
+    use super::{dct_tables, gf256_mul_acc_bytes, GF256_NIBBLES};
 
     /// Rounds ties away from zero — the formula both tiers share (see the
     /// module docs).
@@ -401,6 +483,12 @@ pub mod scalar {
             *o = ((top[2 * i] + top[2 * i + 1]) + (bottom[2 * i] + bottom[2 * i + 1])) * 0.25;
         }
     }
+
+    /// Scalar [`super::gf256_mul_acc`]: the same two nibble tables the SIMD
+    /// tier shuffles through, one byte at a time and branch-free.
+    pub fn gf256_mul_acc(dst: &mut [u8], c: u8, src: &[u8]) {
+        gf256_mul_acc_bytes(dst, &GF256_NIBBLES[c as usize], src);
+    }
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -409,7 +497,7 @@ mod x86 {
     //! slice bounds; the `unsafe` here is the intrinsics themselves plus
     //! raw row loads inside those asserted bounds.
 
-    use super::dct_tables;
+    use super::{dct_tables, gf256_mul_acc_bytes};
     use std::arch::x86_64::*;
 
     /// # Safety
@@ -733,6 +821,44 @@ mod x86 {
             }
         }
     }
+
+    /// `tables` is one row of `GF256_NIBBLES`: low-nibble products, then
+    /// high-nibble products.
+    ///
+    /// # Safety
+    /// Caller asserts equal lengths; requires AVX2.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn gf256_mul_acc_avx2(dst: &mut [u8], tables: &[u8; 32], src: &[u8]) {
+        unsafe {
+            let lo128 = _mm_loadu_si128(tables.as_ptr() as *const __m128i);
+            let hi128 = _mm_loadu_si128(tables.as_ptr().add(16) as *const __m128i);
+            let lo = _mm256_broadcastsi128_si256(lo128);
+            let hi = _mm256_broadcastsi128_si256(hi128);
+            let mask = _mm256_set1_epi8(0x0f);
+            let n = dst.len();
+            let mut i = 0;
+            while i + 32 <= n {
+                let s = _mm256_loadu_si256(src.as_ptr().add(i) as *const __m256i);
+                let d = _mm256_loadu_si256(dst.as_ptr().add(i) as *const __m256i);
+                let l = _mm256_shuffle_epi8(lo, _mm256_and_si256(s, mask));
+                let h = _mm256_shuffle_epi8(hi, _mm256_and_si256(_mm256_srli_epi64(s, 4), mask));
+                let out = _mm256_xor_si256(d, _mm256_xor_si256(l, h));
+                _mm256_storeu_si256(dst.as_mut_ptr().add(i) as *mut __m256i, out);
+                i += 32;
+            }
+            if i + 16 <= n {
+                let mask = _mm256_castsi256_si128(mask);
+                let s = _mm_loadu_si128(src.as_ptr().add(i) as *const __m128i);
+                let d = _mm_loadu_si128(dst.as_ptr().add(i) as *const __m128i);
+                let l = _mm_shuffle_epi8(lo128, _mm_and_si128(s, mask));
+                let h = _mm_shuffle_epi8(hi128, _mm_and_si128(_mm_srli_epi64(s, 4), mask));
+                let out = _mm_xor_si128(d, _mm_xor_si128(l, h));
+                _mm_storeu_si128(dst.as_mut_ptr().add(i) as *mut __m128i, out);
+                i += 16;
+            }
+            gf256_mul_acc_bytes(&mut dst[i..], tables, &src[i..]);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -820,6 +946,39 @@ mod tests {
             let db: Vec<u32> = d.iter().map(|v| v.to_bits()).collect();
             let sb: Vec<u32> = s.iter().map(|v| v.to_bits()).collect();
             assert_eq!(db, sb, "width {w}");
+        }
+    }
+
+    #[test]
+    fn gf256_mul_is_the_0x11d_field() {
+        // x · x^7 wraps through the reduction polynomial.
+        assert_eq!(gf256_mul(2, 0x80), 0x1d);
+        for a in 0..=255u8 {
+            assert_eq!(gf256_mul(a, 1), a);
+            assert_eq!(gf256_mul(1, a), a);
+            assert_eq!(gf256_mul(a, 0), 0);
+            assert_eq!(gf256_mul(a, 0x53), gf256_mul(0x53, a), "commutes at {a}");
+        }
+    }
+
+    #[test]
+    fn dispatched_gf256_mul_acc_matches_scalar_all_tail_lengths() {
+        let src = pattern_block(5);
+        let base = pattern_block(77);
+        for c in [0u8, 1, 2, 0x1d, 0x8e, 255] {
+            for len in [0, 1, 15, 16, 17, 31, 32, 33, 48, 63, 100, 320] {
+                let mut d = base[..len].to_vec();
+                let mut s = base[..len].to_vec();
+                gf256_mul_acc(&mut d, c, &src[..len]);
+                scalar::gf256_mul_acc(&mut s, c, &src[..len]);
+                assert_eq!(d, s, "c {c} len {len}");
+                let by_byte: Vec<u8> = base[..len]
+                    .iter()
+                    .zip(&src[..len])
+                    .map(|(b, x)| b ^ gf256_mul(c, *x))
+                    .collect();
+                assert_eq!(d, by_byte, "c {c} len {len}");
+            }
         }
     }
 

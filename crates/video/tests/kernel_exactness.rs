@@ -8,6 +8,10 @@
 //! scalar and the properties hold trivially; CI's x86 runners exercise the
 //! real comparison.
 //!
+//! `gf256_mul_acc` (the FEC multiply-accumulate `sieve-net` runs) is
+//! additionally held to the log/exp-table implementation it replaced, kept
+//! here as the reference.
+//!
 //! The final properties cover the codec-facing wrappers whose edge
 //! handling was rewritten onto the kernels: `motion::sad_mb` (clamped
 //! block materialization) and `intra_cost_mb`, against per-sample
@@ -41,8 +45,76 @@ fn block_i32(seed: u64, amplitude: i32) -> [i32; 64] {
     })
 }
 
+/// `dst ^= c · src` over GF(256)/0x11d through log/exp tables with a
+/// zero-test per byte — what `sieve-net`'s FEC ran before the kernel.
+fn gf256_mul_acc_log_exp(dst: &mut [u8], c: u8, src: &[u8]) {
+    let mut exp = [0u8; 512];
+    let mut log = [0u8; 256];
+    let mut x: u16 = 1;
+    for (i, e) in exp.iter_mut().enumerate().take(255) {
+        *e = x as u8;
+        log[x as usize] = i as u8;
+        x <<= 1;
+        if x & 0x100 != 0 {
+            x ^= 0x11d;
+        }
+    }
+    for i in 255..512 {
+        exp[i] = exp[i - 255];
+    }
+    if c == 0 {
+        return;
+    }
+    let lc = log[c as usize] as usize;
+    for (d, s) in dst.iter_mut().zip(src) {
+        if *s != 0 {
+            *d ^= exp[lc + log[*s as usize] as usize];
+        }
+    }
+}
+
+/// Every coefficient, at the fragment length the uplink ships (1172 =
+/// 36 × 32 + 16 + 4: vector body, half-vector step and byte tail).
+#[test]
+fn gf256_mul_acc_matches_log_exp_for_every_coefficient() {
+    let src = bytes(1172, 0xFEC);
+    let base = bytes(1172, 0xACC);
+    for c in 0..=255u8 {
+        let mut active = base.clone();
+        let mut portable = base.clone();
+        let mut reference = base.clone();
+        kernels::gf256_mul_acc(&mut active, c, &src);
+        scalar::gf256_mul_acc(&mut portable, c, &src);
+        gf256_mul_acc_log_exp(&mut reference, c, &src);
+        assert_eq!(active, reference, "active tier, c = {c}");
+        assert_eq!(portable, reference, "scalar tier, c = {c}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Lengths off the 32-byte vector width and sub-slices off any
+    /// alignment: both operands start at independent odd offsets.
+    #[test]
+    fn gf256_mul_acc_matches_scalar_and_log_exp(
+        seed in 0u64..1 << 48,
+        c in 0u8..=255,
+        len in 0usize..=1300,
+        dst_off in 0usize..32,
+        src_off in 0usize..32,
+    ) {
+        let src = bytes(src_off + len, seed);
+        let base = bytes(dst_off + len, seed ^ 0x6F25);
+        let mut active = base.clone();
+        let mut portable = base.clone();
+        let mut reference = base.clone();
+        kernels::gf256_mul_acc(&mut active[dst_off..], c, &src[src_off..]);
+        scalar::gf256_mul_acc(&mut portable[dst_off..], c, &src[src_off..]);
+        gf256_mul_acc_log_exp(&mut reference[dst_off..], c, &src[src_off..]);
+        prop_assert_eq!(&active, &reference);
+        prop_assert_eq!(&portable, &reference);
+    }
 
     #[test]
     fn sad16_matches_scalar(seed in 0u64..1 << 48, cur_stride in 16usize..40, ref_stride in 16usize..40) {

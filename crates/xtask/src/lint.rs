@@ -118,12 +118,17 @@ const RULES: &[Rule] = &[
     Rule {
         // SIMD intrinsics are quarantined in the kernels module (which
         // carries a file-wide allow); the rest of the pixel-processing
-        // crates stay safe Rust.
+        // crates — and the transport, whose FEC calls into that module —
+        // stay safe Rust.
         name: "no-unsafe",
         message: "unsafe outside sieve_video::kernels — keep intrinsics \
                   behind the dispatcher and everything else in safe Rust",
         matcher: Matcher::Tokens(&["unsafe"]),
-        in_scope: |p| p.starts_with("crates/video/src/") || p.starts_with("crates/filters/src/"),
+        in_scope: |p| {
+            p.starts_with("crates/video/src/")
+                || p.starts_with("crates/filters/src/")
+                || p.starts_with("crates/net/src/")
+        },
     },
 ];
 
@@ -410,6 +415,14 @@ fn f() {
             let f = check(path, "fn f() { std::thread::spawn(|| {}); }\n");
             assert_eq!(f.len(), 1, "{path}: {f:?}");
             assert_eq!(f[0].rule, "no-raw-spawn", "{path}");
+            // The FEC's vector loop lives behind sieve_video::kernels; the
+            // transport itself never reaches for intrinsics.
+            let f = check(
+                path,
+                "fn f() { unsafe { core::arch::x86_64::_mm_pause() } }\n",
+            );
+            assert_eq!(f.len(), 1, "{path}: {f:?}");
+            assert_eq!(f[0].rule, "no-unsafe", "{path}");
         }
     }
 
