@@ -7,10 +7,14 @@
 //!   inverse DCT, `quantize64`, `sse_u8` for MSE, `avg2x2_f32` for the
 //!   lookahead/SIFT downsample, `gf256_mul_acc` for the uplink's FEC) timed
 //!   through the runtime dispatcher and through the scalar reference tier,
-//!   back to back in one process.
+//!   back to back in one process; plus `entropy_decode`, the bitstream
+//!   parse of the test sequence's P-frames, which has no SIMD tier and is
+//!   swept for its absolute rate (Exp-Golomb codes per second).
 //! * **Whole pipeline** — encode throughput at scalar/1-thread (the seed
 //!   configuration), SIMD/1-thread, and SIMD/N-thread GOP-parallel; decode
-//!   throughput scalar vs SIMD over the batch decoder.
+//!   throughput scalar vs SIMD over the batch decoder, restated per
+//!   macroblock and beside the payload size so it can be held against a
+//!   decoder running larger pictures.
 //!
 //! Results land in `BENCH_codec.json` at the repository root,
 //! schema-validated by [`sieve_bench::codec_artifact`] so CI (or a later
@@ -27,8 +31,9 @@ use sieve_bench::codec_artifact::{
 use sieve_bench::report::table;
 use sieve_bench::scale_from_args;
 use sieve_datasets::{DatasetId, DatasetSpec};
+use sieve_video::bitio::{BitReader, ReadBitsError};
 use sieve_video::kernels::{self, scalar};
-use sieve_video::{EncodedVideo, EncoderConfig, Frame};
+use sieve_video::{entropy, BitstreamStats, EncodedVideo, EncoderConfig, Frame, FrameType};
 
 /// Where the serialized results land: the workspace root, two levels up
 /// from this crate's manifest.
@@ -129,10 +134,42 @@ impl KernelBench {
     }
 }
 
+/// Walks one P-frame payload the way the decoder does — macroblock flag,
+/// motion vector, six coded-block flags, run/level blocks — without
+/// reconstructing anything, handing each parsed block to `on_block`.
+/// Returns the number of coded macroblocks.
+fn parse_p_frame(
+    data: &[u8],
+    macroblocks: usize,
+    mut on_block: impl FnMut(&[i32; 64]),
+) -> Result<usize, ReadBitsError> {
+    let mut r = BitReader::new(data);
+    let mut levels = [0i32; 64];
+    let mut coded = 0;
+    for _ in 0..macroblocks {
+        if !r.read_bit()? {
+            continue; // SKIP
+        }
+        coded += 1;
+        black_box((r.read_se()?, r.read_se()?));
+        for _ in 0..6 {
+            if r.read_bit()? {
+                entropy::decode_block(&mut r, &mut levels)?;
+                on_block(&levels);
+            }
+        }
+    }
+    Ok(coded)
+}
+
 /// The micro-kernel sweep. Each iteration covers a whole plane / a batch of
 /// blocks so per-call dispatch overhead is amortized the way the codec
-/// amortizes it.
-fn kernel_sweep(samples: usize) -> (Vec<KernelPoint>, Vec<Vec<String>>) {
+/// amortizes it. Returns the points, the table rows, and the number of
+/// Exp-Golomb codes one `entropy_decode` iteration parses.
+fn kernel_sweep(
+    samples: usize,
+    encoded: &EncodedVideo,
+) -> (Vec<KernelPoint>, Vec<Vec<String>>, usize) {
     let mut bench = KernelBench::new(samples);
     // SAD over a 256x256 plane of 16x16 blocks, the motion-search shape.
     let w = 256usize;
@@ -294,7 +331,38 @@ fn kernel_sweep(samples: usize) -> (Vec<KernelPoint>, Vec<Vec<String>>) {
             black_box(&parity_b);
         },
     );
-    (bench.points, bench.rows)
+
+    // The entropy parse over every P-frame of the test sequence. The parser
+    // is safe scalar code with no dispatch, so both columns run the same
+    // thing; the row exists for its absolute rate.
+    let res = encoded.resolution();
+    let macroblocks = res.mb_cols() * res.mb_rows();
+    let p_frames: Vec<&[u8]> = encoded
+        .frames()
+        .iter()
+        .filter(|f| f.frame_type == FrameType::P)
+        .map(|f| f.data.as_slice())
+        .collect();
+    // Codes per iteration: two per coded macroblock's vector, and per coded
+    // block a (run, level) pair for each nonzero coefficient plus the EOB.
+    let mut codes = 0;
+    for data in &p_frames {
+        let coded_mbs = parse_p_frame(data, macroblocks, |levels| {
+            codes += 2 * levels.iter().filter(|&&l| l != 0).count() + 1;
+        })
+        .expect("bitstream parses");
+        codes += 2 * coded_mbs;
+    }
+    let parse_all = || {
+        for data in &p_frames {
+            let coded_mbs = parse_p_frame(data, macroblocks, |levels| {
+                black_box(levels);
+            });
+            black_box(coded_mbs.expect("bitstream parses"));
+        }
+    };
+    bench.pair("entropy_decode", parse_all, parse_all);
+    (bench.points, bench.rows, codes)
 }
 
 fn main() {
@@ -309,14 +377,6 @@ fn main() {
         std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
     );
 
-    // -- Micro-kernels ------------------------------------------------------
-    let (kernel_points, kernel_rows) = kernel_sweep(kernel_samples);
-    println!(
-        "\n{}",
-        table(&["kernel", "scalar", "simd", "speedup"], &kernel_rows)
-    );
-
-    // -- Whole pipeline -----------------------------------------------------
     // One eval scene, encoded with the harness's mid-grid parameters.
     let spec = DatasetSpec::of(DatasetId::JacksonSquare);
     let video = spec.generate(scale);
@@ -326,6 +386,16 @@ fn main() {
     let res = video.resolution();
     let config = EncoderConfig::new(30, 150);
     let workers = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let encoded = EncodedVideo::encode_parallel(res, video.fps(), config, &frames, workers);
+
+    // -- Micro-kernels ------------------------------------------------------
+    let (kernel_points, kernel_rows, entropy_codes) = kernel_sweep(kernel_samples, &encoded);
+    println!(
+        "\n{}",
+        table(&["kernel", "scalar", "simd", "speedup"], &kernel_rows)
+    );
+
+    // -- Whole pipeline -----------------------------------------------------
     let mut criterion = Criterion::default().sample_size(pipeline_samples);
 
     let mut encode_fps = |name: &str, scalar_tier: bool, workers: usize| {
@@ -351,7 +421,6 @@ fn main() {
     let simd_1t = encode_fps("codec/encode/simd-1t", false, 1);
     let simd_nt = encode_fps("codec/encode/simd-nt", false, workers);
 
-    let encoded = EncodedVideo::encode_parallel(res, video.fps(), config, &frames, workers);
     let mut decode_fps = |name: &str, scalar_tier: bool| {
         kernels::force_scalar(scalar_tier);
         let mut decoder = sieve_video::Decoder::new(res, config.quality);
@@ -384,11 +453,22 @@ fn main() {
         speedup_simd: simd_1t / scalar_1t,
         speedup_total: simd_nt / seed_1t,
     };
+    let macroblocks = res.mb_cols() * res.mb_rows();
+    let payload_bytes = BitstreamStats::from_video(&encoded).total_bytes;
+    let entropy_ns = kernel_points
+        .iter()
+        .find(|k| k.name == "entropy_decode")
+        .expect("swept above")
+        .simd_median_ns;
     let decode = DecodePoint {
         samples: pipeline_samples,
         scalar_fps: dec_scalar,
         simd_fps: dec_simd,
         speedup: dec_simd / dec_scalar,
+        us_per_macroblock: 1e6 / (dec_simd * macroblocks as f64),
+        payload_bytes_per_frame: payload_bytes as f64 / n_frames as f64,
+        // codes per nanosecond * 1e3 = millions of codes per second
+        entropy_mcodes_per_s: entropy_codes as f64 / entropy_ns * 1e3,
     };
     println!(
         "\n{}",
@@ -420,6 +500,12 @@ fn main() {
                 ],
             ]
         )
+    );
+
+    println!(
+        "decode: {:.2} us/macroblock ({macroblocks} macroblocks, {:.0} payload bytes per frame); \
+         entropy parse {:.0} M codes/s ({entropy_codes} codes over the P-frames)",
+        decode.us_per_macroblock, decode.payload_bytes_per_frame, decode.entropy_mcodes_per_s
     );
 
     let artifact = CodecArtifact {

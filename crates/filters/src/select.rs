@@ -358,11 +358,17 @@ impl<D: ChangeDetector + Send> SelectorSession for ChangeSession<D> {
         let Some(frame) = frame else {
             return Decision::NeedsDecode;
         };
-        let keep = match self.prev.take() {
-            None => true,
-            Some(p) => self.detector.change_score(&p, frame) > self.threshold,
+        let keep = match &mut self.prev {
+            None => {
+                self.prev = Some(frame.clone());
+                true
+            }
+            Some(prev) => {
+                let keep = self.detector.change_score(prev, frame) > self.threshold;
+                prev.copy_from(frame);
+                keep
+            }
         };
-        self.prev = Some(frame.clone());
         if keep {
             Decision::Keep
         } else {
@@ -478,16 +484,18 @@ impl<D: ChangeDetector + Send> SelectorSession for AdaptiveChangeSession<D> {
         let Some(frame) = frame else {
             return Decision::NeedsDecode;
         };
-        let keep = match self.prev.take() {
+        let keep = match &mut self.prev {
             None => {
                 self.controller.note_forced_keep();
+                self.prev = Some(frame.clone());
                 true
             }
-            Some(p) => self
-                .controller
-                .observe(self.detector.change_score(&p, frame)),
+            Some(prev) => {
+                let score = self.detector.change_score(prev, frame);
+                prev.copy_from(frame);
+                self.controller.observe(score)
+            }
         };
-        self.prev = Some(frame.clone());
         if keep {
             Decision::Keep
         } else {

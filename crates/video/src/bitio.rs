@@ -126,7 +126,44 @@ impl BitWriter {
     }
 }
 
+/// Stream bits a [`BitReader`] window always holds: the load is 8 bytes and
+/// the read position sits at most 7 bits into the first of them.
+pub(crate) const WINDOW_BITS: u32 = 57;
+
+/// Decodes the Exp-Golomb code at the top of `window`, of which only the
+/// top `valid` bits are stream bits (the rest must be zero). Returns the
+/// value and the code's length in bits, or `None` if the code does not end
+/// inside the valid bits — the caller then takes the byte-wise path, which
+/// is also the only place truncation and overlong codes are diagnosed.
+#[inline]
+pub(crate) fn ue_in_window(window: u64, valid: u32) -> Option<(u64, u32)> {
+    // `zeros` leading zeros, the terminating 1, then `zeros` suffix bits.
+    // The sentinel bit spares the zero case of `leading_zeros`; a window
+    // that needs it reads as a 127-bit code and fails the length test.
+    let len = 2 * (window | 1).leading_zeros() + 1;
+    (len <= valid).then(|| ((window >> (64 - len)) - 1, len))
+}
+
+/// Maps an unsigned Exp-Golomb value to its signed (`se(v)`) meaning.
+#[inline]
+pub(crate) fn se_from_ue(v: u64) -> i64 {
+    if v % 2 == 1 {
+        v.div_ceil(2) as i64
+    } else {
+        -((v / 2) as i64)
+    }
+}
+
 /// MSB-first bit reader over a byte slice.
+///
+/// Every multi-bit read is served from one 8-byte big-endian load at the
+/// current byte, shifted left by the bit offset: at least 57
+/// (`WINDOW_BITS`) real stream bits, MSB-aligned, zero below (a single
+/// bit is one checked byte load and needs no fallback). A field that fits the window can
+/// neither be truncated (all 8 bytes exist) nor overlong, so the fast path
+/// has no error exits; anything else — the last 8 bytes of the stream, a
+/// field longer than the window — goes through the byte-wise scan, which
+/// checks every step.
 #[derive(Debug, Clone)]
 pub struct BitReader<'a> {
     data: &'a [u8],
@@ -144,18 +181,44 @@ impl<'a> BitReader<'a> {
         self.pos
     }
 
+    /// The next [`WINDOW_BITS`] (or more) stream bits, MSB-aligned and
+    /// zero-filled below; `None` within 8 bytes of the end of the stream.
+    #[inline]
+    pub(crate) fn window(&self) -> Option<u64> {
+        let byte = self.pos / 8;
+        let bytes: [u8; 8] = self.data.get(byte..byte + 8)?.try_into().ok()?;
+        Some(u64::from_be_bytes(bytes) << (self.pos % 8))
+    }
+
+    /// Consumes `bits` bits the caller decoded from [`BitReader::window`].
+    #[inline]
+    pub(crate) fn skip(&mut self, bits: u32) {
+        self.pos += bits as usize;
+    }
+
     /// Reads `count` bits MSB-first.
     ///
     /// # Errors
     ///
     /// Returns [`ReadBitsError`] if fewer than `count` bits remain.
+    #[inline]
     pub fn read_bits(&mut self, count: u8) -> Result<u64, ReadBitsError> {
+        if (1..=WINDOW_BITS).contains(&(count as u32)) {
+            if let Some(window) = self.window() {
+                self.pos += count as usize;
+                return Ok(window >> (64 - count as u32));
+            }
+        }
+        self.read_bits_bytewise(count)
+    }
+
+    /// [`BitReader::read_bits`] in byte-sized chunks: the partial head byte,
+    /// then whole bytes, then whatever remains.
+    fn read_bits_bytewise(&mut self, count: u8) -> Result<u64, ReadBitsError> {
         assert!(count <= 64, "cannot read more than 64 bits at once");
         if self.pos + count as usize > self.data.len() * 8 {
             return Err(ReadBitsError);
         }
-        // Consume byte-sized chunks: the partial head byte, then whole
-        // bytes, then whatever remains.
         let mut out = 0u64;
         let mut remaining = count as usize;
         while remaining > 0 {
@@ -176,8 +239,12 @@ impl<'a> BitReader<'a> {
     /// # Errors
     ///
     /// Returns [`ReadBitsError`] at end of input.
+    #[inline]
     pub fn read_bit(&mut self) -> Result<bool, ReadBitsError> {
-        Ok(self.read_bits(1)? == 1)
+        let byte = *self.data.get(self.pos / 8).ok_or(ReadBitsError)?;
+        let bit = byte & (0x80 >> (self.pos % 8)) != 0;
+        self.pos += 1;
+        Ok(bit)
     }
 
     /// Reads an unsigned Exp-Golomb code.
@@ -185,10 +252,19 @@ impl<'a> BitReader<'a> {
     /// # Errors
     ///
     /// Returns [`ReadBitsError`] on truncated input.
+    #[inline]
     pub fn read_ue(&mut self) -> Result<u64, ReadBitsError> {
-        // Scan for the terminating 1 bit a byte at a time: shift out the
-        // consumed bits of the current byte and count leading zeros in what
-        // remains.
+        if let Some((value, len)) = self.window().and_then(|w| ue_in_window(w, WINDOW_BITS)) {
+            self.pos += len as usize;
+            return Ok(value);
+        }
+        self.read_ue_bytewise()
+    }
+
+    /// [`BitReader::read_ue`] scanning for the terminating 1 bit a byte at
+    /// a time: shift out the consumed bits of the current byte and count
+    /// leading zeros in what remains.
+    fn read_ue_bytewise(&mut self) -> Result<u64, ReadBitsError> {
         let total = self.data.len() * 8;
         let mut zeros = 0u64;
         loop {
@@ -213,7 +289,7 @@ impl<'a> BitReader<'a> {
         let rest = if zeros == 0 {
             0
         } else {
-            self.read_bits(zeros)?
+            self.read_bits_bytewise(zeros)?
         };
         // (1 << zeros) + rest - 1 never underflows: the leading 1 bit
         // guarantees the sum is at least 1.
@@ -225,13 +301,9 @@ impl<'a> BitReader<'a> {
     /// # Errors
     ///
     /// Returns [`ReadBitsError`] on truncated input.
+    #[inline]
     pub fn read_se(&mut self) -> Result<i64, ReadBitsError> {
-        let v = self.read_ue()?;
-        if v % 2 == 1 {
-            Ok(v.div_ceil(2) as i64)
-        } else {
-            Ok(-((v / 2) as i64))
-        }
+        self.read_ue().map(se_from_ue)
     }
 }
 

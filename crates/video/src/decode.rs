@@ -13,7 +13,7 @@
 
 use crate::bitio::{BitReader, ReadBitsError};
 use crate::dct;
-use crate::encode::{EncodedFrame, FrameType};
+use crate::encode::{predict_block8, EncodedFrame, FrameType};
 use crate::entropy;
 use crate::frame::{Frame, Plane, Resolution};
 use crate::motion::{MotionVector, MB};
@@ -236,6 +236,31 @@ fn decode_i_into(
     Ok(())
 }
 
+/// Per-frame scratch of the block pipeline: parsed levels, dequantized
+/// coefficients and the inverse transform's output. One set lives on the
+/// frame decoder's stack and is lent to every block.
+struct BlockScratch {
+    levels: [i32; 64],
+    deq: [f32; 64],
+    resid: [i32; 64],
+}
+
+impl BlockScratch {
+    fn new() -> Self {
+        Self {
+            levels: [0; 64],
+            deq: [0.0; 64],
+            resid: [0; 64],
+        }
+    }
+
+    /// Dequantizes and inverse-transforms `levels` into `resid`.
+    fn inverse(&mut self, q: &QuantTable) {
+        q.dequantize(&self.levels, &mut self.deq);
+        dct::inverse(&self.deq, &mut self.resid);
+    }
+}
+
 fn decode_plane_intra(
     r: &mut BitReader<'_>,
     q: &QuantTable,
@@ -243,20 +268,22 @@ fn decode_plane_intra(
 ) -> Result<(), DecodeError> {
     let bcols = plane.width().div_ceil(8);
     let brows = plane.height().div_ceil(8);
+    let mut s = BlockScratch::new();
     let mut prev_dc = 0i32;
     for by in 0..brows {
         for bx in 0..bcols {
-            let mut levels = entropy::decode_block(r)?;
-            levels[0] += prev_dc;
-            prev_dc = levels[0];
-            let mut deq = [0f32; 64];
-            q.dequantize(&levels, &mut deq);
-            let mut rec = [0i32; 64];
-            dct::inverse(&deq, &mut rec);
-            for v in rec.iter_mut() {
-                *v += 128;
+            entropy::decode_block(r, &mut s.levels)?;
+            // The DC is delta-coded: bound the running sum like any level,
+            // so a hostile stream cannot walk it out of range.
+            let dc = s.levels[0] + prev_dc;
+            if dc.abs() > entropy::MAX_LEVEL {
+                return Err(DecodeError::Bitstream);
             }
-            plane.put_block8(bx, by, &rec);
+            s.levels[0] = dc;
+            prev_dc = dc;
+            s.inverse(q);
+            // Intra blocks predict flat mid-grey: the level shift.
+            plane.recon_block8(bx, by, &[128; 64], &s.resid);
         }
     }
     Ok(())
@@ -273,6 +300,7 @@ fn decode_p_into(
     frame: &mut Frame,
 ) -> Result<(), DecodeError> {
     let mut r = BitReader::new(data);
+    let mut s = BlockScratch::new();
     let resolution = frame.resolution();
     let mb_cols = resolution.mb_cols();
     let mb_rows = resolution.mb_rows();
@@ -286,17 +314,16 @@ fn decode_p_into(
                 copy_mb_zero(reference, frame, x, y);
                 continue;
             }
-            let dx = r.read_se()?;
-            let dy = r.read_se()?;
             let mv = MotionVector {
-                dx: dx as i16,
-                dy: dy as i16,
+                dx: read_mv_component(&mut r)?,
+                dy: read_mv_component(&mut r)?,
             };
             // Luma 2x2 blocks.
             for by in 0..2 {
                 for bx in 0..2 {
                     decode_inter_block(
                         &mut r,
+                        &mut s,
                         luma_q,
                         reference.y(),
                         frame.y_mut(),
@@ -312,6 +339,7 @@ fn decode_p_into(
             };
             decode_inter_block(
                 &mut r,
+                &mut s,
                 chroma_q,
                 reference.u(),
                 frame.u_mut(),
@@ -321,6 +349,7 @@ fn decode_p_into(
             )?;
             decode_inter_block(
                 &mut r,
+                &mut s,
                 chroma_q,
                 reference.v(),
                 frame.v_mut(),
@@ -344,8 +373,16 @@ fn copy_mb_zero(reference: &Frame, frame: &mut Frame, x: usize, y: usize) {
         .copy_block_from(reference.v(), cx, cy, MB / 2, 0, 0);
 }
 
+/// Reads one motion-vector component, rejecting values a [`MotionVector`]
+/// cannot hold instead of truncating them.
+fn read_mv_component(r: &mut BitReader<'_>) -> Result<i16, DecodeError> {
+    i16::try_from(r.read_se()?).map_err(|_| DecodeError::Bitstream)
+}
+
+#[allow(clippy::too_many_arguments)]
 fn decode_inter_block(
     r: &mut BitReader<'_>,
+    s: &mut BlockScratch,
     q: &QuantTable,
     reference: &Plane,
     out: &mut Plane,
@@ -353,20 +390,16 @@ fn decode_inter_block(
     by: usize,
     mv: MotionVector,
 ) -> Result<(), DecodeError> {
-    let pred = crate::encode::predict_block8(reference, bx, by, mv);
-    let coded = r.read_bit()?;
-    let mut rec = pred;
-    if coded {
-        let levels = entropy::decode_block(r)?;
-        let mut deq = [0f32; 64];
-        q.dequantize(&levels, &mut deq);
-        let mut resid = [0i32; 64];
-        dct::inverse(&deq, &mut resid);
-        for i in 0..64 {
-            rec[i] = pred[i] + resid[i];
-        }
+    let (mvx, mvy) = (mv.dx as i64, mv.dy as i64);
+    if !r.read_bit()? {
+        // No residual: the block is its motion-compensated prediction.
+        out.copy_block_from(reference, bx * 8, by * 8, 8, mvx, mvy);
+        return Ok(());
     }
-    out.put_block8(bx, by, &rec);
+    entropy::decode_block(r, &mut s.levels)?;
+    s.inverse(q);
+    let pred = predict_block8(reference, bx, by, mv);
+    out.recon_block8(bx, by, &pred, &s.resid);
     Ok(())
 }
 

@@ -552,43 +552,21 @@ fn copy_mb(reference: &Frame, recon: &mut Frame, x: usize, y: usize, mv: MotionV
 }
 
 /// Extracts the motion-compensated prediction for an 8x8 block at block
-/// coordinates `(bx, by)` of `plane`.
+/// coordinates `(bx, by)` of `plane`, clamping reads at the reference's
+/// edges.
 pub(crate) fn predict_block8(
     reference: &Plane,
     bx: usize,
     by: usize,
     mv: MotionVector,
-) -> [i32; 64] {
-    let mut pred = [0i32; 64];
-    let x0 = bx * 8;
-    let y0 = by * 8;
-    let sx = x0 as i64 + mv.dx as i64;
-    let sy = y0 as i64 + mv.dy as i64;
-    // Fast path: the displaced block is fully inside the reference.
-    if sx >= 0
-        && sy >= 0
-        && sx as usize + 8 <= reference.width()
-        && sy as usize + 8 <= reference.height()
-    {
-        let (sx, sy) = (sx as usize, sy as usize);
-        let w = reference.width();
-        let data = reference.data();
-        for dy in 0..8 {
-            let row = &data[(sy + dy) * w + sx..][..8];
-            for dx in 0..8 {
-                pred[dy * 8 + dx] = row[dx] as i32;
-            }
-        }
-        return pred;
-    }
-    for dy in 0..8 {
-        for dx in 0..8 {
-            pred[dy * 8 + dx] = reference.sample_clamped(
-                x0 as i64 + dx as i64 + mv.dx as i64,
-                y0 as i64 + dy as i64 + mv.dy as i64,
-            ) as i32;
-        }
-    }
+) -> [u8; 64] {
+    let mut pred = [0u8; 64];
+    reference.fill_block_clamped(
+        (bx * 8) as i64 + mv.dx as i64,
+        (by * 8) as i64 + mv.dy as i64,
+        8,
+        &mut pred,
+    );
     pred
 }
 
@@ -611,7 +589,7 @@ fn code_inter_block(
     let pred = predict_block8(reference, bx, by, mv);
     let mut resid = [0i32; 64];
     for i in 0..64 {
-        resid[i] = block[i] - pred[i];
+        resid[i] = block[i] - pred[i] as i32;
     }
     let mut coeffs = [0f32; 64];
     dct::forward(&resid, &mut coeffs);
@@ -619,18 +597,15 @@ fn code_inter_block(
     q.quantize(&coeffs, &mut levels);
     let coded = levels.iter().any(|&l| l != 0);
     w.write_bit(coded);
-    let mut out = pred;
+    // Closed-loop reconstruction, through the decoder's own block step.
+    let mut rec_resid = [0i32; 64];
     if coded {
         crate::entropy::encode_block(&levels, w);
         let mut deq = [0f32; 64];
         q.dequantize(&levels, &mut deq);
-        let mut rec_resid = [0i32; 64];
         dct::inverse(&deq, &mut rec_resid);
-        for i in 0..64 {
-            out[i] = pred[i] + rec_resid[i];
-        }
     }
-    recon.put_block8(bx, by, &out);
+    recon.recon_block8(bx, by, &pred, &rec_resid);
 }
 
 /// Intra-codes a whole plane (8x8 blocks, level shift, DCT, quantize, DC
@@ -665,10 +640,8 @@ pub(crate) fn encode_plane_intra(
             q.dequantize(&levels, &mut deq);
             let mut rec = [0i32; 64];
             dct::inverse(&deq, &mut rec);
-            for v in rec.iter_mut() {
-                *v += 128;
-            }
-            recon.put_block8(bx, by, &rec);
+            // Intra blocks predict flat mid-grey: the level shift.
+            recon.recon_block8(bx, by, &[128; 64], &rec);
         }
     }
 }

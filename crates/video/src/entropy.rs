@@ -6,7 +6,7 @@
 //! costs real per-coefficient work, which is exactly the cost the SiEVE
 //! I-frame seeker avoids for P-frames.
 
-use crate::bitio::{BitReader, BitWriter, ReadBitsError};
+use crate::bitio::{se_from_ue, ue_in_window, BitReader, BitWriter, ReadBitsError, WINDOW_BITS};
 use crate::dct::BLOCK_LEN;
 
 /// Zigzag scan order for an 8x8 block (JPEG / MPEG order).
@@ -42,38 +42,95 @@ pub fn encode_block(levels: &[i32; BLOCK_LEN], w: &mut BitWriter) {
     w.write_ue(BLOCK_LEN as u64);
 }
 
-/// Reads one quantized 8x8 block written by [`encode_block`].
+/// Largest coefficient magnitude [`decode_block`] accepts. The encoder's
+/// levels are bounded by the transform's gain (`8 * 255`, less after
+/// quantization); the cap leaves headroom while keeping `level * step`
+/// inside the kernels' exact `|v| < 2^24` domain, so nothing downstream of
+/// the parse can overflow on a hostile stream.
+pub const MAX_LEVEL: i32 = 1 << 15;
+
+/// The stream bits [`decode_block`] has loaded but not yet parsed: `valid`
+/// of them at the top of `bits`, zero below, starting at the reader's
+/// position. One [`BitReader::window`] load serves several (run, level)
+/// pairs — a pair is a few bits on real streams — and the parse chain runs
+/// register to register between loads.
+struct Lookahead {
+    bits: u64,
+    valid: u32,
+}
+
+impl Lookahead {
+    /// Reads one Exp-Golomb code: from the loaded bits, else from a fresh
+    /// window, else (the last 8 bytes of the stream, a code longer than a
+    /// window) through the reader's own call, which is where truncated and
+    /// overlong codes are diagnosed. The reader's position tracks every
+    /// code, so that call sees exactly the stream a plain `read_ue` loop
+    /// would.
+    #[inline(always)]
+    fn read_ue(&mut self, r: &mut BitReader<'_>) -> Result<u64, ReadBitsError> {
+        let mut code = ue_in_window(self.bits, self.valid);
+        if code.is_none() {
+            (self.bits, self.valid) = match r.window() {
+                Some(fresh) => (fresh, WINDOW_BITS),
+                None => (0, 0),
+            };
+            code = ue_in_window(self.bits, self.valid);
+        }
+        match code {
+            Some((value, len)) => {
+                r.skip(len);
+                self.bits <<= len;
+                self.valid -= len;
+                Ok(value)
+            }
+            None => {
+                self.valid = 0;
+                r.read_ue()
+            }
+        }
+    }
+}
+
+/// Reads one quantized 8x8 block written by [`encode_block`] into `levels`,
+/// overwriting every entry.
 ///
 /// # Errors
 ///
-/// Returns [`ReadBitsError`] if the bitstream is truncated or malformed.
-pub fn decode_block(r: &mut BitReader<'_>) -> Result<[i32; BLOCK_LEN], ReadBitsError> {
-    let mut levels = [0i32; BLOCK_LEN];
+/// Returns [`ReadBitsError`] if the bitstream is truncated or malformed, or
+/// a level exceeds [`MAX_LEVEL`] in magnitude.
+pub fn decode_block(
+    r: &mut BitReader<'_>,
+    levels: &mut [i32; BLOCK_LEN],
+) -> Result<(), ReadBitsError> {
+    levels.fill(0);
+    let mut ahead = Lookahead { bits: 0, valid: 0 };
     let mut pos = 0usize;
     loop {
-        let run = r.read_ue()? as usize;
-        if run >= BLOCK_LEN {
-            break; // EOB
+        let run = ahead.read_ue(r)?;
+        if run >= BLOCK_LEN as u64 {
+            return Ok(()); // EOB
         }
-        pos += run;
+        pos += run as usize;
         if pos >= BLOCK_LEN {
             // A run that lands past the end without the EOB marker is
             // malformed input.
             return Err(ReadBitsError);
         }
-        let level = r.read_se()?;
+        let level = se_from_ue(ahead.read_ue(r)?);
+        if level.unsigned_abs() > MAX_LEVEL as u64 {
+            return Err(ReadBitsError);
+        }
         levels[ZIGZAG[pos]] = level as i32;
         pos += 1;
         if pos >= BLOCK_LEN {
             // Block is full; the EOB marker must follow.
-            let eob = r.read_ue()? as usize;
-            if eob < BLOCK_LEN {
-                return Err(ReadBitsError);
-            }
-            return Ok(levels);
+            return if ahead.read_ue(r)? < BLOCK_LEN as u64 {
+                Err(ReadBitsError)
+            } else {
+                Ok(())
+            };
         }
     }
-    Ok(levels)
 }
 
 #[cfg(test)]
@@ -85,7 +142,9 @@ mod tests {
         encode_block(&levels, &mut w);
         let bytes = w.finish();
         let mut r = BitReader::new(&bytes);
-        let back = decode_block(&mut r).expect("decode");
+        // Stale content must not survive: the decoder reuses one block.
+        let mut back = [i32::MIN; BLOCK_LEN];
+        decode_block(&mut r, &mut back).expect("decode");
         assert_eq!(levels, back);
     }
 
@@ -168,6 +227,6 @@ mod tests {
         encode_block(&l, &mut w);
         let bytes = w.finish();
         let mut r = BitReader::new(&bytes[..bytes.len() - 1]);
-        assert!(decode_block(&mut r).is_err());
+        assert!(decode_block(&mut r, &mut [0; BLOCK_LEN]).is_err());
     }
 }

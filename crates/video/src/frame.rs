@@ -9,6 +9,8 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::kernels;
+
 /// Frame dimensions in pixels.
 ///
 /// Width and height are kept even so that the 4:2:0 chroma planes have an
@@ -186,32 +188,76 @@ impl Plane {
         }
     }
 
-    /// Writes an 8x8 block of reconstructed samples at `(bx*8, by*8)`,
-    /// clamping sample values to `0..=255` and ignoring out-of-picture texels.
-    pub fn put_block8(&mut self, bx: usize, by: usize, block: &[i32; 64]) {
-        let x0 = bx * 8;
-        let y0 = by * 8;
-        // Fast path: fully interior block — straight row writes.
-        if x0 + 8 <= self.width && y0 + 8 <= self.height {
-            for dy in 0..8 {
-                let row = &mut self.data[(y0 + dy) * self.width + x0..][..8];
-                for dx in 0..8 {
-                    row[dx] = block[dy * 8 + dx].clamp(0, 255) as u8;
-                }
+    /// Materializes the `size`x`size` block whose top-left corner is at the
+    /// (possibly out-of-bounds) position `(ox, oy)` into `out` (row-major,
+    /// stride `size`), replicating edge samples exactly like
+    /// [`Plane::sample_clamped`] would.
+    ///
+    /// An interior block is `size` row copies. At an edge each row splits
+    /// into a left-clamped run, an interior `memcpy`, and a right-clamped
+    /// run, so the block costs a handful of fills instead of a clamp per
+    /// sample. Inlined so that `size` is a constant at every call site.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() != size * size`.
+    #[inline]
+    pub fn fill_block_clamped(&self, ox: i64, oy: i64, size: usize, out: &mut [u8]) {
+        assert_eq!(out.len(), size * size, "block buffer size mismatch");
+        let (w, h) = (self.width, self.height);
+        if ox >= 0 && oy >= 0 && ox as usize + size <= w && oy as usize + size <= h {
+            let (ox, oy) = (ox as usize, oy as usize);
+            for (dy, dst) in out.chunks_exact_mut(size).enumerate() {
+                dst.copy_from_slice(&self.data[(oy + dy) * w + ox..][..size]);
             }
             return;
         }
-        for dy in 0..8 {
-            for dx in 0..8 {
-                self.put(x0 + dx, y0 + dy, block[dy * 8 + dx].clamp(0, 255) as u8);
+        // Column split: dx in [0, n0) clamps left, [n0, n1) is interior,
+        // [n1, size) clamps right. Either run may be empty or cover the block.
+        let n0 = (-ox).clamp(0, size as i64) as usize;
+        let n1 = (w as i64 - ox).clamp(n0 as i64, size as i64) as usize;
+        for (dy, dst) in out.chunks_exact_mut(size).enumerate() {
+            let sy = (oy + dy as i64).clamp(0, h as i64 - 1) as usize;
+            let row = &self.data[sy * w..][..w];
+            dst[..n0].fill(row[0]);
+            if n1 > n0 {
+                dst[n0..n1].copy_from_slice(&row[(ox + n0 as i64) as usize..][..n1 - n0]);
             }
+            dst[n1..].fill(row[w - 1]);
+        }
+    }
+
+    /// Reconstructs the 8x8 block at `(bx*8, by*8)` as `pred + resid`,
+    /// saturated to `0..=255`, ignoring out-of-picture texels — the one
+    /// reconstruction step the decoder and the encoder's closed loop share
+    /// (intra blocks pass a flat 128 prediction).
+    pub fn recon_block8(&mut self, bx: usize, by: usize, pred: &[u8; 64], resid: &[i32; 64]) {
+        let x0 = bx * 8;
+        let y0 = by * 8;
+        if x0 + 8 <= self.width && y0 + 8 <= self.height {
+            let dst = &mut self.data[y0 * self.width + x0..];
+            kernels::recon8x8(dst, self.width, pred, resid);
+            return;
+        }
+        // The block overhangs the plane: reconstruct all of it aside, keep
+        // the part inside.
+        let mut block = [0u8; 64];
+        kernels::recon8x8(&mut block, 8, pred, resid);
+        let cols = self.width.saturating_sub(x0).min(8);
+        let rows = self.height.saturating_sub(y0).min(8);
+        if cols == 0 {
+            return;
+        }
+        for (dy, row) in block.chunks_exact(8).take(rows).enumerate() {
+            self.data[(y0 + dy) * self.width + x0..][..cols].copy_from_slice(&row[..cols]);
         }
     }
 
     /// Copies a `size`x`size` block from `src` displaced by `(mvx, mvy)` into
     /// this plane at `(x, y)`, clamping reads at `src`'s edges — the
     /// motion-compensated SKIP copy. Interior copies are straight `memcpy`
-    /// rows.
+    /// rows (inlined, so their length is a constant at every call site).
+    #[inline]
     pub fn copy_block_from(
         &mut self,
         src: &Plane,
@@ -243,6 +289,14 @@ impl Plane {
                 self.put(x + dx, y + dy, v);
             }
         }
+    }
+
+    /// Makes this plane a copy of `src`, reusing the sample buffer.
+    pub fn copy_from(&mut self, src: &Plane) {
+        self.width = src.width;
+        self.height = src.height;
+        self.data.clear();
+        self.data.extend_from_slice(&src.data);
     }
 
     /// Mean of all samples.
@@ -384,6 +438,16 @@ impl Frame {
         &mut self.v
     }
 
+    /// Makes this frame a copy of `src`, reusing the three sample buffers
+    /// — `*self = src.clone()` without the allocations, for per-frame
+    /// "remember the previous frame" state.
+    pub fn copy_from(&mut self, src: &Frame) {
+        self.resolution = src.resolution;
+        self.y.copy_from(&src.y);
+        self.u.copy_from(&src.u);
+        self.v.copy_from(&src.v);
+    }
+
     /// Total number of raw bytes (all three planes).
     pub fn raw_bytes(&self) -> usize {
         self.resolution.raw_bytes()
@@ -466,7 +530,7 @@ mod tests {
         for (i, b) in blk.iter_mut().enumerate() {
             *b = i as i32;
         }
-        p.put_block8(1, 1, &blk);
+        p.recon_block8(1, 1, &[0; 64], &blk);
         let mut back = [0i32; 64];
         p.get_block8(1, 1, &mut back);
         assert_eq!(blk, back);
@@ -484,12 +548,67 @@ mod tests {
     #[test]
     fn plane_put_block_clips_values() {
         let mut p = Plane::filled(8, 8, 0);
-        let blk = [300i32; 64];
-        p.put_block8(0, 0, &blk);
+        p.recon_block8(0, 0, &[0; 64], &[300; 64]);
         assert!(p.data().iter().all(|&v| v == 255));
-        let blk = [-5i32; 64];
-        p.put_block8(0, 0, &blk);
+        p.recon_block8(0, 0, &[4; 64], &[-5; 64]);
         assert!(p.data().iter().all(|&v| v == 0));
+        p.recon_block8(0, 0, &[200; 64], &[i32::MAX; 64]);
+        assert!(p.data().iter().all(|&v| v == 255));
+        p.recon_block8(0, 0, &[200; 64], &[i32::MIN; 64]);
+        assert!(p.data().iter().all(|&v| v == 0));
+    }
+
+    #[test]
+    fn recon_block_clips_to_the_plane() {
+        // Block (1,1) of a 10x11 plane keeps a 2x3 corner.
+        let mut p = Plane::filled(10, 11, 9);
+        p.recon_block8(1, 1, &[100; 64], &[1; 64]);
+        for y in 0..11 {
+            for x in 0..10 {
+                let want = if x >= 8 && y >= 8 { 101 } else { 9 };
+                assert_eq!(p.sample(x, y), want, "({x}, {y})");
+            }
+        }
+        // Wholly outside: nothing written, nothing panics.
+        p.recon_block8(2, 0, &[0; 64], &[0; 64]);
+        p.recon_block8(0, 2, &[0; 64], &[0; 64]);
+        assert_eq!(p.sample(9, 10), 101);
+    }
+
+    #[test]
+    fn fill_block_clamped_matches_sample_clamped() {
+        let mut p = Plane::filled(11, 7, 0);
+        for (i, v) in p.data_mut().iter_mut().enumerate() {
+            *v = (i * 37 % 251) as u8;
+        }
+        for (ox, oy) in [(0, 0), (-3, -2), (6, 2), (-40, 3), (40, -40), (3, 6)] {
+            let mut out = [0u8; 64];
+            p.fill_block_clamped(ox, oy, 8, &mut out);
+            for dy in 0..8 {
+                for dx in 0..8 {
+                    let want = p.sample_clamped(ox + dx as i64, oy + dy as i64);
+                    assert_eq!(out[dy * 8 + dx], want, "({ox}, {oy}) + ({dx}, {dy})");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn copy_from_reuses_the_buffers() {
+        let src = Frame::filled(Resolution::new(32, 16), 1, 2, 3);
+        let mut dst = Frame::grey(Resolution::new(32, 16));
+        let ptr = dst.y().data().as_ptr();
+        dst.copy_from(&src);
+        assert_eq!(dst, src);
+        assert_eq!(
+            dst.y().data().as_ptr(),
+            ptr,
+            "same-size copy must not reallocate"
+        );
+        // A differently sized source is still copied faithfully.
+        let small = Frame::filled(Resolution::new(16, 8), 7, 8, 9);
+        dst.copy_from(&small);
+        assert_eq!(dst, small);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Runtime-dispatched SIMD kernels for the codec hot loops.
 //!
 //! Every vectorized inner loop of the codec — macroblock SAD, the 8x8 DCT
-//! pair, quantization, squared-error accumulation and 2x2 box downsampling —
+//! pair, quantization, block reconstruction, squared-error accumulation and
+//! 2x2 box downsampling —
 //! lives here, and so does the one vectorized loop of the transport: the
 //! GF(256) multiply-accumulate behind `sieve-net`'s FEC
 //! ([`gf256_mul_acc`]). Dispatch happens in exactly one place. Each kernel
@@ -238,6 +239,33 @@ pub fn dequantize64(levels: &[i32; 64], steps: &[f32; 64], out: &mut [f32; 64]) 
     }
 }
 
+/// Reconstructs one 8x8 block: `dst[r * stride + c] = pred[r * 8 + c] +
+/// resid[r * 8 + c]`, saturated to `0..=255`. The residual is saturated to
+/// `i16` first (`packssdw`), which cannot change a sum that is about to be
+/// clamped to a byte, so the result is exact for every `i32` residual and
+/// no intermediate can overflow. Eight samples are one 128-bit vector of
+/// `i16`, so the AVX2 level runs the SSE2 code.
+///
+/// # Panics
+///
+/// Panics if `dst` cannot hold eight rows of eight samples at `stride`.
+pub fn recon8x8(dst: &mut [u8], stride: usize, pred: &[u8; 64], resid: &[i32; 64]) {
+    assert!(stride >= 8, "recon8x8: stride {stride} below block width");
+    assert!(
+        dst.len() >= 7 * stride + 8,
+        "recon8x8: slice too short for an 8x8 block at stride {stride}"
+    );
+    match active_level() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: SSE2 is the x86-64 baseline, and the asserts above are the
+        // bounds `recon8x8_sse2` requires of `dst`.
+        KernelLevel::Avx2 | KernelLevel::Sse2 => unsafe {
+            x86::recon8x8_sse2(dst, stride, pred, resid)
+        },
+        _ => scalar::recon8x8(dst, stride, pred, resid),
+    }
+}
+
 /// Sum of squared differences between two equal-length byte slices, exact in
 /// `u64` (and therefore order-independent, so SIMD is trivially bit-exact).
 ///
@@ -465,6 +493,18 @@ pub mod scalar {
         }
     }
 
+    /// Scalar [`super::recon8x8`]: the same saturate-then-add as the SIMD
+    /// tier, one sample at a time.
+    pub fn recon8x8(dst: &mut [u8], stride: usize, pred: &[u8; 64], resid: &[i32; 64]) {
+        for (y, (p, r)) in pred.chunks_exact(8).zip(resid.chunks_exact(8)).enumerate() {
+            let row = &mut dst[y * stride..][..8];
+            for ((d, &p), &r) in row.iter_mut().zip(p).zip(r) {
+                let r = r.clamp(i16::MIN as i32, i16::MAX as i32);
+                *d = (p as i32 + r).clamp(0, 255) as u8;
+            }
+        }
+    }
+
     /// Scalar [`super::sse_u8`].
     pub fn sse_u8(a: &[u8], b: &[u8]) -> u64 {
         a.iter()
@@ -674,6 +714,26 @@ mod x86 {
                 let s = _mm256_loadu_ps(steps.as_ptr().add(i));
                 let d = _mm256_mul_ps(_mm256_cvtepi32_ps(l), s);
                 _mm256_storeu_ps(out.as_mut_ptr().add(i), d);
+            }
+        }
+    }
+
+    /// # Safety
+    /// Caller asserts `dst` holds eight rows of eight samples at `stride`.
+    pub unsafe fn recon8x8_sse2(dst: &mut [u8], stride: usize, pred: &[u8; 64], resid: &[i32; 64]) {
+        // SAFETY: every row reads 8 i32 of `resid` and 8 bytes of `pred`
+        // (both 64 long) and stores 8 bytes at `dst[y * stride..]`, inside
+        // the `7 * stride + 8` bytes the caller asserted.
+        unsafe {
+            let zero = _mm_setzero_si128();
+            for y in 0..8 {
+                let lo = _mm_loadu_si128(resid.as_ptr().add(y * 8) as *const __m128i);
+                let hi = _mm_loadu_si128(resid.as_ptr().add(y * 8 + 4) as *const __m128i);
+                let r = _mm_packs_epi32(lo, hi);
+                let p = _mm_loadl_epi64(pred.as_ptr().add(y * 8) as *const __m128i);
+                let sum = _mm_adds_epi16(_mm_unpacklo_epi8(p, zero), r);
+                let out = _mm_packus_epi16(sum, sum);
+                _mm_storel_epi64(dst.as_mut_ptr().add(y * stride) as *mut __m128i, out);
             }
         }
     }
@@ -919,6 +979,44 @@ mod tests {
         dequantize64(&q_d, &steps, &mut d_d);
         scalar::dequantize64(&q_s, &steps, &mut d_s);
         assert_eq!(d_d.map(f32::to_bits), d_s.map(f32::to_bits));
+    }
+
+    #[test]
+    fn dispatched_recon8x8_matches_scalar_and_saturates() {
+        let pred: [u8; 64] = std::array::from_fn(|i| (i * 37 % 256) as u8);
+        let extremes = [
+            i32::MIN,
+            -32769,
+            -32768,
+            -256,
+            -1,
+            0,
+            1,
+            255,
+            32767,
+            32768,
+            i32::MAX,
+        ];
+        let resid: [i32; 64] =
+            std::array::from_fn(|i| extremes[i % extremes.len()] / (1 + i as i32 / 22));
+        for stride in [8usize, 11, 32] {
+            let mut d = vec![7u8; 7 * stride + 8];
+            let mut s = d.clone();
+            recon8x8(&mut d, stride, &pred, &resid);
+            scalar::recon8x8(&mut s, stride, &pred, &resid);
+            assert_eq!(d, s, "stride {stride}");
+            for i in 0..64 {
+                let want = (pred[i] as i64 + resid[i] as i64).clamp(0, 255) as u8;
+                assert_eq!(d[i / 8 * stride + i % 8], want, "sample {i}");
+            }
+            // Bytes between rows are not the kernel's to touch.
+            for (i, &v) in d.iter().enumerate() {
+                assert!(
+                    i % stride < 8 || v == 7,
+                    "stride {stride}: byte {i} clobbered"
+                );
+            }
+        }
     }
 
     #[test]

@@ -38,32 +38,6 @@ pub struct MotionResult {
     pub zero_sad: u32,
 }
 
-/// Materializes the `MB`x`MB` block of `p` whose top-left corner is at the
-/// (possibly out-of-bounds) position `(ox, oy)` into `out`, replicating
-/// edge samples exactly like [`Plane::sample_clamped`] would.
-///
-/// Each row splits into a left-clamped run, an interior `memcpy`, and a
-/// right-clamped run, so an edge block costs a handful of fills instead of
-/// 256 per-sample clamps — after which the SIMD SAD kernel applies as-is.
-fn fill_mb_clamped(p: &Plane, ox: i64, oy: i64, out: &mut [u8; MB * MB]) {
-    let (w, h) = (p.width(), p.height());
-    let data = p.data();
-    // Column split: dx in [0, n0) clamps left, [n0, n1) is interior,
-    // [n1, MB) clamps right. Either run may be empty or cover the block.
-    let n0 = (-ox).clamp(0, MB as i64) as usize;
-    let n1 = (w as i64 - ox).clamp(n0 as i64, MB as i64) as usize;
-    for dy in 0..MB {
-        let sy = (oy + dy as i64).clamp(0, h as i64 - 1) as usize;
-        let row = &data[sy * w..][..w];
-        let dst = &mut out[dy * MB..][..MB];
-        dst[..n0].fill(row[0]);
-        if n1 > n0 {
-            dst[n0..n1].copy_from_slice(&row[(ox + n0 as i64) as usize..][..n1 - n0]);
-        }
-        dst[n1..].fill(row[w - 1]);
-    }
-}
-
 /// Sum of absolute differences between the `MB`x`MB` block of `cur` at
 /// `(x, y)` and the block of `reference` displaced by `mv`, with edge
 /// clamping on the reference.
@@ -95,8 +69,8 @@ pub fn sad_mb(cur: &Plane, reference: &Plane, x: usize, y: usize, mv: MotionVect
     // the same kernel. Bit-identical to per-sample clamping.
     let mut cbuf = [0u8; MB * MB];
     let mut rbuf = [0u8; MB * MB];
-    fill_mb_clamped(cur, x as i64, y as i64, &mut cbuf);
-    fill_mb_clamped(reference, rx, ry, &mut rbuf);
+    cur.fill_block_clamped(x as i64, y as i64, MB, &mut cbuf);
+    reference.fill_block_clamped(rx, ry, MB, &mut rbuf);
     kernels::sad16(&cbuf, MB, &rbuf, MB)
 }
 
@@ -115,7 +89,7 @@ pub fn intra_cost_mb(cur: &Plane, x: usize, y: usize) -> u32 {
     // Edge path: materialize the clamped block once, then use the same
     // kernels as the interior path.
     let mut buf = [0u8; MB * MB];
-    fill_mb_clamped(cur, x as i64, y as i64, &mut buf);
+    cur.fill_block_clamped(x as i64, y as i64, MB, &mut buf);
     let mean = kernels::sum16(&buf, MB) / (MB * MB) as u32;
     kernels::sad16_const(&buf, MB, mean as u8)
 }
@@ -140,7 +114,7 @@ pub fn three_step_search(
     let (cblock, cstride) = if x + MB <= w && y + MB <= h {
         (&cur.data()[y * w + x..], w)
     } else {
-        fill_mb_clamped(cur, x as i64, y as i64, &mut cbuf);
+        cur.fill_block_clamped(x as i64, y as i64, MB, &mut cbuf);
         (&cbuf[..], MB)
     };
     let rw = reference.width();
@@ -158,7 +132,7 @@ pub fn three_step_search(
             )
         } else {
             let mut rbuf = [0u8; MB * MB];
-            fill_mb_clamped(reference, rx, ry, &mut rbuf);
+            reference.fill_block_clamped(rx, ry, MB, &mut rbuf);
             kernels::sad16(cblock, cstride, &rbuf, MB)
         }
     };

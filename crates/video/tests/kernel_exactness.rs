@@ -8,6 +8,10 @@
 //! scalar and the properties hold trivially; CI's x86 runners exercise the
 //! real comparison.
 //!
+//! `recon8x8` (the reconstruction step the decoder and the encoder's closed
+//! loop share) is additionally held to the per-sample widen-add-clamp it
+//! replaced, over the whole `i32` residual range.
+//!
 //! `gf256_mul_acc` (the FEC multiply-accumulate `sieve-net` runs) is
 //! additionally held to the log/exp-table implementation it replaced, kept
 //! here as the reference.
@@ -179,6 +183,38 @@ proptest! {
         kernels::dequantize64(&levels_ref, &steps, &mut deq_simd);
         scalar::dequantize64(&levels_ref, &steps, &mut deq_ref);
         prop_assert_eq!(deq_simd.map(f32::to_bits), deq_ref.map(f32::to_bits));
+    }
+
+    /// Block reconstruction against the per-sample definition — widen, add,
+    /// clamp to a byte — over the whole `i32` residual range (`spread`
+    /// picks how far out: codec-sized, around the `i16` saturation points,
+    /// or anywhere) and at destination strides from packed to plane-sized.
+    #[test]
+    fn recon8x8_matches_per_sample_clamp(
+        seed in 0u64..1 << 48,
+        spread in 0u8..4,
+        stride in 8usize..48,
+    ) {
+        let pred: [u8; 64] = bytes(64, seed).try_into().expect("64 bytes");
+        let amplitude = [600, 1 << 15, 1 << 17, 1 << 23][spread as usize];
+        let mut resid = block_i32(seed ^ 0xEC0, amplitude);
+        if spread == 3 {
+            // `block_i32` tops out at 16 bits of magnitude; stretch it.
+            for (i, r) in resid.iter_mut().enumerate() {
+                *r = r.wrapping_mul(65_537).wrapping_add([i32::MAX, i32::MIN, 0, -1][i % 4]);
+            }
+        }
+        let background = bytes(7 * stride + 8, seed ^ 0xBAC);
+        let mut active = background.clone();
+        let mut portable = background.clone();
+        kernels::recon8x8(&mut active, stride, &pred, &resid);
+        scalar::recon8x8(&mut portable, stride, &pred, &resid);
+        let mut expect = background;
+        for i in 0..64 {
+            expect[i / 8 * stride + i % 8] = (pred[i] as i64 + resid[i] as i64).clamp(0, 255) as u8;
+        }
+        prop_assert_eq!(&active, &expect);
+        prop_assert_eq!(&portable, &expect);
     }
 
     /// Odd lengths exercise the vector tail handling.

@@ -66,7 +66,9 @@ fn runtime_crate(path: &str) -> bool {
 const RULES: &[Rule] = &[
     Rule {
         // Hot paths of the concurrent runtime: the shard queue, the fleet
-        // scheduler, and the two files of sieve-core they drive per frame.
+        // scheduler, and the two files of sieve-core they drive per frame —
+        // plus the codec's bitstream parser, which reads hostile bytes and
+        // must answer every one of them with a typed error.
         name: "no-unwrap",
         message: "panic in a runtime hot path — return a typed error \
                   (SieveError/FleetError) or justify with lint:allow",
@@ -78,6 +80,8 @@ const RULES: &[Rule] = &[
                 || p.starts_with("crates/net/src/")
                 || p == "crates/core/src/adapt.rs"
                 || p == "crates/core/src/live.rs"
+                || p == "crates/video/src/bitio.rs"
+                || p == "crates/video/src/entropy.rs"
         },
     },
     Rule {
@@ -424,6 +428,36 @@ fn f() {
             assert_eq!(f.len(), 1, "{path}: {f:?}");
             assert_eq!(f[0].rule, "no-unsafe", "{path}");
         }
+    }
+
+    #[test]
+    fn bitstream_parser_files_are_safe_and_panic_free() {
+        // The bit reader and the entropy decoder walk attacker-controlled
+        // bytes on every decoded frame. Their speed comes from one checked
+        // 8-byte load, not from unchecked indexing: they must stay safe
+        // Rust (only kernels.rs carries the no-unsafe allow) and must
+        // report bad input as ReadBitsError, never by panicking.
+        for path in ["crates/video/src/bitio.rs", "crates/video/src/entropy.rs"] {
+            let f = check(
+                path,
+                "fn f(d: &[u8]) -> u8 { unsafe { *d.get_unchecked(0) } }\n",
+            );
+            assert_eq!(f.len(), 1, "{path}: {f:?}");
+            assert_eq!(f[0].rule, "no-unsafe", "{path}");
+            let f = check(path, "fn f(d: &[u8]) { d.get(0..8).unwrap(); }\n");
+            assert_eq!(f.len(), 1, "{path}: {f:?}");
+            assert_eq!(f[0].rule, "no-unwrap", "{path}");
+            let f = check(path, "fn f(d: &[u8]) { d.first().expect(\"byte\"); }\n");
+            assert_eq!(f.len(), 1, "{path}: {f:?}");
+            assert_eq!(f[0].rule, "no-unwrap", "{path}");
+        }
+        // The rest of the codec crate keeps its documented-invariant
+        // `expect`s; only the parser is pinned.
+        let f = check(
+            "crates/video/src/decode.rs",
+            "fn f() { x.expect(\"set\"); }\n",
+        );
+        assert!(f.is_empty(), "{f:?}");
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! undefined behaviour in the decode path.
 
 use sieve::prelude::*;
-use sieve_video::{ContainerError, DecodeError, Decoder, EncodedVideo, VideoIndex};
+use sieve_video::{ContainerError, DecodeError, Decoder, EncodedFrame, EncodedVideo, VideoIndex};
 
 fn sample_video() -> EncodedVideo {
     let video = DatasetSpec::of(DatasetId::JacksonSquare).generate(DatasetScale::Tiny);
@@ -135,4 +135,122 @@ fn empty_and_hostile_inputs() {
         VideoIndex::parse(&evil).unwrap_err(),
         ContainerError::Truncated
     );
+}
+
+/// An intra payload for a 16x16 frame (four luma blocks, one per chroma
+/// plane) whose luma DC deltas are `luma_dc` and whose other blocks are
+/// empty.
+fn intra_payload_16x16(luma_dc: [i64; 4]) -> Vec<u8> {
+    use sieve_video::bitio::BitWriter;
+    let mut w = BitWriter::new();
+    for dc in luma_dc.into_iter().chain([0, 0]) {
+        if dc != 0 {
+            w.write_ue(0); // run
+            w.write_se(dc); // level
+        }
+        w.write_ue(64); // EOB
+    }
+    w.finish()
+}
+
+#[test]
+fn hostile_coefficient_levels_are_rejected_not_overflowed() {
+    // Levels are attacker-chosen: unbounded, a DC of i32::MAX overflows the
+    // +128 level shift (a panic in overflow-checked builds, which is what
+    // tier-1 runs) and a level past 32 bits truncates into a plausible
+    // one. The parser must bound them instead.
+    let res = Resolution::new(16, 16);
+    for level in [
+        i32::MAX as i64,
+        i32::MIN as i64,
+        (1 << 32) + 5,
+        -(1 << 40),
+        (1 << 15) + 1,
+    ] {
+        assert_eq!(
+            Decoder::decode_iframe(res, 75, &intra_payload_16x16([level, 0, 0, 0])).unwrap_err(),
+            DecodeError::Bitstream,
+            "level {level}"
+        );
+    }
+    // The delta-coded DC is bounded as a running sum, not per delta.
+    let cap = 1i64 << 15;
+    assert_eq!(
+        Decoder::decode_iframe(res, 75, &intra_payload_16x16([cap, cap, 0, 0])).unwrap_err(),
+        DecodeError::Bitstream
+    );
+    // At the cap the stream is legal: it decodes, saturating to white and
+    // black, and walks back into range.
+    let frame = Decoder::decode_iframe(res, 75, &intra_payload_16x16([cap, -cap, -cap, cap]))
+        .expect("levels at the cap are accepted");
+    assert_eq!(frame.y().sample(0, 0), 255);
+    assert_eq!(frame.y().sample(8, 0), 128);
+    assert_eq!(frame.y().sample(0, 8), 0);
+    assert_eq!(frame.y().sample(8, 8), 128);
+}
+
+#[test]
+fn hostile_inter_payloads_are_rejected_not_truncated() {
+    use sieve_video::bitio::BitWriter;
+    let res = Resolution::new(16, 16);
+    let with_reference = || {
+        let mut dec = Decoder::new(res, 75);
+        let mut enc = Encoder::new(res, EncoderConfig::new(10, 0));
+        dec.decode_frame(&enc.encode_frame(&Frame::grey(res)))
+            .expect("reference I-frame");
+        dec
+    };
+    let p_frame = |data: Vec<u8>| EncodedFrame {
+        frame_type: FrameType::P,
+        data,
+    };
+    // A motion-vector component that does not fit an i16 must not be cast
+    // down to one that does.
+    for (dx, dy) in [(40_000, 0), (0, -40_000), (1 << 33, 1)] {
+        let mut w = BitWriter::new();
+        w.write_bit(true);
+        w.write_se(dx);
+        w.write_se(dy);
+        for _ in 0..6 {
+            w.write_bit(false);
+        }
+        assert_eq!(
+            with_reference()
+                .decode_frame(&p_frame(w.finish()))
+                .unwrap_err(),
+            DecodeError::Bitstream,
+            "mv ({dx}, {dy})"
+        );
+    }
+    // The largest vectors an i16 holds are legal: every read clamps to the
+    // reference's edge.
+    let mut w = BitWriter::new();
+    w.write_bit(true);
+    w.write_se(i16::MAX as i64);
+    w.write_se(i16::MIN as i64);
+    for _ in 0..6 {
+        w.write_bit(false);
+    }
+    with_reference()
+        .decode_frame(&p_frame(w.finish()))
+        .expect("extreme in-range vector decodes");
+    // A residual level of i32::MAX would overflow `pred + resid`.
+    let mut w = BitWriter::new();
+    w.write_bit(true);
+    w.write_se(0);
+    w.write_se(0);
+    w.write_bit(true);
+    w.write_ue(0);
+    w.write_se(i32::MAX as i64);
+    w.write_ue(64);
+    let mut dec = with_reference();
+    assert_eq!(
+        dec.decode_frame(&p_frame(w.finish())).unwrap_err(),
+        DecodeError::Bitstream
+    );
+    // A rejected frame leaves the decoder usable.
+    let mut w = BitWriter::new();
+    w.write_bit(false);
+    dec.decode_frame(&p_frame(w.finish()))
+        .expect("decoder state survives a rejected frame");
 }
