@@ -341,7 +341,7 @@ fn kernel_sweep(
         .frames()
         .iter()
         .filter(|f| f.frame_type == FrameType::P)
-        .map(|f| f.data.as_slice())
+        .map(|f| &f.data[..])
         .collect();
     // Codes per iteration: two per coded macroblock's vector, and per coded
     // block a (run, level) pair for each nonzero coefficient plus the EOB.

@@ -6,6 +6,8 @@
 //! work inflating the state space.
 #![cfg(feature = "model-check")]
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use sieve_check::Checker;
 use sieve_core::IFrameSelector;
 use sieve_fleet::StreamConfig;
@@ -16,7 +18,7 @@ fn packet(index: usize) -> FramePacket {
     FramePacket {
         index,
         frame_type: FrameType::P,
-        payload: vec![0u8; 4],
+        payload: [0u8; 4].into(),
     }
 }
 
@@ -144,4 +146,59 @@ fn shutdown_always_terminates_and_flushes() {
         report.violation
     );
     assert!(report.executions > 1);
+}
+
+/// Two shards, one stream: the idle shard steals from the home lane while
+/// the owner drains it and `leave` closes it. Every frame reaches the
+/// stream's state through the slot it carries, and a worker that finds
+/// that state already held panics ("the lane's busy mark admits one worker
+/// per stream") — so a clean exploration *is* the assertion that a stolen
+/// batch, the owner and the end-of-stream flush never hold one stream's
+/// state at once. The ledger closes as on one shard, and theft must
+/// actually occur in the explored schedules or the model proves nothing.
+#[test]
+fn stolen_batch_and_owner_never_share_a_streams_state() {
+    // Counted outside the model (a plain atomic the explorer does not
+    // schedule around): executions in which a frame was decided off its
+    // home shard.
+    static THEFTS: AtomicU64 = AtomicU64::new(0);
+    let report = Checker::new()
+        .max_dfs_executions(600)
+        .random_executions(300)
+        .check(|| {
+            let fleet = Fleet::new(FleetConfig {
+                shards: 2,
+                queue_capacity: 4,
+                global_frame_budget: 8,
+                max_streams: 2,
+                ..FleetConfig::default()
+            });
+            let selector = IFrameSelector::new();
+            let id = fleet.join(&selector, stream_config()).expect("admitted");
+            for i in 0..3 {
+                let pushed = fleet.push(id, packet(i)).expect("stream open");
+                assert_eq!(pushed, Ingest::Queued, "budget and lane both fit 3");
+            }
+            fleet.leave(id).expect("leave");
+            let report = fleet.shutdown();
+            let s = &report.snapshot.streams[0];
+            assert!(s.done, "stream orphaned: session never flushed");
+            assert_eq!(s.processed, 3, "frame lost or double-decided");
+            assert_eq!(s.dropped, 3, "P-frames drop on metadata");
+            assert_eq!(s.queue_depth, 0, "depth counter leaked");
+            assert_eq!(s.stolen, report.snapshot.stolen);
+            if s.stolen > 0 {
+                THEFTS.fetch_add(1, Ordering::Relaxed);
+            }
+        });
+    assert!(
+        report.violation.is_none(),
+        "violation: {:?}",
+        report.violation
+    );
+    assert!(
+        THEFTS.load(Ordering::Relaxed) > 0,
+        "no explored schedule stole a batch ({} executions)",
+        report.executions
+    );
 }

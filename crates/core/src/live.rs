@@ -157,9 +157,9 @@ impl EdgeSession {
         &mut self,
         index: usize,
         frame_type: FrameType,
-        payload: Vec<u8>,
+        payload: impl AsRef<[u8]>,
     ) -> EdgeOutcome {
-        self.observe_bytes(index, frame_type, &payload)
+        self.observe_bytes(index, frame_type, payload.as_ref())
     }
 
     /// [`EdgeSession::observe`] over a borrowed payload: the decoder only
@@ -339,7 +339,7 @@ where
         .enumerate()
         .map(|(i, ef)| LiveItem {
             id: i as u64,
-            payload: ef.data.clone(),
+            payload: ef.data.to_vec(),
             tag: match ef.frame_type {
                 FrameType::I => 0,
                 FrameType::P => 1,

@@ -805,7 +805,7 @@ mod tests {
         }
         v.push(sieve_video::EncodedFrame {
             frame_type: FrameType::P,
-            data: Vec::new(),
+            data: [].into(),
         });
         assert!(
             v.decode_all().is_err(),

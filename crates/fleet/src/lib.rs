@@ -40,10 +40,15 @@
 //!   [`sieve_stats::Collector`] — or the `fleet_top` terminal dashboard —
 //!   can sample the fleet's `"fleet"` stage as a live time series.
 //!
-//! Memory stays bounded no matter how many frames flow: queued encoded
-//! frames ≤ `global_frame_budget`, and per-stream decode state is one
-//! stateful decoder plus at most one previous frame — no stream ever
-//! materialises a full decode buffer.
+//! Memory stays bounded no matter how many frames flow: queued frame
+//! *handles* ≤ `global_frame_budget` — [`FramePacket::of`] takes a
+//! reference to the producer's payload (`Arc<[u8]>`), so a queued or stolen
+//! frame owns no bytes, the worker decodes from and the [`KeepSink`] is lent
+//! that same allocation, and it is freed by its last holder — and
+//! per-stream decode state is one stateful decoder plus at most one previous
+//! frame; no stream ever materialises a full decode buffer. Per-stream state
+//! travels with the frame too: each queued item carries a handle to its
+//! stream's slot, so a worker consults no shared map per frame.
 //!
 //! ```
 //! use sieve_core::IFrameSelector;

@@ -47,8 +47,8 @@ pub(crate) struct StreamCounters {
     pub queue_depth: Gauge,
 }
 
-/// The shared cell the registry and the owning shard worker both hold for
-/// one stream.
+/// One stream's lock-free half: what the ingest path, whichever worker holds
+/// the stream, and snapshot readers all touch without taking its state.
 #[derive(Debug, Default)]
 pub(crate) struct StreamCell {
     pub counters: StreamCounters,

@@ -7,10 +7,13 @@
 //! global frame budget exhausted is **shed** — counted, visible in the
 //! metrics, and never seen by the selection policy (distinct from a policy
 //! *drop*). Memory is bounded by construction: at most
-//! `global_frame_budget` encoded frames are queued fleet-wide, and
-//! per-stream decode state is one pooled decoder (acquired on a stream's
-//! first frame, recycled into the shared slab pool at finish) plus at most
-//! one previous frame, never a whole-stream buffer.
+//! `global_frame_budget` frame *handles* are queued fleet-wide — a queued
+//! or stolen [`FramePacket`] holds a reference to its payload, not a copy;
+//! the bytes stay owned by whoever produced the [`EncodedFrame`] and are
+//! freed when the last holder lets go — and per-stream decode state is one
+//! pooled decoder (acquired on a stream's first frame, recycled into the
+//! shared slab pool at finish) plus at most one previous frame, never a
+//! whole-stream buffer.
 //!
 //! # Work stealing
 //!
@@ -23,15 +26,11 @@
 //! so no frame is lost, none is double-drained, and per-lane FIFO order is
 //! preserved (the stolen batch is strictly older than anything the owner
 //! can still pop). Stolen frames are processed with the victim stream's
-//! own state and counters; only the CPU moves.
-//!
-//! **Lock order.** A worker takes, in order and never simultaneously:
-//! the victim's queue lock (released inside `try_steal`), then the
-//! victim's `states` map lock (released before decoding), then — after
-//! decode — the `states` lock again to re-park the stream. The registry
-//! lock precedes any of these on the admission path and is never taken by
-//! workers, so no cycle exists between registry, states maps and queue
-//! internals.
+//! own state and counters; only the CPU moves. Every queued frame carries
+//! a handle to its stream's slot (`StreamSlot`), and the lane's busy mark
+//! is what makes the holder of a popped or stolen frame the only thread
+//! that can touch that slot's worker state — no shared map is consulted
+//! per frame.
 //!
 //! # Priority
 //!
@@ -46,9 +45,9 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use sieve_core::{EdgeOutcome, EdgeSession, FrameSelector, SelectorSession};
-use sieve_simnet::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use sieve_simnet::sync::atomic::{AtomicUsize, Ordering};
 use sieve_simnet::sync::thread::{self, JoinHandle};
-use sieve_simnet::sync::{Mutex, RwLock};
+use sieve_simnet::sync::{Mutex, MutexGuard, RwLock};
 use sieve_simnet::{GuardedPop, PushOutcome, ShardQueue, Steal};
 use sieve_video::{EncodedFrame, Frame, FrameType, Resolution};
 
@@ -66,39 +65,31 @@ pub struct FramePacket {
     pub index: usize,
     /// Frame type from the container metadata.
     pub frame_type: FrameType,
-    /// Encoded payload.
-    pub payload: Vec<u8>,
+    /// Encoded payload, shared with the frame it was packed from.
+    pub payload: Arc<[u8]>,
 }
 
 impl FramePacket {
-    /// Packs frame `index` of an in-memory encoded stream.
+    /// Packs frame `index` of an in-memory encoded stream: a reference to
+    /// the frame's payload, not a copy of it.
     pub fn of(index: usize, frame: &EncodedFrame) -> Self {
         Self {
             index,
             frame_type: frame.frame_type,
-            payload: frame.data.clone(),
+            payload: Arc::clone(&frame.data),
         }
     }
 }
 
-/// A queued frame plus its admission timestamp (the start of the
-/// decision-latency clock). Model-check builds carry no timestamp: wall
-/// time is nondeterministic and must not influence explored schedules.
-#[derive(Debug)]
+/// A queued frame, the stream it belongs to, and its admission timestamp
+/// (the start of the decision-latency clock). Model-check builds carry no
+/// timestamp: wall time is nondeterministic and must not influence
+/// explored schedules.
 struct QueuedFrame {
     packet: FramePacket,
+    slot: Arc<StreamSlot>,
     #[cfg(not(feature = "model-check"))]
     enqueued: Instant,
-}
-
-impl QueuedFrame {
-    fn now(packet: FramePacket) -> Self {
-        Self {
-            packet,
-            #[cfg(not(feature = "model-check"))]
-            enqueued: Instant::now(),
-        }
-    }
 }
 
 /// Why a frame was shed at admission.
@@ -184,11 +175,11 @@ enum EdgeState {
     Retired,
 }
 
-/// The per-stream worker-side state, owned by exactly one shard (or, for
-/// the duration of a stolen batch, by the claiming thief).
+/// The per-stream worker-side state, touched by exactly one shard at a
+/// time (its home, or for the duration of a stolen batch the claiming
+/// thief).
 struct StreamWorker {
     state: EdgeState,
-    cell: Arc<StreamCell>,
     on_keep: Option<KeepSink>,
     /// EWMA of keep decisions, driving the lane weight.
     keep_ewma: f64,
@@ -219,8 +210,8 @@ impl StreamWorker {
         }
         match &mut self.state {
             EdgeState::Active(edge) => edge,
-            // A retired stream's worker is removed from the states map at
-            // finish, so a frame can never reach it.
+            // A stream is retired by its `LaneFinished`, after which its
+            // lane is gone and no frame can be queued for it.
             EdgeState::Idle { .. } | EdgeState::Retired => {
                 unreachable!("frame delivered to a retired stream")
             }
@@ -230,18 +221,48 @@ impl StreamWorker {
 
 /// Callback invoked on the shard thread for every kept frame: the frame
 /// index, the decoded pixels, and the encoded payload that produced them —
-/// the bytes an uplink ships. The payload is cloned ahead of the decode
-/// only for streams that attach a sink; sink-less streams pay nothing.
+/// the bytes an uplink ships. The payload is lent, never copied: the slice
+/// is the very allocation the pushed [`FramePacket`] referenced.
 pub type KeepSink = Box<dyn FnMut(usize, &Frame, &[u8]) + Send>;
+
+/// Everything the fleet holds for one stream, allocated once at join. The
+/// registry keeps one handle and every queued frame carries another, so a
+/// worker reaches the stream's state from the item it popped.
+struct StreamSlot {
+    /// Counters the ingest path, the workers and snapshots share lock-free.
+    cell: StreamCell,
+    /// Worker-side state. The mutex is never contended: a lane's busy mark
+    /// admits one worker to the stream at a time, and `LaneFinished` is
+    /// delivered only for a lane nobody holds.
+    worker: Mutex<StreamWorker>,
+}
+
+impl StreamSlot {
+    /// The stream's worker state, for the thread the lane protocol has
+    /// made its only holder.
+    fn claimed(&self) -> MutexGuard<'_, StreamWorker> {
+        let guard = self.worker.try_lock();
+        // lint:allow(no-unwrap): a second holder is a broken lane protocol, which the model-check suite explores for
+        guard.expect("the lane's busy mark admits one worker per stream")
+    }
+}
 
 /// The registry's view of one stream.
 struct StreamEntry {
     shard: usize,
-    cell: Arc<StreamCell>,
+    slot: Arc<StreamSlot>,
     label: String,
     selector: &'static str,
     target_rate: Option<f64>,
     closed: bool,
+}
+
+/// Every stream ever admitted (left streams stay resolvable for metrics)
+/// plus the count of those still live, which is what admission caps.
+#[derive(Default)]
+struct StreamTable {
+    entries: BTreeMap<u64, StreamEntry>,
+    live: usize,
 }
 
 /// A multi-stream edge runtime: stream admission, sharded scheduling with
@@ -250,10 +271,8 @@ struct StreamEntry {
 pub struct Fleet {
     config: FleetConfig,
     queues: Vec<Arc<ShardQueue<QueuedFrame>>>,
-    states: Vec<Arc<Mutex<BTreeMap<u64, StreamWorker>>>>,
     workers: Vec<JoinHandle<()>>,
-    registry: RwLock<BTreeMap<u64, StreamEntry>>,
-    next_id: AtomicU64,
+    registry: Arc<RwLock<StreamTable>>,
     inflight: Arc<AtomicUsize>,
     instruments: Arc<FleetInstruments>,
     pool: Arc<DecoderPool>,
@@ -264,7 +283,7 @@ impl std::fmt::Debug for Fleet {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Fleet")
             .field("config", &self.config)
-            .field("streams", &self.registry.read().len())
+            .field("streams", &self.registry.read().entries.len())
             .finish()
     }
 }
@@ -316,20 +335,17 @@ impl Fleet {
         let queues: Vec<_> = (0..config.shards)
             .map(|_| Arc::new(ShardQueue::<QueuedFrame>::new(config.queue_capacity)))
             .collect();
-        let states: Vec<Arc<Mutex<BTreeMap<u64, StreamWorker>>>> = (0..config.shards)
-            .map(|_| Arc::new(Mutex::new(BTreeMap::new())))
-            .collect();
+        let registry = Arc::new(RwLock::new(StreamTable::default()));
         let workers = (0..config.shards)
             .map(|me| {
                 let ctx = ShardCtx {
                     me,
                     queues: queues.clone(),
-                    states: states.clone(),
+                    registry: registry.clone(),
                     inflight: inflight.clone(),
                     instruments: instruments.clone(),
                     pool: pool.clone(),
-                    work_stealing: config.work_stealing,
-                    priority_lanes: config.priority_lanes,
+                    config,
                 };
                 thread::spawn(move || shard_loop(&ctx))
             })
@@ -337,10 +353,8 @@ impl Fleet {
         Self {
             config,
             queues,
-            states,
             workers,
-            registry: RwLock::new(BTreeMap::new()),
-            next_id: AtomicU64::new(0),
+            registry,
             inflight,
             instruments,
             pool,
@@ -406,14 +420,14 @@ impl Fleet {
         let mut registry = self.registry.write();
         // The cap applies to *live* streams: entries of left streams stay
         // in the registry for metrics but free their admission slot.
-        if registry.values().filter(|e| !e.closed).count() >= self.config.max_streams {
+        if registry.live >= self.config.max_streams {
             return Err(FleetError::FleetFull {
                 max_streams: self.config.max_streams,
             });
         }
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+        // Entries are never removed, so their count is the next fresh id.
+        let id = registry.entries.len() as u64;
         let shard = shard_of(id, self.config.shards);
-        let cell = Arc::new(StreamCell::default());
         let target_rate = config.target_rate.or_else(|| selector.target_rate());
         let ewma = initial_ewma(config.priority_hint.or(target_rate));
         let worker = StreamWorker {
@@ -423,22 +437,23 @@ impl Fleet {
                 resolution: config.resolution,
                 quality: config.quality,
             },
-            cell: cell.clone(),
             on_keep,
             keep_ewma: ewma,
         };
-        // Worker state must exist before the lane opens: once the lane is
-        // visible, frames can reach the shard thread.
-        self.states[shard].lock().insert(id, worker);
+        let slot = Arc::new(StreamSlot {
+            cell: StreamCell::default(),
+            worker: Mutex::new(worker),
+        });
         assert!(self.queues[shard].open_lane(id), "fresh ids are unique");
         if self.config.priority_lanes {
             self.queues[shard].set_lane_weight(id, weight_of(ewma));
         }
-        registry.insert(
+        registry.live += 1;
+        registry.entries.insert(
             id,
             StreamEntry {
                 shard,
-                cell,
+                slot,
                 label: config.label,
                 selector: selector.name(),
                 // Prefer the caller's explicit target; fall back to the
@@ -459,73 +474,76 @@ impl Fleet {
     /// [`FleetError::UnknownStream`] / [`FleetError::StreamClosed`] for
     /// control-plane misuse; shedding is *not* an error.
     pub fn push(&self, id: StreamId, packet: FramePacket) -> Result<Ingest, FleetError> {
-        let (shard, cell) = {
-            let registry = self.registry.read();
-            let entry = registry.get(&id.0).ok_or(FleetError::UnknownStream(id))?;
-            if entry.closed {
-                return Err(FleetError::StreamClosed(id));
+        // Held across the push: the entry lends its slot, so the frame's
+        // handle is the only refcount the ingest path touches. Workers take
+        // this lock at a stream's finish only, never while holding a queue.
+        let registry = self.registry.read();
+        let entry = registry
+            .entries
+            .get(&id.0)
+            .ok_or(FleetError::UnknownStream(id))?;
+        if entry.closed {
+            return Err(FleetError::StreamClosed(id));
+        }
+        let (shard, cell) = (entry.shard, &entry.slot.cell);
+        let emit = self.instruments.emit.as_ref();
+        let shed = |cause| {
+            cell.counters.shed.inc();
+            if let Some(emit) = emit {
+                emit.shed.inc();
             }
-            (entry.shard, entry.cell.clone())
+            Ok(Ingest::Shed(cause))
         };
         // Global budget first: one reservation per queued frame, released
         // by the worker after processing.
         let budget = self.config.global_frame_budget;
-        if self
+        let reserve = |n| (n < budget).then_some(n + 1);
+        let reserved = self
             .inflight
-            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| {
-                (n < budget).then_some(n + 1)
-            })
-            .is_err()
-        {
-            cell.counters.shed.inc();
-            if let Some(emit) = &self.instruments.emit {
-                emit.shed.inc();
-            }
-            return Ok(Ingest::Shed(ShedCause::GlobalBudget));
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, reserve);
+        if reserved.is_err() {
+            return shed(ShedCause::GlobalBudget);
         }
         // Count the frame as queued *before* publishing it: once try_push
         // succeeds the shard worker may pop (and decrement) immediately,
         // and a decrement racing ahead of the increment would wrap the
         // depth counter.
         cell.counters.queue_depth.inc();
-        if let Some(emit) = &self.instruments.emit {
+        if let Some(emit) = emit {
             emit.queue_depth.inc();
         }
-        match self.queues[shard].try_push(id.0, QueuedFrame::now(packet)) {
-            PushOutcome::Queued => {
-                // A backlogged home shard means idle neighbours should come
-                // stealing; the nudge is a hint (notify without state), so
-                // it is level-triggered off every push while backlog lasts.
-                // Model-check builds skip it to keep schedules small; the
-                // checker's own steal models drive thieves explicitly.
-                #[cfg(not(feature = "model-check"))]
-                if self.config.work_stealing && self.queues[shard].backlogged() {
-                    for (i, queue) in self.queues.iter().enumerate() {
-                        if i != shard {
-                            queue.nudge();
-                        }
+        let queued = QueuedFrame {
+            packet,
+            slot: entry.slot.clone(),
+            #[cfg(not(feature = "model-check"))]
+            enqueued: Instant::now(),
+        };
+        let pushed = self.queues[shard].try_push(id.0, queued);
+        if pushed == PushOutcome::Queued {
+            // A backlogged home shard means idle neighbours should come
+            // stealing; the nudge is a hint (notify without state), so it
+            // is level-triggered off every push while backlog lasts.
+            // Model-check builds skip it to keep schedules small; the
+            // checker's own steal models drive thieves explicitly.
+            #[cfg(not(feature = "model-check"))]
+            if self.config.work_stealing && self.queues[shard].backlogged() {
+                for (i, queue) in self.queues.iter().enumerate() {
+                    if i != shard {
+                        queue.nudge();
                     }
                 }
-                Ok(Ingest::Queued)
             }
-            PushOutcome::Shed => {
-                cell.counters.queue_depth.dec();
-                self.inflight.fetch_sub(1, Ordering::AcqRel);
-                cell.counters.shed.inc();
-                if let Some(emit) = &self.instruments.emit {
-                    emit.queue_depth.dec();
-                    emit.shed.inc();
-                }
-                Ok(Ingest::Shed(ShedCause::QueueFull))
-            }
-            PushOutcome::NoSuchLane | PushOutcome::LaneClosed => {
-                cell.counters.queue_depth.dec();
-                self.inflight.fetch_sub(1, Ordering::AcqRel);
-                if let Some(emit) = &self.instruments.emit {
-                    emit.queue_depth.dec();
-                }
-                Err(FleetError::StreamClosed(id))
-            }
+            return Ok(Ingest::Queued);
+        }
+        // Refused: give back the depth count and the budget reservation.
+        cell.counters.queue_depth.dec();
+        self.inflight.fetch_sub(1, Ordering::AcqRel);
+        if let Some(emit) = emit {
+            emit.queue_depth.dec();
+        }
+        match pushed {
+            PushOutcome::Shed => shed(ShedCause::QueueFull),
+            _ => Err(FleetError::StreamClosed(id)),
         }
     }
 
@@ -539,6 +557,7 @@ impl Fleet {
     pub fn leave(&self, id: StreamId) -> Result<(), FleetError> {
         let mut registry = self.registry.write();
         let entry = registry
+            .entries
             .get_mut(&id.0)
             .ok_or(FleetError::UnknownStream(id))?;
         if entry.closed {
@@ -546,22 +565,19 @@ impl Fleet {
         }
         entry.closed = true;
         self.queues[entry.shard].close_lane(id.0);
+        registry.live -= 1;
         Ok(())
     }
 
     /// A live, lock-light view of every stream and the fleet aggregate.
     pub fn snapshot(&self) -> FleetSnapshot {
         let registry = self.registry.read();
-        FleetSnapshot::of(
-            registry
-                .iter()
-                .map(|(&id, e)| {
-                    e.cell
-                        .snapshot(StreamId(id), &e.label, e.selector, e.target_rate)
-                })
-                .collect(),
-            &self.instruments,
-        )
+        let view = |(&id, e): (&u64, &StreamEntry)| {
+            let cell = &e.slot.cell;
+            cell.snapshot(StreamId(id), &e.label, e.selector, e.target_rate)
+        };
+        let streams = registry.entries.iter().map(view).collect();
+        FleetSnapshot::of(streams, &self.instruments)
     }
 
     /// Frames currently queued fleet-wide (bounded by
@@ -591,12 +607,13 @@ impl Fleet {
     pub fn shutdown(mut self) -> FleetReport {
         {
             let mut registry = self.registry.write();
-            for (id, entry) in registry.iter_mut() {
+            for (id, entry) in &mut registry.entries {
                 if !entry.closed {
                     entry.closed = true;
                     self.queues[entry.shard].close_lane(*id);
                 }
             }
+            registry.live = 0;
         }
         for queue in &self.queues {
             queue.shutdown();
@@ -629,34 +646,36 @@ impl Drop for Fleet {
 }
 
 /// Everything one shard worker needs: its own index plus shared handles to
-/// *every* queue and states map (victims included).
+/// *every* queue (victims included) and the stream registry.
 struct ShardCtx {
     me: usize,
     queues: Vec<Arc<ShardQueue<QueuedFrame>>>,
-    states: Vec<Arc<Mutex<BTreeMap<u64, StreamWorker>>>>,
+    registry: Arc<RwLock<StreamTable>>,
     inflight: Arc<AtomicUsize>,
     instruments: Arc<FleetInstruments>,
     pool: Arc<DecoderPool>,
-    work_stealing: bool,
-    priority_lanes: bool,
+    config: FleetConfig,
 }
 
-/// Decides one frame with the stream's own session and counters; returns
-/// nothing — every outcome is accounted in the worker's cell.
-fn process_frame(ctx: &ShardCtx, worker: &mut StreamWorker, qf: QueuedFrame) {
-    worker.cell.counters.queue_depth.dec();
+/// Decides one frame with its stream's own session and counters — every
+/// outcome is accounted in the stream's cell — and returns the weight to
+/// install when releasing the lane (`None` leaves it alone, and keeps
+/// round-robin exact when priority lanes are off).
+fn process_frame(ctx: &ShardCtx, qf: QueuedFrame) -> Option<u32> {
+    let counters = &qf.slot.cell.counters;
+    counters.queue_depth.dec();
     let emit = ctx.instruments.emit.as_ref();
     if let Some(emit) = emit {
         emit.queue_depth.dec();
     }
-    let packet = qf.packet;
+    let packet = &qf.packet;
     let payload_len = packet.payload.len() as u64;
+    let mut worker = qf.slot.claimed();
     let outcome =
         worker
             .session(&ctx.pool)
             .observe_bytes(packet.index, packet.frame_type, &packet.payload);
     let kept = matches!(outcome, EdgeOutcome::Kept(_));
-    let counters = &worker.cell.counters;
     match outcome {
         EdgeOutcome::Kept(frame) => {
             counters.kept.inc();
@@ -692,20 +711,22 @@ fn process_frame(ctx: &ShardCtx, worker: &mut StreamWorker, qf: QueuedFrame) {
     ctx.instruments
         .latency
         .record(qf.enqueued.elapsed().as_micros() as u64);
-}
-
-/// The weight to install when releasing a lane (None leaves it alone, and
-/// keeps round-robin exact when priority lanes are off).
-fn lane_weight_update(ctx: &ShardCtx, worker: &StreamWorker) -> Option<u32> {
-    ctx.priority_lanes.then(|| weight_of(worker.keep_ewma))
+    ctx.config
+        .priority_lanes
+        .then(|| weight_of(worker.keep_ewma))
 }
 
 /// Flushes a finished stream on whatever thread delivered its
-/// `LaneFinished`, recycling its decoder into the pool.
-fn finish_stream(ctx: &ShardCtx, victim: usize, key: u64) {
-    let Some(mut worker) = ctx.states[victim].lock().remove(&key) else {
-        return;
-    };
+/// `LaneFinished`, recycling its decoder into the pool. This is the one
+/// place a worker consults the registry: a finished lane has no item to
+/// carry the slot.
+fn finish_stream(ctx: &ShardCtx, key: u64) {
+    let registry = ctx.registry.read();
+    let slot = registry.entries.get(&key).map(|e| e.slot.clone());
+    drop(registry);
+    // lint:allow(no-unwrap): only admit opens lanes, and it inserts the entry under the same write lock
+    let slot = slot.expect("a finished lane belongs to an admitted stream");
+    let mut worker = slot.claimed();
     let result = match std::mem::replace(&mut worker.state, EdgeState::Retired) {
         EdgeState::Active(mut edge) => {
             let r = edge.finish();
@@ -717,35 +738,23 @@ fn finish_stream(ctx: &ShardCtx, victim: usize, key: u64) {
         EdgeState::Idle { mut session, .. } => session.finish(),
         EdgeState::Retired => Ok(()),
     };
-    *worker.cell.finish_error.lock() = result.err().map(|e| e.to_string());
-    worker.cell.done.store(true, Ordering::Release);
+    // The stream is over; release whatever its sink captured.
+    worker.on_keep = None;
+    *slot.cell.finish_error.lock() = result.err().map(|e| e.to_string());
+    slot.cell.done.store(true, Ordering::Release);
 }
 
-/// One guarded-pop service of shard `victim`'s queue by this worker.
-/// Returns `false` only on `Empty` (nothing to do there right now).
+/// One guarded-pop service of this worker's home queue.
 fn serve_own(ctx: &ShardCtx) -> GuardedPop<()> {
     let queue = &ctx.queues[ctx.me];
     match queue.try_pop_guarded() {
         GuardedPop::Item(key, qf) => {
-            let worker = ctx.states[ctx.me].lock().remove(&key);
-            match worker {
-                Some(mut worker) => {
-                    process_frame(ctx, &mut worker, qf);
-                    let weight = lane_weight_update(ctx, &worker);
-                    ctx.states[ctx.me].lock().insert(key, worker);
-                    queue.complete(key, weight);
-                }
-                None => {
-                    // Unreachable by protocol (a lane's worker outlives the
-                    // lane), but never strand the busy claim or the budget.
-                    ctx.inflight.fetch_sub(1, Ordering::AcqRel);
-                    queue.complete(key, None);
-                }
-            }
+            let weight = process_frame(ctx, qf);
+            queue.complete(key, weight);
             GuardedPop::Item(key, ())
         }
         GuardedPop::LaneFinished(key) => {
-            finish_stream(ctx, ctx.me, key);
+            finish_stream(ctx, key);
             GuardedPop::LaneFinished(key)
         }
         GuardedPop::Empty => GuardedPop::Empty,
@@ -763,33 +772,20 @@ fn steal_round(ctx: &ShardCtx) -> bool {
         match ctx.queues[victim].try_steal(STEAL_BATCH_MAX) {
             Steal::Batch { key, items } => {
                 let taken = items.len() as u64;
-                let worker = ctx.states[victim].lock().remove(&key);
-                match worker {
-                    Some(mut worker) => {
-                        worker.cell.counters.stolen.add(taken);
-                        for qf in items {
-                            process_frame(ctx, &mut worker, qf);
-                            // Home arrivals are fresh; the stolen batch is
-                            // the victim's old backlog. Serving the home
-                            // queue dry between stolen frames keeps this
-                            // shard's own decision latency flat no matter
-                            // how expensive the stolen work is.
-                            while matches!(
-                                serve_own(ctx),
-                                GuardedPop::Item(..) | GuardedPop::LaneFinished(_)
-                            ) {}
-                        }
-                        let weight = lane_weight_update(ctx, &worker);
-                        ctx.states[victim].lock().insert(key, worker);
-                        ctx.queues[victim].complete(key, weight);
-                    }
-                    None => {
-                        // Unreachable by protocol; release reservations and
-                        // the busy claim rather than wedging the lane.
-                        ctx.inflight.fetch_sub(items.len(), Ordering::AcqRel);
-                        ctx.queues[victim].complete(key, None);
-                    }
+                let mut weight = None;
+                for qf in items {
+                    qf.slot.cell.counters.stolen.inc();
+                    weight = process_frame(ctx, qf);
+                    // Home arrivals are fresh; the stolen batch is the
+                    // victim's old backlog. Serving the home queue dry
+                    // between stolen frames keeps this shard's own decision
+                    // latency flat however expensive the stolen work is.
+                    while matches!(
+                        serve_own(ctx),
+                        GuardedPop::Item(..) | GuardedPop::LaneFinished(_)
+                    ) {}
                 }
+                ctx.queues[victim].complete(key, weight);
                 ctx.instruments.stolen.add(taken);
                 return true;
             }
@@ -811,7 +807,7 @@ fn shard_loop(ctx: &ShardCtx) {
             GuardedPop::Item(..) | GuardedPop::LaneFinished(_) => {}
             GuardedPop::Shutdown => return,
             GuardedPop::Empty => {
-                if ctx.work_stealing && steal_round(ctx) {
+                if ctx.config.work_stealing && steal_round(ctx) {
                     continue;
                 }
                 ctx.queues[ctx.me].wait_for_work();

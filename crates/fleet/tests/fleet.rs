@@ -55,7 +55,7 @@ fn single_stream_fleet_matches_run_live_analysis() {
     // A frame that will not decode, to exercise the typed failure path.
     encoded.push(sieve_video::EncodedFrame {
         frame_type: FrameType::P,
-        data: Vec::new(),
+        data: [].into(),
     });
 
     type SelectorFactory = Box<dyn Fn() -> Box<dyn FrameSelector>>;
@@ -276,6 +276,43 @@ fn control_plane_errors() {
     }
     let report = fleet.shutdown();
     assert_eq!(report.snapshot.streams.len(), 4, "all entries reported");
+    assert!(report.snapshot.streams.iter().all(|s| s.done));
+}
+
+/// Admission counts *live* streams, not every stream ever admitted: after
+/// four times `max_streams` join→leave cycles (whose entries all stay
+/// resolvable for metrics) the fleet still admits exactly `max_streams`
+/// live streams and refuses the next one.
+#[test]
+fn admission_cap_counts_live_streams_under_churn() {
+    const MAX_STREAMS: usize = 8;
+    let fleet = Fleet::new(FleetConfig {
+        shards: 2,
+        max_streams: MAX_STREAMS,
+        ..FleetConfig::default()
+    });
+    let res = sieve_video::Resolution::new(32, 32);
+    let join =
+        |label: String| fleet.join(&IFrameSelector::new(), StreamConfig::new(label, res, 50));
+    for cycle in 0..4 * MAX_STREAMS {
+        let id = join(format!("churn-{cycle}")).expect("a left stream frees its slot");
+        fleet.leave(id).expect("leave");
+    }
+    let live: Vec<StreamId> = (0..MAX_STREAMS)
+        .map(|i| join(format!("live-{i}")).expect("below the cap"))
+        .collect();
+    assert!(matches!(
+        join("one-too-many".into()),
+        Err(sieve_fleet::FleetError::FleetFull {
+            max_streams: MAX_STREAMS
+        })
+    ));
+    // A refused join consumed nothing: one leave admits exactly one more.
+    fleet.leave(live[0]).expect("leave");
+    join("replacement".into()).expect("the freed slot");
+    assert!(join("over-again".into()).is_err());
+    let report = fleet.shutdown();
+    assert_eq!(report.snapshot.streams.len(), 5 * MAX_STREAMS + 1);
     assert!(report.snapshot.streams.iter().all(|s| s.done));
 }
 

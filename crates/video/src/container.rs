@@ -58,7 +58,7 @@ pub struct FrameMeta {
 /// assert_eq!(video.frame_count(), 4);
 /// assert_eq!(video.i_frame_indices(), vec![0, 2]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EncodedVideo {
     resolution: Resolution,
     fps: u32,
@@ -234,7 +234,7 @@ impl EncodedVideo {
             }
             frames.push(EncodedFrame {
                 frame_type: meta.frame_type,
-                data: bytes[start..end].to_vec(),
+                data: bytes[start..end].into(),
             });
         }
         Ok(Self {

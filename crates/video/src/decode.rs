@@ -452,7 +452,7 @@ mod tests {
         let mut dec = Decoder::new(res, 75);
         let fake = EncodedFrame {
             frame_type: FrameType::P,
-            data: vec![0u8; 4],
+            data: [0u8; 4].into(),
         };
         assert_eq!(
             dec.decode_frame(&fake).unwrap_err(),

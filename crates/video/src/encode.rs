@@ -15,6 +15,8 @@
 //! cost spikes, and the encoder emits an I-frame — which is exactly the
 //! "semantic event" signal the SiEVE I-frame seeker consumes downstream.
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 
 use crate::bitio::BitWriter;
@@ -128,12 +130,17 @@ impl Default for EncoderConfig {
 }
 
 /// One encoded frame: its type plus the entropy-coded payload.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// The payload is immutable and refcounted: it is allocated once, where the
+/// frame is produced (encoder, container parse), and every later holder — a
+/// cloned frame, a packet queued in the fleet — shares those bytes instead
+/// of copying them.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EncodedFrame {
     /// I or P.
     pub frame_type: FrameType,
     /// Entropy-coded payload bytes.
-    pub data: Vec<u8>,
+    pub data: Arc<[u8]>,
 }
 
 impl EncodedFrame {
@@ -285,9 +292,10 @@ impl Lookahead {
 /// reference so that encoder and decoder never drift.
 ///
 /// The encoder recycles all of its per-frame scratch (the reconstruction
-/// frame, the lookahead's half-resolution planes, and — via
-/// [`Encoder::encode_frame_into`] — the payload buffer), so the steady-state
-/// encode loop performs no heap allocation.
+/// frame, the lookahead's half-resolution planes, the bitstream buffer), so
+/// the steady-state [`Encoder::encode_frame_into`] loop performs no heap
+/// allocation and [`Encoder::encode_frame`] performs exactly one: the
+/// exact-size payload it returns.
 #[derive(Debug)]
 pub struct Encoder {
     config: EncoderConfig,
@@ -301,6 +309,9 @@ pub struct Encoder {
     /// Frame buffer parked by [`Encoder::reset`] so a reused encoder keeps
     /// both of its frame allocations across streams.
     frame_spare: Option<Frame>,
+    /// Recycled bitstream buffer [`Encoder::encode_frame`] writes into
+    /// before copying the finished payload out at its exact size.
+    payload_scratch: Vec<u8>,
     lookahead: Lookahead,
     decisions: Vec<FrameDecision>,
 }
@@ -316,6 +327,7 @@ impl Encoder {
             reference: None,
             recon_scratch: None,
             frame_spare: None,
+            payload_scratch: Vec::new(),
             lookahead: Lookahead::new(config),
             decisions: Vec::new(),
         }
@@ -352,28 +364,26 @@ impl Encoder {
     ///
     /// Panics if `frame`'s resolution differs from the encoder's.
     pub fn encode_frame(&mut self, frame: &Frame) -> EncodedFrame {
-        let mut out = EncodedFrame {
-            frame_type: FrameType::I,
-            data: Vec::new(),
-        };
-        self.encode_frame_into(frame, &mut out);
-        out
+        let mut buf = std::mem::take(&mut self.payload_scratch);
+        let frame_type = self.encode_frame_into(frame, &mut buf);
+        self.sealed(frame_type, buf)
     }
 
-    /// [`Encoder::encode_frame`] into an existing [`EncodedFrame`], reusing
-    /// its payload buffer — the allocation-free steady-state entry point.
+    /// [`Encoder::encode_frame`] into a caller-owned buffer (cleared, then
+    /// filled with the payload), returning the frame's type — the
+    /// allocation-free steady-state entry point.
     ///
     /// # Panics
     ///
     /// Panics if `frame`'s resolution differs from the encoder's.
-    pub fn encode_frame_into(&mut self, frame: &Frame, out: &mut EncodedFrame) {
+    pub fn encode_frame_into(&mut self, frame: &Frame, out: &mut Vec<u8>) -> FrameType {
         assert_eq!(
             frame.resolution(),
             self.resolution,
             "frame resolution changed mid-stream"
         );
         let mut decision = self.lookahead.observe(frame);
-        let mut w = BitWriter::with_buf(std::mem::take(&mut out.data));
+        let mut w = BitWriter::with_buf(std::mem::take(out));
         // `decide` only returns P when a reference exists; if that invariant
         // is ever violated, degrade to an I-frame rather than panicking.
         let frame_type = match (decision.frame_type, &self.reference) {
@@ -388,28 +398,30 @@ impl Encoder {
                 FrameType::I
             }
         };
-        out.frame_type = frame_type;
-        out.data = w.finish();
+        *out = w.finish();
         self.decisions.push(decision);
+        frame_type
     }
 
     /// Encodes one frame with an externally decided type, bypassing the
     /// lookahead — the GOP-parallel second pass, where pass one already
     /// fixed every frame type. Callers must only force `P` when a reference
     /// exists (i.e. not as the first frame after a reset).
-    pub(crate) fn encode_forced(
-        &mut self,
-        frame: &Frame,
-        frame_type: FrameType,
-        out: &mut EncodedFrame,
-    ) {
-        let mut w = BitWriter::with_buf(std::mem::take(&mut out.data));
+    pub(crate) fn encode_forced(&mut self, frame: &Frame, frame_type: FrameType) -> EncodedFrame {
+        let mut w = BitWriter::with_buf(std::mem::take(&mut self.payload_scratch));
         match frame_type {
             FrameType::I => self.encode_i(frame, &mut w),
             FrameType::P => self.encode_p(frame, &mut w),
         }
-        out.frame_type = frame_type;
-        out.data = w.finish();
+        self.sealed(frame_type, w.finish())
+    }
+
+    /// Copies the finished bitstream out as the frame's payload — the one
+    /// exact-size allocation per encoded frame — and parks `buf` for reuse.
+    fn sealed(&mut self, frame_type: FrameType, buf: Vec<u8>) -> EncodedFrame {
+        let data = Arc::from(&buf[..]);
+        self.payload_scratch = buf;
+        EncodedFrame { frame_type, data }
     }
 
     fn encode_i(&mut self, frame: &Frame, w: &mut BitWriter) {

@@ -14,7 +14,8 @@
 //! 2. **Encode.** Split the sequence into GOP ranges at the planned I-frames
 //!    and hand whole GOPs to worker threads. Each worker owns one [`Encoder`]
 //!    and recycles it across GOPs via [`Encoder::reset`], so per-worker
-//!    scratch (reconstruction frames, payload buffers) is allocated once.
+//!    scratch (reconstruction frames, the bitstream buffer) is allocated
+//!    once and each frame costs one exact-size payload allocation.
 //!    GOPs are pulled from a shared queue, which load-balances the variable
 //!    GOP lengths scene content produces.
 //! 3. **Splice.** Workers write each GOP's frames directly into its slot of
@@ -24,7 +25,7 @@
 //! [`Lookahead`]: crate::encode::Lookahead
 
 use std::ops::Range;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use crate::encode::{EncodedFrame, Encoder, EncoderConfig, FrameDecision, FrameType, Lookahead};
 use crate::frame::{Frame, Resolution};
@@ -79,13 +80,12 @@ pub fn encode_parallel_with_decisions(
     }
     let decisions = plan_frame_types(config, frames);
     let gops = gop_ranges(&decisions);
-    let mut encoded: Vec<EncodedFrame> = frames
-        .iter()
-        .map(|_| EncodedFrame {
-            frame_type: FrameType::I,
-            data: Vec::new(),
-        })
-        .collect();
+    // Placeholders every worker overwrites; they share one empty payload.
+    let placeholder = EncodedFrame {
+        frame_type: FrameType::I,
+        data: Arc::from([]),
+    };
+    let mut encoded = vec![placeholder; frames.len()];
     let workers = workers.clamp(1, gops.len().max(1));
 
     if workers == 1 {
@@ -135,7 +135,7 @@ fn encode_gop(enc: &mut Encoder, frames: &[Frame], out: &mut [EncodedFrame]) {
     enc.reset();
     for (i, (frame, slot)) in frames.iter().zip(out.iter_mut()).enumerate() {
         let ft = if i == 0 { FrameType::I } else { FrameType::P };
-        enc.encode_forced(frame, ft, slot);
+        *slot = enc.encode_forced(frame, ft);
     }
 }
 

@@ -2,9 +2,11 @@
 //!
 //! After a warmup pass has sized every scratch buffer (reference and
 //! reconstruction frames, the lookahead's half-resolution planes, the
-//! bitstream payload `Vec`s, the decision log), re-encoding and re-decoding
-//! the same sequence must perform **zero** heap allocations: the hot loops
-//! recycle buffers by swapping, never by allocating.
+//! bitstream `Vec`s, the decision log), re-encoding into caller-owned
+//! buffers and re-decoding the same sequence must perform **zero** heap
+//! allocations: the hot loops recycle buffers by swapping, never by
+//! allocating. `Encoder::encode_frame`, which returns a shareable payload,
+//! must perform exactly one per frame — the payload.
 //!
 //! The whole audit lives in a single `#[test]` because the counting
 //! allocator is process-global and `cargo test` runs sibling tests on
@@ -13,7 +15,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use sieve_video::encode::{EncodedFrame, Encoder, EncoderConfig, FrameType};
+use sieve_video::encode::{EncodedFrame, Encoder, EncoderConfig};
 use sieve_video::{Decoder, Frame, Resolution};
 
 /// Forwards to the system allocator, counting every allocation and
@@ -71,26 +73,20 @@ fn encode_decode_steady_state_does_not_allocate() {
     let config = EncoderConfig::new(5, 100);
 
     let mut encoder = Encoder::new(res, config);
-    let mut outputs: Vec<EncodedFrame> = frames
-        .iter()
-        .map(|_| EncodedFrame {
-            frame_type: FrameType::I,
-            data: Vec::new(),
-        })
-        .collect();
+    let mut buffers: Vec<Vec<u8>> = vec![Vec::new(); frames.len()];
 
     // Warmup: two full passes size every buffer (the second catches buffers
     // that only reach their steady-state capacity after one reuse cycle).
     for _ in 0..2 {
         encoder.reset();
-        for (frame, out) in frames.iter().zip(outputs.iter_mut()) {
+        for (frame, out) in frames.iter().zip(buffers.iter_mut()) {
             encoder.encode_frame_into(frame, out);
         }
     }
 
     encoder.reset();
     let before = allocations();
-    for (frame, out) in frames.iter().zip(outputs.iter_mut()) {
+    for (frame, out) in frames.iter().zip(buffers.iter_mut()) {
         encoder.encode_frame_into(frame, out);
     }
     let encode_allocs = allocations() - before;
@@ -100,6 +96,35 @@ fn encode_decode_steady_state_does_not_allocate() {
         "steady-state encode of {} frames allocated {encode_allocs} times",
         frames.len()
     );
+
+    // `encode_frame` returns the product itself — a shareable payload of
+    // exactly the frame's size — and that is its only allocation: the
+    // bitstream is still written into the encoder's recycled scratch.
+    let mut outputs: Vec<EncodedFrame> = Vec::with_capacity(frames.len());
+    for _ in 0..2 {
+        encoder.reset();
+        for frame in &frames {
+            encoder.encode_frame(frame);
+        }
+    }
+    encoder.reset();
+    let before = allocations();
+    for frame in &frames {
+        outputs.push(encoder.encode_frame(frame));
+    }
+    let product_allocs = allocations() - before;
+    assert_eq!(
+        product_allocs,
+        frames.len() as u64,
+        "encode_frame must allocate exactly once per frame"
+    );
+    for (out, buffer) in outputs.iter().zip(&buffers) {
+        assert_eq!(
+            &out.data[..],
+            &buffer[..],
+            "both entry points code the same bytes"
+        );
+    }
 
     let mut decoder = Decoder::new(res, config.quality);
     for _ in 0..2 {

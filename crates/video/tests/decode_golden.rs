@@ -103,7 +103,7 @@ fn crafted_p_frame() -> EncodedFrame {
     }
     EncodedFrame {
         frame_type: FrameType::P,
-        data: w.finish(),
+        data: w.finish().into(),
     }
 }
 

@@ -202,7 +202,7 @@ fn hostile_inter_payloads_are_rejected_not_truncated() {
     };
     let p_frame = |data: Vec<u8>| EncodedFrame {
         frame_type: FrameType::P,
-        data,
+        data: data.into(),
     };
     // A motion-vector component that does not fit an i16 must not be cast
     // down to one that does.

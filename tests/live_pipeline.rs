@@ -152,7 +152,7 @@ fn edge_decode_failures_are_typed() {
         corrupted.push(EncodedFrame {
             frame_type: ef.frame_type,
             data: if i == corrupt_at {
-                Vec::new()
+                [].into()
             } else {
                 ef.data.clone()
             },
