@@ -352,7 +352,7 @@ mod tests {
     #[test]
     fn rejects_wrong_benchmark_name() {
         let mut a = sample();
-        a.benchmark = "fleet_scale".into();
+        a.benchmark = "wan_bench".into();
         assert!(validate(&to_json(&a)).is_err());
     }
 

@@ -12,7 +12,6 @@
 //! | `fig4` | Fig 4 — end-to-end throughput of five baselines |
 //! | `fig5` | Fig 5 — camera→edge and edge→cloud data transfer |
 //! | `ablations` | scenecut/GOP sweeps, object-size↔scenecut, NN split |
-//! | `fleet_scale` | beyond the paper: aggregate edge throughput vs. concurrent stream count on a fixed `sieve-fleet` worker pool |
 //! | `codec_bench` | beyond the paper: raw codec speed — SIMD kernel tier and GOP-parallel encode vs the scalar tier, tracked in `BENCH_codec.json` |
 //! | `fig4_fleet` | beyond the paper: the fleet's kept frames over a bandwidth-capped lossy WAN — FEC × feedback A/B over a loss sweep, tracked in `BENCH_wan.json` |
 //!
@@ -21,7 +20,6 @@
 //! Criterion micro-benchmarks live under `benches/`.
 
 pub mod codec_artifact;
-pub mod fleet_artifact;
 pub mod harness;
 pub mod report;
 pub mod stats_artifact;

@@ -15,6 +15,8 @@
 //!   quantile, the [`RateController`] behind `Budget::TargetRate`);
 //! * [`metrics`] — accuracy / filtering rate / F1 with label propagation;
 //! * [`events`] — the analysis path producing `(frame, labels)` tuples;
+//! * [`edge`] — the per-stream live edge decision ([`EdgeSession`]) every
+//!   `sieve-fleet` stream runs;
 //! * [`pipeline`] — end-to-end simulation of the five Fig 4/5 baselines on
 //!   the 3-tier topology.
 //!
@@ -40,9 +42,9 @@
 //! ```
 
 pub mod adapt;
+pub mod edge;
 pub mod error;
 pub mod events;
-pub mod live;
 pub mod lookup;
 pub mod metrics;
 pub mod pipeline;
@@ -53,9 +55,9 @@ pub mod store;
 pub mod tuner;
 
 pub use adapt::{wan_signal, Ewma, P2Quantile, RateController, WanFeedback, WanSignal};
+pub use edge::{EdgeOutcome, EdgeSession};
 pub use error::SieveError;
 pub use events::{analyze, analyze_selected, analyze_sieve, AnalysisResult};
-pub use live::{run_live_analysis, EdgeOutcome, EdgeSession, LiveAnalysis, LiveConfig};
 pub use lookup::LookupTable;
 pub use metrics::{f1_score, label_accuracy, propagate_labels, score_selection, DetectionQuality};
 pub use pipeline::{

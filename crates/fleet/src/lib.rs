@@ -22,11 +22,11 @@
 //!   overloaded edge is distinguishable from a well-filtering one. A
 //!   global frame budget bounds fleet-wide queued memory.
 //! * **Per-stream streaming selection**: every stream drives a
-//!   [`sieve_core::EdgeSession`] — the same per-frame decision code the
-//!   single-stream live pipeline uses — so any
+//!   [`sieve_core::EdgeSession`], so any
 //!   [`FrameSelector`](sieve_core::FrameSelector) policy deploys
-//!   unchanged. Pair it with `sieve_filters::Budget::TargetRate` and each
-//!   stream self-tunes its threshold on-line (EWMA + P² streaming
+//!   unchanged (the umbrella crate's single-camera `run_live_analysis` is
+//!   a one-stream fleet). Pair it with `sieve_filters::Budget::TargetRate`
+//!   and each stream self-tunes its threshold on-line (EWMA + P² streaming
 //!   quantile) to hit a requested sampling rate with no offline
 //!   calibration pass — fraction budgets on live edges that never see the
 //!   whole video.

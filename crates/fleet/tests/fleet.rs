@@ -1,15 +1,15 @@
 //! Integration tests for the multi-stream fleet runtime: equivalence with
-//! the single-stream live pipeline, 16-stream scheduling on a fixed pool,
-//! shed-vs-drop accounting, and the on-line adaptive sampling-rate target.
+//! a single-threaded `EdgeSession` replay, 16-stream scheduling on a fixed
+//! pool, shed-vs-drop accounting, and the on-line adaptive sampling-rate
+//! target.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use sieve_core::{run_live_analysis, FrameSelector, IFrameSelector, LiveConfig};
+use sieve_core::{EdgeOutcome, EdgeSession, FrameSelector, IFrameSelector};
 use sieve_datasets::{stream_seed, DatasetId, DatasetScale, DatasetSpec};
 use sieve_filters::{Budget, MseSelector};
 use sieve_fleet::{Fleet, FleetConfig, FramePacket, Ingest, ShedCause, StreamConfig, StreamId};
-use sieve_nn::OracleDetector;
 use sieve_video::{EncodedVideo, EncoderConfig, FrameType};
 
 fn encoded_jackson(frames: usize, gop: usize, scenecut: u16) -> EncodedVideo {
@@ -37,13 +37,13 @@ fn feed_lossless(fleet: &Fleet, stream: StreamId, video: &EncodedVideo) {
     }
 }
 
-/// A single-stream fleet with adaptation disabled must reproduce the
-/// single-stream live pipeline's keep / drop / failed counts exactly —
-/// metadata policy (I-frame seeking) and pixel policy (absolute-threshold
-/// MSE), healthy stream and corrupt frame alike.
+/// A single-stream fleet with adaptation disabled must reproduce the keep /
+/// drop / failed counts of one `EdgeSession` replayed over the stream on
+/// the test's own thread — which is also what `run_live_analysis`, a
+/// one-stream fleet, reports. Metadata policy (I-frame seeking) and pixel
+/// policy (absolute-threshold MSE), healthy stream and corrupt frame alike.
 #[test]
 fn single_stream_fleet_matches_run_live_analysis() {
-    let video = DatasetSpec::of(DatasetId::JacksonSquare).generate(DatasetScale::Tiny);
     let healthy = encoded_jackson(160, 40, 60);
     let mut encoded = EncodedVideo::new(healthy.resolution(), healthy.fps(), healthy.quality());
     for ef in healthy.frames() {
@@ -67,19 +67,26 @@ fn single_stream_fleet_matches_run_live_analysis() {
         ),
     ];
     for (label, make) in selectors {
-        let oracle = OracleDetector::for_video(&video);
-        let mut live_selector = make();
-        let live = run_live_analysis(&encoded, &mut live_selector, oracle, &LiveConfig::default())
-            .expect("live run");
+        let mut replay = EdgeSession::open(&*make(), encoded.resolution(), encoded.quality());
+        let (mut kept, mut dropped, mut failed) = (0u64, 0u64, 0u64);
+        for (i, ef) in encoded.frames().iter().enumerate() {
+            match replay.observe(i, ef.frame_type, &ef.data) {
+                EdgeOutcome::Kept(_) => kept += 1,
+                EdgeOutcome::Dropped => dropped += 1,
+                EdgeOutcome::Failed => failed += 1,
+            }
+        }
+        replay.finish().expect("replay finish");
+        assert!(kept > 0 && dropped > 0, "{label}: a trivial reference");
 
-        // Both scheduler configurations must be bit-equivalent to the live
-        // pipeline: thread-per-shard round robin, and the work-stealing /
+        // Both scheduler configurations must be bit-equivalent to the
+        // replay: thread-per-shard round robin, and the work-stealing /
         // priority-lane runtime (on a single shard its stealing loop never
         // finds a victim, and the lane-weight updates must not perturb a
         // lone stream's processing order).
         for stealing in [false, true] {
             // Queues sized past the whole stream: nothing can shed, so
-            // every counter must match the live pipeline exactly.
+            // every counter must match the replay exactly.
             let fleet = Fleet::new(FleetConfig {
                 shards: 1,
                 queue_capacity: 256,
@@ -101,9 +108,9 @@ fn single_stream_fleet_matches_run_live_analysis() {
             let s = &report.snapshot.streams[0];
 
             let label = format!("{label} (stealing={stealing})");
-            assert_eq!(s.kept, live.report.delivered, "{label}: kept != delivered");
-            assert_eq!(s.dropped, live.report.dropped, "{label}: dropped diverged");
-            assert_eq!(s.failed, live.report.failed, "{label}: failed diverged");
+            assert_eq!(s.kept, kept, "{label}: kept diverged");
+            assert_eq!(s.dropped, dropped, "{label}: dropped diverged");
+            assert_eq!(s.failed, failed, "{label}: failed diverged");
             assert_eq!(s.shed, 0, "{label}: lossless feeder must not shed");
             assert_eq!(
                 s.processed as usize,

@@ -2,8 +2,8 @@
 //!
 //! [`WanChannel`] is a seeded, virtual-time packet channel: every effect —
 //! loss, burst state, jitter, reordering, queueing — is a pure function of
-//! the seed and the send times, so a run is bit-reproducible and composes
-//! with the DES in `sieve-simnet`. No wall clock, no global RNG.
+//! the seed and the send times, so a run is bit-reproducible. No wall
+//! clock, no global RNG.
 //!
 //! The model layers, in order, per packet:
 //!
@@ -349,11 +349,6 @@ impl WanChannel {
     /// in arrival order.
     pub fn poll(&mut self, now: SimTime) -> Vec<Packet> {
         std::iter::from_fn(|| self.arrive(Some(now))).collect()
-    }
-
-    /// Arrival time of the next in-flight packet, if any.
-    pub fn earliest_pending(&self) -> Option<SimTime> {
-        self.in_flight.keys().next().map(|&(t, _)| t)
     }
 
     /// Delivers everything still in flight regardless of time.

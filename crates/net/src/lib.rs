@@ -17,14 +17,13 @@
 //!   i.i.d. or Gilbert–Elliott burst loss, bounded reordering, jitter and
 //!   a token-bucket bandwidth cap with a bounded queue (overflow is
 //!   congestion loss). Runs on [`sieve_simnet::SimTime`] — no wall clock,
-//!   no global RNG — so it composes with the DES and the model checker;
+//!   no global RNG — so it composes with the model checker;
 //! * [`feedback`] — the `wan.*` registry instruments and the per-quantum
 //!   [`sieve_core::adapt::WanFeedback`] collector that reads *the same
 //!   counters* the operator watches in `fleet_top`;
 //! * [`uplink`] — [`Uplink`] ties the four layers together behind one
 //!   virtual-time pump, [`SharedUplink`] adapts it to a fleet
-//!   [`sieve_fleet::KeepSink`] and to a [`sieve_simnet::LiveStage`] for
-//!   `run_live_in` pipelines.
+//!   [`sieve_fleet::KeepSink`].
 
 pub mod channel;
 pub mod fec;

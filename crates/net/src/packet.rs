@@ -166,11 +166,6 @@ impl Packetizer {
         self.frag_payload
     }
 
-    /// The id the next call to [`packetize`](Self::packetize) will use.
-    pub fn next_block(&self) -> u64 {
-        self.next_block
-    }
-
     /// Packetizes one block; returns its id and the fragments in send
     /// order (data first, then per-group parity).
     pub fn packetize(&mut self, block: &[u8]) -> (u64, Vec<Packet>) {
@@ -563,14 +558,6 @@ impl Depacketizer {
             reports.push(self.force_resolve(h.stream, id));
         }
         reports
-    }
-
-    /// Forces a verdict on one block now — used by synchronous adapters
-    /// that resolve each block before the next is sent.
-    pub fn finalize(&mut self, stream: u16, block_id: u64) -> Option<BlockReport> {
-        self.pending
-            .contains_key(&(stream, block_id))
-            .then(|| self.force_resolve(stream, block_id))
     }
 
     /// Forces a verdict on everything still pending.

@@ -4,24 +4,18 @@
 //! [`Uplink`] is the single-stream composition; [`SharedUplink`] wraps it
 //! in a facade mutex so a whole fleet of shard threads can ship their
 //! kept frames through one bottleneck link — which is exactly the
-//! contention the paper's edge→cloud WAN imposes. Two adapters connect
-//! it to the rest of the workspace:
-//!
-//! * [`SharedUplink::keep_sink`] produces a [`sieve_fleet::KeepSink`]
-//!   that paces sends by *stream time* (`frame_index / fps`), so the
-//!   channel's bandwidth cap and the feedback quanta are driven by the
-//!   simulated camera clock, not by how fast the benchmark machine
-//!   happens to decode;
-//! * [`SharedUplink::live_stage`] produces a [`LiveStage`] for
-//!   `run_live_in` pipelines, resolving each block synchronously and
-//!   mapping delivery to [`StageResult::Emit`], loss to
-//!   [`StageResult::Fail`].
+//! contention the paper's edge→cloud WAN imposes.
+//! [`SharedUplink::keep_sink`] connects it to the fleet: a
+//! [`sieve_fleet::KeepSink`] that paces sends by *stream time*
+//! (`frame_index / fps`), so the channel's bandwidth cap and the feedback
+//! quanta are driven by the simulated camera clock, not by how fast the
+//! benchmark machine happens to decode.
 
 use std::sync::Arc;
 
 use sieve_core::adapt::{wan_signal, WanFeedback, WanSignal};
 use sieve_simnet::sync::Mutex;
-use sieve_simnet::{LiveStage, SimTime, StageResult, WAN_STAGE};
+use sieve_simnet::SimTime;
 use sieve_stats::Registry;
 
 use crate::channel::{WanChannel, WanConfig};
@@ -347,60 +341,6 @@ impl SharedUplink {
             let now = SimTime::from_secs_f64(phase_secs + index as f64 / fps);
             shared.lock().send_block_at(now, payload);
         })
-    }
-
-    /// A [`LiveStage`] for `run_live_in` pipelines: each item's payload
-    /// crosses the WAN and is resolved synchronously — [`StageResult::Emit`]
-    /// with the reassembled bytes on delivery or recovery,
-    /// [`StageResult::Fail`] on loss. Items are paced by their `id` at
-    /// `items_per_sec`.
-    pub fn live_stage(&self, items_per_sec: f64) -> LiveStage {
-        assert!(items_per_sec > 0.0, "live_stage needs a positive item rate");
-        let shared = self.0.clone();
-        LiveStage::compute(WAN_STAGE, move |mut item: sieve_simnet::LiveItem| {
-            let mut uplink = shared.lock();
-            let now = SimTime::from_secs_f64(item.id as f64 / items_per_sec);
-            let block_id = uplink.packetizer_next_block();
-            let mut reports = uplink.send_block_at(now, &item.payload);
-            // Resolve this block now: advance the clock past the last
-            // in-flight arrival, then force a verdict if it is still open.
-            while let Some(at) = uplink.channel_earliest_pending() {
-                uplink.now = uplink.now.max(at);
-                reports.extend(uplink.pump());
-            }
-            if let Some(report) = uplink.finalize_block(block_id) {
-                reports.push(report);
-            }
-            drop(uplink);
-            match reports.into_iter().find(|r| r.block_id == block_id) {
-                Some(r) => match r.outcome {
-                    BlockOutcome::Delivered(bytes) | BlockOutcome::Recovered(bytes) => {
-                        item.payload = bytes;
-                        StageResult::Emit(item)
-                    }
-                    BlockOutcome::Lost => StageResult::Fail,
-                },
-                None => StageResult::Fail,
-            }
-        })
-    }
-}
-
-impl Uplink {
-    fn packetizer_next_block(&self) -> u64 {
-        self.packetizer.next_block()
-    }
-
-    fn channel_earliest_pending(&self) -> Option<SimTime> {
-        self.channel.earliest_pending()
-    }
-
-    fn finalize_block(&mut self, block_id: u64) -> Option<BlockReport> {
-        let report = self.depacketizer.finalize(0, block_id);
-        if let Some(r) = &report {
-            self.absorb(std::slice::from_ref(r));
-        }
-        report
     }
 }
 

@@ -8,20 +8,19 @@
 //!   latency, including the paper's testbed shape;
 //! * [`pipeline`] — an exact tandem-queue simulator for linear dataflows,
 //!   cheap enough to replay millions of frames with calibrated costs;
-//! * [`des`] — a general discrete-event engine for non-linear scenarios;
-//! * [`live`] — a threaded runtime (crossbeam channels, back-pressure,
-//!   bandwidth throttling) that actually executes a pipeline;
 //! * [`shard`] — the multi-stream mailbox: bounded per-lane queues with
 //!   non-blocking shed, round-robin draining, runtime lane join/leave
 //!   (the scheduler substrate of `sieve-fleet`);
 //! * [`calibrate`] — measuring real per-operation costs to feed the
 //!   simulators;
-//! * [`sync`] — the workspace synchronization facade: real primitives
-//!   normally, `sieve-check`'s instrumented ones under `model-check`.
+//! * [`sync`] — the workspace synchronization facade (a re-export of
+//!   `sieve_stats::sync`): real primitives normally, `sieve-check`'s
+//!   instrumented ones under `model-check`.
+//!
+//! Nothing here executes frames: live runs go through `sieve-fleet`, whose
+//! scheduler is built on [`shard`].
 
 pub mod calibrate;
-pub mod des;
-pub mod live;
 pub mod pipeline;
 pub mod shard;
 pub mod sync;
@@ -29,8 +28,6 @@ pub mod time;
 pub mod topology;
 
 pub use calibrate::{measure_secs, CostProfile};
-pub use des::Simulator;
-pub use live::{run_live, run_live_in, LiveItem, LiveReport, LiveStage, StageResult};
 pub use pipeline::{ItemResult, Pipeline, PipelineReport, StageSpec, StepWork};
 pub use shard::{GuardedPop, Popped, PushOutcome, ShardQueue, Steal, MAX_LANE_WEIGHT};
 pub use time::SimTime;

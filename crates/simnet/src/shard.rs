@@ -1,9 +1,7 @@
 //! A bounded multi-lane queue: the mailbox of one scheduler shard.
 //!
-//! [`crate::live`] wires stages with one back-pressured channel per hop —
-//! the right shape for a single stream. A multi-stream runtime needs a
-//! different primitive: one worker draining *many* streams fairly, where a
-//! noisy stream can neither starve its neighbours (per-lane bounded
+//! A multi-stream runtime needs one worker draining *many* streams fairly,
+//! where a noisy stream can neither starve its neighbours (per-lane bounded
 //! queues) nor block the producer (non-blocking [`ShardQueue::try_push`]
 //! with an explicit [`PushOutcome::Shed`] the caller accounts for —
 //! load-shedding is a first-class outcome, distinct from a policy drop).

@@ -1,6 +1,6 @@
 //! `sieve-stats` — the lock-free observability plane.
 //!
-//! SiEVE's pipelines (fleet scheduler shards, simnet live stages, the
+//! SiEVE's pipelines (fleet scheduler shards, the WAN uplink, the
 //! per-stream adaptive rate controllers) need to answer "what is the fleet
 //! doing *right now*" without perturbing the decisions being measured.
 //! This crate is that plane, in three layers:

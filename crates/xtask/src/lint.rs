@@ -51,10 +51,9 @@ struct Rule {
     in_scope: fn(&str) -> bool,
 }
 
-/// The runtime crates whose synchronization must go through a facade —
-/// `sieve_simnet::sync`, or `sieve_stats::sync` for the observability
-/// plane, which sits below simnet in the dependency graph and carries its
-/// own. Each facade's std backend file is waived with `lint:allow-file`.
+/// The runtime crates whose synchronization must go through the facade —
+/// `sieve_stats::sync`, which `sieve_simnet::sync` re-exports. The
+/// facade's std backend file is waived with `lint:allow-file`.
 fn runtime_crate(path: &str) -> bool {
     path.starts_with("crates/simnet/src/")
         || path.starts_with("crates/fleet/src/")
@@ -79,7 +78,7 @@ const RULES: &[Rule] = &[
                 || p.starts_with("crates/stats/src/")
                 || p.starts_with("crates/net/src/")
                 || p == "crates/core/src/adapt.rs"
-                || p == "crates/core/src/live.rs"
+                || p == "crates/core/src/edge.rs"
                 || p == "crates/video/src/bitio.rs"
                 || p == "crates/video/src/entropy.rs"
         },
@@ -87,7 +86,8 @@ const RULES: &[Rule] = &[
     Rule {
         name: "no-std-sync",
         message: "raw std/parking_lot synchronization bypasses the \
-                  sieve_simnet::sync facade (and the model checker with it)",
+                  sieve_stats::sync facade, re-exported as sieve_simnet::sync \
+                  (and the model checker with it)",
         matcher: Matcher::Tokens(&[
             "std::sync::Mutex",
             "std::sync::RwLock",
@@ -339,14 +339,14 @@ fn f() {
     #[test]
     fn std_sync_and_parking_lot_flagged_outside_facade() {
         let src = "use std::sync::Mutex;\nuse parking_lot::RwLock;\n";
-        let f = check("crates/core/src/live.rs", src);
+        let f = check("crates/core/src/edge.rs", src);
         assert_eq!(f.len(), 2, "{f:?}");
         assert!(f.iter().all(|x| x.rule == "no-std-sync"));
     }
 
     #[test]
     fn arc_is_not_std_sync_violation() {
-        let f = check("crates/core/src/live.rs", "use std::sync::Arc;\n");
+        let f = check("crates/core/src/edge.rs", "use std::sync::Arc;\n");
         assert!(f.is_empty(), "{f:?}");
     }
 
@@ -370,7 +370,7 @@ fn f() {
     #[test]
     fn stats_plane_files_are_in_every_runtime_scope() {
         // The observability plane is wired into per-frame hot paths: its
-        // sources must stay on its own sync facade, panic-free, and (the
+        // sources must stay on the sync facade, panic-free, and (the
         // collector epoch aside) wall-clock-free, or instrumented code
         // silently drops out of the model checker and the sim guarantees.
         for path in [
@@ -463,7 +463,7 @@ fn f() {
     #[test]
     fn wall_clock_flagged_in_simulator() {
         let f = check(
-            "crates/simnet/src/des.rs",
+            "crates/simnet/src/pipeline.rs",
             "fn f() { let t = Instant::now(); }\n",
         );
         assert_eq!(f.len(), 1);
@@ -473,11 +473,11 @@ fn f() {
     #[test]
     fn allow_file_waives_whole_file() {
         let src = "\
-// lint:allow-file(no-wall-clock): live runtime measures real time by design
+// lint:allow-file(no-wall-clock): calibration measures real time by design
 fn a() { Instant::now(); }
 fn b() { Instant::now(); }
 ";
-        let f = check("crates/simnet/src/live.rs", src);
+        let f = check("crates/simnet/src/calibrate.rs", src);
         assert!(f.is_empty(), "{f:?}");
     }
 
@@ -529,7 +529,7 @@ fn f() { unsafe { core::arch::x86_64::_mm_pause() } }
 // Instant::now() is banned here; x.unwrap() too.
 fn f() { let s = \"Instant::now() .unwrap()\"; }
 ";
-        let f = check("crates/simnet/src/des.rs", src);
+        let f = check("crates/simnet/src/pipeline.rs", src);
         assert!(f.is_empty(), "{f:?}");
     }
 }

@@ -1,9 +1,10 @@
 //! A *live* 3-tier pipeline: camera → edge → cloud, running for real.
 //!
-//! Unlike the discrete-event experiments, this example executes the actual
-//! dataflow on OS threads with back-pressured channels (the NiFi role) and a
-//! bandwidth-throttled edge→cloud link — through the one generic driver
-//! `sieve_core::run_live_analysis`, which works for *any* `FrameSelector` +
+//! Unlike the simulated experiments, this example executes the actual
+//! dataflow on OS threads — the camera feeds a bounded, back-pressured queue
+//! (the NiFi role), a `sieve-fleet` shard is the edge, and the stream's keep
+//! sink is the cloud — through the one generic driver
+//! `sieve::run_live_analysis`, which works for *any* `FrameSelector` +
 //! `ObjectDetector` pair. It first deploys SiEVE (I-frame seeking at the
 //! edge, trained CNN in the cloud), then swaps in a uniform-sampling edge at
 //! the same analysis budget to show the unified path — the only difference
@@ -46,7 +47,7 @@ fn main() {
         detector.model().param_count()
     );
 
-    // The paper's live topology: 30 Mbps WAN, bounded channels.
+    // A bounded camera→edge queue, 32×32 frames handed to the NN.
     let config = LiveConfig::default();
 
     // Deployment 1 — SiEVE: the edge drops every non-I frame by container
@@ -69,13 +70,14 @@ fn main() {
 
 fn report(name: &str, video: &SyntheticVideo, live: &LiveAnalysis) {
     let acc = sieve_core::label_accuracy(video.labels(), &live.result.predicted);
+    let edge = &live.report.snapshot.aggregate;
     println!(
-        "\n{name}\n  {} frames crossed the WAN ({} bytes), {} filtered at the edge\n  \
+        "\n{name}\n  {} frames reached the cloud ({} encoded bytes), {} filtered at the edge\n  \
          wall {:.2?} -> {:.0} frames/s end to end\n  \
          per-frame label accuracy {:.1}%, sampling {:.2}%",
-        live.report.delivered,
-        live.report.delivered_bytes,
-        live.report.dropped,
+        edge.kept,
+        edge.kept_payload_bytes,
+        edge.dropped,
         live.report.wall,
         video.frame_count() as f64 / live.report.wall.as_secs_f64(),
         100.0 * acc,

@@ -16,10 +16,11 @@
 //! | [`nn`] | `sieve-nn` | CNN inference/training engine + Neurosurgeon-style edge/cloud partitioning |
 //! | [`filters`] | `sieve-filters` | MSE / SIFT / uniform-sampling baselines |
 //! | [`stats`] | `sieve-stats` | lock-free observability plane: counters, histograms, registry, time-series collector |
-//! | [`simnet`] | `sieve-simnet` | dataflow engine, 3-tier topology, DES + live threaded runtime |
+//! | [`simnet`] | `sieve-simnet` | 3-tier topology, tandem-queue simulator, the shard queue under the fleet scheduler |
 //! | [`core`] | `sieve-core` | SiEVE itself: offline tuner, I-frame seeker, metrics, end-to-end pipelines |
 //! | [`fleet`] | `sieve-fleet` | multi-stream edge runtime: admission, sharded scheduling with load shedding, on-line adaptive selection |
 //! | [`net`] | `sieve-net` | edge→cloud WAN transport: FEC packetizer, hostile channel model, feedback-driven rate control |
+//! | [`live`] | (this crate) | [`run_live_analysis`]: a single camera run live, as a one-stream fleet |
 //!
 //! ## Quickstart
 //!
@@ -46,14 +47,18 @@ pub use sieve_simnet as simnet;
 pub use sieve_stats as stats;
 pub use sieve_video as video;
 
+pub mod live;
+pub use live::{run_live_analysis, LiveAnalysis, LiveConfig};
+
 /// The most commonly used items across all subsystems.
 pub mod prelude {
+    pub use crate::live::{run_live_analysis, LiveAnalysis, LiveConfig};
     pub use sieve_core::{
-        analyze, analyze_selected, analyze_sieve, f1_score, run_live_analysis, score_encoding,
-        score_selection, simulate_all, simulate_baseline, tune, AnalysisResult, Baseline,
-        BaselineSpec, CalibrationCurve, ConfigGrid, Decision, Deployment, DetectionQuality,
-        EncodedFrameMeta, FrameSelector, IFrameSeeker, IFrameSelector, LiveAnalysis, LiveConfig,
-        LookupTable, SelectorCost, SelectorKind, SelectorSession, SieveError, TuningOutcome,
+        analyze, analyze_selected, analyze_sieve, f1_score, score_encoding, score_selection,
+        simulate_all, simulate_baseline, tune, AnalysisResult, Baseline, BaselineSpec,
+        CalibrationCurve, ConfigGrid, Decision, Deployment, DetectionQuality, EncodedFrameMeta,
+        FrameSelector, IFrameSeeker, IFrameSelector, LookupTable, SelectorCost, SelectorKind,
+        SelectorSession, SieveError, TuningOutcome,
     };
     pub use sieve_datasets::{
         segment_events, stream_seed, DatasetId, DatasetScale, DatasetSpec, Event, LabelSet,
@@ -68,7 +73,7 @@ pub mod prelude {
         best_split, reference_model, CnnDetector, ObjectDetector, OracleDetector, TierSpec,
         TrainConfig,
     };
-    pub use sieve_simnet::{run_live, CostProfile, LiveItem, LiveStage, ThreeTier};
+    pub use sieve_simnet::{CostProfile, ThreeTier};
     pub use sieve_stats::{Collector, Counter, Gauge, Histogram, Registry};
     pub use sieve_video::{
         BitstreamStats, EncodedVideo, Encoder, EncoderConfig, Frame, FrameType, Resolution,

@@ -1,15 +1,19 @@
-//! Integration test: the *live* threaded 3-tier pipeline carrying real
-//! encoded frames through select → WAN → detect, end to end, via the
-//! generic `run_live_analysis` driver — with selection decisions made
-//! *inside* the edge stage by a streaming `SelectorSession`.
+//! Integration test: the *live* 3-tier run carrying real encoded frames
+//! through select → detect, end to end, via the generic
+//! `run_live_analysis` driver (a one-stream fleet) — with selection
+//! decisions made *at the edge* by a streaming `SelectorSession`.
 
 use sieve::prelude::*;
-use sieve_core::{SelectorCost, SelectorSession};
+use sieve_core::{FixedSelector, SelectorCost, SelectorSession};
 use sieve_video::{EncodedFrame, EncodedVideo};
+
+fn jackson() -> SyntheticVideo {
+    DatasetSpec::of(DatasetId::JacksonSquare).generate(DatasetScale::Tiny)
+}
 
 #[test]
 fn live_three_tier_pipeline_detects_events() {
-    let video = DatasetSpec::of(DatasetId::JacksonSquare).generate(DatasetScale::Tiny);
+    let video = jackson();
     let encoded = EncodedVideo::encode(
         video.resolution(),
         video.fps(),
@@ -25,19 +29,16 @@ fn live_three_tier_pipeline_detects_events() {
         &mut selector,
         oracle,
         &LiveConfig {
-            wan_bps: 50.0e6,
             capacity: 8,
             ..LiveConfig::default()
         },
     )
     .expect("live run");
 
-    assert_eq!(live.report.delivered as usize, expected_i);
-    assert_eq!(
-        live.report.dropped as usize,
-        encoded.frame_count() - expected_i
-    );
-    assert_eq!(live.report.failed, 0, "healthy stream: no decode failures");
+    let edge = &live.report.snapshot.aggregate;
+    assert_eq!(edge.kept as usize, expected_i);
+    assert_eq!(edge.dropped as usize, encoded.frame_count() - expected_i);
+    assert_eq!(edge.failed, 0, "healthy stream: no decode failures");
 
     // The tuples collected in the cloud reconstruct accurate per-frame
     // labels via propagation.
@@ -49,7 +50,7 @@ fn live_three_tier_pipeline_detects_events() {
 /// matched budget and the tuples still reconstruct labels.
 #[test]
 fn live_pipeline_generic_over_selectors() {
-    let video = DatasetSpec::of(DatasetId::JacksonSquare).generate(DatasetScale::Tiny);
+    let video = jackson();
     let encoded = EncodedVideo::encode(
         video.resolution(),
         video.fps(),
@@ -62,7 +63,10 @@ fn live_pipeline_generic_over_selectors() {
     let oracle = OracleDetector::for_video(&video);
     let live = run_live_analysis(&encoded, &mut selector, oracle, &LiveConfig::default())
         .expect("live run");
-    assert!(live.report.delivered > 0, "mse must select something");
+    assert!(
+        live.report.snapshot.aggregate.kept > 0,
+        "mse must select something"
+    );
     assert_eq!(
         live.result.predicted.len(),
         encoded.frame_count(),
@@ -104,7 +108,7 @@ fn live_driver_never_batch_selects() {
         }
     }
 
-    let video = DatasetSpec::of(DatasetId::JacksonSquare).generate(DatasetScale::Tiny);
+    let video = jackson();
     let encoded = EncodedVideo::encode(
         video.resolution(),
         video.fps(),
@@ -127,11 +131,11 @@ fn live_driver_never_batch_selects() {
     );
 }
 
-/// Edge-stage decode failures surface as the typed `LiveReport::failed`
-/// counter, distinct from policy drops.
+/// Edge decode failures surface as the stream's typed `failed` counter,
+/// distinct from policy drops.
 #[test]
 fn edge_decode_failures_are_typed() {
-    let video = DatasetSpec::of(DatasetId::JacksonSquare).generate(DatasetScale::Tiny);
+    let video = jackson();
     let encoded = EncodedVideo::encode(
         video.resolution(),
         video.fps(),
@@ -163,14 +167,15 @@ fn edge_decode_failures_are_typed() {
     let mut selector = IFrameSelector::new();
     let live = run_live_analysis(&corrupted, &mut selector, oracle, &LiveConfig::default())
         .expect("live run");
-    assert_eq!(live.report.failed, 1, "exactly the corrupted frame fails");
+    let edge = &live.report.snapshot.aggregate;
+    assert_eq!(edge.failed, 1, "exactly the corrupted frame fails");
     assert_eq!(
-        live.report.delivered as usize,
+        edge.kept as usize,
         i_frames.len() - 1,
         "the other I-frames still flow"
     );
     assert_eq!(
-        live.report.dropped as usize,
+        edge.dropped as usize,
         corrupted.frame_count() - i_frames.len(),
         "policy drops exclude the failure"
     );
@@ -178,21 +183,92 @@ fn edge_decode_failures_are_typed() {
     assert!(!ids.contains(&corrupt_at), "failed frame yields no tuple");
 }
 
+/// The live run equals the offline analysis, count for count.
+#[test]
+fn live_sieve_matches_offline_analysis() {
+    let video = jackson();
+    let encoded = EncodedVideo::encode(
+        video.resolution(),
+        video.fps(),
+        EncoderConfig::new(300, 150),
+        video.frames().take(200),
+    );
+    let mut oracle = OracleDetector::for_video(&video);
+    let live = run_live_analysis(
+        &encoded,
+        &mut IFrameSelector::new(),
+        oracle.clone(),
+        &LiveConfig::default(),
+    )
+    .expect("live run");
+    let offline = analyze(&encoded, &mut IFrameSelector::new(), &mut oracle).expect("offline");
+    assert_eq!(live.result, offline);
+    let edge = &live.report.snapshot.aggregate;
+    assert_eq!(edge.kept as usize, offline.selected.len());
+    assert_eq!(
+        edge.dropped as usize,
+        encoded.frame_count() - offline.selected.len()
+    );
+    assert_eq!(edge.failed, 0);
+}
+
+/// A fixed selection over an all-P stream takes the full-decode path and
+/// still lands exactly on the requested frames.
+#[test]
+fn live_fixed_selection_full_decode_path() {
+    let video = jackson();
+    let encoded = EncodedVideo::encode(
+        video.resolution(),
+        video.fps(),
+        EncoderConfig::new(50, 0),
+        video.frames().take(120),
+    );
+    let mut oracle = OracleDetector::for_video(&video);
+    let wanted = vec![0, 17, 53, 99];
+    let live = run_live_analysis(
+        &encoded,
+        &mut FixedSelector::new(wanted.clone()),
+        oracle.clone(),
+        &LiveConfig {
+            capacity: 4,
+            ..LiveConfig::default()
+        },
+    )
+    .expect("live run");
+    let ids: Vec<usize> = live.result.selected.iter().map(|&(i, _)| i).collect();
+    assert_eq!(ids, wanted);
+    let offline = analyze(&encoded, &mut FixedSelector::new(wanted), &mut oracle).expect("offline");
+    assert_eq!(live.result, offline);
+}
+
+/// A one-frame queue makes the camera re-offer nearly every frame while the
+/// edge decodes all of them: the run must still drain, lose nothing and
+/// decide exactly what the offline analysis decides.
 #[test]
 fn live_pipeline_backpressure_does_not_deadlock() {
-    // Tiny channel capacity with a slow middle stage: must still drain.
-    let items: Vec<sieve_simnet::LiveItem> = (0..100)
-        .map(|id| sieve_simnet::LiveItem {
-            id,
-            payload: vec![0u8; 64],
-            tag: 0,
-        })
-        .collect();
-    let slow = sieve_simnet::LiveStage::compute("slow", |it: sieve_simnet::LiveItem| {
-        std::thread::sleep(std::time::Duration::from_micros(200));
-        sieve_simnet::StageResult::Emit(it)
-    });
-    let fast = sieve_simnet::LiveStage::compute("fast", sieve_simnet::StageResult::Emit);
-    let report = sieve_simnet::run_live(vec![fast, slow], items, 1);
-    assert_eq!(report.delivered, 100);
+    let video = jackson();
+    let encoded = EncodedVideo::encode(
+        video.resolution(),
+        video.fps(),
+        EncoderConfig::new(40, 60),
+        video.frames().take(160),
+    );
+    let mut oracle = OracleDetector::for_video(&video);
+    let mse = || MseSelector::mse(Budget::Threshold(40.0));
+    let live = run_live_analysis(
+        &encoded,
+        &mut mse(),
+        oracle.clone(),
+        &LiveConfig {
+            capacity: 1,
+            ..LiveConfig::default()
+        },
+    )
+    .expect("live run");
+    let stream = &live.report.snapshot.streams[0];
+    assert_eq!(stream.processed as usize, encoded.frame_count());
+    assert_eq!(stream.queue_depth, 0);
+    assert!(stream.done);
+    let offline = analyze(&encoded, &mut mse(), &mut oracle).expect("offline");
+    assert_eq!(live.result, offline);
 }
