@@ -24,13 +24,15 @@
 //! (`--scale small` for more frames, `--quick` for the CI smoke's reduced
 //! sample counts, `--no-artifact` to skip the JSON write).
 
-use criterion::{black_box, Criterion};
+use std::hint::black_box;
+
 use sieve_bench::codec_artifact::{
     seed_baseline_fps, validate, CodecArtifact, DecodePoint, EncodePoint, KernelPoint,
 };
 use sieve_bench::report::table;
 use sieve_bench::scale_from_args;
 use sieve_datasets::{DatasetId, DatasetSpec};
+use sieve_simnet::{measure, Estimate};
 use sieve_video::bitio::{BitReader, ReadBitsError};
 use sieve_video::kernels::{self, scalar};
 use sieve_video::{entropy, BitstreamStats, EncodedVideo, EncoderConfig, Frame, FrameType};
@@ -87,8 +89,21 @@ fn noise_bytes(len: usize, seed: u64) -> Vec<u8> {
         .collect()
 }
 
+/// Unrecorded passes before each timed column — what every committed
+/// `BENCH_codec.json` was measured with.
+const WARMUP_ITERS: usize = 2;
+
+/// Times `op` over `samples` runs and prints its median ± MAD.
+fn timed<O>(name: &str, samples: usize, op: impl FnMut() -> O) -> Estimate {
+    let est = measure(WARMUP_ITERS, samples, op);
+    println!(
+        "bench {name:<40} median {:>12.3?} ± {:>10.3?} (MAD, n={samples})",
+        est.median, est.mad
+    );
+    est
+}
+
 struct KernelBench {
-    criterion: Criterion,
     samples: usize,
     points: Vec<KernelPoint>,
     rows: Vec<Vec<String>>,
@@ -97,7 +112,6 @@ struct KernelBench {
 impl KernelBench {
     fn new(samples: usize) -> Self {
         Self {
-            criterion: Criterion::default().sample_size(samples),
             samples,
             points: Vec::new(),
             rows: Vec::new(),
@@ -106,15 +120,9 @@ impl KernelBench {
 
     /// Times `simd` (through the dispatcher) and `scalar` back to back and
     /// records the pair.
-    fn pair<F: FnMut(), G: FnMut()>(&mut self, name: &str, mut simd: F, mut scalar: G) {
-        let simd_est = self
-            .criterion
-            .bench_estimate(&format!("codec/{name}/simd"), |b| b.iter(&mut simd))
-            .expect("sampled at least once");
-        let scalar_est = self
-            .criterion
-            .bench_estimate(&format!("codec/{name}/scalar"), |b| b.iter(&mut scalar))
-            .expect("sampled at least once");
+    fn pair<F: FnMut(), G: FnMut()>(&mut self, name: &str, simd: F, scalar: G) {
+        let simd_est = timed(&format!("codec/{name}/simd"), self.samples, simd);
+        let scalar_est = timed(&format!("codec/{name}/scalar"), self.samples, scalar);
         let speedup = scalar_est.median.as_secs_f64() / simd_est.median.as_secs_f64();
         self.rows.push(vec![
             name.to_string(),
@@ -396,23 +404,11 @@ fn main() {
     );
 
     // -- Whole pipeline -----------------------------------------------------
-    let mut criterion = Criterion::default().sample_size(pipeline_samples);
-
-    let mut encode_fps = |name: &str, scalar_tier: bool, workers: usize| {
+    let encode_fps = |name: &str, scalar_tier: bool, workers: usize| {
         kernels::force_scalar(scalar_tier);
-        let est = criterion
-            .bench_estimate(name, |b| {
-                b.iter(|| {
-                    black_box(EncodedVideo::encode_parallel(
-                        res,
-                        video.fps(),
-                        config,
-                        &frames,
-                        workers,
-                    ))
-                })
-            })
-            .expect("sampled at least once");
+        let est = timed(name, pipeline_samples, || {
+            EncodedVideo::encode_parallel(res, video.fps(), config, &frames, workers)
+        });
         kernels::force_scalar(false);
         n_frames as f64 / est.median.as_secs_f64()
     };
@@ -421,21 +417,17 @@ fn main() {
     let simd_1t = encode_fps("codec/encode/simd-1t", false, 1);
     let simd_nt = encode_fps("codec/encode/simd-nt", false, workers);
 
-    let mut decode_fps = |name: &str, scalar_tier: bool| {
+    let decode_fps = |name: &str, scalar_tier: bool| {
         kernels::force_scalar(scalar_tier);
         let mut decoder = sieve_video::Decoder::new(res, config.quality);
-        let est = criterion
-            .bench_estimate(name, |b| {
-                b.iter(|| {
-                    decoder.reset();
-                    let mut count = 0usize;
-                    decoder
-                        .decode_batch(encoded.frames(), |_, f| count += f.y().width())
-                        .expect("bitstream decodes");
-                    black_box(count)
-                })
-            })
-            .expect("sampled at least once");
+        let est = timed(name, pipeline_samples, || {
+            decoder.reset();
+            let mut count = 0usize;
+            decoder
+                .decode_batch(encoded.frames(), |_, f| count += f.y().width())
+                .expect("bitstream decodes");
+            count
+        });
         kernels::force_scalar(false);
         n_frames as f64 / est.median.as_secs_f64()
     };

@@ -12,13 +12,17 @@
 //! throughput of the growth-seed encoder measured once on the same scene
 //! and machine — and quotes the headline `speedup_total` against it, so
 //! the artifact tracks cumulative progress, not just the current build's
-//! internal tier ratio. [`validate`] asserts the exact key sets and that
-//! every ratio is a real positive number; the `codec_bench` binary
-//! validates what it is about to write, and a unit test validates (and
-//! pins the headline speedup of) the committed artifact at the repository
-//! root, so a schema regression fails `cargo test` before it lands.
+//! internal tier ratio. [`validate`] asserts [`SHAPE`] — the exact key
+//! sets, every count a positive integer, every rate and ratio a real
+//! positive number — and that no required kernel is missing; the
+//! `codec_bench` binary validates what it is about to write, and a unit
+//! test validates (and pins the headline speedup of) the committed
+//! artifact at the repository root, so a schema regression fails
+//! `cargo test` before it lands.
 
-use serde::Serialize;
+use serde::{Serialize, Value};
+
+use crate::schema::{self, Shape};
 
 /// One micro-kernel's scalar-vs-SIMD timing pair.
 #[derive(Debug, Serialize)]
@@ -120,48 +124,52 @@ pub struct CodecArtifact {
     pub decode: DecodePoint,
 }
 
-const ARTIFACT_KEYS: &[&str] = &[
-    "benchmark",
-    "kernel_level",
-    "width",
-    "height",
-    "frames",
-    "kernels",
-    "encode",
-    "decode",
-];
-const KERNEL_KEYS: &[&str] = &[
-    "name",
-    "samples",
-    "scalar_median_ns",
-    "scalar_mad_ns",
-    "simd_median_ns",
-    "simd_mad_ns",
-    "speedup",
-];
-const ENCODE_KEYS: &[&str] = &[
-    "samples",
-    "seed_1t_fps",
-    "scalar_1t_fps",
-    "simd_1t_fps",
-    "simd_nt_fps",
-    "workers",
-    "speedup_simd",
-    "speedup_total",
-];
-const DECODE_KEYS: &[&str] = &[
-    "samples",
-    "scalar_fps",
-    "simd_fps",
-    "speedup",
-    "us_per_macroblock",
-    "payload_bytes_per_frame",
-    "entropy_mcodes_per_s",
-];
+const KERNEL: Shape = Shape::Obj(&[
+    ("name", Shape::Str),
+    ("samples", Shape::Count),
+    ("scalar_median_ns", Shape::Pos),
+    ("scalar_mad_ns", Shape::Num),
+    ("simd_median_ns", Shape::Pos),
+    ("simd_mad_ns", Shape::Num),
+    ("speedup", Shape::Pos),
+]);
 
-/// Kernels every artifact must sweep, in this order (the codec's hot
-/// loops — SAD, forward/inverse DCT, quantize, SSE for MSE, the 2x2 box
-/// average behind both the lookahead and SIFT downsampling — the GF(256)
+const ENCODE: Shape = Shape::Obj(&[
+    ("samples", Shape::Count),
+    ("seed_1t_fps", Shape::Pos),
+    ("scalar_1t_fps", Shape::Pos),
+    ("simd_1t_fps", Shape::Pos),
+    ("simd_nt_fps", Shape::Pos),
+    ("workers", Shape::Count),
+    ("speedup_simd", Shape::Pos),
+    ("speedup_total", Shape::Pos),
+]);
+
+const DECODE: Shape = Shape::Obj(&[
+    ("samples", Shape::Count),
+    ("scalar_fps", Shape::Pos),
+    ("simd_fps", Shape::Pos),
+    ("speedup", Shape::Pos),
+    ("us_per_macroblock", Shape::Pos),
+    ("payload_bytes_per_frame", Shape::Pos),
+    ("entropy_mcodes_per_s", Shape::Pos),
+]);
+
+/// The shape of `BENCH_codec.json`.
+pub const SHAPE: Shape = Shape::Obj(&[
+    ("benchmark", Shape::OneOf(&["codec"])),
+    ("kernel_level", Shape::OneOf(&["scalar", "sse2", "avx2"])),
+    ("width", Shape::Count),
+    ("height", Shape::Count),
+    ("frames", Shape::Count),
+    ("kernels", Shape::Arr(&KERNEL)),
+    ("encode", ENCODE),
+    ("decode", DECODE),
+]);
+
+/// Kernels every artifact must sweep (the codec's hot loops — SAD,
+/// forward/inverse DCT, quantize, SSE for MSE, the 2x2 box average behind
+/// both the lookahead and SIFT downsampling — the GF(256)
 /// multiply-accumulate of the uplink's FEC, and the decoder's entropy
 /// parse, which has no SIMD tier: its two columns are the same safe code
 /// and its row is there for the absolute rate).
@@ -176,45 +184,30 @@ pub const REQUIRED_KERNELS: &[&str] = &[
     "entropy_decode",
 ];
 
-fn expect_keys(map: &serde::Map, keys: &[&str], what: &str) -> Result<(), String> {
-    let have: Vec<&str> = map.iter().map(|(k, _)| k).collect();
-    if have != keys {
-        return Err(format!("{what}: keys {have:?}, expected exactly {keys:?}"));
+/// The artifact's value tree, once it has its shape and sweeps every
+/// required kernel.
+fn checked(json: &str) -> Result<Value, String> {
+    let root = schema::parse(json, &SHAPE)?;
+    let swept = |name: &str| {
+        schema::items_of(&root, "kernels")
+            .iter()
+            .any(|k| schema::member(k, "name").as_str() == Some(name))
+    };
+    match REQUIRED_KERNELS.iter().find(|name| !swept(name)) {
+        Some(missing) => Err(format!("kernels: required kernel {missing:?} missing")),
+        None => Ok(root),
     }
-    Ok(())
-}
-
-fn number_of(map: &serde::Map, key: &str, what: &str) -> Result<f64, String> {
-    match map.get(key) {
-        Some(serde::Value::Number(n)) => Ok(n.as_f64()),
-        Some(v) => Err(format!("{what}.{key}: expected a number, got {}", v.kind())),
-        None => Err(format!("{what}.{key}: missing")),
-    }
-}
-
-fn positive_of(map: &serde::Map, key: &str, what: &str) -> Result<f64, String> {
-    let v = number_of(map, key, what)?;
-    if !v.is_finite() || v <= 0.0 {
-        return Err(format!("{what}.{key}: {v} not a positive finite number"));
-    }
-    Ok(v)
 }
 
 /// Extracts the pinned seed baseline from an existing artifact, if `json`
-/// parses as one — how `codec_bench` carries the denominator forward when
-/// regenerating `BENCH_codec.json` on the same machine.
+/// validates as one — how `codec_bench` carries the denominator forward
+/// when regenerating `BENCH_codec.json` on the same machine.
 pub fn seed_baseline_fps(json: &str) -> Option<f64> {
-    validate(json).ok()?;
-    let root = serde_json::parse_value_str(json).ok()?;
-    match root
-        .as_object()?
-        .get("encode")?
-        .as_object()?
-        .get("seed_1t_fps")
-    {
-        Some(serde::Value::Number(n)) => Some(n.as_f64()),
-        _ => None,
-    }
+    let root = checked(json).ok()?;
+    Some(schema::number_of(
+        schema::member(&root, "encode"),
+        "seed_1t_fps",
+    ))
 }
 
 /// Asserts the artifact's schema stability; see the module docs. `json`
@@ -224,75 +217,7 @@ pub fn seed_baseline_fps(json: &str) -> Option<f64> {
 ///
 /// A human-readable description of the first violated schema rule.
 pub fn validate(json: &str) -> Result<(), String> {
-    let root = serde_json::parse_value_str(json).map_err(|e| format!("unparseable JSON: {e}"))?;
-    let root = root
-        .as_object()
-        .ok_or_else(|| "root: expected an object".to_string())?;
-    expect_keys(root, ARTIFACT_KEYS, "root")?;
-    if root.get("benchmark").and_then(serde::Value::as_str) != Some("codec") {
-        return Err("root.benchmark: expected \"codec\"".to_string());
-    }
-    match root.get("kernel_level").and_then(serde::Value::as_str) {
-        Some("scalar" | "sse2" | "avx2") => {}
-        other => return Err(format!("root.kernel_level: unknown tier {other:?}")),
-    }
-    positive_of(root, "width", "root")?;
-    positive_of(root, "height", "root")?;
-    positive_of(root, "frames", "root")?;
-    let kernels = root
-        .get("kernels")
-        .and_then(serde::Value::as_array)
-        .ok_or_else(|| "root.kernels: expected an array".to_string())?;
-    let mut names = Vec::new();
-    for (i, point) in kernels.iter().enumerate() {
-        let what = format!("kernels[{i}]");
-        let point = point
-            .as_object()
-            .ok_or_else(|| format!("{what}: expected an object"))?;
-        expect_keys(point, KERNEL_KEYS, &what)?;
-        let name = point
-            .get("name")
-            .and_then(serde::Value::as_str)
-            .ok_or_else(|| format!("{what}.name: expected a string"))?;
-        names.push(name.to_string());
-        positive_of(point, "samples", &what)?;
-        positive_of(point, "scalar_median_ns", &what)?;
-        number_of(point, "scalar_mad_ns", &what)?;
-        positive_of(point, "simd_median_ns", &what)?;
-        number_of(point, "simd_mad_ns", &what)?;
-        positive_of(point, "speedup", &what)?;
-    }
-    for required in REQUIRED_KERNELS {
-        if !names.iter().any(|n| n == required) {
-            return Err(format!("kernels: required kernel {required:?} missing"));
-        }
-    }
-    let encode = root
-        .get("encode")
-        .and_then(serde::Value::as_object)
-        .ok_or_else(|| "root.encode: expected an object".to_string())?;
-    expect_keys(encode, ENCODE_KEYS, "encode")?;
-    positive_of(encode, "samples", "encode")?;
-    positive_of(encode, "seed_1t_fps", "encode")?;
-    positive_of(encode, "scalar_1t_fps", "encode")?;
-    positive_of(encode, "simd_1t_fps", "encode")?;
-    positive_of(encode, "simd_nt_fps", "encode")?;
-    positive_of(encode, "workers", "encode")?;
-    positive_of(encode, "speedup_simd", "encode")?;
-    positive_of(encode, "speedup_total", "encode")?;
-    let decode = root
-        .get("decode")
-        .and_then(serde::Value::as_object)
-        .ok_or_else(|| "root.decode: expected an object".to_string())?;
-    expect_keys(decode, DECODE_KEYS, "decode")?;
-    positive_of(decode, "samples", "decode")?;
-    positive_of(decode, "scalar_fps", "decode")?;
-    positive_of(decode, "simd_fps", "decode")?;
-    positive_of(decode, "speedup", "decode")?;
-    positive_of(decode, "us_per_macroblock", "decode")?;
-    positive_of(decode, "payload_bytes_per_frame", "decode")?;
-    positive_of(decode, "entropy_mcodes_per_s", "decode")?;
-    Ok(())
+    checked(json).map(drop)
 }
 
 #[cfg(test)]
@@ -379,6 +304,22 @@ mod tests {
         assert!(validate(&to_json(&a)).is_err());
     }
 
+    /// Every leaf has a type; counts are integers, so `workers: 1.5`,
+    /// `samples: 0.3` and `frames: 2.5` do not validate.
+    #[test]
+    fn wrong_typed_leaves_are_rejected_by_path() {
+        for (path, json) in schema::wrong_typed_leaves(&to_json(&sample())) {
+            let err = validate(&json).expect_err(&path);
+            assert!(err.starts_with(&path), "{path}: {err}");
+        }
+    }
+
+    #[test]
+    fn seed_baseline_is_read_from_valid_artifacts_only() {
+        assert_eq!(seed_baseline_fps(&to_json(&sample())), Some(100.0));
+        assert_eq!(seed_baseline_fps("{}"), None);
+    }
+
     #[test]
     fn rejects_garbage() {
         assert!(validate("not json").is_err());
@@ -401,16 +342,9 @@ mod tests {
             "/../../BENCH_codec.json"
         ))
         .expect("BENCH_codec.json missing at the repository root");
-        validate(&json).expect("committed artifact must validate");
-        let root = serde_json::parse_value_str(&json).expect("parses");
-        let section = |name: &str| {
-            root.as_object()
-                .and_then(|r| r.get(name))
-                .and_then(serde::Value::as_object)
-                .unwrap_or_else(|| panic!("{name} object"))
-        };
-        let total = number_of(section("encode"), "speedup_total", "encode").expect("number");
-        let decode_fps = number_of(section("decode"), "simd_fps", "decode").expect("number");
+        let root = checked(&json).expect("committed artifact must validate");
+        let total = schema::number_of(schema::member(&root, "encode"), "speedup_total");
+        let decode_fps = schema::number_of(schema::member(&root, "decode"), "simd_fps");
         assert!(
             decode_fps >= 55_000.0,
             "committed artifact must record >= 55k fps decode, got {decode_fps}"

@@ -17,11 +17,14 @@
 //!
 //! Run any of them with `cargo run --release -p sieve-bench --bin <name>`.
 //! Pass `--scale small` (default `tiny`) for longer, higher-resolution runs.
-//! Criterion micro-benchmarks live under `benches/`.
+//!
+//! The three committed artifacts (`BENCH_codec.json`, `BENCH_wan.json`,
+//! `stats.json`) share one shape checker, [`schema`].
 
 pub mod codec_artifact;
 pub mod harness;
 pub mod report;
+pub mod schema;
 pub mod stats_artifact;
 pub mod wan_artifact;
 

@@ -17,53 +17,30 @@
 //! [`SeriesExport`]: sieve_stats::SeriesExport
 //! [`Registry`]: sieve_stats::Registry
 
-const ARTIFACT_KEYS: &[&str] = &["artifact", "points"];
-const POINT_KEYS: &[&str] = &["seq", "elapsed_ms", "counters", "gauges", "histograms"];
-const SUMMARY_KEYS: &[&str] = &["count", "p50", "p90", "p99", "max"];
+use crate::schema::{self, Shape};
 
-fn expect_keys(map: &serde::Map, keys: &[&str], what: &str) -> Result<(), String> {
-    let have: Vec<&str> = map.iter().map(|(k, _)| k).collect();
-    if have != keys {
-        return Err(format!("{what}: keys {have:?}, expected exactly {keys:?}"));
-    }
-    Ok(())
-}
+// Empty histograms are not exported, hence `Count`.
+const SUMMARY: Shape = Shape::Obj(&[
+    ("count", Shape::Count),
+    ("p50", Shape::UInt),
+    ("p90", Shape::UInt),
+    ("p99", Shape::UInt),
+    ("max", Shape::UInt),
+]);
 
-fn u64_of(map: &serde::Map, key: &str, what: &str) -> Result<u64, String> {
-    match map.get(key) {
-        Some(serde::Value::Number(n)) => n
-            .as_u64()
-            .ok_or_else(|| format!("{what}.{key}: expected a non-negative integer")),
-        Some(v) => Err(format!("{what}.{key}: expected a number, got {}", v.kind())),
-        None => Err(format!("{what}.{key}: missing")),
-    }
-}
+const POINT: Shape = Shape::Obj(&[
+    ("seq", Shape::UInt),
+    ("elapsed_ms", Shape::UInt),
+    ("counters", Shape::Map(&Shape::UInt)),
+    ("gauges", Shape::Map(&Shape::UInt)),
+    ("histograms", Shape::Map(&SUMMARY)),
+]);
 
-/// Every value of `map` must be a non-negative integer; returns the
-/// `name -> value` pairs for cross-point monotonicity checks.
-fn u64_map_of<'a>(
-    map: &'a serde::Map,
-    key: &str,
-    what: &str,
-) -> Result<Vec<(&'a str, u64)>, String> {
-    let inner = map
-        .get(key)
-        .and_then(serde::Value::as_object)
-        .ok_or_else(|| format!("{what}.{key}: expected an object"))?;
-    inner
-        .iter()
-        .map(|(name, v)| match v {
-            serde::Value::Number(n) => n
-                .as_u64()
-                .map(|v| (name, v))
-                .ok_or_else(|| format!("{what}.{key}.{name}: expected a non-negative integer")),
-            other => Err(format!(
-                "{what}.{key}.{name}: expected a number, got {}",
-                other.kind()
-            )),
-        })
-        .collect()
-}
+/// The shape of `stats.json`.
+pub const SHAPE: Shape = Shape::Obj(&[
+    ("artifact", Shape::OneOf(&["sieve_stats"])),
+    ("points", Shape::Arr(&POINT)),
+]);
 
 /// Asserts the series export's schema stability; see the module docs.
 /// `json` is the full text of a `stats.json` file.
@@ -72,45 +49,29 @@ fn u64_map_of<'a>(
 ///
 /// A human-readable description of the first violated schema rule.
 pub fn validate(json: &str) -> Result<(), String> {
-    let root = serde_json::parse_value_str(json).map_err(|e| format!("unparseable JSON: {e}"))?;
-    let root = root
-        .as_object()
-        .ok_or_else(|| "root: expected an object".to_string())?;
-    expect_keys(root, ARTIFACT_KEYS, "root")?;
-    if root.get("artifact").and_then(serde::Value::as_str) != Some("sieve_stats") {
-        return Err("root.artifact: expected \"sieve_stats\"".to_string());
-    }
-    let points = root
-        .get("points")
-        .and_then(serde::Value::as_array)
-        .ok_or_else(|| "root.points: expected an array".to_string())?;
-    if points.is_empty() {
-        return Err("root.points: must not be empty".to_string());
-    }
+    let root = schema::parse(json, &SHAPE)?;
     let mut prev_seq: Option<u64> = None;
     let mut prev_elapsed: u64 = 0;
-    let mut prev_counters: Vec<(String, u64)> = Vec::new();
-    for (i, point) in points.iter().enumerate() {
+    let mut prev_counters: Vec<(&str, u64)> = Vec::new();
+    for (i, point) in schema::items_of(&root, "points").iter().enumerate() {
         let what = format!("points[{i}]");
-        let point = point
-            .as_object()
-            .ok_or_else(|| format!("{what}: expected an object"))?;
-        expect_keys(point, POINT_KEYS, &what)?;
-        let seq = u64_of(point, "seq", &what)?;
+        let seq = schema::uint_of(point, "seq");
         if prev_seq.is_some_and(|p| seq <= p) {
             return Err(format!("{what}.seq: {seq} not strictly ascending"));
         }
         prev_seq = Some(seq);
-        let elapsed = u64_of(point, "elapsed_ms", &what)?;
+        let elapsed = schema::uint_of(point, "elapsed_ms");
         if elapsed < prev_elapsed {
             return Err(format!(
                 "{what}.elapsed_ms: {elapsed} decreased from {prev_elapsed}"
             ));
         }
         prev_elapsed = elapsed;
-        let counters = u64_map_of(point, "counters", &what)?;
         // Counters are cumulative: any name present in two consecutive
         // points must not have gone backwards.
+        let counters: Vec<(&str, u64)> = schema::entries_of(point, "counters")
+            .map(|(name, v)| (name, schema::uint(v)))
+            .collect();
         for (name, value) in &counters {
             if let Some((_, prev)) = prev_counters.iter().find(|(n, _)| n == name) {
                 if value < prev {
@@ -120,32 +81,12 @@ pub fn validate(json: &str) -> Result<(), String> {
                 }
             }
         }
-        prev_counters = counters
-            .into_iter()
-            .map(|(n, v)| (n.to_string(), v))
-            .collect();
-        u64_map_of(point, "gauges", &what)?;
-        let histograms = point
-            .get("histograms")
-            .and_then(serde::Value::as_object)
-            .ok_or_else(|| format!("{what}.histograms: expected an object"))?;
-        for (name, summary) in histograms.iter() {
-            let where_ = format!("{what}.histograms.{name}");
-            let summary = summary
-                .as_object()
-                .ok_or_else(|| format!("{where_}: expected an object"))?;
-            expect_keys(summary, SUMMARY_KEYS, &where_)?;
-            let count = u64_of(summary, "count", &where_)?;
-            let p50 = u64_of(summary, "p50", &where_)?;
-            let p90 = u64_of(summary, "p90", &where_)?;
-            let p99 = u64_of(summary, "p99", &where_)?;
-            u64_of(summary, "max", &where_)?;
-            if count == 0 {
-                return Err(format!("{where_}.count: empty histograms are not exported"));
-            }
+        prev_counters = counters;
+        for (name, summary) in schema::entries_of(point, "histograms") {
+            let [p50, p90, p99] = ["p50", "p90", "p99"].map(|q| schema::uint_of(summary, q));
             if !(p50 <= p90 && p90 <= p99) {
                 return Err(format!(
-                    "{where_}: quantiles not monotone (p50 {p50}, p90 {p90}, p99 {p99})"
+                    "{what}.histograms.{name}: quantiles not monotone (p50 {p50}, p90 {p90}, p99 {p99})"
                 ));
             }
         }
@@ -184,6 +125,14 @@ mod tests {
         assert!(validate(&json).is_err(), "renamed summary key must fail");
         let json = sample_json().replace("sieve_stats", "sieve_stats_v2");
         assert!(validate(&json).is_err(), "artifact name is pinned");
+    }
+
+    #[test]
+    fn wrong_typed_leaves_are_rejected_by_path() {
+        for (path, json) in schema::wrong_typed_leaves(&sample_json()) {
+            let err = validate(&json).expect_err(&path);
+            assert!(err.starts_with(&path), "{path}: {err}");
+        }
     }
 
     #[test]

@@ -2,11 +2,11 @@
 //! validator for the `fig4_fleet` hostile-WAN sweep.
 //!
 //! The artifact records the FEC-on/off × feedback-on/off A/B grid over an
-//! ascending loss sweep. Beyond key-set stability, [`validate`] asserts
-//! the properties the experiment exists to demonstrate, so a regression
-//! in the transport (FEC that stops recovering, feedback that stops
-//! converging) fails `cargo test` on the *committed* artifact before it
-//! lands:
+//! ascending loss sweep. Beyond the shape ([`SHAPE`]: exact keys, every
+//! leaf typed), [`validate`] asserts the properties the experiment exists
+//! to demonstrate, so a regression in the transport (FEC that stops
+//! recovering, feedback that stops converging) fails `cargo test` on the
+//! *committed* artifact before it lands:
 //!
 //! * block conservation in every run (`sent == delivered + recovered +
 //!   lost`), and `recovered == 0` whenever FEC is off;
@@ -16,7 +16,9 @@
 //!   sampling rate within ±20% of its (tightened) effective target while
 //!   feedback-off misses by more.
 
-use serde::Serialize;
+use serde::{Serialize, Value};
+
+use crate::schema::{self, Shape};
 
 /// Relative rate error bound the feedback loop must meet at the 5% point
 /// (and the bound the feedback-off arm must *exceed* there).
@@ -118,73 +120,74 @@ pub struct WanFecShape {
     pub group_parity: usize,
 }
 
-const ARTIFACT_KEYS: &[&str] = &[
-    "benchmark",
-    "scale",
-    "streams",
-    "frames_per_stream",
-    "target_rate",
-    "mtu",
-    "fec",
-    "bandwidth_bps",
-    "points",
-];
-const FEC_KEYS: &[&str] = &["group_data", "group_parity"];
-const POINT_KEYS: &[&str] = &["loss", "runs"];
-const RUNS_KEYS: &[&str] = &[
+const RUN: Shape = Shape::Obj(&[
+    ("frames_observed", Shape::UInt),
+    ("frames_kept", Shape::UInt),
+    ("blocks_sent", Shape::UInt),
+    ("blocks_delivered", Shape::UInt),
+    ("blocks_recovered", Shape::UInt),
+    ("blocks_lost", Shape::UInt),
+    ("packets_sent", Shape::UInt),
+    ("packets_lost", Shape::UInt),
+    ("packets_congestion_dropped", Shape::UInt),
+    ("packets_reordered", Shape::UInt),
+    ("delivered_bytes", Shape::UInt),
+    ("goodput_bps", Shape::Num),
+    ("achieved_cloud_rate", Shape::Unit),
+    ("effective_target", Shape::Unit),
+    ("rate_err", Shape::Num),
+    ("mean_wan_factor", Shape::Unit),
+]);
+
+/// The four arms, FEC-on first; [`validate_with_rate_bound`] reads
+/// whether FEC is on from the name.
+const ARMS: [&str; 4] = [
     "fec_on_feedback_on",
     "fec_on_feedback_off",
     "fec_off_feedback_on",
     "fec_off_feedback_off",
 ];
-const RUN_KEYS: &[&str] = &[
-    "frames_observed",
-    "frames_kept",
-    "blocks_sent",
-    "blocks_delivered",
-    "blocks_recovered",
-    "blocks_lost",
-    "packets_sent",
-    "packets_lost",
-    "packets_congestion_dropped",
-    "packets_reordered",
-    "delivered_bytes",
-    "goodput_bps",
-    "achieved_cloud_rate",
-    "effective_target",
-    "rate_err",
-    "mean_wan_factor",
-];
 
-fn expect_keys(map: &serde::Map, keys: &[&str], what: &str) -> Result<(), String> {
-    let have: Vec<&str> = map.iter().map(|(k, _)| k).collect();
-    if have != keys {
-        return Err(format!("{what}: keys {have:?}, expected exactly {keys:?}"));
-    }
-    Ok(())
-}
+const FEC: Shape = Shape::Obj(&[("group_data", Shape::Count), ("group_parity", Shape::Count)]);
 
-fn number_of(map: &serde::Map, key: &str, what: &str) -> Result<f64, String> {
-    match map.get(key) {
-        Some(serde::Value::Number(n)) => Ok(n.as_f64()),
-        Some(v) => Err(format!("{what}.{key}: expected a number, got {}", v.kind())),
-        None => Err(format!("{what}.{key}: missing")),
-    }
-}
+const POINT: Shape = Shape::Obj(&[
+    ("loss", Shape::Unit),
+    (
+        "runs",
+        Shape::Obj(&[
+            (ARMS[0], RUN),
+            (ARMS[1], RUN),
+            (ARMS[2], RUN),
+            (ARMS[3], RUN),
+        ]),
+    ),
+]);
 
-fn check_run(run: &serde::Map, fec_on: bool, what: &str) -> Result<(), String> {
-    expect_keys(run, RUN_KEYS, what)?;
-    let sent = number_of(run, "blocks_sent", what)?;
-    let delivered = number_of(run, "blocks_delivered", what)?;
-    let recovered = number_of(run, "blocks_recovered", what)?;
-    let lost = number_of(run, "blocks_lost", what)?;
+/// The shape of `BENCH_wan.json`.
+pub const SHAPE: Shape = Shape::Obj(&[
+    ("benchmark", Shape::OneOf(&["fig4_fleet"])),
+    ("scale", Shape::Str),
+    ("streams", Shape::Count),
+    ("frames_per_stream", Shape::Count),
+    ("target_rate", Shape::Unit),
+    ("mtu", Shape::Count),
+    ("fec", FEC),
+    ("bandwidth_bps", Shape::Pos),
+    ("points", Shape::Arr(&POINT)),
+]);
+
+/// The ledgers one arm must balance.
+fn check_run(run: &Value, fec_on: bool, what: &str) -> Result<(), String> {
+    let of = |key| schema::number_of(run, key);
+    let (sent, delivered) = (of("blocks_sent"), of("blocks_delivered"));
+    let (recovered, lost) = (of("blocks_recovered"), of("blocks_lost"));
     if sent != delivered + recovered + lost {
         return Err(format!(
             "{what}: block conservation violated: {sent} sent != \
              {delivered} delivered + {recovered} recovered + {lost} lost"
         ));
     }
-    let kept = number_of(run, "frames_kept", what)?;
+    let kept = of("frames_kept");
     if sent != kept {
         return Err(format!(
             "{what}: every kept frame must ship exactly once: \
@@ -194,36 +197,14 @@ fn check_run(run: &serde::Map, fec_on: bool, what: &str) -> Result<(), String> {
     if !fec_on && recovered != 0.0 {
         return Err(format!("{what}: {recovered} blocks recovered with FEC off"));
     }
-    let psent = number_of(run, "packets_sent", what)?;
-    let plost = number_of(run, "packets_lost", what)?;
-    let pcong = number_of(run, "packets_congestion_dropped", what)?;
-    if plost + pcong > psent {
+    if of("packets_lost") + of("packets_congestion_dropped") > of("packets_sent") {
         return Err(format!("{what}: more packets lost than sent"));
     }
-    for key in ["achieved_cloud_rate", "effective_target", "mean_wan_factor"] {
-        let v = number_of(run, key, what)?;
-        if !(0.0..=1.0 + 1e-9).contains(&v) {
-            return Err(format!("{what}.{key}: {v} outside [0, 1]"));
-        }
-    }
-    let err = number_of(run, "rate_err", what)?;
-    if !err.is_finite() || err < 0.0 {
-        return Err(format!("{what}.rate_err: {err} not a finite rate"));
+    let err = of("rate_err");
+    if err < 0.0 {
+        return Err(format!("{what}.rate_err: {err} not a rate error"));
     }
     Ok(())
-}
-
-fn runs_of<'a>(point: &'a serde::Map, what: &str) -> Result<&'a serde::Map, String> {
-    point
-        .get("runs")
-        .and_then(serde::Value::as_object)
-        .ok_or_else(|| format!("{what}.runs: expected an object"))
-}
-
-fn run_of<'a>(runs: &'a serde::Map, arm: &str, what: &str) -> Result<&'a serde::Map, String> {
-    runs.get(arm)
-        .and_then(serde::Value::as_object)
-        .ok_or_else(|| format!("{what}.runs.{arm}: expected an object"))
 }
 
 /// Asserts schema stability *and* the headline experiment semantics; see
@@ -240,39 +221,12 @@ pub fn validate(json: &str) -> Result<(), String> {
 /// `--quick` smoke validates its transient-heavy sweep against
 /// [`QUICK_RATE_ERR_BOUND`] instead of the committed-artifact bound.
 pub fn validate_with_rate_bound(json: &str, rate_err_bound: f64) -> Result<(), String> {
-    let root = serde_json::parse_value_str(json).map_err(|e| format!("unparseable JSON: {e}"))?;
-    let root = root
-        .as_object()
-        .ok_or_else(|| "root: expected an object".to_string())?;
-    expect_keys(root, ARTIFACT_KEYS, "root")?;
-    if root.get("benchmark").and_then(serde::Value::as_str) != Some("fig4_fleet") {
-        return Err("root.benchmark: expected \"fig4_fleet\"".to_string());
-    }
-    let fec = root
-        .get("fec")
-        .and_then(serde::Value::as_object)
-        .ok_or_else(|| "root.fec: expected an object".to_string())?;
-    expect_keys(fec, FEC_KEYS, "root.fec")?;
-    if number_of(fec, "group_parity", "root.fec")? < 1.0 {
-        return Err("root.fec.group_parity: the FEC-on arms need parity".to_string());
-    }
-
-    let points = root
-        .get("points")
-        .and_then(serde::Value::as_array)
-        .ok_or_else(|| "root.points: expected an array".to_string())?;
-    if points.is_empty() {
-        return Err("root.points: must not be empty".to_string());
-    }
+    let root = schema::parse(json, &SHAPE)?;
     let mut prev_loss = -1.0;
-    let mut headline: Option<&serde::Map> = None;
-    for (i, point) in points.iter().enumerate() {
+    let mut headline = None;
+    for (i, point) in schema::items_of(&root, "points").iter().enumerate() {
         let what = format!("points[{i}]");
-        let point = point
-            .as_object()
-            .ok_or_else(|| format!("{what}: expected an object"))?;
-        expect_keys(point, POINT_KEYS, &what)?;
-        let loss = number_of(point, "loss", &what)?;
+        let loss = schema::number_of(point, "loss");
         if i == 0 && loss != 0.0 {
             return Err("points[0].loss: the sweep must start lossless".to_string());
         }
@@ -280,13 +234,11 @@ pub fn validate_with_rate_bound(json: &str, rate_err_bound: f64) -> Result<(), S
             return Err(format!("{what}.loss: sweep must be ascending"));
         }
         prev_loss = loss;
-        let runs = runs_of(point, &what)?;
-        expect_keys(runs, RUNS_KEYS, &format!("{what}.runs"))?;
-        for arm in RUNS_KEYS {
-            let fec_on = arm.starts_with("fec_on");
+        let runs = schema::member(point, "runs");
+        for arm in ARMS {
             check_run(
-                run_of(runs, arm, &what)?,
-                fec_on,
+                schema::member(runs, arm),
+                arm.starts_with("fec_on"),
                 &format!("{what}.runs.{arm}"),
             )?;
         }
@@ -303,13 +255,13 @@ pub fn validate_with_rate_bound(json: &str, rate_err_bound: f64) -> Result<(), S
     // The headline inequalities at the 5% point.
     let runs = headline
         .ok_or_else(|| format!("points: the sweep must include the {HEADLINE_LOSS} loss point"))?;
+    let at = |arm, key| schema::number_of(schema::member(runs, arm), key);
     for (on_arm, off_arm) in [
         ("fec_on_feedback_on", "fec_off_feedback_on"),
         ("fec_on_feedback_off", "fec_off_feedback_off"),
     ] {
-        let what = format!("points[loss={HEADLINE_LOSS}]");
-        let on = number_of(run_of(runs, on_arm, &what)?, "blocks_recovered", on_arm)?;
-        let off = number_of(run_of(runs, off_arm, &what)?, "blocks_recovered", off_arm)?;
+        let on = at(on_arm, "blocks_recovered");
+        let off = at(off_arm, "blocks_recovered");
         if on <= off {
             return Err(format!(
                 "at {HEADLINE_LOSS} loss, {on_arm} must recover strictly more \
@@ -317,17 +269,8 @@ pub fn validate_with_rate_bound(json: &str, rate_err_bound: f64) -> Result<(), S
             ));
         }
     }
-    let what = format!("points[loss={HEADLINE_LOSS}]");
-    let fb_on = number_of(
-        run_of(runs, "fec_on_feedback_on", &what)?,
-        "rate_err",
-        "fec_on_feedback_on",
-    )?;
-    let fb_off = number_of(
-        run_of(runs, "fec_on_feedback_off", &what)?,
-        "rate_err",
-        "fec_on_feedback_off",
-    )?;
+    let fb_on = at("fec_on_feedback_on", "rate_err");
+    let fb_off = at("fec_on_feedback_off", "rate_err");
     if fb_on > rate_err_bound {
         return Err(format!(
             "at {HEADLINE_LOSS} loss, feedback-on must hold the achieved rate \
@@ -471,6 +414,18 @@ mod tests {
         a.points.pop();
         let err = validate(&render(&a)).expect_err("sweep too short");
         assert!(err.contains("10%"), "{err}");
+    }
+
+    /// Every leaf has a type, the ones no invariant reads included
+    /// (`frames_observed`, `packets_reordered`, `delivered_bytes`,
+    /// `goodput_bps`, `scale`, `streams`, `mtu`, `bandwidth_bps`): a
+    /// string or `null` there does not validate.
+    #[test]
+    fn wrong_typed_leaves_are_rejected_by_path() {
+        for (path, json) in schema::wrong_typed_leaves(&render(&sample())) {
+            let err = validate(&json).expect_err(&path);
+            assert!(err.starts_with(&path), "{path}: {err}");
+        }
     }
 
     #[test]

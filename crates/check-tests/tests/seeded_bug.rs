@@ -10,9 +10,9 @@
 use std::sync::Arc;
 
 use sieve_check::Checker;
-use sieve_simnet::sync::atomic::{AtomicUsize, Ordering};
-use sieve_simnet::sync::thread;
 use sieve_simnet::{Popped, ShardQueue};
+use sieve_stats::sync::atomic::{AtomicUsize, Ordering};
+use sieve_stats::sync::thread;
 
 /// Two poppers racing over one drained closed lane; correct code delivers
 /// `LaneFinished` exactly once.

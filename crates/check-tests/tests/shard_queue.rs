@@ -6,9 +6,9 @@
 use std::sync::Arc;
 
 use sieve_check::{model, Checker};
-use sieve_simnet::sync::atomic::{AtomicUsize, Ordering};
-use sieve_simnet::sync::thread;
 use sieve_simnet::{Popped, PushOutcome, ShardQueue};
+use sieve_stats::sync::atomic::{AtomicUsize, Ordering};
+use sieve_stats::sync::thread;
 
 /// Two producers racing one worker: every queued frame reaches the worker
 /// exactly once (none lost, none double-drained), and the drain loop

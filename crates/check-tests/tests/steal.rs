@@ -15,9 +15,9 @@
 use std::sync::Arc;
 
 use sieve_check::{model, Checker};
-use sieve_simnet::sync::thread;
-use sieve_simnet::sync::Mutex;
 use sieve_simnet::{GuardedPop, PushOutcome, ShardQueue, Steal};
+use sieve_stats::sync::thread;
+use sieve_stats::sync::Mutex;
 
 /// Drains `q` as its owning worker would: guarded pops, completing each
 /// lane after recording, waiting when a thief holds everything busy.

@@ -2,9 +2,9 @@
 //!
 //! Inside a model execution every operation is a scheduler decision point
 //! (see `crate::rt`); outside one, each type behaves exactly like its
-//! `std::sync` counterpart with `parking_lot`-style non-poisoning guards —
-//! so a crate routed through a `sync` facade compiled against this module
-//! still runs its ordinary tests and binaries unchanged.
+//! `std::sync` counterpart with non-poisoning guards — so a crate routed
+//! through a `sync` facade compiled against this module still runs its
+//! ordinary tests and binaries unchanged.
 //!
 //! Modelled semantics (deliberate simplifications, documented here once):
 //! * atomics are sequentially consistent at operation granularity — the

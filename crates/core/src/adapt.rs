@@ -40,7 +40,7 @@
 
 use std::sync::{Arc, OnceLock};
 
-use sieve_simnet::sync::atomic::{AtomicU64, Ordering};
+use sieve_stats::sync::atomic::{AtomicU64, Ordering};
 use sieve_stats::Counter;
 
 use crate::error::SieveError;

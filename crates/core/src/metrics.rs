@@ -11,11 +11,10 @@
 //! * **F1 score** — harmonic mean of accuracy and filtering rate, the
 //!   tuner's objective.
 
-use serde::{Deserialize, Serialize};
 use sieve_datasets::LabelSet;
 
 /// Quality of one configuration's event detection.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DetectionQuality {
     /// Per-frame label accuracy in `[0, 1]`.
     pub accuracy: f64,

@@ -12,7 +12,6 @@
 //! experiment tractable while keeping every relative magnitude (seek vs
 //! decode vs NN) grounded in real measurements.
 
-use serde::{Deserialize, Serialize};
 use sieve_simnet::{Pipeline, StageSpec, StepWork, ThreeTier};
 
 use crate::select::{FrameSelector, IFrameSelector, SelectorCost};
@@ -21,7 +20,7 @@ use crate::select::{FrameSelector, IFrameSelector, SelectorCost};
 /// Mirrors the [`crate::FrameSelector`] implementations (`sieve-filters`
 /// provides the uniform/MSE adapters); per-frame costs come from the
 /// selector's own [`SelectorCost`] via [`SelectorKind::cost_model`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SelectorKind {
     /// I-frame seeking over the semantically encoded stream (metadata scan;
     /// only analysed frames are decoded).
@@ -67,7 +66,7 @@ impl SelectorKind {
 
 /// The placement side of a baseline: which tier selects and which runs the
 /// NN.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Deployment {
     /// Selection at the edge, NN inference in the cloud (3-tier).
     EdgeSelectCloudNn,
@@ -81,7 +80,7 @@ pub enum Deployment {
 
 /// A baseline's full specification: selection policy plus deployment. The
 /// registry row the generic simulator consumes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BaselineSpec {
     /// Which frames get analysed, and at what per-frame cost.
     pub selector: SelectorKind,
@@ -90,7 +89,7 @@ pub struct BaselineSpec {
 }
 
 /// The five end-to-end configurations the paper compares.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Baseline {
     /// I-frame seeking at the edge, NN inference in the cloud (SiEVE's
     /// 3-tier deployment).
@@ -159,7 +158,7 @@ impl std::fmt::Display for Baseline {
 }
 
 /// Reference-machine per-operation costs in seconds (measured, not assumed).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkloadCosts {
     /// Scanning one frame's metadata in the I-frame seeker.
     pub seek_per_frame: f64,
@@ -176,7 +175,7 @@ pub struct WorkloadCosts {
 }
 
 /// One video's contribution to the end-to-end experiment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VideoWorkload {
     /// Dataset name (reporting only).
     pub name: String,
@@ -200,7 +199,7 @@ pub struct VideoWorkload {
 }
 
 /// Outcome of simulating one baseline over a set of videos.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BaselineOutcome {
     /// Which baseline.
     pub baseline: Baseline,

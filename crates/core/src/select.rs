@@ -49,7 +49,6 @@
 //! see frames one at a time — the live edge, a network receiver — drives
 //! the session directly.
 
-use serde::{Deserialize, Serialize};
 use sieve_video::{Decoder, EncodedFrame, EncodedVideo, Frame, FrameType};
 
 use crate::error::SieveError;
@@ -93,7 +92,7 @@ impl EncodedFrameMeta {
 /// primitives (see [`WorkloadCosts`]) the selecting tier pays for one
 /// stream frame. Owned by [`FrameSelector::cost_model`], consumed by the
 /// deployment simulator — the single source both share.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SelectorCost {
     /// Scans the container metadata of every stream frame (the I-frame
     /// seeker's per-frame work).

@@ -6,7 +6,6 @@
 //! configuration with the highest F1. The tuned parameters go into a
 //! per-camera [`crate::lookup::LookupTable`] for online use.
 
-use serde::{Deserialize, Serialize};
 use sieve_datasets::LabelSet;
 use sieve_video::{EncodedVideo, EncoderConfig, Frame, Resolution};
 
@@ -14,7 +13,7 @@ use crate::metrics::{score_selection, DetectionQuality};
 use crate::seeker::IFrameSeeker;
 
 /// The grid of configurations to explore.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ConfigGrid {
     /// Candidate GOP sizes (the paper tries e.g. 100, 250, 1000, 5000).
     pub gop_sizes: Vec<usize>,
@@ -68,7 +67,7 @@ impl Default for ConfigGrid {
 }
 
 /// Score of one explored configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConfigScore {
     /// The configuration.
     pub config: EncoderConfig,
@@ -77,7 +76,7 @@ pub struct ConfigScore {
 }
 
 /// Outcome of the offline tuning stage.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TuningOutcome {
     /// The F1-maximizing configuration.
     pub best: ConfigScore,

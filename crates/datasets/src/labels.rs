@@ -8,7 +8,7 @@
 use serde::{Deserialize, Serialize};
 
 /// An object class that can appear in a scene.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ObjectClass {
     /// Passenger car.
     Car,
@@ -188,7 +188,7 @@ impl FromIterator<ObjectClass> for LabelSet {
 }
 
 /// A maximal run of frames sharing one label set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Event {
     /// Index of the first frame of the event.
     pub start: usize,

@@ -14,7 +14,6 @@
 //! *relative* structure (events per minute, object scale, dynamics) is
 //! preserved and frame counts are always reported next to results.
 
-use serde::{Deserialize, Serialize};
 use sieve_video::Resolution;
 
 use crate::labels::ObjectClass;
@@ -23,7 +22,7 @@ use crate::schedule::ScheduleParams;
 use crate::video::{SyntheticVideo, VideoConfig};
 
 /// How large a rendition of a dataset to generate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DatasetScale {
     /// A few hundred frames at reduced resolution — unit/integration tests.
     Tiny,
@@ -60,7 +59,7 @@ impl DatasetScale {
 }
 
 /// Identifier of one of the five paper datasets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DatasetId {
     /// "Jackson town square" — vehicles, close-up, labelled.
     JacksonSquare,
@@ -106,7 +105,7 @@ impl std::fmt::Display for DatasetId {
 }
 
 /// Static description of a dataset (the row of Table I).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DatasetSpec {
     /// Which dataset this is.
     pub id: DatasetId,
@@ -134,9 +133,7 @@ pub struct DatasetSpec {
     pub mean_dwell_secs: f64,
     /// Maximum simultaneously visible objects.
     pub max_concurrent: usize,
-    /// Human description (Table I's description column). Not serialized:
-    /// it is static prose recoverable from [`DatasetSpec::of`].
-    #[serde(skip)]
+    /// Human description (Table I's description column).
     pub description: &'static str,
     /// Deterministic seed for this dataset.
     pub seed: u64,

@@ -16,14 +16,13 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use sieve_video::{Frame, Plane, Resolution};
 
 use crate::labels::ObjectClass;
 use crate::schedule::ObjectInstance;
 
 /// Everything needed to render a synthetic camera feed.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SceneConfig {
     /// Frame resolution.
     pub resolution: Resolution,

@@ -7,14 +7,12 @@
 //! appear fully visible and disappear instantly, matching the paper's notion
 //! of an event boundary ("a new object entered the scene").
 
+use crate::labels::{LabelSet, ObjectClass};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
-
-use crate::labels::{LabelSet, ObjectClass};
 
 /// One object's lifetime and trajectory within a video.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ObjectInstance {
     /// Class rendered and labelled.
     pub class: ObjectClass,
@@ -93,7 +91,7 @@ impl ObjectInstance {
 }
 
 /// Parameters of the arrival process.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScheduleParams {
     /// Video length in frames.
     pub duration_frames: usize,
@@ -122,7 +120,7 @@ impl ScheduleParams {
 }
 
 /// A complete arrival schedule plus derived per-frame ground truth.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Schedule {
     params: ScheduleParams,
     instances: Vec<ObjectInstance>,

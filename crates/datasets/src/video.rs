@@ -1,6 +1,5 @@
 //! A complete synthetic video: schedule + renderer + ground truth.
 
-use serde::{Deserialize, Serialize};
 use sieve_video::{Frame, Resolution};
 
 use crate::labels::{segment_events, Event, LabelSet, ObjectClass};
@@ -9,7 +8,7 @@ use crate::schedule::{Schedule, ScheduleParams};
 
 /// Full description of a synthetic camera feed, sufficient to regenerate
 /// every frame and its ground truth deterministically.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VideoConfig {
     /// Scene rendering parameters.
     pub scene: SceneConfig,

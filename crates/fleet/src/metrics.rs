@@ -19,8 +19,8 @@
 
 use std::sync::Arc;
 
-use sieve_simnet::sync::atomic::{AtomicBool, Ordering};
-use sieve_simnet::sync::Mutex;
+use sieve_stats::sync::atomic::{AtomicBool, Ordering};
+use sieve_stats::sync::Mutex;
 use sieve_stats::{Counter, Gauge, Histogram, HistogramSnapshot, Registry, Stage};
 
 use crate::registry::StreamId;

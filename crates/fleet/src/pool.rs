@@ -16,7 +16,7 @@
 
 use std::collections::BTreeMap;
 
-use sieve_simnet::sync::Mutex;
+use sieve_stats::sync::Mutex;
 use sieve_video::{Decoder, Resolution};
 
 /// Parked decoders a key can hold before further releases are dropped.

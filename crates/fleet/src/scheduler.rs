@@ -45,10 +45,10 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use sieve_core::{EdgeOutcome, EdgeSession, FrameSelector, SelectorSession};
-use sieve_simnet::sync::atomic::{AtomicUsize, Ordering};
-use sieve_simnet::sync::thread::{self, JoinHandle};
-use sieve_simnet::sync::{Mutex, MutexGuard, RwLock};
 use sieve_simnet::{GuardedPop, PushOutcome, ShardQueue, Steal};
+use sieve_stats::sync::atomic::{AtomicUsize, Ordering};
+use sieve_stats::sync::thread::{self, JoinHandle};
+use sieve_stats::sync::{Mutex, MutexGuard, RwLock};
 use sieve_video::{EncodedFrame, Frame, FrameType, Resolution};
 
 use sieve_stats::Registry as StatsRegistry;

@@ -31,7 +31,7 @@ use crate::NetError;
 /// pair: `group_data` (K) data fragments per group, `group_parity` (R)
 /// parity fragments appended to each group. `group_parity == 0` turns FEC
 /// off (no parity packets, no recovery).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FecConfig {
     /// Data fragments per FEC group (K).
     pub group_data: usize,

@@ -14,8 +14,8 @@
 use std::sync::Arc;
 
 use sieve_core::adapt::{wan_signal, WanFeedback, WanSignal};
-use sieve_simnet::sync::Mutex;
 use sieve_simnet::SimTime;
+use sieve_stats::sync::Mutex;
 use sieve_stats::Registry;
 
 use crate::channel::{WanChannel, WanConfig};

@@ -5,8 +5,6 @@
 //! used both by the edge/cloud partitioner and by the end-to-end simulator's
 //! compute cost model.
 
-use serde::{Deserialize, Serialize};
-
 use crate::tensor::Tensor;
 
 /// A differentiable layer.
@@ -49,18 +47,15 @@ pub trait Layer: std::fmt::Debug + Send {
 
 /// 2-D convolution over `[C, H, W]` tensors with stride 1 and zero padding
 /// chosen to preserve spatial size (`ksize / 2`).
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug)]
 pub struct Conv2d {
     in_channels: usize,
     out_channels: usize,
     ksize: usize,
     weights: Tensor, // [out, in, k, k]
     bias: Vec<f32>,
-    #[serde(skip)]
     grad_w: Option<Tensor>,
-    #[serde(skip)]
     grad_b: Vec<f32>,
-    #[serde(skip)]
     cached_input: Option<Tensor>,
 }
 
@@ -202,9 +197,8 @@ impl Layer for Conv2d {
 }
 
 /// Rectified linear unit.
-#[derive(Debug, Default, Serialize, Deserialize)]
+#[derive(Debug, Default)]
 pub struct Relu {
-    #[serde(skip)]
     mask: Option<Vec<bool>>,
 }
 
@@ -268,11 +262,9 @@ impl Layer for Relu {
 }
 
 /// 2x2 max pooling with stride 2 over `[C, H, W]`.
-#[derive(Debug, Default, Serialize, Deserialize)]
+#[derive(Debug, Default)]
 pub struct MaxPool2 {
-    #[serde(skip)]
     argmax: Option<Vec<usize>>,
-    #[serde(skip)]
     input_shape: Vec<usize>,
 }
 
@@ -347,9 +339,8 @@ impl Layer for MaxPool2 {
 }
 
 /// Flattens `[C, H, W]` to `[C*H*W]`.
-#[derive(Debug, Default, Serialize, Deserialize)]
+#[derive(Debug, Default)]
 pub struct Flatten {
-    #[serde(skip)]
     input_shape: Vec<usize>,
 }
 
@@ -392,17 +383,14 @@ impl Layer for Flatten {
 }
 
 /// Fully connected layer.
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug)]
 pub struct Dense {
     in_features: usize,
     out_features: usize,
     weights: Tensor, // [out, in]
     bias: Vec<f32>,
-    #[serde(skip)]
     grad_w: Option<Tensor>,
-    #[serde(skip)]
     grad_b: Vec<f32>,
-    #[serde(skip)]
     cached_input: Option<Tensor>,
 }
 

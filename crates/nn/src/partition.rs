@@ -6,12 +6,10 @@
 //! minimizes `edge_compute + transfer + cloud_compute` per frame, exactly the
 //! latency model of Kang et al.'s Neurosurgeon (reference \[8\] in the paper).
 
-use serde::{Deserialize, Serialize};
-
 use crate::model::Sequential;
 
 /// Where the network's layers run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Placement {
     /// All layers on the edge; only the final labels go to the cloud.
     EdgeOnly,
@@ -22,7 +20,7 @@ pub enum Placement {
 }
 
 /// Capability description of the two tiers and the link between them.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TierSpec {
     /// Edge compute throughput in FLOP/s.
     pub edge_flops_per_sec: f64,
@@ -48,7 +46,7 @@ impl TierSpec {
 }
 
 /// Latency breakdown of one candidate split.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SplitCost {
     /// Layers `0..split` run on the edge.
     pub split: usize,

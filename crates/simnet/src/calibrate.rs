@@ -9,9 +9,58 @@
 // lint:allow-file(no-wall-clock): calibration's whole job is measuring real wall-clock costs
 
 use std::collections::BTreeMap;
-use std::time::Instant;
+use std::hint::black_box;
+use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
+
+/// Robust location and spread of repeated timings of one operation: one
+/// scheduling hiccup among the samples moves neither number.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Estimate {
+    /// Median sample (the upper one of an even count).
+    pub median: Duration,
+    /// Median absolute deviation around [`Estimate::median`].
+    pub mad: Duration,
+    /// Number of samples summarized.
+    pub samples: usize,
+}
+
+impl Estimate {
+    /// Summarizes `samples`; `None` when there are none.
+    pub fn of(mut samples: Vec<Duration>) -> Option<Self> {
+        samples.sort();
+        let median = *samples.get(samples.len() / 2)?;
+        let mut deviations: Vec<Duration> = samples.iter().map(|s| s.abs_diff(median)).collect();
+        deviations.sort();
+        Some(Self {
+            median,
+            mad: deviations[deviations.len() / 2],
+            samples: samples.len(),
+        })
+    }
+}
+
+/// Times `op` over `iters` runs after `warmup` unrecorded ones (which
+/// fault in code, caches and allocator state).
+///
+/// # Panics
+///
+/// Panics if `iters == 0`.
+pub fn measure<O, F: FnMut() -> O>(warmup: usize, iters: usize, mut op: F) -> Estimate {
+    for _ in 0..warmup {
+        black_box(op());
+    }
+    let samples = (0..iters)
+        .map(|_| {
+            let t0 = Instant::now();
+            black_box(op());
+            t0.elapsed()
+        })
+        .collect();
+    // lint:allow(no-unwrap): zero iterations is a caller bug, documented under # Panics
+    Estimate::of(samples).expect("need at least one iteration")
+}
 
 /// Measures the median wall-clock seconds of `op` over `iters` runs
 /// (after one warm-up run).
@@ -19,18 +68,8 @@ use serde::{Deserialize, Serialize};
 /// # Panics
 ///
 /// Panics if `iters == 0`.
-pub fn measure_secs<F: FnMut()>(iters: usize, mut op: F) -> f64 {
-    assert!(iters > 0, "need at least one iteration");
-    op(); // warm-up
-    let mut samples: Vec<f64> = (0..iters)
-        .map(|_| {
-            let t0 = Instant::now();
-            op();
-            t0.elapsed().as_secs_f64()
-        })
-        .collect();
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
+pub fn measure_secs<F: FnMut()>(iters: usize, op: F) -> f64 {
+    measure(1, iters, op).median.as_secs_f64()
 }
 
 /// A named table of per-operation costs in seconds.
@@ -125,6 +164,44 @@ mod tests {
             large > small,
             "100x work must take longer: {large} vs {small}"
         );
+    }
+
+    #[test]
+    fn warmup_iterations_are_not_recorded() {
+        let mut calls = 0usize;
+        let est = measure(2, 5, || calls += 1);
+        assert_eq!(calls, 5 + 2);
+        assert_eq!(est.samples, 5, "only sampled iterations recorded");
+    }
+
+    #[test]
+    fn median_and_mad_are_robust_to_one_outlier() {
+        let samples = [10u64, 10, 11, 9, 500].map(Duration::from_millis);
+        let est = Estimate::of(samples.to_vec()).expect("samples recorded");
+        assert_eq!(est.median, Duration::from_millis(10));
+        assert!(
+            est.mad <= Duration::from_millis(1),
+            "MAD ignores the outlier: {:?}",
+            est.mad
+        );
+    }
+
+    #[test]
+    fn empty_bencher_reports_no_samples() {
+        assert_eq!(Estimate::of(Vec::new()), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one iteration")]
+    fn measuring_zero_iterations_panics() {
+        measure_secs(0, || {});
+    }
+
+    #[test]
+    fn bench_estimate_exposes_median_and_mad() {
+        let est = measure(2, 4, || (0..1000u64).fold(0u64, u64::wrapping_add));
+        assert_eq!(est.samples, 4);
+        assert!(est.median > Duration::ZERO);
     }
 
     #[test]

@@ -12,10 +12,7 @@
 //!   non-blocking shed, round-robin draining, runtime lane join/leave
 //!   (the scheduler substrate of `sieve-fleet`);
 //! * [`calibrate`] — measuring real per-operation costs to feed the
-//!   simulators;
-//! * [`sync`] — the workspace synchronization facade (a re-export of
-//!   `sieve_stats::sync`): real primitives normally, `sieve-check`'s
-//!   instrumented ones under `model-check`.
+//!   simulators.
 //!
 //! Nothing here executes frames: live runs go through `sieve-fleet`, whose
 //! scheduler is built on [`shard`].
@@ -23,11 +20,10 @@
 pub mod calibrate;
 pub mod pipeline;
 pub mod shard;
-pub mod sync;
 pub mod time;
 pub mod topology;
 
-pub use calibrate::{measure_secs, CostProfile};
+pub use calibrate::{measure, measure_secs, CostProfile, Estimate};
 pub use pipeline::{ItemResult, Pipeline, PipelineReport, StageSpec, StepWork};
 pub use shard::{GuardedPop, Popped, PushOutcome, ShardQueue, Steal, MAX_LANE_WEIGHT};
 pub use time::SimTime;

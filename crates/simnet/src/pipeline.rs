@@ -8,10 +8,8 @@
 //! next-free time — no event heap needed, which keeps multi-million-frame
 //! simulations cheap and deterministic.
 
-use serde::{Deserialize, Serialize};
-
 /// What a stage does to one item.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum StepWork {
     /// Occupy the stage for `secs` of compute.
     Compute {
@@ -28,7 +26,7 @@ pub enum StepWork {
 }
 
 /// Description of one pipeline stage.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum StageSpec {
     /// A compute stage; service times come with each item.
     Compute {
@@ -57,7 +55,7 @@ impl StageSpec {
 }
 
 /// One item's passage through the pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ItemResult {
     /// Arrival time at the pipeline entrance (seconds).
     pub arrival: f64,
@@ -66,7 +64,7 @@ pub struct ItemResult {
 }
 
 /// Aggregate outcome of a pipeline run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PipelineReport {
     /// Per-stage busy seconds.
     pub stage_busy_secs: Vec<f64>,

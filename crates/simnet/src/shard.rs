@@ -50,7 +50,7 @@
 
 use std::collections::VecDeque;
 
-use crate::sync::{Condvar, Mutex};
+use sieve_stats::sync::{Condvar, Mutex};
 
 /// Upper bound of a lane's scheduling weight (inclusive).
 pub const MAX_LANE_WEIGHT: u32 = 8;

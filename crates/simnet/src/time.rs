@@ -3,12 +3,8 @@
 //! Integer time keeps event ordering exact and `Ord`-able; floats are only
 //! used at the API boundary.
 
-use serde::{Deserialize, Serialize};
-
 /// A point in simulated time (nanoseconds since simulation start).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 impl SimTime {

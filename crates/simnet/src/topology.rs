@@ -1,7 +1,5 @@
 //! Nodes and links of the 3-tier deployment.
 
-use serde::{Deserialize, Serialize};
-
 /// The canonical name of the edge→cloud WAN hop, shared by the
 /// tandem-queue pipeline stages, the live-stage helpers, `sieve-net`'s
 /// `wan.*` registry instruments and the bench artifacts — one constant so
@@ -9,7 +7,7 @@ use serde::{Deserialize, Serialize};
 pub const WAN_STAGE: &str = "wan";
 
 /// A compute tier (camera, edge server, cloud server).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Node {
     /// Human-readable name ("edge", "cloud").
     pub name: String,
@@ -42,7 +40,7 @@ impl Node {
 }
 
 /// A network link between two tiers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Link {
     /// Human-readable name ("edge->cloud").
     pub name: String,
@@ -88,7 +86,7 @@ impl Link {
 }
 
 /// The paper's 3-tier topology: camera, edge desktop, cloud server.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ThreeTier {
     /// The camera node (negligible compute; encodes in hardware).
     pub camera: Node,

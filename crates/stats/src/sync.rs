@@ -2,17 +2,16 @@
 //!
 //! Every crate in the runtime path (`sieve-stats`, `sieve-simnet`,
 //! `sieve-core`, `sieve-fleet`, `sieve-net`) takes its locks, condvars,
-//! atomics and thread spawns from this module instead of
-//! `std::sync`/`parking_lot` directly. It lives here because `sieve-stats`
-//! is the lowest runtime crate in the dependency graph;
-//! `sieve_simnet::sync` re-exports it whole, which is the path most of the
-//! workspace spells. Normally the types resolve to the real primitives
-//! (non-poisoning `parking_lot`-style guards over `std`); under the
-//! `model-check` feature they resolve to `sieve-check`'s instrumented
-//! equivalents, which hand every operation — every relaxed counter
-//! increment included — to a deterministic schedule explorer, so the
-//! model-check suite exercises the *same* queue, scheduler and instrument
-//! code that runs in production, not a re-implementation.
+//! atomics and thread spawns from this module instead of `std::sync`
+//! directly. It lives here because `sieve-stats` is the lowest runtime
+//! crate in the dependency graph. Normally the types resolve to the real
+//! primitives (the poison-ignoring newtypes over `std` in this file's
+//! private `real` module); under the `model-check` feature they resolve to
+//! `sieve-check`'s instrumented equivalents, which hand every operation —
+//! every relaxed counter increment included — to a deterministic schedule
+//! explorer, so the model-check suite exercises the *same* queue,
+//! scheduler and instrument code that runs in production, not a
+//! re-implementation.
 //!
 //! The facade API is the intersection the runtime needs:
 //! * `Mutex`/`RwLock` with non-poisoning `lock()`/`read()`/`write()`, and
@@ -39,10 +38,9 @@ pub use sieve_check::sync::atomic;
 pub use sieve_check::thread;
 
 #[cfg(not(feature = "model-check"))]
-pub use parking_lot::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
-
-#[cfg(not(feature = "model-check"))]
-pub use real::{atomic, thread, Condvar};
+pub use real::{
+    atomic, thread, Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard,
+};
 
 #[cfg(not(feature = "model-check"))]
 mod real {
@@ -58,15 +56,88 @@ mod real {
         pub use std::thread::{spawn, yield_now, JoinHandle};
     }
 
-    use super::MutexGuard;
+    use std::sync::{self, TryLockError};
+
+    /// A mutual-exclusion lock whose `lock` cannot fail: a panic in a
+    /// previous holder does not poison it.
+    #[derive(Debug, Default)]
+    pub struct Mutex<T: ?Sized>(sync::Mutex<T>);
+
+    /// Guard returned by [`Mutex::lock`].
+    pub type MutexGuard<'a, T> = sync::MutexGuard<'a, T>;
+
+    impl<T> Mutex<T> {
+        /// Creates a mutex holding `value`.
+        pub fn new(value: T) -> Self {
+            Self(sync::Mutex::new(value))
+        }
+
+        /// Consumes the mutex, returning the inner value.
+        pub fn into_inner(self) -> T {
+            self.0.into_inner().unwrap_or_else(|e| e.into_inner())
+        }
+    }
+
+    impl<T: ?Sized> Mutex<T> {
+        /// Acquires the lock, ignoring poisoning.
+        pub fn lock(&self) -> MutexGuard<'_, T> {
+            self.0.lock().unwrap_or_else(|e| e.into_inner())
+        }
+
+        /// Tries to acquire the lock without blocking.
+        pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
+            match self.0.try_lock() {
+                Ok(g) => Some(g),
+                Err(TryLockError::Poisoned(e)) => Some(e.into_inner()),
+                Err(TryLockError::WouldBlock) => None,
+            }
+        }
+
+        /// Mutable access without locking (requires exclusive borrow).
+        pub fn get_mut(&mut self) -> &mut T {
+            self.0.get_mut().unwrap_or_else(|e| e.into_inner())
+        }
+    }
+
+    /// A reader-writer lock whose acquisitions cannot fail.
+    #[derive(Debug, Default)]
+    pub struct RwLock<T: ?Sized>(sync::RwLock<T>);
+
+    /// Guard returned by [`RwLock::read`].
+    pub type RwLockReadGuard<'a, T> = sync::RwLockReadGuard<'a, T>;
+    /// Guard returned by [`RwLock::write`].
+    pub type RwLockWriteGuard<'a, T> = sync::RwLockWriteGuard<'a, T>;
+
+    impl<T> RwLock<T> {
+        /// Creates a lock holding `value`.
+        pub fn new(value: T) -> Self {
+            Self(sync::RwLock::new(value))
+        }
+
+        /// Consumes the lock, returning the inner value.
+        pub fn into_inner(self) -> T {
+            self.0.into_inner().unwrap_or_else(|e| e.into_inner())
+        }
+    }
+
+    impl<T: ?Sized> RwLock<T> {
+        /// Acquires a shared read guard, ignoring poisoning.
+        pub fn read(&self) -> RwLockReadGuard<'_, T> {
+            self.0.read().unwrap_or_else(|e| e.into_inner())
+        }
+
+        /// Acquires an exclusive write guard, ignoring poisoning.
+        pub fn write(&self) -> RwLockWriteGuard<'_, T> {
+            self.0.write().unwrap_or_else(|e| e.into_inner())
+        }
+    }
 
     /// A condition variable with a consuming, non-poisoning `wait`.
     ///
-    /// Works with the facade's [`super::Mutex`] guards (the `parking_lot`
-    /// shim's guard is a `std` guard underneath, so the `std` condvar can
-    /// block on it directly).
+    /// Works with [`Mutex`]'s guards: they are `std` guards, so the `std`
+    /// condvar blocks on them directly.
     #[derive(Debug, Default)]
-    pub struct Condvar(std::sync::Condvar);
+    pub struct Condvar(sync::Condvar);
 
     // `#[inline]`: the shard queue calls these from another crate on every
     // push and park.
@@ -95,6 +166,64 @@ mod real {
         #[inline]
         pub fn notify_all(&self) {
             self.0.notify_all();
+        }
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::*;
+        use std::sync::Arc;
+
+        #[test]
+        fn mutex_counts_across_threads() {
+            let m = Arc::new(Mutex::new(0u64));
+            let handles: Vec<_> = (0..4)
+                .map(|_| {
+                    let m = m.clone();
+                    thread::spawn(move || {
+                        for _ in 0..1000 {
+                            *m.lock() += 1;
+                        }
+                    })
+                })
+                .collect();
+            for h in handles {
+                h.join().expect("no panic");
+            }
+            assert_eq!(*m.lock(), 4000);
+        }
+
+        #[test]
+        fn rwlock_read_write() {
+            let l = RwLock::new(5);
+            assert_eq!(*l.read(), 5);
+            *l.write() = 6;
+            assert_eq!(*l.read(), 6);
+            assert_eq!(l.into_inner(), 6);
+        }
+
+        /// A holder that panics must not take the lock down with it: the
+        /// fleet's supervisor restarts a panicked worker and the next holder
+        /// carries on with the data as the panic left it.
+        #[test]
+        fn a_panicked_holder_poisons_nothing() {
+            let m = Arc::new(Mutex::new(1u32));
+            let l = Arc::new(RwLock::new(1u32));
+            let (m2, l2) = (m.clone(), l.clone());
+            let died = thread::spawn(move || {
+                let _held = m2.lock();
+                let _written = l2.write();
+                panic!("holder dies with both guards");
+            })
+            .join();
+            assert!(died.is_err());
+            assert_eq!(*m.try_lock().expect("free, not poisoned"), 1);
+            *m.lock() += 1;
+            *l.write() += 1;
+            assert_eq!(*l.read(), 2);
+            let mut m = Arc::into_inner(m).expect("sole owner");
+            assert_eq!(*m.get_mut(), 2);
+            assert_eq!(m.into_inner(), 2);
         }
     }
 }

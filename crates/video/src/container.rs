@@ -7,8 +7,6 @@
 //! how the paper's seeker "searches through the video metadata and drops
 //! every frame that is not of type I-frame".
 
-use serde::{Deserialize, Serialize};
-
 use crate::decode::{DecodeError, Decoder};
 use crate::encode::{EncodedFrame, Encoder, EncoderConfig, FrameType};
 use crate::frame::{Frame, Resolution};
@@ -37,7 +35,7 @@ impl std::fmt::Display for ContainerError {
 impl std::error::Error for ContainerError {}
 
 /// Metadata for one frame, available without decoding anything.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrameMeta {
     /// Frame type (I or P).
     pub frame_type: FrameType,
@@ -248,7 +246,7 @@ impl EncodedVideo {
 
 /// The metadata index of a serialized container: everything the I-frame
 /// seeker needs, obtained *without* reading any payload bytes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VideoIndex {
     /// Stream resolution.
     pub resolution: Resolution,

@@ -26,7 +26,7 @@ use crate::motion::{self, FrameMotion, MotionVector, MB};
 use crate::quant::QuantTable;
 
 /// Kind of an encoded frame.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FrameType {
     /// Intra frame: decodable independently, like a JPEG still.
     I,
@@ -152,7 +152,7 @@ impl EncodedFrame {
 
 /// Why a frame got the type it did — kept for diagnostics and for the tuner's
 /// reports.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FrameDecision {
     /// Type chosen.
     pub frame_type: FrameType,

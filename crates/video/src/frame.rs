@@ -7,8 +7,6 @@
 //! ([`crate::encode`]), the similarity baselines (`sieve-filters`) and the
 //! neural network (`sieve-nn`).
 
-use serde::{Deserialize, Serialize};
-
 use crate::kernels;
 
 /// Frame dimensions in pixels.
@@ -22,7 +20,7 @@ use crate::kernels;
 /// assert_eq!(r.luma_len(), 640 * 400);
 /// assert_eq!(r.chroma_len(), 320 * 200);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Resolution {
     width: u32,
     height: u32,
@@ -87,7 +85,7 @@ impl std::fmt::Display for Resolution {
 }
 
 /// A single image plane: a rectangle of 8-bit samples.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Plane {
     width: usize,
     height: usize,
@@ -351,7 +349,7 @@ impl Plane {
 /// assert_eq!(f.y().data().len(), 64 * 48);
 /// assert_eq!(f.u().data().len(), 32 * 24);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Frame {
     resolution: Resolution,
     y: Plane,

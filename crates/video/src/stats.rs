@@ -4,13 +4,11 @@
 //! half of the paper's tuning objective; the other half, event-detection
 //! accuracy, lives in `sieve-core` because it needs ground-truth labels.
 
-use serde::{Deserialize, Serialize};
-
 use crate::container::{EncodedVideo, VideoIndex};
 use crate::encode::FrameType;
 
 /// Summary statistics of an encoded stream.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BitstreamStats {
     /// Total number of frames.
     pub frame_count: usize,

@@ -7,6 +7,12 @@
 //! `// lint:allow(rule): reason` and whole files with
 //! `// lint:allow-file(rule): reason` — a missing reason is itself a lint
 //! error.
+//!
+//! One manifest rule, `unused-dep`: every `[dependencies]` /
+//! `[dev-dependencies]` key of the root package and of each `crates/*`
+//! package must be named as an identifier somewhere under that package's
+//! `src tests benches examples` (test code included — dev-dependencies
+//! live there). It has no waiver: an unnamed dependency is deleted.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -51,9 +57,9 @@ struct Rule {
     in_scope: fn(&str) -> bool,
 }
 
-/// The runtime crates whose synchronization must go through the facade —
-/// `sieve_stats::sync`, which `sieve_simnet::sync` re-exports. The
-/// facade's std backend file is waived with `lint:allow-file`.
+/// The runtime crates whose synchronization must go through the facade,
+/// `sieve_stats::sync`. The facade's std backend file is waived with
+/// `lint:allow-file`.
 fn runtime_crate(path: &str) -> bool {
     path.starts_with("crates/simnet/src/")
         || path.starts_with("crates/fleet/src/")
@@ -85,15 +91,13 @@ const RULES: &[Rule] = &[
     },
     Rule {
         name: "no-std-sync",
-        message: "raw std/parking_lot synchronization bypasses the \
-                  sieve_stats::sync facade, re-exported as sieve_simnet::sync \
-                  (and the model checker with it)",
+        message: "raw std synchronization bypasses the sieve_stats::sync \
+                  facade (and the model checker with it)",
         matcher: Matcher::Tokens(&[
             "std::sync::Mutex",
             "std::sync::RwLock",
             "std::sync::Condvar",
             "std::sync::atomic",
-            "parking_lot",
         ]),
         in_scope: runtime_crate,
     },
@@ -114,7 +118,7 @@ const RULES: &[Rule] = &[
         // scoped-thread site (GOP-parallel encode) carries a justified
         // allow; anything new must too.
         name: "no-raw-spawn",
-        message: "raw thread spawn bypasses the sieve_simnet::sync::thread \
+        message: "raw thread spawn bypasses the sieve_stats::sync::thread \
                   facade — workers must be schedulable by the model checker",
         matcher: Matcher::Tokens(&["std::thread::spawn", "std::thread::scope"]),
         in_scope: |p| runtime_crate(p) || p.starts_with("crates/video/src/"),
@@ -215,9 +219,13 @@ fn check_file(path: &str, scanned: &Scanned) -> Vec<Finding> {
     findings
 }
 
-/// Recursively collects `.rs` files under `dir`, skipping `target/`,
-/// `shims/` and integration-test `tests/` directories.
-fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {
+/// What the token rules never descend into: build output, the shims and
+/// integration-test `tests/` directories.
+const SKIP_DIRS: &[&str] = &["target", "shims", "tests", ".git"];
+
+/// Recursively collects `.rs` files under `dir`, skipping directories
+/// named in `skip`.
+fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>, skip: &[&str]) {
     let Ok(entries) = fs::read_dir(dir) else {
         return;
     };
@@ -226,34 +234,103 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {
     for path in entries {
         let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
         if path.is_dir() {
-            if matches!(name, "target" | "shims" | "tests" | ".git") {
+            if skip.contains(&name) {
                 continue;
             }
-            collect_rs(&path, out);
+            collect_rs(&path, out, skip);
         } else if name.ends_with(".rs") {
             out.push(path);
         }
     }
 }
 
+/// The `unused-dep` rule over one manifest: a finding for every
+/// `[dependencies]` / `[dev-dependencies]` key that no file of `sources`
+/// (the package's cleaned `.rs` text) names as an identifier.
+fn unused_deps(manifest_path: &str, manifest: &str, sources: &[String]) -> Vec<Finding> {
+    let mut findings = Vec::new();
+    let mut in_deps = false;
+    for (i, line) in manifest.lines().enumerate() {
+        let line = line.trim();
+        if line.starts_with('[') {
+            in_deps = matches!(line, "[dependencies]" | "[dev-dependencies]");
+            continue;
+        }
+        if !in_deps || line.is_empty() || line.starts_with('#') {
+            continue;
+        }
+        let key = line.split(['.', '=', ' ']).next().unwrap_or(line);
+        let ident = key.replace('-', "_");
+        if !sources
+            .iter()
+            .any(|s| !token_occurrences(s, &ident).is_empty())
+        {
+            findings.push(Finding {
+                path: manifest_path.to_string(),
+                line: i + 1,
+                rule: "unused-dep",
+                message: format!(
+                    "dependency `{key}` is never named under this package's \
+                     src/tests/benches/examples — delete the manifest entry"
+                ),
+            });
+        }
+    }
+    findings
+}
+
+/// Runs `unused-dep` over the root package and every `crates/*` package.
+fn check_manifests(root: &Path) -> Vec<Finding> {
+    let mut packages = vec![root.to_path_buf()];
+    if let Ok(entries) = fs::read_dir(root.join("crates")) {
+        packages.extend(entries.flatten().map(|e| e.path()));
+    }
+    packages.sort();
+    let mut findings = Vec::new();
+    for package in packages {
+        let manifest_path = package.join("Cargo.toml");
+        let Ok(manifest) = fs::read_to_string(&manifest_path) else {
+            continue;
+        };
+        let mut files = Vec::new();
+        for dir in ["src", "tests", "benches", "examples"] {
+            collect_rs(&package.join(dir), &mut files, &[]);
+        }
+        let sources: Vec<String> = files
+            .iter()
+            .filter_map(|f| fs::read_to_string(f).ok())
+            .map(|source| lexer::scan(&source).cleaned)
+            .collect();
+        findings.extend(unused_deps(
+            &rel_path(root, &manifest_path),
+            &manifest,
+            &sources,
+        ));
+    }
+    findings
+}
+
+/// `path` relative to `root`, with `/` separators.
+fn rel_path(root: &Path, path: &Path) -> String {
+    path.strip_prefix(root)
+        .unwrap_or(path)
+        .to_string_lossy()
+        .replace('\\', "/")
+}
+
 /// Lints the whole workspace rooted at `root`; returns every finding.
 pub fn run(root: &Path) -> Vec<Finding> {
     let mut files = Vec::new();
     for top in ["crates", "src", "examples"] {
-        collect_rs(&root.join(top), &mut files);
+        collect_rs(&root.join(top), &mut files, SKIP_DIRS);
     }
-    let mut findings = Vec::new();
+    let mut findings = check_manifests(root);
     for file in files {
         let Ok(source) = fs::read_to_string(&file) else {
             continue;
         };
-        let rel = file
-            .strip_prefix(root)
-            .unwrap_or(&file)
-            .to_string_lossy()
-            .replace('\\', "/");
         let scanned = lexer::scan(&source);
-        findings.extend(check_file(&rel, &scanned));
+        findings.extend(check_file(&rel_path(root, &file), &scanned));
     }
     findings
 }
@@ -337,11 +414,44 @@ fn f() {
     }
 
     #[test]
-    fn std_sync_and_parking_lot_flagged_outside_facade() {
-        let src = "use std::sync::Mutex;\nuse parking_lot::RwLock;\n";
+    fn std_sync_flagged_outside_facade() {
+        let src = "use std::sync::Mutex;\nuse std::sync::atomic::AtomicU64;\n";
         let f = check("crates/core/src/edge.rs", src);
         assert_eq!(f.len(), 2, "{f:?}");
         assert!(f.iter().all(|x| x.rule == "no-std-sync"));
+    }
+
+    #[test]
+    fn unused_dep_flags_keys_no_source_names() {
+        let manifest = "\
+[package]
+name = \"demo\"
+
+[dependencies]
+sieve-video.workspace = true
+serde = { path = \"../serde\" }
+# a comment is not a key
+rand.workspace = true
+
+[dev-dependencies]
+serde_json.workspace = true
+proptest.workspace = true
+
+[features]
+unused = []
+";
+        let sources = [
+            "use sieve_video::Frame;\nuse serde::Serialize;\n".to_string(),
+            "fn t() { proptest::run(); my_rand(); }\n".to_string(),
+        ];
+        let f = unused_deps("crates/demo/Cargo.toml", manifest, &sources);
+        assert_eq!(f.len(), 2, "{f:?}");
+        assert!(f.iter().all(|x| x.rule == "unused-dep"));
+        assert!(f[0].message.contains("`rand`") && f[0].line == 8, "{f:?}");
+        assert!(
+            f[1].message.contains("`serde_json`") && f[1].line == 11,
+            "{f:?}"
+        );
     }
 
     #[test]
@@ -353,7 +463,7 @@ fn f() {
     #[test]
     fn new_scheduler_files_are_in_no_std_sync_scope() {
         // The work-stealing scheduler's satellite modules must stay on
-        // the sieve_simnet::sync facade, or the model checker silently
+        // the sieve_stats::sync facade, or the model checker silently
         // loses sight of their locks.
         for path in [
             "crates/fleet/src/scheduler.rs",

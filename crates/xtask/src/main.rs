@@ -1,7 +1,8 @@
 //! Workspace automation driver (`cargo xtask <command>`).
 //!
-//! `cargo xtask lint` runs the token-level source lints described in
-//! [`lint`] and the README's "Correctness tooling" section, printing one
+//! `cargo xtask lint` runs the token-level source lints and the
+//! `unused-dep` manifest rule described in [`lint`] and the README's
+//! "Correctness tooling" section, printing one
 //! `path:line: [rule] message` per finding and exiting non-zero if any
 //! survive their `lint:allow` waivers.
 
@@ -42,7 +43,7 @@ fn main() -> ExitCode {
                 "usage: cargo xtask <command>\n\n\
                  commands:\n  \
                  lint    run the workspace source lints (no-unwrap, \
-                 no-std-sync, no-wall-clock, no-raw-spawn, no-unsafe)"
+                 no-std-sync, no-wall-clock, no-raw-spawn, no-unsafe, unused-dep)"
             );
             ExitCode::from(2)
         }

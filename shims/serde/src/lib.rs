@@ -5,15 +5,14 @@
 //! name. It is value-tree based rather than visitor based: [`Serialize`]
 //! lowers a value to a [`Value`], [`Deserialize`] rebuilds it from one, and
 //! the sibling `serde_json` crate handles JSON text. The `serde_derive`
-//! proc-macro generates impls for plain structs and enums using the same
-//! externally-tagged representation real serde defaults to, and honours
-//! `#[serde(skip)]`.
+//! proc-macro generates impls for named-field structs and newtypes using
+//! the representation real serde defaults to.
 //!
 //! Only the API surface this workspace uses is provided. If a future PR
 //! gains network access, deleting `shims/` and bumping the manifests to the
 //! real crates is intended to be a drop-in change.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 pub use serde_derive::{Deserialize, Serialize};
 
@@ -172,11 +171,6 @@ impl DeError {
     pub fn missing_field(field: &str, ty: &str) -> Self {
         Self(format!("missing field `{field}` while deserializing {ty}"))
     }
-
-    /// Unknown-variant helper used by generated code.
-    pub fn unknown_variant(variant: &str, ty: &str) -> Self {
-        Self(format!("unknown variant `{variant}` for {ty}"))
-    }
 }
 
 impl std::fmt::Display for DeError {
@@ -320,23 +314,6 @@ impl Serialize for str {
     }
 }
 
-impl Serialize for char {
-    fn to_value(&self) -> Value {
-        Value::String(self.to_string())
-    }
-}
-
-impl Deserialize for char {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::String(s) if s.chars().count() == 1 => {
-                Ok(s.chars().next().expect("length checked"))
-            }
-            other => Err(DeError::expected("single-char string", other.kind())),
-        }
-    }
-}
-
 // --- container impls -------------------------------------------------------
 
 impl<T: Serialize + ?Sized> Serialize for &T {
@@ -366,24 +343,6 @@ impl<T: Serialize> Serialize for [T] {
     }
 }
 
-impl<T: Serialize> Serialize for Option<T> {
-    fn to_value(&self) -> Value {
-        match self {
-            Some(t) => t.to_value(),
-            None => Value::Null,
-        }
-    }
-}
-
-impl<T: Deserialize> Deserialize for Option<T> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Null => Ok(None),
-            other => T::from_value(other).map(Some),
-        }
-    }
-}
-
 impl<V: Serialize> Serialize for BTreeMap<String, V> {
     fn to_value(&self) -> Value {
         let mut m = Map::new();
@@ -405,58 +364,6 @@ impl<V: Deserialize> Deserialize for BTreeMap<String, V> {
         }
     }
 }
-
-impl<V: Serialize> Serialize for HashMap<String, V> {
-    fn to_value(&self) -> Value {
-        // Sort keys so output is deterministic, like a BTreeMap.
-        let mut keys: Vec<&String> = self.keys().collect();
-        keys.sort();
-        let mut m = Map::new();
-        for k in keys {
-            m.insert(k.clone(), self[k].to_value());
-        }
-        Value::Object(m)
-    }
-}
-
-impl<V: Deserialize> Deserialize for HashMap<String, V> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Object(m) => m
-                .iter()
-                .map(|(k, v)| Ok((k.to_string(), V::from_value(v)?)))
-                .collect(),
-            other => Err(DeError::expected("object", other.kind())),
-        }
-    }
-}
-
-macro_rules! impl_tuple {
-    ($(($($name:ident : $idx:tt),+)),+) => {$(
-        impl<$($name: Serialize),+> Serialize for ($($name,)+) {
-            fn to_value(&self) -> Value {
-                Value::Array(vec![$(self.$idx.to_value()),+])
-            }
-        }
-        impl<$($name: Deserialize),+> Deserialize for ($($name,)+) {
-            fn from_value(v: &Value) -> Result<Self, DeError> {
-                const N: usize = 0 $(+ { let _ = $idx; 1 })+;
-                match v {
-                    Value::Array(items) if items.len() == N => {
-                        Ok(($($name::from_value(&items[$idx])?,)+))
-                    }
-                    other => Err(DeError::expected("tuple array", other.kind())),
-                }
-            }
-        }
-    )+};
-}
-impl_tuple!(
-    (A: 0),
-    (A: 0, B: 1),
-    (A: 0, B: 1, C: 2),
-    (A: 0, B: 1, C: 2, D: 3)
-);
 
 impl Serialize for Value {
     fn to_value(&self) -> Value {

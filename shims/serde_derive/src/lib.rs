@@ -1,12 +1,13 @@
 //! Offline stand-in for `serde_derive`.
 //!
 //! Implements `#[derive(Serialize)]` and `#[derive(Deserialize)]` for the
-//! shapes this workspace actually uses — named-field structs, tuple structs,
-//! unit structs, and enums whose variants are unit, tuple, or struct-like —
-//! with support for `#[serde(skip)]` on fields. The generated code targets
-//! the value-tree traits of the sibling `serde` shim and mirrors real
-//! serde's externally-tagged representation, so swapping the real crates
-//! back in keeps the JSON wire format compatible.
+//! shapes this workspace actually serializes — named-field structs and
+//! one-field tuple structs (newtypes) — and answers anything else (enums,
+//! unit structs, wider tuple structs, generics) with a `compile_error!`
+//! naming the type. The generated code targets the value-tree traits of
+//! the sibling `serde` shim and mirrors real serde's representation (a
+//! struct is an object, a newtype is its field), so swapping the real
+//! crates back in keeps the JSON wire format compatible.
 //!
 //! Built on raw `proc_macro` because `syn`/`quote` are unavailable offline:
 //! the input item is tokenized by hand, and the impl is emitted as a string
@@ -16,45 +17,13 @@
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
 #[derive(Debug)]
-struct Field {
-    name: String,
-    skip: bool,
-}
-
-#[derive(Debug)]
-enum VariantShape {
-    Unit,
-    Tuple(usize),
-    Struct(Vec<Field>),
-}
-
-#[derive(Debug)]
-struct Variant {
-    name: String,
-    shape: VariantShape,
-}
-
-#[derive(Debug)]
 enum Item {
-    NamedStruct {
-        name: String,
-        fields: Vec<Field>,
-    },
-    TupleStruct {
-        name: String,
-        arity: usize,
-    },
-    UnitStruct {
-        name: String,
-    },
-    Enum {
-        name: String,
-        variants: Vec<Variant>,
-    },
+    NamedStruct { name: String, fields: Vec<String> },
+    Newtype { name: String },
 }
 
 /// Derives `serde::Serialize`.
-#[proc_macro_derive(Serialize, attributes(serde))]
+#[proc_macro_derive(Serialize)]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     match parse_item(input) {
         Ok(item) => gen_serialize(&item)
@@ -65,7 +34,7 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
 }
 
 /// Derives `serde::Deserialize`.
-#[proc_macro_derive(Deserialize, attributes(serde))]
+#[proc_macro_derive(Deserialize)]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     match parse_item(input) {
         Ok(item) => gen_deserialize(&item)
@@ -83,42 +52,15 @@ fn compile_error(msg: &str) -> TokenStream {
 
 // --- parsing ---------------------------------------------------------------
 
-/// True when the `#[...]` attribute group body is `serde(skip)`.
-fn attr_is_skip(group: &proc_macro::Group) -> bool {
-    let mut tokens = group.stream().into_iter();
-    match (tokens.next(), tokens.next()) {
-        (Some(TokenTree::Ident(name)), Some(TokenTree::Group(args)))
-            if name.to_string() == "serde" =>
-        {
-            args.stream()
-                .into_iter()
-                .any(|t| matches!(&t, TokenTree::Ident(i) if i.to_string() == "skip"))
-        }
-        _ => false,
-    }
-}
-
-/// Consumes leading `#[...]` attributes, reporting whether any was
-/// `#[serde(skip)]`.
-fn skip_attrs(tokens: &[TokenTree], mut pos: usize) -> (usize, bool) {
-    let mut skip = false;
-    while pos + 1 < tokens.len() {
-        let TokenTree::Punct(p) = &tokens[pos] else {
-            break;
-        };
-        if p.as_char() != '#' {
+/// Consumes leading `#[...]` attributes.
+fn skip_attrs(tokens: &[TokenTree], mut pos: usize) -> usize {
+    while let [TokenTree::Punct(p), TokenTree::Group(g), ..] = &tokens[pos..] {
+        if p.as_char() != '#' || g.delimiter() != Delimiter::Bracket {
             break;
         }
-        let TokenTree::Group(g) = &tokens[pos + 1] else {
-            break;
-        };
-        if g.delimiter() != Delimiter::Bracket {
-            break;
-        }
-        skip |= attr_is_skip(g);
         pos += 2;
     }
-    (pos, skip)
+    pos
 }
 
 /// Consumes an optional `pub` / `pub(...)` visibility.
@@ -151,14 +93,13 @@ fn skip_type(tokens: &[TokenTree], mut pos: usize) -> usize {
     pos
 }
 
-/// Parses the fields of a `{ ... }` body (named struct or struct variant).
-fn parse_named_fields(body: TokenStream) -> Result<Vec<Field>, String> {
+/// Parses the field names of a named struct's `{ ... }` body.
+fn parse_named_fields(body: TokenStream) -> Result<Vec<String>, String> {
     let tokens: Vec<TokenTree> = body.into_iter().collect();
     let mut fields = Vec::new();
     let mut pos = 0;
     while pos < tokens.len() {
-        let (next, skip) = skip_attrs(&tokens, pos);
-        pos = skip_visibility(&tokens, next);
+        pos = skip_visibility(&tokens, skip_attrs(&tokens, pos));
         let TokenTree::Ident(name) = &tokens[pos] else {
             return Err(format!("expected field name, found {:?}", tokens[pos]));
         };
@@ -171,10 +112,7 @@ fn parse_named_fields(body: TokenStream) -> Result<Vec<Field>, String> {
         if pos < tokens.len() {
             pos += 1; // consume `,`
         }
-        fields.push(Field {
-            name: name.to_string(),
-            skip,
-        });
+        fields.push(name.to_string());
     }
     Ok(fields)
 }
@@ -185,8 +123,7 @@ fn tuple_arity(body: TokenStream) -> usize {
     let mut arity = 0;
     let mut pos = 0;
     while pos < tokens.len() {
-        let (next, _) = skip_attrs(&tokens, pos);
-        pos = skip_visibility(&tokens, next);
+        pos = skip_visibility(&tokens, skip_attrs(&tokens, pos));
         if pos >= tokens.len() {
             break;
         }
@@ -199,45 +136,9 @@ fn tuple_arity(body: TokenStream) -> usize {
     arity
 }
 
-fn parse_variants(body: TokenStream) -> Result<Vec<Variant>, String> {
-    let tokens: Vec<TokenTree> = body.into_iter().collect();
-    let mut variants = Vec::new();
-    let mut pos = 0;
-    while pos < tokens.len() {
-        let (next, _) = skip_attrs(&tokens, pos);
-        pos = next;
-        let TokenTree::Ident(name) = &tokens[pos] else {
-            return Err(format!("expected variant name, found {:?}", tokens[pos]));
-        };
-        pos += 1;
-        let shape = match tokens.get(pos) {
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
-                pos += 1;
-                VariantShape::Tuple(tuple_arity(g.stream()))
-            }
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
-                pos += 1;
-                VariantShape::Struct(parse_named_fields(g.stream())?)
-            }
-            _ => VariantShape::Unit,
-        };
-        match tokens.get(pos) {
-            Some(TokenTree::Punct(p)) if p.as_char() == ',' => pos += 1,
-            Some(other) => return Err(format!("expected `,` after variant, found {other:?}")),
-            None => {}
-        }
-        variants.push(Variant {
-            name: name.to_string(),
-            shape,
-        });
-    }
-    Ok(variants)
-}
-
 fn parse_item(input: TokenStream) -> Result<Item, String> {
     let tokens: Vec<TokenTree> = input.into_iter().collect();
-    let (next, _) = skip_attrs(&tokens, 0);
-    let mut pos = skip_visibility(&tokens, next);
+    let mut pos = skip_visibility(&tokens, skip_attrs(&tokens, 0));
     let kind = match &tokens[pos] {
         TokenTree::Ident(i) => i.to_string(),
         other => return Err(format!("expected `struct` or `enum`, found {other:?}")),
@@ -253,31 +154,22 @@ fn parse_item(input: TokenStream) -> Result<Item, String> {
             "serde shim derive does not support generic type `{name}`"
         ));
     }
-    match kind.as_str() {
-        "struct" => match tokens.get(pos) {
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
-                Ok(Item::NamedStruct {
-                    name,
-                    fields: parse_named_fields(g.stream())?,
-                })
-            }
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
-                Ok(Item::TupleStruct {
-                    name,
-                    arity: tuple_arity(g.stream()),
-                })
-            }
-            Some(TokenTree::Punct(p)) if p.as_char() == ';' => Ok(Item::UnitStruct { name }),
-            other => Err(format!("unsupported struct body: {other:?}")),
-        },
-        "enum" => match tokens.get(pos) {
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => Ok(Item::Enum {
+    match (kind.as_str(), tokens.get(pos)) {
+        ("struct", Some(TokenTree::Group(g))) if g.delimiter() == Delimiter::Brace => {
+            Ok(Item::NamedStruct {
                 name,
-                variants: parse_variants(g.stream())?,
-            }),
-            other => Err(format!("unsupported enum body: {other:?}")),
-        },
-        other => Err(format!("cannot derive for `{other}` items")),
+                fields: parse_named_fields(g.stream())?,
+            })
+        }
+        ("struct", Some(TokenTree::Group(g)))
+            if g.delimiter() == Delimiter::Parenthesis && tuple_arity(g.stream()) == 1 =>
+        {
+            Ok(Item::Newtype { name })
+        }
+        _ => Err(format!(
+            "serde shim derive supports named-field structs and one-field \
+             tuple structs only; `{name}` is neither"
+        )),
     }
 }
 
@@ -287,80 +179,15 @@ fn gen_serialize(item: &Item) -> String {
     match item {
         Item::NamedStruct { name, fields } => {
             let mut body = String::from("let mut m = ::serde::Map::new();\n");
-            for f in fields.iter().filter(|f| !f.skip) {
+            for f in fields {
                 body.push_str(&format!(
-                    "m.insert({:?}.to_string(), ::serde::Serialize::to_value(&self.{}));\n",
-                    f.name, f.name
+                    "m.insert({f:?}.to_string(), ::serde::Serialize::to_value(&self.{f}));\n"
                 ));
             }
             body.push_str("::serde::Value::Object(m)");
             impl_serialize(name, &body)
         }
-        Item::TupleStruct { name, arity } => {
-            let body = match arity {
-                0 => "::serde::Value::Array(::std::vec::Vec::new())".to_string(),
-                1 => "::serde::Serialize::to_value(&self.0)".to_string(),
-                n => {
-                    let items: Vec<String> = (0..*n)
-                        .map(|i| format!("::serde::Serialize::to_value(&self.{i})"))
-                        .collect();
-                    format!("::serde::Value::Array(vec![{}])", items.join(", "))
-                }
-            };
-            impl_serialize(name, &body)
-        }
-        Item::UnitStruct { name } => impl_serialize(name, "::serde::Value::Null"),
-        Item::Enum { name, variants } => {
-            let mut arms = String::new();
-            for v in variants {
-                let vn = &v.name;
-                match &v.shape {
-                    VariantShape::Unit => arms.push_str(&format!(
-                        "{name}::{vn} => ::serde::Value::String({vn:?}.to_string()),\n"
-                    )),
-                    VariantShape::Tuple(arity) => {
-                        let binds: Vec<String> = (0..*arity).map(|i| format!("__f{i}")).collect();
-                        let inner = if *arity == 1 {
-                            "::serde::Serialize::to_value(__f0)".to_string()
-                        } else {
-                            let items: Vec<String> = binds
-                                .iter()
-                                .map(|b| format!("::serde::Serialize::to_value({b})"))
-                                .collect();
-                            format!("::serde::Value::Array(vec![{}])", items.join(", "))
-                        };
-                        arms.push_str(&format!(
-                            "{name}::{vn}({binds}) => {{\n\
-                             let mut m = ::serde::Map::new();\n\
-                             m.insert({vn:?}.to_string(), {inner});\n\
-                             ::serde::Value::Object(m)\n\
-                             }}\n",
-                            binds = binds.join(", "),
-                        ));
-                    }
-                    VariantShape::Struct(fields) => {
-                        let binds: Vec<&str> = fields.iter().map(|f| f.name.as_str()).collect();
-                        let mut inner = String::from("let mut fm = ::serde::Map::new();\n");
-                        for f in fields.iter().filter(|f| !f.skip) {
-                            inner.push_str(&format!(
-                                "fm.insert({:?}.to_string(), ::serde::Serialize::to_value({}));\n",
-                                f.name, f.name
-                            ));
-                        }
-                        arms.push_str(&format!(
-                            "{name}::{vn} {{ {binds} }} => {{\n\
-                             {inner}\
-                             let mut m = ::serde::Map::new();\n\
-                             m.insert({vn:?}.to_string(), ::serde::Value::Object(fm));\n\
-                             ::serde::Value::Object(m)\n\
-                             }}\n",
-                            binds = binds.join(", "),
-                        ));
-                    }
-                }
-            }
-            impl_serialize(name, &format!("match self {{\n{arms}}}"))
-        }
+        Item::Newtype { name } => impl_serialize(name, "::serde::Serialize::to_value(&self.0)"),
     }
 }
 
@@ -373,123 +200,29 @@ fn impl_serialize(name: &str, body: &str) -> String {
     )
 }
 
-fn named_fields_from_map(ty: &str, fields: &[Field], map_expr: &str) -> String {
-    let mut inits = String::new();
-    for f in fields {
-        if f.skip {
-            inits.push_str(&format!(
-                "{}: ::std::default::Default::default(),\n",
-                f.name
-            ));
-        } else {
-            inits.push_str(&format!(
-                "{name}: match {map_expr}.get({name:?}) {{\n\
-                 ::std::option::Option::Some(v) => ::serde::Deserialize::from_value(v)?,\n\
-                 ::std::option::Option::None => return ::std::result::Result::Err(\
-                 ::serde::DeError::missing_field({name:?}, {ty:?})),\n\
-                 }},\n",
-                name = f.name,
-            ));
-        }
-    }
-    inits
-}
-
 fn gen_deserialize(item: &Item) -> String {
     match item {
         Item::NamedStruct { name, fields } => {
-            let inits = named_fields_from_map(name, fields, "obj");
+            let mut inits = String::new();
+            for f in fields {
+                inits.push_str(&format!(
+                    "{f}: match obj.get({f:?}) {{\n\
+                     ::std::option::Option::Some(v) => ::serde::Deserialize::from_value(v)?,\n\
+                     ::std::option::Option::None => return ::std::result::Result::Err(\
+                     ::serde::DeError::missing_field({f:?}, {name:?})),\n\
+                     }},\n"
+                ));
+            }
             let body = format!(
                 "let obj = v.as_object().ok_or_else(|| ::serde::DeError::expected(\"object\", {name:?}))?;\n\
                  ::std::result::Result::Ok({name} {{\n{inits}}})"
             );
             impl_deserialize(name, &body)
         }
-        Item::TupleStruct { name, arity } => {
-            let body = match arity {
-                0 => format!("::std::result::Result::Ok({name}())"),
-                1 => format!(
-                    "::std::result::Result::Ok({name}(::serde::Deserialize::from_value(v)?))"
-                ),
-                n => {
-                    let items: Vec<String> = (0..*n)
-                        .map(|i| format!("::serde::Deserialize::from_value(&items[{i}])?"))
-                        .collect();
-                    format!(
-                        "let items = v.as_array().ok_or_else(|| ::serde::DeError::expected(\"array\", {name:?}))?;\n\
-                         if items.len() != {n} {{\n\
-                         return ::std::result::Result::Err(::serde::DeError::expected(\"{n}-element array\", {name:?}));\n\
-                         }}\n\
-                         ::std::result::Result::Ok({name}({items}))",
-                        items = items.join(", ")
-                    )
-                }
-            };
-            impl_deserialize(name, &body)
-        }
-        Item::UnitStruct { name } => {
-            impl_deserialize(name, &format!("::std::result::Result::Ok({name})"))
-        }
-        Item::Enum { name, variants } => {
-            let mut unit_arms = String::new();
-            let mut keyed_arms = String::new();
-            for v in variants {
-                let vn = &v.name;
-                match &v.shape {
-                    VariantShape::Unit => {
-                        unit_arms.push_str(&format!(
-                            "{vn:?} => ::std::result::Result::Ok({name}::{vn}),\n"
-                        ));
-                    }
-                    VariantShape::Tuple(arity) => {
-                        let build = if *arity == 1 {
-                            format!(
-                                "::std::result::Result::Ok({name}::{vn}(::serde::Deserialize::from_value(inner)?))"
-                            )
-                        } else {
-                            let items: Vec<String> = (0..*arity)
-                                .map(|i| format!("::serde::Deserialize::from_value(&items[{i}])?"))
-                                .collect();
-                            format!(
-                                "let items = inner.as_array().ok_or_else(|| ::serde::DeError::expected(\"array\", {name:?}))?;\n\
-                                 if items.len() != {arity} {{\n\
-                                 return ::std::result::Result::Err(::serde::DeError::expected(\"{arity}-element array\", {name:?}));\n\
-                                 }}\n\
-                                 ::std::result::Result::Ok({name}::{vn}({items}))",
-                                items = items.join(", ")
-                            )
-                        };
-                        keyed_arms.push_str(&format!("{vn:?} => {{\n{build}\n}}\n"));
-                    }
-                    VariantShape::Struct(fields) => {
-                        let inits = named_fields_from_map(name, fields, "fobj");
-                        keyed_arms.push_str(&format!(
-                            "{vn:?} => {{\n\
-                             let fobj = inner.as_object().ok_or_else(|| ::serde::DeError::expected(\"object\", {name:?}))?;\n\
-                             ::std::result::Result::Ok({name}::{vn} {{\n{inits}}})\n\
-                             }}\n"
-                        ));
-                    }
-                }
-            }
-            let body = format!(
-                "match v {{\n\
-                 ::serde::Value::String(s) => match s.as_str() {{\n\
-                 {unit_arms}\
-                 other => ::std::result::Result::Err(::serde::DeError::unknown_variant(other, {name:?})),\n\
-                 }},\n\
-                 ::serde::Value::Object(m) if m.len() == 1 => {{\n\
-                 let (tag, inner) = m.iter().next().expect(\"length checked\");\n\
-                 match tag {{\n\
-                 {keyed_arms}\
-                 other => ::std::result::Result::Err(::serde::DeError::unknown_variant(other, {name:?})),\n\
-                 }}\n\
-                 }},\n\
-                 other => ::std::result::Result::Err(::serde::DeError::expected(\"enum representation\", other.kind())),\n\
-                 }}"
-            );
-            impl_deserialize(name, &body)
-        }
+        Item::Newtype { name } => impl_deserialize(
+            name,
+            &format!("::std::result::Result::Ok({name}(::serde::Deserialize::from_value(v)?))"),
+        ),
     }
 }
 
