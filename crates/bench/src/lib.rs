@@ -1,28 +1,23 @@
 //! # sieve-bench — the experiment harness
 //!
-//! One binary per table/figure of the paper's evaluation (Section V), all
-//! built on the shared [`harness`] module:
+//! Three binaries, built on the shared [`harness`] module:
 //!
 //! | binary | reproduces |
 //! |---|---|
-//! | `table1` | Table I — the dataset registry |
-//! | `fig3` | Fig 3 — accuracy vs % sampled frames (SiEVE / SIFT / MSE) |
-//! | `table2` | Table II — semantic vs default encoder parameters |
-//! | `table3` | Table III — event-detection speed (fps) |
-//! | `fig4` | Fig 4 — end-to-end throughput of five baselines |
-//! | `fig5` | Fig 5 — camera→edge and edge→cloud data transfer |
-//! | `ablations` | scenecut/GOP sweeps, object-size↔scenecut, NN split |
+//! | `paper_bench` | the paper's evaluation (Section V) in one run — Table I–III, Fig 3–5 and the ablations — tracked in `BENCH_paper.json` |
 //! | `codec_bench` | beyond the paper: raw codec speed — SIMD kernel tier and GOP-parallel encode vs the scalar tier, tracked in `BENCH_codec.json` |
 //! | `fig4_fleet` | beyond the paper: the fleet's kept frames over a bandwidth-capped lossy WAN — FEC × feedback A/B over a loss sweep, tracked in `BENCH_wan.json` |
 //!
 //! Run any of them with `cargo run --release -p sieve-bench --bin <name>`.
-//! Pass `--scale small` (default `tiny`) for longer, higher-resolution runs.
+//! Pass `--scale small` or `--scale full` (default `tiny`) for longer,
+//! higher-resolution runs.
 //!
-//! The three committed artifacts (`BENCH_codec.json`, `BENCH_wan.json`,
-//! `stats.json`) share one shape checker, [`schema`].
+//! The four committed artifacts (`BENCH_paper.json`, `BENCH_codec.json`,
+//! `BENCH_wan.json`, `stats.json`) share one shape checker, [`schema`].
 
 pub mod codec_artifact;
 pub mod harness;
+pub mod paper_artifact;
 pub mod report;
 pub mod schema;
 pub mod stats_artifact;
@@ -30,17 +25,43 @@ pub mod wan_artifact;
 
 use sieve_datasets::DatasetScale;
 
-/// Parses the common `--scale tiny|small|full` CLI argument.
+/// Parses the common `--scale tiny|small|full` CLI argument (default
+/// `tiny`); a missing or unknown value exits with status 2, naming the
+/// accepted ones.
 pub fn scale_from_args() -> DatasetScale {
-    let args: Vec<String> = std::env::args().collect();
-    match args
-        .iter()
-        .position(|a| a == "--scale")
-        .and_then(|i| args.get(i + 1))
-        .map(|s| s.as_str())
-    {
-        Some("small") => DatasetScale::Small,
-        Some("full") => DatasetScale::Full,
-        _ => DatasetScale::Tiny,
+    parse_scale(std::env::args()).unwrap_or_else(|err| {
+        eprintln!("{err}");
+        std::process::exit(2)
+    })
+}
+
+fn parse_scale(mut args: impl Iterator<Item = String>) -> Result<DatasetScale, String> {
+    if !args.any(|a| a == "--scale") {
+        return Ok(DatasetScale::Tiny);
+    }
+    match args.next().as_deref() {
+        Some("tiny") => Ok(DatasetScale::Tiny),
+        Some("small") => Ok(DatasetScale::Small),
+        Some("full") => Ok(DatasetScale::Full),
+        other => Err(format!("--scale takes tiny, small or full, got {other:?}")),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn scale_parses_the_three_names_and_rejects_the_rest() {
+        let parse = |args: &str| parse_scale(args.split_whitespace().map(String::from));
+        assert_eq!(parse("bin"), Ok(DatasetScale::Tiny));
+        assert_eq!(parse("bin --quick --scale small"), Ok(DatasetScale::Small));
+        assert_eq!(parse("bin --scale full"), Ok(DatasetScale::Full));
+        for bad in ["bin --scale smal", "bin --scale"] {
+            assert!(
+                parse(bad).is_err_and(|e| e.contains("tiny, small or full")),
+                "{bad}"
+            );
+        }
     }
 }

@@ -8,11 +8,8 @@
 
 // lint:allow-file(no-wall-clock): calibration's whole job is measuring real wall-clock costs
 
-use std::collections::BTreeMap;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
-
-use serde::{Deserialize, Serialize};
 
 /// Robust location and spread of repeated timings of one operation: one
 /// scheduling hiccup among the samples moves neither number.
@@ -70,62 +67,6 @@ pub fn measure<O, F: FnMut() -> O>(warmup: usize, iters: usize, mut op: F) -> Es
 /// Panics if `iters == 0`.
 pub fn measure_secs<F: FnMut()>(iters: usize, op: F) -> f64 {
     measure(1, iters, op).median.as_secs_f64()
-}
-
-/// A named table of per-operation costs in seconds.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct CostProfile {
-    costs: BTreeMap<String, f64>,
-}
-
-impl CostProfile {
-    /// An empty profile.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records an operation cost.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `secs` is negative or not finite.
-    pub fn set(&mut self, op: impl Into<String>, secs: f64) {
-        assert!(secs.is_finite() && secs >= 0.0, "cost must be non-negative");
-        self.costs.insert(op.into(), secs);
-    }
-
-    /// The cost of `op`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `op` was never measured — a missing calibration is a
-    /// harness bug, not a runtime condition.
-    pub fn get(&self, op: &str) -> f64 {
-        *self
-            .costs
-            .get(op)
-            .unwrap_or_else(|| panic!("operation '{op}' not calibrated"))
-    }
-
-    /// The cost of `op`, or `None`.
-    pub fn try_get(&self, op: &str) -> Option<f64> {
-        self.costs.get(op).copied()
-    }
-
-    /// Iterates over `(name, secs)` in name order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, f64)> {
-        self.costs.iter().map(|(k, &v)| (k.as_str(), v))
-    }
-
-    /// Number of calibrated operations.
-    pub fn len(&self) -> usize {
-        self.costs.len()
-    }
-
-    /// True when nothing has been calibrated.
-    pub fn is_empty(&self) -> bool {
-        self.costs.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -202,32 +143,5 @@ mod tests {
         let est = measure(2, 4, || (0..1000u64).fold(0u64, u64::wrapping_add));
         assert_eq!(est.samples, 4);
         assert!(est.median > Duration::ZERO);
-    }
-
-    #[test]
-    fn profile_set_get() {
-        let mut p = CostProfile::new();
-        p.set("decode", 0.008);
-        p.set("seek", 0.0000004);
-        assert_eq!(p.get("decode"), 0.008);
-        assert_eq!(p.try_get("nope"), None);
-        assert_eq!(p.len(), 2);
-        let names: Vec<&str> = p.iter().map(|(n, _)| n).collect();
-        assert_eq!(names, vec!["decode", "seek"]);
-    }
-
-    #[test]
-    #[should_panic(expected = "not calibrated")]
-    fn missing_op_panics() {
-        CostProfile::new().get("missing");
-    }
-
-    #[test]
-    fn profile_serde_roundtrip() {
-        let mut p = CostProfile::new();
-        p.set("a", 1.5);
-        let json = serde_json::to_string(&p).expect("serialize");
-        let back: CostProfile = serde_json::from_str(&json).expect("deserialize");
-        assert_eq!(p, back);
     }
 }

@@ -23,7 +23,7 @@ pub mod shard;
 pub mod time;
 pub mod topology;
 
-pub use calibrate::{measure, measure_secs, CostProfile, Estimate};
+pub use calibrate::{measure, measure_secs, Estimate};
 pub use pipeline::{ItemResult, Pipeline, PipelineReport, StageSpec, StepWork};
 pub use shard::{GuardedPop, Popped, PushOutcome, ShardQueue, Steal, MAX_LANE_WEIGHT};
 pub use time::SimTime;

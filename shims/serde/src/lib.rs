@@ -81,6 +81,14 @@ impl Map {
         self.entries.iter().find(|(k, _)| k == key).map(|(_, v)| v)
     }
 
+    /// Looks up a key for writing.
+    pub fn get_mut(&mut self, key: &str) -> Option<&mut Value> {
+        self.entries
+            .iter_mut()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v)
+    }
+
     /// Number of entries.
     pub fn len(&self) -> usize {
         self.entries.len()

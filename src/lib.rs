@@ -73,7 +73,7 @@ pub mod prelude {
         best_split, reference_model, CnnDetector, ObjectDetector, OracleDetector, TierSpec,
         TrainConfig,
     };
-    pub use sieve_simnet::{CostProfile, ThreeTier};
+    pub use sieve_simnet::ThreeTier;
     pub use sieve_stats::{Collector, Counter, Gauge, Histogram, Registry};
     pub use sieve_video::{
         BitstreamStats, EncodedVideo, Encoder, EncoderConfig, Frame, FrameType, Resolution,

@@ -75,47 +75,6 @@ fn byte_stream_flow_matches_in_memory_flow() {
     }
 }
 
-/// SiEVE vs the image-similarity baselines at matched sampling rates: on the
-/// jittery close-up dataset SiEVE must not lose to MSE.
-#[test]
-fn sieve_beats_mse_at_matched_sampling_on_jackson() {
-    let spec = DatasetSpec::of(DatasetId::JacksonSquare);
-    let video = spec.generate(DatasetScale::Tiny);
-    let labels = video.labels();
-
-    // SiEVE's operating point.
-    let encoded = EncodedVideo::encode(
-        video.resolution(),
-        video.fps(),
-        EncoderConfig::new(600, 150),
-        video.frames(),
-    );
-    let selected = IFrameSeeker::new(&encoded).i_frame_indices();
-    let sieve_q = score_selection(labels, &selected);
-
-    // MSE calibrated to the same sampling rate on the decoded default
-    // stream.
-    let default_video = EncodedVideo::encode(
-        video.resolution(),
-        video.fps(),
-        EncoderConfig::x264_default(),
-        video.frames(),
-    );
-    let frames = default_video.decode_all().expect("decode");
-    let scores = score_sequence(&mut MseDetector::new(), &frames);
-    let t = calibrate_threshold(&scores, frames.len(), sieve_q.sampling_rate.max(1e-6));
-    let mse_selected = select_frames(&scores, t);
-    let mse_q = score_selection(labels, &mse_selected);
-
-    assert!(
-        sieve_q.accuracy >= mse_q.accuracy,
-        "SiEVE ({:.3}) must not lose to MSE ({:.3}) at {:.2}% sampling",
-        sieve_q.accuracy,
-        mse_q.accuracy,
-        100.0 * sieve_q.sampling_rate
-    );
-}
-
 /// A trained CNN plugged into the SiEVE analysis path produces labels close
 /// to the oracle's on the I-frames it sees.
 #[test]
@@ -152,39 +111,4 @@ fn cnn_detector_in_the_analysis_path() {
         rate > 0.5,
         "trained CNN should agree with oracle on most I-frames: {rate}"
     );
-}
-
-/// The five end-to-end baselines keep the paper's ordering when the
-/// workload comes from real (tiny) encodes and measurements.
-#[test]
-fn end_to_end_orderings_hold_on_measured_workload() {
-    let workloads = vec![sieve_bench_harness_workload()];
-    let outcomes = simulate_all(&workloads, &ThreeTier::paper_default());
-    let get = |b: Baseline| {
-        outcomes
-            .iter()
-            .find(|o| o.baseline == b)
-            .expect("simulated")
-    };
-    let sieve = get(Baseline::IFrameEdgeCloudNn);
-    for o in &outcomes {
-        assert!(
-            sieve.throughput_fps >= o.throughput_fps,
-            "SiEVE 3-tier must win: {} vs {}",
-            sieve.throughput_fps,
-            o.throughput_fps
-        );
-    }
-    // Bandwidth shape: SiEVE ships far fewer edge->cloud bytes than
-    // cloud-only, and MSE ships more than SiEVE.
-    let cloud = get(Baseline::IFrameCloudCloudNn);
-    let mse = get(Baseline::MseEdgeCloudNn);
-    assert!(sieve.edge_cloud_bytes * 3 < cloud.edge_cloud_bytes);
-    assert!(mse.edge_cloud_bytes > sieve.edge_cloud_bytes);
-}
-
-/// Builds a measured workload from the tiny Jackson dataset (helper; uses
-/// the bench harness through the public API).
-fn sieve_bench_harness_workload() -> sieve_core::VideoWorkload {
-    sieve_bench::harness::build_workload(DatasetId::JacksonSquare, DatasetScale::Tiny, 100_000)
 }
