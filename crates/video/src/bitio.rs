@@ -128,25 +128,36 @@ impl BitWriter {
 
 /// Stream bits a [`BitReader`] window always holds: the load is 8 bytes and
 /// the read position sits at most 7 bits into the first of them.
-pub(crate) const WINDOW_BITS: u32 = 57;
+const WINDOW_BITS: u32 = 57;
+
+/// The 8 stream bytes starting at byte `byte`, `None` within 8 bytes of the
+/// end of `data`.
+#[inline(always)]
+fn load8(data: &[u8], byte: usize) -> Option<u64> {
+    Some(u64::from_be_bytes(*data.get(byte..)?.first_chunk::<8>()?))
+}
 
 /// Decodes the Exp-Golomb code at the top of `window`, of which only the
-/// top `valid` bits are stream bits (the rest must be zero). Returns the
-/// value and the code's length in bits, or `None` if the code does not end
-/// inside the valid bits — the caller then takes the byte-wise path, which
-/// is also the only place truncation and overlong codes are diagnosed.
+/// top `valid` bits are stream bits. Returns the value and the code's
+/// length in bits, or `None` if the code does not end inside the valid
+/// bits — the caller then takes the byte-wise path, which is also the only
+/// place truncation and overlong codes are diagnosed.
 #[inline]
-pub(crate) fn ue_in_window(window: u64, valid: u32) -> Option<(u64, u32)> {
+pub(crate) const fn ue_in_window(window: u64, valid: u32) -> Option<(u64, u32)> {
     // `zeros` leading zeros, the terminating 1, then `zeros` suffix bits.
     // The sentinel bit spares the zero case of `leading_zeros`; a window
     // that needs it reads as a 127-bit code and fails the length test.
     let len = 2 * (window | 1).leading_zeros() + 1;
-    (len <= valid).then(|| ((window >> (64 - len)) - 1, len))
+    if len <= valid {
+        Some(((window >> (64 - len)) - 1, len))
+    } else {
+        None
+    }
 }
 
 /// Maps an unsigned Exp-Golomb value to its signed (`se(v)`) meaning.
 #[inline]
-pub(crate) fn se_from_ue(v: u64) -> i64 {
+pub(crate) const fn se_from_ue(v: u64) -> i64 {
     if v % 2 == 1 {
         v.div_ceil(2) as i64
     } else {
@@ -184,16 +195,8 @@ impl<'a> BitReader<'a> {
     /// The next [`WINDOW_BITS`] (or more) stream bits, MSB-aligned and
     /// zero-filled below; `None` within 8 bytes of the end of the stream.
     #[inline]
-    pub(crate) fn window(&self) -> Option<u64> {
-        let byte = self.pos / 8;
-        let bytes: [u8; 8] = self.data.get(byte..byte + 8)?.try_into().ok()?;
-        Some(u64::from_be_bytes(bytes) << (self.pos % 8))
-    }
-
-    /// Consumes `bits` bits the caller decoded from [`BitReader::window`].
-    #[inline]
-    pub(crate) fn skip(&mut self, bits: u32) {
-        self.pos += bits as usize;
+    fn window(&self) -> Option<u64> {
+        Some(load8(self.data, self.pos / 8)? << (self.pos % 8))
     }
 
     /// Reads `count` bits MSB-first.
@@ -305,6 +308,171 @@ impl<'a> BitReader<'a> {
     pub fn read_se(&mut self) -> Result<i64, ReadBitsError> {
         self.read_ue().map(se_from_ue)
     }
+}
+
+/// A read position plus the stream bits ahead of it in one register-sized
+/// window — the parse state a frame decoder carries from its first bit to
+/// its last.
+///
+/// `bits` holds `valid` unread stream bits, MSB-aligned, zeros below;
+/// `next` is the stream position just past them, so the read position is
+/// `next - valid`. Every read first tops the window up when fewer than 32
+/// bits remain: one checked 8-byte load at the read position, which makes
+/// it a [`BitReader`] window (57 to 64 valid bits). Within 8 bytes of the
+/// end the load fails and the window drains instead.
+///
+/// A field that is not wholly inside the valid bits — the last 8 bytes of
+/// the stream, a code longer than the window — is read by a [`BitReader`]
+/// placed at the read position, and the window restarts behind it. The
+/// fast path therefore has no error exit: every [`ReadBitsError`] comes
+/// from the reader's checked reads, at the bit position a [`BitReader`]
+/// alone would report it.
+///
+/// The fallback is a free function on `(data, position)` rather than a
+/// method, so no call ever takes the cursor's address and a parse loop
+/// keeps `bits` and `valid` in registers.
+#[derive(Debug, Clone)]
+pub(crate) struct BitCursor<'a> {
+    data: &'a [u8],
+    next: usize,
+    bits: u64,
+    valid: u32,
+}
+
+impl<'a> BitCursor<'a> {
+    /// A cursor at the start of `data`.
+    pub(crate) fn new(data: &'a [u8]) -> Self {
+        Self::at(data, 0)
+    }
+
+    /// A cursor at bit `pos` of `data`, its window empty.
+    fn at(data: &'a [u8], pos: usize) -> Self {
+        Self {
+            data,
+            next: pos,
+            bits: 0,
+            valid: 0,
+        }
+    }
+
+    /// A cursor at `r`'s position.
+    pub(crate) fn from_reader(r: &BitReader<'a>) -> Self {
+        Self::at(r.data, r.pos)
+    }
+
+    /// Moves `r` to this cursor's read position.
+    pub(crate) fn sync(&self, r: &mut BitReader<'a>) {
+        r.pos = self.position();
+    }
+
+    /// Bit position of the next unread bit.
+    #[inline(always)]
+    fn position(&self) -> usize {
+        self.next - self.valid as usize
+    }
+
+    /// Refills the window if fewer than 32 bits remain in it.
+    #[inline(always)]
+    pub(crate) fn top_up(&mut self) {
+        if self.valid < 32 {
+            let pos = self.position();
+            if let Some(word) = load8(self.data, pos / 8) {
+                let skew = (pos % 8) as u32;
+                self.bits = word << skew;
+                self.valid = 64 - skew;
+                self.next = pos - skew as usize + 64;
+            }
+        }
+    }
+
+    /// The top `n` (1..=32) bits of the window, whether or not they are all
+    /// valid — the caller checks a decoded length against [`Self::valid`].
+    #[inline(always)]
+    pub(crate) fn peek(&self, n: u32) -> usize {
+        (self.bits >> (64 - n)) as usize
+    }
+
+    /// Number of valid bits in the window.
+    #[inline(always)]
+    pub(crate) fn valid(&self) -> u32 {
+        self.valid
+    }
+
+    /// Drops `len` bits the caller decoded from the window (`len <= valid`).
+    #[inline(always)]
+    pub(crate) fn consume(&mut self, len: u32) {
+        self.bits <<= len;
+        self.valid -= len;
+    }
+
+    /// Reads one field through a [`BitReader`] at the read position and
+    /// restarts the window behind it.
+    #[inline(always)]
+    fn bytewise<T>(
+        &mut self,
+        read: fn(&mut BitReader<'a>) -> Result<T, ReadBitsError>,
+    ) -> Result<T, ReadBitsError> {
+        let (out, pos) = read_at(self.data, self.position(), read);
+        *self = Self::at(self.data, pos);
+        out
+    }
+
+    /// Reads a single bit.
+    ///
+    /// # Errors
+    ///
+    /// As [`BitReader::read_bit`].
+    #[inline(always)]
+    pub(crate) fn read_bit(&mut self) -> Result<bool, ReadBitsError> {
+        self.top_up();
+        if self.valid == 0 {
+            return self.bytewise(BitReader::read_bit);
+        }
+        let bit = self.bits >> 63 == 1;
+        self.consume(1);
+        Ok(bit)
+    }
+
+    /// Reads an unsigned Exp-Golomb code.
+    ///
+    /// # Errors
+    ///
+    /// As [`BitReader::read_ue`].
+    #[inline(always)]
+    pub(crate) fn read_ue(&mut self) -> Result<u64, ReadBitsError> {
+        self.top_up();
+        match ue_in_window(self.bits, self.valid) {
+            Some((value, len)) => {
+                self.consume(len);
+                Ok(value)
+            }
+            None => self.bytewise(BitReader::read_ue),
+        }
+    }
+
+    /// Reads a signed Exp-Golomb code.
+    ///
+    /// # Errors
+    ///
+    /// As [`BitReader::read_se`].
+    #[inline(always)]
+    pub(crate) fn read_se(&mut self) -> Result<i64, ReadBitsError> {
+        self.read_ue().map(se_from_ue)
+    }
+}
+
+/// Runs `read` on a [`BitReader`] at bit `pos` of `data`, returning its
+/// result and the position it left — also after an error.
+#[cold]
+#[inline(never)]
+fn read_at<'a, T>(
+    data: &'a [u8],
+    pos: usize,
+    read: fn(&mut BitReader<'a>) -> Result<T, ReadBitsError>,
+) -> (Result<T, ReadBitsError>, usize) {
+    let mut r = BitReader { data, pos };
+    let out = read(&mut r);
+    (out, r.pos)
 }
 
 #[cfg(test)]

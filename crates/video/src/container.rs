@@ -14,10 +14,17 @@ use crate::frame::{Frame, Resolution};
 /// Magic bytes identifying the container format.
 pub const MAGIC: &[u8; 4] = b"SEV1";
 
+/// Largest frame side, in pixels, a parsed container may declare — DCI 4K
+/// width, above every dataset resolution. A decoder allocates its frames
+/// from the header, so a hostile header must not size them.
+pub const MAX_SIDE: u32 = 4096;
+
 /// Errors from parsing a serialized container.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ContainerError {
-    /// Input does not start with [`MAGIC`] or is too short for the header.
+    /// Input does not start with [`MAGIC`], is too short for the header, or
+    /// declares a resolution (zero, odd or above [`MAX_SIDE`]), frame rate
+    /// or quality (outside `1..=100`) no decoder accepts.
     BadHeader,
     /// The frame table or payload region is truncated.
     Truncated,
@@ -220,7 +227,8 @@ impl EncodedVideo {
     ///
     /// # Errors
     ///
-    /// Returns [`ContainerError`] on bad magic or truncation.
+    /// Returns [`ContainerError`] on bad magic, a header no decoder accepts
+    /// or truncation.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, ContainerError> {
         let index = VideoIndex::parse(bytes)?;
         let mut frames = Vec::with_capacity(index.entries.len());
@@ -265,7 +273,8 @@ impl VideoIndex {
     ///
     /// # Errors
     ///
-    /// Returns [`ContainerError`] on bad magic or truncated table.
+    /// Returns [`ContainerError`] on bad magic, a header no decoder accepts
+    /// or a truncated table.
     pub fn parse(bytes: &[u8]) -> Result<Self, ContainerError> {
         if bytes.len() < 21 || &bytes[..4] != MAGIC {
             return Err(ContainerError::BadHeader);
@@ -282,7 +291,8 @@ impl VideoIndex {
         if bytes.len() < table_start + table_len {
             return Err(ContainerError::Truncated);
         }
-        if width == 0 || height == 0 || width % 2 != 0 || height % 2 != 0 || fps == 0 {
+        let side_ok = |side: u32| (2..=MAX_SIDE).contains(&side) && side.is_multiple_of(2);
+        if !side_ok(width) || !side_ok(height) || fps == 0 || !(1..=100).contains(&quality) {
             return Err(ContainerError::BadHeader);
         }
         let mut entries = Vec::with_capacity(count);
@@ -417,6 +427,55 @@ mod tests {
             VideoIndex::parse(b"NOPE....................").unwrap_err(),
             ContainerError::BadHeader
         );
+    }
+
+    /// `bytes` with the header field at `offset` overwritten.
+    fn patched(bytes: &[u8], offset: usize, field: &[u8]) -> Vec<u8> {
+        let mut out = bytes.to_vec();
+        out[offset..offset + field.len()].copy_from_slice(field);
+        out
+    }
+
+    #[test]
+    fn parse_rejects_quality_outside_the_quantizer_range() {
+        let bytes = sample_video().to_bytes();
+        for quality in [0u8, 101, 255] {
+            let hostile = patched(&bytes, 16, &[quality]);
+            assert_eq!(
+                EncodedVideo::from_bytes(&hostile).unwrap_err(),
+                ContainerError::BadHeader,
+                "quality {quality}"
+            );
+        }
+        for quality in [1u8, 100] {
+            let edge = patched(&bytes, 16, &[quality]);
+            assert_eq!(VideoIndex::parse(&edge).expect("in range").quality, quality);
+        }
+    }
+
+    #[test]
+    fn parse_rejects_sides_above_the_cap() {
+        let bytes = sample_video().to_bytes();
+        for (offset, side) in [
+            (4, MAX_SIDE + 2),
+            (8, MAX_SIDE + 2),
+            (4, 60_000),
+            (8, u32::MAX - 1),
+        ] {
+            let hostile = patched(&bytes, offset, &side.to_le_bytes());
+            assert_eq!(
+                VideoIndex::parse(&hostile).unwrap_err(),
+                ContainerError::BadHeader,
+                "side {side} at {offset}"
+            );
+        }
+        let cap = patched(
+            &patched(&bytes, 4, &MAX_SIDE.to_le_bytes()),
+            8,
+            &MAX_SIDE.to_le_bytes(),
+        );
+        let index = VideoIndex::parse(&cap).expect("the cap itself is accepted");
+        assert_eq!(index.resolution, Resolution::new(MAX_SIDE, MAX_SIDE));
     }
 
     #[test]

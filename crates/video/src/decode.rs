@@ -10,10 +10,16 @@
 //! * [`Decoder::decode_iframe`] — decodes a single I-frame with no reference
 //!   state, the way a JPEG still is decoded. This is all the I-frame seeker
 //!   ever pays for.
+//!
+//! Both read a payload through one bit cursor from its first bit to its
+//! last — macroblock flags, motion vectors, block flags and coefficients
+//! alike — and the coefficient parse writes each level already dequantized
+//! into the block the inverse transform reads. Inter blocks inside the
+//! picture are reconstructed straight from the reference plane's rows.
 
-use crate::bitio::{BitReader, ReadBitsError};
+use crate::bitio::{BitCursor, ReadBitsError};
 use crate::dct;
-use crate::encode::{predict_block8, EncodedFrame, FrameType};
+use crate::encode::{EncodedFrame, FrameType};
 use crate::entropy;
 use crate::frame::{Frame, Plane, Resolution};
 use crate::motion::{MotionVector, MB};
@@ -58,8 +64,8 @@ impl From<ReadBitsError> for DecodeError {
 /// The decoder owns two frame buffers (the reference and a work frame) and
 /// swaps them after each frame, so the steady-state batch path
 /// ([`Decoder::decode_next`], [`Decoder::decode_batch`]) performs no heap
-/// allocation.
-#[derive(Debug)]
+/// allocation. A clone is a decoder at the same point of the same stream.
+#[derive(Debug, Clone)]
 pub struct Decoder {
     resolution: Resolution,
     quality: u8,
@@ -161,8 +167,8 @@ impl Decoder {
             Ok(()) => {
                 // The old reference (or the spare parked by `reset` at a
                 // seek boundary) becomes the next work buffer.
-                self.work = self.reference.replace(frame).or_else(|| self.spare.take());
-                Ok(self.reference.as_ref().expect("reference just set"))
+                self.work = self.reference.take().or_else(|| self.spare.take());
+                Ok(self.reference.insert(frame))
             }
         }
     }
@@ -229,59 +235,66 @@ fn decode_i_into(
     data: &[u8],
     frame: &mut Frame,
 ) -> Result<(), DecodeError> {
-    let mut r = BitReader::new(data);
-    decode_plane_intra(&mut r, luma_q, frame.y_mut())?;
-    decode_plane_intra(&mut r, chroma_q, frame.u_mut())?;
-    decode_plane_intra(&mut r, chroma_q, frame.v_mut())?;
+    let mut c = BitCursor::new(data);
+    let mut s = BlockScratch::new();
+    decode_plane_intra(&mut c, &mut s, luma_q, frame.y_mut())?;
+    decode_plane_intra(&mut c, &mut s, chroma_q, frame.u_mut())?;
+    decode_plane_intra(&mut c, &mut s, chroma_q, frame.v_mut())?;
     Ok(())
 }
 
-/// Per-frame scratch of the block pipeline: parsed levels, dequantized
-/// coefficients and the inverse transform's output. One set lives on the
-/// frame decoder's stack and is lent to every block.
+/// Per-frame scratch of the block pipeline: the dequantized coefficients
+/// the parse writes and the inverse transform's output. One set lives on
+/// the frame decoder's stack and is lent to every block.
 struct BlockScratch {
-    levels: [i32; 64],
-    deq: [f32; 64],
+    coef: [f32; 64],
     resid: [i32; 64],
 }
 
 impl BlockScratch {
     fn new() -> Self {
         Self {
-            levels: [0; 64],
-            deq: [0.0; 64],
+            coef: [0.0; 64],
             resid: [0; 64],
         }
     }
 
-    /// Dequantizes and inverse-transforms `levels` into `resid`.
-    fn inverse(&mut self, q: &QuantTable) {
-        q.dequantize(&self.levels, &mut self.deq);
-        dct::inverse(&self.deq, &mut self.resid);
+    /// Parses one block into `coef`, dequantized as it is read:
+    /// `level as f32 * steps[zz]` is the product
+    /// [`QuantTable::dequantize`] computes, and an uncoded coefficient is
+    /// the `0.0` it computes for a zero level.
+    fn parse(&mut self, c: &mut BitCursor<'_>, steps: &[f32; 64]) -> Result<(), ReadBitsError> {
+        self.coef.fill(0.0);
+        entropy::decode_coefficients(c, |zz, level| self.coef[zz] = level as f32 * steps[zz])
     }
 }
 
 fn decode_plane_intra(
-    r: &mut BitReader<'_>,
+    c: &mut BitCursor<'_>,
+    s: &mut BlockScratch,
     q: &QuantTable,
     plane: &mut Plane,
 ) -> Result<(), DecodeError> {
     let bcols = plane.width().div_ceil(8);
     let brows = plane.height().div_ceil(8);
-    let mut s = BlockScratch::new();
+    // The DC is delta-coded, so the parse leaves it undequantized (a unit
+    // step makes the coefficient the level itself, exactly) until the
+    // running sum resolves it.
+    let mut steps = *q.steps_f32();
+    let dc_step = std::mem::replace(&mut steps[0], 1.0);
     let mut prev_dc = 0i32;
     for by in 0..brows {
         for bx in 0..bcols {
-            entropy::decode_block(r, &mut s.levels)?;
-            // The DC is delta-coded: bound the running sum like any level,
-            // so a hostile stream cannot walk it out of range.
-            let dc = s.levels[0] + prev_dc;
+            s.parse(c, &steps)?;
+            // Bound the running sum like any level, so a hostile stream
+            // cannot walk it out of range.
+            let dc = s.coef[0] as i32 + prev_dc;
             if dc.abs() > entropy::MAX_LEVEL {
                 return Err(DecodeError::Bitstream);
             }
-            s.levels[0] = dc;
             prev_dc = dc;
-            s.inverse(q);
+            s.coef[0] = dc as f32 * dc_step;
+            dct::inverse(&s.coef, &mut s.resid);
             // Intra blocks predict flat mid-grey: the level shift.
             plane.recon_block8(bx, by, &[128; 64], &s.resid);
         }
@@ -299,7 +312,7 @@ fn decode_p_into(
     data: &[u8],
     frame: &mut Frame,
 ) -> Result<(), DecodeError> {
-    let mut r = BitReader::new(data);
+    let mut c = BitCursor::new(data);
     let mut s = BlockScratch::new();
     let resolution = frame.resolution();
     let mb_cols = resolution.mb_cols();
@@ -308,21 +321,21 @@ fn decode_p_into(
         for mx in 0..mb_cols {
             let x = mx * MB;
             let y = my * MB;
-            let coded = r.read_bit()?;
+            let coded = c.read_bit()?;
             if !coded {
                 // SKIP macroblock: copy co-located.
                 copy_mb_zero(reference, frame, x, y);
                 continue;
             }
             let mv = MotionVector {
-                dx: read_mv_component(&mut r)?,
-                dy: read_mv_component(&mut r)?,
+                dx: read_mv_component(&mut c)?,
+                dy: read_mv_component(&mut c)?,
             };
             // Luma 2x2 blocks.
             for by in 0..2 {
                 for bx in 0..2 {
                     decode_inter_block(
-                        &mut r,
+                        &mut c,
                         &mut s,
                         luma_q,
                         reference.y(),
@@ -338,7 +351,7 @@ fn decode_p_into(
                 dy: mv.dy / 2,
             };
             decode_inter_block(
-                &mut r,
+                &mut c,
                 &mut s,
                 chroma_q,
                 reference.u(),
@@ -348,7 +361,7 @@ fn decode_p_into(
                 cmv,
             )?;
             decode_inter_block(
-                &mut r,
+                &mut c,
                 &mut s,
                 chroma_q,
                 reference.v(),
@@ -375,13 +388,13 @@ fn copy_mb_zero(reference: &Frame, frame: &mut Frame, x: usize, y: usize) {
 
 /// Reads one motion-vector component, rejecting values a [`MotionVector`]
 /// cannot hold instead of truncating them.
-fn read_mv_component(r: &mut BitReader<'_>) -> Result<i16, DecodeError> {
-    i16::try_from(r.read_se()?).map_err(|_| DecodeError::Bitstream)
+fn read_mv_component(c: &mut BitCursor<'_>) -> Result<i16, DecodeError> {
+    i16::try_from(c.read_se()?).map_err(|_| DecodeError::Bitstream)
 }
 
 #[allow(clippy::too_many_arguments)]
 fn decode_inter_block(
-    r: &mut BitReader<'_>,
+    c: &mut BitCursor<'_>,
     s: &mut BlockScratch,
     q: &QuantTable,
     reference: &Plane,
@@ -391,15 +404,14 @@ fn decode_inter_block(
     mv: MotionVector,
 ) -> Result<(), DecodeError> {
     let (mvx, mvy) = (mv.dx as i64, mv.dy as i64);
-    if !r.read_bit()? {
+    if !c.read_bit()? {
         // No residual: the block is its motion-compensated prediction.
         out.copy_block_from(reference, bx * 8, by * 8, 8, mvx, mvy);
         return Ok(());
     }
-    entropy::decode_block(r, &mut s.levels)?;
-    s.inverse(q);
-    let pred = predict_block8(reference, bx, by, mv);
-    out.recon_block8(bx, by, &pred, &s.resid);
+    s.parse(c, q.steps_f32())?;
+    dct::inverse(&s.coef, &mut s.resid);
+    out.recon_block8_from(reference, bx, by, mvx, mvy, &s.resid);
     Ok(())
 }
 

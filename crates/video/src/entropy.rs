@@ -6,7 +6,7 @@
 //! costs real per-coefficient work, which is exactly the cost the SiEVE
 //! I-frame seeker avoids for P-frames.
 
-use crate::bitio::{se_from_ue, ue_in_window, BitReader, BitWriter, ReadBitsError, WINDOW_BITS};
+use crate::bitio::{se_from_ue, ue_in_window, BitCursor, BitReader, BitWriter, ReadBitsError};
 use crate::dct::BLOCK_LEN;
 
 /// Zigzag scan order for an 8x8 block (JPEG / MPEG order).
@@ -49,50 +49,125 @@ pub fn encode_block(levels: &[i32; BLOCK_LEN], w: &mut BitWriter) {
 /// the parse can overflow on a hostile stream.
 pub const MAX_LEVEL: i32 = 1 << 15;
 
-/// The stream bits [`decode_block`] has loaded but not yet parsed: `valid`
-/// of them at the top of `bits`, zero below, starting at the reader's
-/// position. One [`BitReader::window`] load serves several (run, level)
-/// pairs — a pair is a few bits on real streams — and the parse chain runs
-/// register to register between loads.
-struct Lookahead {
-    bits: u64,
-    valid: u32,
+/// Window bits one [`PAIRS`] lookup decodes.
+const PAIR_BITS: u32 = 12;
+
+/// The (run, level) pairs at the top of every [`PAIR_BITS`]-bit window:
+/// the first pair if both its Exp-Golomb codes fit in the index, and the
+/// pair after it if that one fits behind it. Packed into a `u32`:
+///
+/// * bits 0..6: the bits the entry decodes (both pairs, else the first
+///   alone); 0 if no whole pair fits;
+/// * bits 10..16: the first run;
+/// * bits 16..22: the first level, two's complement;
+/// * bits 22..27: the zigzag distance from the first coefficient to the
+///   second, `run + 1`; 0 if there is no second pair;
+/// * bits 27..32: the second level, two's complement.
+///
+/// A run code leaves at most 11 bits for its level, so |level| <= 31; a
+/// second pair shares the 12 bits with a first one, so its run is at most
+/// 30 and |level| at most 15. Longer pairs and the EOB (a 13-bit code) take
+/// the two-code path. On real streams a pair is 4 to 8 bits, so one lookup
+/// decodes one or two coefficients where the two-code path decodes half of
+/// one.
+static PAIRS: [u32; 1 << PAIR_BITS] = pair_table();
+
+/// The first (run, level) pair of `window`'s top `valid` bits and the bits
+/// it takes, if both its codes end inside them.
+const fn pair_in_window(window: u64, valid: u32) -> Option<(u64, i64, u32)> {
+    let Some((run, run_len)) = ue_in_window(window, valid) else {
+        return None;
+    };
+    match ue_in_window(window << run_len, valid - run_len) {
+        Some((level, level_len)) => Some((run, se_from_ue(level), run_len + level_len)),
+        None => None,
+    }
 }
 
-impl Lookahead {
-    /// Reads one Exp-Golomb code: from the loaded bits, else from a fresh
-    /// window, else (the last 8 bytes of the stream, a code longer than a
-    /// window) through the reader's own call, which is where truncated and
-    /// overlong codes are diagnosed. The reader's position tracks every
-    /// code, so that call sees exactly the stream a plain `read_ue` loop
-    /// would.
-    #[inline(always)]
-    fn read_ue(&mut self, r: &mut BitReader<'_>) -> Result<u64, ReadBitsError> {
-        let mut code = ue_in_window(self.bits, self.valid);
-        if code.is_none() {
-            (self.bits, self.valid) = match r.window() {
-                Some(fresh) => (fresh, WINDOW_BITS),
-                None => (0, 0),
+const fn pair_table() -> [u32; 1 << PAIR_BITS] {
+    let mut table = [0u32; 1 << PAIR_BITS];
+    let mut index = 0;
+    while index < table.len() {
+        let window = (index as u64) << (64 - PAIR_BITS);
+        if let Some((run, level, len)) = pair_in_window(window, PAIR_BITS) {
+            let first = (run as u32) << 10 | (level as u32 & 0x3f) << 16;
+            table[index] = match pair_in_window(window << len, PAIR_BITS - len) {
+                Some((run2, level2, len2)) => {
+                    first | (len + len2) | (run2 as u32 + 1) << 22 | (level2 as u32 & 0x1f) << 27
+                }
+                None => first | len,
             };
-            code = ue_in_window(self.bits, self.valid);
         }
-        match code {
-            Some((value, len)) => {
-                r.skip(len);
-                self.bits <<= len;
-                self.valid -= len;
-                Ok(value)
+        index += 1;
+    }
+    table
+}
+
+/// Parses one block written by [`encode_block`] from `c`, handing each
+/// coded coefficient to `put` as `(raster index, level)`. Indices ascend in
+/// zigzag order and none repeats, except that a lookup that decodes one
+/// pair may first hand over a stand-in for its index, then the level. The
+/// caller clears the coefficients no call reaches.
+///
+/// # Errors
+///
+/// Returns [`ReadBitsError`] if the bitstream is truncated or malformed, or
+/// a level exceeds [`MAX_LEVEL`] in magnitude.
+#[inline]
+pub(crate) fn decode_coefficients(
+    c: &mut BitCursor<'_>,
+    mut put: impl FnMut(usize, i32),
+) -> Result<(), ReadBitsError> {
+    let mut pos = 0usize;
+    loop {
+        c.top_up();
+        let entry = PAIRS[c.peek(PAIR_BITS)];
+        // A 64-bit shift takes its count modulo 64, so with bits 6..10
+        // clear this mask is free on the way to `consume`'s shift.
+        let len = entry & 0x3f;
+        let first = pos + (entry >> 10 & 0x3f) as usize;
+        let second = first + (entry >> 22 & 0x1f) as usize;
+        // `len - 1 < valid`: the entry holds a pair (len > 0) and all of
+        // it is inside the window. A run past the block's end is an error,
+        // diagnosed by the two-code path after the run code only.
+        if len.wrapping_sub(1) < c.valid() && second < BLOCK_LEN {
+            c.consume(len);
+            // Second coefficient first: without a second pair `second` is
+            // `first`, and the first level overwrites the stand-in.
+            put(ZIGZAG[second], entry as i32 >> 27);
+            put(ZIGZAG[first], (entry as i32) << 10 >> 26);
+            pos = second;
+        } else {
+            let run = c.read_ue()?;
+            if run >= BLOCK_LEN as u64 {
+                return Ok(()); // EOB
             }
-            None => {
-                self.valid = 0;
-                r.read_ue()
+            pos += run as usize;
+            if pos >= BLOCK_LEN {
+                // A run that lands past the end without the EOB marker is
+                // malformed input.
+                return Err(ReadBitsError);
             }
+            let level = c.read_se()?;
+            if level.unsigned_abs() > MAX_LEVEL as u64 {
+                return Err(ReadBitsError);
+            }
+            put(ZIGZAG[pos], level as i32);
+        }
+        pos += 1;
+        if pos >= BLOCK_LEN {
+            // Block is full; the EOB marker must follow.
+            return if c.read_ue()? < BLOCK_LEN as u64 {
+                Err(ReadBitsError)
+            } else {
+                Ok(())
+            };
         }
     }
 }
 
 /// Reads one quantized 8x8 block written by [`encode_block`] into `levels`,
-/// overwriting every entry.
+/// overwriting every entry, and leaves `r` just past it.
 ///
 /// # Errors
 ///
@@ -103,34 +178,10 @@ pub fn decode_block(
     levels: &mut [i32; BLOCK_LEN],
 ) -> Result<(), ReadBitsError> {
     levels.fill(0);
-    let mut ahead = Lookahead { bits: 0, valid: 0 };
-    let mut pos = 0usize;
-    loop {
-        let run = ahead.read_ue(r)?;
-        if run >= BLOCK_LEN as u64 {
-            return Ok(()); // EOB
-        }
-        pos += run as usize;
-        if pos >= BLOCK_LEN {
-            // A run that lands past the end without the EOB marker is
-            // malformed input.
-            return Err(ReadBitsError);
-        }
-        let level = se_from_ue(ahead.read_ue(r)?);
-        if level.unsigned_abs() > MAX_LEVEL as u64 {
-            return Err(ReadBitsError);
-        }
-        levels[ZIGZAG[pos]] = level as i32;
-        pos += 1;
-        if pos >= BLOCK_LEN {
-            // Block is full; the EOB marker must follow.
-            return if ahead.read_ue(r)? < BLOCK_LEN as u64 {
-                Err(ReadBitsError)
-            } else {
-                Ok(())
-            };
-        }
-    }
+    let mut c = BitCursor::from_reader(r);
+    let out = decode_coefficients(&mut c, |zz, level| levels[zz] = level);
+    c.sync(r);
+    out
 }
 
 #[cfg(test)]
@@ -228,5 +279,46 @@ mod tests {
         let bytes = w.finish();
         let mut r = BitReader::new(&bytes[..bytes.len() - 1]);
         assert!(decode_block(&mut r, &mut [0; BLOCK_LEN]).is_err());
+    }
+
+    /// The next (run, level) pair through the reader's own two-code reads,
+    /// if both codes end within the first `PAIR_BITS` bits.
+    fn pair_by_codes(r: &mut BitReader<'_>) -> Option<(u32, i32)> {
+        let run = r.read_ue().ok()?;
+        let level = r.read_se().ok()?;
+        (r.bits_read() <= PAIR_BITS as usize).then_some((run as u32, level as i32))
+    }
+
+    /// Every one of the 4096 indices against the two-code decode of the
+    /// same bits: the pairs, their lengths and the clear bits 6..10.
+    #[test]
+    fn pair_table_matches_the_two_code_decode_at_every_index() {
+        let mut pairs = [0usize; 3];
+        for (index, &entry) in PAIRS.iter().enumerate() {
+            // The index's 12 bits, zero padding behind them.
+            let bytes = [(index >> 4) as u8, (index << 4) as u8];
+            let mut r = BitReader::new(&bytes);
+            let want = pair_by_codes(&mut r).map(|first| {
+                let len = r.bits_read() as u32;
+                match pair_by_codes(&mut r) {
+                    Some(second) => (first, Some(second), r.bits_read() as u32),
+                    None => (first, None, len),
+                }
+            });
+            let got = (entry & 0x3f != 0).then(|| {
+                let first = (entry >> 10 & 0x3f, (entry as i32) << 10 >> 26);
+                let gap = entry >> 22 & 0x1f;
+                let second = gap.checked_sub(1).map(|run| (run, entry as i32 >> 27));
+                (first, second, entry & 0x3f)
+            });
+            assert_eq!(got, want, "index {index:#05x}, entry {entry:#010x}");
+            assert_eq!(entry & 0x3c0, 0, "index {index:#05x}: bits 6..10 set");
+            if got.is_none() {
+                assert_eq!(entry, 0, "index {index:#05x}: fields without a pair");
+            }
+            pairs[got.map_or(0, |(_, second, _)| 1 + second.is_some() as usize)] += 1;
+        }
+        // Every kind of entry occurs: none, one pair, two pairs.
+        assert!(pairs.iter().all(|&n| n > 0), "{pairs:?}");
     }
 }

@@ -234,13 +234,13 @@ impl Plane {
         let y0 = by * 8;
         if x0 + 8 <= self.width && y0 + 8 <= self.height {
             let dst = &mut self.data[y0 * self.width + x0..];
-            kernels::recon8x8(dst, self.width, pred, resid);
+            kernels::recon8x8(dst, self.width, pred, 8, resid);
             return;
         }
         // The block overhangs the plane: reconstruct all of it aside, keep
         // the part inside.
         let mut block = [0u8; 64];
-        kernels::recon8x8(&mut block, 8, pred, resid);
+        kernels::recon8x8(&mut block, 8, pred, 8, resid);
         let cols = self.width.saturating_sub(x0).min(8);
         let rows = self.height.saturating_sub(y0).min(8);
         if cols == 0 {
@@ -249,6 +249,39 @@ impl Plane {
         for (dy, row) in block.chunks_exact(8).take(rows).enumerate() {
             self.data[(y0 + dy) * self.width + x0..][..cols].copy_from_slice(&row[..cols]);
         }
+    }
+
+    /// [`Plane::recon_block8`] with the motion-compensated prediction: the
+    /// 8x8 block of `reference` at `(bx*8, by*8)` displaced by `(mvx, mvy)`,
+    /// edge-clamped like [`Plane::fill_block_clamped`]. When the block lies
+    /// inside both planes the kernel reads the reference rows in place;
+    /// otherwise the prediction is materialized first.
+    pub(crate) fn recon_block8_from(
+        &mut self,
+        reference: &Plane,
+        bx: usize,
+        by: usize,
+        mvx: i64,
+        mvy: i64,
+        resid: &[i32; 64],
+    ) {
+        let (x0, y0) = (bx * 8, by * 8);
+        let (sx, sy) = (x0 as i64 + mvx, y0 as i64 + mvy);
+        if x0 + 8 <= self.width
+            && y0 + 8 <= self.height
+            && sx >= 0
+            && sy >= 0
+            && sx as usize + 8 <= reference.width
+            && sy as usize + 8 <= reference.height
+        {
+            let pred = &reference.data[sy as usize * reference.width + sx as usize..];
+            let dst = &mut self.data[y0 * self.width + x0..];
+            kernels::recon8x8(dst, self.width, pred, reference.width, resid);
+            return;
+        }
+        let mut pred = [0u8; 64];
+        reference.fill_block_clamped(sx, sy, 8, &mut pred);
+        self.recon_block8(bx, by, &pred, resid);
     }
 
     /// Copies a `size`x`size` block from `src` displaced by `(mvx, mvy)` into

@@ -239,30 +239,37 @@ pub fn dequantize64(levels: &[i32; 64], steps: &[f32; 64], out: &mut [f32; 64]) 
     }
 }
 
-/// Reconstructs one 8x8 block: `dst[r * stride + c] = pred[r * 8 + c] +
-/// resid[r * 8 + c]`, saturated to `0..=255`. The residual is saturated to
-/// `i16` first (`packssdw`), which cannot change a sum that is about to be
-/// clamped to a byte, so the result is exact for every `i32` residual and
-/// no intermediate can overflow. Eight samples are one 128-bit vector of
-/// `i16`, so the AVX2 level runs the SSE2 code.
+fn assert_block8(data: &[u8], stride: usize, what: &str) {
+    assert!(stride >= 8, "{what}: stride {stride} below block width");
+    assert!(
+        data.len() >= 7 * stride + 8,
+        "{what}: slice too short for an 8x8 block at stride {stride}"
+    );
+}
+
+/// Reconstructs one 8x8 block: `dst[r * stride + c] = pred[r * pred_stride
+/// + c] + resid[r * 8 + c]`, saturated to `0..=255`. `pred` may be a packed
+/// 8x8 block (`pred_stride` 8) or the reference plane's own rows. The
+/// residual is saturated to `i16` first (`packssdw`), which cannot change a
+/// sum that is about to be clamped to a byte, so the result is exact for
+/// every `i32` residual and no intermediate can overflow. Eight samples are
+/// one 128-bit vector of `i16`, so the AVX2 level runs the SSE2 code.
 ///
 /// # Panics
 ///
-/// Panics if `dst` cannot hold eight rows of eight samples at `stride`.
-pub fn recon8x8(dst: &mut [u8], stride: usize, pred: &[u8; 64], resid: &[i32; 64]) {
-    assert!(stride >= 8, "recon8x8: stride {stride} below block width");
-    assert!(
-        dst.len() >= 7 * stride + 8,
-        "recon8x8: slice too short for an 8x8 block at stride {stride}"
-    );
+/// Panics if `dst` or `pred` cannot hold eight rows of eight samples at its
+/// stride.
+pub fn recon8x8(dst: &mut [u8], stride: usize, pred: &[u8], pred_stride: usize, resid: &[i32; 64]) {
+    assert_block8(dst, stride, "recon8x8 dst");
+    assert_block8(pred, pred_stride, "recon8x8 pred");
     match active_level() {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: SSE2 is the x86-64 baseline, and the asserts above are the
-        // bounds `recon8x8_sse2` requires of `dst`.
+        // bounds `recon8x8_sse2` requires of `dst` and `pred`.
         KernelLevel::Avx2 | KernelLevel::Sse2 => unsafe {
-            x86::recon8x8_sse2(dst, stride, pred, resid)
+            x86::recon8x8_sse2(dst, stride, pred, pred_stride, resid)
         },
-        _ => scalar::recon8x8(dst, stride, pred, resid),
+        _ => scalar::recon8x8(dst, stride, pred, pred_stride, resid),
     }
 }
 
@@ -495,8 +502,15 @@ pub mod scalar {
 
     /// Scalar [`super::recon8x8`]: the same saturate-then-add as the SIMD
     /// tier, one sample at a time.
-    pub fn recon8x8(dst: &mut [u8], stride: usize, pred: &[u8; 64], resid: &[i32; 64]) {
-        for (y, (p, r)) in pred.chunks_exact(8).zip(resid.chunks_exact(8)).enumerate() {
+    pub fn recon8x8(
+        dst: &mut [u8],
+        stride: usize,
+        pred: &[u8],
+        pred_stride: usize,
+        resid: &[i32; 64],
+    ) {
+        for (y, r) in resid.chunks_exact(8).enumerate() {
+            let p = &pred[y * pred_stride..][..8];
             let row = &mut dst[y * stride..][..8];
             for ((d, &p), &r) in row.iter_mut().zip(p).zip(r) {
                 let r = r.clamp(i16::MIN as i32, i16::MAX as i32);
@@ -719,18 +733,26 @@ mod x86 {
     }
 
     /// # Safety
-    /// Caller asserts `dst` holds eight rows of eight samples at `stride`.
-    pub unsafe fn recon8x8_sse2(dst: &mut [u8], stride: usize, pred: &[u8; 64], resid: &[i32; 64]) {
-        // SAFETY: every row reads 8 i32 of `resid` and 8 bytes of `pred`
-        // (both 64 long) and stores 8 bytes at `dst[y * stride..]`, inside
-        // the `7 * stride + 8` bytes the caller asserted.
+    /// Caller asserts `dst` and `pred` hold eight rows of eight samples at
+    /// `stride` and `pred_stride`.
+    pub unsafe fn recon8x8_sse2(
+        dst: &mut [u8],
+        stride: usize,
+        pred: &[u8],
+        pred_stride: usize,
+        resid: &[i32; 64],
+    ) {
+        // SAFETY: every row reads 8 i32 of `resid` (64 long), 8 bytes at
+        // `pred[y * pred_stride..]` and stores 8 bytes at
+        // `dst[y * stride..]`, inside the `7 * stride + 8` bytes the caller
+        // asserted of each slice.
         unsafe {
             let zero = _mm_setzero_si128();
             for y in 0..8 {
                 let lo = _mm_loadu_si128(resid.as_ptr().add(y * 8) as *const __m128i);
                 let hi = _mm_loadu_si128(resid.as_ptr().add(y * 8 + 4) as *const __m128i);
                 let r = _mm_packs_epi32(lo, hi);
-                let p = _mm_loadl_epi64(pred.as_ptr().add(y * 8) as *const __m128i);
+                let p = _mm_loadl_epi64(pred.as_ptr().add(y * pred_stride) as *const __m128i);
                 let sum = _mm_adds_epi16(_mm_unpacklo_epi8(p, zero), r);
                 let out = _mm_packus_epi16(sum, sum);
                 _mm_storel_epi64(dst.as_mut_ptr().add(y * stride) as *mut __m128i, out);
@@ -999,11 +1021,16 @@ mod tests {
         ];
         let resid: [i32; 64] =
             std::array::from_fn(|i| extremes[i % extremes.len()] / (1 + i as i32 / 22));
-        for stride in [8usize, 11, 32] {
+        for (stride, pred_stride) in [(8usize, 8usize), (11, 13), (32, 8), (8, 40)] {
+            // The prediction's rows inside a wider plane of other samples.
+            let mut rows = vec![3u8; 7 * pred_stride + 8];
+            for i in 0..64 {
+                rows[i / 8 * pred_stride + i % 8] = pred[i];
+            }
             let mut d = vec![7u8; 7 * stride + 8];
             let mut s = d.clone();
-            recon8x8(&mut d, stride, &pred, &resid);
-            scalar::recon8x8(&mut s, stride, &pred, &resid);
+            recon8x8(&mut d, stride, &rows, pred_stride, &resid);
+            scalar::recon8x8(&mut s, stride, &rows, pred_stride, &resid);
             assert_eq!(d, s, "stride {stride}");
             for i in 0..64 {
                 let want = (pred[i] as i64 + resid[i] as i64).clamp(0, 255) as u8;

@@ -90,6 +90,12 @@ impl QuantTable {
         self.steps[i]
     }
 
+    /// The steps as `f32`, row-major — the factors the decoder's parse
+    /// dequantizes with as it reads each level.
+    pub(crate) fn steps_f32(&self) -> &[f32; BLOCK_LEN] {
+        &self.steps_f32
+    }
+
     /// Quantizes a block of DCT coefficients to integer levels (rounding
     /// ties away from zero, like the rest of the kernel tier).
     pub fn quantize(&self, coeffs: &[f32; BLOCK_LEN], out: &mut [i32; BLOCK_LEN]) {

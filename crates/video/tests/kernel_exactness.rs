@@ -207,8 +207,8 @@ proptest! {
         let background = bytes(7 * stride + 8, seed ^ 0xBAC);
         let mut active = background.clone();
         let mut portable = background.clone();
-        kernels::recon8x8(&mut active, stride, &pred, &resid);
-        scalar::recon8x8(&mut portable, stride, &pred, &resid);
+        kernels::recon8x8(&mut active, stride, &pred, 8, &resid);
+        scalar::recon8x8(&mut portable, stride, &pred, 8, &resid);
         let mut expect = background;
         for i in 0..64 {
             expect[i / 8 * stride + i % 8] = (pred[i] as i64 + resid[i] as i64).clamp(0, 255) as u8;
