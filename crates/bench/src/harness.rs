@@ -18,7 +18,7 @@ use sieve_filters::{Budget, ChangeDetector, MseDetector, MseSelector, SiftDetect
 use sieve_nn::{frame_to_tensor, reference_model};
 use sieve_simnet::{measure, measure_secs, ThreeTier};
 use sieve_video::{
-    BitstreamStats, Decoder, EncodedVideo, EncoderConfig, Frame, Resolution, VideoIndex,
+    BitstreamStats, Decoder, EncodedVideo, EncoderConfig, Frame, RatioTrace, Resolution, VideoIndex,
 };
 
 use crate::paper_artifact::{
@@ -26,14 +26,15 @@ use crate::paper_artifact::{
 };
 
 /// A dataset generated at some scale, with the paper's train/eval split
-/// (first half tunes parameters, second half evaluates). The encodes every
-/// experiment shares are made on first use, once.
+/// (first half tunes parameters, second half evaluates). The ratio trace and
+/// the encodes every experiment shares are made on first use, once.
 #[derive(Debug)]
 pub struct Prepared {
     /// Dataset description.
     pub spec: DatasetSpec,
     /// The generated synthetic feed.
     pub video: SyntheticVideo,
+    trace: OnceCell<RatioTrace>,
     default_eval: OnceCell<EncodedVideo>,
     semantic: OnceCell<EncoderConfig>,
     semantic_eval: OnceCell<EncodedVideo>,
@@ -47,6 +48,7 @@ impl Prepared {
         Self {
             spec,
             video,
+            trace: OnceCell::new(),
             default_eval: OnceCell::new(),
             semantic: OnceCell::new(),
             semantic_eval: OnceCell::new(),
@@ -61,6 +63,15 @@ impl Prepared {
     /// Ground-truth labels of the eval half.
     pub fn eval_labels(&self) -> &[LabelSet] {
         &self.video.labels()[self.split()..]
+    }
+
+    /// The lookahead's ratio trace of the whole feed, at the search range
+    /// of every config the experiments use: it places their I-frames
+    /// without an encode.
+    pub fn trace(&self) -> &RatioTrace {
+        self.trace.get_or_init(|| {
+            RatioTrace::measure(EncoderConfig::default().search_range, self.video.frames())
+        })
     }
 
     /// Encodes the eval half with `config`.
@@ -90,17 +101,14 @@ impl Prepared {
                 return EncoderConfig::new(5 * video.fps() as usize, 0);
             }
             let half = self.split();
-            let render = || (0..half).map(|i| video.frame(i));
-            let labels = &video.labels()[..half];
             // A refinement of the paper's grid around this codec's useful
             // scenecut band.
             let grid = ConfigGrid {
                 gop_sizes: vec![100, 300, 600],
                 scenecuts: vec![40, 100, 150, 200, 250],
             };
-            tune(video.resolution(), video.fps(), &grid, labels, render)
-                .best
-                .config
+            let train = self.trace().slice(0..half);
+            tune(&grid, &video.labels()[..half], &train).best.config
         })
     }
 
@@ -117,10 +125,10 @@ impl Prepared {
 
 /// Runs the Fig 3 sweep on the eval half of `prepared`.
 ///
-/// For each scenecut in `scenecuts`, the eval half is semantically encoded
-/// (GOP fixed at `gop`); the resulting I-frame rate defines the sampling
-/// budget at which the baselines' thresholds are calibrated — the paper's
-/// fair-comparison methodology. The whole sweep routes through
+/// For each scenecut in `scenecuts`, the eval half's semantic I-frames are
+/// placed (GOP fixed at `gop`); the resulting I-frame rate defines the
+/// sampling budget at which the baselines' thresholds are calibrated — the
+/// paper's fair-comparison methodology. The whole sweep routes through
 /// [`FrameSelector::calibrate_fractions`], so each baseline decodes and
 /// scores the default-encoded stream (decode artifacts included, exactly
 /// like NoScope-style filters) *once* across all operating points.
@@ -128,11 +136,14 @@ pub fn accuracy_sweep(prepared: &Prepared, gop: usize, scenecuts: &[u16]) -> Vec
     let labels = prepared.eval_labels();
     let default_video = prepared.default_eval();
 
-    // SiEVE's operating points: one semantic encode per scenecut; the
+    // SiEVE's operating points: one replayed placement per scenecut; the
     // I-frame rates become the baselines' matched sampling targets.
+    let eval = prepared
+        .trace()
+        .slice(prepared.split()..prepared.video.frame_count());
     let sieve_points: Vec<_> = scenecuts
         .iter()
-        .map(|&sc| score_encoding(&prepared.encode_eval(EncoderConfig::new(gop, sc)), labels))
+        .map(|&sc| score_selection(labels, &eval.i_frames(&EncoderConfig::new(gop, sc))))
         .collect();
     let fractions: Vec<f64> = sieve_points
         .iter()
@@ -394,68 +405,40 @@ pub fn end_to_end(workloads: &[VideoWorkload]) -> Vec<BaselineRow> {
 // Ablations beyond the paper's headline experiments.
 // ---------------------------------------------------------------------------
 
-/// Detection quality of the whole of `video` encoded at each of
-/// `settings`.
-fn encoding_sweep(
-    video: &SyntheticVideo,
-    settings: &[usize],
-    config: impl Fn(usize) -> EncoderConfig,
-) -> Vec<EncodingPoint> {
-    settings
-        .iter()
-        .map(|&setting| {
-            let encoded = EncodedVideo::encode(
-                video.resolution(),
-                video.fps(),
-                config(setting),
-                video.frames(),
-            );
-            let quality = score_encoding(&encoded, video.labels()).into();
-            EncodingPoint { setting, quality }
-        })
-        .collect()
-}
-
 /// Ablations 1 and 2 on the whole `coral` feed: a scenecut sweep at fixed
 /// GOP — the sensitivity knob in isolation — and a GOP sweep with scenecut
 /// off — what blind keyframing alone achieves.
 pub fn encoding_ablations(coral: &Prepared) -> [Vec<EncodingPoint>; 2] {
-    let scenecuts = [0, 40, 100, 150, 200, 250, 300, 400];
-    [
-        encoding_sweep(&coral.video, &scenecuts, |sc| {
-            EncoderConfig::new(600, sc as u16)
-        }),
-        encoding_sweep(&coral.video, &[30, 100, 250, 600], |gop| {
-            EncoderConfig::new(gop, 0)
-        }),
-    ]
+    let point = |setting, config| {
+        let selected = coral.trace().i_frames(&config);
+        let quality = score_selection(coral.video.labels(), &selected).into();
+        EncodingPoint { setting, quality }
+    };
+    let scenecut_sweep = [0, 40, 100, 150, 200, 250, 300, 400]
+        .map(|sc| point(sc, EncoderConfig::new(600, sc as u16)));
+    let gop_sweep = [30, 100, 250, 600].map(|gop| point(gop, EncoderConfig::new(gop, 0)));
+    [scenecut_sweep.into(), gop_sweep.into()]
 }
 
 /// Ablation 3: object size vs tuned scenecut — the paper's
 /// per-camera-tuning rationale (smaller objects need more sensitive
 /// thresholds).
 pub fn object_size_ablation(scale: DatasetScale) -> Vec<ObjectSizePoint> {
+    let grid = ConfigGrid {
+        gop_sizes: vec![600],
+        scenecuts: vec![60, 100, 150, 200, 250, 300],
+    };
     [0.15, 0.25, 0.40]
         .iter()
         .map(|&object_scale| {
             let mut spec = DatasetSpec::of(DatasetId::JacksonSquare);
             spec.object_scale = object_scale as f32;
             let video = spec.generate(scale);
-            // The highest-F1 scenecut; the first of a tie.
-            let scenecut = |sc| EncoderConfig::new(600, sc as u16);
-            let best = encoding_sweep(&video, &[60, 100, 150, 200, 250, 300], scenecut)
-                .into_iter()
-                .reduce(|best, next| {
-                    if next.quality.f1 > best.quality.f1 {
-                        next
-                    } else {
-                        best
-                    }
-                })
-                .expect("non-empty sweep");
+            let trace = RatioTrace::measure(EncoderConfig::default().search_range, video.frames());
+            let best = tune(&grid, video.labels(), &trace).best;
             ObjectSizePoint {
                 object_scale,
-                best_scenecut: best.setting as u16,
+                best_scenecut: best.config.scenecut,
                 f1: best.quality.f1,
             }
         })

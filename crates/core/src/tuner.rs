@@ -1,13 +1,15 @@
 //! Offline tuning of the semantic encoder (the paper's Fig 2 procedure).
 //!
-//! For every `(GOP size, scenecut)` pair in a grid, re-encode the training
-//! video, locate the resulting I-frames, score the placement against the
-//! ground-truth events (accuracy + filtering rate + F1), and keep the
-//! configuration with the highest F1. The tuned parameters go into a
-//! per-camera [`crate::lookup::LookupTable`] for online use.
+//! For every `(GOP size, scenecut)` pair in a grid, place the training
+//! video's I-frames, score the placement against the ground-truth events
+//! (accuracy + filtering rate + F1), and keep the configuration with the
+//! highest F1. The encoder places I-frames from the source alone, so one
+//! lookahead pass over the training video ([`RatioTrace`]) replays every
+//! configuration's placement without an encode. The tuned parameters go
+//! into a per-camera [`crate::lookup::LookupTable`] for online use.
 
 use sieve_datasets::LabelSet;
-use sieve_video::{EncodedVideo, EncoderConfig, Frame, Resolution};
+use sieve_video::{EncodedVideo, EncoderConfig, RatioTrace};
 
 use crate::metrics::{score_selection, DetectionQuality};
 use crate::seeker::IFrameSeeker;
@@ -27,14 +29,6 @@ impl ConfigGrid {
         Self {
             gop_sizes: vec![100, 250, 500, 1000, 5000],
             scenecuts: vec![20, 40, 100, 200, 250],
-        }
-    }
-
-    /// A small grid for quick runs and tests.
-    pub fn small() -> Self {
-        Self {
-            gop_sizes: vec![100, 500],
-            scenecuts: vec![40, 150, 300],
         }
     }
 
@@ -100,35 +94,29 @@ pub fn score_encoding(video: &EncodedVideo, labels: &[LabelSet]) -> DetectionQua
     score_selection(labels, &selected)
 }
 
-/// Runs the Fig 2 procedure: encodes the training frames under every grid
-/// configuration and returns all scores plus the F1-argmax.
+/// Runs the Fig 2 procedure over the training video's ratio `trace`:
+/// replays every grid configuration's I-frame placement, scores it, and
+/// returns all scores plus the F1-argmax.
 ///
-/// `render` is called once per configuration to obtain a fresh frame
-/// iterator (frames are regenerated rather than held in memory — training
-/// videos can be long).
+/// The grid's configurations use the encoder's default search range, so
+/// `trace` must be measured at it (`EncoderConfig::default().search_range`).
 ///
 /// # Panics
 ///
-/// Panics if the grid is empty or `labels` is empty.
-pub fn tune<F, I>(
-    resolution: Resolution,
-    fps: u32,
-    grid: &ConfigGrid,
-    labels: &[LabelSet],
-    mut render: F,
-) -> TuningOutcome
-where
-    F: FnMut() -> I,
-    I: Iterator<Item = Frame>,
-{
+/// Panics if the grid is empty, `labels` is empty or does not cover every
+/// frame of `trace`, or `trace` was measured at another search range.
+pub fn tune(grid: &ConfigGrid, labels: &[LabelSet], trace: &RatioTrace) -> TuningOutcome {
     assert!(!grid.is_empty(), "config grid must be non-empty");
     assert!(!labels.is_empty(), "training labels must be non-empty");
-    let mut explored = Vec::with_capacity(grid.len());
-    for config in grid.configs() {
-        let video = EncodedVideo::encode(resolution, fps, config, render());
-        let quality = score_encoding(&video, labels);
-        explored.push(ConfigScore { config, quality });
-    }
+    assert_eq!(labels.len(), trace.len(), "labels must cover every frame");
+    let explored: Vec<ConfigScore> = grid
+        .configs()
+        .into_iter()
+        .map(|config| ConfigScore {
+            config,
+            quality: score_selection(labels, &trace.i_frames(&config)),
+        })
+        .collect();
     // `>=` keeps the last of tied configs, matching `Iterator::max_by`
     // semantics so tie-breaking is stable across refactors.
     let mut best = explored[0];
@@ -144,6 +132,7 @@ where
 mod tests {
     use super::*;
     use sieve_datasets::{DatasetId, DatasetScale, DatasetSpec};
+    use sieve_video::{Frame, Resolution};
 
     #[test]
     fn grid_combinatorics() {
@@ -161,13 +150,8 @@ mod tests {
             gop_sizes: vec![50, 600],
             scenecuts: vec![0, 200],
         };
-        let outcome = tune(
-            video.resolution(),
-            video.fps(),
-            &grid,
-            video.labels(),
-            || video.frames(),
-        );
+        let trace = RatioTrace::measure(EncoderConfig::default().search_range, video.frames());
+        let outcome = tune(&grid, video.labels(), &trace);
         assert_eq!(outcome.explored.len(), 4);
         let max_f1 = outcome
             .explored

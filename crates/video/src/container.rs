@@ -106,8 +106,7 @@ impl EncodedVideo {
         frames: &[Frame],
         workers: usize,
     ) -> Self {
-        let (frames, _) =
-            crate::parallel::encode_parallel_with_decisions(resolution, config, frames, workers);
+        let frames = crate::parallel::encode(resolution, config, frames, workers);
         let mut video = Self::new(resolution, fps, config.quality);
         video.frames = frames;
         video

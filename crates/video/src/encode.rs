@@ -15,6 +15,8 @@
 //! cost spikes, and the encoder emits an I-frame — which is exactly the
 //! "semantic event" signal the SiEVE I-frame seeker consumes downstream.
 
+use std::borrow::Borrow;
+use std::ops::Range;
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
@@ -22,7 +24,7 @@ use serde::{Deserialize, Serialize};
 use crate::bitio::BitWriter;
 use crate::dct;
 use crate::frame::{Frame, Plane, Resolution};
-use crate::motion::{self, FrameMotion, MotionVector, MB};
+use crate::motion::{self, MotionVector, MB};
 use crate::quant::QuantTable;
 
 /// Kind of an encoded frame.
@@ -150,140 +152,184 @@ impl EncodedFrame {
     }
 }
 
-/// Why a frame got the type it did — kept for diagnostics and for the tuner's
-/// reports.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FrameDecision {
-    /// Type chosen.
-    pub frame_type: FrameType,
-    /// Inter/intra cost ratio observed (0 for the very first frame).
-    pub inter_over_intra: f64,
-    /// True if the I-frame was forced by the GOP limit rather than scenecut.
-    pub forced_by_gop: bool,
-    /// True if the scenecut rule fired.
-    pub scenecut_fired: bool,
-}
-
-/// The scenecut lookahead: decides I vs P from half-resolution *source*
-/// planes. Both the sequential [`Encoder`] and the GOP-parallel first pass
-/// ([`crate::parallel`]) drive this exact type, so their frame-type
-/// decisions cannot diverge — which is what makes the parallel encoder's
-/// bitstream byte-identical.
+/// The lookahead's ratio pass: for each frame in display order, the
+/// inter/intra cost ratio of its half-resolution luma against the previous
+/// frame's, measured at half the encoder's motion search range.
 ///
 /// The lookahead compares source against source, like x264's lowres
 /// lookahead: comparing against the reconstruction instead would make every
 /// large change echo for several frames while the closed loop's quantization
-/// error settles, polluting the scenecut signal.
+/// error settles, polluting the scenecut signal. So the ratio never depends
+/// on how earlier frames were coded, and [`frame_type`] can be replayed over
+/// a stored [`RatioTrace`] without encoding.
 #[derive(Debug)]
-pub struct Lookahead {
-    config: EncoderConfig,
-    /// Half-resolution luma of the previous source frame.
-    ref_half: Option<Plane>,
-    /// Reused buffer the current frame's half plane is computed into.
-    half_scratch: Plane,
-    /// Buffer parked by [`Lookahead::reset`] so a reused lookahead keeps
-    /// both of its half-plane allocations across streams.
-    spare: Option<Plane>,
-    frames_since_i: usize,
+struct Lookahead {
+    search_range: u16,
+    /// Half-resolution luma of the previous source frame, valid when
+    /// `has_prev`.
+    prev: Plane,
+    /// Buffer the current frame's half plane is computed into; swapped with
+    /// `prev` after every frame.
+    cur: Plane,
+    has_prev: bool,
 }
 
 impl Lookahead {
-    pub fn new(config: EncoderConfig) -> Self {
+    fn new(search_range: u16) -> Self {
         Self {
-            config,
-            ref_half: None,
-            half_scratch: Plane::filled(1, 1, 0),
-            spare: None,
-            frames_since_i: 0,
+            search_range,
+            prev: Plane::filled(1, 1, 0),
+            cur: Plane::filled(1, 1, 0),
+            has_prev: false,
         }
     }
 
-    /// Decides the type of the next frame in display order and advances the
-    /// lookahead state. Allocation-free once the two half-plane buffers
-    /// exist.
-    pub fn observe(&mut self, frame: &Frame) -> FrameDecision {
+    /// The ratio of `frame` against the previous frame, or `None` for the
+    /// first frame since construction or [`Lookahead::reset`].
+    /// Allocation-free once both half-plane buffers have their size.
+    fn ratio(&mut self, frame: &Frame) -> Option<f64> {
         let w = (frame.y().width() / 2).max(16);
         let h = (frame.y().height() / 2).max(16);
-        frame.y().resize_box_into(w, h, &mut self.half_scratch);
-        let decision = self.decide(&self.half_scratch);
-        // The current half plane becomes the reference; the old reference
-        // buffer becomes the next frame's scratch.
-        let old = self
-            .ref_half
-            .take()
-            .or_else(|| self.spare.take())
-            .unwrap_or_else(|| Plane::filled(1, 1, 0));
-        self.ref_half = Some(std::mem::replace(&mut self.half_scratch, old));
-        match decision.frame_type {
-            FrameType::I => self.frames_since_i = 0,
-            FrameType::P => self.frames_since_i += 1,
-        }
-        decision
+        frame.y().resize_box_into(w, h, &mut self.cur);
+        let range = (self.search_range / 2).max(4);
+        let ratio = self
+            .has_prev
+            .then(|| motion::analyze_frame(&self.cur, &self.prev, range).inter_over_intra());
+        std::mem::swap(&mut self.prev, &mut self.cur);
+        self.has_prev = true;
+        ratio
     }
 
-    /// Records that the encoder degraded the last observed frame to an
-    /// I-frame (the missing-reference fallback).
-    fn force_i(&mut self) {
-        self.frames_since_i = 0;
-    }
-
-    /// Clears stream state, keeping the allocated half-plane buffers.
+    /// Forgets the previous frame, keeping both buffers.
     fn reset(&mut self) {
-        if let Some(p) = self.ref_half.take() {
-            self.spare = Some(p);
+        self.has_prev = false;
+    }
+}
+
+/// Decides I vs P for a frame from its lookahead `ratio` (`None` when the
+/// frame has no reference) and its distance `dist` from the last I-frame
+/// (the frame right after a keyframe is at distance 1): the GOP limit, then
+/// the scenecut rule. Every I-frame placement in the crate — the streaming
+/// [`Encoder`], [`RatioTrace::i_frames`] and the GOP-parallel plan — is
+/// this function.
+pub fn frame_type(ratio: Option<f64>, dist: usize, config: &EncoderConfig) -> FrameType {
+    let Some(ratio) = ratio else {
+        return FrameType::I;
+    };
+    if dist >= config.gop_size {
+        return FrameType::I;
+    }
+    // The lookahead's intra estimate is raw texture energy; a real encoder
+    // intra-predicts first, so its intra cost is considerably smaller. Scale
+    // ours down to match, which centres useful scenecut values on the same
+    // 20..250 band x264 users tune within.
+    const INTRA_SCALE: f64 = 0.4;
+    let ratio = ratio / INTRA_SCALE;
+    let base_bias = config.scenecut as f64 / SCENECUT_MAX as f64;
+    // Damp scene cuts right after a keyframe, as x264 does with min-keyint:
+    // at distance d < min_keyint the bias shrinks linearly.
+    let damp = (dist as f64 / config.min_keyint as f64).min(1.0);
+    let bias = base_bias * damp;
+    if ratio >= 1.0 - bias {
+        FrameType::I
+    } else {
+        FrameType::P
+    }
+}
+
+/// The lookahead ratio of every frame of a sequence, measured once. Because
+/// the ratio depends only on the source frames and the search range,
+/// replaying [`frame_type`] over it gives the I-frames an encode of the
+/// sequence would place, for any GOP size, scenecut and minimum keyframe
+/// interval, without encoding.
+///
+/// ```
+/// use sieve_video::{EncodedVideo, EncoderConfig, Frame, RatioTrace, Resolution};
+/// let res = Resolution::new(32, 32);
+/// let frames: Vec<Frame> = (0..5).map(|_| Frame::grey(res)).collect();
+/// let config = EncoderConfig::new(2, 0);
+/// let trace = RatioTrace::measure(config.search_range, &frames);
+/// let video = EncodedVideo::encode(res, 30, config, frames);
+/// assert_eq!(trace.i_frames(&config), video.i_frame_indices());
+/// ```
+#[derive(Debug)]
+pub struct RatioTrace {
+    search_range: u16,
+    /// One ratio per frame; `None` exactly for the first.
+    ratios: Vec<Option<f64>>,
+}
+
+impl RatioTrace {
+    /// Runs the ratio pass over `frames` at motion search range
+    /// `search_range`.
+    pub fn measure<F: Borrow<Frame>>(
+        search_range: u16,
+        frames: impl IntoIterator<Item = F>,
+    ) -> Self {
+        let mut lookahead = Lookahead::new(search_range);
+        let ratios = frames
+            .into_iter()
+            .map(|f| lookahead.ratio(f.borrow()))
+            .collect();
+        Self {
+            search_range,
+            ratios,
         }
-        self.frames_since_i = 0;
     }
 
-    /// Decides I vs P for the frame whose half-resolution luma is
-    /// `cur_half`, using the GOP limit and the scenecut rule.
-    fn decide(&self, cur_half: &Plane) -> FrameDecision {
-        let Some(reference) = &self.ref_half else {
-            return FrameDecision {
-                frame_type: FrameType::I,
-                inter_over_intra: 0.0,
-                forced_by_gop: true,
-                scenecut_fired: false,
-            };
-        };
-        // Distance of the candidate frame from the last I-frame: the frame
-        // immediately after a keyframe is at distance 1.
-        let dist = self.frames_since_i + 1;
-        if dist >= self.config.gop_size {
-            // GOP limit: the ratio is still measured for diagnostics.
-            let agg = self.frame_motion(cur_half, reference);
-            return FrameDecision {
-                frame_type: FrameType::I,
-                inter_over_intra: agg.inter_over_intra(),
-                forced_by_gop: true,
-                scenecut_fired: false,
-            };
+    /// Number of frames.
+    pub fn len(&self) -> usize {
+        self.ratios.len()
+    }
+
+    /// True for the trace of an empty sequence.
+    pub fn is_empty(&self) -> bool {
+        self.ratios.is_empty()
+    }
+
+    /// The trace of the frames in `range` alone: the same ratios, except
+    /// that the first frame loses its reference, as in a fresh encode of
+    /// that slice.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range` is out of bounds.
+    pub fn slice(&self, range: Range<usize>) -> Self {
+        let mut ratios = self.ratios[range].to_vec();
+        if let Some(first) = ratios.first_mut() {
+            *first = None;
         }
-        let agg = self.frame_motion(cur_half, reference);
-        // The lookahead's intra estimate is raw texture energy; a real
-        // encoder intra-predicts first, so its intra cost is considerably
-        // smaller. Scale ours down to match, which centres useful scenecut
-        // values on the same 20..250 band x264 users tune within.
-        const INTRA_SCALE: f64 = 0.4;
-        let ratio = agg.inter_over_intra() / INTRA_SCALE;
-        let base_bias = self.config.scenecut as f64 / SCENECUT_MAX as f64;
-        // Damp scene cuts right after a keyframe, as x264 does with
-        // min-keyint: at distance d < min_keyint the bias shrinks linearly.
-        let damp = (dist as f64 / self.config.min_keyint as f64).min(1.0);
-        let bias = base_bias * damp;
-        let fired = ratio >= 1.0 - bias;
-        let ft = if fired { FrameType::I } else { FrameType::P };
-        FrameDecision {
-            frame_type: ft,
-            inter_over_intra: ratio,
-            forced_by_gop: false,
-            scenecut_fired: fired,
+        Self {
+            search_range: self.search_range,
+            ratios,
         }
     }
 
-    /// Scenecut lookahead cost analysis over half-resolution source planes.
-    fn frame_motion(&self, cur_half: &Plane, ref_half: &Plane) -> FrameMotion {
-        motion::analyze_frame_agg(cur_half, ref_half, (self.config.search_range / 2).max(4))
+    /// Indices of the frames encoding the sequence with `config` makes
+    /// I-frames: equal to [`crate::EncodedVideo::i_frame_indices`] of that
+    /// encode.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.search_range` differs from the range the trace was
+    /// measured at, since the ratio depends on it.
+    pub fn i_frames(&self, config: &EncoderConfig) -> Vec<usize> {
+        assert_eq!(
+            config.search_range, self.search_range,
+            "ratio trace replayed at a different search range than it was measured at"
+        );
+        let mut since_i = 0;
+        let mut out = Vec::new();
+        for (i, &ratio) in self.ratios.iter().enumerate() {
+            match frame_type(ratio, since_i + 1, config) {
+                FrameType::I => {
+                    out.push(i);
+                    since_i = 0;
+                }
+                FrameType::P => since_i += 1,
+            }
+        }
+        out
     }
 }
 
@@ -313,7 +359,8 @@ pub struct Encoder {
     /// before copying the finished payload out at its exact size.
     payload_scratch: Vec<u8>,
     lookahead: Lookahead,
-    decisions: Vec<FrameDecision>,
+    /// Frames coded since the last I-frame.
+    frames_since_i: usize,
 }
 
 impl Encoder {
@@ -328,8 +375,8 @@ impl Encoder {
             recon_scratch: None,
             frame_spare: None,
             payload_scratch: Vec::new(),
-            lookahead: Lookahead::new(config),
-            decisions: Vec::new(),
+            lookahead: Lookahead::new(config.search_range),
+            frames_since_i: 0,
         }
     }
 
@@ -338,12 +385,7 @@ impl Encoder {
         &self.config
     }
 
-    /// Per-frame decisions made so far (one entry per encoded frame).
-    pub fn decisions(&self) -> &[FrameDecision] {
-        &self.decisions
-    }
-
-    /// Clears stream state (reference, lookahead, decisions) while keeping
+    /// Clears stream state (reference, lookahead) while keeping
     /// every allocated scratch buffer, so one encoder can be reused across
     /// independent GOPs or streams of the same resolution.
     pub fn reset(&mut self) {
@@ -355,7 +397,6 @@ impl Encoder {
             }
         }
         self.lookahead.reset();
-        self.decisions.clear();
     }
 
     /// Encodes the next frame in display order.
@@ -382,25 +423,26 @@ impl Encoder {
             self.resolution,
             "frame resolution changed mid-stream"
         );
-        let mut decision = self.lookahead.observe(frame);
+        // A frame can only be predicted when the encoder holds a reference:
+        // without one the ratio is `None`, which `frame_type` makes an I.
+        let ratio = self
+            .lookahead
+            .ratio(frame)
+            .filter(|_| self.reference.is_some());
+        let ft = frame_type(ratio, self.frames_since_i + 1, &self.config);
         let mut w = BitWriter::with_buf(std::mem::take(out));
-        // `decide` only returns P when a reference exists; if that invariant
-        // is ever violated, degrade to an I-frame rather than panicking.
-        let frame_type = match (decision.frame_type, &self.reference) {
-            (FrameType::P, Some(_)) => {
-                self.encode_p(frame, &mut w);
-                FrameType::P
-            }
-            (FrameType::P, None) | (FrameType::I, _) => {
-                decision.frame_type = FrameType::I;
-                self.lookahead.force_i();
+        match ft {
+            FrameType::I => {
                 self.encode_i(frame, &mut w);
-                FrameType::I
+                self.frames_since_i = 0;
             }
-        };
+            FrameType::P => {
+                self.encode_p(frame, &mut w);
+                self.frames_since_i += 1;
+            }
+        }
         *out = w.finish();
-        self.decisions.push(decision);
-        frame_type
+        ft
     }
 
     /// Encodes one frame with an externally decided type, bypassing the
@@ -442,10 +484,9 @@ impl Encoder {
     }
 
     fn encode_p(&mut self, frame: &Frame, w: &mut BitWriter) {
-        // Caller (`encode_frame_into`) routes to `encode_i` when no
-        // reference exists; an empty reference here would still produce a
-        // valid (if wasteful) all-intra-predicted P-frame against a grey
-        // frame.
+        // Callers only code a P-frame when a reference exists; an empty
+        // reference here would still produce a valid (if wasteful) P-frame
+        // against a grey frame.
         let reference = self
             .reference
             .take()
@@ -689,7 +730,11 @@ mod tests {
         let mut enc = Encoder::new(res, EncoderConfig::new(100, 40));
         let ef = enc.encode_frame(&Frame::grey(res));
         assert_eq!(ef.frame_type, FrameType::I);
-        assert!(enc.decisions()[0].forced_by_gop);
+        // The same grey frame next is a P-frame, and after a reset the
+        // first frame is an I-frame again.
+        assert_eq!(enc.encode_frame(&Frame::grey(res)).frame_type, FrameType::P);
+        enc.reset();
+        assert_eq!(enc.encode_frame(&Frame::grey(res)).frame_type, FrameType::I);
     }
 
     #[test]
@@ -747,7 +792,11 @@ mod tests {
         }
         let ef = enc.encode_frame(&other);
         assert_eq!(ef.frame_type, FrameType::I);
-        assert!(enc.decisions().last().unwrap().scenecut_fired);
+        // The scenecut rule fired, not the GOP limit: at this distance a
+        // still frame stays P, and the scene change's ratio makes it I.
+        let trace = RatioTrace::measure(cfg.search_range, [&background, &other]);
+        assert_eq!(frame_type(Some(0.0), 6, &cfg), FrameType::P);
+        assert_eq!(frame_type(trace.ratios[1], 6, &cfg), FrameType::I);
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //!
 //! * a **semantic encoder** ([`Encoder`]) whose GOP size and scenecut
 //!   threshold are tunable per camera, so that I-frames land on semantic
-//!   events (objects entering/leaving the scene);
+//!   events (objects entering/leaving the scene); the placement
+//!   ([`frame_type`]) reads only the source, so a [`RatioTrace`] measured
+//!   once replays it for any (GOP, scenecut) without encoding;
 //! * a **container** ([`EncodedVideo`], [`VideoIndex`]) whose frame-type
 //!   index can be scanned without decoding — the substrate of the I-frame
 //!   seeker;
@@ -46,10 +48,11 @@ pub mod stats;
 
 pub use container::{ContainerError, EncodedVideo, FrameMeta, VideoIndex};
 pub use decode::{DecodeError, Decoder};
-pub use encode::{EncodedFrame, Encoder, EncoderConfig, FrameDecision, FrameType, SCENECUT_MAX};
+pub use encode::{
+    frame_type, EncodedFrame, Encoder, EncoderConfig, FrameType, RatioTrace, SCENECUT_MAX,
+};
 pub use frame::{Frame, Plane, Resolution};
 pub use motion::{FrameMotion, MotionVector};
-pub use parallel::encode_parallel_with_decisions;
 pub use quality::{ssim_luma, ssim_plane};
 pub use quant::QuantTable;
 pub use stats::BitstreamStats;

@@ -201,35 +201,9 @@ impl FrameMotion {
 }
 
 /// Runs motion search on every macroblock of `cur` against `reference` and
-/// returns both the per-macroblock results (row-major over the MB grid) and
-/// the frame aggregate.
-pub fn analyze_frame(
-    cur: &Plane,
-    reference: &Plane,
-    range: u16,
-) -> (Vec<MotionResult>, FrameMotion) {
-    let mb_cols = cur.width().div_ceil(MB);
-    let mb_rows = cur.height().div_ceil(MB);
-    let mut results = Vec::with_capacity(mb_cols * mb_rows);
-    let mut agg = FrameMotion::default();
-    for my in 0..mb_rows {
-        for mx in 0..mb_cols {
-            let x = mx * MB;
-            let y = my * MB;
-            let r = three_step_search(cur, reference, x, y, range);
-            agg.inter_cost += r.sad as u64;
-            agg.intra_cost += intra_cost_mb(cur, x, y) as u64;
-            agg.mb_count += 1;
-            results.push(r);
-        }
-    }
-    (results, agg)
-}
-
-/// Like [`analyze_frame`] but returns only the frame aggregate, with no
-/// per-macroblock allocation — the encoder's lookahead only needs the
-/// aggregate, and it runs once per frame.
-pub fn analyze_frame_agg(cur: &Plane, reference: &Plane, range: u16) -> FrameMotion {
+/// returns the frame aggregate, with no per-macroblock allocation — the
+/// encoder's lookahead runs it once per frame.
+pub fn analyze_frame(cur: &Plane, reference: &Plane, range: u16) -> FrameMotion {
     let mb_cols = cur.width().div_ceil(MB);
     let mb_rows = cur.height().div_ceil(MB);
     let mut agg = FrameMotion::default();
@@ -303,7 +277,7 @@ mod tests {
     #[test]
     fn frame_motion_ratio_static_scene_is_low() {
         let p = textured_plane(64, 64, 0);
-        let (_, agg) = analyze_frame(&p, &p, 8);
+        let agg = analyze_frame(&p, &p, 8);
         assert_eq!(agg.inter_cost, 0);
         assert!(agg.inter_over_intra() < 1e-9);
         assert_eq!(agg.mb_count, 16);
@@ -319,7 +293,7 @@ mod tests {
                 b.put(x, y, (((x * 31) ^ (y * 17)) % 256) as u8);
             }
         }
-        let (_, agg) = analyze_frame(&b, &a, 8);
+        let agg = analyze_frame(&b, &a, 8);
         assert!(
             agg.inter_over_intra() > 0.5,
             "uncorrelated frames should look intra-cheap, got {}",

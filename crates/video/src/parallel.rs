@@ -6,11 +6,12 @@
 //! That makes the following two-pass pipeline produce a bitstream
 //! **byte-identical** to the sequential encoder's:
 //!
-//! 1. **Plan.** Run the shared [`Lookahead`] over the whole sequence. This is
-//!    the exact type (and therefore the exact arithmetic) the sequential
-//!    encoder uses to place I-frames, so the frame-type plan cannot diverge.
-//!    The lookahead works on half-resolution source planes and costs a small
-//!    fraction of a full encode.
+//! 1. **Plan.** Run the lookahead's ratio pass over the whole sequence and
+//!    replay [`frame_type`] over the [`RatioTrace`]. That is the exact
+//!    decision the sequential encoder makes, over the exact ratios it
+//!    measures, so the I-frame plan cannot diverge. The ratio pass works
+//!    on half-resolution source planes and costs about a quarter to a third
+//!    of a one-thread encode, all of it serial.
 //! 2. **Encode.** Split the sequence into GOP ranges at the planned I-frames
 //!    and hand whole GOPs to worker threads. Each worker owns one [`Encoder`]
 //!    and recycles it across GOPs via [`Encoder::reset`], so per-worker
@@ -22,40 +23,23 @@
 //!    the output vector (disjoint `&mut` slices, one per GOP), so display
 //!    order is preserved by construction and no re-sorting is needed.
 //!
-//! [`Lookahead`]: crate::encode::Lookahead
+//! [`frame_type`]: crate::encode::frame_type
 
 use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
-use crate::encode::{EncodedFrame, Encoder, EncoderConfig, FrameDecision, FrameType, Lookahead};
+use crate::encode::{EncodedFrame, Encoder, EncoderConfig, FrameType, RatioTrace};
 use crate::frame::{Frame, Resolution};
 
-/// Runs the lookahead pass alone: the frame-type plan for `frames`, one
-/// decision per frame, identical to what the sequential encoder would decide.
-pub fn plan_frame_types(config: EncoderConfig, frames: &[Frame]) -> Vec<FrameDecision> {
-    let mut lookahead = Lookahead::new(config);
-    frames.iter().map(|f| lookahead.observe(f)).collect()
-}
-
-/// Splits a frame-type plan into GOP ranges: each range starts at an I-frame
-/// (the first frame is always planned as I) and runs up to the next one.
-pub fn gop_ranges(decisions: &[FrameDecision]) -> Vec<Range<usize>> {
-    let mut gops = Vec::new();
-    let mut start = 0;
-    for (i, d) in decisions.iter().enumerate().skip(1) {
-        if d.frame_type == FrameType::I {
-            gops.push(start..i);
-            start = i;
-        }
-    }
-    if !decisions.is_empty() {
-        gops.push(start..decisions.len());
-    }
-    gops
+/// Splits `0..len` into GOP ranges, one starting at each of `i_frames` (the
+/// first of which is 0 for any non-empty sequence).
+fn gop_ranges(i_frames: &[usize], len: usize) -> Vec<Range<usize>> {
+    let ends = i_frames.iter().skip(1).copied().chain([len]);
+    i_frames.iter().zip(ends).map(|(&s, e)| s..e).collect()
 }
 
 /// Encodes `frames` with up to `workers` threads, returning the encoded
-/// frames in display order plus the lookahead's per-frame decisions.
+/// frames in display order.
 ///
 /// The output is byte-identical to feeding the same frames through
 /// [`Encoder::encode_frame`] one by one (see the module docs for why).
@@ -65,12 +49,12 @@ pub fn gop_ranges(decisions: &[FrameDecision]) -> Vec<Range<usize>> {
 /// # Panics
 ///
 /// Panics if any frame's resolution differs from `resolution`.
-pub fn encode_parallel_with_decisions(
+pub fn encode(
     resolution: Resolution,
     config: EncoderConfig,
     frames: &[Frame],
     workers: usize,
-) -> (Vec<EncodedFrame>, Vec<FrameDecision>) {
+) -> Vec<EncodedFrame> {
     for f in frames {
         assert_eq!(
             f.resolution(),
@@ -78,8 +62,8 @@ pub fn encode_parallel_with_decisions(
             "frame resolution changed mid-stream"
         );
     }
-    let decisions = plan_frame_types(config, frames);
-    let gops = gop_ranges(&decisions);
+    let i_frames = RatioTrace::measure(config.search_range, frames).i_frames(&config);
+    let gops = gop_ranges(&i_frames, frames.len());
     // Placeholders every worker overwrites; they share one empty payload.
     let placeholder = EncodedFrame {
         frame_type: FrameType::I,
@@ -93,7 +77,7 @@ pub fn encode_parallel_with_decisions(
         for gop in &gops {
             encode_gop(&mut enc, &frames[gop.clone()], &mut encoded[gop.clone()]);
         }
-        return (encoded, decisions);
+        return encoded;
     }
 
     // Carve the output into one disjoint mutable slice per GOP, then let
@@ -126,7 +110,7 @@ pub fn encode_parallel_with_decisions(
             });
         }
     });
-    (encoded, decisions)
+    encoded
 }
 
 /// Encodes one closed GOP with a recycled encoder: I-frame first, P-frames
@@ -171,33 +155,29 @@ mod tests {
         let res = Resolution::new(64, 48);
         let frames = moving_frames(res, 24);
         let config = EncoderConfig::new(8, 120);
-        let plan = plan_frame_types(config, &frames);
+        let plan = RatioTrace::measure(config.search_range, &frames).i_frames(&config);
         let mut enc = Encoder::new(res, config);
-        for f in &frames {
-            enc.encode_frame(f);
-        }
-        let seq: Vec<FrameType> = enc.decisions().iter().map(|d| d.frame_type).collect();
-        let planned: Vec<FrameType> = plan.iter().map(|d| d.frame_type).collect();
-        assert_eq!(planned, seq);
+        let seq: Vec<usize> = (0..frames.len())
+            .filter(|&i| enc.encode_frame(&frames[i]).frame_type == FrameType::I)
+            .collect();
+        assert_eq!(plan, seq);
+        assert!(plan.len() > 2, "the plan has several GOPs: {plan:?}");
     }
 
     #[test]
     fn gop_ranges_cover_and_partition() {
         let res = Resolution::new(64, 48);
         let frames = moving_frames(res, 30);
-        let plan = plan_frame_types(EncoderConfig::new(6, 100), &frames);
-        let gops = gop_ranges(&plan);
+        let config = EncoderConfig::new(6, 100);
+        let plan = RatioTrace::measure(config.search_range, &frames).i_frames(&config);
+        let gops = gop_ranges(&plan, frames.len());
         assert_eq!(gops.first().map(|g| g.start), Some(0));
         assert_eq!(gops.last().map(|g| g.end), Some(frames.len()));
         for pair in gops.windows(2) {
             assert_eq!(pair[0].end, pair[1].start, "ranges must partition");
         }
-        for g in &gops {
-            assert_eq!(plan[g.start].frame_type, FrameType::I);
-            for d in &plan[g.start + 1..g.end] {
-                assert_eq!(d.frame_type, FrameType::P);
-            }
-        }
+        let starts: Vec<usize> = gops.iter().map(|g| g.start).collect();
+        assert_eq!(starts, plan, "every range starts at a planned I-frame");
     }
 
     #[test]
@@ -208,22 +188,18 @@ mod tests {
         let mut enc = Encoder::new(res, config);
         let sequential: Vec<EncodedFrame> = frames.iter().map(|f| enc.encode_frame(f)).collect();
         for workers in [1, 2, 4] {
-            let (par, decisions) = encode_parallel_with_decisions(res, config, &frames, workers);
+            let par = encode(res, config, &frames, workers);
             assert_eq!(par.len(), sequential.len());
             for (i, (a, b)) in sequential.iter().zip(&par).enumerate() {
                 assert_eq!(a.frame_type, b.frame_type, "frame {i} type (w={workers})");
                 assert_eq!(a.data, b.data, "frame {i} payload (w={workers})");
             }
-            assert_eq!(decisions.len(), frames.len());
         }
     }
 
     #[test]
     fn empty_input_is_empty_output() {
         let res = Resolution::new(32, 32);
-        let (frames, decisions) =
-            encode_parallel_with_decisions(res, EncoderConfig::new(4, 0), &[], 4);
-        assert!(frames.is_empty());
-        assert!(decisions.is_empty());
+        assert!(encode(res, EncoderConfig::new(4, 0), &[], 4).is_empty());
     }
 }

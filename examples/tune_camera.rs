@@ -32,9 +32,9 @@ fn main() {
 
         // Train on the first half.
         let train_labels = &video.labels()[..half];
-        let outcome = tune(video.resolution(), video.fps(), &grid, train_labels, || {
-            video.frames().take(half)
-        });
+        let train = video.frames().take(half);
+        let trace = RatioTrace::measure(EncoderConfig::default().search_range, train);
+        let outcome = tune(&grid, train_labels, &trace);
         let best = outcome.best;
         println!(
             "{id}: best = GOP {}, scenecut {} | train acc {:.1}% fr {:.1}% F1 {:.3}",

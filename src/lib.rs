@@ -76,7 +76,7 @@ pub mod prelude {
     pub use sieve_simnet::ThreeTier;
     pub use sieve_stats::{Collector, Counter, Gauge, Histogram, Registry};
     pub use sieve_video::{
-        BitstreamStats, EncodedVideo, Encoder, EncoderConfig, Frame, FrameType, Resolution,
-        VideoIndex,
+        BitstreamStats, EncodedVideo, Encoder, EncoderConfig, Frame, FrameType, RatioTrace,
+        Resolution, VideoIndex,
     };
 }

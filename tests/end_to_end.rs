@@ -17,13 +17,9 @@ fn offline_tune_then_online_analysis() {
         gop_sizes: vec![300, 600],
         scenecuts: vec![100, 150, 200],
     };
-    let outcome = tune(
-        video.resolution(),
-        video.fps(),
-        &grid,
-        &video.labels()[..half],
-        || (0..half).map(|i| video.frame(i)),
-    );
+    let history = (0..half).map(|i| video.frame(i));
+    let trace = RatioTrace::measure(EncoderConfig::default().search_range, history);
+    let outcome = tune(&grid, &video.labels()[..half], &trace);
     assert!(outcome.best.quality.f1 > 0.9, "tuning found a good config");
 
     // Store and reload via the lookup table.
