@@ -4,10 +4,10 @@
 //! hand-built frames; this umbrella test runs the real pipeline the bench
 //! and harness use — `sieve_datasets` scenes through [`EncodedVideo`] — and
 //! checks that for every worker count the parallel bitstream is
-//! byte-identical to the sequential encoder's and still decodes.
+//! byte-identical to the one-thread [`Encoder`] loop's and still decodes.
 
 use sieve_datasets::{DatasetId, DatasetScale, DatasetSpec};
-use sieve_video::{EncodedVideo, EncoderConfig, Frame, FrameType};
+use sieve_video::{EncodedFrame, EncodedVideo, Encoder, EncoderConfig, Frame, FrameType};
 
 const FRAME_CAP: usize = 40;
 
@@ -27,9 +27,10 @@ fn gop_parallel_is_byte_identical_on_eval_scenes() {
 
     for id in [DatasetId::JacksonSquare, DatasetId::CoralReef] {
         let (frames, res, fps) = scene_frames(id);
-        let sequential = EncodedVideo::encode(res, fps, config, frames.iter().cloned());
+        let mut encoder = Encoder::new(res, config);
+        let sequential: Vec<EncodedFrame> =
+            frames.iter().map(|f| encoder.encode_frame(f)).collect();
         let i_frames = sequential
-            .frames()
             .iter()
             .filter(|f| f.frame_type == FrameType::I)
             .count();
@@ -42,15 +43,10 @@ fn gop_parallel_is_byte_identical_on_eval_scenes() {
             let parallel = EncodedVideo::encode_parallel(res, fps, config, &frames, workers);
             assert_eq!(
                 parallel.frame_count(),
-                sequential.frame_count(),
+                sequential.len(),
                 "{id:?} w={workers}: frame count"
             );
-            for (i, (s, p)) in sequential
-                .frames()
-                .iter()
-                .zip(parallel.frames())
-                .enumerate()
-            {
+            for (i, (s, p)) in sequential.iter().zip(parallel.frames()).enumerate() {
                 assert_eq!(
                     s.frame_type, p.frame_type,
                     "{id:?} w={workers}: frame {i} type"

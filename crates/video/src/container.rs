@@ -8,7 +8,7 @@
 //! every frame that is not of type I-frame".
 
 use crate::decode::{DecodeError, Decoder};
-use crate::encode::{EncodedFrame, Encoder, EncoderConfig, FrameType};
+use crate::encode::{EncodedFrame, EncoderConfig, FrameType};
 use crate::frame::{Frame, Resolution};
 
 /// Magic bytes identifying the container format.
@@ -83,16 +83,29 @@ impl EncodedVideo {
         }
     }
 
-    /// Encodes an entire frame sequence with `config`.
+    /// Encodes an entire frame sequence with `config`, byte-identical to
+    /// feeding the frames through [`Encoder::encode_frame`] one by one.
+    ///
+    /// The encode runs on two threads (see [`crate::parallel`]): the
+    /// calling thread pulls each frame from `frames` and decides its type,
+    /// and one scoped coding thread codes it, so rendering and the
+    /// lookahead overlap the coding. Each frame's payload is allocated on the
+    /// calling thread, where a one-thread encode would make it: payloads
+    /// outlive the encode, and allocated on the short-lived coding thread
+    /// they would pin that thread's malloc arena and raise peak RSS.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a frame's resolution differs from `resolution`, and
+    /// re-raises a panic of `frames` once the coding thread has exited.
+    ///
+    /// [`Encoder::encode_frame`]: crate::Encoder::encode_frame
     pub fn encode<I>(resolution: Resolution, fps: u32, config: EncoderConfig, frames: I) -> Self
     where
         I: IntoIterator<Item = Frame>,
     {
-        let mut enc = Encoder::new(resolution, config);
         let mut video = Self::new(resolution, fps, config.quality);
-        for f in frames {
-            video.push(enc.encode_frame(&f));
-        }
+        video.frames = crate::parallel::pipelined(resolution, config, frames);
         video
     }
 

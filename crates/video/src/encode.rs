@@ -150,6 +150,15 @@ impl EncodedFrame {
     pub fn size_bytes(&self) -> usize {
         self.data.len()
     }
+
+    /// Copies a finished bitstream out as a frame's payload: the one
+    /// exact-size allocation per encoded frame.
+    pub(crate) fn sealed(frame_type: FrameType, bitstream: &[u8]) -> Self {
+        Self {
+            frame_type,
+            data: Arc::from(bitstream),
+        }
+    }
 }
 
 /// The lookahead's ratio pass: for each frame in display order, the
@@ -209,9 +218,9 @@ impl Lookahead {
 /// Decides I vs P for a frame from its lookahead `ratio` (`None` when the
 /// frame has no reference) and its distance `dist` from the last I-frame
 /// (the frame right after a keyframe is at distance 1): the GOP limit, then
-/// the scenecut rule. Every I-frame placement in the crate — the streaming
-/// [`Encoder`], [`RatioTrace::i_frames`] and the GOP-parallel plan — is
-/// this function.
+/// the scenecut rule. Every I-frame placement in the crate — the encoder's
+/// decision half, which every encode path runs, and
+/// [`RatioTrace::i_frames`] — is this function.
 pub fn frame_type(ratio: Option<f64>, dist: usize, config: &EncoderConfig) -> FrameType {
     let Some(ratio) = ratio else {
         return FrameType::I;
@@ -319,23 +328,19 @@ impl RatioTrace {
             "ratio trace replayed at a different search range than it was measured at"
         );
         let mut since_i = 0;
-        let mut out = Vec::new();
-        for (i, &ratio) in self.ratios.iter().enumerate() {
-            match frame_type(ratio, since_i + 1, config) {
-                FrameType::I => {
-                    out.push(i);
-                    since_i = 0;
-                }
-                FrameType::P => since_i += 1,
-            }
-        }
-        out
+        (0..self.ratios.len())
+            .filter(|&i| place(self.ratios[i], &mut since_i, config) == FrameType::I)
+            .collect()
     }
 }
 
 /// Closed-loop encoder. Feed frames in display order with
 /// [`Encoder::encode_frame`]; the encoder maintains its own reconstructed
 /// reference so that encoder and decoder never drift.
+///
+/// It is the two halves run on one thread: the decision half picks each
+/// frame's type from the source, the coding half codes it.
+/// [`crate::EncodedVideo::encode`] runs the same two halves on two threads.
 ///
 /// The encoder recycles all of its per-frame scratch (the reconstruction
 /// frame, the lookahead's half-resolution planes, the bitstream buffer), so
@@ -344,59 +349,34 @@ impl RatioTrace {
 /// exact-size payload it returns.
 #[derive(Debug)]
 pub struct Encoder {
-    config: EncoderConfig,
-    resolution: Resolution,
-    luma_q: QuantTable,
-    chroma_q: QuantTable,
-    reference: Option<Frame>,
-    /// Recycled frame buffer the next reconstruction is written into; after
-    /// each frame this swaps with `reference`.
-    recon_scratch: Option<Frame>,
-    /// Frame buffer parked by [`Encoder::reset`] so a reused encoder keeps
-    /// both of its frame allocations across streams.
-    frame_spare: Option<Frame>,
+    decider: Decider,
+    coder: Coder,
     /// Recycled bitstream buffer [`Encoder::encode_frame`] writes into
     /// before copying the finished payload out at its exact size.
     payload_scratch: Vec<u8>,
-    lookahead: Lookahead,
-    /// Frames coded since the last I-frame.
-    frames_since_i: usize,
 }
 
 impl Encoder {
     /// Creates an encoder for frames of `resolution`.
     pub fn new(resolution: Resolution, config: EncoderConfig) -> Self {
         Self {
-            luma_q: QuantTable::luma(config.quality),
-            chroma_q: QuantTable::chroma(config.quality),
-            config,
-            resolution,
-            reference: None,
-            recon_scratch: None,
-            frame_spare: None,
+            decider: Decider::new(resolution, config),
+            coder: Coder::new(resolution, config),
             payload_scratch: Vec::new(),
-            lookahead: Lookahead::new(config.search_range),
-            frames_since_i: 0,
         }
     }
 
     /// The encoder's configuration.
     pub fn config(&self) -> &EncoderConfig {
-        &self.config
+        &self.coder.config
     }
 
     /// Clears stream state (reference, lookahead) while keeping
     /// every allocated scratch buffer, so one encoder can be reused across
     /// independent GOPs or streams of the same resolution.
     pub fn reset(&mut self) {
-        if let Some(r) = self.reference.take() {
-            if self.recon_scratch.is_none() {
-                self.recon_scratch = Some(r);
-            } else {
-                self.frame_spare = Some(r);
-            }
-        }
-        self.lookahead.reset();
+        self.decider.reset();
+        self.coder.reset();
     }
 
     /// Encodes the next frame in display order.
@@ -405,9 +385,10 @@ impl Encoder {
     ///
     /// Panics if `frame`'s resolution differs from the encoder's.
     pub fn encode_frame(&mut self, frame: &Frame) -> EncodedFrame {
-        let mut buf = std::mem::take(&mut self.payload_scratch);
-        let frame_type = self.encode_frame_into(frame, &mut buf);
-        self.sealed(frame_type, buf)
+        let frame_type = self.decider.decide(frame);
+        self.coder
+            .code(frame, frame_type, &mut self.payload_scratch);
+        EncodedFrame::sealed(frame_type, &self.payload_scratch)
     }
 
     /// [`Encoder::encode_frame`] into a caller-owned buffer (cleared, then
@@ -418,52 +399,121 @@ impl Encoder {
     ///
     /// Panics if `frame`'s resolution differs from the encoder's.
     pub fn encode_frame_into(&mut self, frame: &Frame, out: &mut Vec<u8>) -> FrameType {
+        let frame_type = self.decider.decide(frame);
+        self.coder.code(frame, frame_type, out);
+        frame_type
+    }
+}
+
+/// [`frame_type`] at the distance `since_i` counts (frames since the last
+/// I-frame), advancing the count past the decided frame.
+fn place(ratio: Option<f64>, since_i: &mut usize, config: &EncoderConfig) -> FrameType {
+    let ft = frame_type(ratio, *since_i + 1, config);
+    *since_i = match ft {
+        FrameType::I => 0,
+        FrameType::P => *since_i + 1,
+    };
+    ft
+}
+
+/// The encoder's decision half: the lookahead, the distance from the last
+/// I-frame and [`frame_type`]. It reads only the source frames, never a
+/// reconstruction, so it can run ahead of the coding half on another
+/// thread (see [`crate::parallel`]).
+#[derive(Debug)]
+pub(crate) struct Decider {
+    config: EncoderConfig,
+    resolution: Resolution,
+    lookahead: Lookahead,
+    /// Frames decided since the last I-frame.
+    since_i: usize,
+}
+
+impl Decider {
+    pub(crate) fn new(resolution: Resolution, config: EncoderConfig) -> Self {
+        Self {
+            config,
+            resolution,
+            lookahead: Lookahead::new(config.search_range),
+            since_i: 0,
+        }
+    }
+
+    /// The type of the next frame in display order. The first frame since
+    /// construction or [`Decider::reset`] has no reference, so it is an
+    /// I-frame.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `frame`'s resolution differs from the stream's.
+    pub(crate) fn decide(&mut self, frame: &Frame) -> FrameType {
         assert_eq!(
             frame.resolution(),
             self.resolution,
             "frame resolution changed mid-stream"
         );
-        // A frame can only be predicted when the encoder holds a reference:
-        // without one the ratio is `None`, which `frame_type` makes an I.
-        let ratio = self
-            .lookahead
-            .ratio(frame)
-            .filter(|_| self.reference.is_some());
-        let ft = frame_type(ratio, self.frames_since_i + 1, &self.config);
-        let mut w = BitWriter::with_buf(std::mem::take(out));
-        match ft {
-            FrameType::I => {
-                self.encode_i(frame, &mut w);
-                self.frames_since_i = 0;
-            }
-            FrameType::P => {
-                self.encode_p(frame, &mut w);
-                self.frames_since_i += 1;
-            }
-        }
-        *out = w.finish();
-        ft
+        let ratio = self.lookahead.ratio(frame);
+        place(ratio, &mut self.since_i, &self.config)
     }
 
-    /// Encodes one frame with an externally decided type, bypassing the
-    /// lookahead — the GOP-parallel second pass, where pass one already
-    /// fixed every frame type. Callers must only force `P` when a reference
-    /// exists (i.e. not as the first frame after a reset).
-    pub(crate) fn encode_forced(&mut self, frame: &Frame, frame_type: FrameType) -> EncodedFrame {
-        let mut w = BitWriter::with_buf(std::mem::take(&mut self.payload_scratch));
+    /// Forgets the previous frame, keeping the lookahead's buffers.
+    fn reset(&mut self) {
+        self.lookahead.reset();
+    }
+}
+
+/// The encoder's coding half: codes each frame as the type it is handed,
+/// against its own reconstruction of the previous frame, so encoder and
+/// decoder never drift. Its state resets completely at every I-frame.
+#[derive(Debug)]
+pub(crate) struct Coder {
+    config: EncoderConfig,
+    resolution: Resolution,
+    luma_q: QuantTable,
+    chroma_q: QuantTable,
+    reference: Option<Frame>,
+    /// Recycled frame buffer the next reconstruction is written into; after
+    /// each frame this swaps with `reference`.
+    recon_scratch: Option<Frame>,
+    /// Frame buffer parked by [`Coder::reset`] so a reused coder keeps both
+    /// of its frame allocations across streams.
+    frame_spare: Option<Frame>,
+}
+
+impl Coder {
+    pub(crate) fn new(resolution: Resolution, config: EncoderConfig) -> Self {
+        Self {
+            luma_q: QuantTable::luma(config.quality),
+            chroma_q: QuantTable::chroma(config.quality),
+            config,
+            resolution,
+            reference: None,
+            recon_scratch: None,
+            frame_spare: None,
+        }
+    }
+
+    /// Drops the reference, keeping both frame buffers.
+    pub(crate) fn reset(&mut self) {
+        if let Some(r) = self.reference.take() {
+            if self.recon_scratch.is_none() {
+                self.recon_scratch = Some(r);
+            } else {
+                self.frame_spare = Some(r);
+            }
+        }
+    }
+
+    /// Codes `frame` as `frame_type` into `out` (cleared first). Callers
+    /// only code a `P` when a reference exists, i.e. not as the first frame
+    /// after construction or a reset.
+    pub(crate) fn code(&mut self, frame: &Frame, frame_type: FrameType, out: &mut Vec<u8>) {
+        let mut w = BitWriter::with_buf(std::mem::take(out));
         match frame_type {
             FrameType::I => self.encode_i(frame, &mut w),
             FrameType::P => self.encode_p(frame, &mut w),
         }
-        self.sealed(frame_type, w.finish())
-    }
-
-    /// Copies the finished bitstream out as the frame's payload — the one
-    /// exact-size allocation per encoded frame — and parks `buf` for reuse.
-    fn sealed(&mut self, frame_type: FrameType, buf: Vec<u8>) -> EncodedFrame {
-        let data = Arc::from(&buf[..]);
-        self.payload_scratch = buf;
-        EncodedFrame { frame_type, data }
+        *out = w.finish();
     }
 
     fn encode_i(&mut self, frame: &Frame, w: &mut BitWriter) {

@@ -2,31 +2,53 @@
 //!
 //! After a warmup pass has sized every scratch buffer (reference and
 //! reconstruction frames, the lookahead's half-resolution planes, the
-//! bitstream `Vec`s, the decision log), re-encoding into caller-owned
-//! buffers and re-decoding the same sequence must perform **zero** heap
-//! allocations: the hot loops recycle buffers by swapping, never by
-//! allocating. `Encoder::encode_frame`, which returns a shareable payload,
-//! must perform exactly one per frame — the payload.
+//! bitstream `Vec`s), re-encoding into caller-owned buffers and
+//! re-decoding the same sequence must perform **zero** heap allocations:
+//! the hot loops recycle buffers by swapping, never by allocating.
+//! `Encoder::encode_frame`, which returns a shareable payload, must perform
+//! exactly one per frame — the payload. `EncodedVideo::encode`, which codes
+//! on a second thread, must make that one allocation per frame on the
+//! calling thread; the allocator tells the test's thread from the others
+//! by a thread-local flag.
 //!
 //! The whole audit lives in a single `#[test]` because the counting
 //! allocator is process-global and `cargo test` runs sibling tests on
 //! other threads.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use sieve_video::encode::{EncodedFrame, Encoder, EncoderConfig};
-use sieve_video::{Decoder, Frame, Resolution};
+use sieve_video::{Decoder, EncodedVideo, Frame, Resolution};
 
 /// Forwards to the system allocator, counting every allocation and
-/// reallocation (frees are irrelevant to the audit).
+/// reallocation (frees are irrelevant to the audit), the test's own thread
+/// apart from all others.
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+/// Allocations made on the thread that called [`mark_caller`].
+static CALLER_ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+/// Allocations made on every other thread.
+static OTHER_ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    static IS_CALLER: Cell<bool> = const { Cell::new(false) };
+}
+
+fn count() {
+    // `try_with`: a thread being torn down may still allocate.
+    let counter = if IS_CALLER.try_with(Cell::get).unwrap_or(false) {
+        &CALLER_ALLOCATIONS
+    } else {
+        &OTHER_ALLOCATIONS
+    };
+    counter.fetch_add(1, Ordering::Relaxed);
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc(layout) }
     }
 
@@ -35,7 +57,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -43,8 +65,21 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
+/// Tags the calling thread's allocations as the caller's.
+fn mark_caller() {
+    IS_CALLER.with(|c| c.set(true));
+}
+
+fn caller_allocations() -> u64 {
+    CALLER_ALLOCATIONS.load(Ordering::Relaxed)
+}
+
+fn other_allocations() -> u64 {
+    OTHER_ALLOCATIONS.load(Ordering::Relaxed)
+}
+
 fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    caller_allocations() + other_allocations()
 }
 
 /// Moving textured content: forces real motion search, coded residuals,
@@ -68,6 +103,7 @@ fn test_frames(res: Resolution, count: usize) -> Vec<Frame> {
 
 #[test]
 fn encode_decode_steady_state_does_not_allocate() {
+    mark_caller();
     let res = Resolution::new(64, 48);
     let frames = test_frames(res, 12);
     let config = EncoderConfig::new(5, 100);
@@ -146,4 +182,44 @@ fn encode_decode_steady_state_does_not_allocate() {
         "steady-state decode of {} frames allocated {decode_allocs} times",
         outputs.len()
     );
+
+    // `EncodedVideo::encode` decides on the caller and codes on one scoped
+    // thread. Every payload must be allocated on the caller, as a
+    // one-thread encode would: 72 more frames cost the caller exactly 72
+    // more allocations, and the coding thread's count (its coding half, a
+    // few recycled bitstream buffers, the channel's wait registrations)
+    // does not grow with the frame count. The first encode warms the
+    // caller's once-per-thread state.
+    encode_allocations(res, config, &frames, 24);
+    let (short_caller, short_coder) = encode_allocations(res, config, &frames, 24);
+    let (long_caller, long_coder) = encode_allocations(res, config, &frames, 96);
+    assert_eq!(
+        long_caller - short_caller,
+        72,
+        "EncodedVideo::encode must allocate one payload per frame on the caller"
+    );
+    // A blocking wait registers with the channel once per thread, and
+    // whether the coding thread ever waits depends on scheduling.
+    const WAIT_REGISTRATIONS: u64 = 4;
+    assert!(
+        long_coder <= short_coder + WAIT_REGISTRATIONS,
+        "the coding thread's allocations grew with the frame count: \
+         {short_coder} at 24 frames, {long_coder} at 96"
+    );
+}
+
+/// `(caller, other threads)` allocations of one `EncodedVideo::encode` of
+/// `n` of `frames` (cycled), handed over owned and built beforehand.
+fn encode_allocations(
+    res: Resolution,
+    config: EncoderConfig,
+    frames: &[Frame],
+    n: usize,
+) -> (u64, u64) {
+    let owned: Vec<Frame> = frames.iter().cycle().take(n).cloned().collect();
+    let (caller, other) = (caller_allocations(), other_allocations());
+    let video = EncodedVideo::encode(res, 30, config, owned);
+    let counts = (caller_allocations() - caller, other_allocations() - other);
+    assert_eq!(video.frame_count(), n);
+    counts
 }
