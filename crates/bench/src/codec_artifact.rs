@@ -173,7 +173,7 @@ pub const SHAPE: Shape = Shape::Obj(&[
 /// multiply-accumulate of the uplink's FEC, and the decoder's entropy
 /// parse, which has no SIMD tier: its two columns are the same safe code
 /// and its row is there for the absolute rate).
-pub const REQUIRED_KERNELS: &[&str] = &[
+const REQUIRED_KERNELS: &[&str] = &[
     "sad16",
     "dct8_forward",
     "dct8_inverse",

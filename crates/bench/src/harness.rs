@@ -11,16 +11,16 @@ use std::hint::black_box;
 
 use sieve_core::{
     score_encoding, score_selection, simulate_all, tune, ConfigGrid, FrameSelector, VideoWorkload,
-    WorkloadCosts,
+    WorkloadCosts, NN_INPUT_SIZE,
 };
 use sieve_datasets::{DatasetId, DatasetScale, DatasetSpec, LabelSet, SyntheticVideo};
 use sieve_filters::{Budget, ChangeDetector, MseDetector, MseSelector, SiftDetector, SiftSelector};
-use sieve_nn::{frame_to_tensor, reference_model};
 use sieve_simnet::{measure, measure_secs, ThreeTier};
 use sieve_video::{
     BitstreamStats, Decoder, EncodedVideo, EncoderConfig, Frame, RatioTrace, Resolution, VideoIndex,
 };
 
+use crate::nn_probe::{frame_to_tensor, reference_model};
 use crate::paper_artifact::{
     BaselineRow, EncodingPoint, ObjectSizePoint, SweepPoint, Table2Row, Table3Row,
 };
@@ -61,7 +61,7 @@ impl Prepared {
     }
 
     /// Ground-truth labels of the eval half.
-    pub fn eval_labels(&self) -> &[LabelSet] {
+    fn eval_labels(&self) -> &[LabelSet] {
         &self.video.labels()[self.split()..]
     }
 
@@ -75,7 +75,7 @@ impl Prepared {
     }
 
     /// Encodes the eval half with `config`.
-    pub fn encode_eval(&self, config: EncoderConfig) -> EncodedVideo {
+    fn encode_eval(&self, config: EncoderConfig) -> EncodedVideo {
         EncodedVideo::encode(
             self.video.resolution(),
             self.video.fps(),
@@ -86,7 +86,7 @@ impl Prepared {
 
     /// The eval half under the defaults (GOP 250, scenecut 40): the stream
     /// every baseline decodes.
-    pub fn default_eval(&self) -> &EncodedVideo {
+    fn default_eval(&self) -> &EncodedVideo {
         self.default_eval
             .get_or_init(|| self.encode_eval(EncoderConfig::x264_default()))
     }
@@ -113,7 +113,7 @@ impl Prepared {
     }
 
     /// The eval half under [`Prepared::semantic`].
-    pub fn semantic_eval(&self) -> &EncodedVideo {
+    fn semantic_eval(&self) -> &EncodedVideo {
         self.semantic_eval
             .get_or_init(|| self.encode_eval(self.semantic()))
     }
@@ -331,7 +331,7 @@ pub fn build_workload(prepared: &Prepared, frames_per_video: usize) -> VideoWork
     let mse_per_pair = measure_secs(5, || {
         black_box(sieve_filters::mse_luma(&fa, &fb));
     });
-    let nn_res = Resolution::new(sieve_nn::CNN_INPUT_SIZE, sieve_nn::CNN_INPUT_SIZE);
+    let nn_res = Resolution::new(NN_INPUT_SIZE, NN_INPUT_SIZE);
     let resize_to_nn = measure_secs(5, || {
         black_box(fa.resize(nn_res));
     });
@@ -348,7 +348,7 @@ pub fn build_workload(prepared: &Prepared, frames_per_video: usize) -> VideoWork
         let mut enc = sieve_video::Encoder::new(ship_res, EncoderConfig::new(1, 0));
         enc.encode_frame(&resized).data.len() as u64
     };
-    let mut model = reference_model(1);
+    let model = reference_model(1);
     let input = frame_to_tensor(&fa);
     let nn_inference = measure_secs(3, || {
         black_box(model.forward(&input));

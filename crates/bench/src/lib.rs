@@ -14,9 +14,14 @@
 //!
 //! The four committed artifacts (`BENCH_paper.json`, `BENCH_codec.json`,
 //! `BENCH_wan.json`, `stats.json`) share one shape checker, [`schema`].
+//!
+//! The NN enters the evaluation only through its per-frame cost: a private
+//! module, `nn_probe`, holds the small reference CNN whose forward pass
+//! [`harness::build_workload`] times for `costs.nn_inference`.
 
 pub mod codec_artifact;
 pub mod harness;
+mod nn_probe;
 pub mod paper_artifact;
 pub mod report;
 pub mod schema;

@@ -3,7 +3,7 @@
 //! it.
 //!
 //! [`SHAPE`] types every leaf. Each claim of the paper is one check in
-//! [`CLAIMS`], and each error a check returns starts with the path of the
+//! `CLAIMS`, and each error a check returns starts with the path of the
 //! value that broke it. [`validate`] gates the orderings this reproduction
 //! measures — each asserted there and nowhere else:
 //!
@@ -11,11 +11,11 @@
 //!   point;
 //! * Table II: tuned F1 is at least the default's on every labelled set;
 //! * Table III: SiEVE > MSE > SIFT in frames/second, SiEVE by at least
-//!   [`SEEK_OVER_DECODE`]×;
+//!   `SEEK_OVER_DECODE`×;
 //! * Fig 4: "I-frame edge + Cloud NN" reads at least every baseline's
 //!   throughput at 1, 3 and 5 videos;
 //! * Fig 5: SiEVE ships fewer edge→cloud bytes than MSE, and less than
-//!   1/[`CLOUD_OVER_SIEVE`] of cloud-only's.
+//!   1/`CLOUD_OVER_SIEVE` of cloud-only's.
 //!
 //! The paper's other claims do not reproduce here: the artifact records
 //! what they read, and [`render`] reports them beside the gated ones in
@@ -29,11 +29,11 @@ use crate::schema::{self, number_of as num, Shape};
 
 /// The factor by which SiEVE's Table III speed must exceed full decode +
 /// MSE: an order of magnitude. The paper reads 100–170×.
-pub const SEEK_OVER_DECODE: f64 = 10.0;
+const SEEK_OVER_DECODE: f64 = 10.0;
 
 /// The factor by which cloud-only's edge→cloud bytes must exceed SiEVE's.
 /// The paper reads ~7×.
-pub const CLOUD_OVER_SIEVE: u64 = 3;
+const CLOUD_OVER_SIEVE: u64 = 3;
 
 /// The whole artifact written to `BENCH_paper.json`.
 #[derive(Debug, Serialize)]
@@ -87,6 +87,7 @@ pub struct Costs {
 
 /// Label accuracy, fraction of frames analysed and the paper's F1.
 #[derive(Debug, Serialize)]
+// lint:allow(dead-pub): the type of the `Table2Row` and `EncodingPoint` quality fields, built by `.into()`
 pub struct Quality {
     pub accuracy: f64,
     pub sampling: f64,
@@ -245,7 +246,7 @@ type Check = fn(&Value) -> Result<(), String>;
 /// The paper's claims: the array each is about, what it says, the paper's
 /// figure, whether [`validate`] gates it, and its check.
 #[rustfmt::skip]
-pub const CLAIMS: [(&str, &str, &str, bool, Check); 11] = [
+const CLAIMS: [(&str, &str, &str, bool, Check); 11] = [
     ("table2", "Tuned F1 ≥ default (Table II)", "on every dataset", true, tuned_over_default),
     ("table2", "Tuned accuracy at its sampling (Table II)", "96–99% at 1–3%", false, tuned_accuracy),
     ("fig3", "SiEVE ≥ MSE at matched sampling (Fig 3)", "SiEVE above", true, sieve_over_mse),

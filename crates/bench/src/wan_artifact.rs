@@ -22,16 +22,16 @@ use crate::schema::{self, Shape};
 
 /// Relative rate error bound the feedback loop must meet at the 5% point
 /// (and the bound the feedback-off arm must *exceed* there).
-pub const RATE_ERR_BOUND: f64 = 0.2;
+const RATE_ERR_BOUND: f64 = 0.2;
 
 /// Looser bound for the `--quick` CI smoke: its 120-frame sweep is
 /// dominated by the AIMD ramp-down transient, so the achieved rate sits
 /// near the strict bound and thread-scheduling noise can tip it over.
-/// The committed artifact always validates against [`RATE_ERR_BOUND`].
+/// The committed artifact always validates against `RATE_ERR_BOUND`.
 pub const QUICK_RATE_ERR_BOUND: f64 = 0.3;
 
 /// The loss point the headline inequalities are asserted at.
-pub const HEADLINE_LOSS: f64 = 0.05;
+const HEADLINE_LOSS: f64 = 0.05;
 
 /// One arm of the A/B grid at one loss point.
 #[derive(Debug, Serialize)]

@@ -34,11 +34,6 @@ impl<T> JoinHandle<T> {
         }
         self.inner.join()
     }
-
-    /// Whether the thread has finished running.
-    pub fn is_finished(&self) -> bool {
-        self.inner.is_finished()
-    }
 }
 
 /// Spawns a thread; managed by the scheduler inside a model execution.

@@ -68,7 +68,7 @@ impl Ewma {
 
     /// Folds in one sample and returns the updated average. The first
     /// sample initialises the average directly.
-    pub fn update(&mut self, x: f64) -> f64 {
+    fn update(&mut self, x: f64) -> f64 {
         let v = match self.value {
             None => x,
             Some(v) => v + self.alpha * (x - v),
@@ -78,7 +78,7 @@ impl Ewma {
     }
 
     /// The current average, or `default` before any sample arrived.
-    pub fn value_or(&self, default: f64) -> f64 {
+    fn value_or(&self, default: f64) -> f64 {
         self.value.unwrap_or(default)
     }
 
@@ -135,7 +135,7 @@ impl P2Quantile {
     }
 
     /// The current quantile estimate; `None` before the first observation.
-    pub fn estimate(&self) -> Option<f64> {
+    fn estimate(&self) -> Option<f64> {
         if self.count == 0 {
             return None;
         }
@@ -262,7 +262,7 @@ const WAN_DECREASE: f64 = 0.7;
 /// queue drains, slamming the factor to the floor long before the edge
 /// had a chance to react — the WAN analogue of TCP's one window
 /// reduction per round trip.
-pub const WAN_MD_HOLDOFF_QUANTA: u64 = 10;
+const WAN_MD_HOLDOFF_QUANTA: u64 = 10;
 /// Additive increase per clean quantum (no loss at all). Deliberately
 /// gentle: congestion is detected by an *integral* signal (the standing
 /// queue crossing the ECN threshold), so a fast probe overshoots far past
@@ -289,7 +289,7 @@ const WAN_PPM: f64 = 1e6;
 /// not reduce it.
 /// Under a congested channel this is classic AIMD: the factor oscillates
 /// just under the rate the link can carry. Decreases are rate-limited to
-/// one per [`WAN_MD_HOLDOFF_QUANTA`] quanta so a single queue-drain
+/// one per `WAN_MD_HOLDOFF_QUANTA` quanta so a single queue-drain
 /// episode cannot cascade into a collapse (see [`WanSignal::apply`]). The
 /// factor is stored as parts per million in one atomic, so readers on the
 /// per-frame decision path pay a single relaxed load.
@@ -318,7 +318,7 @@ impl WanSignal {
     /// Folds in one feedback quantum; returns the updated factor.
     ///
     /// At most one multiplicative decrease fires per
-    /// [`WAN_MD_HOLDOFF_QUANTA`]-quantum window: congested quanta inside
+    /// `WAN_MD_HOLDOFF_QUANTA`-quantum window: congested quanta inside
     /// the window hold the factor steady (the previous decrease is still
     /// propagating to the edge), while increases are never held — a clean
     /// quantum means the episode is over.
@@ -604,12 +604,6 @@ impl RateController {
         } else {
             self.kept as f64 / self.observed as f64
         }
-    }
-
-    /// Exponentially smoothed recent keep rate (tracks drift faster than
-    /// [`RateController::achieved_rate`]).
-    pub fn smoothed_rate(&self) -> f64 {
-        self.rate.value_or(0.0)
     }
 }
 

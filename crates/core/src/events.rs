@@ -9,9 +9,9 @@
 //! analysis glue.
 
 use sieve_datasets::{segment_events, Event, LabelSet};
-use sieve_nn::ObjectDetector;
 use sieve_video::{EncodedVideo, Frame};
 
+use crate::detector::ObjectDetector;
 use crate::error::SieveError;
 use crate::metrics::propagate_labels;
 use crate::select::{FrameSelector, IFrameSelector};
@@ -28,9 +28,10 @@ pub struct AnalysisResult {
 
 impl AnalysisResult {
     /// Runs `detector` over decoded `(index, frame)` pairs and propagates
-    /// labels across `frame_count` frames — the one place detection output
-    /// becomes an analysis result.
-    pub fn from_detections<'a, I>(
+    /// labels across `frame_count` frames. `picked` must already have
+    /// passed `check_selection`, as in [`analyze_selected`]: propagation
+    /// panics on an unsorted or out-of-range index.
+    fn from_detections<'a, I>(
         frame_count: usize,
         detector: &mut (impl ObjectDetector + ?Sized),
         picked: I,
@@ -159,8 +160,8 @@ fn check_selection(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::detector::OracleDetector;
     use sieve_datasets::{DatasetId, DatasetScale, DatasetSpec};
-    use sieve_nn::OracleDetector;
     use sieve_video::EncoderConfig;
 
     fn setup() -> (sieve_datasets::SyntheticVideo, EncodedVideo) {

@@ -14,6 +14,8 @@
 //! * [`adapt`] — on-line threshold adaptation (EWMA, P² streaming
 //!   quantile, the [`RateController`] behind `Budget::TargetRate`);
 //! * [`metrics`] — accuracy / filtering rate / F1 with label propagation;
+//! * [`detector`] — the [`ObjectDetector`] interface and the ground-truth
+//!   [`OracleDetector`] the paper's accuracy model assumes;
 //! * [`events`] — the analysis path producing `(frame, labels)` tuples;
 //! * [`edge`] — the per-stream live edge decision ([`EdgeSession`]) every
 //!   `sieve-fleet` stream runs;
@@ -23,9 +25,8 @@
 //! ## Quickstart
 //!
 //! ```
-//! use sieve_core::{analyze_sieve, score_encoding, IFrameSeeker};
+//! use sieve_core::{analyze_sieve, score_encoding, OracleDetector};
 //! use sieve_datasets::{DatasetId, DatasetScale, DatasetSpec};
-//! use sieve_nn::OracleDetector;
 //! use sieve_video::{EncodedVideo, EncoderConfig};
 //!
 //! // A tiny synthetic camera feed with ground truth.
@@ -42,19 +43,19 @@
 //! ```
 
 pub mod adapt;
+pub mod detector;
 pub mod edge;
 pub mod error;
 pub mod events;
 pub mod lookup;
 pub mod metrics;
 pub mod pipeline;
-pub mod reencode;
 pub mod seeker;
 pub mod select;
-pub mod store;
 pub mod tuner;
 
 pub use adapt::{wan_signal, Ewma, P2Quantile, RateController, WanFeedback, WanSignal};
+pub use detector::{ObjectDetector, OracleDetector, NN_INPUT_SIZE};
 pub use edge::{EdgeOutcome, EdgeSession};
 pub use error::SieveError;
 pub use events::{analyze, analyze_selected, analyze_sieve, AnalysisResult};
@@ -64,11 +65,9 @@ pub use pipeline::{
     simulate_all, simulate_baseline, Baseline, BaselineOutcome, BaselineSpec, Deployment,
     SelectorKind, VideoWorkload, WorkloadCosts,
 };
-pub use reencode::{reencode_semantic, ReencodeStats};
 pub use seeker::{ByteStreamSeeker, IFrameSeeker};
 pub use select::{
     CalibrationCurve, CalibrationPoint, Decision, EncodedFrameMeta, FixedSelector, FrameSelector,
     IFrameSelector, SelectorCost, SelectorSession,
 };
-pub use store::{EventSeeker, ResultStore, ResultTuple};
 pub use tuner::{score_encoding, tune, ConfigGrid, ConfigScore, TuningOutcome};

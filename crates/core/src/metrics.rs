@@ -48,14 +48,18 @@ pub fn f1_score(accuracy: f64, filtering_rate: f64) -> f64 {
 pub fn propagate_labels(total_frames: usize, selected: &[(usize, LabelSet)]) -> Vec<LabelSet> {
     let mut out = vec![LabelSet::empty(); total_frames];
     let mut prev_idx = None::<usize>;
-    for &(idx, labels) in selected {
+    for (k, &(idx, labels)) in selected.iter().enumerate() {
         assert!(idx < total_frames, "selected index {idx} out of range");
         if let Some(p) = prev_idx {
             assert!(idx > p, "selected indices must be strictly increasing");
         }
-        for l in out.iter_mut().skip(idx) {
-            *l = labels;
-        }
+        // Each selection owns the frames up to the next one, so every frame
+        // is written once. An out-of-order successor fails its own assert
+        // next iteration; clamping keeps this fill in bounds until then.
+        let next = selected
+            .get(k + 1)
+            .map_or(total_frames, |&(n, _)| n.clamp(idx, total_frames));
+        out[idx..next].fill(labels);
         prev_idx = Some(idx);
     }
     out

@@ -40,7 +40,7 @@ impl SelectorKind {
     }
 
     /// Frames this policy analyses for `video`.
-    pub fn analysed_frames(&self, video: &VideoWorkload) -> usize {
+    fn analysed_frames(&self, video: &VideoWorkload) -> usize {
         match self {
             // Uniform sampling is budget-matched to SiEVE's I-frame count,
             // the paper's fair-comparison methodology.

@@ -18,8 +18,9 @@ use sieve_video::{DecodeError, EncodedVideo, Frame, FrameType, VideoIndex};
 ///                                  (0..7).map(|_| Frame::grey(res)));
 /// let seeker = IFrameSeeker::new(&video);
 /// assert_eq!(seeker.i_frame_indices(), vec![0, 3, 6]);
-/// let decoded: Vec<_> = seeker.decode_i_frames().collect::<Result<_, _>>().unwrap();
-/// assert_eq!(decoded.len(), 3);
+/// for i in seeker.i_frame_indices() {
+///     video.decode_iframe_at(i).unwrap();
+/// }
 /// ```
 #[derive(Debug)]
 pub struct IFrameSeeker<'a> {
@@ -38,7 +39,7 @@ impl<'a> IFrameSeeker<'a> {
     }
 
     /// Number of I-frames (the number of NN invocations SiEVE will pay).
-    pub fn i_frame_count(&self) -> usize {
+    fn i_frame_count(&self) -> usize {
         self.video
             .frames()
             .iter()
@@ -54,20 +55,6 @@ impl<'a> IFrameSeeker<'a> {
         } else {
             self.i_frame_count() as f64 / self.video.frame_count() as f64
         }
-    }
-
-    /// Lazily decodes each I-frame independently, in display order.
-    ///
-    /// Each item is `(frame_index, decoded frame)`; decoding failures are
-    /// surfaced per frame.
-    pub fn decode_i_frames(
-        &self,
-    ) -> impl Iterator<Item = Result<(usize, Frame), DecodeError>> + 'a {
-        let video = self.video;
-        video
-            .i_frame_indices()
-            .into_iter()
-            .map(move |i| video.decode_iframe_at(i).map(|f| (i, f)))
     }
 }
 
@@ -153,8 +140,8 @@ mod tests {
         let v = video(3, 9);
         let s = IFrameSeeker::new(&v);
         let full = v.decode_all().expect("full decode");
-        for item in s.decode_i_frames() {
-            let (i, f) = item.expect("iframe decode");
+        for i in s.i_frame_indices() {
+            let f = v.decode_iframe_at(i).expect("iframe decode");
             assert_eq!(f, full[i], "frame {i} differs from streaming decode");
         }
     }

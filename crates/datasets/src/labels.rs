@@ -43,11 +43,6 @@ impl ObjectClass {
         }
     }
 
-    /// Inverse of [`ObjectClass::bit`].
-    pub fn from_bit(bit: u8) -> Option<ObjectClass> {
-        Self::ALL.into_iter().find(|c| c.bit() == bit)
-    }
-
     /// Typical width:height aspect ratio of the rendered sprite.
     pub fn aspect(self) -> f32 {
         match self {
@@ -113,7 +108,7 @@ impl LabelSet {
     }
 
     /// Builds a set from classes.
-    pub fn from_classes<I: IntoIterator<Item = ObjectClass>>(classes: I) -> Self {
+    fn from_classes<I: IntoIterator<Item = ObjectClass>>(classes: I) -> Self {
         let mut s = Self::empty();
         for c in classes {
             s.insert(c);
@@ -242,9 +237,8 @@ mod tests {
     #[test]
     fn bits_roundtrip_all_classes() {
         for c in ObjectClass::ALL {
-            assert_eq!(ObjectClass::from_bit(c.bit()), Some(c));
+            assert_eq!(LabelSet::from_bits(1 << c.bit()), LabelSet::single(c));
         }
-        assert_eq!(ObjectClass::from_bit(7), None);
     }
 
     #[test]

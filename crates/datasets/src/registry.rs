@@ -263,12 +263,12 @@ impl DatasetSpec {
     }
 
     /// The resolution used at `scale`.
-    pub fn resolution_at(&self, scale: DatasetScale) -> Resolution {
+    fn resolution_at(&self, scale: DatasetScale) -> Resolution {
         scale.shrink(self.paper_resolution)
     }
 
     /// Builds the full video configuration at `scale`.
-    pub fn video_config(&self, scale: DatasetScale) -> VideoConfig {
+    fn video_config(&self, scale: DatasetScale) -> VideoConfig {
         let resolution = self.resolution_at(scale);
         // Object and ripple sizes follow the resolution shrink so the scene
         // keeps its proportions.

@@ -209,7 +209,7 @@ impl Renderer {
 
     /// Camera jitter displacement at frame `index`, in whole pixels: a sum
     /// of incommensurate sinusoids (smooth, bounded, deterministic).
-    pub fn jitter_at(&self, index: usize) -> (i64, i64) {
+    fn jitter_at(&self, index: usize) -> (i64, i64) {
         if self.cfg.jitter_amplitude <= 0.0 {
             return (0, 0);
         }

@@ -45,7 +45,7 @@ pub struct ObjectInstance {
 
 impl ObjectInstance {
     /// True if the object is visible in `frame`.
-    pub fn visible_at(&self, frame: usize) -> bool {
+    fn visible_at(&self, frame: usize) -> bool {
         frame >= self.spawn && frame < self.despawn
     }
 
@@ -214,16 +214,6 @@ impl Schedule {
         &self.params
     }
 
-    /// All object instances, ordered by spawn frame.
-    pub fn instances(&self) -> &[ObjectInstance] {
-        &self.instances
-    }
-
-    /// Instances visible in `frame`.
-    pub fn visible_at(&self, frame: usize) -> impl Iterator<Item = &ObjectInstance> {
-        self.instances.iter().filter(move |o| o.visible_at(frame))
-    }
-
     /// Instances leaving pixels in `frame` — the labelled set plus objects
     /// mid-approach or mid-departure (see [`ObjectInstance::presence`]).
     pub fn renderable_at(&self, frame: usize) -> impl Iterator<Item = &ObjectInstance> {
@@ -293,8 +283,8 @@ mod tests {
             30.0,
             42,
         );
-        assert!(!s.instances().is_empty());
-        for inst in s.instances() {
+        assert!(!s.instances.is_empty());
+        for inst in &s.instances {
             for f in [inst.spawn, inst.despawn - 1] {
                 let (x, y) = inst.position_at(f);
                 assert!((0.0..=320.0).contains(&x), "x out of bounds: {x}");
@@ -311,7 +301,10 @@ mod tests {
         p.mean_dwell = 200.0;
         let s = Schedule::generate(p, &[ObjectClass::Person], 320, 200, 20.0, 3);
         for f in 0..3000 {
-            assert!(s.visible_at(f).count() <= 1, "frame {f} over cap");
+            assert!(
+                s.instances.iter().filter(|o| o.visible_at(f)).count() <= 1,
+                "frame {f} over cap"
+            );
         }
     }
 
@@ -321,7 +314,12 @@ mod tests {
         let labels = s.frame_labels();
         assert_eq!(labels.len(), 2000);
         for (f, l) in labels.iter().enumerate() {
-            let expect: LabelSet = s.visible_at(f).map(|o| o.class).collect();
+            let expect: LabelSet = s
+                .instances
+                .iter()
+                .filter(|o| o.visible_at(f))
+                .map(|o| o.class)
+                .collect();
             assert_eq!(*l, expect, "frame {f}");
         }
     }
@@ -340,7 +338,7 @@ mod tests {
     #[test]
     fn min_span_enforced_on_dwell() {
         let s = Schedule::generate(params(5000), &[ObjectClass::Car], 320, 200, 30.0, 5);
-        for inst in s.instances() {
+        for inst in &s.instances {
             let life = inst.despawn - inst.spawn;
             // Instances truncated by the end of the video may be shorter.
             if inst.despawn < 5000 {

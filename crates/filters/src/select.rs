@@ -83,11 +83,6 @@ impl UniformSelector {
             sampler: UniformSampler::matching_count(total_frames, count),
         }
     }
-
-    /// The underlying sampler.
-    pub fn sampler(&self) -> &UniformSampler {
-        &self.sampler
-    }
 }
 
 impl FrameSelector for UniformSelector {
@@ -544,8 +539,7 @@ pub fn selector_for(
 mod tests {
     use super::*;
     use crate::detector::score_sequence;
-    use sieve_core::analyze;
-    use sieve_nn::OracleDetector;
+    use sieve_core::{analyze, OracleDetector};
     use sieve_video::{EncoderConfig, Resolution};
 
     fn sample_video(frames: usize) -> EncodedVideo {

@@ -10,7 +10,7 @@ use super::keypoint::Keypoint;
 use super::pyramid::Pyramid;
 
 /// Descriptor dimensionality (4 x 4 cells x 8 orientation bins).
-pub const DESCRIPTOR_LEN: usize = 128;
+const DESCRIPTOR_LEN: usize = 128;
 
 /// A descriptor paired with its keypoint.
 #[derive(Debug, Clone, PartialEq)]

@@ -19,7 +19,7 @@ impl Default for MatchConfig {
 /// A correspondence between descriptor `from` in the previous frame and
 /// descriptor `to` in the current frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Match {
+struct Match {
     /// Index into the previous frame's descriptors.
     pub from: usize,
     /// Index into the current frame's descriptors.
@@ -28,11 +28,7 @@ pub struct Match {
 
 /// Brute-force nearest-neighbour matching from `prev` to `cur` with the
 /// ratio test.
-pub fn match_descriptors(
-    prev: &[Descriptor],
-    cur: &[Descriptor],
-    config: &MatchConfig,
-) -> Vec<Match> {
+fn match_descriptors(prev: &[Descriptor], cur: &[Descriptor], config: &MatchConfig) -> Vec<Match> {
     let mut matches = Vec::new();
     if cur.is_empty() {
         return matches;

@@ -37,7 +37,7 @@ pub struct SiftConfig {
 }
 
 /// Extracts SIFT descriptors from a frame's luma plane.
-pub fn extract(frame: &Frame, config: &SiftConfig) -> Vec<Descriptor> {
+fn extract(frame: &Frame, config: &SiftConfig) -> Vec<Descriptor> {
     let img = GrayImage::from_luma(frame.y());
     let pyramid = Pyramid::build(&img, &config.pyramid);
     let kps = detect(&pyramid, &config.keypoints);
@@ -56,14 +56,6 @@ impl SiftDetector {
     /// Creates a detector with default parameters.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Creates a detector with explicit parameters.
-    pub fn with_config(config: SiftConfig) -> Self {
-        Self {
-            config,
-            prev_features: None,
-        }
     }
 }
 

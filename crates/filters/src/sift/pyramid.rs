@@ -29,7 +29,7 @@ impl Default for PyramidConfig {
 
 /// One octave: the blurred images and their DoG differences.
 #[derive(Debug, Clone)]
-pub struct Octave {
+pub(crate) struct Octave {
     /// Blurred images, increasing sigma.
     pub images: Vec<GrayImage>,
     /// `images[i+1] - images[i]` for each adjacent pair.
@@ -42,7 +42,7 @@ pub struct Octave {
 #[derive(Debug, Clone)]
 pub struct Pyramid {
     /// Octaves, from input resolution downwards.
-    pub octaves: Vec<Octave>,
+    pub(crate) octaves: Vec<Octave>,
 }
 
 impl Pyramid {

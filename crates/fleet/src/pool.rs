@@ -33,9 +33,6 @@ fn key_of(resolution: Resolution, quality: u8) -> PoolKey {
 #[derive(Debug, Default)]
 pub(crate) struct DecoderPool {
     slabs: Mutex<BTreeMap<PoolKey, Vec<Decoder>>>,
-    /// Decoders handed out that were reused from the slab (telemetry for
-    /// tests; fresh constructions are `acquired - reused`).
-    reused: Mutex<u64>,
 }
 
 impl DecoderPool {
@@ -47,13 +44,7 @@ impl DecoderPool {
             .lock()
             .get_mut(&key_of(resolution, quality))
             .and_then(Vec::pop);
-        match recycled {
-            Some(d) => {
-                *self.reused.lock() += 1;
-                d
-            }
-            None => Decoder::new(resolution, quality),
-        }
+        recycled.unwrap_or_else(|| Decoder::new(resolution, quality))
     }
 
     /// Parks a finished stream's decoder for reuse (reset first, so no
@@ -68,37 +59,30 @@ impl DecoderPool {
             slab.push(decoder);
         }
     }
-
-    /// Decoders currently parked (across all keys).
-    pub(crate) fn parked(&self) -> usize {
-        self.slabs.lock().values().map(Vec::len).sum()
-    }
-
-    /// Acquisitions served from the slab instead of a fresh construction.
-    pub(crate) fn reuses(&self) -> u64 {
-        *self.reused.lock()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Decoders currently parked (across all keys).
+    fn parked(pool: &DecoderPool) -> usize {
+        pool.slabs.lock().values().map(Vec::len).sum()
+    }
+
     #[test]
     fn acquire_release_reuses_by_geometry() {
         let pool = DecoderPool::default();
         let res = Resolution::new(32, 32);
         let d = pool.acquire(res, 80);
-        assert_eq!(pool.reuses(), 0);
         pool.release(d);
-        assert_eq!(pool.parked(), 1);
-        let _again = pool.acquire(res, 80);
-        assert_eq!(pool.reuses(), 1);
-        assert_eq!(pool.parked(), 0);
+        assert_eq!(parked(&pool), 1);
         // A different geometry never reuses the parked decoder.
         let other = pool.acquire(res, 50);
         assert_eq!(other.quality(), 50);
-        assert_eq!(pool.reuses(), 1);
+        assert_eq!(parked(&pool), 1);
+        let _again = pool.acquire(res, 80);
+        assert_eq!(parked(&pool), 0);
     }
 
     #[test]
@@ -108,6 +92,6 @@ mod tests {
         for _ in 0..(PER_KEY_CAP + 8) {
             pool.release(Decoder::new(res, 80));
         }
-        assert_eq!(pool.parked(), PER_KEY_CAP);
+        assert_eq!(parked(&pool), PER_KEY_CAP);
     }
 }

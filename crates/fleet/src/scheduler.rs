@@ -275,7 +275,6 @@ pub struct Fleet {
     registry: Arc<RwLock<StreamTable>>,
     inflight: Arc<AtomicUsize>,
     instruments: Arc<FleetInstruments>,
-    pool: Arc<DecoderPool>,
     started: Instant,
 }
 
@@ -357,7 +356,6 @@ impl Fleet {
             registry,
             inflight,
             instruments,
-            pool,
             started: Instant::now(),
         }
     }
@@ -584,18 +582,6 @@ impl Fleet {
     /// [`FleetConfig::global_frame_budget`]).
     pub fn inflight(&self) -> usize {
         self.inflight.load(Ordering::Acquire)
-    }
-
-    /// Decoders currently parked in the shared slab pool — live decoders
-    /// track *actively decoding* streams, not registered ones.
-    pub fn pooled_decoders(&self) -> usize {
-        self.pool.parked()
-    }
-
-    /// Decoder acquisitions served by recycling a parked decoder instead
-    /// of constructing a fresh one (stream churn stops allocating).
-    pub fn decoder_reuses(&self) -> u64 {
-        self.pool.reuses()
     }
 
     /// Closes every stream, drains every queue, joins the workers and

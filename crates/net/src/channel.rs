@@ -11,7 +11,7 @@
 //!    bounded backlog of `queue_bytes`; a packet arriving to a full
 //!    backlog is a *congestion drop* (this is the loss the feedback loop
 //!    can actually fix by slowing the sender down), and one arriving to
-//!    a backlog past [`ECN_QUEUE_FRACTION`] of the bound is ECN-marked —
+//!    a backlog past `ECN_QUEUE_FRACTION` of the bound is ECN-marked —
 //!    the early-warning form of the same signal;
 //! 2. **Random loss** — i.i.d. or Gilbert–Elliott two-state burst loss;
 //! 3. **Latency + jitter** — base propagation delay plus a uniform
@@ -179,7 +179,7 @@ impl WanConfig {
 /// bound (DCTCP-style) gives the feedback loop its earliest congestion
 /// signal — it fires while the queue still has headroom, long before
 /// anything is tail-dropped.
-pub const ECN_QUEUE_FRACTION: f64 = 0.25;
+const ECN_QUEUE_FRACTION: f64 = 0.25;
 
 /// Lifetime packet counts a channel keeps about itself.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

@@ -161,11 +161,6 @@ impl Packetizer {
         })
     }
 
-    /// Payload bytes that fit in one fragment.
-    pub fn frag_payload(&self) -> usize {
-        self.frag_payload
-    }
-
     /// Packetizes one block; returns its id and the fragments in send
     /// order (data first, then per-group parity).
     pub fn packetize(&mut self, block: &[u8]) -> (u64, Vec<Packet>) {
@@ -406,7 +401,7 @@ pub struct Depacketizer {
 /// Blocks a stream may keep pending before the oldest is forced to a
 /// verdict. Generous relative to the channel's reorder bound so a late
 /// fragment still finds its block waiting.
-pub const DEFAULT_HORIZON: u64 = 8;
+const DEFAULT_HORIZON: u64 = 8;
 
 impl Depacketizer {
     /// `mtu` and `fec` must match the sender's — the fragment payload

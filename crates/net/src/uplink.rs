@@ -189,7 +189,7 @@ impl Uplink {
     }
 
     /// Advances the receive side to the current virtual time.
-    pub fn pump(&mut self) -> Vec<BlockReport> {
+    fn pump(&mut self) -> Vec<BlockReport> {
         let mut reports = Vec::new();
         for p in self.channel.poll(self.now) {
             reports.extend(self.depacketizer.push(p));

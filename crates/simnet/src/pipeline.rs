@@ -120,11 +120,6 @@ impl Pipeline {
         }
     }
 
-    /// The stage specs.
-    pub fn stages(&self) -> &[StageSpec] {
-        &self.stages
-    }
-
     /// Pushes one item through the pipeline.
     ///
     /// `work[i]` describes the item's demand on stage `i`. The item visits

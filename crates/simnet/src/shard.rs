@@ -293,12 +293,6 @@ impl<T> ShardQueue<T> {
         true
     }
 
-    /// Lane `key`'s current scheduling weight (`None` for unknown lanes).
-    pub fn lane_weight(&self, key: u64) -> Option<u32> {
-        let mut s = self.state.lock();
-        s.lane_mut(key).map(|l| l.weight)
-    }
-
     /// Pushes without blocking; see [`PushOutcome`] for the cases.
     pub fn try_push(&self, key: u64, item: T) -> PushOutcome {
         let mut s = self.state.lock();
@@ -511,11 +505,6 @@ impl<T> ShardQueue<T> {
         let mut s = self.state.lock();
         s.lane_mut(key).map(|l| l.queue.len())
     }
-
-    /// Queued items across all lanes.
-    pub fn total_depth(&self) -> usize {
-        self.state.lock().queued
-    }
 }
 
 #[cfg(test)]
@@ -626,7 +615,7 @@ mod tests {
             panic!("expected second item");
         };
         q.complete(1, Some(5));
-        assert_eq!(q.lane_weight(1), Some(5));
+        assert_eq!(q.state.lock().lane_mut(1).map(|l| l.weight), Some(5));
     }
 
     #[test]

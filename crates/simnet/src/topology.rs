@@ -75,13 +75,8 @@ impl Link {
     }
 
     /// A camera→edge LAN: 100 Mbps, 2 ms.
-    pub fn camera_lan() -> Self {
+    fn camera_lan() -> Self {
         Self::new("camera->edge", 100.0e6, 0.002)
-    }
-
-    /// Time to push `bytes` through the link.
-    pub fn transfer_secs(&self, bytes: u64) -> f64 {
-        (bytes as f64 * 8.0) / self.bandwidth_bps + self.latency_secs
     }
 }
 
@@ -138,18 +133,10 @@ mod tests {
     }
 
     #[test]
-    fn link_transfer_time() {
-        let l = Link::new("test", 8e6, 0.01); // 1 MB/s
-        let t = l.transfer_secs(1_000_000);
-        assert!((t - 1.01).abs() < 1e-9);
-    }
-
-    #[test]
     fn paper_wan_is_30mbps() {
         let l = Link::paper_wan();
-        // 30 Mbit/s -> 3.75 MB/s; 3.75 MB should take ~1s + latency.
-        let t = l.transfer_secs(3_750_000);
-        assert!((t - 1.02).abs() < 1e-9);
+        assert_eq!(l.bandwidth_bps, 30.0e6);
+        assert_eq!(l.latency_secs, 0.02);
     }
 
     #[test]

@@ -4,9 +4,8 @@
 //! Two clock modes, mirroring the fleet's decision-latency gating:
 //!
 //! * **Wall clock** (normal builds): [`Collector::tick`] stamps the point
-//!   with real elapsed milliseconds, and [`Collector::start_sampler`]
-//!   spawns a facade thread that ticks at a fixed period — the mode the
-//!   terminal dashboard and long-running deployments use.
+//!   with real elapsed milliseconds — the mode the terminal dashboard
+//!   uses.
 //! * **Explicit time** (always available, the *only* mode under the
 //!   `model-check` feature, where wall-clock state is compiled out
 //!   entirely): [`Collector::tick_at`] takes the timestamp from the
@@ -47,16 +46,6 @@ pub struct SeriesPoint {
     pub histograms: std::collections::BTreeMap<String, QuantileSummary>,
 }
 
-impl SeriesPoint {
-    /// `counter(name)` here minus the same counter at `earlier`, i.e. the
-    /// events landed between the two ticks (0 for an unknown name).
-    pub fn counter_delta(&self, earlier: &SeriesPoint, name: &str) -> u64 {
-        let now = self.counters.get(name).copied().unwrap_or(0);
-        let then = earlier.counters.get(name).copied().unwrap_or(0);
-        now.saturating_sub(then)
-    }
-}
-
 /// The serialized artifact (`stats.json`): a schema tag plus the series.
 #[derive(Debug, Clone, Serialize)]
 pub struct SeriesExport {
@@ -91,7 +80,7 @@ impl Collector {
     }
 
     /// A collector retaining at most `max_points` (≥ 1) points.
-    pub fn with_max_points(registry: Arc<Registry>, max_points: usize) -> Self {
+    fn with_max_points(registry: Arc<Registry>, max_points: usize) -> Self {
         Self {
             registry,
             series: Mutex::new(SeriesBuf::default()),
@@ -148,11 +137,6 @@ impl Collector {
         self.series.lock().points.iter().cloned().collect()
     }
 
-    /// The most recent point, if any tick has happened.
-    pub fn latest(&self) -> Option<SeriesPoint> {
-        self.series.lock().points.back().cloned()
-    }
-
     /// Number of retained points.
     pub fn len(&self) -> usize {
         self.series.lock().points.len()
@@ -169,73 +153,6 @@ impl Collector {
             artifact: "sieve_stats".to_string(),
             points: self.points(),
         }
-    }
-
-    /// Spawns a facade thread ticking this collector every `period` until
-    /// the returned handle is stopped (or dropped). Not compiled under
-    /// `model-check`: the sampler is wall-clock-paced by construction;
-    /// deterministic runs call [`Collector::tick_at`] themselves.
-    #[cfg(not(feature = "model-check"))]
-    pub fn start_sampler(self: &Arc<Self>, period: std::time::Duration) -> Sampler {
-        use crate::sync::atomic::{AtomicBool, Ordering};
-        let stop = Arc::new(AtomicBool::new(false));
-        let collector = self.clone();
-        let flag = stop.clone();
-        let handle = crate::sync::thread::spawn(move || {
-            while !flag.load(Ordering::Acquire) {
-                // Sleep in short slices so stop() returns promptly even
-                // with a long sampling period.
-                let mut left = period;
-                while !left.is_zero() && !flag.load(Ordering::Acquire) {
-                    let slice = left.min(std::time::Duration::from_millis(25));
-                    std::thread::sleep(slice);
-                    left = left.saturating_sub(slice);
-                }
-                if flag.load(Ordering::Acquire) {
-                    break;
-                }
-                collector.tick();
-            }
-        });
-        Sampler {
-            stop,
-            handle: Some(handle),
-        }
-    }
-}
-
-/// Handle to a running sampler thread; stopping (or dropping) it joins the
-/// thread.
-#[cfg(not(feature = "model-check"))]
-#[derive(Debug)]
-pub struct Sampler {
-    stop: Arc<crate::sync::atomic::AtomicBool>,
-    handle: Option<crate::sync::thread::JoinHandle<()>>,
-}
-
-#[cfg(not(feature = "model-check"))]
-impl Sampler {
-    /// Signals the sampler to exit and joins it.
-    pub fn stop(mut self) {
-        self.shutdown();
-    }
-
-    fn shutdown(&mut self) {
-        use crate::sync::atomic::Ordering;
-        self.stop.store(true, Ordering::Release);
-        if let Some(handle) = self.handle.take() {
-            // A sampler tick cannot panic (it only reads atomics), so a
-            // join error is unreachable; ignore it rather than unwind in
-            // drop.
-            let _ = handle.join();
-        }
-    }
-}
-
-#[cfg(not(feature = "model-check"))]
-impl Drop for Sampler {
-    fn drop(&mut self) {
-        self.shutdown();
     }
 }
 
@@ -267,7 +184,7 @@ mod tests {
         r.counter("fleet.kept").add(3);
         let p2 = c.tick_at(20);
         assert_eq!(p2.seq, 1);
-        assert_eq!(p2.counter_delta(&p, "fleet.kept"), 3);
+        assert_eq!(p2.counters["fleet.kept"] - p.counters["fleet.kept"], 3);
         assert_eq!(c.len(), 2);
     }
 
@@ -288,7 +205,7 @@ mod tests {
         let points = c.points();
         assert_eq!(points.len(), 2);
         assert_eq!(points[0].seq, 3, "oldest retained is tick 3");
-        assert_eq!(c.latest().map(|p| p.seq), Some(4));
+        assert_eq!(points[1].seq, 4);
     }
 
     #[test]
@@ -299,21 +216,5 @@ mod tests {
         assert!(json.contains("\"artifact\": \"sieve_stats\""));
         assert!(json.contains("fleet.kept"));
         assert!(json.contains("\"p99\""));
-    }
-
-    #[cfg(not(feature = "model-check"))]
-    #[test]
-    fn sampler_ticks_and_stops() {
-        let c = Arc::new(Collector::new(registry_with_data()));
-        let sampler = c.start_sampler(std::time::Duration::from_millis(5));
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        while c.is_empty() && std::time::Instant::now() < deadline {
-            std::thread::sleep(std::time::Duration::from_millis(2));
-        }
-        sampler.stop();
-        assert!(!c.is_empty(), "sampler never ticked");
-        let n = c.len();
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        assert_eq!(c.len(), n, "sampler kept ticking after stop");
     }
 }

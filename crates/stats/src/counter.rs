@@ -82,7 +82,7 @@ impl Counter {
 
     /// A counter with `shards` write lanes (rounded up to a power of two,
     /// clamped to `1..=64`).
-    pub fn with_shards(shards: usize) -> Self {
+    fn with_shards(shards: usize) -> Self {
         let n = shards.next_power_of_two().clamp(1, 64);
         Self {
             shards: (0..n).map(|_| PaddedU64::default()).collect(),
@@ -144,7 +144,7 @@ impl Gauge {
     /// Lowers the level by `n`. The caller's protocol must keep the level
     /// non-negative (a gauge underflow wraps, exactly like the raw atomic
     /// it replaces).
-    pub fn sub(&self, n: u64) {
+    fn sub(&self, n: u64) {
         self.value.fetch_sub(n, Ordering::Relaxed);
     }
 

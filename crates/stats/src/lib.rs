@@ -14,13 +14,13 @@
 //!    Registration is idempotent, so many emitters share one aggregate.
 //! 3. **Collector** — [`Collector`] folds a registry into periodic
 //!    [`SeriesPoint`]s (cumulative totals; consumers difference for
-//!    rates), either on a wall-clock [`Sampler`] thread or via explicit
-//!    [`Collector::tick_at`] for deterministic runs, and exports the
+//!    rates), stamped by the wall clock ([`Collector::tick`]) or by
+//!    explicit [`Collector::tick_at`] for deterministic runs, and exports the
 //!    series as the `stats.json` artifact.
 //!
 //! Under the `model-check` feature every primitive routes through
 //! `sieve-check`'s instrumented sync (see [`sync`]) and all wall-clock
-//! state — `Collector::tick`, the sampler thread — is compiled out, the
+//! state — `Collector::tick` — is compiled out, the
 //! same gating the fleet applies to decision-latency timing.
 
 pub mod sync;
@@ -30,8 +30,6 @@ mod counter;
 mod histogram;
 mod registry;
 
-#[cfg(not(feature = "model-check"))]
-pub use collector::Sampler;
 pub use collector::{Collector, SeriesExport, SeriesPoint, DEFAULT_MAX_POINTS};
 pub use counter::{Counter, Gauge};
 pub use histogram::{Histogram, HistogramSnapshot, QuantileSummary, BUCKETS};

@@ -17,13 +17,13 @@ pub const MAGIC: &[u8; 4] = b"SEV1";
 /// Largest frame side, in pixels, a parsed container may declare — DCI 4K
 /// width, above every dataset resolution. A decoder allocates its frames
 /// from the header, so a hostile header must not size them.
-pub const MAX_SIDE: u32 = 4096;
+const MAX_SIDE: u32 = 4096;
 
 /// Errors from parsing a serialized container.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ContainerError {
     /// Input does not start with [`MAGIC`], is too short for the header, or
-    /// declares a resolution (zero, odd or above [`MAX_SIDE`]), frame rate
+    /// declares a resolution (zero, odd or above `MAX_SIDE`), frame rate
     /// or quality (outside `1..=100`) no decoder accepts.
     BadHeader,
     /// The frame table or payload region is truncated.
@@ -174,15 +174,6 @@ impl EncodedVideo {
     /// Total payload bytes across all frames.
     pub fn total_bytes(&self) -> u64 {
         self.frames.iter().map(|f| f.data.len() as u64).sum()
-    }
-
-    /// Total payload bytes of frames of the given type.
-    pub fn bytes_of_type(&self, t: FrameType) -> u64 {
-        self.frames
-            .iter()
-            .filter(|f| f.frame_type == t)
-            .map(|f| f.data.len() as u64)
-            .sum()
     }
 
     /// Decodes the I-frame at `index` independently.
@@ -520,10 +511,11 @@ mod tests {
     #[test]
     fn byte_accounting() {
         let v = sample_video();
-        assert_eq!(
-            v.total_bytes(),
-            v.bytes_of_type(FrameType::I) + v.bytes_of_type(FrameType::P)
-        );
-        assert!(v.bytes_of_type(FrameType::I) > 0);
+        let bytes = |t| {
+            let frames = v.frames().iter().filter(|f| f.frame_type == t);
+            frames.map(|f| f.data.len() as u64).sum::<u64>()
+        };
+        assert_eq!(v.total_bytes(), bytes(FrameType::I) + bytes(FrameType::P));
+        assert!(bytes(FrameType::I) > 0);
     }
 }

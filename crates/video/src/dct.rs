@@ -10,7 +10,7 @@
 use crate::kernels;
 
 /// Number of samples along one side of a transform block.
-pub const BLOCK: usize = 8;
+const BLOCK: usize = 8;
 
 /// Number of samples in a transform block.
 pub const BLOCK_LEN: usize = BLOCK * BLOCK;

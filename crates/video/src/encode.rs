@@ -117,12 +117,6 @@ impl EncoderConfig {
         self.quality = quality;
         self
     }
-
-    /// Returns a copy with a different minimum keyframe interval.
-    pub fn with_min_keyint(mut self, min_keyint: usize) -> Self {
-        self.min_keyint = min_keyint.max(1);
-        self
-    }
 }
 
 impl Default for EncoderConfig {
@@ -814,7 +808,10 @@ mod tests {
     #[test]
     fn scenecut_400_makes_every_frame_i_after_min_keyint() {
         let res = Resolution::new(64, 48);
-        let cfg = EncoderConfig::new(1000, 400).with_min_keyint(1);
+        let cfg = EncoderConfig {
+            min_keyint: 1,
+            ..EncoderConfig::new(1000, 400)
+        };
         let mut enc = Encoder::new(res, cfg);
         // Use frames with some texture so intra cost is non-zero.
         for i in 0..5 {
@@ -826,7 +823,10 @@ mod tests {
     #[test]
     fn scene_change_triggers_i_frame() {
         let res = Resolution::new(64, 48);
-        let cfg = EncoderConfig::new(1000, 150).with_min_keyint(1);
+        let cfg = EncoderConfig {
+            min_keyint: 1,
+            ..EncoderConfig::new(1000, 150)
+        };
         let mut enc = Encoder::new(res, cfg);
         let background = noise_frame(res, 0, 1);
         enc.encode_frame(&background);

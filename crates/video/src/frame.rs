@@ -5,7 +5,7 @@
 //! virtually every surveillance-camera encoder. Frames are the interface
 //! between the synthetic scene renderer (`sieve-datasets`), the encoder
 //! ([`crate::encode`]), the similarity baselines (`sieve-filters`) and the
-//! neural network (`sieve-nn`).
+//! NN input resize (the live run's cloud sink, `sieve-bench`'s cost probe).
 
 use crate::kernels;
 
@@ -17,8 +17,8 @@ use crate::kernels;
 /// ```
 /// use sieve_video::Resolution;
 /// let r = Resolution::new(640, 400);
-/// assert_eq!(r.luma_len(), 640 * 400);
-/// assert_eq!(r.chroma_len(), 320 * 200);
+/// assert_eq!((r.width(), r.height()), (640, 400));
+/// assert_eq!((r.mb_cols(), r.mb_rows()), (40, 25));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Resolution {
@@ -50,21 +50,6 @@ impl Resolution {
     /// Frame height in pixels.
     pub fn height(&self) -> u32 {
         self.height
-    }
-
-    /// Number of samples in the luma plane.
-    pub fn luma_len(&self) -> usize {
-        self.width as usize * self.height as usize
-    }
-
-    /// Number of samples in each chroma plane.
-    pub fn chroma_len(&self) -> usize {
-        (self.width as usize / 2) * (self.height as usize / 2)
-    }
-
-    /// Total number of raw bytes in a frame at this resolution.
-    pub fn raw_bytes(&self) -> usize {
-        self.luma_len() + 2 * self.chroma_len()
     }
 
     /// Number of 16x16 macroblocks horizontally (rounded up).
@@ -339,13 +324,13 @@ impl Plane {
     }
 
     /// Downscales by simple box filtering to `(new_w, new_h)`.
-    pub fn resize_box(&self, new_w: usize, new_h: usize) -> Plane {
+    fn resize_box(&self, new_w: usize, new_h: usize) -> Plane {
         let mut out = Plane::filled(1, 1, 0);
         self.resize_box_into(new_w, new_h, &mut out);
         out
     }
 
-    /// [`Plane::resize_box`] into an existing plane, reusing its buffer —
+    /// `Plane::resize_box` into an existing plane, reusing its buffer —
     /// the encoder's lookahead calls this once per frame and must not
     /// allocate in steady state.
     pub fn resize_box_into(&self, new_w: usize, new_h: usize, out: &mut Plane) {
@@ -407,33 +392,6 @@ impl Frame {
         Self::filled(resolution, 128, 128, 128)
     }
 
-    /// Builds a frame from three planes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the plane dimensions do not match a 4:2:0 layout for
-    /// `resolution`.
-    pub fn from_planes(resolution: Resolution, y: Plane, u: Plane, v: Plane) -> Self {
-        let (w, h) = (resolution.width() as usize, resolution.height() as usize);
-        assert_eq!((y.width(), y.height()), (w, h), "luma plane size mismatch");
-        assert_eq!(
-            (u.width(), u.height()),
-            (w / 2, h / 2),
-            "chroma U plane size mismatch"
-        );
-        assert_eq!(
-            (v.width(), v.height()),
-            (w / 2, h / 2),
-            "chroma V plane size mismatch"
-        );
-        Self {
-            resolution,
-            y,
-            u,
-            v,
-        }
-    }
-
     /// Frame resolution.
     pub fn resolution(&self) -> Resolution {
         self.resolution
@@ -477,11 +435,6 @@ impl Frame {
         self.y.copy_from(&src.y);
         self.u.copy_from(&src.u);
         self.v.copy_from(&src.v);
-    }
-
-    /// Total number of raw bytes (all three planes).
-    pub fn raw_bytes(&self) -> usize {
-        self.resolution.raw_bytes()
     }
 
     /// Downscales the frame with a box filter; used when shipping frames to a
@@ -536,7 +489,6 @@ mod tests {
         let r = Resolution::new(600, 400);
         assert_eq!(r.width(), 600);
         assert_eq!(r.height(), 400);
-        assert_eq!(r.raw_bytes(), 600 * 400 + 2 * 300 * 200);
         assert_eq!(r.mb_cols(), 38);
         assert_eq!(r.mb_rows(), 25);
         assert_eq!(r.to_string(), "600x400");
@@ -657,7 +609,7 @@ mod tests {
         assert_eq!(f.y().width(), 32);
         assert_eq!(f.u().width(), 16);
         assert_eq!(f.v().height(), 8);
-        assert_eq!(f.raw_bytes(), 32 * 16 + 2 * 16 * 8);
+        assert_eq!(f.v().width(), 16);
     }
 
     #[test]

@@ -39,6 +39,7 @@ use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Instruction-set tier the dispatcher selected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+// lint:allow(dead-pub): the return type of `active_level`, which codec_bench prints
 pub enum KernelLevel {
     /// Portable scalar fallback (also the non-x86 path).
     Scalar,
@@ -556,7 +557,12 @@ mod x86 {
 
     /// # Safety
     /// Caller asserts both slices hold a 16x16 block at their strides.
-    pub unsafe fn sad16_sse2(cur: &[u8], cur_stride: usize, refp: &[u8], ref_stride: usize) -> u32 {
+    pub(super) unsafe fn sad16_sse2(
+        cur: &[u8],
+        cur_stride: usize,
+        refp: &[u8],
+        ref_stride: usize,
+    ) -> u32 {
         unsafe {
             let mut acc = _mm_setzero_si128();
             for dy in 0..16 {
@@ -572,7 +578,12 @@ mod x86 {
     /// # Safety
     /// Caller asserts bounds; requires AVX2.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn sad16_avx2(cur: &[u8], cur_stride: usize, refp: &[u8], ref_stride: usize) -> u32 {
+    pub(super) unsafe fn sad16_avx2(
+        cur: &[u8],
+        cur_stride: usize,
+        refp: &[u8],
+        ref_stride: usize,
+    ) -> u32 {
         unsafe {
             let mut acc = _mm256_setzero_si256();
             for dy in (0..16).step_by(2) {
@@ -595,7 +606,7 @@ mod x86 {
 
     /// # Safety
     /// Caller asserts bounds.
-    pub unsafe fn sad16_const_sse2(cur: &[u8], stride: usize, value: u8) -> u32 {
+    pub(super) unsafe fn sad16_const_sse2(cur: &[u8], stride: usize, value: u8) -> u32 {
         unsafe {
             let k = _mm_set1_epi8(value as i8);
             let mut acc = _mm_setzero_si128();
@@ -611,7 +622,7 @@ mod x86 {
     /// # Safety
     /// Caller asserts bounds; requires AVX2.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn sad16_const_avx2(cur: &[u8], stride: usize, value: u8) -> u32 {
+    pub(super) unsafe fn sad16_const_avx2(cur: &[u8], stride: usize, value: u8) -> u32 {
         unsafe {
             let k = _mm256_set1_epi8(value as i8);
             let mut acc = _mm256_setzero_si256();
@@ -644,7 +655,7 @@ mod x86 {
     /// # Safety
     /// Requires AVX2.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn dct8_forward_avx2(input: &[i32; 64], output: &mut [f32; 64]) {
+    pub(super) unsafe fn dct8_forward_avx2(input: &[i32; 64], output: &mut [f32; 64]) {
         unsafe {
             let t = dct_tables();
             let mut tmp = [0f32; 64];
@@ -675,7 +686,7 @@ mod x86 {
     /// # Safety
     /// Requires AVX2.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn dct8_inverse_avx2(input: &[f32; 64], output: &mut [i32; 64]) {
+    pub(super) unsafe fn dct8_inverse_avx2(input: &[f32; 64], output: &mut [i32; 64]) {
         unsafe {
             let t = dct_tables();
             let mut tmp = [0f32; 64];
@@ -707,7 +718,11 @@ mod x86 {
     /// # Safety
     /// Requires AVX2.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn quantize64_avx2(coeffs: &[f32; 64], steps: &[f32; 64], out: &mut [i32; 64]) {
+    pub(super) unsafe fn quantize64_avx2(
+        coeffs: &[f32; 64],
+        steps: &[f32; 64],
+        out: &mut [i32; 64],
+    ) {
         unsafe {
             for i in (0..64).step_by(8) {
                 let c = _mm256_loadu_ps(coeffs.as_ptr().add(i));
@@ -721,7 +736,11 @@ mod x86 {
     /// # Safety
     /// Requires AVX2.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn dequantize64_avx2(levels: &[i32; 64], steps: &[f32; 64], out: &mut [f32; 64]) {
+    pub(super) unsafe fn dequantize64_avx2(
+        levels: &[i32; 64],
+        steps: &[f32; 64],
+        out: &mut [f32; 64],
+    ) {
         unsafe {
             for i in (0..64).step_by(8) {
                 let l = _mm256_loadu_si256(levels.as_ptr().add(i) as *const __m256i);
@@ -735,7 +754,7 @@ mod x86 {
     /// # Safety
     /// Caller asserts `dst` and `pred` hold eight rows of eight samples at
     /// `stride` and `pred_stride`.
-    pub unsafe fn recon8x8_sse2(
+    pub(super) unsafe fn recon8x8_sse2(
         dst: &mut [u8],
         stride: usize,
         pred: &[u8],
@@ -774,7 +793,7 @@ mod x86 {
 
     /// # Safety
     /// Caller asserts equal lengths.
-    pub unsafe fn sse_u8_sse2(a: &[u8], b: &[u8]) -> u64 {
+    pub(super) unsafe fn sse_u8_sse2(a: &[u8], b: &[u8]) -> u64 {
         unsafe {
             let mut total = 0u64;
             let zero = _mm_setzero_si128();
@@ -810,7 +829,7 @@ mod x86 {
     /// # Safety
     /// Caller asserts equal lengths; requires AVX2.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn sse_u8_avx2(a: &[u8], b: &[u8]) -> u64 {
+    pub(super) unsafe fn sse_u8_avx2(a: &[u8], b: &[u8]) -> u64 {
         unsafe {
             let mut total = 0u64;
             let chunks = a.len() / 16;
@@ -852,7 +871,7 @@ mod x86 {
 
     /// # Safety
     /// Caller asserts row lengths.
-    pub unsafe fn avg2x2_f32_sse2(top: &[f32], bottom: &[f32], out: &mut [f32]) {
+    pub(super) unsafe fn avg2x2_f32_sse2(top: &[f32], bottom: &[f32], out: &mut [f32]) {
         unsafe {
             let quarter = _mm_set1_ps(0.25);
             let chunks = out.len() / 4;
@@ -880,7 +899,7 @@ mod x86 {
     /// # Safety
     /// Caller asserts row lengths; requires AVX2.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn avg2x2_f32_avx2(top: &[f32], bottom: &[f32], out: &mut [f32]) {
+    pub(super) unsafe fn avg2x2_f32_avx2(top: &[f32], bottom: &[f32], out: &mut [f32]) {
         unsafe {
             let quarter = _mm256_set1_ps(0.25);
             // hadd interleaves 128-bit halves; this permutation restores
@@ -910,7 +929,7 @@ mod x86 {
     /// # Safety
     /// Caller asserts equal lengths; requires AVX2.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn gf256_mul_acc_avx2(dst: &mut [u8], tables: &[u8; 32], src: &[u8]) {
+    pub(super) unsafe fn gf256_mul_acc_avx2(dst: &mut [u8], tables: &[u8; 32], src: &[u8]) {
         unsafe {
             let lo128 = _mm_loadu_si128(tables.as_ptr() as *const __m128i);
             let hi128 = _mm_loadu_si128(tables.as_ptr().add(16) as *const __m128i);

@@ -28,7 +28,7 @@ impl MotionVector {
 
 /// Result of motion search for one macroblock.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MotionResult {
+pub(crate) struct MotionResult {
     /// Best motion vector found.
     pub mv: MotionVector,
     /// Sum of absolute differences at `mv`.
@@ -100,7 +100,7 @@ pub fn intra_cost_mb(cur: &Plane, x: usize, y: usize) -> u32 {
 /// Three-step search probes a shrinking 8-neighbourhood around the best
 /// candidate; it evaluates ~25 positions instead of `(2*range+1)^2`,
 /// matching what real-time encoders do.
-pub fn three_step_search(
+pub(crate) fn three_step_search(
     cur: &Plane,
     reference: &Plane,
     x: usize,

@@ -21,7 +21,7 @@ pub const BASE_LUMA: [u16; BLOCK_LEN] = [
 ];
 
 /// JPEG Annex-K chrominance quantization matrix (quality 50 reference).
-pub const BASE_CHROMA: [u16; BLOCK_LEN] = [
+const BASE_CHROMA: [u16; BLOCK_LEN] = [
     17, 18, 24, 47, 99, 99, 99, 99, //
     18, 21, 26, 66, 99, 99, 99, 99, //
     24, 26, 56, 99, 99, 99, 99, 99, //

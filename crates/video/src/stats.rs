@@ -69,15 +69,6 @@ impl BitstreamStats {
         }
     }
 
-    /// Fraction of frames that are I-frames, in `[0, 1]`.
-    pub fn i_frame_rate(&self) -> f64 {
-        if self.frame_count == 0 {
-            0.0
-        } else {
-            self.i_frames as f64 / self.frame_count as f64
-        }
-    }
-
     /// The paper's filtering rate `fr`: fraction of frames that are *not*
     /// I-frames and therefore never decoded or analysed.
     pub fn filtering_rate(&self) -> f64 {
@@ -85,15 +76,6 @@ impl BitstreamStats {
             0.0
         } else {
             self.p_frames as f64 / self.frame_count as f64
-        }
-    }
-
-    /// Mean I-frame payload size in bytes (0 when there are none).
-    pub fn mean_i_frame_bytes(&self) -> f64 {
-        if self.i_frames == 0 {
-            0.0
-        } else {
-            self.i_bytes as f64 / self.i_frames as f64
         }
     }
 }
@@ -125,7 +107,6 @@ mod tests {
         assert_eq!(s.frame_count, 20);
         assert_eq!(s.i_frames, 4);
         assert_eq!(s.p_frames, 16);
-        assert!((s.i_frame_rate() - 0.2).abs() < 1e-12);
         assert!((s.filtering_rate() - 0.8).abs() < 1e-12);
         assert_eq!(s.total_bytes, s.i_bytes + s.p_bytes);
     }
@@ -143,15 +124,6 @@ mod tests {
     fn empty_stream_rates_are_zero() {
         let v = EncodedVideo::new(Resolution::new(16, 16), 30, 75);
         let s = BitstreamStats::from_video(&v);
-        assert_eq!(s.i_frame_rate(), 0.0);
         assert_eq!(s.filtering_rate(), 0.0);
-        assert_eq!(s.mean_i_frame_bytes(), 0.0);
-    }
-
-    #[test]
-    fn mean_i_frame_bytes_positive() {
-        let v = video(3, 9);
-        let s = BitstreamStats::from_video(&v);
-        assert!(s.mean_i_frame_bytes() > 0.0);
     }
 }

@@ -13,7 +13,18 @@
 //! package must be named as an identifier somewhere under that package's
 //! `src tests benches examples` (test code included — dev-dependencies
 //! live there). It has no waiver: an unnamed dependency is deleted.
+//!
+//! One cross-file rule, `dead-pub`: a `pub` item (function, method, type,
+//! trait, constant or static) of a library crate's `src/` must be named in
+//! some other file — another library file, a `tests/` or `examples/` file,
+//! a binary, or `e2e_bench/src`, the benchmark that calls the library from
+//! outside the workspace. The code of another file's doc examples counts
+//! too (doctests run). Uses in the defining file, its own `#[cfg(test)]`
+//! module and doc examples included, do not count. The match is by name
+//! only, so it can miss a dead item but never flags a live one. Waive a
+//! site with `// lint:allow(dead-pub): reason`.
 
+use std::collections::HashMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -320,6 +331,141 @@ fn rel_path(root: &Path, path: &Path) -> String {
         .replace('\\', "/")
 }
 
+/// Whether `path` is library source whose `pub` items `dead-pub` checks:
+/// the umbrella's `src/` and each `crates/*/src/`, minus binaries and the
+/// xtask tool itself.
+fn defines_library_api(path: &str) -> bool {
+    let lib_src = path.starts_with("src/")
+        || path.starts_with("crates/") && path.split('/').nth(2) == Some("src");
+    lib_src && !path.starts_with("crates/xtask/") && !path.contains("/bin/")
+}
+
+/// The identifiers that directly follow `text`'s leading whitespace,
+/// separated by whitespace only (`const fn name`, `static mut NAME`).
+fn leading_idents(text: &str) -> Vec<&str> {
+    let mut words = Vec::new();
+    let mut rest = text.trim_start();
+    while rest.starts_with(is_ident) {
+        let end = rest.find(|c: char| !is_ident(c)).unwrap_or(rest.len());
+        words.push(&rest[..end]);
+        rest = rest[end..].trim_start();
+    }
+    words
+}
+
+/// The `pub` items `cleaned` defines, as `(offset, name)`. Restricted
+/// visibility (`pub(crate)`), modules, re-exports and fields are not
+/// items here.
+fn pub_items(cleaned: &str) -> Vec<(usize, &str)> {
+    const KEYWORDS: &[&str] = &["fn", "struct", "enum", "trait", "type", "static", "union"];
+    const QUALIFIERS: &[&str] = &["const", "unsafe", "async", "extern"];
+    let mut items = Vec::new();
+    for at in token_occurrences(cleaned, "pub") {
+        let words = leading_idents(&cleaned[at + 3..]);
+        let name = match words.iter().position(|w| KEYWORDS.contains(w)) {
+            Some(k) if words[..k].iter().all(|w| QUALIFIERS.contains(w)) => {
+                words[k + 1..].iter().find(|&&w| w != "mut")
+            }
+            None if words.first() == Some(&"const") => words.get(1),
+            _ => None,
+        };
+        if let Some(&name) = name.filter(|&&n| n != "_") {
+            items.push((at, name));
+        }
+    }
+    items
+}
+
+/// The Rust code of `source`'s doc examples: the lines between ``` fences
+/// in `///` and `//!` comments. Doctests call the library like any other
+/// file does, so another file's example is a use.
+fn doc_example_code(source: &str) -> String {
+    let mut code = String::new();
+    let mut in_fence = false;
+    for line in source.lines() {
+        let line = line.trim_start();
+        let Some(doc) = line
+            .strip_prefix("///")
+            .or_else(|| line.strip_prefix("//!"))
+        else {
+            in_fence = false;
+            continue;
+        };
+        if doc.trim_start().starts_with("```") {
+            in_fence = !in_fence;
+        } else if in_fence {
+            code.push_str(doc);
+            code.push('\n');
+        }
+    }
+    code
+}
+
+/// The `dead-pub` rule over the workspace files `(path, source)`.
+fn dead_pub(files: &[(String, String)]) -> Vec<Finding> {
+    let scanned: Vec<Scanned> = files.iter().map(|(_, src)| lexer::scan(src)).collect();
+    // What each file says in code: its cleaned text plus its doc examples.
+    let code: Vec<String> = files
+        .iter()
+        .zip(&scanned)
+        .map(|((_, src), s)| format!("{}\n{}", s.cleaned, doc_example_code(src)))
+        .collect();
+    // identifier -> the files that name it.
+    let mut named_in: HashMap<&str, Vec<usize>> = HashMap::new();
+    for (i, text) in code.iter().enumerate() {
+        let mut rest = text.as_str();
+        while let Some(start) = rest.find(is_ident) {
+            let end = rest[start..]
+                .find(|c: char| !is_ident(c))
+                .map_or(rest.len(), |p| start + p);
+            let files_naming = named_in.entry(&rest[start..end]).or_default();
+            if files_naming.last() != Some(&i) {
+                files_naming.push(i);
+            }
+            rest = &rest[end..];
+        }
+    }
+    let mut findings = Vec::new();
+    for (i, ((path, _), scanned)) in files.iter().zip(&scanned).enumerate() {
+        if !defines_library_api(path) {
+            continue;
+        }
+        for (at, name) in pub_items(&scanned.cleaned) {
+            let line = lexer::line_of(&scanned.cleaned, at);
+            let used_elsewhere = named_in
+                .get(name)
+                .is_some_and(|naming| naming.iter().any(|&f| f != i));
+            if used_elsewhere || scanned.in_test_code(line) || scanned.is_allowed("dead-pub", line)
+            {
+                continue;
+            }
+            findings.push(Finding {
+                path: path.clone(),
+                line,
+                rule: "dead-pub",
+                message: format!(
+                    "`pub` item `{name}` is named in no other file (tests, examples, \
+                     binaries and e2e_bench/src count) — make it private or delete it"
+                ),
+            });
+        }
+    }
+    findings
+}
+
+/// Runs `dead-pub` over the workspace and the benchmark's sources.
+fn check_dead_pub(root: &Path) -> Vec<Finding> {
+    let mut paths = Vec::new();
+    for top in ["crates", "src", "examples", "tests", "e2e_bench/src"] {
+        collect_rs(&root.join(top), &mut paths, &["target", ".git"]);
+    }
+    let files: Vec<(String, String)> = paths
+        .iter()
+        .filter_map(|p| Some((rel_path(root, p), fs::read_to_string(p).ok()?)))
+        .collect();
+    dead_pub(&files)
+}
+
 /// Lints the whole workspace rooted at `root`; returns every finding.
 pub fn run(root: &Path) -> Vec<Finding> {
     let mut files = Vec::new();
@@ -327,6 +473,7 @@ pub fn run(root: &Path) -> Vec<Finding> {
         collect_rs(&root.join(top), &mut files, SKIP_DIRS);
     }
     let mut findings = check_manifests(root);
+    findings.extend(check_dead_pub(root));
     for file in files {
         let Ok(source) = fs::read_to_string(&file) else {
             continue;
@@ -575,6 +722,126 @@ unused = []
             "fn f() { x.expect(\"set\"); }\n",
         );
         assert!(f.is_empty(), "{f:?}");
+    }
+
+    fn dead_pub_over(files: &[(&str, &str)]) -> Vec<Finding> {
+        let files: Vec<(String, String)> = files
+            .iter()
+            .map(|(path, src)| (path.to_string(), src.to_string()))
+            .collect();
+        dead_pub(&files)
+    }
+
+    const LIB_WITH_HELPER: &str = "\
+pub fn helper() -> u32 { 1 }
+pub fn other() -> u32 { helper() }
+";
+
+    #[test]
+    fn dead_pub_passes_a_cross_file_use() {
+        let f = dead_pub_over(&[
+            ("crates/demo/src/lib.rs", LIB_WITH_HELPER),
+            (
+                "crates/demo/tests/it.rs",
+                "fn t() { demo::helper(); demo::other(); }\n",
+            ),
+        ]);
+        assert!(f.is_empty(), "{f:?}");
+    }
+
+    #[test]
+    fn dead_pub_flags_a_use_only_in_its_own_test_module() {
+        let src = "\
+pub fn helper() -> u32 { 1 }
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn t() { assert_eq!(super::helper(), 1); }
+}
+";
+        let f = dead_pub_over(&[("crates/demo/src/lib.rs", src)]);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!((f[0].rule, f[0].line), ("dead-pub", 1));
+        assert!(f[0].message.contains("`helper`"), "{f:?}");
+    }
+
+    #[test]
+    fn dead_pub_counts_the_benchmark_as_a_caller() {
+        let files = [
+            ("crates/demo/src/lib.rs", LIB_WITH_HELPER),
+            ("e2e_bench/src/main.rs", "fn main() { demo::other(); }\n"),
+        ];
+        let f = dead_pub_over(&files);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert!(f[0].message.contains("`helper`"), "{f:?}");
+        // The benchmark defines no library API of its own.
+        let f = dead_pub_over(&[("e2e_bench/src/main.rs", "pub fn unused() {}\n")]);
+        assert!(f.is_empty(), "{f:?}");
+    }
+
+    #[test]
+    fn dead_pub_counts_other_files_doc_examples_not_prose() {
+        let lib = "\
+/// ```
+/// demo::helper();
+/// ```
+pub fn helper() {}
+pub fn documented() {}
+";
+        let user = "\
+//! Calls `documented` in prose only.
+//!
+//! ```
+//! demo::helper();
+//! ```
+";
+        let f = dead_pub_over(&[
+            ("crates/demo/src/lib.rs", lib),
+            ("crates/demo/src/user.rs", user),
+        ]);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert!(f[0].message.contains("`documented`"), "{f:?}");
+        // Its own file's example is not a use.
+        let f = dead_pub_over(&[("crates/demo/src/lib.rs", lib)]);
+        assert_eq!(f.len(), 2, "{f:?}");
+    }
+
+    #[test]
+    fn dead_pub_allow_marker_waives_the_next_item() {
+        let src = "\
+// lint:allow(dead-pub): the return type of `level`, which a binary prints
+pub enum Level { A }
+pub struct Orphan;
+pub fn level() -> Level { Level::A }
+";
+        let f = dead_pub_over(&[
+            ("crates/demo/src/kernels.rs", src),
+            ("crates/demo/src/bin/report.rs", "fn main() { level(); }\n"),
+        ]);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert!(f[0].message.contains("`Orphan`") && f[0].line == 3, "{f:?}");
+    }
+
+    #[test]
+    fn dead_pub_reads_item_kinds_not_fields_or_restricted_items() {
+        let src = "\
+pub struct S {
+    pub field: u32,
+}
+pub(crate) fn crate_only() {}
+pub const fn konst_fn() {}
+pub const LIMIT: u32 = 1;
+pub static mut COUNTER: u32 = 0;
+pub unsafe fn raw() {}
+pub mod sub;
+pub use other::Thing;
+";
+        let names: Vec<String> = dead_pub_over(&[("src/lib.rs", src)])
+            .iter()
+            .map(|f| f.message.split('`').nth(3).unwrap_or("").to_string())
+            .collect();
+        assert_eq!(names, ["S", "konst_fn", "LIMIT", "COUNTER", "raw"]);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Workspace automation driver (`cargo xtask <command>`).
 //!
-//! `cargo xtask lint` runs the token-level source lints and the
-//! `unused-dep` manifest rule described in [`lint`] and the README's
+//! `cargo xtask lint` runs the token-level source lints, the `dead-pub`
+//! cross-file rule and the `unused-dep` manifest rule described in
+//! [`lint`] and the README's
 //! "Correctness tooling" section, printing one
 //! `path:line: [rule] message` per finding and exiting non-zero if any
 //! survive their `lint:allow` waivers.
@@ -43,7 +44,8 @@ fn main() -> ExitCode {
                 "usage: cargo xtask <command>\n\n\
                  commands:\n  \
                  lint    run the workspace source lints (no-unwrap, \
-                 no-std-sync, no-wall-clock, no-raw-spawn, no-unsafe, unused-dep)"
+                 no-std-sync, no-wall-clock, no-raw-spawn, no-unsafe, dead-pub, \
+                 unused-dep)"
             );
             ExitCode::from(2)
         }

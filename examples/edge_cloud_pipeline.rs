@@ -6,9 +6,10 @@
 //! sink is the cloud — through the one generic driver
 //! `sieve::run_live_analysis`, which works for *any* `FrameSelector` +
 //! `ObjectDetector` pair. It first deploys SiEVE (I-frame seeking at the
-//! edge, trained CNN in the cloud), then swaps in a uniform-sampling edge at
-//! the same analysis budget to show the unified path — the only difference
-//! between deployments is the selector value.
+//! edge), then swaps in a uniform-sampling edge at the same analysis budget
+//! to show the unified path — the only difference between deployments is
+//! the selector value. Both clouds run the ground-truth oracle, the paper's
+//! stand-in for a reference NN that is correct on every frame it sees.
 //!
 //! Run with: `cargo run --release --example edge_cloud_pipeline`
 
@@ -32,31 +33,17 @@ fn main() {
         encoded.total_bytes() / 1024
     );
 
-    // Train the reference CNN on the camera's history (briefly).
-    let detector = CnnDetector::train_on(
-        &video,
-        10,
-        &TrainConfig {
-            epochs: 3,
-            lr: 0.05,
-            seed: 42,
-        },
-    );
-    println!(
-        "trained reference CNN ({} params)",
-        detector.model().param_count()
-    );
-
-    // A bounded camera→edge queue, 32×32 frames handed to the NN.
+    // A bounded camera→edge queue; survivors are resized to the NN input.
     let config = LiveConfig::default();
 
     // Deployment 1 — SiEVE: the edge drops every non-I frame by container
     // metadata alone, decodes survivors independently, resizes them; the
-    // cloud runs the CNN and stores (frame id, labels) tuples.
+    // cloud labels them and stores (frame id, labels) tuples.
     let mut sieve_selector = IFrameSelector::new();
-    let live = run_live_analysis(&encoded, &mut sieve_selector, detector, &config)
-        .expect("live SiEVE run");
-    report("SiEVE (I-frame edge + cloud CNN)", &video, &live);
+    let oracle = OracleDetector::for_video(&video);
+    let live =
+        run_live_analysis(&encoded, &mut sieve_selector, oracle, &config).expect("live SiEVE run");
+    report("SiEVE (I-frame edge + cloud oracle)", &video, &live);
 
     // Deployment 2 — same driver, uniform-sampling edge at the same
     // analysis budget, oracle cloud. One changed value, not new glue.

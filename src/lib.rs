@@ -13,11 +13,10 @@
 //! |---|---|---|
 //! | [`video`] | `sieve-video` | from-scratch block codec: semantic encoder, I-frame-seekable container, full decoder |
 //! | [`datasets`] | `sieve-datasets` | deterministic synthetic analogues of the paper's five surveillance datasets |
-//! | [`nn`] | `sieve-nn` | CNN inference/training engine + Neurosurgeon-style edge/cloud partitioning |
 //! | [`filters`] | `sieve-filters` | MSE / SIFT / uniform-sampling baselines |
 //! | [`stats`] | `sieve-stats` | lock-free observability plane: counters, histograms, registry, time-series collector |
 //! | [`simnet`] | `sieve-simnet` | 3-tier topology, tandem-queue simulator, the shard queue under the fleet scheduler |
-//! | [`core`] | `sieve-core` | SiEVE itself: offline tuner, I-frame seeker, metrics, end-to-end pipelines |
+//! | [`core`] | `sieve-core` | SiEVE itself: offline tuner, I-frame seeker, object detectors, metrics, end-to-end pipelines |
 //! | [`fleet`] | `sieve-fleet` | multi-stream edge runtime: admission, sharded scheduling with load shedding, on-line adaptive selection |
 //! | [`net`] | `sieve-net` | edge→cloud WAN transport: FEC packetizer, hostile channel model, feedback-driven rate control |
 //! | [`live`] | (this crate) | [`run_live_analysis`]: a single camera run live, as a one-stream fleet |
@@ -42,7 +41,6 @@ pub use sieve_datasets as datasets;
 pub use sieve_filters as filters;
 pub use sieve_fleet as fleet;
 pub use sieve_net as net;
-pub use sieve_nn as nn;
 pub use sieve_simnet as simnet;
 pub use sieve_stats as stats;
 pub use sieve_video as video;
@@ -57,8 +55,8 @@ pub mod prelude {
         analyze, analyze_selected, analyze_sieve, f1_score, score_encoding, score_selection,
         simulate_all, simulate_baseline, tune, AnalysisResult, Baseline, BaselineSpec,
         CalibrationCurve, ConfigGrid, Decision, Deployment, DetectionQuality, EncodedFrameMeta,
-        FrameSelector, IFrameSeeker, IFrameSelector, LookupTable, SelectorCost, SelectorKind,
-        SelectorSession, SieveError, TuningOutcome,
+        FrameSelector, IFrameSeeker, IFrameSelector, LookupTable, ObjectDetector, OracleDetector,
+        SelectorCost, SelectorKind, SelectorSession, SieveError, TuningOutcome,
     };
     pub use sieve_datasets::{
         segment_events, stream_seed, DatasetId, DatasetScale, DatasetSpec, Event, LabelSet,
@@ -69,10 +67,6 @@ pub mod prelude {
         MseDetector, MseSelector, SiftDetector, SiftSelector, UniformSampler, UniformSelector,
     };
     pub use sieve_fleet::{Fleet, FleetConfig, FleetReport, FramePacket, StreamConfig, StreamId};
-    pub use sieve_nn::{
-        best_split, reference_model, CnnDetector, ObjectDetector, OracleDetector, TierSpec,
-        TrainConfig,
-    };
     pub use sieve_simnet::ThreeTier;
     pub use sieve_stats::{Collector, Counter, Gauge, Histogram, Registry};
     pub use sieve_video::{

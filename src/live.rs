@@ -14,9 +14,10 @@
 
 use std::sync::mpsc;
 
-use sieve_core::{propagate_labels, AnalysisResult, FrameSelector, SieveError};
+use sieve_core::{
+    propagate_labels, AnalysisResult, FrameSelector, ObjectDetector, SieveError, NN_INPUT_SIZE,
+};
 use sieve_fleet::{Fleet, FleetConfig, FleetReport, FramePacket, Ingest, StreamConfig};
-use sieve_nn::ObjectDetector;
 use sieve_video::{EncodedVideo, Resolution};
 
 /// Configuration of the live run.
@@ -25,16 +26,11 @@ pub struct LiveConfig {
     /// Frames in flight between camera and edge (back-pressure depth; also
     /// the only frame lookahead the run ever holds).
     pub capacity: usize,
-    /// Square side of the frames handed to the NN.
-    pub nn_input: u32,
 }
 
 impl Default for LiveConfig {
     fn default() -> Self {
-        Self {
-            capacity: 16,
-            nn_input: 32,
-        }
+        Self { capacity: 16 }
     }
 }
 
@@ -82,7 +78,7 @@ where
     D: ObjectDetector + Send + 'static,
 {
     selector.prepare(video)?;
-    let nn_res = Resolution::new(config.nn_input, config.nn_input);
+    let nn_res = Resolution::new(NN_INPUT_SIZE, NN_INPUT_SIZE);
     let fleet = Fleet::new(FleetConfig {
         shards: 1,
         queue_capacity: config.capacity,

@@ -70,41 +70,3 @@ fn byte_stream_flow_matches_in_memory_flow() {
         assert_eq!(from_bytes, from_memory);
     }
 }
-
-/// A trained CNN plugged into the SiEVE analysis path produces labels close
-/// to the oracle's on the I-frames it sees.
-#[test]
-fn cnn_detector_in_the_analysis_path() {
-    let spec = DatasetSpec::of(DatasetId::JacksonSquare);
-    let video = spec.generate(DatasetScale::Tiny);
-    let encoded = EncodedVideo::encode(
-        video.resolution(),
-        video.fps(),
-        EncoderConfig::new(300, 150),
-        video.frames(),
-    );
-    let mut cnn = CnnDetector::train_on(
-        &video,
-        8,
-        &TrainConfig {
-            epochs: 5,
-            lr: 0.05,
-            seed: 5,
-        },
-    );
-    let cnn_result = analyze_sieve(&encoded, &mut cnn).expect("cnn analysis");
-    let mut oracle = OracleDetector::for_video(&video);
-    let oracle_result = analyze_sieve(&encoded, &mut oracle).expect("oracle analysis");
-    assert_eq!(cnn_result.selected.len(), oracle_result.selected.len());
-    let agree = cnn_result
-        .selected
-        .iter()
-        .zip(&oracle_result.selected)
-        .filter(|((_, a), (_, b))| a == b)
-        .count();
-    let rate = agree as f64 / cnn_result.selected.len().max(1) as f64;
-    assert!(
-        rate > 0.5,
-        "trained CNN should agree with oracle on most I-frames: {rate}"
-    );
-}

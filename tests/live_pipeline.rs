@@ -24,16 +24,8 @@ fn live_three_tier_pipeline_detects_events() {
 
     let mut selector = IFrameSelector::new();
     let oracle = OracleDetector::for_video(&video);
-    let live = run_live_analysis(
-        &encoded,
-        &mut selector,
-        oracle,
-        &LiveConfig {
-            capacity: 8,
-            ..LiveConfig::default()
-        },
-    )
-    .expect("live run");
+    let live = run_live_analysis(&encoded, &mut selector, oracle, &LiveConfig { capacity: 8 })
+        .expect("live run");
 
     let edge = &live.report.snapshot.aggregate;
     assert_eq!(edge.kept as usize, expected_i);
@@ -229,10 +221,7 @@ fn live_fixed_selection_full_decode_path() {
         &encoded,
         &mut FixedSelector::new(wanted.clone()),
         oracle.clone(),
-        &LiveConfig {
-            capacity: 4,
-            ..LiveConfig::default()
-        },
+        &LiveConfig { capacity: 4 },
     )
     .expect("live run");
     let ids: Vec<usize> = live.result.selected.iter().map(|&(i, _)| i).collect();
@@ -259,10 +248,7 @@ fn live_pipeline_backpressure_does_not_deadlock() {
         &encoded,
         &mut mse(),
         oracle.clone(),
-        &LiveConfig {
-            capacity: 1,
-            ..LiveConfig::default()
-        },
+        &LiveConfig { capacity: 1 },
     )
     .expect("live run");
     let stream = &live.report.snapshot.streams[0];

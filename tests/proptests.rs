@@ -116,6 +116,31 @@ proptest! {
         }
     }
 
+    /// Propagation is its definition: frame `i` carries the label of the
+    /// last selected index at or before `i`, and the empty set before the
+    /// first selection.
+    #[test]
+    fn propagation_matches_its_definition(
+        frames in proptest::collection::vec((0u8..32, 0u8..4), 1..120)
+    ) {
+        let pairs: Vec<(usize, LabelSet)> = frames
+            .iter()
+            .enumerate()
+            .filter(|(_, &(_, pick))| pick == 0)
+            .map(|(i, &(bits, _))| (i, LabelSet::from_bits(bits)))
+            .collect();
+        let propagated = propagate_labels(frames.len(), &pairs);
+        prop_assert_eq!(propagated.len(), frames.len());
+        for (i, &got) in propagated.iter().enumerate() {
+            let want = pairs
+                .iter()
+                .rev()
+                .find(|&&(j, _)| j <= i)
+                .map_or(LabelSet::empty(), |&(_, l)| l);
+            prop_assert_eq!(got, want);
+        }
+    }
+
     /// Threshold calibration never overshoots: the selected fraction is
     /// within one frame of the closest achievable to the target.
     #[test]
