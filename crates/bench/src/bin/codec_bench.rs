@@ -8,8 +8,9 @@
 //!   lookahead/SIFT downsample, `gf256_mul_acc` for the uplink's FEC) timed
 //!   through the runtime dispatcher and through the scalar reference tier,
 //!   back to back in one process; plus `entropy_decode`, the bitstream
-//!   parse of the test sequence's P-frames, which has no SIMD tier and is
-//!   swept for its absolute rate (Exp-Golomb codes per second).
+//!   parse of the test sequence's P-frames, and `entropy_encode`, the
+//!   writer coding the same blocks again, which have no SIMD tier and are
+//!   swept for their absolute rates.
 //! * **Whole pipeline** — encode throughput at scalar/1-thread (the seed
 //!   configuration), SIMD/1-thread, and SIMD/N-thread GOP-parallel; decode
 //!   throughput scalar vs SIMD over the batch decoder, restated per
@@ -33,7 +34,7 @@ use sieve_bench::report::table;
 use sieve_bench::scale_from_args;
 use sieve_datasets::{DatasetId, DatasetSpec};
 use sieve_simnet::{measure, Estimate};
-use sieve_video::bitio::{BitReader, ReadBitsError};
+use sieve_video::bitio::{BitReader, BitWriter, ReadBitsError};
 use sieve_video::kernels::{self, scalar};
 use sieve_video::{entropy, BitstreamStats, EncodedVideo, EncoderConfig, Frame, FrameType};
 
@@ -354,9 +355,11 @@ fn kernel_sweep(
     // Codes per iteration: two per coded macroblock's vector, and per coded
     // block a (run, level) pair for each nonzero coefficient plus the EOB.
     let mut codes = 0;
+    let mut blocks: Vec<[i32; 64]> = Vec::new();
     for data in &p_frames {
         let coded_mbs = parse_p_frame(data, macroblocks, |levels| {
             codes += 2 * levels.iter().filter(|&&l| l != 0).count() + 1;
+            blocks.push(*levels);
         })
         .expect("bitstream parses");
         codes += 2 * coded_mbs;
@@ -370,6 +373,24 @@ fn kernel_sweep(
         }
     };
     bench.pair("entropy_decode", parse_all, parse_all);
+
+    // The entropy writer over the same blocks: each one coded again into
+    // one recycled bitstream buffer. No SIMD tier either; both columns run
+    // the same code.
+    let code_all = |stream: &mut Vec<u8>| {
+        let mut w = BitWriter::with_buf(std::mem::take(stream));
+        for levels in &blocks {
+            entropy::encode_block(levels, &mut w);
+        }
+        *stream = w.finish();
+        black_box(&stream);
+    };
+    let (mut stream_a, mut stream_b) = (Vec::new(), Vec::new());
+    bench.pair(
+        "entropy_encode",
+        || code_all(&mut stream_a),
+        || code_all(&mut stream_b),
+    );
     (bench.points, bench.rows, codes)
 }
 

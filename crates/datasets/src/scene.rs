@@ -73,22 +73,83 @@ fn mix(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Uniform in `[0, 1)` from three coordinates and a seed.
+/// The top 24 bits of a hash: what [`unit`] maps to `[0, 1)`.
+fn top24(h: u64) -> u32 {
+    (h >> 40) as u32
+}
+
+/// Uniform in `[0, 1)` from 24 hash bits.
+fn unit(bits: u32) -> f32 {
+    bits as f32 / (1u64 << 24) as f32
+}
+
+/// The first coordinate's share of a [`hash_unit`] key.
+fn term_a(a: u64) -> u64 {
+    mix(a).wrapping_mul(3)
+}
+
+/// The second coordinate's share of a [`hash_unit`] key.
+fn term_b(b: u64) -> u64 {
+    mix(b).wrapping_mul(5)
+}
+
+/// The seed and third coordinate's share of a [`hash_unit`] key.
+fn term_seed_c(seed: u64, c: u64) -> u64 {
+    seed ^ mix(c).wrapping_mul(7)
+}
+
+/// Uniform in `[0, 1)` from three coordinates and a seed: one finalizer
+/// over the XOR of the three terms above. XOR is associative and
+/// commutative, so a loop over pixels hoists the terms that do not change
+/// along it and pays one finalizer a sample.
 fn hash_unit(seed: u64, a: u64, b: u64, c: u64) -> f32 {
-    let h = mix(seed ^ mix(a).wrapping_mul(3) ^ mix(b).wrapping_mul(5) ^ mix(c).wrapping_mul(7));
-    (h >> 40) as f32 / (1u64 << 24) as f32
+    unit(top24(mix(term_seed_c(seed, c) ^ term_a(a) ^ term_b(b))))
+}
+
+/// The two per-frame keys of the sensor noise: the seed and frame terms
+/// of its two uniforms.
+fn noise_keys(seed: u64, frame: u64) -> [u64; 2] {
+    [
+        term_seed_c(seed, frame.wrapping_mul(2)),
+        term_seed_c(seed, frame.wrapping_mul(2) + 1),
+    ]
+}
+
+/// The 24 bits of each of the sensor noise's two uniforms at the pixel
+/// whose column and row terms XOR to `xy`.
+fn noise_bits(keys: [u64; 2], xy: u64) -> [u32; 2] {
+    [top24(mix(keys[0] ^ xy)), top24(mix(keys[1] ^ xy))]
 }
 
 /// Approximately Gaussian noise (sum of two uniforms, triangular) with the
-/// requested sigma.
-fn noise_sample(seed: u64, x: u64, y: u64, frame: u64, sigma: f32) -> f32 {
-    if sigma <= 0.0 {
-        return 0.0;
-    }
-    let u1 = hash_unit(seed, x, y, frame.wrapping_mul(2));
-    let u2 = hash_unit(seed, x, y, frame.wrapping_mul(2) + 1);
+/// requested sigma, from the uniforms' [`noise_bits`].
+fn noise_sample(bits: [u32; 2], sigma: f32) -> f32 {
+    let (u1, u2) = (unit(bits[0]), unit(bits[1]));
     // Triangular distribution with variance 1/6 per uniform pair.
     (u1 + u2 - 1.0) * sigma * 2.449 // sqrt(6)
+}
+
+/// Row `y` of `plane`, the row index clamped to the plane.
+fn clamped_row(plane: &Plane, y: i64) -> &[u8] {
+    let w = plane.width();
+    let y = y.clamp(0, plane.height() as i64 - 1) as usize;
+    &plane.data()[y * w..][..w]
+}
+
+/// `out[x] = row[x - shift]`, `x - shift` clamped to the row: `row` moved
+/// right by `shift` samples with its edge samples repeated. A fill, a copy
+/// and a fill, as `Plane::fill_block_clamped` does for a block.
+fn shifted_into(row: &[u8], shift: i64, out: &mut [u8]) {
+    let w = row.len() as i64;
+    // [0, n0) repeats the left edge, [n0, n1) is inside, [n1, w) repeats
+    // the right edge.
+    let n0 = shift.clamp(0, w) as usize;
+    let n1 = (w + shift).clamp(n0 as i64, w) as usize;
+    out[..n0].fill(row[0]);
+    if n1 > n0 {
+        out[n0..n1].copy_from_slice(&row[(n0 as i64 - shift) as usize..][..n1 - n0]);
+    }
+    out[n1..].fill(row[row.len() - 1]);
 }
 
 /// The static background: value-noise texture plus gentle gradients, in all
@@ -193,13 +254,20 @@ impl Background {
 pub struct Renderer {
     cfg: SceneConfig,
     background: Background,
+    /// The column term of every luma column's noise hash.
+    column_terms: Vec<u64>,
 }
 
 impl Renderer {
     /// Builds a renderer (generates the background once).
     pub fn new(cfg: SceneConfig) -> Self {
         let background = Background::generate(&cfg);
-        Self { cfg, background }
+        let column_terms = (0..cfg.resolution.width() as u64).map(term_a).collect();
+        Self {
+            cfg,
+            background,
+            column_terms,
+        }
     }
 
     /// The scene configuration.
@@ -231,7 +299,6 @@ impl Renderer {
     pub fn render(&self, index: usize, objects: &[&ObjectInstance]) -> Frame {
         let res = self.cfg.resolution;
         let w = res.width() as usize;
-        let h = res.height() as usize;
         let mut frame = Frame::grey(res);
         let t = index as f32;
         let (jx, jy) = self.jitter_at(index);
@@ -243,7 +310,10 @@ impl Renderer {
         };
         // Background with ripple displacement, flicker and sensor noise.
         let ripple_on = self.cfg.ripple_amplitude > 0.0;
-        for py in 0..h {
+        let sigma = self.cfg.noise_sigma;
+        let keys = noise_keys(self.cfg.seed, index as u64);
+        let (y, u, v) = frame.planes_mut();
+        for (py, out) in y.data_mut().chunks_exact_mut(w).enumerate() {
             let dx = if ripple_on {
                 self.cfg.ripple_amplitude
                     * (2.0
@@ -253,38 +323,32 @@ impl Renderer {
             } else {
                 0.0
             };
-            let dxi = dx.round() as i64;
-            for px in 0..w {
-                let base = self
-                    .background
-                    .y
-                    .sample_clamped(px as i64 - dxi - jx, py as i64 - jy)
-                    as f32;
-                let n = noise_sample(
-                    self.cfg.seed,
-                    px as u64,
-                    py as u64,
-                    index as u64,
-                    self.cfg.noise_sigma,
-                );
-                frame
-                    .y_mut()
-                    .put(px, py, (base + flicker + n).clamp(0.0, 255.0) as u8);
+            let shift = dx.round() as i64 + jx;
+            shifted_into(clamped_row(&self.background.y, py as i64 - jy), shift, out);
+            if sigma <= 0.0 {
+                for out in out.iter_mut() {
+                    *out = (*out as f32 + flicker).clamp(0.0, 255.0) as u8;
+                }
+            } else {
+                // The hashes of a run of samples first, then their
+                // arithmetic, which vectorizes apart from the hashes.
+                let row_term = term_b(py as u64);
+                for (out, columns) in out.chunks_mut(64).zip(self.column_terms.chunks(64)) {
+                    let (mut bits1, mut bits2) = ([0u32; 64], [0u32; 64]);
+                    for ((b1, b2), &column_term) in bits1.iter_mut().zip(&mut bits2).zip(columns) {
+                        [*b1, *b2] = noise_bits(keys, column_term ^ row_term);
+                    }
+                    for ((out, &b1), &b2) in out.iter_mut().zip(&bits1).zip(&bits2) {
+                        let n = noise_sample([b1, b2], sigma);
+                        *out = (*out as f32 + flicker + n).clamp(0.0, 255.0) as u8;
+                    }
+                }
             }
         }
-        let (cw, ch) = (w / 2, h / 2);
-        for py in 0..ch {
-            for px in 0..cw {
-                let u = self
-                    .background
-                    .u
-                    .sample_clamped(px as i64 - jx / 2, py as i64 - jy / 2);
-                let v = self
-                    .background
-                    .v
-                    .sample_clamped(px as i64 - jx / 2, py as i64 - jy / 2);
-                frame.u_mut().put(px, py, u);
-                frame.v_mut().put(px, py, v);
+        for (plane, background) in [(u, &self.background.u), (v, &self.background.v)] {
+            let cw = plane.width();
+            for (py, out) in plane.data_mut().chunks_exact_mut(cw).enumerate() {
+                shifted_into(clamped_row(background, py as i64 - jy / 2), jx / 2, out);
             }
         }
         // Objects on top (they ride the same camera, so they jitter too).
@@ -327,17 +391,31 @@ impl Renderer {
         let (cx, cy) = (quant_even(cx + jx as f32), quant_even(cy + jy as f32));
         let hw = obj.width / 2.0;
         let hh = obj.height / 2.0;
-        let x_min = (cx - hw).floor().max(0.0) as usize;
-        let x_max = ((cx + hw).ceil() as usize).min(frame.resolution().width() as usize);
-        let y_min = (cy - hh).floor().max(0.0) as usize;
+        let (left, top) = (cx - hw, cy - hh);
+        let w = frame.resolution().width() as usize;
+        let x_min = left.floor().max(0.0) as usize;
+        let x_max = ((cx + hw).ceil() as usize).min(w);
+        let y_min = top.floor().max(0.0) as usize;
         let y_max = ((cy + hh).ceil() as usize).min(frame.resolution().height() as usize);
         let (body, stripe, u_c, v_c) = class_palette(obj.class, obj.texture_seed);
         let elliptical = matches!(obj.class, ObjectClass::Person | ObjectClass::Boat);
+        // The texture hash's seed and column terms hold for the whole
+        // sprite, its row term for a row.
+        let key = term_seed_c(obj.texture_seed, 0);
+        let column_terms: Vec<u64> = (x_min..x_max)
+            .map(|px| term_a((px as f32 - left) as u64))
+            .collect();
+        let (y, u, v) = frame.planes_mut();
+        let cw = u.width();
         for py in y_min..y_max {
-            for px in x_min..x_max {
-                // Object-local coordinates (move rigidly with the object).
-                let lx = px as f32 - (cx - hw);
-                let ly = py as f32 - (cy - hh);
+            // Object-local coordinates (move rigidly with the object).
+            let ly = py as f32 - top;
+            let row_key = key ^ term_b(ly as u64);
+            let y_row = &mut y.data_mut()[py * w..][..w];
+            let u_row = &mut u.data_mut()[py / 2 * cw..][..cw];
+            let v_row = &mut v.data_mut()[py / 2 * cw..][..cw];
+            for (px, &column_term) in (x_min..x_max).zip(&column_terms) {
+                let lx = px as f32 - left;
                 if elliptical {
                     let nx = (lx - hw) / hw;
                     let ny = (ly - hh) / hh;
@@ -347,19 +425,15 @@ impl Renderer {
                 }
                 // Rigid texture: stripes plus hash detail in local coords.
                 let stripe_on = ((lx / 4.0) as i64 + (ly / 6.0) as i64) % 2 == 0;
-                let detail = hash_unit(obj.texture_seed, lx as u64, ly as u64, 0) * 24.0 - 12.0;
+                let detail = unit(top24(mix(row_key ^ column_term))) * 24.0 - 12.0;
                 let val = if stripe_on { stripe } else { body } as f32 + detail;
-                let cur = frame.y().sample(px, py) as f32;
+                let cur = y_row[px] as f32;
                 let blended = cur + (val - cur) * alpha;
-                frame.y_mut().put(px, py, blended.clamp(0.0, 255.0) as u8);
-                let cur_u = frame.u().sample(px / 2, py / 2) as f32;
-                let cur_v = frame.v().sample(px / 2, py / 2) as f32;
-                frame
-                    .u_mut()
-                    .put(px / 2, py / 2, (cur_u + (u_c as f32 - cur_u) * alpha) as u8);
-                frame
-                    .v_mut()
-                    .put(px / 2, py / 2, (cur_v + (v_c as f32 - cur_v) * alpha) as u8);
+                y_row[px] = blended.clamp(0.0, 255.0) as u8;
+                let cur_u = u_row[px / 2] as f32;
+                let cur_v = v_row[px / 2] as f32;
+                u_row[px / 2] = (cur_u + (u_c as f32 - cur_u) * alpha) as u8;
+                v_row[px / 2] = (cur_v + (v_c as f32 - cur_v) * alpha) as u8;
             }
         }
     }
@@ -502,6 +576,33 @@ mod tests {
         let a = r.render(0, &[]);
         let b = r.render(10, &[]);
         assert_ne!(a, b, "ripple must move the background over time");
+    }
+
+    #[test]
+    fn shifted_rows_repeat_their_edges() {
+        let row: Vec<u8> = (10..17).collect();
+        for shift in -9i64..=9 {
+            let mut out = [0u8; 7];
+            shifted_into(&row, shift, &mut out);
+            for (x, &v) in out.iter().enumerate() {
+                assert_eq!(
+                    v,
+                    row[(x as i64 - shift).clamp(0, 6) as usize],
+                    "shift {shift}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn hoisted_noise_terms_hash_like_hash_unit() {
+        let seed = 0x5EED;
+        for (x, y, frame) in [(0, 0, 0), (5, 9, 3), (383, 207, 299), (17, 0, 1 << 40)] {
+            let keys = noise_keys(seed, frame);
+            let bits = noise_bits(keys, term_a(x) ^ term_b(y));
+            let direct = [frame * 2, frame * 2 + 1].map(|c| hash_unit(seed, x, y, c));
+            assert_eq!(bits.map(unit), direct);
+        }
     }
 
     #[test]

@@ -32,9 +32,10 @@ impl std::error::Error for ReadBitsError {}
 #[derive(Debug, Default, Clone)]
 pub struct BitWriter {
     buf: Vec<u8>,
-    // At most 7 pending bits, right-aligned in `acc`.
+    // The last `nbits` (at most 31) bits written, right-aligned in `acc`;
+    // the bits above them are stale. Whole 32-bit words go to `buf`.
     acc: u64,
-    nbits: u8,
+    nbits: u32,
 }
 
 impl BitWriter {
@@ -60,27 +61,33 @@ impl BitWriter {
     /// # Panics
     ///
     /// Panics if `count > 64`.
+    #[inline]
     pub fn write_bits(&mut self, value: u64, count: u8) {
         assert!(count <= 64, "cannot write more than 64 bits at once");
+        let count = count as u32;
         if count > 32 {
-            self.write_bits(value >> 32, count - 32);
-            self.write_bits(value & 0xFFFF_FFFF, 32);
-            return;
+            self.put(value >> 32, count - 32);
+            self.put(value & 0xFFFF_FFFF, 32);
+        } else {
+            self.put(value, count);
         }
-        if count == 0 {
-            return;
+    }
+
+    /// [`BitWriter::write_bits`] of `count <= 32` bits.
+    #[inline(always)]
+    fn put(&mut self, value: u64, count: u32) {
+        // nbits <= 31: the pending bits and the new ones fit in 63; flush
+        // the oldest 32 once there are that many.
+        let acc = (self.acc << count) | (value & ((1u64 << count) - 1));
+        let n = self.nbits + count;
+        if n >= 32 {
+            self.buf
+                .extend_from_slice(&((acc >> (n - 32)) as u32).to_be_bytes());
+            self.nbits = n - 32;
+        } else {
+            self.nbits = n;
         }
-        // count <= 32 and nbits <= 7, so everything fits in the u64
-        // accumulator; drain whole bytes, keep the tail for the next call.
-        let mut acc = (self.acc << count) | (value & ((1u64 << count) - 1));
-        let mut n = self.nbits + count;
-        while n >= 8 {
-            n -= 8;
-            self.buf.push((acc >> n) as u8);
-        }
-        acc &= (1u64 << n) - 1;
         self.acc = acc;
-        self.nbits = n;
     }
 
     /// Writes a single bit.
@@ -90,26 +97,20 @@ impl BitWriter {
 
     /// Writes an unsigned Exp-Golomb code (as in H.264 `ue(v)`).
     pub fn write_ue(&mut self, value: u64) {
-        let v = value + 1;
-        let nbits = 64 - v.leading_zeros() as u8;
-        if nbits <= 32 {
-            // One call writes the `nbits - 1` leading zeros and the value:
-            // the zeros are the high bits of the widened field.
-            self.write_bits(v, 2 * nbits - 1);
+        let (code, len) = ue_code(value);
+        if len <= 64 {
+            self.write_bits(code, len as u8);
         } else {
-            self.write_bits(0, nbits - 1);
-            self.write_bits(v, nbits);
+            // The leading zeros first, then the value.
+            let zeros = len / 2;
+            self.write_bits(0, zeros as u8);
+            self.write_bits(code, (len - zeros) as u8);
         }
     }
 
     /// Writes a signed Exp-Golomb code (as in H.264 `se(v)`).
     pub fn write_se(&mut self, value: i64) {
-        let mapped = if value > 0 {
-            (value as u64) * 2 - 1
-        } else {
-            (-value as u64) * 2
-        };
-        self.write_ue(mapped);
+        self.write_ue(se_to_ue(value));
     }
 
     /// Number of complete bytes plus any partial byte currently buffered.
@@ -119,11 +120,37 @@ impl BitWriter {
 
     /// Pads with zero bits to a byte boundary and returns the bytes.
     pub fn finish(mut self) -> Vec<u8> {
-        if self.nbits > 0 {
-            self.buf.push((self.acc as u8) << (8 - self.nbits));
+        let mut n = self.nbits;
+        while n >= 8 {
+            n -= 8;
+            self.buf.push((self.acc >> n) as u8);
+        }
+        if n > 0 {
+            self.buf.push((self.acc << (8 - n)) as u8);
         }
         self.buf
     }
+}
+
+/// Maps a signed value to the unsigned Exp-Golomb value `se(v)` codes it
+/// as: `1, -1, 2, -2, ...` to `1, 2, 3, 4, ...`.
+#[inline]
+pub(crate) const fn se_to_ue(value: i64) -> u64 {
+    if value > 0 {
+        (value as u64) * 2 - 1
+    } else {
+        (-value as u64) * 2
+    }
+}
+
+/// The Exp-Golomb code of unsigned value `value`: the code's bits,
+/// right-aligned, and its length (`2 * bits(value + 1) - 1`, up to 127).
+/// The code is `value + 1` itself; its leading zeros are the high bits of
+/// the widened field.
+#[inline]
+pub(crate) const fn ue_code(value: u64) -> (u64, u32) {
+    let v = value + 1;
+    (v, 2 * (64 - v.leading_zeros()) - 1)
 }
 
 /// Stream bits a [`BitReader`] window always holds: the load is 8 bytes and

@@ -6,7 +6,9 @@
 //! costs real per-coefficient work, which is exactly the cost the SiEVE
 //! I-frame seeker avoids for P-frames.
 
-use crate::bitio::{se_from_ue, ue_in_window, BitCursor, BitReader, BitWriter, ReadBitsError};
+use crate::bitio::{
+    se_from_ue, se_to_ue, ue_code, ue_in_window, BitCursor, BitReader, BitWriter, ReadBitsError,
+};
 use crate::dct::BLOCK_LEN;
 
 /// Zigzag scan order for an 8x8 block (JPEG / MPEG order).
@@ -21,22 +23,62 @@ pub const ZIGZAG: [usize; BLOCK_LEN] = [
     53, 60, 61, 54, 47, 55, 62, 63,
 ];
 
+/// Zigzag position of each raster index: the inverse of [`ZIGZAG`].
+const UNZIGZAG: [u8; BLOCK_LEN] = {
+    let mut table = [0u8; BLOCK_LEN];
+    let mut i = 0;
+    while i < BLOCK_LEN {
+        table[ZIGZAG[i]] = i as u8;
+        i += 1;
+    }
+    table
+};
+
+/// Bit `i` set: `levels[i]` is non-zero. The comparisons go to bytes the
+/// compiler vectorizes; each row's 8 bytes of 0/1 then pack into 8 bits
+/// with one multiply, which moves byte `k`'s bit to bit `56 + k` without
+/// carries.
+#[inline]
+fn nonzero_mask(levels: &[i32; BLOCK_LEN]) -> u64 {
+    let nonzero: [u8; BLOCK_LEN] = std::array::from_fn(|i| (levels[i] != 0) as u8);
+    let (rows, _) = nonzero.as_chunks::<8>();
+    rows.iter().enumerate().fold(0, |mask, (row, bytes)| {
+        let bits = u64::from_le_bytes(*bytes).wrapping_mul(0x0102_0408_1020_4080) >> 56;
+        mask | bits << (8 * row)
+    })
+}
+
 /// Writes one quantized 8x8 block.
 ///
 /// Layout: `[ (run: ue, level: se)* , run = BLOCK_LEN (EOB) ]` over the
 /// zigzag-scanned coefficients. The DC coefficient participates like any
 /// other coefficient; callers that delta-code DC do so before calling this.
+///
+/// The coded coefficients are walked through a zigzag-order bitmask, one
+/// `trailing_zeros` each, and a pair whose two codes fit in 32 bits — any
+/// |level| < 2^9, whatever the run — is one [`BitWriter::write_bits`].
 pub fn encode_block(levels: &[i32; BLOCK_LEN], w: &mut BitWriter) {
-    let mut run = 0u64;
-    for &zz in ZIGZAG.iter() {
-        let v = levels[zz];
-        if v == 0 {
-            run += 1;
+    let mut raster = nonzero_mask(levels);
+    let mut coded = 0u64;
+    while raster != 0 {
+        coded |= 1 << UNZIGZAG[raster.trailing_zeros() as usize];
+        raster &= raster - 1;
+    }
+    // Zigzag position after the previous coded coefficient.
+    let mut next = 0;
+    while coded != 0 {
+        let pos = coded.trailing_zeros();
+        coded &= coded - 1;
+        let level = levels[ZIGZAG[pos as usize]] as i64;
+        let (run, run_len) = ue_code((pos - next) as u64);
+        let (code, len) = ue_code(se_to_ue(level));
+        if run_len + len <= 32 {
+            w.write_bits(run << len | code, (run_len + len) as u8);
         } else {
-            w.write_ue(run);
-            w.write_se(v as i64);
-            run = 0;
+            w.write_bits(run, run_len as u8);
+            w.write_se(level);
         }
+        next = pos + 1;
     }
     // EOB: a run that skips past the end of the block.
     w.write_ue(BLOCK_LEN as u64);

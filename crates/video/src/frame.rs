@@ -7,6 +7,8 @@
 //! ([`crate::encode`]), the similarity baselines (`sieve-filters`) and the
 //! NN input resize (the live run's cloud sink, `sieve-bench`'s cost probe).
 
+use std::cell::RefCell;
+
 use crate::kernels;
 
 /// Frame dimensions in pixels.
@@ -333,30 +335,65 @@ impl Plane {
     /// `Plane::resize_box` into an existing plane, reusing its buffer —
     /// the encoder's lookahead calls this once per frame and must not
     /// allocate in steady state.
+    ///
+    /// Output sample `(ox, oy)` is `floor(sum / n)` over the `n` source
+    /// samples of the rectangle `box_span` gives each axis. Separable:
+    /// the rows of an output row's span are summed into per-column sums
+    /// (a per-thread buffer, grown only by a wider source than before),
+    /// then each output sample sums its column span of those.
     pub fn resize_box_into(&self, new_w: usize, new_h: usize, out: &mut Plane) {
         assert!(new_w > 0 && new_h > 0, "resize target must be non-zero");
         out.width = new_w;
         out.height = new_h;
         out.data.clear();
         out.data.resize(new_w * new_h, 0);
-        for oy in 0..new_h {
-            let sy0 = oy * self.height / new_h;
-            let sy1 = (((oy + 1) * self.height).div_ceil(new_h)).max(sy0 + 1);
-            for ox in 0..new_w {
-                let sx0 = ox * self.width / new_w;
-                let sx1 = (((ox + 1) * self.width).div_ceil(new_w)).max(sx0 + 1);
-                let mut acc = 0u64;
-                let mut n = 0u64;
-                for sy in sy0..sy1.min(self.height) {
-                    for sx in sx0..sx1.min(self.width) {
-                        acc += self.data[sy * self.width + sx] as u64;
-                        n += 1;
+        let (w, h) = (self.width, self.height);
+        if w == 0 || h == 0 {
+            return; // every span is empty
+        }
+        RESIZE_SCRATCH.with_borrow_mut(|scratch| {
+            let ResizeScratch { sums, spans } = scratch;
+            spans.clear();
+            spans.extend((0..new_w).map(|ox| box_span(ox, w, new_w)));
+            sums.resize(w, 0);
+            for (oy, out_row) in out.data.chunks_exact_mut(new_w).enumerate() {
+                let (y0, y1) = box_span(oy, h, new_h);
+                sums.fill(0);
+                for row in self.data[y0 * w..y1 * w].chunks_exact(w) {
+                    for (s, &v) in sums.iter_mut().zip(row) {
+                        *s += v as u32;
                     }
                 }
-                out.data[oy * new_w + ox] = acc.checked_div(n).unwrap_or(0) as u8;
+                let rows = (y1 - y0) as u64;
+                for (o, &(x0, x1)) in out_row.iter_mut().zip(spans.iter()) {
+                    let acc: u64 = sums[x0..x1].iter().map(|&s| s as u64).sum();
+                    *o = (acc / (rows * (x1 - x0) as u64)) as u8;
+                }
             }
-        }
+        });
     }
+}
+
+/// The source span `[s0, s1)` that output sample `o` of `n` averages over
+/// a source axis of `len > 0` samples: from `floor(o * len / n)` to
+/// `ceil((o + 1) * len / n)`, at least one sample, clipped to the axis.
+fn box_span(o: usize, len: usize, n: usize) -> (usize, usize) {
+    let s0 = o * len / n;
+    let s1 = ((o + 1) * len).div_ceil(n).max(s0 + 1).min(len);
+    (s0, s1)
+}
+
+/// [`Plane::resize_box_into`]'s working memory.
+#[derive(Default)]
+struct ResizeScratch {
+    /// Per source column, the sum over the current output row's span.
+    sums: Vec<u32>,
+    /// Per output column, its source column span.
+    spans: Vec<(usize, usize)>,
+}
+
+thread_local! {
+    static RESIZE_SCRATCH: RefCell<ResizeScratch> = RefCell::default();
 }
 
 /// A YUV 4:2:0 video frame.
@@ -425,6 +462,11 @@ impl Frame {
     /// Mutable chroma V plane.
     pub fn v_mut(&mut self) -> &mut Plane {
         &mut self.v
+    }
+
+    /// The three planes, mutable at once (Y, U, V).
+    pub fn planes_mut(&mut self) -> (&mut Plane, &mut Plane, &mut Plane) {
+        (&mut self.y, &mut self.u, &mut self.v)
     }
 
     /// Makes this frame a copy of `src`, reusing the three sample buffers

@@ -9,7 +9,9 @@
 //! exactly one per frame — the payload. `EncodedVideo::encode`, which codes
 //! on a second thread, must make that one allocation per frame on the
 //! calling thread; the allocator tells the test's thread from the others
-//! by a thread-local flag.
+//! by a thread-local flag. `Plane::resize_box_into` at ratios other than
+//! the lookahead's 2:1 must not allocate either once its output has the
+//! largest size asked for.
 //!
 //! The whole audit lives in a single `#[test]` because the counting
 //! allocator is process-global and `cargo test` runs sibling tests on
@@ -20,7 +22,7 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use sieve_video::encode::{EncodedFrame, Encoder, EncoderConfig};
-use sieve_video::{Decoder, EncodedVideo, Frame, Resolution};
+use sieve_video::{Decoder, EncodedVideo, Frame, Plane, Resolution};
 
 /// Forwards to the system allocator, counting every allocation and
 /// reallocation (frees are irrelevant to the audit), the test's own thread
@@ -181,6 +183,27 @@ fn encode_decode_steady_state_does_not_allocate() {
         0,
         "steady-state decode of {} frames allocated {decode_allocs} times",
         outputs.len()
+    );
+
+    // The box resize at ratios other than the lookahead's 2:1 — the NN
+    // input, an odd downscale, an upscale — reuses the output plane and its
+    // column sums once both have their size.
+    let source = &frames[0];
+    let mut resized = Plane::filled(1, 1, 0);
+    let targets = [(32, 32), (37, 23), (45, 27), (80, 61)];
+    for &(w, h) in &targets {
+        source.y().resize_box_into(w, h, &mut resized);
+    }
+    let before = allocations();
+    for _ in 0..3 {
+        for &(w, h) in &targets {
+            source.y().resize_box_into(w, h, &mut resized);
+        }
+    }
+    let resize_allocs = allocations() - before;
+    assert_eq!(
+        resize_allocs, 0,
+        "steady-state resize allocated {resize_allocs} times"
     );
 
     // `EncodedVideo::encode` decides on the caller and codes on one scoped

@@ -14,6 +14,14 @@
 //! The last property holds `entropy::decode_block` — which cuts several
 //! (run, level) pairs from one window load — to the plain loop over
 //! `read_ue` / `read_se` it replaced.
+//!
+//! The writing side is held the same way. [`OracleWriter`] is the writer
+//! the 32-bit-flushing [`BitWriter`] replaced, verbatim: at most 7 pending
+//! bits, whole bytes pushed one at a time. [`encode_block_plain`] is the
+//! 64-step zigzag loop the bitmask walk in `entropy::encode_block`
+//! replaced, writing through it. Over arbitrary operation sequences
+//! `bit_len` must agree after every operation and `finish` must return the
+//! same bytes; over arbitrary level blocks the coded bytes must agree.
 
 use proptest::prelude::*;
 use sieve_video::bitio::{BitReader, BitWriter, ReadBitsError};
@@ -97,6 +105,122 @@ impl<'a> OracleReader<'a> {
         }
     }
 }
+
+/// The byte-at-a-time writer, kept as the reference.
+#[derive(Default)]
+struct OracleWriter {
+    buf: Vec<u8>,
+    // At most 7 pending bits, right-aligned in `acc`.
+    acc: u64,
+    nbits: u8,
+}
+
+impl OracleWriter {
+    fn write_bits(&mut self, value: u64, count: u8) {
+        assert!(count <= 64, "cannot write more than 64 bits at once");
+        if count > 32 {
+            self.write_bits(value >> 32, count - 32);
+            self.write_bits(value & 0xFFFF_FFFF, 32);
+            return;
+        }
+        if count == 0 {
+            return;
+        }
+        // count <= 32 and nbits <= 7, so everything fits in the u64
+        // accumulator; drain whole bytes, keep the tail for the next call.
+        let mut acc = (self.acc << count) | (value & ((1u64 << count) - 1));
+        let mut n = self.nbits + count;
+        while n >= 8 {
+            n -= 8;
+            self.buf.push((acc >> n) as u8);
+        }
+        acc &= (1u64 << n) - 1;
+        self.acc = acc;
+        self.nbits = n;
+    }
+
+    fn write_bit(&mut self, bit: bool) {
+        self.write_bits(bit as u64, 1);
+    }
+
+    fn write_ue(&mut self, value: u64) {
+        let v = value + 1;
+        let nbits = 64 - v.leading_zeros() as u8;
+        if nbits <= 32 {
+            // One call writes the `nbits - 1` leading zeros and the value:
+            // the zeros are the high bits of the widened field.
+            self.write_bits(v, 2 * nbits - 1);
+        } else {
+            self.write_bits(0, nbits - 1);
+            self.write_bits(v, nbits);
+        }
+    }
+
+    fn write_se(&mut self, value: i64) {
+        let mapped = if value > 0 {
+            (value as u64) * 2 - 1
+        } else {
+            (-value as u64) * 2
+        };
+        self.write_ue(mapped);
+    }
+
+    fn bit_len(&self) -> usize {
+        self.buf.len() * 8 + self.nbits as usize
+    }
+
+    fn finish(mut self) -> Vec<u8> {
+        if self.nbits > 0 {
+            self.buf.push((self.acc as u8) << (8 - self.nbits));
+        }
+        self.buf
+    }
+}
+
+/// `entropy::encode_block` as it was written before the bitmask walk: one
+/// step per zigzag position, one `write_ue` and one `write_se` per pair.
+fn encode_block_plain(levels: &[i32; 64], w: &mut OracleWriter) {
+    let mut run = 0u64;
+    for &zz in ZIGZAG.iter() {
+        let v = levels[zz];
+        if v == 0 {
+            run += 1;
+        } else {
+            w.write_ue(run);
+            w.write_se(v as i64);
+            run = 0;
+        }
+    }
+    // EOB: a run that skips past the end of the block.
+    w.write_ue(64);
+}
+
+/// `encode_block` through both writers, from `offset` bits into the
+/// stream: the same bytes.
+fn assert_block_codes_identically(levels: &[i32; 64], offset: u8) -> Result<(), String> {
+    let mut new = BitWriter::new();
+    let mut old = OracleWriter::default();
+    new.write_bits(0x5a5a_5a5a, offset);
+    old.write_bits(0x5a5a_5a5a, offset);
+    entropy::encode_block(levels, &mut new);
+    encode_block_plain(levels, &mut old);
+    if new.bit_len() != old.bit_len() {
+        return Err(format!(
+            "bit_len {} against {}",
+            new.bit_len(),
+            old.bit_len()
+        ));
+    }
+    let (got, want) = (new.finish(), old.finish());
+    if got != want {
+        return Err(format!("{levels:?} from bit {offset}: bytes differ"));
+    }
+    Ok(())
+}
+
+/// Proptest cases for the writer properties: every case unoptimized is
+/// slow, and CI runs the full count in release.
+const WRITER_CASES: u32 = if cfg!(debug_assertions) { 256 } else { 16384 };
 
 /// One reader operation: `kind % 4` picks it, `arg % 65` is `read_bits`'
 /// count.
@@ -317,4 +441,111 @@ fn codes_at_the_window_boundary_read_identically() {
     // 64 zeros is overlong for both, wherever the stream ends.
     let zeros = [0u8; 24];
     assert_indistinguishable(&zeros, &[(2, 0), (2, 0), (3, 0)]).expect("all-zero stream");
+}
+
+/// A writer value: `raw`'s bits 8.. kept to one of 15 widths, so its
+/// Exp-Golomb code is anything from 1 to 111 bits long.
+fn sized(raw: u64) -> u64 {
+    let shift = [0, 1, 2, 3, 5, 8, 12, 20, 27, 28, 31, 32, 33, 40, 55][raw as usize % 15];
+    raw >> 8 & ((1u64 << shift) - 1)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(WRITER_CASES))]
+
+    /// Arbitrary writer operations — `write_bits` of 0..=64 bits, single
+    /// bits, Exp-Golomb codes from 1 to 111 bits long — through both
+    /// writers: the same `bit_len` after every operation and the same
+    /// bytes from `finish`.
+    #[test]
+    fn writer_ops_write_identically(
+        ops in proptest::collection::vec((0u8..4, 0u8..=255, 0u64..u64::MAX), 0..80),
+    ) {
+        let mut new = BitWriter::new();
+        let mut old = OracleWriter::default();
+        for (i, &(kind, arg, raw)) in ops.iter().enumerate() {
+            match kind {
+                0 => {
+                    let n = arg % 65;
+                    new.write_bits(raw, n);
+                    old.write_bits(raw, n);
+                }
+                1 => {
+                    new.write_bit(raw & 1 == 1);
+                    old.write_bit(raw & 1 == 1);
+                }
+                2 => {
+                    new.write_ue(sized(raw));
+                    old.write_ue(sized(raw));
+                }
+                _ => {
+                    let v = if arg & 1 == 0 { sized(raw) as i64 } else { -(sized(raw) as i64) };
+                    new.write_se(v);
+                    old.write_se(v);
+                }
+            }
+            prop_assert_eq!(new.bit_len(), old.bit_len(), "after op {} of kind {}", i, kind);
+        }
+        prop_assert_eq!(new.finish(), old.finish());
+    }
+
+    /// Arbitrary level blocks, dense and sparse, with magnitudes up to
+    /// [`MAX_LEVEL`] and past it, from every bit offset: the same bytes.
+    #[test]
+    fn block_codes_match_the_plain_loop(
+        raw in proptest::collection::vec((0u8..=255, -(MAX_LEVEL + 9)..=MAX_LEVEL + 9), 64),
+        density in 0u8..=255,
+        small in 0u8..2,
+        offset in 0u8..32,
+    ) {
+        let mut levels = [0i32; 64];
+        for (l, &(keep, v)) in levels.iter_mut().zip(&raw) {
+            if keep <= density {
+                *l = if small == 1 { v % 40 } else { v };
+            }
+        }
+        if let Err(e) = assert_block_codes_identically(&levels, offset) {
+            prop_assert!(false, "{}", e);
+        }
+    }
+}
+
+/// The blocks at the edges of the pair writer: nothing coded, everything
+/// coded, every run up to the longest, the largest levels, and the
+/// extremes of `i32` that only a caller outside the codec can hand over.
+#[test]
+fn edge_blocks_code_identically() {
+    let mut blocks: Vec<[i32; 64]> = vec![
+        [0; 64],
+        [1; 64],
+        [-1; 64],
+        [MAX_LEVEL; 64],
+        [-MAX_LEVEL; 64],
+    ];
+    let mut last = [0; 64];
+    last[ZIGZAG[63]] = -MAX_LEVEL;
+    blocks.push(last);
+    let mut first_and_last = last;
+    first_and_last[0] = 7;
+    blocks.push(first_and_last);
+    for big in [MAX_LEVEL - 1, MAX_LEVEL + 1, 1 << 30, i32::MAX, i32::MIN] {
+        let mut b = [0; 64];
+        b[ZIGZAG[5]] = big;
+        b[ZIGZAG[63]] = big.saturating_neg();
+        blocks.push(b);
+    }
+    // Every run, each with levels either side of where a pair stops
+    // fitting one 32-bit write.
+    for (i, slot) in ZIGZAG.iter().enumerate() {
+        for level in [1, 255, 256, 511, 512, 1023, 1024, MAX_LEVEL] {
+            let mut b = [0; 64];
+            b[*slot] = if i % 2 == 0 { level } else { -level };
+            blocks.push(b);
+        }
+    }
+    for levels in &blocks {
+        for offset in 0..32 {
+            assert_block_codes_identically(levels, offset).unwrap_or_else(|e| panic!("{e}"));
+        }
+    }
 }
