@@ -5,9 +5,11 @@
 //!
 //! * **Micro-kernels** — each of the hot-loop kernels (`sad16`, forward and
 //!   inverse DCT, `quantize64`, `sse_u8` for MSE, `avg2x2_f32` for the
-//!   lookahead/SIFT downsample, `gf256_mul_acc` for the uplink's FEC) timed
-//!   through the runtime dispatcher and through the scalar reference tier,
-//!   back to back in one process; plus `entropy_decode`, the bitstream
+//!   lookahead/SIFT downsample, `gf256_mul_acc` for the uplink's FEC, and
+//!   `motion_search`, the three-step search of every macroblock of a
+//!   384x208 pair over its batched SAD) timed through the runtime
+//!   dispatcher and through the scalar reference tier, back to back in one
+//!   process; plus `entropy_decode`, the bitstream
 //!   parse of the test sequence's P-frames, and `entropy_encode`, the
 //!   writer coding the same blocks again, which have no SIMD tier and are
 //!   swept for their absolute rates.
@@ -36,7 +38,9 @@ use sieve_datasets::{DatasetId, DatasetSpec};
 use sieve_simnet::{measure, Estimate};
 use sieve_video::bitio::{BitReader, BitWriter, ReadBitsError};
 use sieve_video::kernels::{self, scalar};
-use sieve_video::{entropy, BitstreamStats, EncodedVideo, EncoderConfig, Frame, FrameType};
+use sieve_video::{
+    entropy, motion, BitstreamStats, EncodedVideo, EncoderConfig, Frame, FrameType, Plane,
+};
 
 /// Where the serialized results land: the workspace root, two levels up
 /// from this crate's manifest.
@@ -207,6 +211,22 @@ fn kernel_sweep(
             black_box(acc);
         },
     );
+
+    // Three-step search at range 16 on every macroblock of a noisy
+    // 384x208 pair, the largest tape's picture, padded planes included.
+    // The scalar column pins the dispatcher to its portable tier for the
+    // search's batched SAD.
+    let (mw, mh) = (384usize, 208usize);
+    let mcur = Plane::from_data(mw, mh, noise_bytes(mw * mh, 0x5EA));
+    let mref = Plane::from_data(mw, mh, noise_bytes(mw * mh, 0x4C4));
+    let search = || {
+        black_box(motion::search_frame(&mcur, &mref, 16));
+    };
+    bench.pair("motion_search", search, || {
+        kernels::force_scalar(true);
+        search();
+        kernels::force_scalar(false);
+    });
 
     // DCT / quantize over a batch of 256 blocks.
     let blocks: Vec<[i32; 64]> = (0..256)

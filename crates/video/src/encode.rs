@@ -24,7 +24,7 @@ use serde::{Deserialize, Serialize};
 use crate::bitio::BitWriter;
 use crate::dct;
 use crate::frame::{Frame, Plane, Resolution};
-use crate::motion::{self, MotionVector, MB};
+use crate::motion::{self, MotionVector, PaddedPlane, MB};
 use crate::quant::QuantTable;
 
 /// Kind of an encoded frame.
@@ -167,43 +167,48 @@ impl EncodedFrame {
 /// a stored [`RatioTrace`] without encoding.
 #[derive(Debug)]
 struct Lookahead {
-    search_range: u16,
-    /// Half-resolution luma of the previous source frame, valid when
-    /// `has_prev`.
-    prev: Plane,
-    /// Buffer the current frame's half plane is computed into; swapped with
-    /// `prev` after every frame.
-    cur: Plane,
+    /// The motion search range of the ratio pass: half the encoder's, at
+    /// least 4.
+    range: u16,
+    /// Buffer the current frame's half plane is downscaled into.
+    half: Plane,
+    /// The previous source frame's half plane, padded for the search;
+    /// valid when `has_prev`.
+    prev: PaddedPlane,
+    /// The current frame's padded half plane; swapped with `prev` after
+    /// every frame.
+    cur: PaddedPlane,
     has_prev: bool,
 }
 
 impl Lookahead {
     fn new(search_range: u16) -> Self {
         Self {
-            search_range,
-            prev: Plane::filled(1, 1, 0),
-            cur: Plane::filled(1, 1, 0),
+            range: (search_range / 2).max(4),
+            half: Plane::filled(1, 1, 0),
+            prev: PaddedPlane::default(),
+            cur: PaddedPlane::default(),
             has_prev: false,
         }
     }
 
     /// The ratio of `frame` against the previous frame, or `None` for the
     /// first frame since construction or [`Lookahead::reset`].
-    /// Allocation-free once both half-plane buffers have their size.
+    /// Allocation-free once every buffer has its size.
     fn ratio(&mut self, frame: &Frame) -> Option<f64> {
         let w = (frame.y().width() / 2).max(16);
         let h = (frame.y().height() / 2).max(16);
-        frame.y().resize_box_into(w, h, &mut self.cur);
-        let range = (self.search_range / 2).max(4);
+        frame.y().resize_box_into(w, h, &mut self.half);
+        self.cur.pad_for_search(&self.half, self.range);
         let ratio = self
             .has_prev
-            .then(|| motion::analyze_frame(&self.cur, &self.prev, range).inter_over_intra());
+            .then(|| motion::frame_motion(&self.cur, &self.prev, self.range).inter_over_intra());
         std::mem::swap(&mut self.prev, &mut self.cur);
         self.has_prev = true;
         ratio
     }
 
-    /// Forgets the previous frame, keeping both buffers.
+    /// Forgets the previous frame, keeping every buffer.
     fn reset(&mut self) {
         self.has_prev = false;
     }
@@ -290,6 +295,11 @@ impl RatioTrace {
         self.ratios.is_empty()
     }
 
+    /// The ratio of every frame in display order; `None` for the first.
+    pub fn ratios(&self) -> &[Option<f64>] {
+        &self.ratios
+    }
+
     /// The trace of the frames in `range` alone: the same ratios, except
     /// that the first frame loses its reference, as in a fresh encode of
     /// that slice.
@@ -337,10 +347,11 @@ impl RatioTrace {
 /// [`crate::EncodedVideo::encode`] runs the same two halves on two threads.
 ///
 /// The encoder recycles all of its per-frame scratch (the reconstruction
-/// frame, the lookahead's half-resolution planes, the bitstream buffer), so
-/// the steady-state [`Encoder::encode_frame_into`] loop performs no heap
-/// allocation and [`Encoder::encode_frame`] performs exactly one: the
-/// exact-size payload it returns.
+/// frame, the padded luma planes of the motion search, the lookahead's
+/// half-resolution planes, the bitstream buffer), so the steady-state
+/// [`Encoder::encode_frame_into`] loop performs no heap allocation and
+/// [`Encoder::encode_frame`] performs exactly one: the exact-size payload
+/// it returns.
 #[derive(Debug)]
 pub struct Encoder {
     decider: Decider,
@@ -472,6 +483,10 @@ pub(crate) struct Coder {
     /// Frame buffer parked by [`Coder::reset`] so a reused coder keeps both
     /// of its frame allocations across streams.
     frame_spare: Option<Frame>,
+    /// The source luma of the frame being coded and the reference luma,
+    /// padded for the motion search; refreshed before every P-frame.
+    cur_luma: PaddedPlane,
+    ref_luma: PaddedPlane,
 }
 
 impl Coder {
@@ -484,6 +499,8 @@ impl Coder {
             reference: None,
             recon_scratch: None,
             frame_spare: None,
+            cur_luma: PaddedPlane::default(),
+            ref_luma: PaddedPlane::default(),
         }
     }
 
@@ -540,6 +557,9 @@ impl Coder {
             .take()
             .unwrap_or_else(|| Frame::grey(self.resolution));
         let skip_thresh = (self.config.skip_threshold_per_pixel * (MB * MB) as f32) as u32;
+        let range = self.config.search_range;
+        self.cur_luma.pad_for_search(frame.y(), range);
+        self.ref_luma.pad_for_search(reference.y(), range);
 
         let mb_cols = self.resolution.mb_cols();
         let mb_rows = self.resolution.mb_rows();
@@ -547,13 +567,7 @@ impl Coder {
             for mx in 0..mb_cols {
                 let x = mx * MB;
                 let y = my * MB;
-                let mr = motion::three_step_search(
-                    frame.y(),
-                    reference.y(),
-                    x,
-                    y,
-                    self.config.search_range,
-                );
+                let mr = motion::three_step_search(&self.cur_luma, &self.ref_luma, x, y, range);
                 if mr.zero_sad <= skip_thresh {
                     // SKIP: copy the co-located macroblock.
                     w.write_bit(false);

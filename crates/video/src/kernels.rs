@@ -49,6 +49,24 @@ pub enum KernelLevel {
     Avx2,
 }
 
+impl KernelLevel {
+    /// Every tier, slowest first.
+    pub const ALL: [KernelLevel; 3] = [KernelLevel::Scalar, KernelLevel::Sse2, KernelLevel::Avx2];
+
+    /// Whether this host can run the tier.
+    pub fn is_supported(self) -> bool {
+        match self {
+            KernelLevel::Scalar => true,
+            #[cfg(target_arch = "x86_64")]
+            KernelLevel::Sse2 => true,
+            #[cfg(target_arch = "x86_64")]
+            KernelLevel::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
+            #[cfg(not(target_arch = "x86_64"))]
+            _ => false,
+        }
+    }
+}
+
 impl std::fmt::Display for KernelLevel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -200,6 +218,80 @@ pub fn sad16_const(cur: &[u8], stride: usize, value: u8) -> u32 {
         #[cfg(target_arch = "x86_64")]
         KernelLevel::Sse2 => unsafe { x86::sad16_const_sse2(cur, stride, value) },
         _ => scalar::sad16_const(cur, stride, value),
+    }
+}
+
+/// SADs of one 16x16 block against several candidate blocks of one plane:
+/// `out[i]` is [`sad16`] of `cur` against the block of `refp` that starts
+/// at `offsets[i]`. The SIMD tiers load `cur` once and hold it in
+/// registers across the candidates — motion search probes up to nine
+/// displacements of the same current block at a time.
+///
+/// # Panics
+///
+/// Panics if `cur` cannot hold a 16x16 block at `cur_stride`, if a
+/// candidate block does not fit in `refp` at `ref_stride`, or if `out` is
+/// shorter than `offsets`.
+pub fn sad16_candidates(
+    cur: &[u8],
+    cur_stride: usize,
+    refp: &[u8],
+    ref_stride: usize,
+    offsets: &[usize],
+    out: &mut [u32],
+) {
+    sad16_candidates_at(
+        active_level(),
+        cur,
+        cur_stride,
+        refp,
+        ref_stride,
+        offsets,
+        out,
+    );
+}
+
+/// [`sad16_candidates`] on the given tier instead of the dispatched one, so
+/// tests can hold every tier the host runs to [`scalar::sad16`].
+///
+/// # Panics
+///
+/// As [`sad16_candidates`], and if this host cannot run `level`.
+pub fn sad16_candidates_at(
+    level: KernelLevel,
+    cur: &[u8],
+    cur_stride: usize,
+    refp: &[u8],
+    ref_stride: usize,
+    offsets: &[usize],
+    out: &mut [u32],
+) {
+    assert!(
+        level.is_supported(),
+        "this host cannot run the {level} tier"
+    );
+    assert_block16(cur, cur_stride, "sad16_candidates cur");
+    assert!(
+        out.len() >= offsets.len(),
+        "sad16_candidates: out shorter than offsets"
+    );
+    if let Some(&last) = offsets.iter().max() {
+        let tail = refp.get(last..).unwrap_or_default();
+        assert_block16(tail, ref_stride, "sad16_candidates ref");
+    }
+    // SAFETY: the asserts above hold `cur` and every candidate block in
+    // bounds and `out` at least as long as `offsets`, and the host runs
+    // `level`'s instructions.
+    match level {
+        #[cfg(target_arch = "x86_64")]
+        KernelLevel::Avx2 => unsafe {
+            x86::sad16_candidates_avx2(cur, cur_stride, refp, ref_stride, offsets, out)
+        },
+        #[cfg(target_arch = "x86_64")]
+        KernelLevel::Sse2 => unsafe {
+            x86::sad16_candidates_sse2(cur, cur_stride, refp, ref_stride, offsets, out)
+        },
+        _ => scalar::sad16_candidates(cur, cur_stride, refp, ref_stride, offsets, out),
     }
 }
 
@@ -429,6 +521,20 @@ pub mod scalar {
         acc
     }
 
+    /// Scalar [`super::sad16_candidates`].
+    pub fn sad16_candidates(
+        cur: &[u8],
+        cur_stride: usize,
+        refp: &[u8],
+        ref_stride: usize,
+        offsets: &[usize],
+        out: &mut [u32],
+    ) {
+        for (o, &off) in out.iter_mut().zip(offsets) {
+            *o = sad16(cur, cur_stride, &refp[off..], ref_stride);
+        }
+    }
+
     /// Scalar [`super::sum16`].
     pub fn sum16(cur: &[u8], stride: usize) -> u32 {
         sad16_const(cur, stride, 0)
@@ -601,6 +707,79 @@ mod x86 {
                 _mm256_extracti128_si256(acc, 1),
             );
             _mm_cvtsi128_si64(_mm_add_epi64(s, _mm_unpackhi_epi64(s, s))) as u32
+        }
+    }
+
+    /// # Safety
+    /// Caller asserts `cur` and every candidate block in bounds and `out`
+    /// at least as long as `offsets`.
+    pub(super) unsafe fn sad16_candidates_sse2(
+        cur: &[u8],
+        cur_stride: usize,
+        refp: &[u8],
+        ref_stride: usize,
+        offsets: &[usize],
+        out: &mut [u32],
+    ) {
+        // SAFETY: every load reads a 16-byte row of `cur` or of a candidate
+        // block, in bounds by the caller's guarantee; SSE2 is baseline.
+        unsafe {
+            let mut c = [_mm_setzero_si128(); 16];
+            for (dy, c) in c.iter_mut().enumerate() {
+                *c = _mm_loadu_si128(cur.as_ptr().add(dy * cur_stride) as *const __m128i);
+            }
+            for (o, &off) in out.iter_mut().zip(offsets) {
+                let r = refp.as_ptr().add(off);
+                let mut acc = _mm_setzero_si128();
+                for (dy, c) in c.iter().enumerate() {
+                    let rv = _mm_loadu_si128(r.add(dy * ref_stride) as *const __m128i);
+                    acc = _mm_add_epi64(acc, _mm_sad_epu8(*c, rv));
+                }
+                let hi = _mm_unpackhi_epi64(acc, acc);
+                *o = _mm_cvtsi128_si64(_mm_add_epi64(acc, hi)) as u32;
+            }
+        }
+    }
+
+    /// # Safety
+    /// As [`sad16_candidates_sse2`]; requires AVX2.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn sad16_candidates_avx2(
+        cur: &[u8],
+        cur_stride: usize,
+        refp: &[u8],
+        ref_stride: usize,
+        offsets: &[usize],
+        out: &mut [u32],
+    ) {
+        // SAFETY: every load reads a 16-byte row of `cur` or of a candidate
+        // block, in bounds by the caller's guarantee; the caller checked
+        // AVX2.
+        unsafe {
+            // Rows 2i and 2i + 1 of the current block in the two lanes of
+            // register i, loaded once for every candidate.
+            let mut c = [_mm256_setzero_si256(); 8];
+            for (i, c) in c.iter_mut().enumerate() {
+                let p = cur.as_ptr().add(2 * i * cur_stride);
+                *c = _mm256_loadu2_m128i(p.add(cur_stride) as *const __m128i, p as *const __m128i);
+            }
+            for (o, &off) in out.iter_mut().zip(offsets) {
+                let r = refp.as_ptr().add(off);
+                let mut acc = _mm256_setzero_si256();
+                for (i, c) in c.iter().enumerate() {
+                    let p = r.add(2 * i * ref_stride);
+                    let rv = _mm256_loadu2_m128i(
+                        p.add(ref_stride) as *const __m128i,
+                        p as *const __m128i,
+                    );
+                    acc = _mm256_add_epi64(acc, _mm256_sad_epu8(*c, rv));
+                }
+                let s = _mm_add_epi64(
+                    _mm256_castsi256_si128(acc),
+                    _mm256_extracti128_si256(acc, 1),
+                );
+                *o = _mm_cvtsi128_si64(_mm_add_epi64(s, _mm_unpackhi_epi64(s, s))) as u32;
+            }
         }
     }
 

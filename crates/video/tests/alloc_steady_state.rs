@@ -1,10 +1,12 @@
 //! Steady-state allocation audit of the encoder and decoder.
 //!
 //! After a warmup pass has sized every scratch buffer (reference and
-//! reconstruction frames, the lookahead's half-resolution planes, the
-//! bitstream `Vec`s), re-encoding into caller-owned buffers and
-//! re-decoding the same sequence must perform **zero** heap allocations:
-//! the hot loops recycle buffers by swapping, never by allocating.
+//! reconstruction frames, the padded luma planes of the motion search, the
+//! lookahead's half-resolution planes, the bitstream `Vec`s), re-encoding
+//! into caller-owned buffers and re-decoding the same sequence must
+//! perform **zero** heap allocations: the hot loops recycle buffers by
+//! swapping, never by allocating, also at a resolution that is not a
+//! multiple of 16 and across `Encoder::reset`.
 //! `Encoder::encode_frame`, which returns a shareable payload, must perform
 //! exactly one per frame — the payload. `EncodedVideo::encode`, which codes
 //! on a second thread, must make that one allocation per frame on the
@@ -133,6 +135,33 @@ fn encode_decode_steady_state_does_not_allocate() {
         0,
         "steady-state encode of {} frames allocated {encode_allocs} times",
         frames.len()
+    );
+
+    // The padded planes of the motion search are recycled too: at a size
+    // that is not a multiple of 16 (overhanging macroblocks, 45x27 half
+    // planes) and across `Encoder::reset` mid-stream, the steady state
+    // still does not allocate.
+    let odd = Resolution::new(90, 54);
+    let odd_frames = test_frames(odd, 12);
+    let mut odd_encoder = Encoder::new(odd, config);
+    let mut odd_buffers: Vec<Vec<u8>> = vec![Vec::new(); odd_frames.len()];
+    for _ in 0..2 {
+        odd_encoder.reset();
+        for (frame, out) in odd_frames.iter().zip(odd_buffers.iter_mut()) {
+            odd_encoder.encode_frame_into(frame, out);
+        }
+    }
+    let before = allocations();
+    for (i, (frame, out)) in odd_frames.iter().zip(odd_buffers.iter_mut()).enumerate() {
+        if i % 5 == 0 {
+            odd_encoder.reset();
+        }
+        odd_encoder.encode_frame_into(frame, out);
+    }
+    let odd_allocs = allocations() - before;
+    assert_eq!(
+        odd_allocs, 0,
+        "steady-state encode at {odd} with resets allocated {odd_allocs} times"
     );
 
     // `encode_frame` returns the product itself — a shareable payload of

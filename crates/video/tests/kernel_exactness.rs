@@ -16,14 +16,17 @@
 //! additionally held to the log/exp-table implementation it replaced, kept
 //! here as the reference.
 //!
+//! `sad16_candidates` (motion search's batched SAD, which holds the current
+//! block across its candidates) is held to `scalar::sad16` at every tier
+//! the host runs, not only the dispatched one.
+//!
 //! The final properties cover the codec-facing wrappers whose edge
-//! handling was rewritten onto the kernels: `motion::sad_mb` (clamped
-//! block materialization) and `intra_cost_mb`, against per-sample
-//! references, on planes of odd dimensions with overhanging motion
-//! vectors.
+//! handling reads edge-padded planes: `motion::sad_mb` and
+//! `intra_cost_mb`, against per-sample clamped references, on planes of
+//! odd dimensions with overhanging motion vectors.
 
 use proptest::prelude::*;
-use sieve_video::kernels::{self, scalar};
+use sieve_video::kernels::{self, scalar, KernelLevel};
 use sieve_video::motion::{self, MotionVector, MB};
 use sieve_video::Plane;
 
@@ -128,6 +131,45 @@ proptest! {
             kernels::sad16(&cur, cur_stride, &refp, ref_stride),
             scalar::sad16(&cur, cur_stride, &refp, ref_stride)
         );
+    }
+
+    /// The batched search kernel holds the current block across up to nine
+    /// candidates (and none); every tier the host runs, the dispatched one
+    /// included, must give each candidate `scalar::sad16`.
+    #[test]
+    fn sad16_candidates_matches_scalar_at_every_tier(
+        seed in 0u64..1 << 48,
+        cur_stride in 16usize..40,
+        ref_stride in 16usize..60,
+        rows in 16usize..40,
+        n in 0usize..=9,
+        saturated in 0u8..2,
+    ) {
+        let mut cur = bytes(cur_stride * 16, seed);
+        let mut refp = bytes(ref_stride * rows, seed ^ 0xBEEF);
+        if saturated == 1 {
+            // Every current sample above every reference sample: sums
+            // towards the 256 × 255 maximum.
+            cur.iter_mut().for_each(|v| *v |= 0x80);
+            refp.iter_mut().for_each(|v| *v &= 0x7F);
+        }
+        let last = (rows - 16) * ref_stride + ref_stride - 16;
+        let offsets: Vec<usize> = bytes(8 * n, seed ^ 0x0FF5)
+            .chunks_exact(8)
+            .map(|b| u64::from_le_bytes(b.try_into().unwrap()) as usize % (last + 1))
+            .collect();
+        let want: Vec<u32> = offsets
+            .iter()
+            .map(|&o| scalar::sad16(&cur, cur_stride, &refp[o..], ref_stride))
+            .collect();
+        for level in KernelLevel::ALL.into_iter().filter(|l| l.is_supported()) {
+            let mut got = vec![u32::MAX; n];
+            kernels::sad16_candidates_at(level, &cur, cur_stride, &refp, ref_stride, &offsets, &mut got);
+            prop_assert_eq!(&got, &want, "{} tier", level);
+        }
+        let mut got = vec![u32::MAX; n];
+        kernels::sad16_candidates(&cur, cur_stride, &refp, ref_stride, &offsets, &mut got);
+        prop_assert_eq!(&got, &want, "dispatched");
     }
 
     #[test]
