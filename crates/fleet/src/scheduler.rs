@@ -516,15 +516,15 @@ impl Fleet {
             #[cfg(not(feature = "model-check"))]
             enqueued: Instant::now(),
         };
-        let pushed = self.queues[shard].try_push(id.0, queued);
+        let (pushed, backlogged) = self.queues[shard].try_push_reporting_backlog(id.0, queued);
         if pushed == PushOutcome::Queued {
             // A backlogged home shard means idle neighbours should come
-            // stealing; the nudge is a hint (notify without state), so it
+            // stealing. The nudge is a hint (it wakes a neighbour only if
+            // one is parked, and can miss one that is just parking), so it
             // is level-triggered off every push while backlog lasts.
             // Model-check builds skip it to keep schedules small; the
             // checker's own steal models drive thieves explicitly.
-            #[cfg(not(feature = "model-check"))]
-            if self.config.work_stealing && self.queues[shard].backlogged() {
+            if backlogged && self.config.work_stealing && cfg!(not(feature = "model-check")) {
                 for (i, queue) in self.queues.iter().enumerate() {
                     if i != shard {
                         queue.nudge();

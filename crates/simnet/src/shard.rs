@@ -47,10 +47,28 @@
 //!
 //! [`Popped::LaneFinished`] is only delivered for a non-busy lane, so a
 //! stream's end-of-stream flush can never race a thief still draining it.
+//!
+//! # Wake-ups
+//!
+//! A condvar notify is a syscall even when nobody waits, and a saturated
+//! worker never waits. So the queue counts the workers parked on its
+//! condvar: [`ShardQueue::pop`] and [`ShardQueue::wait_for_work`] raise
+//! the count before they wait and lower it after, and every operation that
+//! makes work appear (`try_push`, `complete`, `close_lane`, `shutdown`)
+//! notifies only when the count is non-zero. Both sides touch the count
+//! under the queue mutex, and a waiter holds that mutex from its check
+//! until the wait releases it, so no wake-up can be lost.
+//!
+//! [`ShardQueue::nudge`] is the exception: a producer calls it on a
+//! *neighbour's* queue without taking that queue's lock, so it reads an
+//! atomic mirror of the count. A worker about to park can be missed, which
+//! is why the nudge is only a hint: it never makes work appear, and the
+//! producer repeats it on every push while its own backlog lasts.
 
 use std::collections::VecDeque;
 
-use sieve_stats::sync::{Condvar, Mutex};
+use sieve_stats::sync::atomic::{AtomicUsize, Ordering};
+use sieve_stats::sync::{Condvar, Mutex, MutexGuard};
 
 /// Upper bound of a lane's scheduling weight (inclusive).
 pub const MAX_LANE_WEIGHT: u32 = 8;
@@ -136,6 +154,8 @@ struct State<T> {
     cursor: usize,
     /// Items queued across all lanes (mirrors the sum of lane depths).
     queued: usize,
+    /// Workers parked on the condvar (see "Wake-ups" in the module docs).
+    waiters: usize,
     shutdown: bool,
 }
 
@@ -198,6 +218,21 @@ impl<T> State<T> {
             .position(|(_, l)| l.closed && !l.busy && l.queue.is_empty())
     }
 
+    /// Whether a notify can wake anybody.
+    fn has_waiters(&self) -> bool {
+        // SEEDED BUG (crates/check-tests/tests/wakeup.rs): an off-by-one
+        // in the waiter count skips the notify when exactly one worker is
+        // parked, and that worker sleeps through the work it waits for.
+        #[cfg(sieve_check_seeded_wakeup_bug)]
+        {
+            self.waiters > 1
+        }
+        #[cfg(not(sieve_check_seeded_wakeup_bug))]
+        {
+            self.waiters > 0
+        }
+    }
+
     fn remove_lane(&mut self, i: usize) -> u64 {
         let (key, _) = self.lanes.remove(i);
         let n = self.lanes.len();
@@ -225,6 +260,10 @@ impl<T> State<T> {
 pub struct ShardQueue<T> {
     state: Mutex<State<T>>,
     available: Condvar,
+    /// `State::waiters`, mirrored for [`ShardQueue::nudge`]; written only
+    /// under the state lock. Relaxed: it publishes no other data, and a
+    /// stale read only costs a nudge (which is a hint).
+    parked: AtomicUsize,
     lane_capacity: usize,
 }
 
@@ -241,9 +280,11 @@ impl<T> ShardQueue<T> {
                 lanes: Vec::new(),
                 cursor: 0,
                 queued: 0,
+                waiters: 0,
                 shutdown: false,
             }),
             available: Condvar::new(),
+            parked: AtomicUsize::new(0),
             lane_capacity,
         }
     }
@@ -278,7 +319,9 @@ impl<T> ShardQueue<T> {
         };
         lane.closed = true;
         // An already-empty lane becomes poppable (as LaneFinished) now.
-        self.available.notify_all();
+        if s.has_waiters() {
+            self.available.notify_all();
+        }
         true
     }
 
@@ -295,21 +338,31 @@ impl<T> ShardQueue<T> {
 
     /// Pushes without blocking; see [`PushOutcome`] for the cases.
     pub fn try_push(&self, key: u64, item: T) -> PushOutcome {
+        self.try_push_reporting_backlog(key, item).0
+    }
+
+    /// [`ShardQueue::try_push`] that also reports, from the same critical
+    /// section, whether the queue is backlogged: at least a full lane's
+    /// worth of items queued, the watermark at which producers nudge idle
+    /// neighbours to come steal.
+    pub fn try_push_reporting_backlog(&self, key: u64, item: T) -> (PushOutcome, bool) {
         let mut s = self.state.lock();
         let capacity = self.lane_capacity;
         let Some(lane) = s.lane_mut(key) else {
-            return PushOutcome::NoSuchLane;
+            return (PushOutcome::NoSuchLane, false);
         };
         if lane.closed {
-            return PushOutcome::LaneClosed;
+            return (PushOutcome::LaneClosed, false);
         }
         if lane.queue.len() >= capacity {
-            return PushOutcome::Shed;
+            return (PushOutcome::Shed, s.queued >= capacity);
         }
         lane.queue.push_back(item);
         s.queued += 1;
-        self.available.notify_one();
-        PushOutcome::Queued
+        if s.has_waiters() {
+            self.available.notify_one();
+        }
+        (PushOutcome::Queued, s.queued >= capacity)
     }
 
     /// Blocks for the next item (weighted priority across non-empty lanes)
@@ -352,8 +405,19 @@ impl<T> ShardQueue<T> {
             if s.shutdown && s.lanes.is_empty() {
                 return None;
             }
-            s = self.available.wait(s);
+            s = self.park(s);
         }
+    }
+
+    /// Waits on the condvar, counted in `waiters` (and its `parked`
+    /// mirror) for the whole wait.
+    fn park<'a>(&self, mut s: MutexGuard<'a, State<T>>) -> MutexGuard<'a, State<T>> {
+        s.waiters += 1;
+        self.parked.store(s.waiters, Ordering::Relaxed);
+        s = self.available.wait(s);
+        s.waiters -= 1;
+        self.parked.store(s.waiters, Ordering::Relaxed);
+        s
     }
 
     /// Non-blocking cooperative pop. Delivering an item marks its lane
@@ -363,9 +427,9 @@ impl<T> ShardQueue<T> {
     pub fn try_pop_guarded(&self) -> GuardedPop<T> {
         let mut s = self.state.lock();
         if let Some(i) = s.best_lane() {
+            // `serve` keeps lane `i` in place, so `i` still names it.
             let (key, item) = s.serve(i);
-            // lint:allow(no-unwrap): the lane just served exists
-            s.lane_mut(key).expect("served lane exists").busy = true;
+            s.lanes[i].1.busy = true;
             return GuardedPop::Item(key, item);
         }
         if let Some(i) = s.finished_lane() {
@@ -380,7 +444,7 @@ impl<T> ShardQueue<T> {
     /// Releases lane `key` after processing the items taken by
     /// [`ShardQueue::try_pop_guarded`] or [`ShardQueue::try_steal`],
     /// optionally installing a new scheduling weight in the same critical
-    /// section. Wakes waiting workers (the lane may now be poppable or
+    /// section. Wakes parked workers (the lane may now be poppable or
     /// finishable). No-op for unknown lanes (the lane finished while the
     /// caller still held items of a *different* generation cannot happen:
     /// finish is deferred while busy).
@@ -392,7 +456,9 @@ impl<T> ShardQueue<T> {
                 lane.weight = w.clamp(1, MAX_LANE_WEIGHT);
             }
         }
-        self.available.notify_all();
+        if s.has_waiters() {
+            self.available.notify_all();
+        }
     }
 
     /// Owner-preferred steal attempt: `try_lock` the queue (never wait),
@@ -471,21 +537,19 @@ impl<T> ShardQueue<T> {
             || s.finished_lane().is_some()
             || (s.shutdown && s.lanes.is_empty());
         if !poppable {
-            drop(self.available.wait(s));
+            drop(self.park(s));
         }
     }
 
     /// Wakes every worker blocked in [`ShardQueue::wait_for_work`] or
     /// [`ShardQueue::pop`] without changing any state — the cross-shard
-    /// hint a backlogged producer uses to rouse idle thieves.
+    /// hint a backlogged producer uses to rouse idle thieves. Takes no
+    /// lock, and makes no syscall while nobody is parked; a worker that is
+    /// just parking can miss it (see "Wake-ups" in the module docs).
     pub fn nudge(&self) {
-        self.available.notify_all();
-    }
-
-    /// Whether at least a full lane's worth of items is queued — the
-    /// watermark at which producers nudge idle neighbours to come steal.
-    pub fn backlogged(&self) -> bool {
-        self.state.lock().queued >= self.lane_capacity
+        if self.parked.load(Ordering::Relaxed) > 0 {
+            self.available.notify_all();
+        }
     }
 
     /// Stops accepting new lanes and (after draining) ends [`ShardQueue::pop`]:
@@ -497,7 +561,9 @@ impl<T> ShardQueue<T> {
         for (_, lane) in &mut s.lanes {
             lane.closed = true;
         }
-        self.available.notify_all();
+        if s.has_waiters() {
+            self.available.notify_all();
+        }
     }
 
     /// Queued items currently in lane `key` (`None` for unknown lanes).
@@ -510,7 +576,26 @@ impl<T> ShardQueue<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc;
     use std::sync::Arc;
+    use std::time::{Duration, Instant};
+
+    /// Generous enough for a loaded or sanitized host; a lost wake-up
+    /// hangs forever, so any finite bound catches it.
+    const WATCHDOG: Duration = Duration::from_secs(30);
+
+    /// Spins until `q` has exactly `n` parked workers, and until they are
+    /// inside the condvar wait: a worker holds the lock from raising the
+    /// count until the wait releases it, so one lock round trip suffices.
+    /// After it even the lock-free `nudge` cannot miss them.
+    fn until_parked<T>(q: &ShardQueue<T>, n: usize) {
+        let deadline = Instant::now() + WATCHDOG;
+        while q.parked.load(Ordering::Relaxed) != n {
+            assert!(Instant::now() < deadline, "worker never parked");
+            std::thread::yield_now();
+        }
+        drop(q.state.lock());
+    }
 
     #[test]
     fn push_pop_single_lane() {
@@ -530,11 +615,17 @@ mod tests {
     fn full_lane_sheds_without_blocking() {
         let q = ShardQueue::new(2);
         q.open_lane(1);
-        assert_eq!(q.try_push(1, 0), PushOutcome::Queued);
-        assert_eq!(q.try_push(1, 1), PushOutcome::Queued);
+        assert_eq!(
+            q.try_push_reporting_backlog(1, 0),
+            (PushOutcome::Queued, false)
+        );
+        assert_eq!(
+            q.try_push_reporting_backlog(1, 1),
+            (PushOutcome::Queued, true),
+            "a full lane is past the nudge watermark"
+        );
         assert_eq!(q.try_push(1, 2), PushOutcome::Shed);
         assert_eq!(q.depth(1), Some(2));
-        assert!(q.backlogged(), "a full lane is past the nudge watermark");
     }
 
     #[test]
@@ -747,6 +838,95 @@ mod tests {
         }
         let _ = producer.join().expect("producer ok");
         assert_eq!(got, 400, "every queued item reaches the worker");
+    }
+
+    /// Every push lands on a worker already parked in `pop` (or, every
+    /// other round trip, in `wait_for_work`), so only the push's own
+    /// notify can wake it; the watchdog turns a lost wake-up into a
+    /// failure instead of a hang.
+    #[test]
+    fn every_push_wakes_a_parked_worker() {
+        const ROUND_TRIPS: u64 = 10_000;
+        let q = Arc::new(ShardQueue::new(4));
+        q.open_lane(1);
+        q.open_lane(2);
+        let (ack, acks) = mpsc::channel();
+        let worker = {
+            let q = q.clone();
+            std::thread::spawn(move || {
+                for i in 0..ROUND_TRIPS {
+                    let got = if i % 2 == 0 {
+                        match q.pop() {
+                            Some(Popped::Item(_, v)) => v,
+                            other => panic!("unexpected pop: {other:?}"),
+                        }
+                    } else {
+                        loop {
+                            match q.try_pop_guarded() {
+                                GuardedPop::Item(key, v) => {
+                                    q.complete(key, None);
+                                    break v;
+                                }
+                                GuardedPop::Empty => q.wait_for_work(),
+                                other => panic!("unexpected guarded pop: {other:?}"),
+                            }
+                        }
+                    };
+                    ack.send(got).expect("test thread listening");
+                }
+            })
+        };
+        for i in 0..ROUND_TRIPS {
+            until_parked(&q, 1);
+            assert_eq!(q.try_push(1 + i % 2, i), PushOutcome::Queued);
+            let got = acks
+                .recv_timeout(WATCHDOG)
+                .unwrap_or_else(|e| panic!("round trip {i}: parked worker not woken ({e})"));
+            assert_eq!(got, i);
+        }
+        worker.join().expect("worker ok");
+        assert_eq!(q.state.lock().waiters, 0);
+    }
+
+    /// `nudge` on a queue nobody is parked on takes no lock, and leaves no
+    /// wake-up behind for a worker that parks later; on a parked worker
+    /// it wakes it. (A worker sends before it parks again, so once it is
+    /// parked an empty channel means its wait has not returned.)
+    #[test]
+    fn nudge_wakes_only_a_parked_worker() {
+        let q = Arc::new(ShardQueue::<u64>::new(4));
+        q.open_lane(1);
+        {
+            let _held = q.state.lock();
+            q.nudge();
+        }
+        let (woke, wakes) = mpsc::channel();
+        let worker = {
+            let q = q.clone();
+            std::thread::spawn(move || {
+                for _ in 0..2 {
+                    q.wait_for_work();
+                    woke.send(()).expect("test thread listening");
+                }
+            })
+        };
+        until_parked(&q, 1);
+        assert_eq!(
+            wakes.try_recv(),
+            Err(mpsc::TryRecvError::Empty),
+            "the idle nudge left a wake-up behind"
+        );
+        q.nudge();
+        wakes
+            .recv_timeout(WATCHDOG)
+            .expect("a nudge wakes a parked worker");
+        until_parked(&q, 1);
+        assert_eq!(wakes.try_recv(), Err(mpsc::TryRecvError::Empty));
+        assert_eq!(q.try_push(1, 0), PushOutcome::Queued);
+        wakes
+            .recv_timeout(WATCHDOG)
+            .expect("a push wakes a parked worker");
+        worker.join().expect("worker ok");
     }
 
     #[test]
