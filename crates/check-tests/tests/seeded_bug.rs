@@ -1,7 +1,7 @@
 //! The mutation test that tests the checker itself: building with
 //! `RUSTFLAGS="--cfg sieve_check_seeded_bug"` re-introduces a known race in
-//! `ShardQueue::pop` (the lock is dropped between observing a drained
-//! closed lane and removing it, so two poppers can both deliver
+//! `ShardQueue::try_pop_guarded` (the lock is dropped between observing a
+//! finished lane and removing it, so two guarded workers can both deliver
 //! `LaneFinished` for the same lane). The checker must find that race
 //! within its interleaving budget — otherwise the whole model-check suite
 //! is vacuous.
@@ -10,33 +10,36 @@
 use std::sync::Arc;
 
 use sieve_check::Checker;
-use sieve_simnet::{Popped, ShardQueue};
+use sieve_check_tests::guarded_next;
+use sieve_simnet::{GuardedPop, ShardQueue};
 use sieve_stats::sync::atomic::{AtomicUsize, Ordering};
 use sieve_stats::sync::thread;
 
-/// Two poppers racing over one drained closed lane; correct code delivers
-/// `LaneFinished` exactly once.
+/// Two guarded workers racing over one drained closed lane; correct code
+/// delivers `LaneFinished` exactly once.
 fn double_finish_model() {
     let q = Arc::new(ShardQueue::<u8>::new(2));
     q.open_lane(1);
     q.close_lane(1);
     q.shutdown();
     let finishes = Arc::new(AtomicUsize::new(0));
-    let poppers: Vec<_> = (0..2)
+    let workers: Vec<_> = (0..2)
         .map(|_| {
             let q = Arc::clone(&q);
             let finishes = Arc::clone(&finishes);
-            thread::spawn(move || {
-                while let Some(p) = q.pop() {
-                    if matches!(p, Popped::LaneFinished(_)) {
+            thread::spawn(move || loop {
+                match guarded_next(&q) {
+                    GuardedPop::LaneFinished(_) => {
                         finishes.fetch_add(1, Ordering::SeqCst);
                     }
+                    GuardedPop::Item(_, _) => {}
+                    GuardedPop::Empty | GuardedPop::Shutdown => return,
                 }
             })
         })
         .collect();
-    for h in poppers {
-        h.join().expect("popper ok");
+    for h in workers {
+        h.join().expect("worker ok");
     }
     assert_eq!(
         finishes.load(Ordering::SeqCst),

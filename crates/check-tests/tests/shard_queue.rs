@@ -1,18 +1,21 @@
 //! Model-check invariants of `sieve_simnet::ShardQueue` — the real queue,
 //! routed through the instrumented `sync` facade, explored across thread
-//! interleavings by `sieve-check`.
+//! interleavings by `sieve-check`. Every worker drains it as the fleet's
+//! shard loop does: `try_pop_guarded`, `complete` after each item,
+//! `wait_for_work` while it is empty, exit on `Shutdown`.
 #![cfg(feature = "model-check")]
 
 use std::sync::Arc;
 
 use sieve_check::{model, Checker};
-use sieve_simnet::{Popped, PushOutcome, ShardQueue};
+use sieve_check_tests::guarded_next;
+use sieve_simnet::{GuardedPop, PushOutcome, ShardQueue};
 use sieve_stats::sync::atomic::{AtomicUsize, Ordering};
 use sieve_stats::sync::thread;
 
-/// Two producers racing one worker: every queued frame reaches the worker
-/// exactly once (none lost, none double-drained), and the drain loop
-/// terminates under every schedule.
+/// Two producers (one frame on lane 1, two on lane 2) racing one worker:
+/// every queued frame reaches the worker exactly once (none lost, none
+/// double-drained), and the drain loop terminates under every schedule.
 #[test]
 fn no_frame_lost_or_double_drained() {
     let report = Checker::new().max_dfs_executions(6000).check(|| {
@@ -24,7 +27,7 @@ fn no_frame_lost_or_double_drained() {
             .map(|lane| {
                 let q = Arc::clone(&q);
                 thread::spawn(move || {
-                    for i in 0..2u64 {
+                    for i in 0..lane {
                         assert_eq!(q.try_push(lane, lane * 10 + i), PushOutcome::Queued);
                     }
                     q.close_lane(lane);
@@ -34,23 +37,24 @@ fn no_frame_lost_or_double_drained() {
         let mut seen: Vec<u64> = Vec::new();
         let mut finished = 0;
         while finished < 2 {
-            match q.pop() {
-                Some(Popped::Item(_, v)) => seen.push(v),
-                Some(Popped::LaneFinished(_)) => finished += 1,
-                None => break,
+            match guarded_next(&q) {
+                GuardedPop::Item(_, v) => seen.push(v),
+                GuardedPop::LaneFinished(_) => finished += 1,
+                GuardedPop::Empty | GuardedPop::Shutdown => break,
             }
         }
         for h in producers {
             h.join().expect("producer ok");
         }
         seen.sort_unstable();
-        assert_eq!(seen, vec![10, 11, 20, 21], "lost or duplicated frame");
+        assert_eq!(seen, vec![10, 20, 21], "lost or duplicated frame");
     });
     assert!(
         report.executions >= 1000,
         "expected >= 1000 interleavings, explored {}",
         report.executions
     );
+    assert!(report.complete, "the budget should exhaust this model");
 }
 
 /// A producer opening/closing a fresh lane while the worker drains: the
@@ -74,10 +78,10 @@ fn lane_join_racing_drain_is_never_orphaned() {
         let mut items = Vec::new();
         let mut finished = Vec::new();
         while finished.len() < 2 {
-            match q.pop() {
-                Some(Popped::Item(k, v)) => items.push((k, v)),
-                Some(Popped::LaneFinished(k)) => finished.push(k),
-                None => break,
+            match guarded_next(&q) {
+                GuardedPop::Item(k, v) => items.push((k, v)),
+                GuardedPop::LaneFinished(k) => finished.push(k),
+                GuardedPop::Empty | GuardedPop::Shutdown => break,
             }
         }
         joiner.join().expect("joiner ok");
@@ -89,9 +93,9 @@ fn lane_join_racing_drain_is_never_orphaned() {
     assert!(report.executions > 1);
 }
 
-/// `shutdown` racing a blocked worker and an in-flight producer: `pop`
-/// always returns `None` eventually — the worker's exit signal can neither
-/// be lost nor delivered before queued items drain.
+/// `shutdown` racing a blocked worker and an in-flight producer: the
+/// worker always reaches `Shutdown` eventually — its exit signal can
+/// neither be lost nor delivered before queued items drain.
 #[test]
 fn shutdown_always_terminates_the_worker() {
     let report = model(|| {
@@ -102,10 +106,10 @@ fn shutdown_always_terminates_the_worker() {
             thread::spawn(move || {
                 let mut drained = 0u64;
                 loop {
-                    match q.pop() {
-                        Some(Popped::Item(_, _)) => drained += 1,
-                        Some(Popped::LaneFinished(_)) => {}
-                        None => return drained,
+                    match guarded_next(&q) {
+                        GuardedPop::Item(_, _) => drained += 1,
+                        GuardedPop::LaneFinished(_) => {}
+                        GuardedPop::Empty | GuardedPop::Shutdown => return drained,
                     }
                 }
             })
@@ -119,8 +123,9 @@ fn shutdown_always_terminates_the_worker() {
     assert!(report.executions > 1);
 }
 
-/// Two workers draining one queue concurrently: items are still delivered
-/// exactly once in total (the multi-popper contract of the module docs).
+/// Two guarded workers draining one queue concurrently: items are still
+/// delivered exactly once in total (the multi-worker contract of the
+/// module docs).
 #[test]
 fn concurrent_poppers_never_duplicate_items() {
     let report = Checker::new().check(|| {
@@ -136,11 +141,13 @@ fn concurrent_poppers_never_duplicate_items() {
             .map(|_| {
                 let q = Arc::clone(&q);
                 let total = Arc::clone(&total);
-                thread::spawn(move || {
-                    while let Some(p) = q.pop() {
-                        if matches!(p, Popped::Item(_, _)) {
+                thread::spawn(move || loop {
+                    match guarded_next(&q) {
+                        GuardedPop::Item(_, _) => {
                             total.fetch_add(1, Ordering::SeqCst);
                         }
+                        GuardedPop::LaneFinished(_) => {}
+                        GuardedPop::Empty | GuardedPop::Shutdown => return,
                     }
                 })
             })

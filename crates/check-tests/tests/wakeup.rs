@@ -14,23 +14,24 @@
 use std::sync::Arc;
 
 use sieve_check::{Checker, Report};
-use sieve_simnet::{GuardedPop, Popped, PushOutcome, ShardQueue, Steal};
+use sieve_check_tests::guarded_next;
+use sieve_simnet::{GuardedPop, PushOutcome, ShardQueue, Steal};
 use sieve_stats::sync::{thread, Condvar, Mutex};
 
 /// A one-shot blocking hand-off from the worker back to the model body.
 #[derive(Default)]
 struct Ack {
-    value: Mutex<Option<Popped<u64>>>,
+    value: Mutex<Option<GuardedPop<u64>>>,
     ready: Condvar,
 }
 
 impl Ack {
-    fn send(&self, got: Popped<u64>) {
+    fn send(&self, got: GuardedPop<u64>) {
         *self.value.lock() = Some(got);
         self.ready.notify_one();
     }
 
-    fn recv(&self) -> Popped<u64> {
+    fn recv(&self) -> GuardedPop<u64> {
         let mut g = self.value.lock();
         loop {
             if let Some(got) = g.take() {
@@ -41,35 +42,15 @@ impl Ack {
     }
 }
 
-/// A cooperative worker's next delivery: `try_pop_guarded`, parking in
-/// `wait_for_work` while it reports `Empty`. A delivered item's lane is
-/// completed at once.
-fn guarded_next(q: &ShardQueue<u64>) -> Popped<u64> {
-    loop {
-        match q.try_pop_guarded() {
-            GuardedPop::Item(key, v) => {
-                q.complete(key, None);
-                return Popped::Item(key, v);
-            }
-            GuardedPop::LaneFinished(key) => return Popped::LaneFinished(key),
-            GuardedPop::Empty => q.wait_for_work(),
-            GuardedPop::Shutdown => panic!("shut down before the hand-off"),
-        }
-    }
-}
-
-/// Spawns a worker that takes one delivery with `next` and acknowledges
+/// Spawns a guarded worker that takes one delivery with `guarded_next`
+/// (parking in `wait_for_work` while the queue is empty) and acknowledges
 /// it; runs `wake` on the calling thread; returns the acknowledged
 /// delivery after shutting the queue down and joining the worker.
-fn hand_off(
-    q: &Arc<ShardQueue<u64>>,
-    next: fn(&ShardQueue<u64>) -> Popped<u64>,
-    wake: impl FnOnce(&ShardQueue<u64>),
-) -> Popped<u64> {
+fn hand_off(q: &Arc<ShardQueue<u64>>, wake: impl FnOnce(&ShardQueue<u64>)) -> GuardedPop<u64> {
     let ack = Arc::new(Ack::default());
     let worker = {
         let (q, ack) = (Arc::clone(q), Arc::clone(&ack));
-        thread::spawn(move || ack.send(next(&q)))
+        thread::spawn(move || ack.send(guarded_next(&q)))
     };
     wake(q);
     let got = ack.recv();
@@ -102,31 +83,16 @@ fn verdict(report: Report) {
     }
 }
 
-/// `try_push` to a worker parked in the single-worker `pop`.
-#[test]
-fn push_wakes_a_worker_parked_in_pop() {
-    verdict(Checker::new().check(|| {
-        let q = Arc::new(ShardQueue::<u64>::new(2));
-        q.open_lane(1);
-        let got = hand_off(
-            &q,
-            |q| q.pop().expect("open queue"),
-            |q| assert_eq!(q.try_push(1, 7), PushOutcome::Queued),
-        );
-        assert_eq!(got, Popped::Item(1, 7));
-    }));
-}
-
 /// `try_push` to a cooperative worker parked in `wait_for_work`.
 #[test]
 fn push_wakes_a_worker_parked_in_wait_for_work() {
     verdict(Checker::new().check(|| {
         let q = Arc::new(ShardQueue::<u64>::new(2));
         q.open_lane(1);
-        let got = hand_off(&q, guarded_next, |q| {
+        let got = hand_off(&q, |q| {
             assert_eq!(q.try_push(1, 7), PushOutcome::Queued);
         });
-        assert_eq!(got, Popped::Item(1, 7));
+        assert_eq!(got, GuardedPop::Item(1, 7));
     }));
 }
 
@@ -144,25 +110,23 @@ fn complete_of_a_stolen_lane_wakes_the_parked_owner() {
             panic!("nobody else holds the queue yet");
         };
         assert_eq!(items, vec![0], "the front half of two");
-        let got = hand_off(&q, guarded_next, |q| q.complete(key, None));
-        assert_eq!(got, Popped::Item(1, 1), "the owner resumes after the batch");
+        let got = hand_off(&q, |q| q.complete(key, None));
+        assert_eq!(
+            got,
+            GuardedPop::Item(1, 1),
+            "the owner resumes after the batch"
+        );
     }));
 }
 
 /// `close_lane` on an empty lane makes it finishable; a worker parked on
-/// the queue must be woken to deliver `LaneFinished`, in either
-/// discipline.
+/// the queue must be woken to deliver `LaneFinished`.
 #[test]
 fn close_lane_wakes_a_parked_worker_to_finish_the_lane() {
-    for next in [
-        |q: &ShardQueue<u64>| q.pop().expect("open queue"),
-        guarded_next,
-    ] {
-        verdict(Checker::new().check(move || {
-            let q = Arc::new(ShardQueue::<u64>::new(2));
-            q.open_lane(1);
-            let got = hand_off(&q, next, |q| assert!(q.close_lane(1)));
-            assert_eq!(got, Popped::LaneFinished(1));
-        }));
-    }
+    verdict(Checker::new().check(|| {
+        let q = Arc::new(ShardQueue::<u64>::new(2));
+        q.open_lane(1);
+        let got = hand_off(&q, |q| assert!(q.close_lane(1)));
+        assert_eq!(got, GuardedPop::LaneFinished(1));
+    }));
 }

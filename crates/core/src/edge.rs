@@ -110,26 +110,17 @@ impl EdgeSession {
     /// Observes the next arriving frame (ascending `index` per stream) and
     /// returns the edge decision. Pixel policies advance the stateful
     /// decoder through every frame (P-frames chain); metadata policies
-    /// decide first and independently decode survivors only.
+    /// decide first and independently decode survivors only. The payload is
+    /// only read, so a caller that still needs it afterwards (the fleet's
+    /// keep sink ships a kept frame's encoded payload) lends it instead of
+    /// cloning every frame up front.
     pub fn observe(
         &mut self,
         index: usize,
         frame_type: FrameType,
         payload: impl AsRef<[u8]>,
     ) -> EdgeOutcome {
-        self.observe_bytes(index, frame_type, payload.as_ref())
-    }
-
-    /// [`EdgeSession::observe`] over a borrowed payload: the decoder only
-    /// reads the bytes, so a caller that still needs them afterwards (the
-    /// fleet's keep sink ships a kept frame's encoded payload) lends them
-    /// instead of cloning every frame up front.
-    pub fn observe_bytes(
-        &mut self,
-        index: usize,
-        frame_type: FrameType,
-        payload: &[u8],
-    ) -> EdgeOutcome {
+        let payload = payload.as_ref();
         let meta = EncodedFrameMeta {
             frame_type,
             payload_len: payload.len(),

@@ -7,9 +7,9 @@
 //!   maximizing the F1 of event-detection accuracy and filtering rate
 //!   (the paper's Fig 2 procedure);
 //! * [`lookup`] — the per-camera tuned-parameter table;
-//! * [`seeker`] — the I-frame seeker (metadata scan, independent decode);
 //! * [`select`] — the streaming selection layer: [`FrameSelector`]
-//!   factories, incremental [`SelectorSession`]s, trait-owned
+//!   factories (SiEVE's I-frame seeker is [`IFrameSelector`]: metadata
+//!   scan, independent decode), incremental [`SelectorSession`]s, trait-owned
 //!   [`SelectorCost`] models and batched calibration;
 //! * [`adapt`] — on-line threshold adaptation (EWMA, P² streaming
 //!   quantile, the [`RateController`] behind `Budget::TargetRate`);
@@ -50,7 +50,6 @@ pub mod events;
 pub mod lookup;
 pub mod metrics;
 pub mod pipeline;
-pub mod seeker;
 pub mod select;
 pub mod tuner;
 
@@ -65,7 +64,6 @@ pub use pipeline::{
     simulate_all, simulate_baseline, Baseline, BaselineOutcome, BaselineSpec, Deployment,
     SelectorKind, VideoWorkload, WorkloadCosts,
 };
-pub use seeker::{ByteStreamSeeker, IFrameSeeker};
 pub use select::{
     CalibrationCurve, CalibrationPoint, Decision, EncodedFrameMeta, FixedSelector, FrameSelector,
     IFrameSelector, SelectorCost, SelectorSession,

@@ -12,7 +12,6 @@ use sieve_datasets::LabelSet;
 use sieve_video::{EncodedVideo, EncoderConfig, RatioTrace};
 
 use crate::metrics::{score_selection, DetectionQuality};
-use crate::seeker::IFrameSeeker;
 
 /// The grid of configurations to explore.
 #[derive(Debug, Clone, PartialEq)]
@@ -90,7 +89,7 @@ pub fn score_encoding(video: &EncodedVideo, labels: &[LabelSet]) -> DetectionQua
         video.frame_count(),
         "labels must cover every frame"
     );
-    let selected = IFrameSeeker::new(video).i_frame_indices();
+    let selected = video.i_frame_indices();
     score_selection(labels, &selected)
 }
 

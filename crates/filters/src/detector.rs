@@ -91,43 +91,6 @@ pub fn calibrate_threshold(scores: &[f64], total_frames: usize, target_fraction:
     }
 }
 
-/// Uniform sampling baseline: selects every `interval`-th frame. This is the
-/// paper's "Uniform Sampling" end-to-end baseline; it has no change score.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct UniformSampler {
-    interval: usize,
-}
-
-impl UniformSampler {
-    /// Creates a sampler selecting frames `0, interval, 2*interval, ...`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `interval == 0`.
-    pub fn new(interval: usize) -> Self {
-        assert!(interval > 0, "interval must be positive");
-        Self { interval }
-    }
-
-    /// An interval that yields approximately `count` samples out of
-    /// `total_frames` (used to match SiEVE's I-frame count, as the paper
-    /// does "for fair comparison").
-    pub fn matching_count(total_frames: usize, count: usize) -> Self {
-        let interval = (total_frames / count.max(1)).max(1);
-        Self::new(interval)
-    }
-
-    /// The sampling interval.
-    pub fn interval(&self) -> usize {
-        self.interval
-    }
-
-    /// Selected frame indices for a video of `total_frames`.
-    pub fn select(&self, total_frames: usize) -> Vec<usize> {
-        (0..total_frames).step_by(self.interval).collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -177,27 +140,5 @@ mod tests {
     #[should_panic(expected = "target fraction")]
     fn calibrate_rejects_zero_fraction() {
         calibrate_threshold(&[1.0], 10, 0.0);
-    }
-
-    #[test]
-    fn uniform_sampler_counts() {
-        let s = UniformSampler::new(30);
-        let sel = s.select(300);
-        assert_eq!(sel.len(), 10);
-        assert_eq!(sel[0], 0);
-        assert_eq!(sel[9], 270);
-    }
-
-    #[test]
-    fn uniform_matching_count() {
-        let s = UniformSampler::matching_count(3000, 30);
-        let n = s.select(3000).len();
-        assert!((25..=35).contains(&n), "expected ~30 samples, got {n}");
-    }
-
-    #[test]
-    #[should_panic(expected = "interval")]
-    fn uniform_rejects_zero() {
-        let _ = UniformSampler::new(0);
     }
 }

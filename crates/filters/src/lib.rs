@@ -6,7 +6,7 @@
 //!   decoded frames;
 //! * [`SiftDetector`] — SIFT keypoint matching (from-scratch scale-space
 //!   pyramid, DoG keypoints, 128-d descriptors, Lowe ratio test);
-//! * [`UniformSampler`] — fixed-interval sampling.
+//! * [`UniformSelector`] — fixed-interval sampling.
 //!
 //! All of these require *fully decoding every frame* before scoring — the
 //! cost that SiEVE's I-frame seeking avoids. [`calibrate_threshold`] tunes a
@@ -33,9 +33,7 @@ pub mod mse;
 pub mod select;
 pub mod sift;
 
-pub use detector::{
-    calibrate_threshold, score_sequence, select_frames, ChangeDetector, UniformSampler,
-};
+pub use detector::{calibrate_threshold, score_sequence, select_frames, ChangeDetector};
 pub use mse::{mse_luma, MseDetector};
 pub use select::{
     selector_for, AdaptiveChangeSession, Budget, ChangeSelector, MseSelector, SiftSelector,

@@ -34,7 +34,7 @@ use sieve_core::{
 };
 use sieve_video::{Decoder, EncodedVideo, Frame};
 
-use crate::detector::{calibrate_threshold, select_frames, ChangeDetector, UniformSampler};
+use crate::detector::{calibrate_threshold, select_frames, ChangeDetector};
 use crate::mse::MseDetector;
 use crate::sift::SiftDetector;
 
@@ -58,10 +58,12 @@ pub enum Budget {
     TargetRate(f64),
 }
 
-/// Uniform sampling as a frame selector: keep every `interval`-th frame.
+/// Uniform sampling as a frame selector: keep frames `0, interval,
+/// 2*interval, ...`. This is the paper's "Uniform Sampling" end-to-end
+/// baseline; it has no change score.
 #[derive(Debug, Clone, Copy)]
 pub struct UniformSelector {
-    sampler: UniformSampler,
+    interval: usize,
 }
 
 impl UniformSelector {
@@ -71,17 +73,16 @@ impl UniformSelector {
     ///
     /// Panics if `interval == 0`.
     pub fn new(interval: usize) -> Self {
-        Self {
-            sampler: UniformSampler::new(interval),
-        }
+        assert!(interval > 0, "interval must be positive");
+        Self { interval }
     }
 
-    /// Matches a target selection count for a known video length (the
-    /// paper's budget-matched comparison).
+    /// An interval that yields approximately `count` samples out of
+    /// `total_frames` (used to match SiEVE's I-frame count, as the paper
+    /// does "for fair comparison").
     pub fn matching_count(total_frames: usize, count: usize) -> Self {
-        Self {
-            sampler: UniformSampler::matching_count(total_frames, count),
-        }
+        let interval = (total_frames / count.max(1)).max(1);
+        Self::new(interval)
     }
 }
 
@@ -98,7 +99,7 @@ impl FrameSelector for UniformSelector {
 
     fn session(&self) -> Box<dyn SelectorSession> {
         Box::new(UniformSession {
-            interval: self.sampler.interval(),
+            interval: self.interval,
         })
     }
 }
@@ -540,7 +541,7 @@ mod tests {
     use super::*;
     use crate::detector::score_sequence;
     use sieve_core::{analyze, OracleDetector};
-    use sieve_video::{EncoderConfig, Resolution};
+    use sieve_video::{EncoderConfig, FrameType, Resolution};
 
     fn sample_video(frames: usize) -> EncodedVideo {
         let res = Resolution::new(48, 32);
@@ -566,6 +567,38 @@ mod tests {
                 f
             }),
         )
+    }
+
+    /// The indices a uniform session keeps out of `total_frames`.
+    fn uniform_picks(sel: UniformSelector, total_frames: usize) -> Vec<usize> {
+        let meta = EncodedFrameMeta {
+            frame_type: FrameType::P,
+            payload_len: 0,
+        };
+        let mut session = sel.session();
+        (0..total_frames)
+            .filter(|&i| session.observe(i, &meta, None) == Decision::Keep)
+            .collect()
+    }
+
+    #[test]
+    fn uniform_sampler_counts() {
+        let sel = uniform_picks(UniformSelector::new(30), 300);
+        assert_eq!(sel.len(), 10);
+        assert_eq!(sel[0], 0);
+        assert_eq!(sel[9], 270);
+    }
+
+    #[test]
+    fn uniform_matching_count() {
+        let n = uniform_picks(UniformSelector::matching_count(3000, 30), 3000).len();
+        assert!((25..=35).contains(&n), "expected ~30 samples, got {n}");
+    }
+
+    #[test]
+    #[should_panic(expected = "interval")]
+    fn uniform_rejects_zero() {
+        let _ = UniformSelector::new(0);
     }
 
     #[test]

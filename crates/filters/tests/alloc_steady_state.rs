@@ -2,7 +2,7 @@
 //!
 //! The codec's own audit (`sieve-video/tests/alloc_steady_state.rs`) stops
 //! at the decoder. This one drives the layer above it the way a fleet
-//! worker does — `EdgeSession::observe_bytes` with an on-line MSE policy —
+//! worker does — `EdgeSession::observe` with an on-line MSE policy —
 //! and requires that a frame the policy **drops** costs zero heap
 //! allocations once the session is warm: the decoder swaps its two frame
 //! buffers and the change session overwrites the one previous frame it
@@ -78,7 +78,7 @@ fn dropped_frames_do_not_allocate_once_warm() {
     let (mut kept, mut dropped, mut dropped_allocs) = (0u32, 0u32, 0u64);
     for (i, ef) in stream.iter().enumerate() {
         let before = allocations();
-        let outcome = session.observe_bytes(i, ef.frame_type, &ef.data);
+        let outcome = session.observe(i, ef.frame_type, &ef.data);
         let spent = allocations() - before;
         match outcome {
             EdgeOutcome::Kept(_) => kept += 1,

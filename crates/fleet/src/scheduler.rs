@@ -660,7 +660,7 @@ fn process_frame(ctx: &ShardCtx, qf: QueuedFrame) -> Option<u32> {
     let outcome =
         worker
             .session(&ctx.pool)
-            .observe_bytes(packet.index, packet.frame_type, &packet.payload);
+            .observe(packet.index, packet.frame_type, &packet.payload);
     let kept = matches!(outcome, EdgeOutcome::Kept(_));
     match outcome {
         EdgeOutcome::Kept(frame) => {

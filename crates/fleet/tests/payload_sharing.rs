@@ -200,7 +200,7 @@ fn queued_frames_outlive_their_producer() {
     let mut replay = EdgeSession::open(&selector, res, video.quality());
     let mut expected: Vec<(usize, Vec<u8>)> = Vec::new();
     for (i, ef) in video.frames().iter().enumerate() {
-        match replay.observe_bytes(i, ef.frame_type, &ef.data) {
+        match replay.observe(i, ef.frame_type, &ef.data) {
             EdgeOutcome::Kept(_) => expected.push((i, ef.data.to_vec())),
             EdgeOutcome::Dropped => {}
             EdgeOutcome::Failed => panic!("frame {i} failed to decode"),

@@ -5,10 +5,11 @@
 //! Two guarantees are checked over random inputs:
 //!
 //! 1. **No starvation.** Under *any* keep-rate mixture — hence any weight
-//!    assignment the fleet can derive — every lane with queued items is
-//!    served within `MAX_LANE_WEIGHT + lanes` pops. The aging term makes
-//!    a passed-over lane's effective priority grow each pop, so no weight
-//!    spread can hold a lane off longer than that bound.
+//!    assignment the fleet can derive, re-derived after every frame as the
+//!    fleet's workers do — every lane with queued items is served within
+//!    `MAX_LANE_WEIGHT + lanes` pops. The aging term makes a passed-over
+//!    lane's effective priority grow each pop, so no weight spread can
+//!    hold a lane off longer than that bound.
 //! 2. **Order fidelity.** Weights derived from stationary keep streams
 //!    never invert the keep-rate ordering: a stream that keeps clearly
 //!    more frames gets at least as heavy a lane, and a wide keep-rate gap
@@ -16,7 +17,7 @@
 
 use proptest::prelude::*;
 use sieve_fleet::priority::{initial_ewma, update_ewma, weight_of, KEEP_ALPHA};
-use sieve_simnet::{Popped, PushOutcome, ShardQueue, MAX_LANE_WEIGHT};
+use sieve_simnet::{GuardedPop, PushOutcome, ShardQueue, MAX_LANE_WEIGHT};
 
 /// Feeds `update_ewma` a deterministic keep pattern of exact long-run rate
 /// `rate` (Bresenham spacing: kept on pops that cross an integer boundary
@@ -34,12 +35,16 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Drain a queue of 2–5 lanes whose weights come straight from random
-    /// keep rates: between two consecutive services of any lane that still
-    /// holds items, at most `MAX_LANE_WEIGHT + lanes` pops may pass.
+    /// keep rates, through the fleet's guarded pop: each `complete`
+    /// installs the weight of a fresh random keep rate, as `process_frame`
+    /// re-derives one after every frame. Between two consecutive services
+    /// of any lane that still holds items, at most `MAX_LANE_WEIGHT +
+    /// lanes` pops may pass.
     #[test]
     fn wrr_never_starves_a_lane(
         rates in proptest::collection::vec(0.0f64..1.0, 2..6),
         depth in 2usize..6,
+        reweights in proptest::collection::vec(0.0f64..1.0, 25),
     ) {
         let lanes = rates.len();
         let q = ShardQueue::<u64>::new(depth);
@@ -59,24 +64,28 @@ proptest! {
         let mut last_served = vec![0usize; lanes];
         let mut finished = 0usize;
         let mut pops = 0usize;
-        while let Some(popped) = q.pop() {
-            match popped {
-                Popped::Item(key, next) => {
+        loop {
+            match q.try_pop_guarded() {
+                GuardedPop::Item(key, next) => {
                     pops += 1;
                     let lane = key as usize;
                     let waited = pops - last_served[lane];
                     prop_assert!(
                         waited <= bound,
-                        "lane {lane} (weight {}) starved for {waited} pops \
-                         (bound {bound}, rates {rates:?})",
-                        weight_of(rates[lane]),
+                        "lane {lane} starved for {waited} pops \
+                         (bound {bound}, rates {rates:?}, reweights {reweights:?})",
                     );
                     last_served[lane] = pops;
                     // Per-lane FIFO while we are at it.
                     prop_assert_eq!(next as usize, depth - remaining[lane]);
                     remaining[lane] -= 1;
+                    q.complete(key, Some(weight_of(reweights[pops - 1])));
                 }
-                Popped::LaneFinished(_) => finished += 1,
+                GuardedPop::LaneFinished(_) => finished += 1,
+                GuardedPop::Empty => {
+                    prop_assert!(false, "a shut-down queue with no busy lane is never empty");
+                }
+                GuardedPop::Shutdown => break,
             }
         }
         prop_assert_eq!(finished, lanes, "each lane finished exactly once");

@@ -25,6 +25,6 @@ pub mod topology;
 
 pub use calibrate::{measure, measure_secs, Estimate};
 pub use pipeline::{ItemResult, Pipeline, PipelineReport, StageSpec, StepWork};
-pub use shard::{GuardedPop, Popped, PushOutcome, ShardQueue, Steal, MAX_LANE_WEIGHT};
+pub use shard::{GuardedPop, PushOutcome, ShardQueue, Steal, MAX_LANE_WEIGHT};
 pub use time::SimTime;
 pub use topology::{Link, Node, ThreeTier, WAN_STAGE};

@@ -8,7 +8,7 @@
 //!
 //! [`ShardQueue`] is that primitive: lanes keyed by `u64`, opened and
 //! closed at runtime, weighted priority draining for the worker, and a
-//! lane-drained notification ([`Popped::LaneFinished`]) so per-stream
+//! lane-drained notification ([`GuardedPop::LaneFinished`]) so per-stream
 //! end-of-stream work (session flush, final accounting) runs on the worker
 //! thread in order. `sieve-fleet` builds its sharded scheduler out of one
 //! `ShardQueue` per worker.
@@ -45,15 +45,15 @@
 //!   preserved end to end: stolen items are strictly older than anything
 //!   the owner can subsequently pop.
 //!
-//! [`Popped::LaneFinished`] is only delivered for a non-busy lane, so a
+//! [`GuardedPop::LaneFinished`] is only delivered for a non-busy lane, so a
 //! stream's end-of-stream flush can never race a thief still draining it.
 //!
 //! # Wake-ups
 //!
 //! A condvar notify is a syscall even when nobody waits, and a saturated
 //! worker never waits. So the queue counts the workers parked on its
-//! condvar: [`ShardQueue::pop`] and [`ShardQueue::wait_for_work`] raise
-//! the count before they wait and lower it after, and every operation that
+//! condvar: [`ShardQueue::wait_for_work`] raises the count before it waits
+//! and lowers it after, and every operation that
 //! makes work appear (`try_push`, `complete`, `close_lane`, `shutdown`)
 //! notifies only when the count is non-zero. Both sides touch the count
 //! under the queue mutex, and a waiter holds that mutex from its check
@@ -68,7 +68,7 @@
 use std::collections::VecDeque;
 
 use sieve_stats::sync::atomic::{AtomicUsize, Ordering};
-use sieve_stats::sync::{Condvar, Mutex, MutexGuard};
+use sieve_stats::sync::{Condvar, Mutex};
 
 /// Upper bound of a lane's scheduling weight (inclusive).
 pub const MAX_LANE_WEIGHT: u32 = 8;
@@ -85,17 +85,6 @@ pub enum PushOutcome {
     NoSuchLane,
     /// The lane was closed; no further items are accepted.
     LaneClosed,
-}
-
-/// What a worker gets from one blocking [`ShardQueue::pop`].
-#[derive(Debug, PartialEq, Eq)]
-pub enum Popped<T> {
-    /// The next item of lane `key`, by weighted priority across non-empty
-    /// lanes.
-    Item(u64, T),
-    /// Lane `key` was closed and has fully drained; it no longer exists.
-    /// Delivered exactly once per closed lane.
-    LaneFinished(u64),
 }
 
 /// What a worker gets from one non-blocking [`ShardQueue::try_pop_guarded`].
@@ -245,17 +234,12 @@ impl<T> State<T> {
 /// owner-preferred steal protocol; see the module docs. All methods are
 /// thread-safe; any number of producers may push concurrently.
 ///
-/// Two drain disciplines are offered:
-/// * the blocking [`ShardQueue::pop`], for a single dedicated worker that
-///   never shares lanes (no busy marking);
-/// * the guarded [`ShardQueue::try_pop_guarded`] / [`ShardQueue::complete`]
-///   pair plus [`ShardQueue::try_steal`], for workers that cooperate on
-///   one queue — exactly-once delivery *and* per-lane FIFO processing
-///   order are guaranteed under any interleaving (model-checked in
-///   `crates/check-tests`).
-///
-/// Do not mix the two disciplines on one queue: the unguarded `pop`
-/// ignores busy markings.
+/// Workers drain it with the guarded [`ShardQueue::try_pop_guarded`] /
+/// [`ShardQueue::complete`] pair, parking in [`ShardQueue::wait_for_work`]
+/// while there is nothing to pop, and thieves use [`ShardQueue::try_steal`]:
+/// exactly-once delivery *and* per-lane FIFO processing order are
+/// guaranteed under any interleaving of any number of them (model-checked
+/// in `crates/check-tests`).
 #[derive(Debug)]
 pub struct ShardQueue<T> {
     state: Mutex<State<T>>,
@@ -310,8 +294,8 @@ impl<T> ShardQueue<T> {
     }
 
     /// Closes lane `key`: no further pushes are accepted; once the lane
-    /// drains, the worker receives [`Popped::LaneFinished`] and the lane is
-    /// gone. Returns `false` for an unknown lane.
+    /// drains, a worker receives [`GuardedPop::LaneFinished`] and the lane
+    /// is gone. Returns `false` for an unknown lane.
     pub fn close_lane(&self, key: u64) -> bool {
         let mut s = self.state.lock();
         let Some(lane) = s.lane_mut(key) else {
@@ -365,61 +349,6 @@ impl<T> ShardQueue<T> {
         (PushOutcome::Queued, s.queued >= capacity)
     }
 
-    /// Blocks for the next item (weighted priority across non-empty lanes)
-    /// or lane-finished notification. Returns `None` once the queue is
-    /// shut down *and* every lane has drained and finished — the worker's
-    /// signal to exit.
-    ///
-    /// This is the single-worker discipline: it ignores busy markings. Use
-    /// [`ShardQueue::try_pop_guarded`] when workers cooperate on one queue.
-    pub fn pop(&self) -> Option<Popped<T>> {
-        let mut s = self.state.lock();
-        loop {
-            if let Some(i) = s.best_lane() {
-                let (key, item) = s.serve(i);
-                return Some(Popped::Item(key, item));
-            }
-            if let Some(i) = s.finished_lane() {
-                // SEEDED BUG (crates/check-tests/tests/seeded_bug.rs):
-                // drop the lock between observing the drained lane and
-                // removing it — two poppers can both deliver LaneFinished
-                // for the same lane.
-                #[cfg(sieve_check_seeded_bug)]
-                {
-                    let key = s.lanes[i].0;
-                    drop(s);
-                    s = self.state.lock();
-                    s.lanes.retain(|(k, _)| *k != key);
-                    let n = s.lanes.len();
-                    s.cursor = if n == 0 { 0 } else { s.cursor % n };
-                    return Some(Popped::LaneFinished(key));
-                }
-                #[cfg(not(sieve_check_seeded_bug))]
-                {
-                    return Some(Popped::LaneFinished(s.remove_lane(i)));
-                }
-            }
-            // Past the scan there are no items and no closed lanes left;
-            // since shutdown closes every lane (and refuses new ones), a
-            // shut-down queue reaching here has none at all.
-            if s.shutdown && s.lanes.is_empty() {
-                return None;
-            }
-            s = self.park(s);
-        }
-    }
-
-    /// Waits on the condvar, counted in `waiters` (and its `parked`
-    /// mirror) for the whole wait.
-    fn park<'a>(&self, mut s: MutexGuard<'a, State<T>>) -> MutexGuard<'a, State<T>> {
-        s.waiters += 1;
-        self.parked.store(s.waiters, Ordering::Relaxed);
-        s = self.available.wait(s);
-        s.waiters -= 1;
-        self.parked.store(s.waiters, Ordering::Relaxed);
-        s
-    }
-
     /// Non-blocking cooperative pop. Delivering an item marks its lane
     /// busy — the caller must [`ShardQueue::complete`] the lane after
     /// processing, and until then no other worker (owner or thief) can
@@ -433,7 +362,23 @@ impl<T> ShardQueue<T> {
             return GuardedPop::Item(key, item);
         }
         if let Some(i) = s.finished_lane() {
-            return GuardedPop::LaneFinished(s.remove_lane(i));
+            // SEEDED BUG (crates/check-tests/tests/seeded_bug.rs): drop the
+            // lock between observing the finished lane and removing it —
+            // two workers can both deliver LaneFinished for the same lane.
+            #[cfg(sieve_check_seeded_bug)]
+            {
+                let key = s.lanes[i].0;
+                drop(s);
+                s = self.state.lock();
+                s.lanes.retain(|(k, _)| *k != key);
+                let n = s.lanes.len();
+                s.cursor = if n == 0 { 0 } else { s.cursor % n };
+                return GuardedPop::LaneFinished(key);
+            }
+            #[cfg(not(sieve_check_seeded_bug))]
+            {
+                return GuardedPop::LaneFinished(s.remove_lane(i));
+            }
         }
         if s.shutdown && s.lanes.is_empty() {
             return GuardedPop::Shutdown;
@@ -530,19 +475,24 @@ impl<T> ShardQueue<T> {
     /// Blocks until the queue *may* have work for a cooperative worker
     /// (an item, a finishable lane, or shutdown) — or returns immediately
     /// if it already does. Spurious returns are fine: callers loop on
-    /// [`ShardQueue::try_pop_guarded`].
+    /// [`ShardQueue::try_pop_guarded`]. The wait is counted in `waiters`
+    /// (and its `parked` mirror) for its whole length.
     pub fn wait_for_work(&self) {
-        let s = self.state.lock();
+        let mut s = self.state.lock();
         let poppable = s.best_lane().is_some()
             || s.finished_lane().is_some()
             || (s.shutdown && s.lanes.is_empty());
         if !poppable {
-            drop(self.park(s));
+            s.waiters += 1;
+            self.parked.store(s.waiters, Ordering::Relaxed);
+            s = self.available.wait(s);
+            s.waiters -= 1;
+            self.parked.store(s.waiters, Ordering::Relaxed);
         }
     }
 
-    /// Wakes every worker blocked in [`ShardQueue::wait_for_work`] or
-    /// [`ShardQueue::pop`] without changing any state — the cross-shard
+    /// Wakes every worker blocked in [`ShardQueue::wait_for_work`] without
+    /// changing any state — the cross-shard
     /// hint a backlogged producer uses to rouse idle thieves. Takes no
     /// lock, and makes no syscall while nobody is parked; a worker that is
     /// just parking can miss it (see "Wake-ups" in the module docs).
@@ -552,9 +502,10 @@ impl<T> ShardQueue<T> {
         }
     }
 
-    /// Stops accepting new lanes and (after draining) ends [`ShardQueue::pop`]:
-    /// queued items are still delivered, then every remaining lane reports
-    /// [`Popped::LaneFinished`], then `pop` returns `None`.
+    /// Stops accepting new lanes and closes every lane: queued items are
+    /// still delivered, then every remaining lane reports
+    /// [`GuardedPop::LaneFinished`], then [`ShardQueue::try_pop_guarded`]
+    /// reports [`GuardedPop::Shutdown`].
     pub fn shutdown(&self) {
         let mut s = self.state.lock();
         s.shutdown = true;
@@ -597,18 +548,34 @@ mod tests {
         drop(q.state.lock());
     }
 
+    /// A lone guarded worker's next delivery: `try_pop_guarded`, parking in
+    /// `wait_for_work` while it reports `Empty`; a delivered item's lane is
+    /// completed at once.
+    fn guarded_next<T>(q: &ShardQueue<T>) -> GuardedPop<T> {
+        loop {
+            match q.try_pop_guarded() {
+                GuardedPop::Item(key, v) => {
+                    q.complete(key, None);
+                    return GuardedPop::Item(key, v);
+                }
+                GuardedPop::Empty => q.wait_for_work(),
+                other => return other,
+            }
+        }
+    }
+
     #[test]
     fn push_pop_single_lane() {
         let q = ShardQueue::new(4);
         assert!(q.open_lane(7));
         assert_eq!(q.try_push(7, "a"), PushOutcome::Queued);
         assert_eq!(q.try_push(7, "b"), PushOutcome::Queued);
-        assert_eq!(q.pop(), Some(Popped::Item(7, "a")));
-        assert_eq!(q.pop(), Some(Popped::Item(7, "b")));
+        assert_eq!(guarded_next(&q), GuardedPop::Item(7, "a"));
+        assert_eq!(guarded_next(&q), GuardedPop::Item(7, "b"));
         q.close_lane(7);
-        assert_eq!(q.pop(), Some(Popped::LaneFinished(7)));
+        assert_eq!(guarded_next(&q), GuardedPop::LaneFinished(7));
         q.shutdown();
-        assert_eq!(q.pop(), None);
+        assert_eq!(guarded_next(&q), GuardedPop::Shutdown);
     }
 
     #[test]
@@ -649,8 +616,8 @@ mod tests {
         }
         let mut order = Vec::new();
         for _ in 0..6 {
-            match q.pop() {
-                Some(Popped::Item(k, _)) => order.push(k),
+            match guarded_next(&q) {
+                GuardedPop::Item(k, _) => order.push(k),
                 other => panic!("unexpected pop: {other:?}"),
             }
         }
@@ -674,8 +641,8 @@ mod tests {
         }
         let mut served = [0usize; 2];
         for _ in 0..24 {
-            match q.pop() {
-                Some(Popped::Item(k, _)) => served[k as usize - 1] += 1,
+            match guarded_next(&q) {
+                GuardedPop::Item(k, _) => served[k as usize - 1] += 1,
                 other => panic!("unexpected pop: {other:?}"),
             }
         }
@@ -780,17 +747,17 @@ mod tests {
         let mut finished = Vec::new();
         let mut items = 0;
         loop {
-            // Both lanes closed; after draining, pops would block forever —
-            // shut down once we've seen everything.
-            match q.pop() {
-                Some(Popped::Item(_, _)) => items += 1,
-                Some(Popped::LaneFinished(k)) => {
+            // Both lanes closed; after draining, the worker would park
+            // forever — stop once we've seen everything.
+            match guarded_next(&q) {
+                GuardedPop::Item(_, _) => items += 1,
+                GuardedPop::LaneFinished(k) => {
                     finished.push(k);
                     if finished.len() == 2 {
                         break;
                     }
                 }
-                None => break,
+                other => panic!("unexpected pop: {other:?}"),
             }
         }
         assert_eq!(items, 1);
@@ -830,20 +797,19 @@ mod tests {
         let mut got = 0u64;
         let mut finished = 0;
         while finished < 4 {
-            match q.pop() {
-                Some(Popped::Item(_, _)) => got += 1,
-                Some(Popped::LaneFinished(_)) => finished += 1,
-                None => break,
+            match guarded_next(&q) {
+                GuardedPop::Item(_, _) => got += 1,
+                GuardedPop::LaneFinished(_) => finished += 1,
+                other => panic!("unexpected pop: {other:?}"),
             }
         }
         let _ = producer.join().expect("producer ok");
         assert_eq!(got, 400, "every queued item reaches the worker");
     }
 
-    /// Every push lands on a worker already parked in `pop` (or, every
-    /// other round trip, in `wait_for_work`), so only the push's own
-    /// notify can wake it; the watchdog turns a lost wake-up into a
-    /// failure instead of a hang.
+    /// Every push lands on a worker already parked in `wait_for_work`, so
+    /// only the push's own notify can wake it; the watchdog turns a lost
+    /// wake-up into a failure instead of a hang.
     #[test]
     fn every_push_wakes_a_parked_worker() {
         const ROUND_TRIPS: u64 = 10_000;
@@ -854,23 +820,9 @@ mod tests {
         let worker = {
             let q = q.clone();
             std::thread::spawn(move || {
-                for i in 0..ROUND_TRIPS {
-                    let got = if i % 2 == 0 {
-                        match q.pop() {
-                            Some(Popped::Item(_, v)) => v,
-                            other => panic!("unexpected pop: {other:?}"),
-                        }
-                    } else {
-                        loop {
-                            match q.try_pop_guarded() {
-                                GuardedPop::Item(key, v) => {
-                                    q.complete(key, None);
-                                    break v;
-                                }
-                                GuardedPop::Empty => q.wait_for_work(),
-                                other => panic!("unexpected guarded pop: {other:?}"),
-                            }
-                        }
+                for _ in 0..ROUND_TRIPS {
+                    let GuardedPop::Item(_, got) = guarded_next(&q) else {
+                        panic!("only items are pushed");
                     };
                     ack.send(got).expect("test thread listening");
                 }

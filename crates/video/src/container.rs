@@ -422,6 +422,12 @@ mod tests {
     fn decode_iframe_rejects_p() {
         let v = sample_video();
         assert_eq!(v.decode_iframe_at(1).unwrap_err(), DecodeError::NotAnIFrame);
+        let bytes = v.to_bytes();
+        let idx = VideoIndex::parse(&bytes).expect("index");
+        assert_eq!(
+            idx.decode_iframe(&bytes, &idx.entries[1]).unwrap_err(),
+            DecodeError::NotAnIFrame
+        );
     }
 
     #[test]
@@ -506,6 +512,10 @@ mod tests {
         let v = sample_video();
         let frames = v.decode_all().expect("decode all");
         assert_eq!(frames.len(), 10);
+        for i in v.i_frame_indices() {
+            let f = v.decode_iframe_at(i).expect("iframe decode");
+            assert_eq!(f, frames[i], "frame {i} differs from streaming decode");
+        }
     }
 
     #[test]

@@ -16,10 +16,10 @@
 //! * an **AVX2** tier covering everything, selected at runtime with
 //!   `is_x86_feature_detected!`.
 //!
-//! The active tier is resolved once and cached; `SIEVE_FORCE_SCALAR=1` in
-//! the environment or building with `--cfg sieve_force_scalar` pins the
-//! scalar tier (CI uses the cfg so the fallback cannot rot), and
-//! [`force_scalar`] toggles it at runtime for benchmarks.
+//! The active tier is resolved once and cached. Building with
+//! `--cfg sieve_force_scalar` pins the scalar tier (CI does, so the
+//! fallback cannot rot), and [`force_scalar`] toggles it at runtime for
+//! benchmarks.
 //!
 //! # Bit-exactness contract
 //!
@@ -86,9 +86,6 @@ static LEVEL: AtomicU8 = AtomicU8::new(LEVEL_UNRESOLVED);
 
 fn detect() -> KernelLevel {
     if cfg!(sieve_force_scalar) {
-        return KernelLevel::Scalar;
-    }
-    if std::env::var_os("SIEVE_FORCE_SCALAR").is_some_and(|v| v != "0") {
         return KernelLevel::Scalar;
     }
     #[cfg(target_arch = "x86_64")]

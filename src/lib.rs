@@ -55,8 +55,8 @@ pub mod prelude {
         analyze, analyze_selected, analyze_sieve, f1_score, score_encoding, score_selection,
         simulate_all, simulate_baseline, tune, AnalysisResult, Baseline, BaselineSpec,
         CalibrationCurve, ConfigGrid, Decision, Deployment, DetectionQuality, EncodedFrameMeta,
-        FrameSelector, IFrameSeeker, IFrameSelector, LookupTable, ObjectDetector, OracleDetector,
-        SelectorCost, SelectorKind, SelectorSession, SieveError, TuningOutcome,
+        FrameSelector, IFrameSelector, LookupTable, ObjectDetector, OracleDetector, SelectorCost,
+        SelectorKind, SelectorSession, SieveError, TuningOutcome,
     };
     pub use sieve_datasets::{
         segment_events, stream_seed, DatasetId, DatasetScale, DatasetSpec, Event, LabelSet,
@@ -64,7 +64,7 @@ pub mod prelude {
     };
     pub use sieve_filters::{
         calibrate_threshold, score_sequence, select_frames, selector_for, Budget, ChangeDetector,
-        MseDetector, MseSelector, SiftDetector, SiftSelector, UniformSampler, UniformSelector,
+        MseDetector, MseSelector, SiftDetector, SiftSelector, UniformSelector,
     };
     pub use sieve_fleet::{Fleet, FleetConfig, FleetReport, FramePacket, StreamConfig, StreamId};
     pub use sieve_simnet::ThreeTier;

@@ -62,10 +62,11 @@ fn byte_stream_flow_matches_in_memory_flow() {
     );
     let bytes = encoded.to_bytes();
 
-    let seeker = sieve_core::ByteStreamSeeker::parse(&bytes).expect("parse");
-    assert_eq!(seeker.i_frame_indices(), encoded.i_frame_indices());
-    for i in seeker.i_frame_indices() {
-        let from_bytes = seeker.decode_at(&bytes, i).expect("decode");
+    let index = VideoIndex::parse(&bytes).expect("parse");
+    let i_frames: Vec<usize> = index.i_frames().map(|(i, _)| i).collect();
+    assert_eq!(i_frames, encoded.i_frame_indices());
+    for (i, meta) in index.i_frames() {
+        let from_bytes = index.decode_iframe(&bytes, meta).expect("decode");
         let from_memory = encoded.decode_iframe_at(i).expect("decode");
         assert_eq!(from_bytes, from_memory);
     }
