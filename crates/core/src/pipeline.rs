@@ -473,6 +473,101 @@ mod tests {
         );
     }
 
+    /// Three videos that reach the simulator's corners: analysed counts
+    /// that do not divide the frame count, and no analysed frame at all.
+    fn golden_videos() -> [VideoWorkload; 3] {
+        let costs = |k: f64| WorkloadCosts {
+            seek_per_frame: 0.37e-6 * k,
+            iframe_decode: 1.9e-3 * k,
+            full_decode_per_frame: 7.3e-3 * k,
+            mse_per_pair: 3.1e-3 * k,
+            resize_to_nn: 0.43e-3 * k,
+            nn_inference: 11.7e-3 * k,
+        };
+        let video = |name: &str, frames, iframes, mse, sem, def, k| VideoWorkload {
+            name: name.into(),
+            frame_count: frames,
+            semantic_i_frames: iframes,
+            mse_selected: mse,
+            semantic_stream_bytes: sem,
+            default_stream_bytes: def,
+            nn_input_bytes: 1536,
+            label_bytes: 17,
+            costs: costs(k),
+        };
+        [
+            video("a", 1000, 30, 70, 1_234_567, 1_100_003, 1.0),
+            video("b", 777, 0, 0, 901_234, 811_111, 0.61),
+            video("c", 501, 7, 13, 4_567_891, 3_999_999, 1.37),
+        ]
+    }
+
+    /// The paper's live topology and the post-event one `paper_bench`
+    /// prices (the camera hop is a 2 Gbps storage read).
+    fn golden_topologies() -> [ThreeTier; 2] {
+        let mut post_event = ThreeTier::paper_default();
+        post_event.camera_edge = sieve_simnet::Link::new("edge-storage", 2.0e9, 0.0);
+        [ThreeTier::paper_default(), post_event]
+    }
+
+    /// `simulate_all`'s every output over 5 baselines × 1–3 videos × both
+    /// topologies, floats as their bits: a rewrite of the simulator must
+    /// reproduce the tandem queue exactly, not approximately.
+    #[test]
+    fn simulate_all_is_bit_exact() {
+        let videos = golden_videos();
+        let mut rows = Vec::new();
+        for (t, topology) in golden_topologies().iter().enumerate() {
+            for k in 1..=videos.len() {
+                for o in simulate_all(&videos[..k], topology) {
+                    rows.push(format!(
+                        "t{t} v{k} {:?}: fps {:016x} makespan {:016x} cam {} wan {} frames {}",
+                        o.baseline,
+                        o.throughput_fps.to_bits(),
+                        o.makespan_secs.to_bits(),
+                        o.camera_edge_bytes,
+                        o.edge_cloud_bytes,
+                        o.frames,
+                    ));
+                }
+            }
+        }
+        assert_eq!(rows, GOLDEN);
+    }
+
+    const GOLDEN: [&str; 30] = [
+        "t0 v1 IFrameEdgeCloudNn: fps 40b5e74ee6a1851b makespan 3fc6d3cd5c94ab70 cam 1234000 wan 46080 frames 1000",
+        "t0 v1 IFrameCloudCloudNn: fps 40a7bbf836595e9e makespan 3fd5110c7951c1be cam 1234000 wan 1234000 frames 1000",
+        "t0 v1 IFrameEdgeEdgeNn: fps 40a28a6fd248aeb8 makespan 3fdaf7b481fd468e cam 1234000 wan 510 frames 1000",
+        "t0 v1 UniformEdgeCloudNn: fps 406117c6bf6d5832 makespan 401d407fed202902 cam 1100000 wan 46080 frames 1000",
+        "t0 v1 MseEdgeCloudNn: fps 4057f808fe66f4d0 makespan 4024dc4199fe4399 cam 1100000 wan 107520 frames 1000",
+        "t0 v2 IFrameEdgeCloudNn: fps 40c37617e53c4f7b makespan 3fc6d3cd5c94ab70 cam 2134543 wan 46080 frames 1777",
+        "t0 v2 IFrameCloudCloudNn: fps 40a862a42d960eb4 makespan 3fe237ca3bb666ca cam 2134543 wan 2134543 frames 1777",
+        "t0 v2 IFrameEdgeEdgeNn: fps 40b077746589d981 makespan 3fdafa940ee9749e cam 2134543 wan 510 frames 1777",
+        "t0 v2 UniformEdgeCloudNn: fps 40649e6575aeeeb6 makespan 40258bc297bfa442 cam 1910411 wan 46080 frames 1777",
+        "t0 v2 MseEdgeCloudNn: fps 405cec6b54f93f37 makespan 402eb80d3cff659a cam 1910411 wan 107520 frames 1777",
+        "t0 v3 IFrameEdgeCloudNn: fps 40b098a05399ef1d makespan 3fe12854ec43f520 cam 6702160 wan 56832 frames 2278",
+        "t0 v3 IFrameCloudCloudNn: fps 4093ea12f3b20b24 makespan 3ffc98f38c3147bc cam 6702160 wan 6702160 frames 2278",
+        "t0 v3 IFrameEdgeEdgeNn: fps 40affd26f7f8c147 makespan 3fe1cd9597ef5a89 cam 6702160 wan 629 frames 2278",
+        "t0 v3 UniformEdgeCloudNn: fps 4062094be2b7003c makespan 402f933f7b40129d cam 5910395 wan 56832 frames 2278",
+        "t0 v3 MseEdgeCloudNn: fps 40594e1844ab1240 makespan 40368160bc0279db cam 5910395 wan 127488 frames 2278",
+        "t1 v1 IFrameEdgeCloudNn: fps 40b5ea422d6f7422 makespan 3fc6d0baa4f96b85 cam 1234000 wan 46080 frames 1000",
+        "t1 v1 IFrameCloudCloudNn: fps 40a7bdb38215a938 makespan 3fd50f831d8421c9 cam 1234000 wan 1234000 frames 1000",
+        "t1 v1 IFrameEdgeEdgeNn: fps 40a28b7e52d8bec8 makespan 3fdaf62b262fa698 cam 1234000 wan 510 frames 1000",
+        "t1 v1 UniformEdgeCloudNn: fps 406117d38dbf6e71 makespan 401d406a02d318ae cam 1100000 wan 46080 frames 1000",
+        "t1 v1 MseEdgeCloudNn: fps 4057f81595969d3a makespan 4024dc36a4d7bb6f cam 1100000 wan 107520 frames 1000",
+        "t1 v2 IFrameEdgeCloudNn: fps 40c378b6f56ce1ef makespan 3fc6d0baa4f96b85 cam 2134543 wan 46080 frames 1777",
+        "t1 v2 IFrameCloudCloudNn: fps 40a863ab7bbe7564 makespan 3fe237058dcf96d0 cam 2134543 wan 2134543 frames 1777",
+        "t1 v2 IFrameEdgeEdgeNn: fps 40b0786489b2e1fe makespan 3fdaf90ab31bd4a8 cam 2134543 wan 510 frames 1777",
+        "t1 v2 UniformEdgeCloudNn: fps 40649e6ff2237825 makespan 40258bb7a2991c18 cam 1910411 wan 46080 frames 1777",
+        "t1 v2 MseEdgeCloudNn: fps 405cec75a62f6200 makespan 402eb80247d8dd70 cam 1910411 wan 107520 frames 1777",
+        "t1 v3 IFrameEdgeCloudNn: fps 40c2fc5388497f3f makespan 3fcdff1022da41f6 cam 6702160 wan 56832 frames 2278",
+        "t1 v3 IFrameCloudCloudNn: fps 4093ea576fa34d58 makespan 3ffc9891353ddfbf cam 6702160 wan 6702160 frames 2278",
+        "t1 v3 IFrameEdgeEdgeNn: fps 40affe886cdd06ba makespan 3fe1ccd0ea088a8e cam 6702160 wan 629 frames 2278",
+        "t1 v3 UniformEdgeCloudNn: fps 4062095225136075 makespan 402f933486198a73 cam 5910395 wan 56832 frames 2278",
+        "t1 v3 MseEdgeCloudNn: fps 40594e1e6dbae78d makespan 4036815b416f35c6 cam 5910395 wan 127488 frames 2278",
+    ];
+
     #[test]
     fn multiple_videos_accumulate() {
         let one = simulate_baseline(
