@@ -29,13 +29,13 @@
 
 use std::hint::black_box;
 
+use sieve_bench::calibrate::{measure, Estimate};
 use sieve_bench::codec_artifact::{
     seed_baseline_fps, validate, CodecArtifact, DecodePoint, EncodePoint, KernelPoint,
 };
 use sieve_bench::report::table;
 use sieve_bench::scale_from_args;
 use sieve_datasets::{DatasetId, DatasetSpec};
-use sieve_simnet::{measure, Estimate};
 use sieve_video::bitio::{BitReader, BitWriter, ReadBitsError};
 use sieve_video::kernels::{self, scalar};
 use sieve_video::{

@@ -6,8 +6,6 @@
 //! replays those costs through the tandem-queue simulator. This keeps the
 //! relative magnitudes — decode vs seek vs NN inference — honest.
 
-// lint:allow-file(no-wall-clock): calibration's whole job is measuring real wall-clock costs
-
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 

@@ -10,16 +10,16 @@ use std::cell::OnceCell;
 use std::hint::black_box;
 
 use sieve_core::{
-    score_encoding, score_selection, simulate_all, tune, ConfigGrid, FrameSelector, VideoWorkload,
-    WorkloadCosts, NN_INPUT_SIZE,
+    score_encoding, score_selection, simulate_all, tune, ConfigGrid, FrameSelector, ThreeTier,
+    VideoWorkload, WorkloadCosts, NN_INPUT_SIZE,
 };
 use sieve_datasets::{DatasetId, DatasetScale, DatasetSpec, LabelSet, SyntheticVideo};
 use sieve_filters::{Budget, ChangeDetector, MseDetector, MseSelector, SiftDetector, SiftSelector};
-use sieve_simnet::{measure, measure_secs, ThreeTier};
 use sieve_video::{
     BitstreamStats, Decoder, EncodedVideo, EncoderConfig, Frame, RatioTrace, Resolution, VideoIndex,
 };
 
+use crate::calibrate::measure_secs;
 use crate::nn_probe::{frame_to_tensor, reference_model};
 use crate::paper_artifact::{
     BaselineRow, EncodingPoint, ObjectSizePoint, SweepPoint, Table2Row, Table3Row,
@@ -206,10 +206,8 @@ pub fn speed_of_event_detection(prepared: &Prepared) -> Table3Row {
     let bytes = prepared.semantic_eval().to_bytes();
     let default_video = prepared.default_eval();
     let n = default_video.frame_count();
-    let median_secs = |op: &mut dyn FnMut()| measure(1, SPEED_SAMPLES, op).median.as_secs_f64();
-
     // SiEVE: parse the index, decode every I-frame independently.
-    let sieve_secs = median_secs(&mut || {
+    let sieve_secs = measure_secs(SPEED_SAMPLES, || {
         let index = VideoIndex::parse(&bytes).expect("valid container");
         for (_, meta) in index.i_frames() {
             black_box(index.decode_iframe(&bytes, meta).expect("iframe decodes"));
@@ -231,11 +229,11 @@ pub fn speed_of_event_detection(prepared: &Prepared) -> Table3Row {
         }
     };
     let mut mse = MseDetector::new();
-    let mse_secs = median_secs(&mut || decode_and_score(&mut mse, n));
+    let mse_secs = measure_secs(SPEED_SAMPLES, || decode_and_score(&mut mse, n));
     let mut sift = SiftDetector::new();
     let probe = SIFT_PROBE.clamp(2, n);
-    let sift_secs =
-        median_secs(&mut || decode_and_score(&mut sift, probe)) * n as f64 / probe as f64;
+    let sift_secs = measure_secs(SPEED_SAMPLES, || decode_and_score(&mut sift, probe)) * n as f64
+        / probe as f64;
 
     Table3Row {
         dataset: prepared.spec.id.to_string(),
@@ -387,7 +385,7 @@ pub fn build_workload(prepared: &Prepared, frames_per_video: usize) -> VideoWork
 /// Panics if there are fewer than five workloads.
 pub fn end_to_end(workloads: &[VideoWorkload]) -> Vec<BaselineRow> {
     let mut topology = ThreeTier::paper_default();
-    topology.camera_edge = sieve_simnet::Link::new("edge-storage", 2.0e9, 0.0);
+    topology.camera_edge_bps = 2.0e9;
     let [one, three, five] = [1, 3, 5].map(|k| simulate_all(&workloads[..k], &topology));
     let rows = one.iter().zip(&three).zip(five);
     rows.map(|((one, three), five)| BaselineRow {

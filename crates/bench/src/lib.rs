@@ -15,10 +15,13 @@
 //! The four committed artifacts (`BENCH_paper.json`, `BENCH_codec.json`,
 //! `BENCH_wan.json`, `stats.json`) share one shape checker, [`schema`].
 //!
-//! The NN enters the evaluation only through its per-frame cost: a private
-//! module, `nn_probe`, holds the small reference CNN whose forward pass
-//! [`harness::build_workload`] times for `costs.nn_inference`.
+//! [`calibrate`] times every per-operation cost the Fig 4/5 simulator
+//! replays, and every `codec_bench` row. The NN enters the evaluation only
+//! through its per-frame cost: a private module, `nn_probe`, holds the small
+//! reference CNN whose forward pass [`harness::build_workload`] times for
+//! `costs.nn_inference`.
 
+pub mod calibrate;
 pub mod codec_artifact;
 pub mod harness;
 mod nn_probe;

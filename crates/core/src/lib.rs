@@ -20,7 +20,8 @@
 //! * [`edge`] — the per-stream live edge decision ([`EdgeSession`]) every
 //!   `sieve-fleet` stream runs;
 //! * [`pipeline`] — end-to-end simulation of the five Fig 4/5 baselines on
-//!   the 3-tier topology.
+//!   the 3-tier topology ([`ThreeTier`]), replayed through a fixed
+//!   four-stage tandem queue.
 //!
 //! ## Quickstart
 //!
@@ -62,7 +63,7 @@ pub use lookup::LookupTable;
 pub use metrics::{f1_score, label_accuracy, propagate_labels, score_selection, DetectionQuality};
 pub use pipeline::{
     simulate_all, simulate_baseline, Baseline, BaselineOutcome, BaselineSpec, Deployment,
-    SelectorKind, VideoWorkload, WorkloadCosts,
+    SelectorKind, ThreeTier, VideoWorkload, WorkloadCosts,
 };
 pub use select::{
     CalibrationCurve, CalibrationPoint, Decision, EncodedFrameMeta, FixedSelector, FrameSelector,

@@ -7,14 +7,45 @@
 //! ```
 //!
 //! Per-frame work on each stage is described with costs measured on the real
-//! machine ([`WorkloadCosts`], see `sieve-simnet::calibrate`), then replayed
-//! through the exact tandem-queue simulator. This makes the 2.16M-frame
-//! experiment tractable while keeping every relative magnitude (seek vs
-//! decode vs NN) grounded in real measurements.
-
-use sieve_simnet::{Pipeline, StageSpec, StepWork, ThreeTier};
+//! machine ([`WorkloadCosts`]; `sieve-bench` measures them), then replayed
+//! through an exact tandem queue: four FIFO single servers, one per link and
+//! tier, each tracked by its next-free time. No event heap is needed, which
+//! makes the 2.16M-frame experiment tractable while keeping every relative
+//! magnitude (seek vs decode vs NN) grounded in real measurements.
 
 use crate::select::{FrameSelector, IFrameSelector, SelectorCost};
+
+/// The paper's 3-tier testbed as the simulator prices it: the rate of each
+/// link and the compute speed of each tier. The camera encodes in hardware,
+/// so it has no stage of its own.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ThreeTier {
+    /// Camera→edge link rate, bits per second.
+    pub camera_edge_bps: f64,
+    /// Edge→cloud WAN rate, bits per second.
+    pub edge_cloud_bps: f64,
+    /// Edge compute speed; reference-machine service times divide by it.
+    pub edge_speed: f64,
+    /// Cloud compute speed, as [`ThreeTier::edge_speed`].
+    pub cloud_speed: f64,
+}
+
+impl ThreeTier {
+    /// The paper's traffic-shaped edge→cloud WAN rate (30 Mbps).
+    pub const PAPER_WAN_BPS: f64 = 30.0e6;
+
+    /// The paper's testbed shape: a 100 Mbps camera LAN, the edge as the
+    /// reference machine (speed 1.0), the cloud's Xeon modelled ~2x faster
+    /// for NN work, and the WAN shaped to [`ThreeTier::PAPER_WAN_BPS`].
+    pub fn paper_default() -> Self {
+        Self {
+            camera_edge_bps: 100.0e6,
+            edge_cloud_bps: Self::PAPER_WAN_BPS,
+            edge_speed: 1.0,
+            cloud_speed: 2.0,
+        }
+    }
+}
 
 /// The selection policy side of a baseline: which frames get analysed.
 /// Mirrors the [`crate::FrameSelector`] implementations (`sieve-filters`
@@ -219,45 +250,41 @@ pub struct BaselineOutcome {
 ///
 /// # Panics
 ///
-/// Panics if `videos` is empty.
+/// Panics if `videos` is empty, or if a rate or speed of `topology` is not
+/// positive and finite.
 pub fn simulate_baseline(
     baseline: Baseline,
     videos: &[VideoWorkload],
     topology: &ThreeTier,
 ) -> BaselineOutcome {
     assert!(!videos.is_empty(), "need at least one video");
-    let mut pipeline = Pipeline::new(vec![
-        StageSpec::Transfer {
-            name: "camera->edge".into(),
-            bandwidth_bps: topology.camera_edge.bandwidth_bps,
-            // Per-frame latency is amortized away for a continuous stream.
-            latency_secs: 0.0,
-        },
-        StageSpec::Compute {
-            name: "edge".into(),
-        },
-        StageSpec::Transfer {
-            name: "edge->cloud".into(),
-            bandwidth_bps: topology.edge_cloud.bandwidth_bps,
-            latency_secs: 0.0,
-        },
-        StageSpec::Compute {
-            name: "cloud".into(),
-        },
-    ]);
-    let mut total_frames = 0u64;
+    let t = topology;
+    let valid = |v: f64| v > 0.0 && v.is_finite();
+    assert!(
+        valid(t.camera_edge_bps)
+            && valid(t.edge_cloud_bps)
+            && valid(t.edge_speed)
+            && valid(t.cloud_speed),
+        "topology rates and speeds must be positive and finite: {t:?}"
+    );
+    let mut tandem = Tandem::default();
+    let mut bytes = [0u64; 2];
     for v in videos {
-        submit_video(baseline, v, topology, &mut pipeline);
-        total_frames += v.frame_count as u64;
+        submit_video(baseline, v, t, &mut tandem, &mut bytes);
     }
-    let report = pipeline.report();
+    let frames = videos.iter().map(|v| v.frame_count as u64).sum();
+    let makespan_secs = tandem.makespan_secs;
     BaselineOutcome {
         baseline,
-        throughput_fps: report.throughput(total_frames),
-        camera_edge_bytes: report.stage_bytes[0],
-        edge_cloud_bytes: report.stage_bytes[2],
-        makespan_secs: report.makespan_secs,
-        frames: total_frames,
+        throughput_fps: if makespan_secs > 0.0 {
+            frames as f64 / makespan_secs
+        } else {
+            0.0
+        },
+        camera_edge_bytes: bytes[0],
+        edge_cloud_bytes: bytes[1],
+        makespan_secs,
+        frames,
     }
 }
 
@@ -269,12 +296,49 @@ pub fn simulate_all(videos: &[VideoWorkload], topology: &ThreeTier) -> Vec<Basel
         .collect()
 }
 
-/// Submits every frame of one video as the 4-stage work its baseline spec
-/// implies. Fully generic: the selector kind decides which stream is
-/// shipped and which frames are analysed, its [`SelectorCost`] model prices
-/// each stream frame, and the deployment decides which tier pays it and
-/// what crosses each link.
-fn submit_video(baseline: Baseline, v: &VideoWorkload, topo: &ThreeTier, pipeline: &mut Pipeline) {
+/// Seconds `bytes` hold a link of `bps` bits per second.
+fn transfer_secs(bytes: u64, bps: f64) -> f64 {
+    bytes as f64 * 8.0 / bps
+}
+
+/// The four stages in a row — camera→edge link, edge, edge→cloud link,
+/// cloud — each a FIFO single server (how the paper's NiFi operators behave
+/// with one concurrent task), tracked by the time it next falls free.
+#[derive(Debug, Default)]
+struct Tandem {
+    free_at: [f64; 4],
+    makespan_secs: f64,
+}
+
+impl Tandem {
+    /// Passes one frame, present at time 0, through the stages and returns
+    /// its completion time. `Some(secs)` holds a stage for `secs` once it is
+    /// free, even when `secs` is zero; `None` passes the stage by.
+    fn submit(&mut self, service: [Option<f64>; 4]) -> f64 {
+        let mut t = 0.0f64;
+        for (free_at, secs) in self.free_at.iter_mut().zip(service) {
+            if let Some(secs) = secs {
+                t = t.max(*free_at) + secs;
+                *free_at = t;
+            }
+        }
+        self.makespan_secs = self.makespan_secs.max(t);
+        t
+    }
+}
+
+/// Submits every frame of one video as the four-stage work its baseline
+/// spec implies, adding what crosses each link to `bytes` (camera→edge,
+/// edge→cloud). The selector kind decides which stream is shipped and which
+/// frames are analysed, its [`SelectorCost`] model prices each stream frame,
+/// and the deployment decides which tier pays it and what crosses each link.
+fn submit_video(
+    baseline: Baseline,
+    v: &VideoWorkload,
+    topo: &ThreeTier,
+    tandem: &mut Tandem,
+    bytes: &mut [u64; 2],
+) {
     let BaselineSpec {
         selector,
         deployment,
@@ -282,8 +346,6 @@ fn submit_video(baseline: Baseline, v: &VideoWorkload, topo: &ThreeTier, pipelin
     let cost = selector.cost_model();
     let n = v.frame_count.max(1);
     let c = &v.costs;
-    let edge = &topo.edge;
-    let cloud = &topo.cloud;
     // Per-frame share of the stream bytes on the camera->edge link.
     let stream_bytes = if selector.uses_semantic_encoding() {
         v.semantic_stream_bytes
@@ -299,51 +361,40 @@ fn submit_video(baseline: Baseline, v: &VideoWorkload, topo: &ThreeTier, pipelin
         let is_analysed = i % stride == 0 && i / stride < analysed;
         let select_secs = cost.per_frame_secs(c, is_analysed);
         let nn_secs = if is_analysed { c.nn_inference } else { 0.0 };
-        let analysed_transfer = |bytes: u64| {
-            if is_analysed {
-                StepWork::Transfer { bytes }
-            } else {
-                StepWork::Skip
-            }
-        };
-        let work = match deployment {
+        // Bytes on the WAN and the tiers' compute; a frame that is not
+        // analysed skips an edge-selecting deployment's WAN and cloud.
+        let (wan_bytes, edge_secs, cloud_secs) = match deployment {
             // camera->edge stream, edge selects, WAN carries NN inputs,
             // cloud infers.
-            Deployment::EdgeSelectCloudNn => [
-                StepWork::Transfer { bytes: cam_share },
-                StepWork::Compute {
-                    secs: edge.service_secs(select_secs),
-                },
-                analysed_transfer(v.nn_input_bytes),
-                if is_analysed {
-                    StepWork::Compute {
-                        secs: cloud.service_secs(nn_secs),
-                    }
-                } else {
-                    StepWork::Skip
-                },
-            ],
-            // The edge only relays bytes (relay CPU treated as free); the
-            // whole stream crosses the WAN and the cloud does everything.
-            Deployment::CloudOnly => [
-                StepWork::Transfer { bytes: cam_share },
-                StepWork::Compute { secs: 0.0 },
-                StepWork::Transfer { bytes: cam_share },
-                StepWork::Compute {
-                    secs: cloud.service_secs(select_secs + nn_secs),
-                },
-            ],
-            // The edge selects and infers; only result tuples cross the WAN.
-            Deployment::EdgeOnly => [
-                StepWork::Transfer { bytes: cam_share },
-                StepWork::Compute {
-                    secs: edge.service_secs(select_secs + nn_secs),
-                },
-                analysed_transfer(v.label_bytes),
-                StepWork::Compute { secs: 0.0 },
-            ],
+            Deployment::EdgeSelectCloudNn => (
+                is_analysed.then_some(v.nn_input_bytes),
+                Some(select_secs / topo.edge_speed),
+                is_analysed.then_some(nn_secs / topo.cloud_speed),
+            ),
+            // The edge only relays bytes (relay CPU treated as free, but the
+            // frame still waits its turn); the whole stream crosses the WAN
+            // and the cloud does everything.
+            Deployment::CloudOnly => (
+                Some(cam_share),
+                Some(0.0),
+                Some((select_secs + nn_secs) / topo.cloud_speed),
+            ),
+            // The edge selects and infers; only result tuples cross the WAN,
+            // and the idle cloud still takes each frame in turn.
+            Deployment::EdgeOnly => (
+                is_analysed.then_some(v.label_bytes),
+                Some((select_secs + nn_secs) / topo.edge_speed),
+                Some(0.0),
+            ),
         };
-        pipeline.submit(0.0, &work);
+        bytes[0] += cam_share;
+        bytes[1] += wan_bytes.unwrap_or(0);
+        tandem.submit([
+            Some(transfer_secs(cam_share, topo.camera_edge_bps)),
+            edge_secs,
+            wan_bytes.map(|b| transfer_secs(b, topo.edge_cloud_bps)),
+            cloud_secs,
+        ]);
     }
 }
 
@@ -376,23 +427,24 @@ mod tests {
         }
     }
 
+    /// `baseline` over `videos` on the paper's topology.
+    fn on_paper(baseline: Baseline, videos: &[VideoWorkload]) -> BaselineOutcome {
+        simulate_baseline(baseline, videos, &ThreeTier::paper_default())
+    }
+
     #[test]
     fn sieve_3tier_beats_all_others() {
         let outcomes = simulate_all(&[workload()], &ThreeTier::paper_default());
-        let sieve = outcomes
-            .iter()
-            .find(|o| o.baseline == Baseline::IFrameEdgeCloudNn)
-            .unwrap();
-        for o in &outcomes {
-            if o.baseline != Baseline::IFrameEdgeCloudNn {
-                assert!(
-                    sieve.throughput_fps >= o.throughput_fps,
-                    "SiEVE ({:.0} fps) must beat {} ({:.0} fps)",
-                    sieve.throughput_fps,
-                    o.baseline,
-                    o.throughput_fps
-                );
-            }
+        let (sieve, others) = outcomes.split_first().unwrap();
+        assert_eq!(sieve.baseline, Baseline::IFrameEdgeCloudNn);
+        for o in others {
+            assert!(
+                sieve.throughput_fps >= o.throughput_fps,
+                "SiEVE ({:.0} fps) must beat {} ({:.0} fps)",
+                sieve.throughput_fps,
+                o.baseline,
+                o.throughput_fps
+            );
         }
     }
 
@@ -418,12 +470,8 @@ mod tests {
 
     #[test]
     fn camera_edge_bytes_larger_for_semantic() {
-        let outcomes = simulate_all(&[workload()], &ThreeTier::paper_default());
-        let sieve = &outcomes[0];
-        let mse = outcomes
-            .iter()
-            .find(|o| o.baseline == Baseline::MseEdgeCloudNn)
-            .unwrap();
+        let sieve = on_paper(Baseline::IFrameEdgeCloudNn, &[workload()]);
+        let mse = on_paper(Baseline::MseEdgeCloudNn, &[workload()]);
         assert!(
             sieve.camera_edge_bytes > mse.camera_edge_bytes,
             "semantic re-encoding inflates the camera->edge stream"
@@ -432,12 +480,8 @@ mod tests {
 
     #[test]
     fn edge_cloud_bytes_mse_larger_than_sieve() {
-        let outcomes = simulate_all(&[workload()], &ThreeTier::paper_default());
-        let sieve = &outcomes[0];
-        let mse = outcomes
-            .iter()
-            .find(|o| o.baseline == Baseline::MseEdgeCloudNn)
-            .unwrap();
+        let sieve = on_paper(Baseline::IFrameEdgeCloudNn, &[workload()]);
+        let mse = on_paper(Baseline::MseEdgeCloudNn, &[workload()]);
         // MSE selects 2.5x more frames, so it ships ~2.5x more bytes.
         let ratio = mse.edge_cloud_bytes as f64 / sieve.edge_cloud_bytes as f64;
         assert!(
@@ -449,11 +493,7 @@ mod tests {
     #[test]
     fn cloud_only_ships_whole_stream() {
         let w = workload();
-        let o = simulate_baseline(
-            Baseline::IFrameCloudCloudNn,
-            std::slice::from_ref(&w),
-            &ThreeTier::paper_default(),
-        );
+        let o = on_paper(Baseline::IFrameCloudCloudNn, std::slice::from_ref(&w));
         // Whole semantic stream crosses the WAN (modulo per-frame rounding).
         let expected = (w.semantic_stream_bytes / w.frame_count as u64) * w.frame_count as u64;
         assert_eq!(o.edge_cloud_bytes, expected);
@@ -462,11 +502,7 @@ mod tests {
     #[test]
     fn edge_only_ships_labels_only() {
         let w = workload();
-        let o = simulate_baseline(
-            Baseline::IFrameEdgeEdgeNn,
-            std::slice::from_ref(&w),
-            &ThreeTier::paper_default(),
-        );
+        let o = on_paper(Baseline::IFrameEdgeEdgeNn, std::slice::from_ref(&w));
         assert_eq!(
             o.edge_cloud_bytes,
             w.label_bytes * w.semantic_i_frames as u64
@@ -484,40 +520,34 @@ mod tests {
             resize_to_nn: 0.43e-3 * k,
             nn_inference: 11.7e-3 * k,
         };
-        let video = |name: &str, frames, iframes, mse, sem, def, k| VideoWorkload {
-            name: name.into(),
-            frame_count: frames,
-            semantic_i_frames: iframes,
-            mse_selected: mse,
+        let video = |frame_count, semantic_i_frames, mse_selected, sem, def, k| VideoWorkload {
+            frame_count,
+            semantic_i_frames,
+            mse_selected,
             semantic_stream_bytes: sem,
             default_stream_bytes: def,
-            nn_input_bytes: 1536,
             label_bytes: 17,
             costs: costs(k),
+            ..workload()
         };
         [
-            video("a", 1000, 30, 70, 1_234_567, 1_100_003, 1.0),
-            video("b", 777, 0, 0, 901_234, 811_111, 0.61),
-            video("c", 501, 7, 13, 4_567_891, 3_999_999, 1.37),
+            video(1000, 30, 70, 1_234_567, 1_100_003, 1.0),
+            video(777, 0, 0, 901_234, 811_111, 0.61),
+            video(501, 7, 13, 4_567_891, 3_999_999, 1.37),
         ]
     }
 
-    /// The paper's live topology and the post-event one `paper_bench`
-    /// prices (the camera hop is a 2 Gbps storage read).
-    fn golden_topologies() -> [ThreeTier; 2] {
-        let mut post_event = ThreeTier::paper_default();
-        post_event.camera_edge = sieve_simnet::Link::new("edge-storage", 2.0e9, 0.0);
-        [ThreeTier::paper_default(), post_event]
-    }
-
-    /// `simulate_all`'s every output over 5 baselines × 1–3 videos × both
-    /// topologies, floats as their bits: a rewrite of the simulator must
-    /// reproduce the tandem queue exactly, not approximately.
+    /// `simulate_all`'s every output over 5 baselines × 1–3 videos × the
+    /// paper's live topology and the post-event one `paper_bench` prices
+    /// (the camera hop is a 2 Gbps storage read), floats as their bits: a
+    /// rewrite of the simulator must reproduce the tandem queue exactly.
     #[test]
     fn simulate_all_is_bit_exact() {
         let videos = golden_videos();
+        let mut post_event = ThreeTier::paper_default();
+        post_event.camera_edge_bps = 2.0e9;
         let mut rows = Vec::new();
-        for (t, topology) in golden_topologies().iter().enumerate() {
+        for (t, topology) in [ThreeTier::paper_default(), post_event].iter().enumerate() {
             for k in 1..=videos.len() {
                 for o in simulate_all(&videos[..k], topology) {
                     rows.push(format!(
@@ -569,16 +599,62 @@ mod tests {
     ];
 
     #[test]
+    #[should_panic(expected = "positive and finite")]
+    fn rejects_a_topology_with_a_zero_rate() {
+        let mut topology = ThreeTier::paper_default();
+        topology.edge_cloud_bps = 0.0;
+        simulate_baseline(Baseline::IFrameEdgeCloudNn, &[workload()], &topology);
+    }
+
+    /// Submits `frames` in order, each as its four stages' service seconds
+    /// (`X`: the frame passes the stage by), and checks when each completes.
+    fn check_tandem(frames: Vec<[f64; 4]>, completions: Vec<f64>) {
+        let mut tandem = Tandem::default();
+        let mut last = 0.0f64;
+        for (k, (frame, want)) in frames.into_iter().zip(&completions).enumerate() {
+            let got = tandem.submit(frame.map(|s| (!s.is_nan()).then_some(s)));
+            assert!(
+                (got - want).abs() < 1e-9,
+                "frame {k} done at {got}, want {want}"
+            );
+            last = last.max(got);
+        }
+        assert_eq!(tandem.makespan_secs, last);
+    }
+
+    const X: f64 = f64::NAN;
+
+    /// One `Tandem` test per row: `name: frames => completions;`.
+    macro_rules! tandem_rows {
+        ($($name:ident: $frames:expr => $completions:expr;)+) => {$(
+            #[test]
+            fn $name() {
+                check_tandem($frames, $completions);
+            }
+        )+};
+    }
+
+    tandem_rows! {
+        single_item_latency_is_sum_of_services: vec![[0.5, 1.0, 0.25, 0.25]] => vec![2.0];
+        fifo_queueing_at_bottleneck: vec![[X, 1.0, 0.0, X]; 2] => vec![1.0, 2.0];
+        pipelining_overlaps_stages: vec![[X, 1.0, 1.0, X]; 2] => vec![2.0, 3.0];
+        skip_stages_cost_nothing: vec![[X; 4]] => vec![0.0];
+        zero_cost_stage_waits_its_turn: vec![[X, X, X, 2.0], [0.5, X, X, 0.0]] => vec![2.0; 2];
+        skipped_stage_does_not_wait: vec![[X, X, X, 2.0], [0.5, X, X, X]] => vec![2.0, 0.5];
+        // 1 kB over 8 Mbps: the 10 ms edge is the bottleneck, 100 frames/s.
+        throughput_matches_bottleneck_rate: vec![[X, 0.01, transfer_secs(1000, 8e6), X]; 100]
+            => (1..=100).map(|i| i as f64 * 0.01 + 0.001).collect();
+        // 4 x 500 kB over 8 Mbps: the WAN is busy 2 s, after one edge step.
+        report_accumulates_bytes_and_busy_time: vec![[X, 0.1, transfer_secs(500_000, 8e6), X]; 4]
+            => vec![0.6, 1.1, 1.6, 0.1 + transfer_secs(2_000_000, 8e6)];
+    }
+
+    #[test]
     fn multiple_videos_accumulate() {
-        let one = simulate_baseline(
-            Baseline::IFrameEdgeCloudNn,
-            &[workload()],
-            &ThreeTier::paper_default(),
-        );
-        let three = simulate_baseline(
+        let one = on_paper(Baseline::IFrameEdgeCloudNn, &[workload()]);
+        let three = on_paper(
             Baseline::IFrameEdgeCloudNn,
             &[workload(), workload(), workload()],
-            &ThreeTier::paper_default(),
         );
         assert_eq!(three.frames, 3 * one.frames);
         assert!(three.edge_cloud_bytes == 3 * one.edge_cloud_bytes);

@@ -37,17 +37,6 @@
 //! the live path. [`FrameSelector::calibrate`] /
 //! [`FrameSelector::calibrate_fractions`] batch a whole threshold sweep
 //! into one scoring pass (Fig 3's one-decode calibration).
-//!
-//! ## Migration from the offline API
-//!
-//! Before this layer, `FrameSelector` implementations overrode
-//! `select`/`select_indices` directly and drivers evaluated policies over a
-//! whole `&EncodedVideo` up front. Those entry points still exist with the
-//! same signatures and behaviour, but they are now *derived from the
-//! session*: implementations provide `session()` (plus `cost_model()` and,
-//! if needed, `prepare()`) instead of batch bodies, and anything that can
-//! see frames one at a time — the live edge, a network receiver — drives
-//! the session directly.
 
 use sieve_video::{Decoder, EncodedFrame, EncodedVideo, Frame, FrameType};
 

@@ -27,6 +27,7 @@
 use std::collections::BTreeMap;
 
 use rand::{rngs::StdRng, Rng, SeedableRng};
+use sieve_core::ThreeTier;
 use sieve_simnet::SimTime;
 
 use crate::feedback::WanTaps;
@@ -129,8 +130,8 @@ impl WanConfig {
         }
     }
 
-    /// The paper's edge→cloud WAN shape (30 Mbps / 20 ms, as in
-    /// `Link::paper_wan`) with an i.i.d. loss knob and mild jitter.
+    /// The paper's edge→cloud WAN, [`ThreeTier::PAPER_WAN_BPS`] with 20 ms
+    /// latency, plus an i.i.d. loss knob and mild jitter.
     pub fn paper_wan(seed: u64, loss: f64) -> Self {
         Self {
             seed,
@@ -139,7 +140,7 @@ impl WanConfig {
             reorder_delay_secs: 0.03,
             jitter_secs: 0.005,
             latency_secs: 0.02,
-            bandwidth_bps: 30e6,
+            bandwidth_bps: ThreeTier::PAPER_WAN_BPS,
             queue_bytes: 256 * 1024,
         }
     }

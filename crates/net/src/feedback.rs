@@ -15,8 +15,10 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use sieve_core::adapt::WanFeedback;
-use sieve_simnet::{SimTime, WAN_STAGE};
+use sieve_simnet::SimTime;
 use sieve_stats::{Counter, Gauge, Registry};
+
+use crate::WAN_STAGE;
 
 /// `wan.*` instrument handles, registered once per registry and cloned
 /// into the channel, the depacketizer and the collector.

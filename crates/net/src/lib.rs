@@ -18,7 +18,8 @@
 //!   a token-bucket bandwidth cap with a bounded queue (overflow is
 //!   congestion loss). Runs on [`sieve_simnet::SimTime`] — no wall clock,
 //!   no global RNG — so it composes with the model checker;
-//! * [`feedback`] — the `wan.*` registry instruments and the per-quantum
+//! * [`feedback`] — the `wan.*` registry instruments (named under
+//!   [`WAN_STAGE`]) and the per-quantum
 //!   [`sieve_core::adapt::WanFeedback`] collector that reads *the same
 //!   counters* the operator watches in `fleet_top`;
 //! * [`uplink`] — [`Uplink`] ties the four layers together behind one
@@ -36,6 +37,11 @@ pub use fec::FecConfig;
 pub use feedback::{FeedbackCollector, WanTaps};
 pub use packet::{BlockOutcome, BlockReport, Depacketizer, Packet, PacketHeader, Packetizer};
 pub use uplink::{SharedUplink, Uplink, UplinkConfig};
+
+/// The edge→cloud WAN hop's stage name, prefixing the `wan.*` instruments
+/// the operator reads in `fleet_top` and the [`FeedbackCollector`] diffs:
+/// one constant, so the dashboard and the control loop cannot drift apart.
+pub const WAN_STAGE: &str = "wan";
 
 /// Re-export of the feedback quantum consumed by
 /// [`sieve_core::adapt::RateController::apply_wan_feedback`].

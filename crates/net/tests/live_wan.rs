@@ -6,8 +6,8 @@
 use std::sync::Arc;
 
 use sieve_core::adapt::WanSignal;
-use sieve_net::{BlockOutcome, BlockReport, Uplink, UplinkConfig, WanConfig};
-use sieve_simnet::{SimTime, WAN_STAGE};
+use sieve_net::{BlockOutcome, BlockReport, Uplink, UplinkConfig, WanConfig, WAN_STAGE};
+use sieve_simnet::SimTime;
 use sieve_stats::Registry;
 
 fn payload(id: u64, bytes: usize) -> Vec<u8> {

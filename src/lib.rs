@@ -15,8 +15,8 @@
 //! | [`datasets`] | `sieve-datasets` | deterministic synthetic analogues of the paper's five surveillance datasets |
 //! | [`filters`] | `sieve-filters` | MSE / SIFT / uniform-sampling baselines |
 //! | [`stats`] | `sieve-stats` | lock-free observability plane: counters, histograms, registry, time-series collector |
-//! | [`simnet`] | `sieve-simnet` | 3-tier topology, tandem-queue simulator, the shard queue under the fleet scheduler |
-//! | [`core`] | `sieve-core` | SiEVE itself: offline tuner, I-frame seeker, object detectors, metrics, end-to-end pipelines |
+//! | [`simnet`] | `sieve-simnet` | the shard queue under the fleet scheduler, and virtual time |
+//! | [`core`] | `sieve-core` | SiEVE itself: offline tuner, I-frame seeker, object detectors, metrics, the Fig 4/5 tandem-queue simulator |
 //! | [`fleet`] | `sieve-fleet` | multi-stream edge runtime: admission, sharded scheduling with load shedding, on-line adaptive selection |
 //! | [`net`] | `sieve-net` | edge→cloud WAN transport: FEC packetizer, hostile channel model, feedback-driven rate control |
 //! | [`live`] | (this crate) | [`run_live_analysis`]: a single camera run live, as a one-stream fleet |
@@ -56,7 +56,7 @@ pub mod prelude {
         simulate_all, simulate_baseline, tune, AnalysisResult, Baseline, BaselineSpec,
         CalibrationCurve, ConfigGrid, Decision, Deployment, DetectionQuality, EncodedFrameMeta,
         FrameSelector, IFrameSelector, LookupTable, ObjectDetector, OracleDetector, SelectorCost,
-        SelectorKind, SelectorSession, SieveError, TuningOutcome,
+        SelectorKind, SelectorSession, SieveError, ThreeTier, TuningOutcome,
     };
     pub use sieve_datasets::{
         segment_events, stream_seed, DatasetId, DatasetScale, DatasetSpec, Event, LabelSet,
@@ -67,7 +67,6 @@ pub mod prelude {
         MseDetector, MseSelector, SiftDetector, SiftSelector, UniformSelector,
     };
     pub use sieve_fleet::{Fleet, FleetConfig, FleetReport, FramePacket, StreamConfig, StreamId};
-    pub use sieve_simnet::ThreeTier;
     pub use sieve_stats::{Collector, Counter, Gauge, Histogram, Registry};
     pub use sieve_video::{
         BitstreamStats, EncodedVideo, Encoder, EncoderConfig, Frame, FrameType, RatioTrace,

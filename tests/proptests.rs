@@ -161,34 +161,61 @@ proptest! {
         }
     }
 
-    /// The tandem-queue pipeline conserves items and never finishes before
-    /// the sum of any single item's service times.
+    /// The Fig 4/5 simulator conserves frames and never finishes before
+    /// its edge has done its work: every frame is present at time 0, so the
+    /// edge stage's busy time bounds the makespan.
     #[test]
     fn pipeline_conservation(
-        services in proptest::collection::vec(0.001f64..0.1, 1..40),
+        videos in proptest::collection::vec(
+            ((1usize..300, 0usize..=100), (0usize..=100, 1u64..50_000), 1e-6f64..1e-2),
+            1..4,
+        ),
+        edge_speed in 0.25f64..4.0,
     ) {
-        use sieve_simnet::{Pipeline, StageSpec, StepWork};
-        let mut p = Pipeline::new(vec![
-            StageSpec::Compute { name: "a".into() },
-            StageSpec::Compute { name: "b".into() },
-        ]);
-        let mut max_single = 0.0f64;
-        let mut sum_a = 0.0f64;
-        for &s in &services {
-            let r = p.submit(0.0, &[
-                StepWork::Compute { secs: s },
-                StepWork::Compute { secs: s / 2.0 },
-            ]);
-            max_single = max_single.max(s + s / 2.0);
-            sum_a += s;
-            prop_assert!(r.completion >= s + s / 2.0 - 1e-12);
+        use sieve_core::{VideoWorkload, WorkloadCosts};
+        let topology = ThreeTier { edge_speed, ..ThreeTier::paper_default() };
+        let workloads: Vec<VideoWorkload> = videos
+            .iter()
+            .map(|&((frames, i_pct), (mse_pct, frame_bytes), unit)| VideoWorkload {
+                name: "prop".into(),
+                frame_count: frames,
+                semantic_i_frames: frames * i_pct / 100,
+                mse_selected: frames * mse_pct / 100,
+                semantic_stream_bytes: frames as u64 * (frame_bytes + frame_bytes / 8),
+                default_stream_bytes: frames as u64 * frame_bytes,
+                nn_input_bytes: 1536,
+                label_bytes: 16,
+                costs: WorkloadCosts {
+                    seek_per_frame: unit / 1000.0, iframe_decode: unit / 4.0,
+                    full_decode_per_frame: unit, mse_per_pair: unit / 2.0,
+                    resize_to_nn: unit / 16.0, nn_inference: 2.0 * unit,
+                },
+            })
+            .collect();
+        for baseline in Baseline::ALL {
+            let o = simulate_baseline(baseline, &workloads, &topology);
+            prop_assert_eq!(o.frames, workloads.iter().map(|v| v.frame_count as u64).sum::<u64>());
+            // The edge prices every frame by its selector and analyses the
+            // selected count; edge-only also infers, cloud-only just relays.
+            let BaselineSpec { selector, deployment } = baseline.spec();
+            let cost = selector.cost_model();
+            let edge_busy = |v: &VideoWorkload| {
+                let kept = match selector {
+                    SelectorKind::Mse => v.mse_selected,
+                    SelectorKind::IFrame | SelectorKind::Uniform => v.semantic_i_frames,
+                } as f64;
+                let (c, skipped) = (&v.costs, v.frame_count as f64 - kept);
+                let select =
+                    skipped * cost.per_frame_secs(c, false) + kept * cost.per_frame_secs(c, true);
+                match deployment {
+                    Deployment::EdgeSelectCloudNn => select,
+                    Deployment::EdgeOnly => select + kept * c.nn_inference,
+                    Deployment::CloudOnly => 0.0,
+                }
+            };
+            let busy = workloads.iter().map(edge_busy).sum::<f64>() / edge_speed;
+            prop_assert!(o.makespan_secs >= busy * (1.0 - 1e-9), "{baseline}: {o:?}");
         }
-        let rep = p.report();
-        prop_assert_eq!(rep.items, services.len() as u64);
-        // Makespan at least the busy time of the first stage (it is the
-        // entry bottleneck when all items arrive at t=0).
-        prop_assert!(rep.makespan_secs >= sum_a - 1e-9);
-        prop_assert!(rep.makespan_secs >= max_single - 1e-9);
     }
 
     /// For every registered selection policy, on random synthetic GOP
