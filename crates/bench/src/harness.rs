@@ -129,9 +129,10 @@ impl Prepared {
 /// placed (GOP fixed at `gop`); the resulting I-frame rate defines the
 /// sampling budget at which the baselines' thresholds are calibrated — the
 /// paper's fair-comparison methodology. The whole sweep routes through
-/// [`FrameSelector::calibrate_fractions`], so each baseline decodes and
-/// scores the default-encoded stream (decode artifacts included, exactly
-/// like NoScope-style filters) *once* across all operating points.
+/// [`ChangeSelector::calibrate_fractions`](sieve_filters::ChangeSelector::calibrate_fractions),
+/// so each baseline decodes and scores the default-encoded stream (decode
+/// artifacts included, exactly like NoScope-style filters) *once* across
+/// all operating points.
 pub fn accuracy_sweep(prepared: &Prepared, gop: usize, scenecuts: &[u16]) -> Vec<SweepPoint> {
     let labels = prepared.eval_labels();
     let default_video = prepared.default_eval();
@@ -152,16 +153,16 @@ pub fn accuracy_sweep(prepared: &Prepared, gop: usize, scenecuts: &[u16]) -> Vec
 
     // Batched calibration: one decode+scoring pass per baseline, every
     // matched target swept in memory.
-    let mse_curve = MseSelector::mse(Budget::Threshold(0.0))
+    let mse_points = MseSelector::mse(Budget::Threshold(0.0))
         .calibrate_fractions(default_video, &fractions)
         .expect("default stream decodes");
-    let sift_curve = SiftSelector::sift(Budget::Threshold(0.0))
+    let sift_points = SiftSelector::sift(Budget::Threshold(0.0))
         .calibrate_fractions(default_video, &fractions)
         .expect("default stream decodes");
 
     let mut points: Vec<SweepPoint> = sieve_points
         .iter()
-        .zip(mse_curve.points.iter().zip(&sift_curve.points))
+        .zip(mse_points.iter().zip(&sift_points))
         .map(|(sieve_q, (mse_pt, sift_pt))| SweepPoint {
             dataset: prepared.spec.id.to_string(),
             sampling: sieve_q.sampling_rate,
@@ -287,11 +288,9 @@ pub fn build_workload(prepared: &Prepared, frames_per_video: usize) -> VideoWork
         let train_labels = &video.labels()[..half];
         let goal = 0.95;
         let targets = [0.005, 0.01, 0.02, 0.03, 0.05, 0.08, 0.12, 0.2];
-        let curve = MseSelector::mse(Budget::Threshold(0.0))
+        let threshold = MseSelector::mse(Budget::Threshold(0.0))
             .calibrate_fractions(&train_default, &targets)
-            .expect("train stream decodes");
-        let threshold = curve
-            .points
+            .expect("train stream decodes")
             .iter()
             .find(|p| score_selection(train_labels, &p.selected).accuracy >= goal)
             .map(|p| p.threshold);

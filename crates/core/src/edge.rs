@@ -13,10 +13,11 @@
 //! No whole-video pre-pass: the edge never materialises the full index
 //! vector or a full decode buffer. Lookahead is bounded by the session's
 //! own state (at most one previous decoded frame for the pixel-differencing
-//! policies, none for metadata policies). Decode failures surface as the
-//! typed [`EdgeOutcome::Failed`], distinct from policy drops.
+//! policies, none for metadata policies). Decode failures, and a session
+//! that breaks the observe contract, surface as the typed
+//! [`EdgeOutcome::Failed`], distinct from policy drops.
 
-use sieve_video::{Decoder, FrameType, Resolution};
+use sieve_video::{Decoder, Frame, FrameType, Resolution};
 
 use crate::error::SieveError;
 use crate::select::{Decision, EncodedFrameMeta, FrameSelector, SelectorSession};
@@ -25,10 +26,12 @@ use crate::select::{Decision, EncodedFrameMeta, FrameSelector, SelectorSession};
 #[derive(Debug)]
 pub enum EdgeOutcome {
     /// The policy kept the frame; here are its decoded pixels.
-    Kept(sieve_video::Frame),
+    Kept(Frame),
     /// The policy dropped the frame (filtering — a policy decision).
     Dropped,
-    /// The frame failed to decode (a processing failure, not a drop).
+    /// The frame could not be processed: it failed to decode, or the
+    /// session broke the observe contract by demanding pixels it had
+    /// already been given (a processing failure, not a drop).
     Failed,
 }
 
@@ -141,33 +144,22 @@ impl EdgeSession {
                 Decision::NeedsDecode => self.session.observe(index, &meta, Some(frame)),
                 d => d,
             };
-            return if decision == Decision::Keep {
-                EdgeOutcome::Kept(frame.clone())
-            } else {
-                EdgeOutcome::Dropped
-            };
+            return outcome(decision, || frame.clone());
         }
-        let (decision, frame) = {
-            // Metadata path: decide first, decode survivors only.
-            let first = self.session.observe(index, &meta, None);
-            if first == Decision::Drop {
-                return EdgeOutcome::Dropped;
-            }
-            let frame = match Decoder::decode_iframe(self.resolution, self.quality, payload) {
-                Ok(f) => f,
-                Err(_) => return EdgeOutcome::Failed,
-            };
-            let decision = match first {
-                Decision::NeedsDecode => self.session.observe(index, &meta, Some(&frame)),
-                d => d,
-            };
-            (decision, frame)
+        // Metadata path: decide first, decode survivors only.
+        let first = self.session.observe(index, &meta, None);
+        if first == Decision::Drop {
+            return EdgeOutcome::Dropped;
+        }
+        let frame = match Decoder::decode_iframe(self.resolution, self.quality, payload) {
+            Ok(f) => f,
+            Err(_) => return EdgeOutcome::Failed,
         };
-        if decision == Decision::Keep {
-            EdgeOutcome::Kept(frame)
-        } else {
-            EdgeOutcome::Dropped
-        }
+        let decision = match first {
+            Decision::NeedsDecode => self.session.observe(index, &meta, Some(&frame)),
+            d => d,
+        };
+        outcome(decision, || frame)
     }
 
     /// End-of-stream hook: flushes the session and surfaces any deferred
@@ -178,5 +170,52 @@ impl EdgeSession {
     /// Whatever the underlying session's `finish` reports.
     pub fn finish(&mut self) -> Result<(), SieveError> {
         self.session.finish()
+    }
+}
+
+/// The edge outcome of a session's last word on a frame. A session that
+/// still answers `NeedsDecode` once it has the pixels broke the observe
+/// contract: the frame fails, as `analyze` fails the whole run.
+fn outcome(decision: Decision, kept: impl FnOnce() -> Frame) -> EdgeOutcome {
+    match decision {
+        Decision::Keep => EdgeOutcome::Kept(kept()),
+        Decision::Drop => EdgeOutcome::Dropped,
+        Decision::NeedsDecode => EdgeOutcome::Failed,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::select::GreedySession;
+    use sieve_video::{EncodedVideo, EncoderConfig};
+
+    /// A session that demands pixels twice fails the frame on both paths,
+    /// as `analyze` fails the whole run, instead of passing for a drop.
+    /// Every frame is an I-frame, so the metadata path's decode succeeds
+    /// and only the session can fail it.
+    #[test]
+    fn greedy_session_fails_frames_on_both_paths() {
+        let res = Resolution::new(32, 32);
+        let frames = (0..4).map(|_| Frame::grey(res));
+        let video = EncodedVideo::encode(res, 30, EncoderConfig::new(1, 0), frames);
+        assert_eq!(video.i_frame_indices().len(), 4);
+        for full_decode in [false, true] {
+            let decoder = Decoder::new(res, video.quality());
+            let mut edge = EdgeSession::from_parts(
+                Box::new(GreedySession),
+                full_decode,
+                decoder,
+                res,
+                video.quality(),
+            );
+            for (i, ef) in video.frames().iter().enumerate() {
+                let outcome = edge.observe(i, ef.frame_type, &ef.data);
+                assert!(
+                    matches!(outcome, EdgeOutcome::Failed),
+                    "full_decode={full_decode}, frame {i}: {outcome:?}"
+                );
+            }
+        }
     }
 }

@@ -252,23 +252,12 @@ mod tests {
 
     #[test]
     fn analyze_rejects_misbehaving_selector() {
-        use crate::select::{Decision, EncodedFrameMeta, SelectorSession};
+        use crate::select::{GreedySession, SelectorSession};
 
         // A session that keeps demanding pixels even after the driver
         // supplied them violates the observe contract; the driver must
         // surface an error rather than loop or panic.
         struct Greedy;
-        struct GreedySession;
-        impl SelectorSession for GreedySession {
-            fn observe(
-                &mut self,
-                _index: usize,
-                _meta: &EncodedFrameMeta,
-                _frame: Option<&Frame>,
-            ) -> Decision {
-                Decision::NeedsDecode
-            }
-        }
         impl FrameSelector for Greedy {
             fn name(&self) -> &'static str {
                 "greedy"

@@ -7,10 +7,10 @@
 //!   maximizing the F1 of event-detection accuracy and filtering rate
 //!   (the paper's Fig 2 procedure);
 //! * [`lookup`] — the per-camera tuned-parameter table;
-//! * [`select`] — the streaming selection layer: [`FrameSelector`]
+//! * [`select`] — the streaming selection layer: [`FrameSelector`] session
 //!   factories (SiEVE's I-frame seeker is [`IFrameSelector`]: metadata
-//!   scan, independent decode), incremental [`SelectorSession`]s, trait-owned
-//!   [`SelectorCost`] models and batched calibration;
+//!   scan, independent decode) and the incremental [`SelectorSession`]s
+//!   they open;
 //! * [`adapt`] — on-line threshold adaptation (EWMA, P² streaming
 //!   quantile, the [`RateController`] behind `Budget::TargetRate`);
 //! * [`metrics`] — accuracy / filtering rate / F1 with label propagation;
@@ -21,7 +21,8 @@
 //!   `sieve-fleet` stream runs;
 //! * [`pipeline`] — end-to-end simulation of the five Fig 4/5 baselines on
 //!   the 3-tier topology ([`ThreeTier`]), replayed through a fixed
-//!   four-stage tandem queue.
+//!   four-stage tandem queue; each policy's per-frame price is
+//!   [`SelectorKind::per_frame_secs`].
 //!
 //! ## Quickstart
 //!
@@ -66,7 +67,6 @@ pub use pipeline::{
     SelectorKind, ThreeTier, VideoWorkload, WorkloadCosts,
 };
 pub use select::{
-    CalibrationCurve, CalibrationPoint, Decision, EncodedFrameMeta, FixedSelector, FrameSelector,
-    IFrameSelector, SelectorCost, SelectorSession,
+    Decision, EncodedFrameMeta, FixedSelector, FrameSelector, IFrameSelector, SelectorSession,
 };
 pub use tuner::{score_encoding, tune, ConfigGrid, ConfigScore, TuningOutcome};

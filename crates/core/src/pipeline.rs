@@ -13,8 +13,6 @@
 //! makes the 2.16M-frame experiment tractable while keeping every relative
 //! magnitude (seek vs decode vs NN) grounded in real measurements.
 
-use crate::select::{FrameSelector, IFrameSelector, SelectorCost};
-
 /// The paper's 3-tier testbed as the simulator prices it: the rate of each
 /// link and the compute speed of each tier. The camera encodes in hardware,
 /// so it has no stage of its own.
@@ -47,10 +45,10 @@ impl ThreeTier {
     }
 }
 
-/// The selection policy side of a baseline: which frames get analysed.
-/// Mirrors the [`crate::FrameSelector`] implementations (`sieve-filters`
-/// provides the uniform/MSE adapters); per-frame costs come from the
-/// selector's own [`SelectorCost`] via [`SelectorKind::cost_model`].
+/// The selection policy side of a baseline: which frames get analysed, and
+/// what each stream frame costs the selecting tier
+/// ([`SelectorKind::per_frame_secs`]). Mirrors the [`crate::FrameSelector`]
+/// implementations (`sieve-filters` provides the uniform/MSE adapters).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SelectorKind {
     /// I-frame seeking over the semantically encoded stream (metadata scan;
@@ -80,17 +78,22 @@ impl SelectorKind {
         }
     }
 
-    /// The per-frame cost model of this policy's [`FrameSelector`]
-    /// implementation — the one cost source the simulator and the live path
-    /// share. The I-frame row delegates to the real core selector; the
-    /// uniform/MSE rows name the same canonical [`SelectorCost`] shapes the
-    /// `sieve-filters` adapters return (cross-checked by a test there,
-    /// since this crate cannot depend on its own dependents).
-    pub fn cost_model(&self) -> SelectorCost {
-        match self {
-            SelectorKind::IFrame => IFrameSelector::new().cost_model(),
-            SelectorKind::Uniform => SelectorCost::full_stream_decode(),
-            SelectorKind::Mse => SelectorCost::full_stream_decode().with_pairwise_compare(),
+    /// Seconds of selection work one stream frame costs on the reference
+    /// machine described by `costs`. Every frame pays the policy's scan:
+    /// I-frame seeking reads metadata, uniform sampling full-decodes (P-frames
+    /// chain, so *reaching* a sampled frame means decoding up to it), and MSE
+    /// also compares each frame with its predecessor. `analysed` frames
+    /// additionally pay the resize to the NN input, after an independent
+    /// I-frame decode for the seeker.
+    pub fn per_frame_secs(&self, costs: &WorkloadCosts, analysed: bool) -> f64 {
+        let c = costs;
+        match (self, analysed) {
+            (SelectorKind::IFrame, false) => c.seek_per_frame,
+            (SelectorKind::IFrame, true) => c.seek_per_frame + c.iframe_decode + c.resize_to_nn,
+            (SelectorKind::Uniform, false) => c.full_decode_per_frame,
+            (SelectorKind::Uniform, true) => c.full_decode_per_frame + c.resize_to_nn,
+            (SelectorKind::Mse, false) => c.full_decode_per_frame + c.mse_per_pair,
+            (SelectorKind::Mse, true) => c.full_decode_per_frame + c.mse_per_pair + c.resize_to_nn,
         }
     }
 }
@@ -329,9 +332,9 @@ impl Tandem {
 
 /// Submits every frame of one video as the four-stage work its baseline
 /// spec implies, adding what crosses each link to `bytes` (camera→edge,
-/// edge→cloud). The selector kind decides which stream is shipped and which
-/// frames are analysed, its [`SelectorCost`] model prices each stream frame,
-/// and the deployment decides which tier pays it and what crosses each link.
+/// edge→cloud). The selector kind decides which stream is shipped, which
+/// frames are analysed and what each stream frame costs, and the deployment
+/// decides which tier pays it and what crosses each link.
 fn submit_video(
     baseline: Baseline,
     v: &VideoWorkload,
@@ -343,7 +346,6 @@ fn submit_video(
         selector,
         deployment,
     } = baseline.spec();
-    let cost = selector.cost_model();
     let n = v.frame_count.max(1);
     let c = &v.costs;
     // Per-frame share of the stream bytes on the camera->edge link.
@@ -359,7 +361,7 @@ fn submit_video(
     let stride = (n / analysed.max(1)).max(1);
     for i in 0..n {
         let is_analysed = i % stride == 0 && i / stride < analysed;
-        let select_secs = cost.per_frame_secs(c, is_analysed);
+        let select_secs = selector.per_frame_secs(c, is_analysed);
         let nn_secs = if is_analysed { c.nn_inference } else { 0.0 };
         // Bytes on the WAN and the tiers' compute; a frame that is not
         // analysed skips an edge-selecting deployment's WAN and cloud.
@@ -425,6 +427,20 @@ mod tests {
             label_bytes: 16,
             costs: costs(),
         }
+    }
+
+    #[test]
+    fn cost_models_reproduce_paper_asymmetry() {
+        let c = costs();
+        let secs = |kind: SelectorKind, analysed| kind.per_frame_secs(&c, analysed);
+        // Unanalysed frames: seeking pays only the metadata scan.
+        assert!(secs(SelectorKind::IFrame, false) < 1e-5);
+        assert!((secs(SelectorKind::Uniform, false) - 8.0e-3).abs() < 1e-12);
+        assert!((secs(SelectorKind::Mse, false) - 12.0e-3).abs() < 1e-12);
+        // Analysed frames: seeking adds the independent decode + resize.
+        assert!((secs(SelectorKind::IFrame, true) - (0.5e-6 + 2.0e-3 + 0.5e-3)).abs() < 1e-12);
+        assert!((secs(SelectorKind::Uniform, true) - 8.5e-3).abs() < 1e-12);
+        assert!(secs(SelectorKind::IFrame, true) < secs(SelectorKind::Uniform, true));
     }
 
     /// `baseline` over `videos` on the paper's topology.

@@ -1,15 +1,14 @@
-//! The unifying frame-selection layer: streaming sessions and trait-owned
-//! cost models.
+//! The unifying frame-selection layer: a session factory per policy.
 //!
 //! Every analysis strategy the paper compares — SiEVE's I-frame seeking,
 //! uniform sampling, MSE and SIFT differencing — is ultimately a policy for
 //! choosing *which frames of an encoded video get decoded and sent to the
 //! NN*. The layer has two levels:
 //!
-//! * [`FrameSelector`] is the **factory plus metadata**: it describes a
-//!   policy (its [`name`](FrameSelector::name), whether it
+//! * [`FrameSelector`] is the **session factory**: it describes a policy
+//!   (its [`name`](FrameSelector::name), whether it
 //!   [`requires_full_decode`](FrameSelector::requires_full_decode), its
-//!   per-frame [`cost_model`](FrameSelector::cost_model)) and opens
+//!   on-line [`target_rate`](FrameSelector::target_rate)) and opens
 //!   streaming [`session`](FrameSelector::session)s. Policies whose
 //!   parameters depend on whole-video statistics (fraction-calibrated
 //!   thresholds) resolve them in [`prepare`](FrameSelector::prepare).
@@ -22,26 +21,19 @@
 //!   previous decoded frame), so a live edge can apply any policy without
 //!   ever materialising a whole-video index vector or decode buffer.
 //!
-//! The batch entry points ([`select`](FrameSelector::select),
-//! [`select_indices`](FrameSelector::select_indices),
-//! [`select_with`](FrameSelector::select_with)) are thin default wrappers
-//! that drive one session over the whole video, decoding lazily: frames
-//! past the last one a session can possibly keep (see
-//! [`SelectorSession::done`]) are never decoded at all.
+//! The two batch entry points
+//! ([`select_indices`](FrameSelector::select_indices) and
+//! [`select_with`](FrameSelector::select_with)) are default wrappers that
+//! drive one session over the whole video, decoding lazily: frames past the
+//! last one a session can possibly keep (see [`SelectorSession::done`]) are
+//! never decoded at all.
 //!
-//! Costs are owned by the trait too: [`SelectorCost`] names which measured
-//! per-frame primitives (metadata scan, full stream decode, pairwise
-//! compare, independent I-frame decode) a policy pays, and the tandem-queue
-//! simulator in [`crate::pipeline`] charges exactly
-//! [`SelectorCost::per_frame_secs`] — one cost source for the simulator and
-//! the live path. [`FrameSelector::calibrate`] /
-//! [`FrameSelector::calibrate_fractions`] batch a whole threshold sweep
-//! into one scoring pass (Fig 3's one-decode calibration).
+//! What a policy costs per frame is priced once, by the simulator, in
+//! [`SelectorKind::per_frame_secs`](crate::SelectorKind::per_frame_secs).
 
 use sieve_video::{Decoder, EncodedFrame, EncodedVideo, Frame, FrameType};
 
 use crate::error::SieveError;
-use crate::pipeline::WorkloadCosts;
 
 /// What a [`SelectorSession`] wants done with one observed frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,79 +66,6 @@ impl EncodedFrameMeta {
             frame_type: frame.frame_type,
             payload_len: frame.data.len(),
         }
-    }
-}
-
-/// The per-frame cost shape of a selection policy: which measured
-/// primitives (see [`WorkloadCosts`]) the selecting tier pays for one
-/// stream frame. Owned by [`FrameSelector::cost_model`], consumed by the
-/// deployment simulator — the single source both share.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SelectorCost {
-    /// Scans the container metadata of every stream frame (the I-frame
-    /// seeker's per-frame work).
-    pub metadata_scan: bool,
-    /// Runs the full stateful decoder over every stream frame (P-frames
-    /// chain, so pixel policies pay this even for frames they drop).
-    pub full_decode: bool,
-    /// Computes one pairwise change score per stream frame (MSE/SIFT
-    /// differencing).
-    pub pairwise_compare: bool,
-    /// Analysed frames are decoded independently (JPEG-style I-frame
-    /// decode) instead of falling out of the full stream decode.
-    pub independent_decode: bool,
-}
-
-impl SelectorCost {
-    /// Metadata-driven seeking: scan every frame's metadata, independently
-    /// decode only the analysed ones — the cost asymmetry at the heart of
-    /// the paper.
-    pub const fn metadata_seek() -> Self {
-        Self {
-            metadata_scan: true,
-            full_decode: false,
-            pairwise_compare: false,
-            independent_decode: true,
-        }
-    }
-
-    /// Classical pipeline: full-decode every stream frame.
-    pub const fn full_stream_decode() -> Self {
-        Self {
-            metadata_scan: false,
-            full_decode: true,
-            pairwise_compare: false,
-            independent_decode: false,
-        }
-    }
-
-    /// Adds a per-frame pairwise comparison (change-detector baselines).
-    pub const fn with_pairwise_compare(mut self) -> Self {
-        self.pairwise_compare = true;
-        self
-    }
-
-    /// Seconds of selection work one stream frame costs on the reference
-    /// machine described by `costs`; `analysed` frames additionally pay the
-    /// independent decode (if any) and the resize to the NN input.
-    pub fn per_frame_secs(&self, costs: &WorkloadCosts, analysed: bool) -> f64 {
-        let mut secs = 0.0;
-        if self.metadata_scan {
-            secs += costs.seek_per_frame;
-        }
-        if self.full_decode {
-            secs += costs.full_decode_per_frame;
-        }
-        if self.pairwise_compare {
-            secs += costs.mse_per_pair;
-        }
-        if analysed {
-            if self.independent_decode {
-                secs += costs.iframe_decode;
-            }
-            secs += costs.resize_to_nn;
-        }
-        secs
     }
 }
 
@@ -188,34 +107,12 @@ pub trait SelectorSession: Send {
     }
 }
 
-/// One operating point of a batched threshold sweep.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CalibrationPoint {
-    /// The requested operating point, exactly as passed in (an absolute
-    /// threshold for [`FrameSelector::calibrate`], a target sampling
-    /// fraction for [`FrameSelector::calibrate_fractions`]).
-    pub target: f64,
-    /// The absolute change-score threshold this point resolved to.
-    /// Threshold-free policies echo `target` here.
-    pub threshold: f64,
-    /// Frame indices selected at this operating point.
-    pub selected: Vec<usize>,
-}
-
-/// The result of a batched calibration sweep: one scoring pass over the
-/// video, one [`CalibrationPoint`] per requested operating point.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CalibrationCurve {
-    /// Points in the order the operating points were requested.
-    pub points: Vec<CalibrationPoint>,
-}
-
 /// A policy choosing which frames of an encoded video to analyse.
 ///
-/// Implementations provide the factory and metadata methods
-/// ([`session`](Self::session), [`cost_model`](Self::cost_model),
-/// [`requires_full_decode`](Self::requires_full_decode), optionally
-/// [`prepare`](Self::prepare)); the batch entry points are default
+/// Implementations provide [`session`](Self::session) and
+/// [`name`](Self::name), plus [`requires_full_decode`](Self::requires_full_decode),
+/// [`target_rate`](Self::target_rate) and [`prepare`](Self::prepare) where
+/// the defaults do not fit; the two batch entry points are default
 /// wrappers that drive one session over the whole video.
 pub trait FrameSelector {
     /// Short name used in tables and reports ("sieve", "uniform", "mse").
@@ -230,14 +127,6 @@ pub trait FrameSelector {
     /// (I-frames).
     fn requires_full_decode(&self) -> bool {
         true
-    }
-
-    /// The per-frame cost shape the selecting tier pays for this policy.
-    /// The deployment simulator charges exactly this model. Defaults to the
-    /// classical full-stream-decode shape, matching the
-    /// [`requires_full_decode`](Self::requires_full_decode) default.
-    fn cost_model(&self) -> SelectorCost {
-        SelectorCost::full_stream_decode()
     }
 
     /// The sampling rate this policy targets *on-line*, if it has one
@@ -265,23 +154,6 @@ pub trait FrameSelector {
     /// frame it observes.
     fn session(&self) -> Box<dyn SelectorSession>;
 
-    /// Chooses frames from `video`, returning `(frame index, decoded
-    /// frame)` pairs in ascending index order. Default: drives one session,
-    /// decoding lazily up to the last kept frame.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SieveError`] if decoding fails or the policy cannot be
-    /// applied to this video.
-    fn select(&mut self, video: &EncodedVideo) -> Result<Vec<(usize, Frame)>, SieveError> {
-        let mut out = Vec::new();
-        self.select_with(video, &mut |i, frame| {
-            out.push((i, frame.clone()));
-            Ok(())
-        })?;
-        Ok(out)
-    }
-
     /// Chooses frame indices only. Default: drives one session without
     /// materialising pixels for kept frames — for metadata-driven policies
     /// this is a pure metadata scan with no decoding at all, and pixel
@@ -289,7 +161,8 @@ pub trait FrameSelector {
     ///
     /// # Errors
     ///
-    /// Same failure modes as [`FrameSelector::select`].
+    /// Returns a [`SieveError`] if preparation or decoding fails, or the
+    /// policy cannot be applied to this video.
     fn select_indices(&mut self, video: &EncodedVideo) -> Result<Vec<usize>, SieveError> {
         self.prepare(video)?;
         let mut session = self.session();
@@ -313,8 +186,8 @@ pub trait FrameSelector {
     ///
     /// # Errors
     ///
-    /// Same failure modes as [`FrameSelector::select`], plus whatever
-    /// `visit` returns.
+    /// Same failure modes as [`FrameSelector::select_indices`], plus
+    /// whatever `visit` returns.
     fn select_with(
         &mut self,
         video: &EncodedVideo,
@@ -329,49 +202,6 @@ pub trait FrameSelector {
             true,
             &mut |i, frame| visit(i, frame.expect("driver supplies pixels for kept frames")),
         )
-    }
-
-    /// Sweeps a batch of absolute thresholds in one pass: threshold
-    /// policies score the video once and apply every threshold in memory.
-    /// The default covers threshold-free policies, which select the same
-    /// frames at every operating point (one selection pass, replicated).
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`FrameSelector::select`].
-    fn calibrate(
-        &mut self,
-        video: &EncodedVideo,
-        thresholds: &[f64],
-    ) -> Result<CalibrationCurve, SieveError> {
-        let selected = self.select_indices(video)?;
-        Ok(CalibrationCurve {
-            points: thresholds
-                .iter()
-                .map(|&t| CalibrationPoint {
-                    target: t,
-                    threshold: t,
-                    selected: selected.clone(),
-                })
-                .collect(),
-        })
-    }
-
-    /// Sweeps a batch of target sampling fractions in one pass: threshold
-    /// policies score once, resolve each fraction to an absolute threshold
-    /// and apply it in memory — Fig 3's one-decode calibration. The default
-    /// covers threshold-free policies (same selection at every point).
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`FrameSelector::select`], plus invalid
-    /// fractions for policies that resolve them.
-    fn calibrate_fractions(
-        &mut self,
-        video: &EncodedVideo,
-        fractions: &[f64],
-    ) -> Result<CalibrationCurve, SieveError> {
-        self.calibrate(video, fractions)
     }
 }
 
@@ -466,122 +296,6 @@ impl<'v> LazyDecoder<'v> {
     }
 }
 
-impl<S: FrameSelector + ?Sized> FrameSelector for &mut S {
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-
-    fn requires_full_decode(&self) -> bool {
-        (**self).requires_full_decode()
-    }
-
-    fn cost_model(&self) -> SelectorCost {
-        (**self).cost_model()
-    }
-
-    fn target_rate(&self) -> Option<f64> {
-        (**self).target_rate()
-    }
-
-    fn prepare(&mut self, video: &EncodedVideo) -> Result<(), SieveError> {
-        (**self).prepare(video)
-    }
-
-    fn session(&self) -> Box<dyn SelectorSession> {
-        (**self).session()
-    }
-
-    fn select(&mut self, video: &EncodedVideo) -> Result<Vec<(usize, Frame)>, SieveError> {
-        (**self).select(video)
-    }
-
-    fn select_indices(&mut self, video: &EncodedVideo) -> Result<Vec<usize>, SieveError> {
-        (**self).select_indices(video)
-    }
-
-    fn select_with(
-        &mut self,
-        video: &EncodedVideo,
-        visit: &mut dyn FnMut(usize, &Frame) -> Result<(), SieveError>,
-    ) -> Result<(), SieveError> {
-        (**self).select_with(video, visit)
-    }
-
-    fn calibrate(
-        &mut self,
-        video: &EncodedVideo,
-        thresholds: &[f64],
-    ) -> Result<CalibrationCurve, SieveError> {
-        (**self).calibrate(video, thresholds)
-    }
-
-    fn calibrate_fractions(
-        &mut self,
-        video: &EncodedVideo,
-        fractions: &[f64],
-    ) -> Result<CalibrationCurve, SieveError> {
-        (**self).calibrate_fractions(video, fractions)
-    }
-}
-
-impl FrameSelector for Box<dyn FrameSelector + '_> {
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-
-    fn requires_full_decode(&self) -> bool {
-        (**self).requires_full_decode()
-    }
-
-    fn cost_model(&self) -> SelectorCost {
-        (**self).cost_model()
-    }
-
-    fn target_rate(&self) -> Option<f64> {
-        (**self).target_rate()
-    }
-
-    fn prepare(&mut self, video: &EncodedVideo) -> Result<(), SieveError> {
-        (**self).prepare(video)
-    }
-
-    fn session(&self) -> Box<dyn SelectorSession> {
-        (**self).session()
-    }
-
-    fn select(&mut self, video: &EncodedVideo) -> Result<Vec<(usize, Frame)>, SieveError> {
-        (**self).select(video)
-    }
-
-    fn select_indices(&mut self, video: &EncodedVideo) -> Result<Vec<usize>, SieveError> {
-        (**self).select_indices(video)
-    }
-
-    fn select_with(
-        &mut self,
-        video: &EncodedVideo,
-        visit: &mut dyn FnMut(usize, &Frame) -> Result<(), SieveError>,
-    ) -> Result<(), SieveError> {
-        (**self).select_with(video, visit)
-    }
-
-    fn calibrate(
-        &mut self,
-        video: &EncodedVideo,
-        thresholds: &[f64],
-    ) -> Result<CalibrationCurve, SieveError> {
-        (**self).calibrate(video, thresholds)
-    }
-
-    fn calibrate_fractions(
-        &mut self,
-        video: &EncodedVideo,
-        fractions: &[f64],
-    ) -> Result<CalibrationCurve, SieveError> {
-        (**self).calibrate_fractions(video, fractions)
-    }
-}
-
 /// SiEVE's selection policy: keep exactly the I-frames, deciding from the
 /// container metadata alone and decoding survivors independently.
 ///
@@ -613,10 +327,6 @@ impl FrameSelector for IFrameSelector {
 
     fn requires_full_decode(&self) -> bool {
         false
-    }
-
-    fn cost_model(&self) -> SelectorCost {
-        SelectorCost::metadata_seek()
     }
 
     fn session(&self) -> Box<dyn SelectorSession> {
@@ -715,6 +425,23 @@ impl SelectorSession for FixedSession {
     }
 }
 
+/// A session that breaks the observe contract: it demands pixels again
+/// after the driver supplied them. Every driver must reject it.
+#[cfg(test)]
+pub(crate) struct GreedySession;
+
+#[cfg(test)]
+impl SelectorSession for GreedySession {
+    fn observe(
+        &mut self,
+        _index: usize,
+        _meta: &EncodedFrameMeta,
+        _frame: Option<&Frame>,
+    ) -> Decision {
+        Decision::NeedsDecode
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -738,12 +465,25 @@ mod tests {
         )
     }
 
+    /// The `(index, pixels)` pairs `sel` streams through `select_with`.
+    fn picked(
+        sel: &mut impl FrameSelector,
+        v: &EncodedVideo,
+    ) -> Result<Vec<(usize, Frame)>, SieveError> {
+        let mut out = Vec::new();
+        sel.select_with(v, &mut |i, frame| {
+            out.push((i, frame.clone()));
+            Ok(())
+        })?;
+        Ok(out)
+    }
+
     #[test]
     fn iframe_selector_matches_seeker() {
         let v = video(4, 12);
         let mut sel = IFrameSelector::new();
         assert_eq!(sel.select_indices(&v).unwrap(), v.i_frame_indices());
-        let picked = sel.select(&v).unwrap();
+        let picked = picked(&mut sel, &v).unwrap();
         assert_eq!(picked.len(), 3);
         for (i, f) in &picked {
             assert_eq!(*f, v.decode_iframe_at(*i).unwrap());
@@ -774,9 +514,9 @@ mod tests {
             sel.select_indices(&v),
             Err(SieveError::InvalidSelection { index: 99, .. })
         ));
-        assert!(sel.select(&v).is_err());
+        assert!(picked(&mut sel, &v).is_err());
         let mut ok = FixedSelector::new(vec![0, 5]);
-        assert_eq!(ok.select(&v).unwrap().len(), 2);
+        assert_eq!(picked(&mut ok, &v).unwrap().len(), 2);
     }
 
     #[test]
@@ -799,50 +539,17 @@ mod tests {
             v.decode_all().is_err(),
             "corrupt tail must break full decode"
         );
-        let mut sel = FixedSelector::new(vec![0, 5]);
-        let picked = sel
-            .select(&v)
+        let picks = picked(&mut FixedSelector::new(vec![0, 5]), &v)
             .expect("selection stops before the corrupt tail");
-        assert_eq!(picked.len(), 2);
-        let mut empty = FixedSelector::new(Vec::new());
-        assert_eq!(empty.select(&v).unwrap(), Vec::new());
+        assert_eq!(picks.len(), 2);
+        assert_eq!(
+            picked(&mut FixedSelector::new(Vec::new()), &v).unwrap(),
+            Vec::new()
+        );
         assert!(
-            FixedSelector::new(vec![8]).select(&v).is_err(),
+            picked(&mut FixedSelector::new(vec![8]), &v).is_err(),
             "reaching past the corruption still fails"
         );
-    }
-
-    #[test]
-    fn cost_models_reproduce_paper_asymmetry() {
-        let costs = WorkloadCosts {
-            seek_per_frame: 0.5e-6,
-            iframe_decode: 2.0e-3,
-            full_decode_per_frame: 8.0e-3,
-            mse_per_pair: 4.0e-3,
-            resize_to_nn: 0.5e-3,
-            nn_inference: 10.0e-3,
-        };
-        let seek = SelectorCost::metadata_seek();
-        let full = SelectorCost::full_stream_decode();
-        let compare = SelectorCost::full_stream_decode().with_pairwise_compare();
-        // Unanalysed frames: seeking pays only the metadata scan.
-        assert!(seek.per_frame_secs(&costs, false) < 1e-5);
-        assert!((full.per_frame_secs(&costs, false) - 8.0e-3).abs() < 1e-12);
-        assert!((compare.per_frame_secs(&costs, false) - 12.0e-3).abs() < 1e-12);
-        // Analysed frames: seeking adds the independent decode + resize.
-        assert!((seek.per_frame_secs(&costs, true) - (0.5e-6 + 2.0e-3 + 0.5e-3)).abs() < 1e-12);
-        assert!(seek.per_frame_secs(&costs, true) < full.per_frame_secs(&costs, true));
-    }
-
-    #[test]
-    fn default_calibrate_replicates_threshold_free_selection() {
-        let v = video(3, 9);
-        let mut sel = IFrameSelector::new();
-        let curve = sel.calibrate(&v, &[1.0, 2.0, 3.0]).unwrap();
-        assert_eq!(curve.points.len(), 3);
-        for p in &curve.points {
-            assert_eq!(p.selected, v.i_frame_indices());
-        }
     }
 
     #[test]
@@ -850,7 +557,7 @@ mod tests {
         let v = video(3, 9);
         let mut boxed: Box<dyn FrameSelector> = Box::new(IFrameSelector::new());
         assert_eq!(boxed.name(), "sieve");
+        assert!(!boxed.requires_full_decode());
         assert_eq!(boxed.select_indices(&v).unwrap(), vec![0, 3, 6]);
-        assert_eq!(boxed.cost_model(), SelectorCost::metadata_seek());
     }
 }

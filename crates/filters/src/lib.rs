@@ -36,7 +36,7 @@ pub mod sift;
 pub use detector::{calibrate_threshold, score_sequence, select_frames, ChangeDetector};
 pub use mse::{mse_luma, MseDetector};
 pub use select::{
-    selector_for, AdaptiveChangeSession, Budget, ChangeSelector, MseSelector, SiftSelector,
+    AdaptiveChangeSession, Budget, CalibrationPoint, ChangeSelector, MseSelector, SiftSelector,
     UniformSelector,
 };
 pub use sift::{SiftConfig, SiftDetector};

@@ -4,9 +4,9 @@
 //! selection layer. Each adapter is a session factory:
 //!
 //! * [`UniformSelector`] decides every frame from its index alone — its
-//!   session never touches pixels, though the cost model still charges the
-//!   full decode (P-frames chain, so *reaching* a sampled frame means
-//!   decoding up to it);
+//!   session never touches pixels, though it still requires the full
+//!   decode (P-frames chain, so *reaching* a sampled frame means decoding
+//!   up to it);
 //! * [`ChangeSelector`] (MSE, SIFT, any [`ChangeDetector`]) requests pixels
 //!   per frame ([`Decision::NeedsDecode`]), scores against the previous
 //!   frame — the only decoded state a session holds — and keeps frames
@@ -20,17 +20,15 @@
 //! [`AdaptiveChangeSession`] tracks the score distribution as it streams
 //! (EWMA + P² quantile) and retargets its threshold continuously, so a
 //! live edge hits a requested sampling rate with no offline pass at all.
-//! The batched [`FrameSelector::calibrate`] /
-//! [`FrameSelector::calibrate_fractions`] overrides score once and sweep
-//! every requested operating point in memory — Fig 3's one-decode
-//! calibration. Adding a baseline to the whole system is: implement the
-//! session factory here and give it a [`SelectorCost`] shape.
+//! [`ChangeSelector::calibrate_fractions`] scores once and sweeps every
+//! requested fraction in memory — Fig 3's one-decode calibration. Adding a
+//! baseline to the whole system is: implement the session factory here and
+//! price it in `sieve_core::SelectorKind::per_frame_secs`.
 
 use std::sync::Arc;
 
 use sieve_core::{
-    CalibrationCurve, CalibrationPoint, Decision, EncodedFrameMeta, FrameSelector, RateController,
-    SelectorCost, SelectorSession, SieveError,
+    Decision, EncodedFrameMeta, FrameSelector, RateController, SelectorSession, SieveError,
 };
 use sieve_video::{Decoder, EncodedVideo, Frame};
 
@@ -89,12 +87,6 @@ impl UniformSelector {
 impl FrameSelector for UniformSelector {
     fn name(&self) -> &'static str {
         "uniform"
-    }
-
-    fn cost_model(&self) -> SelectorCost {
-        // The *indices* need no pixels, but reaching a sampled frame in a
-        // P-frame chain means full-decoding up to it.
-        SelectorCost::full_stream_decode()
     }
 
     fn session(&self) -> Box<dyn SelectorSession> {
@@ -191,6 +183,47 @@ impl<D: ChangeDetector> ChangeSelector<D> {
         }
         Ok(())
     }
+
+    /// Sweeps a batch of target sampling fractions in one pass: score the
+    /// video once, resolve each fraction to an absolute threshold and apply
+    /// it in memory — Fig 3's one-decode calibration. The budget is not
+    /// consulted. Points come back in the order the fractions were given.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`SieveError`] if the video fails to decode, or
+    /// [`SieveError::Selector`] for a fraction outside `(0, 1]`.
+    pub fn calibrate_fractions(
+        &mut self,
+        video: &EncodedVideo,
+        fractions: &[f64],
+    ) -> Result<Vec<CalibrationPoint>, SieveError> {
+        let scores = self.scores(video)?;
+        let n = video.frame_count();
+        fractions
+            .iter()
+            .map(|&f| {
+                Self::validate_fraction(f)?;
+                let threshold = calibrate_threshold(&scores, n, f);
+                Ok(CalibrationPoint {
+                    fraction: f,
+                    threshold,
+                    selected: select_frames(&scores, threshold),
+                })
+            })
+            .collect()
+    }
+}
+
+/// One operating point of [`ChangeSelector::calibrate_fractions`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct CalibrationPoint {
+    /// The requested sampling fraction, exactly as passed in.
+    pub fraction: f64,
+    /// The absolute change-score threshold the fraction resolved to.
+    pub threshold: f64,
+    /// Frame indices selected at this operating point.
+    pub selected: Vec<usize>,
 }
 
 impl<D: ChangeDetector + Clone + Send + 'static> FrameSelector for ChangeSelector<D> {
@@ -200,10 +233,6 @@ impl<D: ChangeDetector + Clone + Send + 'static> FrameSelector for ChangeSelecto
         } else {
             self.name
         }
-    }
-
-    fn cost_model(&self) -> SelectorCost {
-        SelectorCost::full_stream_decode().with_pairwise_compare()
     }
 
     fn target_rate(&self) -> Option<f64> {
@@ -280,46 +309,6 @@ impl<D: ChangeDetector + Clone + Send + 'static> FrameSelector for ChangeSelecto
                 }
             },
         }
-    }
-
-    fn calibrate(
-        &mut self,
-        video: &EncodedVideo,
-        thresholds: &[f64],
-    ) -> Result<CalibrationCurve, SieveError> {
-        let scores = self.scores(video)?;
-        Ok(CalibrationCurve {
-            points: thresholds
-                .iter()
-                .map(|&t| CalibrationPoint {
-                    target: t,
-                    threshold: t,
-                    selected: select_frames(&scores, t),
-                })
-                .collect(),
-        })
-    }
-
-    fn calibrate_fractions(
-        &mut self,
-        video: &EncodedVideo,
-        fractions: &[f64],
-    ) -> Result<CalibrationCurve, SieveError> {
-        let scores = self.scores(video)?;
-        let n = video.frame_count();
-        let points = fractions
-            .iter()
-            .map(|&f| {
-                Self::validate_fraction(f)?;
-                let threshold = calibrate_threshold(&scores, n, f);
-                Ok(CalibrationPoint {
-                    target: f,
-                    threshold,
-                    selected: select_frames(&scores, threshold),
-                })
-            })
-            .collect::<Result<Vec<_>, SieveError>>()?;
-        Ok(CalibrationCurve { points })
     }
 }
 
@@ -520,22 +509,6 @@ impl SiftSelector {
     }
 }
 
-/// Builds the boxed selector for a simulated baseline's
-/// [`sieve_core::SelectorKind`] — the runtime half of the baseline
-/// registry. `budget` applies to threshold baselines; `uniform_interval`
-/// to uniform sampling.
-pub fn selector_for(
-    kind: sieve_core::SelectorKind,
-    budget: Budget,
-    uniform_interval: usize,
-) -> Box<dyn FrameSelector> {
-    match kind {
-        sieve_core::SelectorKind::IFrame => Box::new(sieve_core::IFrameSelector::new()),
-        sieve_core::SelectorKind::Uniform => Box::new(UniformSelector::new(uniform_interval)),
-        sieve_core::SelectorKind::Mse => Box::new(MseSelector::mse(budget)),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -606,8 +579,13 @@ mod tests {
         let v = sample_video(20);
         let mut sel = UniformSelector::new(5);
         assert_eq!(sel.select_indices(&v).unwrap(), vec![0, 5, 10, 15]);
-        let picked = sel.select(&v).unwrap();
-        assert_eq!(picked.len(), 4);
+        let mut picked = 0;
+        sel.select_with(&v, &mut |_, _| {
+            picked += 1;
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(picked, 4);
         assert!(sel.requires_full_decode());
     }
 
@@ -627,7 +605,10 @@ mod tests {
     fn mse_selector_rejects_bad_fraction() {
         let v = sample_video(8);
         let mut sel = MseSelector::mse(Budget::Fraction(0.0));
-        assert!(matches!(sel.select(&v), Err(SieveError::Selector(_))));
+        assert!(matches!(
+            sel.select_with(&v, &mut |_, _| Ok(())),
+            Err(SieveError::Selector(_))
+        ));
     }
 
     #[test]
@@ -679,30 +660,33 @@ mod tests {
 
     #[test]
     fn calibrate_sweeps_many_thresholds_in_one_pass() {
+        // The one-pass scorer behind the sweep equals `score_sequence`
+        // over a full decode, at every resolved threshold.
         let v = sample_video(20);
         let frames = v.decode_all().unwrap();
         let scores = score_sequence(&mut MseDetector::new(), &frames);
-        let thresholds = [0.0, 10.0, 1e9];
-        let curve = MseSelector::mse(Budget::Threshold(0.0))
-            .calibrate(&v, &thresholds)
+        let fractions = [0.05, 0.1, 0.5, 1.0];
+        let points = MseSelector::mse(Budget::Threshold(0.0))
+            .calibrate_fractions(&v, &fractions)
             .unwrap();
-        assert_eq!(curve.points.len(), 3);
-        for (p, &t) in curve.points.iter().zip(&thresholds) {
-            assert_eq!(p.selected, select_frames(&scores, t));
+        assert_eq!(points.len(), fractions.len());
+        for (p, &f) in points.iter().zip(&fractions) {
+            assert_eq!(p.fraction, f);
+            assert_eq!(p.selected, select_frames(&scores, p.threshold));
         }
-        // Everything passes a zero threshold... and a huge one keeps only
-        // frame 0.
-        assert_eq!(curve.points[2].selected, vec![0]);
+        // The smallest budget keeps little; the whole budget keeps all.
+        assert!(points[0].selected.len() < points[3].selected.len());
+        assert_eq!(points[3].selected.len(), 20);
     }
 
     #[test]
     fn calibrate_fractions_matches_fraction_budget() {
         let v = sample_video(20);
-        let curve = MseSelector::mse(Budget::Threshold(0.0))
+        let points = MseSelector::mse(Budget::Threshold(0.0))
             .calibrate_fractions(&v, &[0.1, 0.5])
             .unwrap();
-        for p in &curve.points {
-            let mut sel = MseSelector::mse(Budget::Fraction(p.target));
+        for p in &points {
+            let mut sel = MseSelector::mse(Budget::Fraction(p.fraction));
             assert_eq!(sel.select_indices(&v).unwrap(), p.selected);
         }
     }
@@ -736,7 +720,10 @@ mod tests {
     fn target_rate_rejects_bad_rate() {
         let v = sample_video(8);
         let mut sel = MseSelector::mse(Budget::TargetRate(0.0));
-        assert!(matches!(sel.select(&v), Err(SieveError::Selector(_))));
+        assert!(matches!(
+            sel.select_with(&v, &mut |_, _| Ok(())),
+            Err(SieveError::Selector(_))
+        ));
         // Even without prepare, a raw session surfaces the bad rate.
         let session_err = MseSelector::mse(Budget::TargetRate(1.5)).session().finish();
         assert!(matches!(session_err, Err(SieveError::Selector(_))));
@@ -758,31 +745,17 @@ mod tests {
     }
 
     #[test]
-    fn cost_models_match_simulator_registry() {
-        // The simulator's SelectorKind rows must name exactly the cost
-        // models the real FrameSelector implementations own — the "one
-        // cost source" invariant the core crate cannot test itself.
-        for kind in [
-            sieve_core::SelectorKind::IFrame,
-            sieve_core::SelectorKind::Uniform,
-            sieve_core::SelectorKind::Mse,
-        ] {
-            let sel = selector_for(kind, Budget::Fraction(0.1), 5);
-            assert_eq!(sel.cost_model(), kind.cost_model(), "{kind:?}");
-        }
-    }
-
-    #[test]
     fn adapters_run_through_generic_driver() {
         let v = sample_video(24);
         let labels = vec![sieve_datasets_label(); 24];
         let mut oracle = OracleDetector::new(labels);
-        for mut sel in [
-            selector_for(sieve_core::SelectorKind::IFrame, Budget::Fraction(0.2), 6),
-            selector_for(sieve_core::SelectorKind::Uniform, Budget::Fraction(0.2), 6),
-            selector_for(sieve_core::SelectorKind::Mse, Budget::Fraction(0.2), 6),
-        ] {
-            let result = analyze(&v, &mut sel, &mut oracle).expect("analysis");
+        let selectors: [Box<dyn FrameSelector>; 3] = [
+            Box::new(sieve_core::IFrameSelector::new()),
+            Box::new(UniformSelector::new(6)),
+            Box::new(MseSelector::mse(Budget::Fraction(0.2))),
+        ];
+        for mut sel in selectors {
+            let result = analyze(&v, sel.as_mut(), &mut oracle).expect("analysis");
             assert!(!result.selected.is_empty(), "{} selected none", sel.name());
             assert_eq!(result.predicted.len(), 24);
         }

@@ -99,7 +99,7 @@ fn single_stream_fleet_matches_run_live_analysis() {
             let fleet_selector = make();
             let id = fleet
                 .join(
-                    &fleet_selector,
+                    fleet_selector.as_ref(),
                     StreamConfig::new(label, encoded.resolution(), encoded.quality()),
                 )
                 .expect("join");

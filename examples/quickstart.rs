@@ -85,7 +85,7 @@ fn main() {
     println!("\nall baselines, one driver (matched to {budget} analysed frames):");
     for selector in &mut selectors {
         let mut nn = OracleDetector::for_video(&video);
-        let result = analyze(&encoded, selector, &mut nn).expect("analysis");
+        let result = analyze(&encoded, selector.as_mut(), &mut nn).expect("analysis");
         let quality = score_selection(
             video.labels(),
             &result.selected.iter().map(|&(i, _)| i).collect::<Vec<_>>(),

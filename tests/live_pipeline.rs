@@ -4,7 +4,7 @@
 //! decisions made *at the edge* by a streaming `SelectorSession`.
 
 use sieve::prelude::*;
-use sieve_core::{FixedSelector, SelectorCost, SelectorSession};
+use sieve_core::{FixedSelector, SelectorSession};
 use sieve_video::{EncodedFrame, EncodedVideo};
 
 fn jackson() -> SyntheticVideo {
@@ -83,16 +83,14 @@ fn live_driver_never_batch_selects() {
         fn requires_full_decode(&self) -> bool {
             false
         }
-        fn cost_model(&self) -> SelectorCost {
-            SelectorCost::metadata_seek()
-        }
         fn session(&self) -> Box<dyn SelectorSession> {
             IFrameSelector::new().session()
         }
-        fn select(
+        fn select_with(
             &mut self,
             _video: &EncodedVideo,
-        ) -> Result<Vec<(usize, sieve_video::Frame)>, SieveError> {
+            _visit: &mut dyn FnMut(usize, &sieve_video::Frame) -> Result<(), SieveError>,
+        ) -> Result<(), SieveError> {
             panic!("live driver materialised a whole-video selection");
         }
         fn select_indices(&mut self, _video: &EncodedVideo) -> Result<Vec<usize>, SieveError> {

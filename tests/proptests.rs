@@ -198,7 +198,6 @@ proptest! {
             // The edge prices every frame by its selector and analyses the
             // selected count; edge-only also infers, cloud-only just relays.
             let BaselineSpec { selector, deployment } = baseline.spec();
-            let cost = selector.cost_model();
             let edge_busy = |v: &VideoWorkload| {
                 let kept = match selector {
                     SelectorKind::Mse => v.mse_selected,
@@ -206,7 +205,7 @@ proptest! {
                 } as f64;
                 let (c, skipped) = (&v.costs, v.frame_count as f64 - kept);
                 let select =
-                    skipped * cost.per_frame_secs(c, false) + kept * cost.per_frame_secs(c, true);
+                    skipped * selector.per_frame_secs(c, false) + kept * selector.per_frame_secs(c, true);
                 match deployment {
                     Deployment::EdgeSelectCloudNn => select,
                     Deployment::EdgeOnly => select + kept * c.nn_inference,

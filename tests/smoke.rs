@@ -53,8 +53,8 @@ fn all_selectors_flow_through_unified_layer() {
     for selector in &mut selectors {
         let mut nn = OracleDetector::for_video(&video);
         let name = selector.name();
-        let result =
-            analyze(&encoded, selector, &mut nn).unwrap_or_else(|e| panic!("{name} failed: {e}"));
+        let result = analyze(&encoded, selector.as_mut(), &mut nn)
+            .unwrap_or_else(|e| panic!("{name} failed: {e}"));
         assert!(!result.selected.is_empty(), "{name} selected nothing");
         assert_eq!(result.predicted.len(), encoded.frame_count());
         // Selected tuples carry the detector's labels at their own frames.
