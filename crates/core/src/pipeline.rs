@@ -87,6 +87,8 @@ impl SelectorKind {
     /// I-frame decode for the seeker.
     pub fn per_frame_secs(&self, costs: &WorkloadCosts, analysed: bool) -> f64 {
         let c = costs;
+        // Keep each sum's left-to-right order: regrouping the terms can
+        // change the last bit of a price, and with it the simulator's output.
         match (self, analysed) {
             (SelectorKind::IFrame, false) => c.seek_per_frame,
             (SelectorKind::IFrame, true) => c.seek_per_frame + c.iframe_decode + c.resize_to_nn,
