@@ -1,5 +1,5 @@
-//! Raw codec speed: the SIMD kernel tier and the GOP-parallel encoder
-//! against the portable scalar tier, on one synthetic eval scene.
+//! Raw codec speed: the SIMD kernel tier against the portable scalar tier,
+//! on one synthetic eval scene.
 //!
 //! Two sweeps:
 //!
@@ -13,11 +13,12 @@
 //!   parse of the test sequence's P-frames, and `entropy_encode`, the
 //!   writer coding the same blocks again, which have no SIMD tier and are
 //!   swept for their absolute rates.
-//! * **Whole pipeline** — encode throughput at scalar/1-thread (the seed
-//!   configuration), SIMD/1-thread, and SIMD/N-thread GOP-parallel; decode
-//!   throughput scalar vs SIMD over the batch decoder, restated per
-//!   macroblock and beside the payload size so it can be held against a
-//!   decoder running larger pictures.
+//! * **Whole pipeline** — encode throughput of the one-thread
+//!   [`Encoder::encode_frame`] loop, scalar (the seed configuration) and
+//!   SIMD; decode throughput scalar vs SIMD over the batch decoder, of the
+//!   clip [`EncodedVideo::encode`] makes, restated per macroblock and beside
+//!   the payload size so it can be held against a decoder running larger
+//!   pictures.
 //!
 //! Results land in `BENCH_codec.json` at the repository root,
 //! schema-validated by [`sieve_bench::codec_artifact`] so CI (or a later
@@ -39,7 +40,7 @@ use sieve_datasets::{DatasetId, DatasetSpec};
 use sieve_video::bitio::{BitReader, BitWriter, ReadBitsError};
 use sieve_video::kernels::{self, scalar};
 use sieve_video::{
-    entropy, motion, BitstreamStats, EncodedVideo, EncoderConfig, Frame, FrameType, Plane,
+    entropy, motion, BitstreamStats, EncodedVideo, Encoder, EncoderConfig, Frame, FrameType, Plane,
 };
 
 /// Where the serialized results land: the workspace root, two levels up
@@ -421,9 +422,8 @@ fn main() {
     let pipeline_samples = if quick { 3 } else { 7 };
     let level = kernels::active_level();
     println!(
-        "Codec raw speed: kernel tier = {level}, {} cores \
-         (scalar columns pin the dispatcher to its portable tier)\n",
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+        "Codec raw speed: kernel tier = {level} \
+         (scalar columns pin the dispatcher to its portable tier)\n"
     );
 
     // One eval scene, encoded with the harness's mid-grid parameters.
@@ -434,8 +434,7 @@ fn main() {
     let frames: Vec<Frame> = (0..n_frames).map(|i| video.frame(i)).collect();
     let res = video.resolution();
     let config = EncoderConfig::new(30, 150);
-    let workers = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let encoded = EncodedVideo::encode_parallel(res, video.fps(), config, &frames, workers);
+    let encoded = EncodedVideo::encode(res, video.fps(), config, frames.clone());
 
     // -- Micro-kernels ------------------------------------------------------
     let (kernel_points, kernel_rows, entropy_codes) = kernel_sweep(kernel_samples, &encoded);
@@ -445,18 +444,21 @@ fn main() {
     );
 
     // -- Whole pipeline -----------------------------------------------------
-    let encode_fps = |name: &str, scalar_tier: bool, workers: usize| {
+    let encode_fps = |name: &str, scalar_tier: bool| {
         kernels::force_scalar(scalar_tier);
         let est = timed(name, pipeline_samples, || {
-            EncodedVideo::encode_parallel(res, video.fps(), config, &frames, workers)
+            let mut encoder = Encoder::new(res, config);
+            frames
+                .iter()
+                .map(|f| encoder.encode_frame(f))
+                .collect::<Vec<_>>()
         });
         kernels::force_scalar(false);
         n_frames as f64 / est.median.as_secs_f64()
     };
     // The seed configuration: scalar kernels, one thread.
-    let scalar_1t = encode_fps("codec/encode/scalar-1t", true, 1);
-    let simd_1t = encode_fps("codec/encode/simd-1t", false, 1);
-    let simd_nt = encode_fps("codec/encode/simd-nt", false, workers);
+    let scalar_1t = encode_fps("codec/encode/scalar-1t", true);
+    let simd_1t = encode_fps("codec/encode/simd-1t", false);
 
     let decode_fps = |name: &str, scalar_tier: bool| {
         kernels::force_scalar(scalar_tier);
@@ -481,10 +483,8 @@ fn main() {
         seed_1t_fps: seed_1t,
         scalar_1t_fps: scalar_1t,
         simd_1t_fps: simd_1t,
-        simd_nt_fps: simd_nt,
-        workers,
         speedup_simd: simd_1t / scalar_1t,
-        speedup_total: simd_nt / seed_1t,
+        speedup_total: simd_1t / seed_1t,
     };
     let macroblocks = res.mb_cols() * res.mb_rows();
     let payload_bytes = BitstreamStats::from_video(&encoded).total_bytes;
@@ -506,21 +506,13 @@ fn main() {
     println!(
         "\n{}",
         table(
-            &[
-                "pipeline",
-                "seed fps",
-                "scalar fps",
-                "simd fps",
-                "simd N-thread fps",
-                "speedup",
-            ],
+            &["pipeline", "seed fps", "scalar fps", "simd fps", "speedup"],
             &[
                 vec![
-                    format!("encode ({n_frames} frames, {workers} workers)"),
+                    format!("encode ({n_frames} frames, 1 thread)"),
                     format!("{seed_1t:.1}"),
                     format!("{scalar_1t:.1}"),
                     format!("{simd_1t:.1}"),
-                    format!("{simd_nt:.1}"),
                     format!("{:.2}x vs seed", encode.speedup_total),
                 ],
                 vec![
@@ -528,7 +520,6 @@ fn main() {
                     "-".to_string(),
                     format!("{dec_scalar:.1}"),
                     format!("{dec_simd:.1}"),
-                    "-".to_string(),
                     format!("{:.2}x vs scalar", decode.speedup),
                 ],
             ]

@@ -4,11 +4,9 @@
 //! The codec artifact tracks the raw-speed trajectory of the codec hot
 //! loops PR-over-PR: every point carries a scalar column (the kernel
 //! dispatcher pinned to its portable tier) next to the SIMD column from
-//! the same process, and the encode point additionally carries a
-//! 1-thread-vs-N-thread column for the GOP-parallel pipeline. Since both
-//! columns of each pair are measured back to back on the same machine,
-//! the in-artifact ratios are meaningful even though absolute numbers are
-//! machine-dependent. The encode point also pins a **seed baseline** — the
+//! the same process. Since both columns of each pair are measured back to
+//! back on the same machine, the in-artifact ratios are meaningful even
+//! though absolute numbers are machine-dependent. The encode point also pins a **seed baseline** — the
 //! throughput of the growth-seed encoder measured once on the same scene
 //! and machine — and quotes the headline `speedup_total` against it, so
 //! the artifact tracks cumulative progress, not just the current build's
@@ -43,7 +41,7 @@ pub struct KernelPoint {
     pub speedup: f64,
 }
 
-/// The whole-pipeline encode point: scalar vs SIMD vs SIMD + GOP-parallel.
+/// The whole-pipeline encode point: the one-thread encoder, scalar vs SIMD.
 #[derive(Debug, Serialize)]
 pub struct EncodePoint {
     /// Timing samples per column.
@@ -60,15 +58,11 @@ pub struct EncodePoint {
     pub scalar_1t_fps: f64,
     /// SIMD single-thread throughput, frames/second.
     pub simd_1t_fps: f64,
-    /// SIMD GOP-parallel throughput at `workers` threads, frames/second.
-    pub simd_nt_fps: f64,
-    /// Worker threads used for the N-thread column.
-    pub workers: usize,
     /// `simd_1t_fps / scalar_1t_fps` — the vectorization win alone, with
     /// the structural optimizations held equal.
     pub speedup_simd: f64,
-    /// `simd_nt_fps / seed_1t_fps` — the headline: SIMD, the structural
-    /// hot-loop work, and GOP-parallelism over the seed encoder.
+    /// `simd_1t_fps / seed_1t_fps` — the headline: SIMD and the structural
+    /// hot-loop work over the seed encoder, both on one thread.
     pub speedup_total: f64,
 }
 
@@ -139,8 +133,6 @@ const ENCODE: Shape = Shape::Obj(&[
     ("seed_1t_fps", Shape::Pos),
     ("scalar_1t_fps", Shape::Pos),
     ("simd_1t_fps", Shape::Pos),
-    ("simd_nt_fps", Shape::Pos),
-    ("workers", Shape::Count),
     ("speedup_simd", Shape::Pos),
     ("speedup_total", Shape::Pos),
 ]);
@@ -248,10 +240,8 @@ mod tests {
                 seed_1t_fps: 100.0,
                 scalar_1t_fps: 260.0,
                 simd_1t_fps: 450.0,
-                simd_nt_fps: 470.0,
-                workers: 2,
                 speedup_simd: 450.0 / 260.0,
-                speedup_total: 4.7,
+                speedup_total: 4.5,
             },
             decode: DecodePoint {
                 samples: 5,
@@ -304,8 +294,8 @@ mod tests {
         assert!(validate(&to_json(&a)).is_err());
     }
 
-    /// Every leaf has a type; counts are integers, so `workers: 1.5`,
-    /// `samples: 0.3` and `frames: 2.5` do not validate.
+    /// Every leaf has a type; counts are integers, so `samples: 0.3` and
+    /// `frames: 2.5` do not validate.
     #[test]
     fn wrong_typed_leaves_are_rejected_by_path() {
         for (path, json) in schema::wrong_typed_leaves(&to_json(&sample())) {
@@ -328,15 +318,13 @@ mod tests {
     }
 
     /// The committed artifact at the repository root must match the schema
-    /// this session of the code writes, and must record the headlines:
-    /// SIMD + GOP-parallel encode at least 4x over the seed scalar
-    /// single-thread configuration, GOP-parallel encode at least 1.2x over
-    /// one thread whenever it ran with two or more workers, and the
-    /// one-window / pair-table
-    /// decoder's floor on the 112x80 scene, 98k frames/s, 90% of the
-    /// 109k the artifact records (the byte-chunked reader two decoders back
-    /// read 33.6k; all measured on the machine that produced the artifact,
-    /// both columns of each pair in the same process).
+    /// this code writes, and must record the headlines: SIMD encode on one
+    /// thread at least 4x over the seed scalar single-thread configuration,
+    /// and the one-window / pair-table decoder's floor on the 112x80 scene,
+    /// 98k frames/s, 90% of the 109k the artifact records (the byte-chunked
+    /// reader two decoders back read 33.6k; all measured on the machine that
+    /// produced the artifact, both columns of each pair in the same
+    /// process).
     #[test]
     fn committed_artifact_is_schema_stable() {
         let json = std::fs::read_to_string(concat!(
@@ -345,8 +333,7 @@ mod tests {
         ))
         .expect("BENCH_codec.json missing at the repository root");
         let root = checked(&json).expect("committed artifact must validate");
-        let encode = schema::member(&root, "encode");
-        let total = schema::number_of(encode, "speedup_total");
+        let total = schema::number_of(schema::member(&root, "encode"), "speedup_total");
         let decode_fps = schema::number_of(schema::member(&root, "decode"), "simd_fps");
         assert!(
             decode_fps >= 98_000.0,
@@ -355,13 +342,6 @@ mod tests {
         assert!(
             total >= 4.0,
             "committed artifact must record >= 4x encode speedup, got {total}"
-        );
-        let workers = schema::number_of(encode, "workers");
-        let parallel =
-            schema::number_of(encode, "simd_nt_fps") / schema::number_of(encode, "simd_1t_fps");
-        assert!(
-            workers < 2.0 || parallel >= 1.2,
-            "committed artifact must record >= 1.2x GOP-parallel encode at {workers} workers, got {parallel}"
         );
     }
 }

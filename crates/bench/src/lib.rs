@@ -5,15 +5,16 @@
 //! | binary | reproduces |
 //! |---|---|
 //! | `paper_bench` | the paper's evaluation (Section V) in one run — Table I–III, Fig 3–5 and the ablations — tracked in `BENCH_paper.json` |
-//! | `codec_bench` | beyond the paper: raw codec speed — SIMD kernel tier and GOP-parallel encode vs the scalar tier, tracked in `BENCH_codec.json` |
+//! | `codec_bench` | beyond the paper: raw codec speed — the SIMD kernel tier vs the scalar tier, tracked in `BENCH_codec.json` |
 //! | `fig4_fleet` | beyond the paper: the fleet's kept frames over a bandwidth-capped lossy WAN — FEC × feedback A/B over a loss sweep, tracked in `BENCH_wan.json` |
 //!
 //! Run any of them with `cargo run --release -p sieve-bench --bin <name>`.
 //! Pass `--scale small` or `--scale full` (default `tiny`) for longer,
 //! higher-resolution runs.
 //!
-//! The four committed artifacts (`BENCH_paper.json`, `BENCH_codec.json`,
-//! `BENCH_wan.json`, `stats.json`) share one shape checker, [`schema`].
+//! The three committed artifacts (`BENCH_paper.json`, `BENCH_codec.json`,
+//! `BENCH_wan.json`) and the `stats.json` series `fleet_top` exports share
+//! one shape checker, [`schema`].
 //!
 //! [`calibrate`] times every per-operation cost the Fig 4/5 simulator
 //! replays, and every `codec_bench` row. The NN enters the evaluation only

@@ -1,8 +1,9 @@
-//! What shape a committed artifact must have: one [`Shape`] value per
-//! artifact, one [`check`] that walks JSON against it.
+//! What shape an artifact must have: one [`Shape`] value per artifact, one
+//! [`check`] that walks JSON against it.
 //!
-//! `BENCH_codec.json`, `BENCH_wan.json` and `stats.json` each declare a
-//! `const SHAPE` and hand their text to [`parse`]; what is left in the
+//! The modules of the committed `BENCH_paper.json`, `BENCH_codec.json` and
+//! `BENCH_wan.json`, and of the `stats.json` series `fleet_top` exports,
+//! each declare a `const SHAPE` and hand their text to [`parse`]; what is left in the
 //! artifact modules is the invariants that are about the experiment, read
 //! with the accessors at the bottom of this file from values the shape
 //! pass has already typed. Every leaf has a type, object keys are exact

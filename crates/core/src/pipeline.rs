@@ -616,6 +616,49 @@ mod tests {
         "t1 v3 MseEdgeCloudNn: fps 40594e1e6dbae78d makespan 4036815b416f35c6 cam 5910395 wan 127488 frames 2278",
     ];
 
+    /// Every per-frame price over the golden's three cost sets, as its
+    /// bits: regrouping a sum's terms (say `full_decode + (mse + resize)`)
+    /// can change a price's last bit without changing any row of
+    /// `simulate_all_is_bit_exact`.
+    #[test]
+    fn per_frame_secs_is_bit_exact() {
+        let mut rows = Vec::new();
+        for (v, video) in golden_videos().iter().enumerate() {
+            for kind in [
+                SelectorKind::IFrame,
+                SelectorKind::Uniform,
+                SelectorKind::Mse,
+            ] {
+                for analysed in [false, true] {
+                    let secs = kind.per_frame_secs(&video.costs, analysed);
+                    rows.push(format!("v{v} {kind:?} {analysed}: {:016x}", secs.to_bits()));
+                }
+            }
+        }
+        assert_eq!(rows, PRICE_GOLDEN);
+    }
+
+    const PRICE_GOLDEN: [&str; 18] = [
+        "v0 IFrame false: 3e98d48d35882223",
+        "v0 IFrame true: 3f631723de00a6c4",
+        "v0 Uniform false: 3f7de69ad42c3c9f",
+        "v0 Uniform true: 3f7fa97e132b55ef",
+        "v0 Mse false: 3f854c985f06f694",
+        "v0 Mse true: 3f862e09fe86833c",
+        "v1 IFrame false: 3e8e4afe31f2e1f7",
+        "v1 IFrame true: 3f574a4f99154655",
+        "v1 Uniform false: 3f723d4f15e7c8d2",
+        "v1 Uniform true: 3f735059b4a73c1a",
+        "v1 Mse false: 3f79fc2a8869c66e",
+        "v1 Mse true: 3f7b0f35272939b6",
+        "v2 IFrame false: 3ea1023ce363a6bf",
+        "v2 IFrame true: 3f6a2761c72ef8f3",
+        "v2 Uniform false: 3f847b677f6b1a2b",
+        "v2 Uniform true: 3f85b043294a7c26",
+        "v2 Mse false: 3f8d2e0e30446b6a",
+        "v2 Mse true: 3f8e62e9da23cd65",
+    ];
+
     #[test]
     #[should_panic(expected = "positive and finite")]
     fn rejects_a_topology_with_a_zero_rate() {

@@ -86,13 +86,13 @@ impl EncodedVideo {
     /// Encodes an entire frame sequence with `config`, byte-identical to
     /// feeding the frames through [`Encoder::encode_frame`] one by one.
     ///
-    /// The encode runs on two threads (see [`crate::parallel`]): the
-    /// calling thread pulls each frame from `frames` and decides its type,
-    /// and one scoped coding thread codes it, so rendering and the
-    /// lookahead overlap the coding. Each frame's payload is allocated on the
-    /// calling thread, where a one-thread encode would make it: payloads
-    /// outlive the encode, and allocated on the short-lived coding thread
-    /// they would pin that thread's malloc arena and raise peak RSS.
+    /// The encode runs on two threads: the calling thread pulls each frame
+    /// from `frames` and decides its type, and one scoped coding thread
+    /// codes it, so rendering and the lookahead overlap the coding. Each
+    /// frame's payload is allocated on the calling thread, where a
+    /// one-thread encode would make it: payloads outlive the encode, and
+    /// allocated on the short-lived coding thread they would pin that
+    /// thread's malloc arena and raise peak RSS.
     ///
     /// # Panics
     ///
@@ -106,22 +106,6 @@ impl EncodedVideo {
     {
         let mut video = Self::new(resolution, fps, config.quality);
         video.frames = crate::parallel::pipelined(resolution, config, frames);
-        video
-    }
-
-    /// Encodes an entire frame sequence with up to `workers` threads using
-    /// the GOP-parallel pipeline ([`crate::parallel`]). The resulting
-    /// container is byte-identical to [`EncodedVideo::encode`]'s.
-    pub fn encode_parallel(
-        resolution: Resolution,
-        fps: u32,
-        config: EncoderConfig,
-        frames: &[Frame],
-        workers: usize,
-    ) -> Self {
-        let frames = crate::parallel::encode(resolution, config, frames, workers);
-        let mut video = Self::new(resolution, fps, config.quality);
-        video.frames = frames;
         video
     }
 

@@ -424,7 +424,9 @@ fn place(ratio: Option<f64>, since_i: &mut usize, config: &EncoderConfig) -> Fra
 /// The encoder's decision half: the lookahead, the distance from the last
 /// I-frame and [`frame_type`]. It reads only the source frames, never a
 /// reconstruction, so it can run ahead of the coding half on another
-/// thread (see [`crate::parallel`]).
+/// thread (see [`EncodedVideo::encode`]).
+///
+/// [`EncodedVideo::encode`]: crate::EncodedVideo::encode
 #[derive(Debug)]
 pub(crate) struct Decider {
     config: EncoderConfig,

@@ -41,7 +41,7 @@ pub mod entropy;
 pub mod frame;
 pub mod kernels;
 pub mod motion;
-pub mod parallel;
+mod parallel;
 pub mod quality;
 pub mod quant;
 pub mod stats;

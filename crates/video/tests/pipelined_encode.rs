@@ -6,7 +6,8 @@
 //! frames of each `DatasetScale::Tiny` rendition of
 //! `DatasetSpec::for_stream(id, seed, k)` for tape `k`, at seeds 1 and 2.
 //! Every frame type and payload must equal the one-thread encoder's.
-//! Unoptimized, one shortened tape stands in for the ten.
+//! Unoptimized, one shortened tape stands in for the ten. An eval scene's
+//! encode must also decode back to frames of its resolution.
 //!
 //! The edge cases pin the pipeline's contract: empty and one-frame input,
 //! a mid-stream resolution change still panics with the encoder's message,
@@ -61,6 +62,20 @@ fn pipelined_encode_equals_the_one_thread_encoder_on_the_tapes() {
             &got,
             &format!("seed {seed} tape {k} ({id:?}, GOP {gop})"),
         );
+    }
+}
+
+#[test]
+fn pipelined_bitstream_roundtrips_through_the_decoder() {
+    let video = DatasetSpec::of(DatasetId::JacksonSquare).generate(DatasetScale::Tiny);
+    let frames: Vec<Frame> = video.frames().take(40).collect();
+    let res = video.resolution();
+    let encoded = EncodedVideo::encode(res, video.fps(), EncoderConfig::new(8, 120), frames);
+    assert!(encoded.i_frame_indices().len() >= 2, "several GOPs");
+    let decoded = encoded.decode_all().expect("pipelined bitstream decodes");
+    assert_eq!(decoded.len(), 40);
+    for (i, f) in decoded.iter().enumerate() {
+        assert_eq!(f.resolution(), res, "frame {i} resolution");
     }
 }
 

@@ -127,10 +127,9 @@ const RULES: &[Rule] = &[
         },
     },
     Rule {
-        // The codec crate sits below the fleet pool facade, so its
-        // scoped-thread sites (the pipelined and the GOP-parallel encode in
-        // `parallel.rs`) and each spawn in them carry a justified allow;
-        // anything new must too.
+        // The codec crate sits below the fleet pool facade, so its one
+        // scoped-thread site (the pipelined encode in `parallel.rs`) and
+        // the spawn in it carry a justified allow; anything new must too.
         name: "no-raw-spawn",
         message: "raw thread spawn bypasses the sieve_stats::sync::thread \
                   facade — workers must be schedulable by the model checker",
