@@ -29,6 +29,7 @@
 //! sample counts, `--no-artifact` to skip the JSON write).
 
 use std::hint::black_box;
+use std::path::Path;
 
 use sieve_bench::calibrate::{measure, Estimate};
 use sieve_bench::codec_artifact::{
@@ -42,10 +43,6 @@ use sieve_video::kernels::{self, scalar};
 use sieve_video::{
     entropy, motion, BitstreamStats, EncodedVideo, Encoder, EncoderConfig, Frame, FrameType, Plane,
 };
-
-/// Where the serialized results land: the workspace root, two levels up
-/// from this crate's manifest.
-const ARTIFACT_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_codec.json");
 
 fn bool_flag(name: &str) -> bool {
     std::env::args().any(|a| a == name)
@@ -66,12 +63,12 @@ fn f64_flag(name: &str) -> Option<f64> {
 /// neither available, the current scalar single-thread figure stands in —
 /// strictly conservative, since the seed lacks this PR's structural
 /// hot-loop work.
-fn resolve_seed_baseline(scalar_1t_fps: f64) -> f64 {
+fn resolve_seed_baseline(scalar_1t_fps: f64, artifact_path: &Path) -> f64 {
     if let Some(fps) = f64_flag("--seed-fps") {
         println!("seed baseline: {fps:.1} fps (--seed-fps)");
         return fps;
     }
-    if let Ok(prev) = std::fs::read_to_string(ARTIFACT_PATH) {
+    if let Ok(prev) = std::fs::read_to_string(artifact_path) {
         if let Some(fps) = seed_baseline_fps(&prev) {
             println!("seed baseline: {fps:.1} fps (carried from BENCH_codec.json)");
             return fps;
@@ -418,6 +415,7 @@ fn kernel_sweep(
 fn main() {
     let scale = scale_from_args();
     let quick = bool_flag("--quick");
+    let artifact_path = sieve_bench::artifact_path("BENCH_codec.json");
     let kernel_samples = if quick { 5 } else { 15 };
     let pipeline_samples = if quick { 3 } else { 7 };
     let level = kernels::active_level();
@@ -477,7 +475,7 @@ fn main() {
     let dec_scalar = decode_fps("codec/decode/scalar", true);
     let dec_simd = decode_fps("codec/decode/simd", false);
 
-    let seed_1t = resolve_seed_baseline(scalar_1t);
+    let seed_1t = resolve_seed_baseline(scalar_1t, &artifact_path);
     let encode = EncodePoint {
         samples: pipeline_samples,
         seed_1t_fps: seed_1t,
@@ -547,7 +545,7 @@ fn main() {
     if bool_flag("--no-artifact") {
         println!("\n--no-artifact: skipping BENCH_codec.json write");
     } else {
-        std::fs::write(ARTIFACT_PATH, json).expect("artifact written");
+        std::fs::write(artifact_path, json).expect("artifact written");
         println!("\nwrote BENCH_codec.json");
     }
 }

@@ -66,10 +66,6 @@ const QUEUE_SECS: f64 = 2.0;
 const FEEDBACK_QUANTUM_SECS: f64 = 0.1;
 const FEEDBACK_DELAY_SECS: f64 = 0.05;
 
-/// Where the serialized results land: the workspace root, two levels up
-/// from this crate's manifest.
-const ARTIFACT_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_wan.json");
-
 fn usize_flag(name: &str) -> Option<usize> {
     let args: Vec<String> = std::env::args().collect();
     args.iter()
@@ -277,6 +273,7 @@ fn serve(
 fn main() {
     let scale = scale_from_args();
     let quick = bool_flag("--quick");
+    let artifact_path = sieve_bench::artifact_path("BENCH_wan.json");
     // The full sweep runs long enough that the congestion-discovery
     // transient (the first ~2 s before AIMD finds the link) is amortized
     // out of the achieved-rate accounting.
@@ -387,7 +384,7 @@ fn main() {
     if bool_flag("--no-artifact") {
         println!("\n--no-artifact: skipping BENCH_wan.json write");
     } else {
-        std::fs::write(ARTIFACT_PATH, json).expect("artifact written");
+        std::fs::write(artifact_path, json).expect("artifact written");
         println!("\nwrote BENCH_wan.json");
     }
 }

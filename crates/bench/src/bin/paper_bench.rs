@@ -17,10 +17,6 @@ use sieve_bench::scale_from_args;
 use sieve_core::VideoWorkload;
 use sieve_datasets::DatasetId;
 
-/// Where the serialized results land: the workspace root, two levels up
-/// from this crate's manifest.
-const ARTIFACT_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_paper.json");
-
 /// Frames per video in Fig 4/5: the paper's 4 hours at 30 fps (5 videos =
 /// 2.16M).
 const FRAMES_PER_VIDEO: usize = 4 * 3600 * 30;
@@ -31,6 +27,7 @@ const FIG3_SCENECUTS: [u16; 7] = [60, 100, 130, 150, 170, 200, 240];
 
 fn main() {
     let scale = scale_from_args();
+    let artifact_path = sieve_bench::artifact_path("BENCH_paper.json");
     let datasets = DatasetId::ALL.map(|id| Prepared::new(id, scale));
     let labelled: Vec<&Prepared> = datasets.iter().filter(|p| p.spec.has_labels).collect();
     let workloads: Vec<_> = datasets
@@ -63,7 +60,7 @@ fn main() {
     };
     let json = serde_json::to_string_pretty(&artifact).expect("artifact serializes") + "\n";
     let text = paper_artifact::render(&json).expect("generated artifact passes its own schema");
-    std::fs::write(ARTIFACT_PATH, json).expect("artifact written");
+    std::fs::write(artifact_path, json).expect("artifact written");
     println!("{text}\nwrote BENCH_paper.json");
 }
 

@@ -32,7 +32,34 @@ pub mod schema;
 pub mod stats_artifact;
 pub mod wan_artifact;
 
+use std::path::{Path, PathBuf};
+
 use sieve_datasets::DatasetScale;
+
+/// The first of `start` and its ancestors whose `Cargo.toml` has a
+/// `[workspace]` table, or `None` if none has. The bench binaries write
+/// their `BENCH_*.json` there, found from the directory they run in, so a
+/// copy of the repository writes its own artifacts.
+fn workspace_root(start: &Path) -> Option<PathBuf> {
+    start
+        .ancestors()
+        .find(|dir| {
+            std::fs::read_to_string(dir.join("Cargo.toml"))
+                .is_ok_and(|manifest| manifest.lines().any(|l| l.trim() == "[workspace]"))
+        })
+        .map(Path::to_path_buf)
+}
+
+/// Where a bench binary writes the artifact `name`: the workspace root
+/// above the current directory. Exits with status 2 when there is none.
+pub fn artifact_path(name: &str) -> PathBuf {
+    let cwd = std::env::current_dir().unwrap_or_default();
+    let Some(root) = workspace_root(&cwd) else {
+        eprintln!("{name}: no Cargo.toml with a [workspace] table at or above {cwd:?}");
+        std::process::exit(2)
+    };
+    root.join(name)
+}
 
 /// Parses the common `--scale tiny|small|full` CLI argument (default
 /// `tiny`); a missing or unknown value exits with status 2, naming the
@@ -59,6 +86,28 @@ fn parse_scale(mut args: impl Iterator<Item = String>) -> Result<DatasetScale, S
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn workspace_root_is_the_nearest_workspace_ancestor() {
+        let tmp = std::env::temp_dir().join(format!("sieve-bench-root-{}", std::process::id()));
+        let nested = tmp.join("member/src/deep");
+        std::fs::create_dir_all(&nested).unwrap();
+        std::fs::write(
+            tmp.join("Cargo.toml"),
+            "[workspace]\nmembers = [\"member\"]\n",
+        )
+        .unwrap();
+        std::fs::write(
+            tmp.join("member/Cargo.toml"),
+            "[package]\nname = \"member\"\n",
+        )
+        .unwrap();
+        let found = workspace_root(&nested);
+        let outside = workspace_root(Path::new("/"));
+        std::fs::remove_dir_all(&tmp).unwrap();
+        assert_eq!(found, Some(tmp));
+        assert_eq!(outside, None);
+    }
 
     #[test]
     fn scale_parses_the_three_names_and_rejects_the_rest() {

@@ -14,6 +14,7 @@ use sieve_simnet::{GuardedPop, ShardQueue};
 /// does: `try_pop_guarded`, parking in `wait_for_work` while it reports
 /// `Empty`. A delivered item's lane is completed at once, so the result
 /// is never `Empty`; `Shutdown` is the worker's exit signal.
+// lint:allow(dead-pub): the worker step crates/check-tests/tests/{shard_queue,seeded_bug,wakeup}.rs share
 pub fn guarded_next<T>(q: &ShardQueue<T>) -> GuardedPop<T> {
     loop {
         match q.try_pop_guarded() {

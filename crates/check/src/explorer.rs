@@ -103,6 +103,7 @@ impl Checker {
     /// Caps the number of DFS executions before falling back to random
     /// schedules.
     #[must_use]
+    // lint:allow(dead-pub): the DFS budget crates/check-tests/tests/{fleet,steal,shard_queue}.rs set per model
     pub fn max_dfs_executions(mut self, n: usize) -> Self {
         self.max_dfs_executions = n;
         self
@@ -111,6 +112,7 @@ impl Checker {
     /// Number of seeded random schedules to run when the DFS budget is
     /// exhausted without completing.
     #[must_use]
+    // lint:allow(dead-pub): the random-schedule budget crates/check-tests/tests/fleet.rs sets per model
     pub fn random_executions(mut self, n: usize) -> Self {
         self.random_executions = n;
         self

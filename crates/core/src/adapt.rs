@@ -251,6 +251,7 @@ pub struct WanFeedback {
 
 /// The floor of the WAN target factor: a collapsed channel still samples
 /// at one fifth of the requested rate rather than going dark.
+// lint:allow(dead-pub): the floor crates/net/tests/feedback_convergence.rs holds sustained loss to
 pub const MIN_WAN_FACTOR: f64 = 0.2;
 
 /// Multiplicative decrease applied per quantum with unrecoverable blocks.
@@ -458,6 +459,7 @@ impl RateController {
     /// # Errors
     ///
     /// Returns [`SieveError::Selector`] for a target outside `(0, 1]`.
+    // lint:allow(dead-pub): the explicit-signal constructor; ROADMAP's globals item (a) makes it the only one
     pub fn with_wan_signal(target: f64, signal: Arc<WanSignal>) -> Result<Self, SieveError> {
         if !(target > 0.0 && target <= 1.0) {
             return Err(SieveError::selector(format!(
@@ -491,14 +493,6 @@ impl RateController {
     /// [`RateController::target`] while the WAN is healthy.
     pub fn effective_target(&self) -> f64 {
         self.target * self.wan.factor()
-    }
-
-    /// Folds one WAN feedback quantum into the coupled signal — the
-    /// edge-ward half of the `sieve-net` feedback loop. Sustained
-    /// unrecoverable loss tightens [`RateController::effective_target`];
-    /// clean quanta ease it back toward the requested target.
-    pub fn apply_wan_feedback(&mut self, fb: &WanFeedback) {
-        self.wan.apply(fb);
     }
 
     /// The threshold the next score will be compared against. Before any
@@ -814,9 +808,9 @@ mod tests {
     #[test]
     fn controller_effective_target_follows_its_signal() {
         let signal = Arc::new(WanSignal::new());
-        let mut rc = RateController::with_wan_signal(0.3, signal.clone()).unwrap();
+        let rc = RateController::with_wan_signal(0.3, signal.clone()).unwrap();
         assert!((rc.effective_target() - 0.3).abs() < 1e-12);
-        rc.apply_wan_feedback(&WanFeedback {
+        signal.apply(&WanFeedback {
             unrecoverable: 1,
             ..WanFeedback::default()
         });

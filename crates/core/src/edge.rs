@@ -187,7 +187,8 @@ fn outcome(decision: Decision, kept: impl FnOnce() -> Frame) -> EdgeOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::select::GreedySession;
+    use crate::select::{GreedySession, IFrameSelector};
+    use sieve_datasets::{DatasetId, DatasetScale, DatasetSpec};
     use sieve_video::{EncodedVideo, EncoderConfig};
 
     /// A session that demands pixels twice fails the frame on both paths,
@@ -215,6 +216,79 @@ mod tests {
                     matches!(outcome, EdgeOutcome::Failed),
                     "full_decode={full_decode}, frame {i}: {outcome:?}"
                 );
+            }
+        }
+    }
+
+    /// A frame's type from the wrong side of the `frame_type` field.
+    fn flipped(t: FrameType) -> FrameType {
+        match t {
+            FrameType::I => FrameType::P,
+            FrameType::P => FrameType::I,
+        }
+    }
+
+    /// The live edge boundary is the payload bytes plus the `frame_type`
+    /// field beside them, which the payload does not restate. A frame
+    /// whose type contradicts its payload, or whose payload is cut short,
+    /// never panics either path: `observe` answers with one of its three
+    /// outcomes, and the stream's next intact I-frame is kept again.
+    #[test]
+    fn contradicted_or_truncated_frames_never_panic_either_path() {
+        let video = DatasetSpec::of(DatasetId::JacksonSquare).generate(DatasetScale::Tiny);
+        let encoded = EncodedVideo::encode(
+            video.resolution(),
+            video.fps(),
+            EncoderConfig::new(10, 40),
+            video.frames().take(60),
+        );
+        let i_frames = encoded.i_frame_indices();
+        let (i_target, resync) = (i_frames[1], i_frames[2]);
+        let p_target = i_target + 1;
+        assert!(p_target < resync, "a P-frame follows the faulted I-frame");
+        type Fault = fn(FrameType, &[u8]) -> (FrameType, &[u8]);
+        let mislabelled: Fault = |t, data| (flipped(t), data);
+        let halved: Fault = |t, data| (t, &data[..data.len() / 2]);
+        let one_byte: Fault = |t, data| (t, &data[..1]);
+        let cases: [(&str, Fault, &[usize]); 3] = [
+            (
+                "an I marked P and a P marked I",
+                mislabelled,
+                &[i_target, p_target],
+            ),
+            ("a payload cut to half", halved, &[i_target, p_target]),
+            ("a payload cut to one byte", one_byte, &[i_target, p_target]),
+        ];
+        let selector = IFrameSelector::new();
+        for (fault, apply, targets) in cases {
+            for &target in targets {
+                for full_decode in [false, true] {
+                    let mut edge = EdgeSession::from_parts(
+                        selector.session(),
+                        full_decode,
+                        Decoder::new(encoded.resolution(), encoded.quality()),
+                        encoded.resolution(),
+                        encoded.quality(),
+                    );
+                    for (i, ef) in encoded.frames().iter().enumerate() {
+                        let (frame_type, payload) = if i == target {
+                            apply(ef.frame_type, &ef.data)
+                        } else {
+                            (ef.frame_type, &ef.data[..])
+                        };
+                        let outcome = edge.observe(i, frame_type, payload);
+                        let at = format!("{fault} at {target}, full_decode={full_decode}");
+                        match &outcome {
+                            EdgeOutcome::Kept(frame) => {
+                                assert_eq!(frame.resolution(), encoded.resolution(), "{at}");
+                            }
+                            EdgeOutcome::Dropped | EdgeOutcome::Failed => {}
+                        }
+                        if i == resync {
+                            assert!(matches!(outcome, EdgeOutcome::Kept(_)), "{at}: {outcome:?}");
+                        }
+                    }
+                }
             }
         }
     }

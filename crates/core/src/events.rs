@@ -9,7 +9,7 @@
 //! analysis glue.
 
 use sieve_datasets::{segment_events, Event, LabelSet};
-use sieve_video::{EncodedVideo, Frame};
+use sieve_video::EncodedVideo;
 
 use crate::detector::ObjectDetector;
 use crate::error::SieveError;
@@ -27,29 +27,6 @@ pub struct AnalysisResult {
 }
 
 impl AnalysisResult {
-    /// Runs `detector` over decoded `(index, frame)` pairs and propagates
-    /// labels across `frame_count` frames. `picked` must already have
-    /// passed `check_selection`, as in [`analyze_selected`]: propagation
-    /// panics on an unsorted or out-of-range index.
-    fn from_detections<'a, I>(
-        frame_count: usize,
-        detector: &mut (impl ObjectDetector + ?Sized),
-        picked: I,
-    ) -> Self
-    where
-        I: IntoIterator<Item = (usize, &'a Frame)>,
-    {
-        let selected: Vec<(usize, LabelSet)> = picked
-            .into_iter()
-            .map(|(i, frame)| (i, detector.detect(i, frame)))
-            .collect();
-        let predicted = propagate_labels(frame_count, &selected);
-        Self {
-            selected,
-            predicted,
-        }
-    }
-
     /// The predicted events (maximal runs of equal labels).
     pub fn events(&self) -> Vec<Event> {
         segment_events(&self.predicted)
@@ -110,35 +87,10 @@ pub fn analyze_sieve(
     analyze(video, &mut IFrameSelector::new(), detector)
 }
 
-/// Analysis over pre-decoded frames and a precomputed selection; the
-/// detector runs on the selected frames only. Used when the decoded stream
-/// already exists (filter calibration, stored footage).
-///
-/// # Errors
-///
-/// Returns [`SieveError::InvalidSelection`] if an index is out of range,
-/// or [`SieveError::Selector`] if indices are not strictly increasing.
-pub fn analyze_selected(
-    frames: &[Frame],
-    selected_indices: &[usize],
-    detector: &mut dyn ObjectDetector,
-) -> Result<AnalysisResult, SieveError> {
-    let mut prev = None;
-    for &i in selected_indices {
-        check_selection(prev, i, frames.len())?;
-        prev = Some(i);
-    }
-    Ok(AnalysisResult::from_detections(
-        frames.len(),
-        detector,
-        selected_indices.iter().map(|&i| (i, &frames[i])),
-    ))
-}
-
 /// Validates one selection step: in range, and strictly after `prev`. The
-/// single source of the invariants `propagate_labels` asserts, shared by
-/// both public entry points so a hostile or buggy selection surfaces as an
-/// error instead of a panic.
+/// single source of the invariants `propagate_labels` asserts, checked by
+/// [`analyze`] so a hostile or buggy selection surfaces as an error instead
+/// of a panic.
 fn check_selection(
     prev: Option<usize>,
     index: usize,
@@ -213,41 +165,48 @@ mod tests {
         assert_eq!(direct, via_generic);
     }
 
-    #[test]
-    fn analyze_selected_matches_oracle_on_all_frames() {
-        let (video, _) = setup();
-        let frames: Vec<Frame> = video.frames().collect();
-        let all: Vec<usize> = (0..frames.len()).collect();
-        let mut oracle = OracleDetector::for_video(&video);
-        let result = analyze_selected(&frames, &all, &mut oracle).expect("in range");
-        assert_eq!(result.predicted, video.labels());
-        assert!((result.sampling_rate() - 1.0).abs() < 1e-12);
+    /// A selector that visits `indices` as given, on a grey frame: how a
+    /// buggy or hostile `select_with` reaches the driver.
+    struct Replay(Vec<usize>);
+
+    impl FrameSelector for Replay {
+        fn name(&self) -> &'static str {
+            "replay"
+        }
+        fn session(&self) -> Box<dyn crate::select::SelectorSession> {
+            Box::new(crate::select::GreedySession)
+        }
+        fn select_with(
+            &mut self,
+            video: &EncodedVideo,
+            visit: &mut dyn FnMut(usize, &sieve_video::Frame) -> Result<(), SieveError>,
+        ) -> Result<(), SieveError> {
+            let frame = sieve_video::Frame::grey(video.resolution());
+            self.0.iter().try_for_each(|&i| visit(i, &frame))
+        }
     }
 
     #[test]
-    fn analyze_selected_rejects_out_of_range() {
-        let (video, _) = setup();
-        let frames: Vec<Frame> = video.frames().take(10).collect();
+    fn analyze_rejects_out_of_range_selection() {
+        let (video, encoded) = setup();
         let mut oracle = OracleDetector::for_video(&video);
+        let n = encoded.frame_count();
         assert!(matches!(
-            analyze_selected(&frames, &[0, 10], &mut oracle),
-            Err(SieveError::InvalidSelection { index: 10, .. })
+            analyze(&encoded, &mut Replay(vec![0, n]), &mut oracle),
+            Err(SieveError::InvalidSelection { index, .. }) if index == n
         ));
     }
 
     #[test]
-    fn analyze_selected_rejects_unsorted_indices() {
-        let (video, _) = setup();
-        let frames: Vec<Frame> = video.frames().take(10).collect();
+    fn analyze_rejects_unsorted_selection() {
+        let (video, encoded) = setup();
         let mut oracle = OracleDetector::for_video(&video);
-        assert!(matches!(
-            analyze_selected(&frames, &[3, 1], &mut oracle),
-            Err(SieveError::Selector(_))
-        ));
-        assert!(matches!(
-            analyze_selected(&frames, &[2, 2], &mut oracle),
-            Err(SieveError::Selector(_))
-        ));
+        for indices in [vec![3, 1], vec![2, 2]] {
+            assert!(matches!(
+                analyze(&encoded, &mut Replay(indices), &mut oracle),
+                Err(SieveError::Selector(_))
+            ));
+        }
     }
 
     #[test]
@@ -276,15 +235,16 @@ mod tests {
 
     #[test]
     fn fewer_selections_lower_or_equal_accuracy() {
-        let (video, _) = setup();
-        let frames: Vec<Frame> = video.frames().collect();
+        use crate::select::FixedSelector;
+
+        let (video, encoded) = setup();
         let mut oracle = OracleDetector::for_video(&video);
-        let sparse: Vec<usize> = (0..frames.len()).step_by(100).collect();
-        let dense: Vec<usize> = (0..frames.len()).step_by(10).collect();
-        let acc = |sel: &[usize], det: &mut OracleDetector| {
-            let r = analyze_selected(&frames, sel, det).expect("in range");
+        let n = video.frame_count();
+        let mut acc = |step: usize| {
+            let mut selector = FixedSelector::new((0..n).step_by(step).collect());
+            let r = analyze(&encoded, &mut selector, &mut oracle).expect("in range");
             crate::metrics::label_accuracy(video.labels(), &r.predicted)
         };
-        assert!(acc(&sparse, &mut oracle) <= acc(&dense, &mut oracle));
+        assert!(acc(100) <= acc(10));
     }
 }

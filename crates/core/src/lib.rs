@@ -59,12 +59,12 @@ pub use adapt::{wan_signal, Ewma, P2Quantile, RateController, WanFeedback, WanSi
 pub use detector::{ObjectDetector, OracleDetector, NN_INPUT_SIZE};
 pub use edge::{EdgeOutcome, EdgeSession};
 pub use error::SieveError;
-pub use events::{analyze, analyze_selected, analyze_sieve, AnalysisResult};
+pub use events::{analyze, analyze_sieve, AnalysisResult};
 pub use lookup::LookupTable;
-pub use metrics::{f1_score, label_accuracy, propagate_labels, score_selection, DetectionQuality};
+pub use metrics::{label_accuracy, propagate_labels, score_selection, DetectionQuality};
 pub use pipeline::{
-    simulate_all, simulate_baseline, Baseline, BaselineOutcome, BaselineSpec, Deployment,
-    SelectorKind, ThreeTier, VideoWorkload, WorkloadCosts,
+    simulate_all, Baseline, BaselineOutcome, BaselineSpec, Deployment, SelectorKind, ThreeTier,
+    VideoWorkload, WorkloadCosts,
 };
 pub use select::{
     Decision, EncodedFrameMeta, FixedSelector, FrameSelector, IFrameSelector, SelectorSession,

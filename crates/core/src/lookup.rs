@@ -38,13 +38,6 @@ impl LookupTable {
         self.cameras.get(camera)
     }
 
-    /// The tuned config for `camera`, or the x264 defaults when the camera
-    /// was never tuned — mirroring a deployment where un-tuned cameras keep
-    /// factory settings.
-    pub fn get_or_default(&self, camera: &str) -> EncoderConfig {
-        self.get(camera).copied().unwrap_or_default()
-    }
-
     /// Number of cameras in the table.
     pub fn len(&self) -> usize {
         self.cameras.len()
@@ -98,8 +91,10 @@ mod tests {
 
     #[test]
     fn untuned_camera_gets_defaults() {
+        // An untuned camera has no entry and keeps the x264 defaults.
         let t = LookupTable::new();
-        let d = t.get_or_default("unknown");
+        assert_eq!(t.get("unknown"), None);
+        let d = EncoderConfig::default();
         assert_eq!((d.gop_size, d.scenecut), (250, 40));
     }
 

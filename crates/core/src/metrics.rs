@@ -27,7 +27,7 @@ pub struct DetectionQuality {
 }
 
 /// Harmonic mean of accuracy and filtering rate (the paper's F1).
-pub fn f1_score(accuracy: f64, filtering_rate: f64) -> f64 {
+fn f1_score(accuracy: f64, filtering_rate: f64) -> f64 {
     if accuracy + filtering_rate <= 0.0 {
         0.0
     } else {
@@ -103,7 +103,9 @@ mod tests {
     use sieve_datasets::ObjectClass;
 
     fn car() -> LabelSet {
-        LabelSet::single(ObjectClass::Car)
+        let mut car = LabelSet::empty();
+        car.insert(ObjectClass::Car);
+        car
     }
     fn none() -> LabelSet {
         LabelSet::empty()

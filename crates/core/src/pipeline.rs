@@ -63,11 +63,6 @@ pub enum SelectorKind {
 }
 
 impl SelectorKind {
-    /// True when the policy consumes the semantically encoded stream.
-    pub fn uses_semantic_encoding(&self) -> bool {
-        matches!(self, SelectorKind::IFrame)
-    }
-
     /// Frames this policy analyses for `video`.
     fn analysed_frames(&self, video: &VideoWorkload) -> usize {
         match self {
@@ -85,6 +80,7 @@ impl SelectorKind {
     /// also compares each frame with its predecessor. `analysed` frames
     /// additionally pay the resize to the NN input, after an independent
     /// I-frame decode for the seeker.
+    // lint:allow(dead-pub): tests/proptests.rs `pipeline_conservation` prices the edge's busy time with it
     pub fn per_frame_secs(&self, costs: &WorkloadCosts, analysed: bool) -> f64 {
         let c = costs;
         // Keep each sum's left-to-right order: regrouping the terms can
@@ -180,11 +176,6 @@ impl Baseline {
             Baseline::MseEdgeCloudNn => "MSE Edge + Cloud NN",
         }
     }
-
-    /// True for the baselines that consume semantically encoded video.
-    pub fn uses_semantic_encoding(&self) -> bool {
-        self.spec().selector.uses_semantic_encoding()
-    }
 }
 
 impl std::fmt::Display for Baseline {
@@ -257,7 +248,7 @@ pub struct BaselineOutcome {
 ///
 /// Panics if `videos` is empty, or if a rate or speed of `topology` is not
 /// positive and finite.
-pub fn simulate_baseline(
+fn simulate_baseline(
     baseline: Baseline,
     videos: &[VideoWorkload],
     topology: &ThreeTier,
@@ -351,7 +342,7 @@ fn submit_video(
     let n = v.frame_count.max(1);
     let c = &v.costs;
     // Per-frame share of the stream bytes on the camera->edge link.
-    let stream_bytes = if selector.uses_semantic_encoding() {
+    let stream_bytes = if selector == SelectorKind::IFrame {
         v.semantic_stream_bytes
     } else {
         v.default_stream_bytes
@@ -471,12 +462,12 @@ mod tests {
         let outcomes = simulate_all(&[workload()], &ThreeTier::paper_default());
         let min_semantic = outcomes
             .iter()
-            .filter(|o| o.baseline.uses_semantic_encoding())
+            .filter(|o| o.baseline.spec().selector == SelectorKind::IFrame)
             .map(|o| o.throughput_fps)
             .fold(f64::MAX, f64::min);
         let max_decode = outcomes
             .iter()
-            .filter(|o| !o.baseline.uses_semantic_encoding())
+            .filter(|o| o.baseline.spec().selector != SelectorKind::IFrame)
             .map(|o| o.throughput_fps)
             .fold(f64::MIN, f64::max);
         assert!(

@@ -32,6 +32,7 @@ impl ConfigGrid {
     }
 
     /// All `(gop, scenecut)` combinations as encoder configs.
+    // lint:allow(dead-pub): crates/bench/tests/replay_oracle.rs replays every grid config against the encoder
     pub fn configs(&self) -> Vec<EncoderConfig> {
         let mut out = Vec::with_capacity(self.gop_sizes.len() * self.scenecuts.len());
         for &g in &self.gop_sizes {

@@ -103,6 +103,7 @@ impl LabelSet {
     }
 
     /// A set with one class.
+    #[cfg(test)]
     pub fn single(class: ObjectClass) -> Self {
         Self(1 << class.bit())
     }
@@ -154,6 +155,7 @@ impl LabelSet {
     }
 
     /// Rebuilds from a raw bitmask, ignoring unknown bits.
+    // lint:allow(dead-pub): tests/proptests.rs draws label sets as random bitmasks
     pub fn from_bits(bits: u8) -> Self {
         Self(bits & 0b1_1111)
     }
@@ -204,8 +206,9 @@ impl Event {
 ///
 /// ```
 /// use sieve_datasets::{segment_events, LabelSet, ObjectClass};
-/// let car = LabelSet::single(ObjectClass::Car);
 /// let none = LabelSet::empty();
+/// let mut car = none;
+/// car.insert(ObjectClass::Car);
 /// let frames = vec![none, none, car, car, car, none];
 /// let events = segment_events(&frames);
 /// assert_eq!(events.len(), 3);

@@ -24,7 +24,7 @@ pub mod schedule;
 pub mod video;
 
 pub use labels::{segment_events, Event, LabelSet, ObjectClass};
-pub use registry::{stream_seed, DatasetId, DatasetScale, DatasetSpec};
+pub use registry::{DatasetId, DatasetScale, DatasetSpec};
 pub use scene::{Background, Renderer, SceneConfig};
 pub use schedule::{ObjectInstance, Schedule, ScheduleParams};
 pub use video::{SyntheticVideo, VideoConfig};

@@ -145,7 +145,7 @@ pub struct DatasetSpec {
 /// on `(fleet_seed, stream_id)` — never on worker scheduling, join order
 /// or shard count — and any stream of a fleet run can be regenerated in
 /// isolation.
-pub fn stream_seed(fleet_seed: u64, stream_id: u64) -> u64 {
+fn stream_seed(fleet_seed: u64, stream_id: u64) -> u64 {
     let mut z = fleet_seed
         .rotate_left(17)
         .wrapping_add(stream_id.wrapping_mul(0x9E37_79B9_7F4A_7C15))
@@ -159,7 +159,7 @@ impl DatasetSpec {
     /// The spec of dataset `id`, reseeded for stream `stream_id` of a
     /// fleet run: same event statistics and dynamics as
     /// [`DatasetSpec::of`], but an independent, reproducible realisation
-    /// per `(fleet_seed, stream_id)` pair — see [`stream_seed`].
+    /// per `(fleet_seed, stream_id)` pair.
     pub fn for_stream(id: DatasetId, fleet_seed: u64, stream_id: u64) -> Self {
         let mut spec = Self::of(id);
         spec.seed = stream_seed(fleet_seed ^ spec.seed, stream_id);
@@ -374,6 +374,7 @@ mod tests {
         assert_ne!(stream_seed(1, 2), stream_seed(1, 3));
         assert_ne!(stream_seed(1, 2), stream_seed(2, 2));
         assert_ne!(stream_seed(1, 2), stream_seed(2, 1), "pair order matters");
+        assert_ne!(stream_seed(7, 3), stream_seed(3, 7), "mix is asymmetric");
         // Sequential stream ids must not collapse to nearby seeds.
         let seeds: Vec<u64> = (0..64).map(|i| stream_seed(9, i)).collect();
         let mut sorted = seeds.clone();

@@ -25,21 +25,9 @@ pub trait ChangeDetector {
     fn reset(&mut self) {}
 }
 
-/// Computes the change score of every consecutive pair in `frames`.
-/// `scores[i]` describes the pair `(i-1, i)`; index 0 has no pair, so the
-/// returned vector has `frames.len() - 1` entries (empty input gives empty
-/// output).
-pub fn score_sequence<D: ChangeDetector + ?Sized>(detector: &mut D, frames: &[Frame]) -> Vec<f64> {
-    detector.reset();
-    frames
-        .windows(2)
-        .map(|w| detector.change_score(&w[0], &w[1]))
-        .collect()
-}
-
-/// Selects frames given pairwise `scores` (as returned by
-/// [`score_sequence`]) and a `threshold`: frame 0 is always selected, and
-/// frame `i+1` is selected when `scores[i] > threshold`.
+/// Selects frames given pairwise `scores` (`scores[i]` compares frames `i`
+/// and `i+1`) and a `threshold`: frame 0 is always selected, and frame
+/// `i+1` is selected when `scores[i] > threshold`.
 pub fn select_frames(scores: &[f64], threshold: f64) -> Vec<usize> {
     let mut selected = vec![0usize];
     for (i, &s) in scores.iter().enumerate() {

@@ -14,15 +14,14 @@
 //! of frames as SiEVE, reproducing the paper's fair-comparison methodology.
 //!
 //! ```
-//! use sieve_filters::{ChangeDetector, MseDetector, score_sequence, select_frames,
-//!                     calibrate_threshold};
+//! use sieve_filters::{calibrate_threshold, select_frames, ChangeDetector, MseDetector};
 //! use sieve_video::{Frame, Resolution};
 //!
 //! let res = Resolution::new(32, 32);
 //! let mut frames = vec![Frame::grey(res); 10];
 //! for v in frames[5].y_mut().data_mut().iter_mut() { *v = 20; } // a "change"
 //! let mut det = MseDetector::new();
-//! let scores = score_sequence(&mut det, &frames);
+//! let scores: Vec<f64> = frames.windows(2).map(|w| det.change_score(&w[0], &w[1])).collect();
 //! let t = calibrate_threshold(&scores, frames.len(), 0.3);
 //! let picked = select_frames(&scores, t);
 //! assert!(picked.contains(&5));
@@ -33,10 +32,10 @@ pub mod mse;
 pub mod select;
 pub mod sift;
 
-pub use detector::{calibrate_threshold, score_sequence, select_frames, ChangeDetector};
+pub use detector::{calibrate_threshold, select_frames, ChangeDetector};
 pub use mse::{mse_luma, MseDetector};
 pub use select::{
     AdaptiveChangeSession, Budget, CalibrationPoint, ChangeSelector, MseSelector, SiftSelector,
     UniformSelector,
 };
-pub use sift::{SiftConfig, SiftDetector};
+pub use sift::SiftDetector;

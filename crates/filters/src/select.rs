@@ -159,7 +159,7 @@ impl<D: ChangeDetector> ChangeSelector<D> {
 
     /// One streaming scoring pass: decode each frame, score it against its
     /// predecessor, hold only that predecessor. `scores[i]` describes the
-    /// pair `(i, i+1)`, matching [`crate::detector::score_sequence`].
+    /// pair `(i, i+1)`.
     fn scores(&mut self, video: &EncodedVideo) -> Result<Vec<f64>, SieveError> {
         let mut decoder = Decoder::new(video.resolution(), video.quality());
         self.detector.reset();
@@ -512,9 +512,18 @@ impl SiftSelector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::detector::score_sequence;
     use sieve_core::{analyze, OracleDetector};
     use sieve_video::{EncoderConfig, FrameType, Resolution};
+
+    /// The change score of every consecutive pair of `frames`, from a
+    /// fresh `detector`: `scores[i]` compares frames `i` and `i+1`.
+    fn score_sequence(detector: &mut impl ChangeDetector, frames: &[Frame]) -> Vec<f64> {
+        detector.reset();
+        frames
+            .windows(2)
+            .map(|w| detector.change_score(&w[0], &w[1]))
+            .collect()
+    }
 
     fn sample_video(frames: usize) -> EncodedVideo {
         let res = Resolution::new(48, 32);

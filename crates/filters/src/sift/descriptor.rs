@@ -89,8 +89,7 @@ fn normalize(v: &mut [f32; DESCRIPTOR_LEN]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sift::keypoint::{detect, KeypointConfig};
-    use crate::sift::pyramid::PyramidConfig;
+    use crate::sift::keypoint::detect;
 
     fn blob_image(w: usize, h: usize, cx: f32, cy: f32) -> GrayImage {
         let data = (0..w * h)
@@ -104,8 +103,8 @@ mod tests {
     }
 
     fn descriptors_of(img: &GrayImage) -> Vec<Descriptor> {
-        let p = Pyramid::build(img, &PyramidConfig::default());
-        let kps = detect(&p, &KeypointConfig::default());
+        let p = Pyramid::build(img);
+        let kps = detect(&p);
         describe(&p, &kps)
     }
 

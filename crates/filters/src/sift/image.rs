@@ -45,6 +45,7 @@ impl GrayImage {
     }
 
     /// Raw samples, row-major.
+    #[cfg(test)]
     pub fn data(&self) -> &[f32] {
         &self.data
     }

@@ -21,33 +21,19 @@ pub struct Keypoint {
     pub response: f32,
 }
 
-/// Detection parameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct KeypointConfig {
-    /// Minimum |DoG| response; suppresses low-contrast noise extrema.
-    pub contrast_threshold: f32,
-    /// Maximum keypoints kept per frame (strongest first). Bounds matching
-    /// cost on busy frames.
-    pub max_keypoints: usize,
-    /// Edge rejection: maximum allowed ratio of principal curvatures (as in
-    /// Lowe's 2004 paper, expressed as `(r+1)^2/r`). `0` disables the test.
-    pub edge_ratio: f32,
-}
-
-impl Default for KeypointConfig {
-    fn default() -> Self {
-        Self {
-            contrast_threshold: 3.0,
-            max_keypoints: 256,
-            edge_ratio: 10.0,
-        }
-    }
-}
+/// Minimum |DoG| response; suppresses low-contrast noise extrema.
+const CONTRAST_THRESHOLD: f32 = 3.0;
+/// Maximum keypoints kept per frame (strongest first). Bounds matching cost
+/// on busy frames.
+const MAX_KEYPOINTS: usize = 256;
+/// Edge rejection: the maximum ratio of principal curvatures, as in Lowe's
+/// 2004 paper (tested as `(r+1)^2/r`).
+const EDGE_RATIO: f32 = 10.0;
 
 /// Finds DoG extrema: a pixel whose |response| exceeds the contrast
 /// threshold and which is a strict maximum or minimum of its 3x3x3 scale-
 /// space neighbourhood.
-pub fn detect(pyramid: &Pyramid, config: &KeypointConfig) -> Vec<Keypoint> {
+pub fn detect(pyramid: &Pyramid) -> Vec<Keypoint> {
     let mut keypoints = Vec::new();
     for (oi, octave) in pyramid.octaves.iter().enumerate() {
         // The DoG stack is shallow (3 levels by default), so extrema are
@@ -62,15 +48,13 @@ pub fn detect(pyramid: &Pyramid, config: &KeypointConfig) -> Vec<Keypoint> {
             for y in 1..h.saturating_sub(1) {
                 for x in 1..w.saturating_sub(1) {
                     let v = here.get(x as i64, y as i64);
-                    if v.abs() < config.contrast_threshold {
+                    if v.abs() < CONTRAST_THRESHOLD {
                         continue;
                     }
                     if !is_extremum(below, here, above, x as i64, y as i64, v) {
                         continue;
                     }
-                    if config.edge_ratio > 0.0
-                        && is_edge(here, x as i64, y as i64, config.edge_ratio)
-                    {
+                    if is_edge(here, x as i64, y as i64, EDGE_RATIO) {
                         continue;
                     }
                     keypoints.push(Keypoint {
@@ -93,7 +77,7 @@ pub fn detect(pyramid: &Pyramid, config: &KeypointConfig) -> Vec<Keypoint> {
             .partial_cmp(&a.response.abs())
             .expect("responses are finite")
     });
-    keypoints.truncate(config.max_keypoints);
+    keypoints.truncate(MAX_KEYPOINTS);
     keypoints
 }
 
@@ -151,7 +135,6 @@ fn is_edge(dog: &super::image::GrayImage, x: i64, y: i64, r: f32) -> bool {
 mod tests {
     use super::*;
     use crate::sift::image::GrayImage;
-    use crate::sift::pyramid::PyramidConfig;
 
     fn blob_image(w: usize, h: usize, blobs: &[(usize, usize)]) -> GrayImage {
         let mut data = vec![40.0f32; w * h];
@@ -170,15 +153,15 @@ mod tests {
     #[test]
     fn flat_image_has_no_keypoints() {
         let img = GrayImage::from_data(64, 64, vec![100.0; 64 * 64]);
-        let p = Pyramid::build(&img, &PyramidConfig::default());
-        assert!(detect(&p, &KeypointConfig::default()).is_empty());
+        let p = Pyramid::build(&img);
+        assert!(detect(&p).is_empty());
     }
 
     #[test]
     fn blobs_are_detected_near_their_centres() {
         let img = blob_image(96, 96, &[(24, 24), (70, 60)]);
-        let p = Pyramid::build(&img, &PyramidConfig::default());
-        let kps = detect(&p, &KeypointConfig::default());
+        let p = Pyramid::build(&img);
+        let kps = detect(&p);
         assert!(!kps.is_empty(), "blobs must produce keypoints");
         for &(cx, cy) in &[(24.0f32, 24.0f32), (70.0, 60.0)] {
             let near = kps
@@ -190,40 +173,23 @@ mod tests {
 
     #[test]
     fn max_keypoints_cap_respected() {
-        let blobs: Vec<(usize, usize)> = (0..20)
-            .map(|i| (10 + (i % 5) * 18, 10 + (i / 5) * 18))
+        // Hashed noise puts a DoG extremum in nearly every 3x3 window, far
+        // more than the cap, so the cap is what bounds the count.
+        let (w, h) = (128, 128);
+        let data = (0..w * h)
+            .map(|i: usize| (i.wrapping_mul(2_654_435_761) >> 7 & 0xFF) as f32)
             .collect();
-        let img = blob_image(112, 96, &blobs);
-        let p = Pyramid::build(&img, &PyramidConfig::default());
-        let cfg = KeypointConfig {
-            max_keypoints: 4,
-            ..KeypointConfig::default()
-        };
-        let kps = detect(&p, &cfg);
-        assert!(kps.len() <= 4);
+        let p = Pyramid::build(&GrayImage::from_data(w, h, data));
+        assert_eq!(detect(&p).len(), MAX_KEYPOINTS);
     }
 
     #[test]
     fn keypoints_sorted_by_strength() {
         let img = blob_image(96, 96, &[(30, 30), (66, 66)]);
-        let p = Pyramid::build(&img, &PyramidConfig::default());
-        let kps = detect(&p, &KeypointConfig::default());
+        let p = Pyramid::build(&img);
+        let kps = detect(&p);
         for w in kps.windows(2) {
             assert!(w[0].response.abs() >= w[1].response.abs());
         }
-    }
-
-    #[test]
-    fn higher_contrast_threshold_fewer_keypoints() {
-        let img = blob_image(96, 96, &[(30, 30), (66, 66), (48, 70)]);
-        let p = Pyramid::build(&img, &PyramidConfig::default());
-        let count = |t: f32| {
-            let cfg = KeypointConfig {
-                contrast_threshold: t,
-                ..KeypointConfig::default()
-            };
-            detect(&p, &cfg).len()
-        };
-        assert!(count(1.0) >= count(8.0));
     }
 }

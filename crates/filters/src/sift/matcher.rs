@@ -2,19 +2,9 @@
 
 use super::descriptor::Descriptor;
 
-/// Matching parameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MatchConfig {
-    /// Lowe ratio: a match is accepted when the best distance is below
-    /// `ratio` times the second-best distance.
-    pub ratio: f32,
-}
-
-impl Default for MatchConfig {
-    fn default() -> Self {
-        Self { ratio: 0.8 }
-    }
-}
+/// Lowe ratio: a match is accepted when the best distance is below `RATIO`
+/// times the second-best distance.
+const RATIO: f32 = 0.8;
 
 /// A correspondence between descriptor `from` in the previous frame and
 /// descriptor `to` in the current frame.
@@ -28,7 +18,7 @@ struct Match {
 
 /// Brute-force nearest-neighbour matching from `prev` to `cur` with the
 /// ratio test.
-fn match_descriptors(prev: &[Descriptor], cur: &[Descriptor], config: &MatchConfig) -> Vec<Match> {
+fn match_descriptors(prev: &[Descriptor], cur: &[Descriptor]) -> Vec<Match> {
     let mut matches = Vec::new();
     if cur.is_empty() {
         return matches;
@@ -48,7 +38,7 @@ fn match_descriptors(prev: &[Descriptor], cur: &[Descriptor], config: &MatchConf
             }
         }
         // Ratio test on squared distances: ratio^2.
-        if cur.len() == 1 || best < config.ratio * config.ratio * second {
+        if cur.len() == 1 || best < RATIO * RATIO * second {
             matches.push(Match {
                 from: i,
                 to: best_j,
@@ -61,13 +51,13 @@ fn match_descriptors(prev: &[Descriptor], cur: &[Descriptor], config: &MatchConf
 /// The SIFT change score between two frames' descriptor sets: the fraction
 /// of previous-frame keypoints that *fail* to find a match. 0 means every
 /// feature persisted (same scene); 1 means nothing matched (new scene).
-pub fn change_score(prev: &[Descriptor], cur: &[Descriptor], config: &MatchConfig) -> f64 {
+pub fn change_score(prev: &[Descriptor], cur: &[Descriptor]) -> f64 {
     if prev.is_empty() {
         // No structure before: a change is only detectable if structure
         // appeared.
         return if cur.is_empty() { 0.0 } else { 1.0 };
     }
-    let matched = match_descriptors(prev, cur, config).len();
+    let matched = match_descriptors(prev, cur).len();
     1.0 - matched as f64 / prev.len() as f64
 }
 
@@ -106,19 +96,19 @@ mod tests {
     #[test]
     fn identical_sets_fully_match() {
         let set: Vec<Descriptor> = (0..10).map(desc).collect();
-        let m = match_descriptors(&set, &set, &MatchConfig::default());
+        let m = match_descriptors(&set, &set);
         assert_eq!(m.len(), 10);
         for mm in &m {
             assert_eq!(mm.from, mm.to, "each descriptor matches itself");
         }
-        assert_eq!(change_score(&set, &set, &MatchConfig::default()), 0.0);
+        assert_eq!(change_score(&set, &set), 0.0);
     }
 
     #[test]
     fn disjoint_sets_do_not_match() {
         let a: Vec<Descriptor> = (0..8).map(desc).collect();
         let b: Vec<Descriptor> = (100..108).map(desc).collect();
-        let score = change_score(&a, &b, &MatchConfig::default());
+        let score = change_score(&a, &b);
         assert!(
             score > 0.5,
             "random descriptors should rarely match: {score}"
@@ -127,16 +117,15 @@ mod tests {
 
     #[test]
     fn empty_prev_scores_by_cur_presence() {
-        let cfg = MatchConfig::default();
         let b: Vec<Descriptor> = (0..3).map(desc).collect();
-        assert_eq!(change_score(&[], &b, &cfg), 1.0);
-        assert_eq!(change_score(&[], &[], &cfg), 0.0);
+        assert_eq!(change_score(&[], &b), 1.0);
+        assert_eq!(change_score(&[], &[]), 0.0);
     }
 
     #[test]
     fn empty_cur_scores_one() {
         let a: Vec<Descriptor> = (0..3).map(desc).collect();
-        assert_eq!(change_score(&a, &[], &MatchConfig::default()), 1.0);
+        assert_eq!(change_score(&a, &[]), 1.0);
     }
 
     #[test]
@@ -146,7 +135,7 @@ mod tests {
         cur.extend((200..203).map(desc));
         let mut prev = shared;
         prev.extend((300..305).map(desc));
-        let score = change_score(&prev, &cur, &MatchConfig::default());
+        let score = change_score(&prev, &cur);
         assert!(
             score > 0.2 && score < 0.9,
             "expected partial score, got {score}"
@@ -163,7 +152,7 @@ mod tests {
         let mut c2 = desc(1);
         c2.values[0] += 0.012;
         let cur = vec![c1, c2];
-        let m = match_descriptors(&a, &cur, &MatchConfig { ratio: 0.8 });
+        let m = match_descriptors(&a, &cur);
         assert!(m.is_empty(), "ambiguous match must be rejected");
     }
 }

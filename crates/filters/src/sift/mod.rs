@@ -3,44 +3,31 @@
 //! A from-scratch implementation of the parts of SIFT (Lowe 2004) that the
 //! paper's baseline uses: detect keypoints in each decoded frame, match them
 //! against the previous frame, and declare a change when the matched
-//! fraction drops. Rotation invariance is omitted (fixed cameras); see
-//! `DESIGN.md` for the substitution note.
+//! fraction drops. Rotation invariance is omitted (fixed cameras).
 //!
 //! The pipeline is deliberately *expensive per frame* — pyramid construction,
 //! per-keypoint descriptors, brute-force matching — because its cost is part
 //! of what the paper measures (Table III: SIFT is the slowest baseline).
 
-pub mod descriptor;
-pub mod image;
-pub mod keypoint;
-pub mod matcher;
-pub mod pyramid;
+mod descriptor;
+mod image;
+mod keypoint;
+mod matcher;
+mod pyramid;
 
 use sieve_video::Frame;
 
 use crate::detector::ChangeDetector;
 use descriptor::{describe, Descriptor};
 use image::GrayImage;
-use keypoint::{detect, KeypointConfig};
-use matcher::MatchConfig;
-use pyramid::{Pyramid, PyramidConfig};
-
-/// End-to-end SIFT feature extraction configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct SiftConfig {
-    /// Scale-space parameters.
-    pub pyramid: PyramidConfig,
-    /// Keypoint detection parameters.
-    pub keypoints: KeypointConfig,
-    /// Matching parameters.
-    pub matching: MatchConfig,
-}
+use keypoint::detect;
+use pyramid::Pyramid;
 
 /// Extracts SIFT descriptors from a frame's luma plane.
-fn extract(frame: &Frame, config: &SiftConfig) -> Vec<Descriptor> {
+fn extract(frame: &Frame) -> Vec<Descriptor> {
     let img = GrayImage::from_luma(frame.y());
-    let pyramid = Pyramid::build(&img, &config.pyramid);
-    let kps = detect(&pyramid, &config.keypoints);
+    let pyramid = Pyramid::build(&img);
+    let kps = detect(&pyramid);
     describe(&pyramid, &kps)
 }
 
@@ -48,7 +35,6 @@ fn extract(frame: &Frame, config: &SiftConfig) -> Vec<Descriptor> {
 /// each frame is described once.
 #[derive(Debug, Clone, Default)]
 pub struct SiftDetector {
-    config: SiftConfig,
     prev_features: Option<Vec<Descriptor>>,
 }
 
@@ -67,10 +53,10 @@ impl ChangeDetector for SiftDetector {
     fn change_score(&mut self, prev: &Frame, cur: &Frame) -> f64 {
         let prev_features = match self.prev_features.take() {
             Some(f) => f,
-            None => extract(prev, &self.config),
+            None => extract(prev),
         };
-        let cur_features = extract(cur, &self.config);
-        let score = matcher::change_score(&prev_features, &cur_features, &self.config.matching);
+        let cur_features = extract(cur);
+        let score = matcher::change_score(&prev_features, &cur_features);
         self.prev_features = Some(cur_features);
         score
     }

@@ -2,30 +2,17 @@
 
 use super::image::GrayImage;
 
-/// Parameters of the scale space.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PyramidConfig {
-    /// Number of octaves (each halves the resolution). Automatically capped
-    /// so the smallest octave stays at least 16 pixels on a side.
-    pub octaves: usize,
-    /// Base blur applied at each octave.
-    pub base_sigma: f32,
-    /// Blur multiplier between adjacent scales within an octave.
-    pub k: f32,
-    /// Number of blurred images per octave (DoG count is one fewer).
-    pub scales: usize,
-}
-
-impl Default for PyramidConfig {
-    fn default() -> Self {
-        Self {
-            octaves: 3,
-            base_sigma: 1.2,
-            k: std::f32::consts::SQRT_2,
-            scales: 4,
-        }
-    }
-}
+/// Octaves in the scale space (each halves the resolution), capped so the
+/// smallest octave stays at least 16 pixels on a side.
+const OCTAVES: usize = 3;
+/// Base blur applied at each octave.
+const BASE_SIGMA: f32 = 1.2;
+/// Blur multiplier between adjacent scales within an octave.
+const SCALE_STEP: f32 = std::f32::consts::SQRT_2;
+/// Blurred images per octave; the DoG count is one fewer.
+pub(super) const SCALES: usize = 4;
+// Keypoint detection needs at least two DoG levels.
+const _: () = assert!(SCALES >= 3, "need at least 3 scales per octave");
 
 /// One octave: the blurred images and their DoG differences.
 #[derive(Debug, Clone)]
@@ -47,30 +34,24 @@ pub struct Pyramid {
 
 impl Pyramid {
     /// Builds the scale space of `input`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config.scales < 3` (keypoint detection needs at least two
-    /// DoG levels).
-    pub fn build(input: &GrayImage, config: &PyramidConfig) -> Self {
-        assert!(config.scales >= 3, "need at least 3 scales per octave");
+    pub fn build(input: &GrayImage) -> Self {
         let mut octaves = Vec::new();
         let mut base = input.clone();
         let mut downscale = 1usize;
-        for _ in 0..config.octaves {
+        for _ in 0..OCTAVES {
             if base.width() < 16 || base.height() < 16 {
                 break;
             }
-            let mut images: Vec<GrayImage> = Vec::with_capacity(config.scales);
-            let mut sigma = config.base_sigma;
-            for s in 0..config.scales {
+            let mut images: Vec<GrayImage> = Vec::with_capacity(SCALES);
+            let mut sigma = BASE_SIGMA;
+            for s in 0..SCALES {
                 let img = if s == 0 {
                     base.gaussian_blur(sigma)
                 } else {
                     // Incremental blur: sigma_total grows by factor k each
                     // scale; the increment is sqrt(new^2 - old^2).
                     let prev_sigma = sigma;
-                    sigma *= config.k;
+                    sigma *= SCALE_STEP;
                     let inc = (sigma * sigma - prev_sigma * prev_sigma).max(0.0).sqrt();
                     images.last().unwrap().gaussian_blur(inc)
                 };
@@ -106,7 +87,7 @@ mod tests {
     #[test]
     fn builds_requested_octaves() {
         let img = textured(128, 128);
-        let p = Pyramid::build(&img, &PyramidConfig::default());
+        let p = Pyramid::build(&img);
         assert_eq!(p.octaves.len(), 3);
         assert_eq!(p.octaves[0].downscale, 1);
         assert_eq!(p.octaves[1].downscale, 2);
@@ -116,7 +97,7 @@ mod tests {
     #[test]
     fn octaves_capped_for_small_images() {
         let img = textured(40, 40);
-        let p = Pyramid::build(&img, &PyramidConfig::default());
+        let p = Pyramid::build(&img);
         // 40 -> 20 -> 10(too small): only 2 octaves.
         assert_eq!(p.octaves.len(), 2);
     }
@@ -124,33 +105,21 @@ mod tests {
     #[test]
     fn dog_count_is_scales_minus_one() {
         let img = textured(64, 64);
-        let cfg = PyramidConfig::default();
-        let p = Pyramid::build(&img, &cfg);
+        let p = Pyramid::build(&img);
         for o in &p.octaves {
-            assert_eq!(o.images.len(), cfg.scales);
-            assert_eq!(o.dogs.len(), cfg.scales - 1);
+            assert_eq!(o.images.len(), SCALES);
+            assert_eq!(o.dogs.len(), SCALES - 1);
         }
     }
 
     #[test]
     fn flat_image_has_zero_dogs() {
         let img = GrayImage::from_data(64, 64, vec![128.0; 64 * 64]);
-        let p = Pyramid::build(&img, &PyramidConfig::default());
+        let p = Pyramid::build(&img);
         for o in &p.octaves {
             for d in &o.dogs {
                 assert!(d.data().iter().all(|v| v.abs() < 1e-3));
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "3 scales")]
-    fn rejects_too_few_scales() {
-        let img = textured(64, 64);
-        let cfg = PyramidConfig {
-            scales: 2,
-            ..PyramidConfig::default()
-        };
-        let _ = Pyramid::build(&img, &cfg);
     }
 }

@@ -28,6 +28,7 @@ use sieve_simnet::MAX_LANE_WEIGHT;
 
 /// EWMA smoothing factor: 1/8 — about the last 8 decisions dominate, so a
 /// camera going hot is promoted within a GOP, not within an epoch.
+// lint:allow(dead-pub): the per-decision step bound crates/fleet/tests/priority_props.rs checks
 pub const KEEP_ALPHA: f64 = 0.125;
 
 /// Folds one keep/drop decision into the running keep-rate estimate.

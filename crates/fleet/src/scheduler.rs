@@ -287,8 +287,8 @@ impl std::fmt::Debug for Fleet {
     }
 }
 
-/// SplitMix64 finalizer (the same mixer `sieve_datasets::stream_seed`
-/// uses for content seeds): spreads sequential stream ids across shards.
+/// SplitMix64 finalizer (the same mixer `DatasetSpec::for_stream` uses
+/// for content seeds): spreads sequential stream ids across shards.
 /// Public so load generators can *construct* skew — ids are assigned
 /// sequentially from 0 in join order, so a bench can predict each future
 /// stream's home shard and aim a hot workload at one of them.
@@ -580,6 +580,7 @@ impl Fleet {
 
     /// Frames currently queued fleet-wide (bounded by
     /// [`FleetConfig::global_frame_budget`]).
+    // lint:allow(dead-pub): crates/fleet/tests/fleet.rs checks the global budget by it; alloc_steady_state.rs drains by it
     pub fn inflight(&self) -> usize {
         self.inflight.load(Ordering::Acquire)
     }

@@ -117,6 +117,7 @@ pub struct WanConfig {
 impl WanConfig {
     /// A clean, fast channel — loss-free, generous capacity. The base
     /// other presets perturb.
+    // lint:allow(dead-pub): the base preset crates/net/tests/channel_props.rs perturbs
     pub fn clean(seed: u64) -> Self {
         Self {
             seed,
@@ -184,6 +185,7 @@ const ECN_QUEUE_FRACTION: f64 = 0.25;
 
 /// Lifetime packet counts a channel keeps about itself.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+// lint:allow(dead-pub): the type of `WanChannel::counts`, which crates/net/tests/channel_props.rs names
 pub struct ChannelCounts {
     pub sent: u64,
     pub lost: u64,

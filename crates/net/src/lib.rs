@@ -44,7 +44,8 @@ pub use uplink::{SharedUplink, Uplink, UplinkConfig};
 pub const WAN_STAGE: &str = "wan";
 
 /// Re-export of the feedback quantum consumed by
-/// [`sieve_core::adapt::RateController::apply_wan_feedback`].
+/// [`sieve_core::adapt::WanSignal::apply`], which steers every
+/// [`sieve_core::adapt::RateController`] coupled to that signal.
 pub use sieve_core::adapt::WanFeedback as Feedback;
 
 /// Errors of the transport layer.

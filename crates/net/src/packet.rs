@@ -39,6 +39,7 @@ use crate::NetError;
 pub const MAGIC: [u8; 2] = [0x5E, 0x01];
 
 /// Serialized size of a [`PacketHeader`] on the wire.
+// lint:allow(dead-pub): crates/net/tests/hostile_headers.rs and fec_props.rs size fragments by it
 pub const HEADER_BYTES: usize = 28;
 
 /// Per-fragment wire header.
@@ -429,6 +430,7 @@ impl Depacketizer {
     }
 
     /// Overrides the reassembly horizon (in blocks, per stream).
+    // lint:allow(dead-pub): crates/net/tests/hostile_headers.rs shrinks the reassembly horizon with it
     pub fn set_horizon(&mut self, horizon: u64) {
         self.horizon = horizon.max(1);
     }
@@ -451,6 +453,7 @@ impl Depacketizer {
 
     /// Payload bytes held for blocks still waiting — never more than the
     /// payload bytes pushed.
+    // lint:allow(dead-pub): crates/net/tests/hostile_headers.rs bounds the bytes a hostile stream holds by it
     pub fn pending_bytes(&self) -> usize {
         self.pending.values().map(PendingBlock::held_bytes).sum()
     }
@@ -647,22 +650,22 @@ impl Depacketizer {
     }
 }
 
-/// Convenience used by tests and the uplink: run `packets` through a
-/// lossless path and return the reports in resolution order.
-pub fn roundtrip(
-    depacketizer: &mut Depacketizer,
-    packets: impl IntoIterator<Item = Packet>,
-) -> VecDeque<BlockReport> {
-    let mut out = VecDeque::new();
-    for p in packets {
-        out.extend(depacketizer.push(p));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Runs `packets` through a lossless path and returns the reports in
+    /// resolution order.
+    fn roundtrip(
+        depacketizer: &mut Depacketizer,
+        packets: impl IntoIterator<Item = Packet>,
+    ) -> VecDeque<BlockReport> {
+        let mut out = VecDeque::new();
+        for p in packets {
+            out.extend(depacketizer.push(p));
+        }
+        out
+    }
 
     fn mk(mtu: usize, fec: FecConfig) -> (Packetizer, Depacketizer) {
         (

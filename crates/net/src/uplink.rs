@@ -158,6 +158,7 @@ impl Uplink {
 
     /// Redirects feedback at an uplink-local signal instead of the
     /// process-global one — tests use this to stay isolated.
+    // lint:allow(dead-pub): the explicit-signal constructor; ROADMAP's globals item (a) makes it the only one
     pub fn with_signal(mut self, signal: Arc<WanSignal>) -> Self {
         self.signal = signal;
         self

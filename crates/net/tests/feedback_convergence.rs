@@ -66,7 +66,7 @@ fn controller_tracks_wan_feedback_through_loss_and_recovery() {
     // multiply the factor down (one decrease per hold-off window);
     // interleave quanta with observations the way the uplink would.
     for _ in 0..100 {
-        ctrl.apply_wan_feedback(&lossy_quantum());
+        signal.apply(&lossy_quantum());
         window_rate(&mut ctrl, &mut rng, 100);
     }
     assert!(
@@ -85,7 +85,7 @@ fn controller_tracks_wan_feedback_through_loss_and_recovery() {
 
     // Regime 3: the WAN heals. Clean quanta ease the factor back up.
     for _ in 0..60 {
-        ctrl.apply_wan_feedback(&clean_quantum());
+        signal.apply(&clean_quantum());
         window_rate(&mut ctrl, &mut rng, 100);
     }
     assert!(
@@ -105,26 +105,26 @@ fn controller_tracks_wan_feedback_through_loss_and_recovery() {
 #[test]
 fn two_controllers_sharing_a_signal_throttle_together() {
     let signal = Arc::new(WanSignal::new());
-    let mut a = RateController::with_wan_signal(0.4, signal.clone()).expect("valid target");
+    let a = RateController::with_wan_signal(0.4, signal.clone()).expect("valid target");
     let b = RateController::with_wan_signal(0.8, signal.clone()).expect("valid target");
     for _ in 0..10 {
-        a.apply_wan_feedback(&lossy_quantum());
+        signal.apply(&lossy_quantum());
     }
     let factor = signal.factor();
     assert!(factor < 1.0);
-    // Feedback applied through either controller tightens both: the
-    // signal is the shared uplink's state, not per-stream.
+    // Feedback on the shared signal tightens both controllers: the signal
+    // is the shared uplink's state, not per-stream.
     assert!((a.effective_target() - 0.4 * factor).abs() < 1e-9);
     assert!((b.effective_target() - 0.8 * factor).abs() < 1e-9);
 }
 
 #[test]
 fn isolated_signals_do_not_leak_across_controllers() {
-    let mut a =
-        RateController::with_wan_signal(0.5, Arc::new(WanSignal::new())).expect("valid target");
+    let signal_a = Arc::new(WanSignal::new());
+    let a = RateController::with_wan_signal(0.5, signal_a.clone()).expect("valid target");
     let b = RateController::with_wan_signal(0.5, Arc::new(WanSignal::new())).expect("valid target");
     for _ in 0..10 {
-        a.apply_wan_feedback(&lossy_quantum());
+        signal_a.apply(&lossy_quantum());
     }
     assert!(a.effective_target() < 0.5);
     assert!(

@@ -11,11 +11,6 @@ impl SimTime {
     /// Time zero.
     pub const ZERO: SimTime = SimTime(0);
 
-    /// From whole nanoseconds.
-    pub fn from_nanos(nanos: u64) -> Self {
-        Self(nanos)
-    }
-
     /// From seconds; sub-nanosecond remainders are truncated.
     ///
     /// # Panics
@@ -77,11 +72,8 @@ mod tests {
 
     #[test]
     fn ordering() {
-        assert!(SimTime::from_nanos(5) < SimTime::from_nanos(6));
-        assert_eq!(
-            SimTime::from_nanos(5).max(SimTime::from_nanos(9)),
-            SimTime::from_nanos(9)
-        );
+        assert!(SimTime(5) < SimTime(6));
+        assert_eq!(SimTime(5).max(SimTime(9)), SimTime(9));
     }
 
     #[test]

@@ -28,7 +28,7 @@ use crate::sync::Mutex;
 use crate::QuantileSummary;
 
 /// Default bound on retained points (oldest dropped first).
-pub const DEFAULT_MAX_POINTS: usize = 4096;
+const DEFAULT_MAX_POINTS: usize = 4096;
 
 /// One periodic fold of the registry; see the module docs for cumulative
 /// semantics.
@@ -74,7 +74,7 @@ pub struct Collector {
 }
 
 impl Collector {
-    /// A collector over `registry` retaining [`DEFAULT_MAX_POINTS`].
+    /// A collector over `registry` retaining `DEFAULT_MAX_POINTS`.
     pub fn new(registry: Arc<Registry>) -> Self {
         Self::with_max_points(registry, DEFAULT_MAX_POINTS)
     }

@@ -22,7 +22,7 @@ use crate::sync::atomic::{AtomicU64, Ordering};
 /// Number of power-of-two buckets: bucket `i` holds samples in
 /// `[2^i, 2^(i+1))`, covering the whole `u64` range (1 µs .. ~584k years
 /// when samples are microseconds).
-pub const BUCKETS: usize = 64;
+const BUCKETS: usize = 64;
 
 /// The value a sample in bucket `i` is reported as: the bucket's exclusive
 /// upper bound, saturating at `u64::MAX` for the top bucket.
@@ -174,21 +174,6 @@ impl HistogramSnapshot {
         self.quantile(0.99)
     }
 
-    /// The union of two distributions: bucket-wise sums and the larger
-    /// maximum. Associative and commutative with [`Self::default`] as the
-    /// identity, so per-shard/per-epoch snapshots fold in any order.
-    #[must_use]
-    pub fn merge(&self, other: &Self) -> Self {
-        let mut counts = self.counts;
-        for (c, o) in counts.iter_mut().zip(other.counts.iter()) {
-            *c += o;
-        }
-        Self {
-            counts,
-            max: self.max.max(other.max),
-        }
-    }
-
     /// The compact serializable readout of this snapshot.
     pub fn summary(&self) -> QuantileSummary {
         QuantileSummary {
@@ -266,27 +251,6 @@ mod tests {
         let s = h.snapshot();
         assert_eq!(s.p50(), u64::MAX);
         assert_eq!(s.max(), u64::MAX);
-    }
-
-    #[test]
-    fn merge_is_the_union_stream() {
-        let (a, b) = (Histogram::new(), Histogram::new());
-        let union = Histogram::new();
-        for v in [1u64, 7, 130] {
-            a.record(v);
-            union.record(v);
-        }
-        for v in [2u64, 9, 70_000] {
-            b.record(v);
-            union.record(v);
-        }
-        let merged = a.snapshot().merge(&b.snapshot());
-        assert_eq!(merged, union.snapshot());
-        assert_eq!(
-            merged.merge(&HistogramSnapshot::default()),
-            merged,
-            "empty snapshot is the merge identity"
-        );
     }
 
     #[test]

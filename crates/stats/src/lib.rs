@@ -30,9 +30,9 @@ mod counter;
 mod histogram;
 mod registry;
 
-pub use collector::{Collector, SeriesExport, SeriesPoint, DEFAULT_MAX_POINTS};
+pub use collector::{Collector, SeriesExport, SeriesPoint};
 pub use counter::{Counter, Gauge};
-pub use histogram::{Histogram, HistogramSnapshot, QuantileSummary, BUCKETS};
+pub use histogram::{Histogram, HistogramSnapshot, QuantileSummary};
 pub use registry::{Registry, RegistrySample, Stage};
 
 use std::sync::Arc;

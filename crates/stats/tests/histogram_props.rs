@@ -81,27 +81,4 @@ proptest! {
             );
         }
     }
-
-    /// Merge associativity/commutativity, and equality with the single
-    /// histogram of the concatenated stream.
-    #[test]
-    fn merge_is_associative_and_equals_union(
-        a in proptest::collection::vec(0u64..1_000_000, 0..80),
-        b in proptest::collection::vec(0u64..1_000_000, 0..80),
-        c in proptest::collection::vec(0u64..1_000_000, 0..80),
-    ) {
-        let (sa, sb, sc) = (snapshot_of(&a), snapshot_of(&b), snapshot_of(&c));
-        let left = sa.merge(&sb).merge(&sc);
-        let right = sa.merge(&sb.merge(&sc));
-        prop_assert_eq!(left, right, "merge must be associative");
-        prop_assert_eq!(sa.merge(&sb), sb.merge(&sa), "merge must commute");
-
-        let union: Vec<u64> = a.iter().chain(&b).chain(&c).copied().collect();
-        prop_assert_eq!(left, snapshot_of(&union), "merge is the union stream");
-        prop_assert_eq!(
-            left.merge(&HistogramSnapshot::default()),
-            left,
-            "empty snapshot is the identity"
-        );
-    }
 }

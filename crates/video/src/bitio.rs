@@ -114,6 +114,7 @@ impl BitWriter {
     }
 
     /// Number of complete bytes plus any partial byte currently buffered.
+    // lint:allow(dead-pub): crates/video/tests/bitio_differential.rs compares the writer with its oracle by it
     pub fn bit_len(&self) -> usize {
         self.buf.len() * 8 + self.nbits as usize
     }
@@ -215,6 +216,7 @@ impl<'a> BitReader<'a> {
     }
 
     /// Number of bits consumed so far.
+    // lint:allow(dead-pub): crates/video/tests/bitio_differential.rs compares the reader with its oracle by it
     pub fn bits_read(&self) -> usize {
         self.pos
     }
@@ -232,6 +234,7 @@ impl<'a> BitReader<'a> {
     ///
     /// Returns [`ReadBitsError`] if fewer than `count` bits remain.
     #[inline]
+    // lint:allow(dead-pub): crates/video/tests/bitio_differential.rs reads the oracle's fields with it
     pub fn read_bits(&mut self, count: u8) -> Result<u64, ReadBitsError> {
         if (1..=WINDOW_BITS).contains(&(count as u32)) {
             if let Some(window) = self.window() {

@@ -47,7 +47,7 @@ impl std::fmt::Display for FrameType {
 
 /// Maximum scenecut threshold (x264-style scale; the paper quotes 400 as the
 /// most aggressive setting).
-pub const SCENECUT_MAX: u16 = 400;
+const SCENECUT_MAX: u16 = 400;
 
 /// Encoder parameters. The two SiEVE-tuned knobs are [`gop_size`] and
 /// [`scenecut`]; the rest control rate/quality and are fixed per deployment.
@@ -296,6 +296,7 @@ impl RatioTrace {
     }
 
     /// The ratio of every frame in display order; `None` for the first.
+    // lint:allow(dead-pub): crates/video/tests/encode_golden.rs hashes the ratio trace
     pub fn ratios(&self) -> &[Option<f64>] {
         &self.ratios
     }
@@ -403,6 +404,7 @@ impl Encoder {
     /// # Panics
     ///
     /// Panics if `frame`'s resolution differs from the encoder's.
+    // lint:allow(dead-pub): crates/video/tests/alloc_steady_state.rs holds the encoder loop allocation-free through it
     pub fn encode_frame_into(&mut self, frame: &Frame, out: &mut Vec<u8>) -> FrameType {
         let frame_type = self.decider.decide(frame);
         self.coder.code(frame, frame_type, out);

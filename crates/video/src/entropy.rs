@@ -12,6 +12,7 @@ use crate::bitio::{
 use crate::dct::BLOCK_LEN;
 
 /// Zigzag scan order for an 8x8 block (JPEG / MPEG order).
+// lint:allow(dead-pub): the scan order of crates/video/tests/decode_differential.rs's oracle decoder
 pub const ZIGZAG: [usize; BLOCK_LEN] = [
     0, 1, 8, 16, 9, 2, 3, 10, //
     17, 24, 32, 25, 18, 11, 4, 5, //

@@ -127,6 +127,7 @@ impl Plane {
     ///
     /// Edge clamping mirrors what hardware encoders do for motion search that
     /// reaches outside the picture.
+    // lint:allow(dead-pub): the clamped reference of crates/video/tests/{kernel_exactness,search_oracle}.rs
     pub fn sample_clamped(&self, x: i64, y: i64) -> u8 {
         let cx = x.clamp(0, self.width as i64 - 1) as usize;
         let cy = y.clamp(0, self.height as i64 - 1) as usize;
@@ -498,6 +499,7 @@ impl Frame {
     /// # Panics
     ///
     /// Panics if the resolutions differ.
+    // lint:allow(dead-pub): tests/proptests.rs bounds the I-frame round-trip error with it
     pub fn psnr_luma(&self, other: &Frame) -> f64 {
         assert_eq!(
             self.resolution, other.resolution,

@@ -54,6 +54,7 @@ impl KernelLevel {
     pub const ALL: [KernelLevel; 3] = [KernelLevel::Scalar, KernelLevel::Sse2, KernelLevel::Avx2];
 
     /// Whether this host can run the tier.
+    // lint:allow(dead-pub): crates/video/tests/kernel_exactness.rs runs every supported level
     pub fn is_supported(self) -> bool {
         match self {
             KernelLevel::Scalar => true,
@@ -254,6 +255,7 @@ pub fn sad16_candidates(
 /// # Panics
 ///
 /// As [`sad16_candidates`], and if this host cannot run `level`.
+// lint:allow(dead-pub): crates/video/tests/kernel_exactness.rs checks each level against scalar
 pub fn sad16_candidates_at(
     level: KernelLevel,
     cur: &[u8],

@@ -42,17 +42,13 @@ pub mod frame;
 pub mod kernels;
 pub mod motion;
 mod parallel;
-pub mod quality;
 pub mod quant;
 pub mod stats;
 
 pub use container::{ContainerError, EncodedVideo, FrameMeta, VideoIndex};
 pub use decode::{DecodeError, Decoder};
-pub use encode::{
-    frame_type, EncodedFrame, Encoder, EncoderConfig, FrameType, RatioTrace, SCENECUT_MAX,
-};
+pub use encode::{frame_type, EncodedFrame, Encoder, EncoderConfig, FrameType, RatioTrace};
 pub use frame::{Frame, Plane, Resolution};
 pub use motion::{FrameMotion, MotionVector};
-pub use quality::{ssim_luma, ssim_plane};
 pub use quant::QuantTable;
 pub use stats::BitstreamStats;

@@ -43,6 +43,7 @@ impl MotionVector {
 
 /// Result of motion search for one macroblock.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+// lint:allow(dead-pub): the result crates/video/tests/search_oracle.rs compares with its clamped oracle
 pub struct MotionResult {
     /// Best motion vector found.
     pub mv: MotionVector,
@@ -159,6 +160,7 @@ fn assert_same_size(cur: &PaddedPlane, reference: &PaddedPlane) {
 /// nearest edge sample wherever either block leaves its plane. The planes
 /// need not share dimensions. Pads both planes for the one block: the
 /// searches keep padded planes instead.
+// lint:allow(dead-pub): crates/video/tests/kernel_exactness.rs holds the padded-plane path to it
 pub fn sad_mb(cur: &Plane, reference: &Plane, x: usize, y: usize, mv: MotionVector) -> u32 {
     let border = x.max(y) + MB + mv.dx.unsigned_abs().max(mv.dy.unsigned_abs()) as usize;
     let (mut c, mut r) = (PaddedPlane::default(), PaddedPlane::default());
@@ -186,6 +188,7 @@ fn intra_cost(cur: &PaddedPlane, x: usize, y: usize) -> u32 {
 /// Intra texture cost of the macroblock at `(x, y)`, reading the nearest
 /// edge sample wherever the block leaves the plane. Pads the plane for the
 /// one block: [`analyze_frame`] keeps a padded plane instead.
+// lint:allow(dead-pub): crates/video/tests/kernel_exactness.rs holds the padded-plane path to it
 pub fn intra_cost_mb(cur: &Plane, x: usize, y: usize) -> u32 {
     let mut c = PaddedPlane::default();
     c.pad(cur, x.max(y) + MB);
@@ -332,6 +335,7 @@ pub(crate) fn frame_motion(cur: &PaddedPlane, reference: &PaddedPlane, range: u1
 /// # Panics
 ///
 /// Panics if the planes differ in size.
+// lint:allow(dead-pub): crates/video/tests/search_oracle.rs compares it with its clamped oracle
 pub fn analyze_frame(cur: &Plane, reference: &Plane, range: u16) -> FrameMotion {
     frame_motion(
         &PaddedPlane::searching(cur, range),

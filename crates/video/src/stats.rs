@@ -4,7 +4,7 @@
 //! half of the paper's tuning objective; the other half, event-detection
 //! accuracy, lives in `sieve-core` because it needs ground-truth labels.
 
-use crate::container::{EncodedVideo, VideoIndex};
+use crate::container::EncodedVideo;
 use crate::encode::FrameType;
 
 /// Summary statistics of an encoded stream.
@@ -30,15 +30,6 @@ impl BitstreamStats {
         let mut s = Self::empty();
         for f in video.frames() {
             s.add(f.frame_type, f.data.len() as u64);
-        }
-        s
-    }
-
-    /// Computes statistics from a metadata index (no payload access).
-    pub fn from_index(index: &VideoIndex) -> Self {
-        let mut s = Self::empty();
-        for m in &index.entries {
-            s.add(m.frame_type, m.len as u64);
         }
         s
     }
@@ -83,6 +74,7 @@ impl BitstreamStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::container::VideoIndex;
     use crate::encode::EncoderConfig;
     use crate::frame::{Frame, Resolution};
 
@@ -114,10 +106,16 @@ mod tests {
     #[test]
     fn index_and_video_agree() {
         let v = video(4, 12);
-        let from_video = BitstreamStats::from_video(&v);
+        let s = BitstreamStats::from_video(&v);
         let bytes = v.to_bytes();
-        let from_index = BitstreamStats::from_index(&VideoIndex::parse(&bytes).unwrap());
-        assert_eq!(from_video, from_index);
+        let index = VideoIndex::parse(&bytes).unwrap();
+        let i_frames = index
+            .entries
+            .iter()
+            .filter(|m| m.frame_type == FrameType::I);
+        assert_eq!(s.i_frames, i_frames.count());
+        let total: usize = index.entries.iter().map(|m| m.len as usize).sum();
+        assert_eq!(s.total_bytes, total as u64);
     }
 
     #[test]

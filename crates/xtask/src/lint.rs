@@ -15,14 +15,20 @@
 //! live there). It has no waiver: an unnamed dependency is deleted.
 //!
 //! One cross-file rule, `dead-pub`: a `pub` item (function, method, type,
-//! trait, constant or static) of a library crate's `src/` must be named in
-//! some other file — another library file, a `tests/` or `examples/` file,
-//! a binary, or `e2e_bench/src`, the benchmark that calls the library from
-//! outside the workspace. The code of another file's doc examples counts
-//! too (doctests run). Uses in the defining file, its own `#[cfg(test)]`
-//! module and doc examples included, do not count. The match is by name
-//! only, so it can miss a dead item but never flags a live one. Waive a
-//! site with `// lint:allow(dead-pub): reason`.
+//! trait, constant or static) of a library crate's `src/` must have a
+//! production caller in some other file: another library file's code
+//! outside `#[cfg(test)]`, a binary, an example, another file's doc
+//! examples (doctests run), or `e2e_bench/src`, the frozen benchmark that
+//! calls the library from outside the workspace (its tests included, since
+//! they must keep compiling). Files under a `tests/` directory,
+//! `#[cfg(test)]` code and uses in the defining file do not count. Nor
+//! does a `pub use` re-export of a function, constant or static; a type's
+//! re-export does count, because a type reaches callers through signatures
+//! without being named. The match is by name only, so it can miss a dead
+//! item but never flags a live one. Waive a site with
+//! `// lint:allow(dead-pub): reason`, naming the integration test that
+//! uses the item as an oracle or the ROADMAP item that will give it a
+//! caller; a marker on an item the rule would not flag is itself a finding.
 
 use std::collections::HashMap;
 use std::fs;
@@ -353,27 +359,43 @@ fn leading_idents(text: &str) -> Vec<&str> {
     words
 }
 
-/// The `pub` items `cleaned` defines, as `(offset, name)`. Restricted
-/// visibility (`pub(crate)`), modules, re-exports and fields are not
-/// items here.
-fn pub_items(cleaned: &str) -> Vec<(usize, &str)> {
+/// The `pub` items `cleaned` defines, as `(offset, keyword, name)`, the
+/// keyword being `fn`, `struct`, `enum`, `trait`, `type`, `static`, `union`
+/// or `const`. Restricted visibility (`pub(crate)`), modules, re-exports
+/// and fields are not items here.
+fn pub_items(cleaned: &str) -> Vec<(usize, &str, &str)> {
     const KEYWORDS: &[&str] = &["fn", "struct", "enum", "trait", "type", "static", "union"];
     const QUALIFIERS: &[&str] = &["const", "unsafe", "async", "extern"];
     let mut items = Vec::new();
     for at in token_occurrences(cleaned, "pub") {
         let words = leading_idents(&cleaned[at + 3..]);
-        let name = match words.iter().position(|w| KEYWORDS.contains(w)) {
-            Some(k) if words[..k].iter().all(|w| QUALIFIERS.contains(w)) => {
-                words[k + 1..].iter().find(|&&w| w != "mut")
-            }
-            None if words.first() == Some(&"const") => words.get(1),
+        let item = match words.iter().position(|w| KEYWORDS.contains(w)) {
+            Some(k) if words[..k].iter().all(|w| QUALIFIERS.contains(w)) => words[k + 1..]
+                .iter()
+                .find(|&&w| w != "mut")
+                .map(|&name| (words[k], name)),
+            None if words.first() == Some(&"const") => words.get(1).map(|&name| ("const", name)),
             _ => None,
         };
-        if let Some(&name) = name.filter(|&&n| n != "_") {
-            items.push((at, name));
+        if let Some((keyword, name)) = item.filter(|&(_, n)| n != "_") {
+            items.push((at, keyword, name));
         }
     }
     items
+}
+
+/// The byte ranges of `cleaned`'s `pub use …;` statements.
+fn reexport_spans(cleaned: &str) -> Vec<(usize, usize)> {
+    token_occurrences(cleaned, "pub")
+        .into_iter()
+        .filter(|&at| leading_idents(&cleaned[at + 3..]).first() == Some(&"use"))
+        .map(|at| {
+            (
+                at,
+                cleaned[at..].find(';').map_or(cleaned.len(), |p| at + p),
+            )
+        })
+        .collect()
 }
 
 /// The Rust code of `source`'s doc examples: the lines between ``` fences
@@ -401,42 +423,81 @@ fn doc_example_code(source: &str) -> String {
     code
 }
 
+/// What `path` says in production code: its cleaned text with its
+/// `#[cfg(test)]` items blanked, plus its doc examples. A file under a
+/// `tests/` directory says nothing. The benchmark, `e2e_bench/src`, counts
+/// whole, its tests included: it is frozen and must keep compiling.
+fn production_code(path: &str, source: &str, scanned: &Scanned) -> String {
+    if path.starts_with("e2e_bench/src/") {
+        return format!("{}\n{}", scanned.cleaned, doc_example_code(source));
+    }
+    if path.split('/').any(|dir| dir == "tests") {
+        return String::new();
+    }
+    let mut code = String::with_capacity(source.len());
+    for (i, line) in scanned.cleaned.lines().enumerate() {
+        if !scanned.in_test_code(i + 1) {
+            code.push_str(line);
+        }
+        code.push('\n');
+    }
+    code + &doc_example_code(source)
+}
+
 /// The `dead-pub` rule over the workspace files `(path, source)`.
 fn dead_pub(files: &[(String, String)]) -> Vec<Finding> {
     let scanned: Vec<Scanned> = files.iter().map(|(_, src)| lexer::scan(src)).collect();
-    // What each file says in code: its cleaned text plus its doc examples.
     let code: Vec<String> = files
         .iter()
         .zip(&scanned)
-        .map(|((_, src), s)| format!("{}\n{}", s.cleaned, doc_example_code(src)))
+        .map(|((path, src), s)| production_code(path, src, s))
         .collect();
-    // identifier -> the files that name it.
+    // identifier -> the files that name it in production code, outside and
+    // inside their `pub use` statements.
     let mut named_in: HashMap<&str, Vec<usize>> = HashMap::new();
+    let mut reexported_in: HashMap<&str, Vec<usize>> = HashMap::new();
     for (i, text) in code.iter().enumerate() {
-        let mut rest = text.as_str();
-        while let Some(start) = rest.find(is_ident) {
-            let end = rest[start..]
+        let reexports = reexport_spans(text);
+        let mut from = 0;
+        while let Some(p) = text[from..].find(is_ident) {
+            let start = from + p;
+            let end = text[start..]
                 .find(|c: char| !is_ident(c))
-                .map_or(rest.len(), |p| start + p);
-            let files_naming = named_in.entry(&rest[start..end]).or_default();
+                .map_or(text.len(), |p| start + p);
+            let map = if reexports.iter().any(|&(a, b)| a <= start && start < b) {
+                &mut reexported_in
+            } else {
+                &mut named_in
+            };
+            let files_naming = map.entry(&text[start..end]).or_default();
             if files_naming.last() != Some(&i) {
                 files_naming.push(i);
             }
-            rest = &rest[end..];
+            from = end;
         }
     }
+    let elsewhere = |map: &HashMap<&str, Vec<usize>>, name: &str, i: usize| {
+        map.get(name)
+            .is_some_and(|naming| naming.iter().any(|&f| f != i))
+    };
     let mut findings = Vec::new();
     for (i, ((path, _), scanned)) in files.iter().zip(&scanned).enumerate() {
         if !defines_library_api(path) {
             continue;
         }
-        for (at, name) in pub_items(&scanned.cleaned) {
+        let mut dead_lines = Vec::new();
+        for (at, keyword, name) in pub_items(&scanned.cleaned) {
             let line = lexer::line_of(&scanned.cleaned, at);
-            let used_elsewhere = named_in
-                .get(name)
-                .is_some_and(|naming| naming.iter().any(|&f| f != i));
-            if used_elsewhere || scanned.in_test_code(line) || scanned.is_allowed("dead-pub", line)
-            {
+            // A type reaches callers through signatures without being
+            // named, so its re-exports count; a value's do not.
+            let is_value = matches!(keyword, "fn" | "const" | "static");
+            let used =
+                elsewhere(&named_in, name, i) || !is_value && elsewhere(&reexported_in, name, i);
+            if used || scanned.in_test_code(line) {
+                continue;
+            }
+            dead_lines.push(line);
+            if scanned.is_allowed("dead-pub", line) {
                 continue;
             }
             findings.push(Finding {
@@ -444,10 +505,24 @@ fn dead_pub(files: &[(String, String)]) -> Vec<Finding> {
                 line,
                 rule: "dead-pub",
                 message: format!(
-                    "`pub` item `{name}` is named in no other file (tests, examples, \
-                     binaries and e2e_bench/src count) — make it private or delete it"
+                    "`pub` item `{name}` has no production caller in another file \
+                     (tests, #[cfg(test)] code and re-exports of functions, \
+                     constants and statics do not count) — make it private or delete it"
                 ),
             });
+        }
+        for allow in &scanned.allows {
+            let waives = |line: &usize| *line == allow.line || *line == allow.line + 1;
+            if allow.rule == "dead-pub" && !allow.file_wide && !dead_lines.iter().any(waives) {
+                findings.push(Finding {
+                    path: path.clone(),
+                    line: allow.line,
+                    rule: "dead-pub",
+                    message: "stale lint:allow(dead-pub): the next item has a production \
+                              caller or is not a `pub` item — delete the marker"
+                        .to_string(),
+                });
+            }
         }
     }
     findings
@@ -742,11 +817,94 @@ pub fn other() -> u32 { helper() }
         let f = dead_pub_over(&[
             ("crates/demo/src/lib.rs", LIB_WITH_HELPER),
             (
+                "crates/demo/src/user.rs",
+                "fn u() { crate::helper(); crate::other(); }\n",
+            ),
+        ]);
+        assert!(f.is_empty(), "{f:?}");
+    }
+
+    #[test]
+    fn dead_pub_flags_a_use_only_in_a_tests_directory() {
+        let f = dead_pub_over(&[
+            ("crates/demo/src/lib.rs", LIB_WITH_HELPER),
+            (
                 "crates/demo/tests/it.rs",
                 "fn t() { demo::helper(); demo::other(); }\n",
             ),
         ]);
+        assert_eq!(f.len(), 2, "{f:?}");
+    }
+
+    #[test]
+    fn dead_pub_flags_a_function_named_only_by_a_reexport() {
+        let f = dead_pub_over(&[
+            ("crates/demo/src/util.rs", "pub fn helper() {}\n"),
+            (
+                "crates/demo/src/lib.rs",
+                "pub use util::{\n    helper,\n};\n",
+            ),
+        ]);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert!(f[0].message.contains("`helper`"), "{f:?}");
+    }
+
+    #[test]
+    fn dead_pub_passes_a_type_named_only_by_a_reexport() {
+        // A type reaches callers through signatures without being named.
+        let f = dead_pub_over(&[
+            ("crates/demo/src/util.rs", "pub struct Thing;\n"),
+            ("crates/demo/src/lib.rs", "pub use util::Thing;\n"),
+        ]);
         assert!(f.is_empty(), "{f:?}");
+    }
+
+    #[test]
+    fn dead_pub_flags_a_use_in_another_files_test_module() {
+        let user = "\
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn t() { crate::helper(); }
+}
+";
+        let f = dead_pub_over(&[
+            ("crates/demo/src/lib.rs", "pub fn helper() {}\n"),
+            ("crates/demo/src/user.rs", user),
+        ]);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert!(f[0].message.contains("`helper`"), "{f:?}");
+    }
+
+    #[test]
+    fn dead_pub_counts_the_benchmarks_test_code() {
+        let bench = "\
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn t() { demo::helper(); }
+}
+";
+        let f = dead_pub_over(&[
+            ("crates/demo/src/lib.rs", "pub fn helper() {}\n"),
+            ("e2e_bench/src/spec.rs", bench),
+        ]);
+        assert!(f.is_empty(), "{f:?}");
+    }
+
+    #[test]
+    fn dead_pub_flags_a_stale_allow_marker() {
+        let src = "\
+// lint:allow(dead-pub): once dead, now called from user.rs
+pub fn helper() {}
+";
+        let f = dead_pub_over(&[
+            ("crates/demo/src/lib.rs", src),
+            ("crates/demo/src/user.rs", "fn u() { crate::helper(); }\n"),
+        ]);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!((f[0].rule, f[0].line), ("dead-pub", 1));
+        assert!(f[0].message.contains("stale"), "{f:?}");
     }
 
     #[test]

@@ -52,19 +52,18 @@ pub use live::{run_live_analysis, LiveAnalysis, LiveConfig};
 pub mod prelude {
     pub use crate::live::{run_live_analysis, LiveAnalysis, LiveConfig};
     pub use sieve_core::{
-        analyze, analyze_selected, analyze_sieve, f1_score, score_encoding, score_selection,
-        simulate_all, simulate_baseline, tune, AnalysisResult, Baseline, BaselineSpec, ConfigGrid,
-        Decision, Deployment, DetectionQuality, EncodedFrameMeta, FrameSelector, IFrameSelector,
-        LookupTable, ObjectDetector, OracleDetector, SelectorKind, SelectorSession, SieveError,
-        ThreeTier, TuningOutcome,
+        analyze, analyze_sieve, score_encoding, score_selection, simulate_all, tune,
+        AnalysisResult, Baseline, BaselineSpec, ConfigGrid, Decision, Deployment, DetectionQuality,
+        EncodedFrameMeta, FrameSelector, IFrameSelector, LookupTable, ObjectDetector,
+        OracleDetector, SelectorKind, SelectorSession, SieveError, ThreeTier, TuningOutcome,
     };
     pub use sieve_datasets::{
-        segment_events, stream_seed, DatasetId, DatasetScale, DatasetSpec, Event, LabelSet,
-        ObjectClass, SyntheticVideo,
+        segment_events, DatasetId, DatasetScale, DatasetSpec, Event, LabelSet, ObjectClass,
+        SyntheticVideo,
     };
     pub use sieve_filters::{
-        calibrate_threshold, score_sequence, select_frames, Budget, ChangeDetector, MseDetector,
-        MseSelector, SiftDetector, SiftSelector, UniformSelector,
+        calibrate_threshold, select_frames, Budget, ChangeDetector, MseDetector, MseSelector,
+        SiftDetector, SiftSelector, UniformSelector,
     };
     pub use sieve_fleet::{Fleet, FleetConfig, FleetReport, FramePacket, StreamConfig, StreamId};
     pub use sieve_stats::{Collector, Counter, Gauge, Histogram, Registry};

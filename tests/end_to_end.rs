@@ -28,7 +28,7 @@ fn offline_tune_then_online_analysis() {
     let mut buf = Vec::new();
     table.save(&mut buf).expect("save");
     let table = LookupTable::load(buf.as_slice()).expect("load");
-    let tuned = table.get_or_default("jackson");
+    let tuned = *table.get("jackson").expect("tuned camera");
 
     // Online: encode the unseen second half with the tuned parameters.
     let encoded = EncodedVideo::encode(

@@ -192,8 +192,8 @@ proptest! {
                 },
             })
             .collect();
-        for baseline in Baseline::ALL {
-            let o = simulate_baseline(baseline, &workloads, &topology);
+        for o in simulate_all(&workloads, &topology) {
+            let baseline = o.baseline;
             prop_assert_eq!(o.frames, workloads.iter().map(|v| v.frame_count as u64).sum::<u64>());
             // The edge prices every frame by its selector and analyses the
             // selected count; edge-only also infers, cloud-only just relays.

@@ -73,10 +73,6 @@ fn baseline_registry_covers_all_five() {
     for b in Baseline::ALL {
         let spec: BaselineSpec = b.spec();
         assert!(seen.insert(spec), "duplicate registry row for {b}");
-        assert_eq!(
-            spec.selector.uses_semantic_encoding(),
-            b.uses_semantic_encoding()
-        );
     }
     assert_eq!(seen.len(), 5);
 }
