@@ -70,6 +70,26 @@ fn live_pipeline_generic_over_selectors() {
     }
 }
 
+/// A budget no session can apply fails the run, not just its keeps: the
+/// stream's end-of-stream error comes back as the run's error.
+#[test]
+fn live_run_rejects_invalid_target_rate() {
+    let video = jackson();
+    let encoded = EncodedVideo::encode(
+        video.resolution(),
+        video.fps(),
+        EncoderConfig::new(30, 0),
+        video.frames().take(8),
+    );
+    let run = run_live_analysis(
+        &encoded,
+        &mut MseSelector::mse(Budget::TargetRate(0.0)),
+        OracleDetector::for_video(&video),
+        &LiveConfig::default(),
+    );
+    assert!(matches!(run, Err(SieveError::Selector(_))), "{run:?}");
+}
+
 /// The live driver streams: it must never evaluate the policy with a batch
 /// whole-video call. A selector whose batch entry points panic — only its
 /// session works — completes a live run and matches the offline result.
