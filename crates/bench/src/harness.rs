@@ -14,7 +14,9 @@ use sieve_core::{
     VideoWorkload, WorkloadCosts, NN_INPUT_SIZE,
 };
 use sieve_datasets::{DatasetId, DatasetScale, DatasetSpec, LabelSet, SyntheticVideo};
-use sieve_filters::{Budget, ChangeDetector, MseDetector, MseSelector, SiftDetector, SiftSelector};
+use sieve_filters::{
+    calibrate_fractions, Budget, ChangeDetector, MseDetector, MseSelector, SiftDetector,
+};
 use sieve_video::{
     BitstreamStats, Decoder, EncodedVideo, EncoderConfig, Frame, RatioTrace, Resolution, VideoIndex,
 };
@@ -129,7 +131,7 @@ impl Prepared {
 /// placed (GOP fixed at `gop`); the resulting I-frame rate defines the
 /// sampling budget at which the baselines' thresholds are calibrated — the
 /// paper's fair-comparison methodology. The whole sweep routes through
-/// [`ChangeSelector::calibrate_fractions`](sieve_filters::ChangeSelector::calibrate_fractions),
+/// [`calibrate_fractions`],
 /// so each baseline decodes and scores the default-encoded stream (decode
 /// artifacts included, exactly like NoScope-style filters) *once* across
 /// all operating points.
@@ -153,11 +155,9 @@ pub fn accuracy_sweep(prepared: &Prepared, gop: usize, scenecuts: &[u16]) -> Vec
 
     // Batched calibration: one decode+scoring pass per baseline, every
     // matched target swept in memory.
-    let mse_points = MseSelector::mse(Budget::Threshold(0.0))
-        .calibrate_fractions(default_video, &fractions)
+    let mse_points = calibrate_fractions(&mut MseDetector::new(), default_video, &fractions)
         .expect("default stream decodes");
-    let sift_points = SiftSelector::sift(Budget::Threshold(0.0))
-        .calibrate_fractions(default_video, &fractions)
+    let sift_points = calibrate_fractions(&mut SiftDetector::new(), default_video, &fractions)
         .expect("default stream decodes");
 
     let mut points: Vec<SweepPoint> = sieve_points
@@ -288,8 +288,7 @@ pub fn build_workload(prepared: &Prepared, frames_per_video: usize) -> VideoWork
         let train_labels = &video.labels()[..half];
         let goal = 0.95;
         let targets = [0.005, 0.01, 0.02, 0.03, 0.05, 0.08, 0.12, 0.2];
-        let threshold = MseSelector::mse(Budget::Threshold(0.0))
-            .calibrate_fractions(&train_default, &targets)
+        let threshold = calibrate_fractions(&mut MseDetector::new(), &train_default, &targets)
             .expect("train stream decodes")
             .iter()
             .find(|p| score_selection(train_labels, &p.selected).accuracy >= goal)

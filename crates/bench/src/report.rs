@@ -1,7 +1,7 @@
 //! Small text-table helpers shared by the experiment harnesses.
 
 /// Formats a row of columns with fixed widths, right-aligning numbers.
-pub fn row(cells: &[String], widths: &[usize]) -> String {
+fn row(cells: &[String], widths: &[usize]) -> String {
     cells
         .iter()
         .zip(widths)

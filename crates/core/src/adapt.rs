@@ -3,9 +3,10 @@
 //!
 //! The paper's fraction budgets are resolved *offline*: score the whole
 //! video, sort, pick the threshold that keeps the requested fraction
-//! ([`crate::FrameSelector::prepare`]). A live edge never sees the whole
-//! video, so this module provides the on-line counterpart used by
-//! `sieve_filters::AdaptiveChangeSession` and the `sieve-fleet` runtime:
+//! (`sieve_filters::calibrate_fractions`). A live edge never sees the whole
+//! video, so this module provides the on-line counterpart behind
+//! `sieve_filters::Budget::TargetRate` sessions and the `sieve-fleet`
+//! runtime:
 //!
 //! * [`Ewma`] — an exponentially weighted moving average, used both for the
 //!   achieved-rate estimate and for the score-spread scale;
@@ -483,14 +484,9 @@ impl RateController {
         })
     }
 
-    /// The requested sampling rate.
-    pub fn target(&self) -> f64 {
-        self.target
-    }
-
     /// The rate the controller is steering toward right now: the requested
-    /// target scaled by the coupled [`WanSignal`]'s factor. Equal to
-    /// [`RateController::target`] while the WAN is healthy.
+    /// target scaled by the coupled [`WanSignal`]'s factor. Equal to the
+    /// requested target while the WAN is healthy.
     pub fn effective_target(&self) -> f64 {
         self.target * self.wan.factor()
     }
@@ -816,7 +812,7 @@ mod tests {
         });
         assert!((rc.effective_target() - 0.3 * 0.7).abs() < 1e-6);
         assert!(
-            (rc.target() - 0.3).abs() < 1e-12,
+            (rc.target - 0.3).abs() < 1e-12,
             "requested target is unchanged"
         );
         // A second controller on the same signal sees the same pressure.

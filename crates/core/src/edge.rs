@@ -62,11 +62,10 @@ impl std::fmt::Debug for EdgeSession {
 
 impl EdgeSession {
     /// Opens a fresh edge session for `selector` on a stream of
-    /// `resolution`/`quality` frames. The caller is responsible for any
-    /// [`FrameSelector::prepare`] the policy needs — on-line policies
-    /// (metadata seeking, absolute thresholds, `Budget::TargetRate`
-    /// adaptation) need none, which is what lets a fleet open sessions for
-    /// streams it will never see in full.
+    /// `resolution`/`quality` frames. Every policy is on-line (metadata
+    /// seeking, absolute thresholds, `Budget::TargetRate` adaptation), which
+    /// is what lets a fleet open sessions for streams it will never see in
+    /// full.
     pub fn open<S: FrameSelector + ?Sized>(
         selector: &S,
         resolution: Resolution,

@@ -56,7 +56,7 @@ impl AnalysisResult {
 /// than corrupting propagation.
 pub fn analyze(
     video: &EncodedVideo,
-    selector: &mut (impl FrameSelector + ?Sized),
+    selector: &(impl FrameSelector + ?Sized),
     detector: &mut (impl ObjectDetector + ?Sized),
 ) -> Result<AnalysisResult, SieveError> {
     let frame_count = video.frame_count();
@@ -84,7 +84,7 @@ pub fn analyze_sieve(
     video: &EncodedVideo,
     detector: &mut dyn ObjectDetector,
 ) -> Result<AnalysisResult, SieveError> {
-    analyze(video, &mut IFrameSelector::new(), detector)
+    analyze(video, &IFrameSelector::new(), detector)
 }
 
 /// Validates one selection step: in range, and strictly after `prev`. The
@@ -161,7 +161,7 @@ mod tests {
         let mut oracle = OracleDetector::for_video(&video);
         let direct = analyze_sieve(&encoded, &mut oracle).expect("analysis");
         let via_generic =
-            analyze(&encoded, &mut IFrameSelector::new(), &mut oracle).expect("generic analysis");
+            analyze(&encoded, &IFrameSelector::new(), &mut oracle).expect("generic analysis");
         assert_eq!(direct, via_generic);
     }
 
@@ -177,7 +177,7 @@ mod tests {
             Box::new(crate::select::GreedySession)
         }
         fn select_with(
-            &mut self,
+            &self,
             video: &EncodedVideo,
             visit: &mut dyn FnMut(usize, &sieve_video::Frame) -> Result<(), SieveError>,
         ) -> Result<(), SieveError> {
@@ -192,7 +192,7 @@ mod tests {
         let mut oracle = OracleDetector::for_video(&video);
         let n = encoded.frame_count();
         assert!(matches!(
-            analyze(&encoded, &mut Replay(vec![0, n]), &mut oracle),
+            analyze(&encoded, &Replay(vec![0, n]), &mut oracle),
             Err(SieveError::InvalidSelection { index, .. }) if index == n
         ));
     }
@@ -203,7 +203,7 @@ mod tests {
         let mut oracle = OracleDetector::for_video(&video);
         for indices in [vec![3, 1], vec![2, 2]] {
             assert!(matches!(
-                analyze(&encoded, &mut Replay(indices), &mut oracle),
+                analyze(&encoded, &Replay(indices), &mut oracle),
                 Err(SieveError::Selector(_))
             ));
         }
@@ -228,7 +228,7 @@ mod tests {
         let (video, encoded) = setup();
         let mut oracle = OracleDetector::for_video(&video);
         assert!(matches!(
-            analyze(&encoded, &mut Greedy, &mut oracle),
+            analyze(&encoded, &Greedy, &mut oracle),
             Err(SieveError::Selector(_))
         ));
     }
@@ -241,8 +241,8 @@ mod tests {
         let mut oracle = OracleDetector::for_video(&video);
         let n = video.frame_count();
         let mut acc = |step: usize| {
-            let mut selector = FixedSelector::new((0..n).step_by(step).collect());
-            let r = analyze(&encoded, &mut selector, &mut oracle).expect("in range");
+            let selector = FixedSelector::new((0..n).step_by(step).collect());
+            let r = analyze(&encoded, &selector, &mut oracle).expect("in range");
             crate::metrics::label_accuracy(video.labels(), &r.predicted)
         };
         assert!(acc(100) <= acc(10));

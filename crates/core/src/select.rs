@@ -9,9 +9,10 @@
 //!   (its [`name`](FrameSelector::name), whether it
 //!   [`requires_full_decode`](FrameSelector::requires_full_decode), its
 //!   on-line [`target_rate`](FrameSelector::target_rate)) and opens
-//!   streaming [`session`](FrameSelector::session)s. Policies whose
-//!   parameters depend on whole-video statistics (fraction-calibrated
-//!   thresholds) resolve them in [`prepare`](FrameSelector::prepare).
+//!   streaming [`session`](FrameSelector::session)s. It holds no per-video
+//!   state: every policy is on-line, and anything calibrated on a whole
+//!   video (the paper's matched-sampling thresholds) is resolved by the
+//!   caller before the selector is built.
 //! * [`SelectorSession`] **consumes frames incrementally**: drivers call
 //!   [`observe`](SelectorSession::observe) once per stream frame in
 //!   ascending order with the container metadata
@@ -96,8 +97,7 @@ pub trait SelectorSession: Send {
 
     /// End-of-stream hook: flush trailing state and surface deferred
     /// failures (e.g. a fixed selection that referenced frames past the end
-    /// of the stream, or a fraction budget streamed without
-    /// [`FrameSelector::prepare`]).
+    /// of the stream, or an invalid on-line target rate).
     ///
     /// # Errors
     ///
@@ -110,10 +110,10 @@ pub trait SelectorSession: Send {
 /// A policy choosing which frames of an encoded video to analyse.
 ///
 /// Implementations provide [`session`](Self::session) and
-/// [`name`](Self::name), plus [`requires_full_decode`](Self::requires_full_decode),
-/// [`target_rate`](Self::target_rate) and [`prepare`](Self::prepare) where
-/// the defaults do not fit; the two batch entry points are default
-/// wrappers that drive one session over the whole video.
+/// [`name`](Self::name), plus [`requires_full_decode`](Self::requires_full_decode)
+/// and [`target_rate`](Self::target_rate) where the defaults do not fit;
+/// the two batch entry points are default wrappers that drive one session
+/// over the whole video.
 pub trait FrameSelector {
     /// Short name used in tables and reports ("sieve", "uniform", "mse").
     fn name(&self) -> &'static str;
@@ -136,20 +136,6 @@ pub trait FrameSelector {
         None
     }
 
-    /// Resolves whole-video parameters before streaming — e.g. a
-    /// fraction-calibrated threshold that needs the video's score
-    /// distribution. On-line policies do nothing. The batch wrappers and
-    /// the live driver call this once per video before opening sessions;
-    /// anyone driving sessions by hand must do the same.
-    ///
-    /// # Errors
-    ///
-    /// Policy-specific: invalid budgets, failed calibration decodes.
-    fn prepare(&mut self, video: &EncodedVideo) -> Result<(), SieveError> {
-        let _ = video;
-        Ok(())
-    }
-
     /// Opens a fresh streaming session applying this policy from the next
     /// frame it observes.
     fn session(&self) -> Box<dyn SelectorSession>;
@@ -161,10 +147,9 @@ pub trait FrameSelector {
     ///
     /// # Errors
     ///
-    /// Returns a [`SieveError`] if preparation or decoding fails, or the
-    /// policy cannot be applied to this video.
-    fn select_indices(&mut self, video: &EncodedVideo) -> Result<Vec<usize>, SieveError> {
-        self.prepare(video)?;
+    /// Returns a [`SieveError`] if decoding fails, or the policy cannot be
+    /// applied to this video.
+    fn select_indices(&self, video: &EncodedVideo) -> Result<Vec<usize>, SieveError> {
         let mut session = self.session();
         let mut out = Vec::new();
         drive_session(
@@ -189,11 +174,10 @@ pub trait FrameSelector {
     /// Same failure modes as [`FrameSelector::select_indices`], plus
     /// whatever `visit` returns.
     fn select_with(
-        &mut self,
+        &self,
         video: &EncodedVideo,
         visit: &mut dyn FnMut(usize, &Frame) -> Result<(), SieveError>,
     ) -> Result<(), SieveError> {
-        self.prepare(video)?;
         let mut session = self.session();
         drive_session(
             video,
@@ -306,7 +290,7 @@ impl<'v> LazyDecoder<'v> {
 /// let res = Resolution::new(32, 32);
 /// let video = EncodedVideo::encode(res, 30, EncoderConfig::new(3, 0),
 ///                                  (0..7).map(|_| Frame::grey(res)));
-/// let mut sel = IFrameSelector::new();
+/// let sel = IFrameSelector::new();
 /// assert!(!sel.requires_full_decode());
 /// assert_eq!(sel.select_indices(&video).unwrap(), vec![0, 3, 6]);
 /// ```
@@ -467,7 +451,7 @@ mod tests {
 
     /// The `(index, pixels)` pairs `sel` streams through `select_with`.
     fn picked(
-        sel: &mut impl FrameSelector,
+        sel: &impl FrameSelector,
         v: &EncodedVideo,
     ) -> Result<Vec<(usize, Frame)>, SieveError> {
         let mut out = Vec::new();
@@ -481,9 +465,9 @@ mod tests {
     #[test]
     fn iframe_selector_matches_seeker() {
         let v = video(4, 12);
-        let mut sel = IFrameSelector::new();
+        let sel = IFrameSelector::new();
         assert_eq!(sel.select_indices(&v).unwrap(), v.i_frame_indices());
-        let picked = picked(&mut sel, &v).unwrap();
+        let picked = picked(&sel, &v).unwrap();
         assert_eq!(picked.len(), 3);
         for (i, f) in &picked {
             assert_eq!(*f, v.decode_iframe_at(*i).unwrap());
@@ -509,14 +493,14 @@ mod tests {
     #[test]
     fn fixed_selector_range_checked() {
         let v = video(4, 8);
-        let mut sel = FixedSelector::new(vec![0, 3, 99]);
+        let sel = FixedSelector::new(vec![0, 3, 99]);
         assert!(matches!(
             sel.select_indices(&v),
             Err(SieveError::InvalidSelection { index: 99, .. })
         ));
-        assert!(picked(&mut sel, &v).is_err());
-        let mut ok = FixedSelector::new(vec![0, 5]);
-        assert_eq!(picked(&mut ok, &v).unwrap().len(), 2);
+        assert!(picked(&sel, &v).is_err());
+        let ok = FixedSelector::new(vec![0, 5]);
+        assert_eq!(picked(&ok, &v).unwrap().len(), 2);
     }
 
     #[test]
@@ -539,15 +523,15 @@ mod tests {
             v.decode_all().is_err(),
             "corrupt tail must break full decode"
         );
-        let picks = picked(&mut FixedSelector::new(vec![0, 5]), &v)
+        let picks = picked(&FixedSelector::new(vec![0, 5]), &v)
             .expect("selection stops before the corrupt tail");
         assert_eq!(picks.len(), 2);
         assert_eq!(
-            picked(&mut FixedSelector::new(Vec::new()), &v).unwrap(),
+            picked(&FixedSelector::new(Vec::new()), &v).unwrap(),
             Vec::new()
         );
         assert!(
-            picked(&mut FixedSelector::new(vec![8]), &v).is_err(),
+            picked(&FixedSelector::new(vec![8]), &v).is_err(),
             "reaching past the corruption still fails"
         );
     }
@@ -555,7 +539,7 @@ mod tests {
     #[test]
     fn dyn_box_dispatch_works() {
         let v = video(3, 9);
-        let mut boxed: Box<dyn FrameSelector> = Box::new(IFrameSelector::new());
+        let boxed: Box<dyn FrameSelector> = Box::new(IFrameSelector::new());
         assert_eq!(boxed.name(), "sieve");
         assert!(!boxed.requires_full_decode());
         assert_eq!(boxed.select_indices(&v).unwrap(), vec![0, 3, 6]);

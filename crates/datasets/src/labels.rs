@@ -33,7 +33,7 @@ impl ObjectClass {
     ];
 
     /// Stable bit index used by [`LabelSet`].
-    pub fn bit(self) -> u8 {
+    fn bit(self) -> u8 {
         match self {
             ObjectClass::Car => 0,
             ObjectClass::Bus => 1,

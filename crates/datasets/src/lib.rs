@@ -4,8 +4,7 @@
 //! Table I. Real streams are unavailable offline, and the evaluation only
 //! depends on event structure (when objects enter/leave), object scale
 //! (close-up vs far view) and background dynamics (water ripple, flicker,
-//! noise) — all of which the generator controls directly. See `DESIGN.md`
-//! for the substitution argument.
+//! noise) — all of which the generator controls directly.
 //!
 //! ```
 //! use sieve_datasets::{DatasetId, DatasetScale, DatasetSpec};

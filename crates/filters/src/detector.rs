@@ -6,8 +6,11 @@
 //! exceeds a threshold are "events" and get sent to the NN. The threshold is
 //! tuned on a training prefix so each baseline samples the same fraction of
 //! frames as SiEVE, making the accuracy comparison fair (Section V-A).
+//! [`calibrate_fractions`] is that offline step over a whole encoded video:
+//! one decode, any number of operating points.
 
-use sieve_video::Frame;
+use sieve_core::SieveError;
+use sieve_video::{Decoder, EncodedVideo, Frame};
 
 /// A per-frame-pair change scorer. Implementations are stateless with
 /// respect to the video (each call considers exactly one pair), but may
@@ -77,6 +80,74 @@ pub fn calibrate_threshold(scores: &[f64], total_frames: usize, target_fraction:
         // include the tied group (closest achievable from above).
         kth - (kth.abs() * 1e-9 + 1e-12)
     }
+}
+
+/// One operating point of [`calibrate_fractions`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct CalibrationPoint {
+    /// The requested sampling fraction, exactly as passed in.
+    pub fraction: f64,
+    /// The absolute change-score threshold the fraction resolved to.
+    pub threshold: f64,
+    /// Frame indices selected at this operating point.
+    pub selected: Vec<usize>,
+}
+
+/// Sweeps a batch of target sampling fractions in one pass: score `video`
+/// once with `detector`, resolve each fraction to an absolute threshold
+/// ([`calibrate_threshold`]) and apply it in memory ([`select_frames`]) —
+/// Fig 3's one-decode calibration. Points come back in the order the
+/// fractions were given; a point's threshold, deployed as
+/// `Budget::Threshold`, keeps exactly its `selected` frames.
+///
+/// # Errors
+///
+/// Returns a [`SieveError`] if the video fails to decode, or
+/// [`SieveError::Selector`] for a fraction outside `(0, 1]`.
+pub fn calibrate_fractions(
+    detector: &mut impl ChangeDetector,
+    video: &EncodedVideo,
+    fractions: &[f64],
+) -> Result<Vec<CalibrationPoint>, SieveError> {
+    let scores = scores(detector, video)?;
+    let n = video.frame_count();
+    fractions
+        .iter()
+        .map(|&f| {
+            if !(0.0..=1.0).contains(&f) || f == 0.0 {
+                return Err(SieveError::selector(format!(
+                    "target fraction {f} outside (0, 1]"
+                )));
+            }
+            let threshold = calibrate_threshold(&scores, n, f);
+            Ok(CalibrationPoint {
+                fraction: f,
+                threshold,
+                selected: select_frames(&scores, threshold),
+            })
+        })
+        .collect()
+}
+
+/// One streaming scoring pass: decode each frame, score it against its
+/// predecessor, hold only that predecessor. `scores[i]` describes the pair
+/// `(i, i+1)`.
+fn scores(
+    detector: &mut impl ChangeDetector,
+    video: &EncodedVideo,
+) -> Result<Vec<f64>, SieveError> {
+    let mut decoder = Decoder::new(video.resolution(), video.quality());
+    detector.reset();
+    let mut prev: Option<Frame> = None;
+    let mut scores = Vec::with_capacity(video.frame_count().saturating_sub(1));
+    for ef in video.frames() {
+        let frame = decoder.decode_frame(ef)?;
+        if let Some(p) = &prev {
+            scores.push(detector.change_score(p, &frame));
+        }
+        prev = Some(frame);
+    }
+    Ok(scores)
 }
 
 #[cfg(test)]

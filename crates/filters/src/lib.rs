@@ -11,7 +11,11 @@
 //! All of these require *fully decoding every frame* before scoring — the
 //! cost that SiEVE's I-frame seeking avoids. [`calibrate_threshold`] tunes a
 //! detector's threshold on a training prefix so it samples the same fraction
-//! of frames as SiEVE, reproducing the paper's fair-comparison methodology.
+//! of frames as SiEVE, reproducing the paper's fair-comparison methodology;
+//! [`calibrate_fractions`] does so for a whole encoded video, scoring it
+//! once for any number of fractions. The selectors ([`MseSelector`],
+//! [`SiftSelector`]) run on-line at a fixed threshold or at a target rate
+//! ([`Budget`]).
 //!
 //! ```
 //! use sieve_filters::{calibrate_threshold, select_frames, ChangeDetector, MseDetector};
@@ -32,10 +36,9 @@ pub mod mse;
 pub mod select;
 pub mod sift;
 
-pub use detector::{calibrate_threshold, select_frames, ChangeDetector};
-pub use mse::{mse_luma, MseDetector};
-pub use select::{
-    AdaptiveChangeSession, Budget, CalibrationPoint, ChangeSelector, MseSelector, SiftSelector,
-    UniformSelector,
+pub use detector::{
+    calibrate_fractions, calibrate_threshold, select_frames, CalibrationPoint, ChangeDetector,
 };
+pub use mse::{mse_luma, MseDetector};
+pub use select::{Budget, ChangeSelector, MseSelector, SiftSelector, UniformSelector};
 pub use sift::SiftDetector;

@@ -1,7 +1,8 @@
 //! [`FrameSelector`] adapters for the image-similarity baselines.
 //!
 //! These plug the NoScope-style filters into `sieve-core`'s streaming
-//! selection layer. Each adapter is a session factory:
+//! selection layer. Each adapter is a session factory, and every session
+//! runs on-line:
 //!
 //! * [`UniformSelector`] decides every frame from its index alone — its
 //!   session never touches pixels, though it still requires the full
@@ -10,49 +11,41 @@
 //! * [`ChangeSelector`] (MSE, SIFT, any [`ChangeDetector`]) requests pixels
 //!   per frame ([`Decision::NeedsDecode`]), scores against the previous
 //!   frame — the only decoded state a session holds — and keeps frames
-//!   whose change exceeds the budgeted threshold.
+//!   whose change exceeds the [`Budget`]'s threshold: a fixed one, or one
+//!   a [`RateController`] retargets as scores stream so the achieved
+//!   sampling rate tracks a requested rate.
 //!
-//! Fraction budgets ([`Budget::Fraction`]) need the whole video's score
-//! distribution; [`FrameSelector::prepare`] resolves them to an absolute
-//! threshold in one streaming scoring pass (the paper's offline
-//! calibration), after which sessions replay the resolved operating point
-//! on-line. [`Budget::TargetRate`] is the *deployable* counterpart: an
-//! [`AdaptiveChangeSession`] tracks the score distribution as it streams
-//! (EWMA + P² quantile) and retargets its threshold continuously, so a
-//! live edge hits a requested sampling rate with no offline pass at all.
-//! [`ChangeSelector::calibrate_fractions`] scores once and sweeps every
-//! requested fraction in memory — Fig 3's one-decode calibration. Adding a
+//! The paper's matched-sampling comparison picks a threshold offline: the
+//! caller scores the video once with [`calibrate_fractions`](crate::calibrate_fractions)
+//! and deploys the resolved point as a [`Budget::Threshold`]. Adding a
 //! baseline to the whole system is: implement the session factory here and
 //! price it in `sieve_core::SelectorKind::per_frame_secs`.
-
-use std::sync::Arc;
 
 use sieve_core::{
     Decision, EncodedFrameMeta, FrameSelector, RateController, SelectorSession, SieveError,
 };
-use sieve_video::{Decoder, EncodedVideo, Frame};
+use sieve_video::Frame;
 
-use crate::detector::{calibrate_threshold, select_frames, ChangeDetector};
+use crate::detector::ChangeDetector;
 use crate::mse::MseDetector;
 use crate::sift::SiftDetector;
 
-/// How a threshold baseline picks its operating point.
+/// How a threshold baseline picks its operating point. Both budgets stream
+/// fully on-line.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Budget {
-    /// Use a fixed absolute change-score threshold (e.g. tuned offline on a
-    /// training prefix, the paper's deployment setting). Streams fully
-    /// on-line.
+    /// Use a fixed absolute change-score threshold: tuned offline on a
+    /// training prefix (the paper's deployment setting), or resolved from a
+    /// sampling fraction by [`calibrate_fractions`](crate::calibrate_fractions)
+    /// (its matched-sampling comparison).
     Threshold(f64),
-    /// Calibrate the threshold on this video so that approximately this
-    /// fraction of frames is selected (the paper's matched-sampling
-    /// comparison setting). Resolved by [`FrameSelector::prepare`].
-    Fraction(f64),
-    /// Continuously retarget the threshold *on-line* so the achieved
-    /// sampling rate tracks this fraction, with no offline calibration pass
-    /// at all: sessions maintain a streaming score distribution (EWMA + P²
-    /// quantile, see [`sieve_core::RateController`]) and adapt as frames
-    /// arrive — the budget shape a live edge that never sees the whole
-    /// video can actually deploy. Sessions are [`AdaptiveChangeSession`]s.
+    /// Continuously retarget the threshold so the achieved sampling rate
+    /// tracks this fraction, with no offline pass at all: a session keeps
+    /// a streaming score distribution (EWMA + P² quantile, see
+    /// [`sieve_core::RateController`]) and adapts as frames arrive — the
+    /// budget a live edge that never sees the whole video can deploy. A
+    /// rate outside `(0, 1]` selects nothing and fails the session's
+    /// `finish`.
     TargetRate(f64),
 }
 
@@ -124,16 +117,6 @@ pub struct ChangeSelector<D: ChangeDetector> {
     detector: D,
     budget: Budget,
     name: &'static str,
-    resolved: Option<Resolved>,
-}
-
-/// The operating point [`FrameSelector::prepare`] resolved for one video:
-/// an absolute threshold, plus the scoring pass that produced it (replayed
-/// by sessions so the calibration decode is never repeated).
-#[derive(Debug, Clone)]
-struct Resolved {
-    threshold: f64,
-    scores: Option<Arc<Vec<f64>>>,
 }
 
 impl<D: ChangeDetector> ChangeSelector<D> {
@@ -143,7 +126,6 @@ impl<D: ChangeDetector> ChangeSelector<D> {
             detector,
             budget,
             name: "",
-            resolved: None,
         }
     }
 
@@ -151,79 +133,6 @@ impl<D: ChangeDetector> ChangeSelector<D> {
         self.name = name;
         self
     }
-
-    /// The configured budget.
-    pub fn budget(&self) -> Budget {
-        self.budget
-    }
-
-    /// One streaming scoring pass: decode each frame, score it against its
-    /// predecessor, hold only that predecessor. `scores[i]` describes the
-    /// pair `(i, i+1)`.
-    fn scores(&mut self, video: &EncodedVideo) -> Result<Vec<f64>, SieveError> {
-        let mut decoder = Decoder::new(video.resolution(), video.quality());
-        self.detector.reset();
-        let mut prev: Option<Frame> = None;
-        let mut scores = Vec::with_capacity(video.frame_count().saturating_sub(1));
-        for ef in video.frames() {
-            let frame = decoder.decode_frame(ef)?;
-            if let Some(p) = &prev {
-                scores.push(self.detector.change_score(p, &frame));
-            }
-            prev = Some(frame);
-        }
-        Ok(scores)
-    }
-
-    fn validate_fraction(f: f64) -> Result<(), SieveError> {
-        if !(0.0..=1.0).contains(&f) || f == 0.0 {
-            return Err(SieveError::selector(format!(
-                "target fraction {f} outside (0, 1]"
-            )));
-        }
-        Ok(())
-    }
-
-    /// Sweeps a batch of target sampling fractions in one pass: score the
-    /// video once, resolve each fraction to an absolute threshold and apply
-    /// it in memory — Fig 3's one-decode calibration. The budget is not
-    /// consulted. Points come back in the order the fractions were given.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SieveError`] if the video fails to decode, or
-    /// [`SieveError::Selector`] for a fraction outside `(0, 1]`.
-    pub fn calibrate_fractions(
-        &mut self,
-        video: &EncodedVideo,
-        fractions: &[f64],
-    ) -> Result<Vec<CalibrationPoint>, SieveError> {
-        let scores = self.scores(video)?;
-        let n = video.frame_count();
-        fractions
-            .iter()
-            .map(|&f| {
-                Self::validate_fraction(f)?;
-                let threshold = calibrate_threshold(&scores, n, f);
-                Ok(CalibrationPoint {
-                    fraction: f,
-                    threshold,
-                    selected: select_frames(&scores, threshold),
-                })
-            })
-            .collect()
-    }
-}
-
-/// One operating point of [`ChangeSelector::calibrate_fractions`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct CalibrationPoint {
-    /// The requested sampling fraction, exactly as passed in.
-    pub fraction: f64,
-    /// The absolute change-score threshold the fraction resolved to.
-    pub threshold: f64,
-    /// Frame indices selected at this operating point.
-    pub selected: Vec<usize>,
 }
 
 impl<D: ChangeDetector + Clone + Send + 'static> FrameSelector for ChangeSelector<D> {
@@ -238,92 +147,49 @@ impl<D: ChangeDetector + Clone + Send + 'static> FrameSelector for ChangeSelecto
     fn target_rate(&self) -> Option<f64> {
         match self.budget {
             Budget::TargetRate(r) => Some(r),
-            Budget::Threshold(_) | Budget::Fraction(_) => None,
+            Budget::Threshold(_) => None,
         }
-    }
-
-    fn prepare(&mut self, video: &EncodedVideo) -> Result<(), SieveError> {
-        self.resolved = match self.budget {
-            Budget::Threshold(t) => Some(Resolved {
-                threshold: t,
-                scores: None,
-            }),
-            Budget::Fraction(f) => {
-                Self::validate_fraction(f)?;
-                let scores = self.scores(video)?;
-                let threshold = calibrate_threshold(&scores, video.frame_count(), f);
-                Some(Resolved {
-                    threshold,
-                    scores: Some(Arc::new(scores)),
-                })
-            }
-            // On-line adaptation: nothing to resolve — sessions carry their
-            // own streaming distribution. Validate the rate eagerly so batch
-            // drivers fail before decoding anything.
-            Budget::TargetRate(r) => {
-                Self::validate_fraction(r)?;
-                None
-            }
-        };
-        Ok(())
     }
 
     fn session(&self) -> Box<dyn SelectorSession> {
-        // On-line adaptation never depends on `prepare`: every session is a
-        // fresh controller, so a fleet can open sessions for streams it
-        // will never see in full.
-        if let Budget::TargetRate(r) = self.budget {
-            return match AdaptiveChangeSession::new(self.detector.clone(), r) {
-                Ok(session) => Box::new(session),
-                Err(e) => Box::new(UnresolvedSession {
-                    reason: e.to_string(),
-                }),
-            };
-        }
-        match &self.resolved {
-            // Calibrated on this video: replay the scoring pass, no decoded
-            // state at all.
-            Some(Resolved {
-                threshold,
-                scores: Some(scores),
-            }) => Box::new(ReplaySession {
-                threshold: *threshold,
-                scores: scores.clone(),
-            }),
-            // Absolute threshold: fully on-line, previous frame as the only
-            // state.
-            Some(Resolved {
-                threshold,
-                scores: None,
-            }) => Box::new(ChangeSession::new(self.detector.clone(), *threshold)),
-            None => match self.budget {
-                Budget::Threshold(t) => Box::new(ChangeSession::new(self.detector.clone(), t)),
-                // A fraction budget streamed without `prepare` has no
-                // operating point; the session surfaces that in `finish`.
-                Budget::Fraction(_) => Box::new(UnresolvedSession {
-                    reason: "fraction budget requires FrameSelector::prepare before streaming"
-                        .to_string(),
-                }),
-                Budget::TargetRate(_) => {
-                    unreachable!("TargetRate sessions are built before the resolved match")
+        // Every session is fresh state, so a fleet can open sessions for
+        // streams it will never see in full.
+        let threshold = match self.budget {
+            Budget::Threshold(t) => Threshold::Fixed(t),
+            Budget::TargetRate(r) => match RateController::new(r) {
+                Ok(controller) => Threshold::Adaptive(Box::new(controller)),
+                Err(e) => {
+                    return Box::new(UnresolvedSession {
+                        reason: e.to_string(),
+                    })
                 }
             },
-        }
+        };
+        Box::new(ChangeSession::new(self.detector.clone(), threshold))
     }
 }
 
-/// The on-line streaming side of [`ChangeSelector`]: request pixels, score
-/// against the previous frame (the only decoded frame a session ever
-/// holds), keep on change above the threshold. The first observed frame is
-/// always kept.
+/// The operating point a [`ChangeSession`] compares scores against.
+enum Threshold {
+    /// An absolute change-score threshold ([`Budget::Threshold`]).
+    Fixed(f64),
+    /// A threshold retargeted per score to track a sampling rate
+    /// ([`Budget::TargetRate`]).
+    Adaptive(Box<RateController>),
+}
+
+/// The streaming side of [`ChangeSelector`]: request pixels, score against
+/// the previous frame (the only decoded frame a session ever holds), keep
+/// on change above the threshold. The first observed frame is always kept,
+/// and an adaptive threshold counts it toward the achieved rate.
 struct ChangeSession<D: ChangeDetector> {
     detector: D,
-    threshold: f64,
+    threshold: Threshold,
     prev: Option<Frame>,
 }
 
 impl<D: ChangeDetector> ChangeSession<D> {
-    fn new(mut detector: D, threshold: f64) -> Self {
+    fn new(mut detector: D, threshold: Threshold) -> Self {
         detector.reset();
         Self {
             detector,
@@ -345,13 +211,19 @@ impl<D: ChangeDetector + Send> SelectorSession for ChangeSession<D> {
         };
         let keep = match &mut self.prev {
             None => {
+                if let Threshold::Adaptive(controller) = &mut self.threshold {
+                    controller.note_forced_keep();
+                }
                 self.prev = Some(frame.clone());
                 true
             }
             Some(prev) => {
-                let keep = self.detector.change_score(prev, frame) > self.threshold;
+                let score = self.detector.change_score(prev, frame);
                 prev.copy_from(frame);
-                keep
+                match &mut self.threshold {
+                    Threshold::Fixed(t) => score > *t,
+                    Threshold::Adaptive(controller) => controller.observe(score),
+                }
             }
         };
         if keep {
@@ -362,39 +234,8 @@ impl<D: ChangeDetector + Send> SelectorSession for ChangeSession<D> {
     }
 }
 
-/// Replays a calibration scoring pass as per-frame decisions: no pixels,
-/// no decoded state. Used after [`FrameSelector::prepare`] resolved a
-/// fraction budget on the same video.
-struct ReplaySession {
-    threshold: f64,
-    scores: Arc<Vec<f64>>,
-}
-
-impl SelectorSession for ReplaySession {
-    fn observe(
-        &mut self,
-        index: usize,
-        _meta: &EncodedFrameMeta,
-        _frame: Option<&Frame>,
-    ) -> Decision {
-        let keep = match index.checked_sub(1) {
-            None => true, // frame 0 is always selected
-            // Frames past the calibrated stream (driver/preparation
-            // mismatch) are kept: shipping an extra frame is recoverable,
-            // silently losing an event is not.
-            Some(pair) => self.scores.get(pair).is_none_or(|&s| s > self.threshold),
-        };
-        if keep {
-            Decision::Keep
-        } else {
-            Decision::Drop
-        }
-    }
-}
-
-/// The session behind an unusable budget (an unprepared fraction, an
-/// invalid target rate): selects nothing and reports the reason at end of
-/// stream.
+/// The session behind an invalid target rate: selects nothing and reports
+/// the reason at end of stream.
 struct UnresolvedSession {
     reason: String,
 }
@@ -411,81 +252,6 @@ impl SelectorSession for UnresolvedSession {
 
     fn finish(&mut self) -> Result<(), SieveError> {
         Err(SieveError::selector(self.reason.clone()))
-    }
-}
-
-/// The on-line *adaptive* streaming session behind [`Budget::TargetRate`]:
-/// scores each decoded frame against its predecessor (the only decoded
-/// state held) and thresholds at a continuously retargeted operating point
-/// — a [`RateController`] tracking the score distribution with an EWMA and
-/// a P² streaming quantile so the achieved sampling rate converges to the
-/// target with *no* offline `prepare` pass. The first observed frame is
-/// always kept (and counted toward the achieved rate).
-pub struct AdaptiveChangeSession<D: ChangeDetector> {
-    detector: D,
-    controller: RateController,
-    prev: Option<Frame>,
-}
-
-impl<D: ChangeDetector> AdaptiveChangeSession<D> {
-    /// A fresh session targeting `rate` (fraction of frames kept) in
-    /// `(0, 1]`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SieveError::Selector`] for a rate outside `(0, 1]`.
-    pub fn new(mut detector: D, rate: f64) -> Result<Self, SieveError> {
-        detector.reset();
-        Ok(Self {
-            detector,
-            controller: RateController::new(rate)?,
-            prev: None,
-        })
-    }
-
-    /// The controller's requested sampling rate.
-    pub fn target_rate(&self) -> f64 {
-        self.controller.target()
-    }
-
-    /// Fraction of observed frames kept so far.
-    pub fn achieved_rate(&self) -> f64 {
-        self.controller.achieved_rate()
-    }
-
-    /// The threshold the next score will be compared against.
-    pub fn threshold(&self) -> f64 {
-        self.controller.threshold()
-    }
-}
-
-impl<D: ChangeDetector + Send> SelectorSession for AdaptiveChangeSession<D> {
-    fn observe(
-        &mut self,
-        _index: usize,
-        _meta: &EncodedFrameMeta,
-        frame: Option<&Frame>,
-    ) -> Decision {
-        let Some(frame) = frame else {
-            return Decision::NeedsDecode;
-        };
-        let keep = match &mut self.prev {
-            None => {
-                self.controller.note_forced_keep();
-                self.prev = Some(frame.clone());
-                true
-            }
-            Some(prev) => {
-                let score = self.detector.change_score(prev, frame);
-                prev.copy_from(frame);
-                self.controller.observe(score)
-            }
-        };
-        if keep {
-            Decision::Keep
-        } else {
-            Decision::Drop
-        }
     }
 }
 
@@ -512,8 +278,9 @@ impl SiftSelector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::detector::{calibrate_fractions, calibrate_threshold, select_frames};
     use sieve_core::{analyze, OracleDetector};
-    use sieve_video::{EncoderConfig, FrameType, Resolution};
+    use sieve_video::{Decoder, EncodedVideo, EncoderConfig, FrameType, Resolution};
 
     /// The change score of every consecutive pair of `frames`, from a
     /// fresh `detector`: `scores[i]` compares frames `i` and `i+1`.
@@ -586,7 +353,7 @@ mod tests {
     #[test]
     fn uniform_selector_picks_every_kth() {
         let v = sample_video(20);
-        let mut sel = UniformSelector::new(5);
+        let sel = UniformSelector::new(5);
         assert_eq!(sel.select_indices(&v).unwrap(), vec![0, 5, 10, 15]);
         let mut picked = 0;
         sel.select_with(&v, &mut |_, _| {
@@ -601,7 +368,7 @@ mod tests {
     #[test]
     fn mse_selector_finds_the_cut() {
         let v = sample_video(20);
-        let mut sel = MseSelector::mse(Budget::Fraction(0.1));
+        let sel = MseSelector::mse(Budget::TargetRate(0.1));
         let indices = sel.select_indices(&v).unwrap();
         assert!(indices.contains(&0), "frame 0 always selected");
         assert!(
@@ -613,18 +380,12 @@ mod tests {
     #[test]
     fn mse_selector_rejects_bad_fraction() {
         let v = sample_video(8);
-        let mut sel = MseSelector::mse(Budget::Fraction(0.0));
-        assert!(matches!(
-            sel.select_with(&v, &mut |_, _| Ok(())),
-            Err(SieveError::Selector(_))
-        ));
-    }
-
-    #[test]
-    fn unprepared_fraction_session_errors_in_finish() {
-        let sel = MseSelector::mse(Budget::Fraction(0.1));
-        let mut session = sel.session();
-        assert!(matches!(session.finish(), Err(SieveError::Selector(_))));
+        for f in [0.0, 1.5] {
+            assert!(matches!(
+                calibrate_fractions(&mut MseDetector::new(), &v, &[0.5, f]),
+                Err(SieveError::Selector(_))
+            ));
+        }
     }
 
     #[test]
@@ -634,7 +395,7 @@ mod tests {
         let frames = v.decode_all().unwrap();
         let scores = score_sequence(&mut MseDetector::new(), &frames);
         let t = calibrate_threshold(&scores, frames.len(), 0.1);
-        let mut sel = MseSelector::mse(Budget::Threshold(t));
+        let sel = MseSelector::mse(Budget::Threshold(t));
         let indices = sel.select_indices(&v).unwrap();
         assert_eq!(indices, select_frames(&scores, t));
     }
@@ -642,12 +403,11 @@ mod tests {
     #[test]
     fn streaming_session_matches_batch_selection() {
         let v = sample_video(24);
-        for budget in [Budget::Threshold(30.0), Budget::Fraction(0.25)] {
-            let mut sel = MseSelector::mse(budget);
+        for budget in [Budget::Threshold(30.0), Budget::TargetRate(0.25)] {
+            let sel = MseSelector::mse(budget);
             let batch = sel.select_indices(&v).unwrap();
             // Drive a session by hand with a stateful decoder, as a live
             // edge would.
-            sel.prepare(&v).unwrap();
             let mut session = sel.session();
             let mut decoder = Decoder::new(v.resolution(), v.quality());
             let mut kept = Vec::new();
@@ -675,9 +435,7 @@ mod tests {
         let frames = v.decode_all().unwrap();
         let scores = score_sequence(&mut MseDetector::new(), &frames);
         let fractions = [0.05, 0.1, 0.5, 1.0];
-        let points = MseSelector::mse(Budget::Threshold(0.0))
-            .calibrate_fractions(&v, &fractions)
-            .unwrap();
+        let points = calibrate_fractions(&mut MseDetector::new(), &v, &fractions).unwrap();
         assert_eq!(points.len(), fractions.len());
         for (p, &f) in points.iter().zip(&fractions) {
             assert_eq!(p.fraction, f);
@@ -689,21 +447,21 @@ mod tests {
     }
 
     #[test]
-    fn calibrate_fractions_matches_fraction_budget() {
+    fn calibrate_fractions_matches_threshold_budget() {
+        // A calibrated point deploys as an absolute threshold and keeps
+        // exactly the frames the sweep selected.
         let v = sample_video(20);
-        let points = MseSelector::mse(Budget::Threshold(0.0))
-            .calibrate_fractions(&v, &[0.1, 0.5])
-            .unwrap();
+        let points = calibrate_fractions(&mut MseDetector::new(), &v, &[0.1, 0.5]).unwrap();
         for p in &points {
-            let mut sel = MseSelector::mse(Budget::Fraction(p.fraction));
+            let sel = MseSelector::mse(Budget::Threshold(p.threshold));
             assert_eq!(sel.select_indices(&v).unwrap(), p.selected);
         }
     }
 
     #[test]
     fn target_rate_streams_without_prepare() {
-        // The on-line budget needs no whole-video pass: a raw session
-        // (opened without `prepare`, as a fleet does) tracks the target.
+        // The on-line budget needs no whole-video pass: a raw session, as a
+        // fleet opens it, tracks the target.
         let v = sample_video(60);
         let sel = MseSelector::mse(Budget::TargetRate(0.25));
         let mut session = sel.session();
@@ -728,29 +486,14 @@ mod tests {
     #[test]
     fn target_rate_rejects_bad_rate() {
         let v = sample_video(8);
-        let mut sel = MseSelector::mse(Budget::TargetRate(0.0));
+        let sel = MseSelector::mse(Budget::TargetRate(0.0));
         assert!(matches!(
             sel.select_with(&v, &mut |_, _| Ok(())),
             Err(SieveError::Selector(_))
         ));
-        // Even without prepare, a raw session surfaces the bad rate.
+        // A raw session surfaces the bad rate too.
         let session_err = MseSelector::mse(Budget::TargetRate(1.5)).session().finish();
         assert!(matches!(session_err, Err(SieveError::Selector(_))));
-    }
-
-    #[test]
-    fn adaptive_session_reports_rates() {
-        let mut s = AdaptiveChangeSession::new(MseDetector::new(), 0.5).unwrap();
-        assert!((s.target_rate() - 0.5).abs() < 1e-12);
-        let res = Resolution::new(32, 32);
-        let meta = EncodedFrameMeta {
-            frame_type: sieve_video::FrameType::I,
-            payload_len: 0,
-        };
-        // First frame: always kept.
-        assert_eq!(s.observe(0, &meta, None), Decision::NeedsDecode);
-        assert_eq!(s.observe(0, &meta, Some(&Frame::grey(res))), Decision::Keep);
-        assert!((s.achieved_rate() - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -761,10 +504,10 @@ mod tests {
         let selectors: [Box<dyn FrameSelector>; 3] = [
             Box::new(sieve_core::IFrameSelector::new()),
             Box::new(UniformSelector::new(6)),
-            Box::new(MseSelector::mse(Budget::Fraction(0.2))),
+            Box::new(MseSelector::mse(Budget::TargetRate(0.2))),
         ];
-        for mut sel in selectors {
-            let result = analyze(&v, sel.as_mut(), &mut oracle).expect("analysis");
+        for sel in selectors {
+            let result = analyze(&v, sel.as_ref(), &mut oracle).expect("analysis");
             assert!(!result.selected.is_empty(), "{} selected none", sel.name());
             assert_eq!(result.predicted.len(), 24);
         }

@@ -28,8 +28,8 @@
 //!   a one-stream fleet). Pair it with `sieve_filters::Budget::TargetRate`
 //!   and each stream self-tunes its threshold on-line (EWMA + P² streaming
 //!   quantile) to hit a requested sampling rate with no offline
-//!   calibration pass — fraction budgets on live edges that never see the
-//!   whole video.
+//!   calibration pass, as a live edge that never sees the whole video
+//!   must.
 //! * **Metrics** ([`Fleet::snapshot`] / [`FleetReport`]): per-stream and
 //!   aggregate kept / dropped / shed / failed counts, queue depths,
 //!   achieved sampling rate vs. target, plus scheduler health — frames

@@ -374,9 +374,9 @@ impl Fleet {
 
     /// Admits a stream driven by `selector`'s streaming session. The
     /// selector is consulted on the caller's thread (session factory +
-    /// metadata); only the session moves to the owning shard. On-line
-    /// policies need no `prepare`, which is the point: the fleet never
-    /// sees a whole video. No decoder is allocated until the stream's
+    /// metadata); only the session moves to the owning shard. Every policy
+    /// is on-line, which is the point: the fleet never sees a whole video.
+    /// No decoder is allocated until the stream's
     /// first frame arrives.
     ///
     /// # Errors

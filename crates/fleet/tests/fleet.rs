@@ -346,7 +346,7 @@ fn dropping_a_fleet_joins_its_workers() {
 }
 
 /// The acceptance criterion for on-line adaptation: an MSE stream under
-/// `Budget::TargetRate(0.1)` — no `prepare`, no whole-video pass — lands
+/// `Budget::TargetRate(0.1)` — no whole-video pass — lands
 /// within ±20% of the requested sampling rate on the synthetic eval scene.
 #[test]
 fn adaptive_stream_hits_target_rate_online() {

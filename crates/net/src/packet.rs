@@ -442,6 +442,7 @@ impl Depacketizer {
 
     /// Fragments dropped because their header contradicts the shared
     /// layout or their block's first fragment.
+    // lint:allow(dead-pub): crates/net/tests/hostile_headers.rs holds the `wan.rejected` tap to it
     pub fn rejected(&self) -> u64 {
         self.rejected
     }

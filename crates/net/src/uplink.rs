@@ -164,11 +164,6 @@ impl Uplink {
         self
     }
 
-    /// The signal this uplink's feedback drives.
-    pub fn signal(&self) -> &Arc<WanSignal> {
-        &self.signal
-    }
-
     /// Current virtual time, as advanced by sends.
     pub fn now(&self) -> SimTime {
         self.now

@@ -516,12 +516,6 @@ impl<T> ShardQueue<T> {
             self.available.notify_all();
         }
     }
-
-    /// Queued items currently in lane `key` (`None` for unknown lanes).
-    pub fn depth(&self, key: u64) -> Option<usize> {
-        let mut s = self.state.lock();
-        s.lane_mut(key).map(|l| l.queue.len())
-    }
 }
 
 #[cfg(test)]
@@ -530,6 +524,14 @@ mod tests {
     use std::sync::mpsc;
     use std::sync::Arc;
     use std::time::{Duration, Instant};
+
+    impl<T> ShardQueue<T> {
+        /// Queued items currently in lane `key` (`None` for unknown lanes).
+        fn depth(&self, key: u64) -> Option<usize> {
+            let mut s = self.state.lock();
+            s.lane_mut(key).map(|l| l.queue.len())
+        }
+    }
 
     /// Generous enough for a loaded or sanitized host; a lost wake-up
     /// hangs forever, so any finite bound catches it.

@@ -165,7 +165,7 @@ impl HistogramSnapshot {
     }
 
     /// 90th percentile (bucket upper bound).
-    pub fn p90(&self) -> u64 {
+    fn p90(&self) -> u64 {
         self.quantile(0.90)
     }
 

@@ -318,14 +318,6 @@ impl Plane {
         self.data.extend_from_slice(&src.data);
     }
 
-    /// Mean of all samples.
-    pub fn mean(&self) -> f64 {
-        if self.data.is_empty() {
-            return 0.0;
-        }
-        self.data.iter().map(|&v| v as f64).sum::<f64>() / self.data.len() as f64
-    }
-
     /// Downscales by simple box filtering to `(new_w, new_h)`.
     fn resize_box(&self, new_w: usize, new_h: usize) -> Plane {
         let mut out = Plane::filled(1, 1, 0);
@@ -675,9 +667,11 @@ mod tests {
         for (i, v) in f.y_mut().data_mut().iter_mut().enumerate() {
             *v = (i % 251) as u8;
         }
-        let mean_before = f.y().mean();
+        let mean =
+            |p: &Plane| p.data().iter().map(|&v| v as f64).sum::<f64>() / p.data().len() as f64;
+        let mean_before = mean(f.y());
         let small = f.resize(Resolution::new(16, 16));
-        let mean_after = small.y().mean();
+        let mean_after = mean(small.y());
         assert!((mean_before - mean_after).abs() < 8.0);
     }
 

@@ -24,8 +24,12 @@
 //! `#[cfg(test)]` code and uses in the defining file do not count. Nor
 //! does a `pub use` re-export of a function, constant or static; a type's
 //! re-export does count, because a type reaches callers through signatures
-//! without being named. The match is by name only, so it can miss a dead
-//! item but never flags a live one. Waive a site with
+//! without being named. A function counts as used only where it is called
+//! or named as a path or method: at `.name`, `::name`, `name(` or
+//! `name::<`, or inside a `use` item; a local, a field or a struct-literal
+//! key of the same name does not count. The match is by name only, not by
+//! owner, so a same-named item elsewhere can still hide a dead one; it
+//! never flags a live one that is called in those shapes. Waive a site with
 //! `// lint:allow(dead-pub): reason`, naming the integration test that
 //! uses the item as an oracle or the ROADMAP item that will give it a
 //! caller; a marker on an item the rule would not flag is itself a finding.
@@ -384,18 +388,31 @@ fn pub_items(cleaned: &str) -> Vec<(usize, &str, &str)> {
     items
 }
 
-/// The byte ranges of `cleaned`'s `pub use …;` statements.
-fn reexport_spans(cleaned: &str) -> Vec<(usize, usize)> {
-    token_occurrences(cleaned, "pub")
+/// The byte ranges of `cleaned`'s `use …;` items, each flagged when it is
+/// a `pub use` re-export.
+fn use_items(cleaned: &str) -> Vec<(usize, usize, bool)> {
+    token_occurrences(cleaned, "use")
         .into_iter()
-        .filter(|&at| leading_idents(&cleaned[at + 3..]).first() == Some(&"use"))
         .map(|at| {
-            (
-                at,
-                cleaned[at..].find(';').map_or(cleaned.len(), |p| at + p),
-            )
+            let end = cleaned[at..].find(';').map_or(cleaned.len(), |p| at + p);
+            let reexport = cleaned[..at]
+                .trim_end()
+                .strip_suffix("pub")
+                .is_some_and(|before| !before.ends_with(is_ident));
+            (at, end, reexport)
         })
         .collect()
+}
+
+/// Whether the identifier at `text[start..end]` is called or named as a
+/// path or method: `.name`, `::name`, `name(` or `name::<`.
+fn called_or_pathed(text: &str, start: usize, end: usize) -> bool {
+    let before = text[..start].trim_end();
+    let after = text[end..].trim_start();
+    before.ends_with('.')
+        || before.ends_with("::")
+        || after.starts_with('(')
+        || after.starts_with("::<")
 }
 
 /// The Rust code of `source`'s doc examples: the lines between ``` fences
@@ -444,6 +461,14 @@ fn production_code(path: &str, source: &str, scanned: &Scanned) -> String {
     code + &doc_example_code(source)
 }
 
+/// Records that file `i` names `name` in `map`, once per file.
+fn note<'a>(map: &mut HashMap<&'a str, Vec<usize>>, name: &'a str, i: usize) {
+    let files_naming = map.entry(name).or_default();
+    if files_naming.last() != Some(&i) {
+        files_naming.push(i);
+    }
+}
+
 /// The `dead-pub` rule over the workspace files `(path, source)`.
 fn dead_pub(files: &[(String, String)]) -> Vec<Finding> {
     let scanned: Vec<Scanned> = files.iter().map(|(_, src)| lexer::scan(src)).collect();
@@ -453,25 +478,28 @@ fn dead_pub(files: &[(String, String)]) -> Vec<Finding> {
         .map(|((path, src), s)| production_code(path, src, s))
         .collect();
     // identifier -> the files that name it in production code, outside and
-    // inside their `pub use` statements.
+    // inside their `pub use` statements, and the files that call it or
+    // name it as a path, a method or an import.
     let mut named_in: HashMap<&str, Vec<usize>> = HashMap::new();
     let mut reexported_in: HashMap<&str, Vec<usize>> = HashMap::new();
+    let mut called_in: HashMap<&str, Vec<usize>> = HashMap::new();
     for (i, text) in code.iter().enumerate() {
-        let reexports = reexport_spans(text);
+        let uses = use_items(text);
         let mut from = 0;
         while let Some(p) = text[from..].find(is_ident) {
             let start = from + p;
             let end = text[start..]
                 .find(|c: char| !is_ident(c))
                 .map_or(text.len(), |p| start + p);
-            let map = if reexports.iter().any(|&(a, b)| a <= start && start < b) {
-                &mut reexported_in
-            } else {
-                &mut named_in
-            };
-            let files_naming = map.entry(&text[start..end]).or_default();
-            if files_naming.last() != Some(&i) {
-                files_naming.push(i);
+            let name = &text[start..end];
+            match uses.iter().find(|&&(a, b, _)| a <= start && start < b) {
+                Some(&(_, _, true)) => note(&mut reexported_in, name, i),
+                in_use => {
+                    note(&mut named_in, name, i);
+                    if in_use.is_some() || called_or_pathed(text, start, end) {
+                        note(&mut called_in, name, i);
+                    }
+                }
             }
             from = end;
         }
@@ -489,10 +517,13 @@ fn dead_pub(files: &[(String, String)]) -> Vec<Finding> {
         for (at, keyword, name) in pub_items(&scanned.cleaned) {
             let line = lexer::line_of(&scanned.cleaned, at);
             // A type reaches callers through signatures without being
-            // named, so its re-exports count; a value's do not.
-            let is_value = matches!(keyword, "fn" | "const" | "static");
-            let used =
-                elsewhere(&named_in, name, i) || !is_value && elsewhere(&reexported_in, name, i);
+            // named, so its re-exports count; a value's do not. A function
+            // is used only where it is called or named as a path.
+            let used = match keyword {
+                "fn" => elsewhere(&called_in, name, i),
+                "const" | "static" => elsewhere(&named_in, name, i),
+                _ => elsewhere(&named_in, name, i) || elsewhere(&reexported_in, name, i),
+            };
             if used || scanned.in_test_code(line) {
                 continue;
             }
@@ -819,6 +850,42 @@ pub fn other() -> u32 { helper() }
             (
                 "crates/demo/src/user.rs",
                 "fn u() { crate::helper(); crate::other(); }\n",
+            ),
+        ]);
+        assert!(f.is_empty(), "{f:?}");
+    }
+
+    const LIB_WITH_METHOD: &str = "\
+pub struct Queue;
+impl Queue {
+    pub fn depth(&self) -> usize { 0 }
+}
+";
+
+    #[test]
+    fn dead_pub_flags_a_method_whose_name_only_a_local_shares() {
+        let user = "\
+fn u(q: &demo::Queue) -> usize {
+    let depth = 3;
+    let s = Stats { depth };
+    s.total + depth
+}
+";
+        let f = dead_pub_over(&[
+            ("crates/demo/src/lib.rs", LIB_WITH_METHOD),
+            ("crates/demo/src/user.rs", user),
+        ]);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert!(f[0].message.contains("`depth`"), "{f:?}");
+    }
+
+    #[test]
+    fn dead_pub_passes_a_method_call() {
+        let f = dead_pub_over(&[
+            ("crates/demo/src/lib.rs", LIB_WITH_METHOD),
+            (
+                "crates/demo/src/user.rs",
+                "fn u(q: &demo::Queue) -> usize { q.depth() }\n",
             ),
         ]);
         assert!(f.is_empty(), "{f:?}");

@@ -39,19 +39,18 @@ fn main() {
     // Deployment 1 — SiEVE: the edge drops every non-I frame by container
     // metadata alone, decodes survivors independently, resizes them; the
     // cloud labels them and stores (frame id, labels) tuples.
-    let mut sieve_selector = IFrameSelector::new();
+    let sieve_selector = IFrameSelector::new();
     let oracle = OracleDetector::for_video(&video);
     let live =
-        run_live_analysis(&encoded, &mut sieve_selector, oracle, &config).expect("live SiEVE run");
+        run_live_analysis(&encoded, &sieve_selector, oracle, &config).expect("live SiEVE run");
     report("SiEVE (I-frame edge + cloud oracle)", &video, &live);
 
     // Deployment 2 — same driver, uniform-sampling edge at the same
     // analysis budget, oracle cloud. One changed value, not new glue.
     let budget = encoded.i_frame_indices().len();
-    let mut uniform = UniformSelector::matching_count(encoded.frame_count(), budget);
+    let uniform = UniformSelector::matching_count(encoded.frame_count(), budget);
     let oracle = OracleDetector::for_video(&video);
-    let live =
-        run_live_analysis(&encoded, &mut uniform, oracle, &config).expect("live uniform run");
+    let live = run_live_analysis(&encoded, &uniform, oracle, &config).expect("live uniform run");
     report("Uniform edge + cloud oracle", &video, &live);
 }
 

@@ -74,18 +74,26 @@ fn main() {
     let encoded = semantic;
     let budget = encoded.i_frame_indices().len().max(1);
     let fraction = budget as f64 / encoded.frame_count().max(1) as f64;
-    let mut selectors: Vec<Box<dyn FrameSelector>> = vec![
+    // The change detectors' thresholds are calibrated on the video to
+    // select the same fraction (the paper's matched comparison), then
+    // deployed as is.
+    let mse =
+        calibrate_fractions(&mut MseDetector::new(), &encoded, &[fraction]).expect("calibration");
+    let sift =
+        calibrate_fractions(&mut SiftDetector::new(), &encoded, &[fraction]).expect("calibration");
+    let selectors: Vec<Box<dyn FrameSelector>> = vec![
         Box::new(IFrameSelector::new()),
         Box::new(UniformSelector::matching_count(
             encoded.frame_count(),
             budget,
         )),
-        Box::new(MseSelector::mse(Budget::Fraction(fraction))),
+        Box::new(MseSelector::mse(Budget::Threshold(mse[0].threshold))),
+        Box::new(SiftSelector::sift(Budget::Threshold(sift[0].threshold))),
     ];
     println!("\nall baselines, one driver (matched to {budget} analysed frames):");
-    for selector in &mut selectors {
+    for selector in &selectors {
         let mut nn = OracleDetector::for_video(&video);
-        let result = analyze(&encoded, selector.as_mut(), &mut nn).expect("analysis");
+        let result = analyze(&encoded, selector.as_ref(), &mut nn).expect("analysis");
         let quality = score_selection(
             video.labels(),
             &result.selected.iter().map(|&(i, _)| i).collect::<Vec<_>>(),

@@ -62,8 +62,8 @@ pub mod prelude {
         SyntheticVideo,
     };
     pub use sieve_filters::{
-        calibrate_threshold, select_frames, Budget, ChangeDetector, MseDetector, MseSelector,
-        SiftDetector, SiftSelector, UniformSelector,
+        calibrate_fractions, calibrate_threshold, select_frames, Budget, ChangeDetector,
+        MseDetector, MseSelector, SiftDetector, SiftSelector, UniformSelector,
     };
     pub use sieve_fleet::{Fleet, FleetConfig, FleetReport, FramePacket, StreamConfig, StreamId};
     pub use sieve_stats::{Collector, Counter, Gauge, Histogram, Registry};

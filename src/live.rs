@@ -51,17 +51,18 @@ pub struct LiveAnalysis {
 /// deciding *at the edge* what survives and `detector` labelling survivors
 /// in the cloud.
 ///
-/// The selector is [`prepare`](FrameSelector::prepare)d once (resolving any
-/// whole-video parameters, e.g. fraction-calibrated thresholds — the
-/// paper's offline tuning step); from then on only its streaming session
-/// runs, on the fleet's shard thread. A run that wants a WAN between edge
-/// and cloud joins its own stream with `sieve_net::SharedUplink::keep_sink`.
+/// Only the selector's streaming session runs, on the fleet's shard
+/// thread; a threshold calibrated on the whole video (the paper's offline
+/// tuning step) is resolved before the selector is built. A run that wants
+/// a WAN between edge and cloud joins its own stream with
+/// `sieve_net::SharedUplink::keep_sink`.
 ///
 /// # Errors
 ///
-/// Propagates preparation failures (invalid budgets, calibration decode
-/// errors); per-frame decode failures at the edge surface as the stream's
-/// typed `failed` count.
+/// Returns [`SieveError::Selector`] when the stream's session fails at end
+/// of stream (an invalid target rate, a fixed selection past the end of
+/// the video); per-frame decode failures at the edge surface as the
+/// stream's typed `failed` count.
 ///
 /// # Panics
 ///
@@ -69,7 +70,7 @@ pub struct LiveAnalysis {
 /// panics on the shard thread.
 pub fn run_live_analysis<S, D>(
     video: &EncodedVideo,
-    selector: &mut S,
+    selector: &S,
     mut detector: D,
     config: &LiveConfig,
 ) -> Result<LiveAnalysis, SieveError>
@@ -77,7 +78,6 @@ where
     S: FrameSelector + ?Sized,
     D: ObjectDetector + Send + 'static,
 {
-    selector.prepare(video)?;
     let nn_res = Resolution::new(NN_INPUT_SIZE, NN_INPUT_SIZE);
     let fleet = Fleet::new(FleetConfig {
         shards: 1,
@@ -88,7 +88,7 @@ where
     let (tuples, stored) = mpsc::channel();
     let stream = fleet
         .join_with_sink(
-            &*selector,
+            selector,
             StreamConfig::new("live", video.resolution(), video.quality()),
             Box::new(move |index, frame, _payload| {
                 let labels = detector.detect(index, &frame.resize(nn_res));
@@ -106,6 +106,9 @@ where
         }
     }
     let report = fleet.shutdown();
+    if let Some(reason) = &report.snapshot.streams[0].finish_error {
+        return Err(SieveError::selector(reason.clone()));
+    }
     // One lane, drained in FIFO order: the tuples arrive sorted by index.
     let selected: Vec<_> = stored.try_iter().collect();
     let predicted = propagate_labels(video.frame_count(), &selected);

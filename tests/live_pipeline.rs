@@ -22,9 +22,9 @@ fn live_three_tier_pipeline_detects_events() {
     );
     let expected_i = encoded.i_frame_indices().len();
 
-    let mut selector = IFrameSelector::new();
+    let selector = IFrameSelector::new();
     let oracle = OracleDetector::for_video(&video);
-    let live = run_live_analysis(&encoded, &mut selector, oracle, &LiveConfig { capacity: 8 })
+    let live = run_live_analysis(&encoded, &selector, oracle, &LiveConfig { capacity: 8 })
         .expect("live run");
 
     let edge = &live.report.snapshot.aggregate;
@@ -38,8 +38,8 @@ fn live_three_tier_pipeline_detects_events() {
     assert!(acc > 0.9, "live pipeline accuracy too low: {acc}");
 }
 
-/// The same driver carries a full-decode baseline: an MSE edge selects at a
-/// matched budget and the tuples still reconstruct labels.
+/// The same driver carries a full-decode baseline: an MSE edge tracks a
+/// matched sampling rate on-line and the tuples still reconstruct labels.
 #[test]
 fn live_pipeline_generic_over_selectors() {
     let video = jackson();
@@ -51,10 +51,10 @@ fn live_pipeline_generic_over_selectors() {
     );
     let fraction = (encoded.i_frame_indices().len().max(1) as f64 / encoded.frame_count() as f64)
         .clamp(0.01, 1.0);
-    let mut selector = MseSelector::mse(Budget::Fraction(fraction));
+    let selector = MseSelector::mse(Budget::TargetRate(fraction));
     let oracle = OracleDetector::for_video(&video);
-    let live = run_live_analysis(&encoded, &mut selector, oracle, &LiveConfig::default())
-        .expect("live run");
+    let live =
+        run_live_analysis(&encoded, &selector, oracle, &LiveConfig::default()).expect("live run");
     assert!(
         live.report.snapshot.aggregate.kept > 0,
         "mse must select something"
@@ -83,7 +83,7 @@ fn live_run_rejects_invalid_target_rate() {
     );
     let run = run_live_analysis(
         &encoded,
-        &mut MseSelector::mse(Budget::TargetRate(0.0)),
+        &MseSelector::mse(Budget::TargetRate(0.0)),
         OracleDetector::for_video(&video),
         &LiveConfig::default(),
     );
@@ -107,13 +107,13 @@ fn live_driver_never_batch_selects() {
             IFrameSelector::new().session()
         }
         fn select_with(
-            &mut self,
+            &self,
             _video: &EncodedVideo,
             _visit: &mut dyn FnMut(usize, &sieve_video::Frame) -> Result<(), SieveError>,
         ) -> Result<(), SieveError> {
             panic!("live driver materialised a whole-video selection");
         }
-        fn select_indices(&mut self, _video: &EncodedVideo) -> Result<Vec<usize>, SieveError> {
+        fn select_indices(&self, _video: &EncodedVideo) -> Result<Vec<usize>, SieveError> {
             panic!("live driver materialised the full index vector");
         }
     }
@@ -128,13 +128,13 @@ fn live_driver_never_batch_selects() {
     let oracle = OracleDetector::for_video(&video);
     let live = run_live_analysis(
         &encoded,
-        &mut SessionOnly,
+        &SessionOnly,
         oracle.clone(),
         &LiveConfig::default(),
     )
     .expect("session-based live run");
     let mut oracle = oracle;
-    let offline = analyze(&encoded, &mut IFrameSelector::new(), &mut oracle).expect("offline");
+    let offline = analyze(&encoded, &IFrameSelector::new(), &mut oracle).expect("offline");
     assert_eq!(
         live.result, offline,
         "streamed decisions match batch policy"
@@ -174,9 +174,9 @@ fn edge_decode_failures_are_typed() {
     }
 
     let oracle = OracleDetector::for_video(&video);
-    let mut selector = IFrameSelector::new();
-    let live = run_live_analysis(&corrupted, &mut selector, oracle, &LiveConfig::default())
-        .expect("live run");
+    let selector = IFrameSelector::new();
+    let live =
+        run_live_analysis(&corrupted, &selector, oracle, &LiveConfig::default()).expect("live run");
     let edge = &live.report.snapshot.aggregate;
     assert_eq!(edge.failed, 1, "exactly the corrupted frame fails");
     assert_eq!(
@@ -206,12 +206,12 @@ fn live_sieve_matches_offline_analysis() {
     let mut oracle = OracleDetector::for_video(&video);
     let live = run_live_analysis(
         &encoded,
-        &mut IFrameSelector::new(),
+        &IFrameSelector::new(),
         oracle.clone(),
         &LiveConfig::default(),
     )
     .expect("live run");
-    let offline = analyze(&encoded, &mut IFrameSelector::new(), &mut oracle).expect("offline");
+    let offline = analyze(&encoded, &IFrameSelector::new(), &mut oracle).expect("offline");
     assert_eq!(live.result, offline);
     let edge = &live.report.snapshot.aggregate;
     assert_eq!(edge.kept as usize, offline.selected.len());
@@ -237,14 +237,14 @@ fn live_fixed_selection_full_decode_path() {
     let wanted = vec![0, 17, 53, 99];
     let live = run_live_analysis(
         &encoded,
-        &mut FixedSelector::new(wanted.clone()),
+        &FixedSelector::new(wanted.clone()),
         oracle.clone(),
         &LiveConfig { capacity: 4 },
     )
     .expect("live run");
     let ids: Vec<usize> = live.result.selected.iter().map(|&(i, _)| i).collect();
     assert_eq!(ids, wanted);
-    let offline = analyze(&encoded, &mut FixedSelector::new(wanted), &mut oracle).expect("offline");
+    let offline = analyze(&encoded, &FixedSelector::new(wanted), &mut oracle).expect("offline");
     assert_eq!(live.result, offline);
 }
 
@@ -264,7 +264,7 @@ fn live_pipeline_backpressure_does_not_deadlock() {
     let mse = || MseSelector::mse(Budget::Threshold(40.0));
     let live = run_live_analysis(
         &encoded,
-        &mut mse(),
+        &mse(),
         oracle.clone(),
         &LiveConfig { capacity: 1 },
     )
@@ -273,6 +273,6 @@ fn live_pipeline_backpressure_does_not_deadlock() {
     assert_eq!(stream.processed as usize, encoded.frame_count());
     assert_eq!(stream.queue_depth, 0);
     assert!(stream.done);
-    let offline = analyze(&encoded, &mut mse(), &mut oracle).expect("offline");
+    let offline = analyze(&encoded, &mse(), &mut oracle).expect("offline");
     assert_eq!(live.result, offline);
 }

@@ -254,20 +254,19 @@ proptest! {
                 f
             }),
         );
-        let fraction = pct as f64 / 100.0;
+        let rate = pct as f64 / 100.0;
         let selectors: Vec<Box<dyn FrameSelector>> = vec![
             Box::new(IFrameSelector::new()),
             Box::new(UniformSelector::new(gop)),
-            Box::new(MseSelector::mse(Budget::Fraction(fraction))),
+            Box::new(MseSelector::mse(Budget::TargetRate(rate))),
             Box::new(MseSelector::mse(Budget::Threshold((seed % 90) as f64))),
             Box::new(FixedSelector::new(vec![0, frames / 3, frames - 1])),
         ];
-        for mut sel in selectors {
+        for sel in selectors {
             let name = sel.name();
             let batch = sel.select_indices(&video).expect("batch selection");
             // Drive a session by hand, as a live edge would: one frame at a
             // time, stateful decode, two-phase observe.
-            sel.prepare(&video).expect("prepare");
             let mut session = sel.session();
             let metadata_only = !sel.requires_full_decode();
             let mut decoder = Decoder::new(res, video.quality());

@@ -40,22 +40,37 @@ fn all_selectors_flow_through_unified_layer() {
     );
     let budget = encoded.i_frame_indices().len().max(1);
     let fraction = (budget as f64 / encoded.frame_count() as f64).clamp(1e-3, 1.0);
+    // The matched comparison: each change detector's threshold is
+    // calibrated on the video to select the same fraction as SiEVE.
+    let mse = calibrate_fractions(&mut MseDetector::new(), &encoded, &[fraction]).unwrap();
+    let sift = calibrate_fractions(&mut SiftDetector::new(), &encoded, &[fraction]).unwrap();
 
-    let mut selectors: Vec<Box<dyn FrameSelector>> = vec![
+    let selectors: Vec<Box<dyn FrameSelector>> = vec![
         Box::new(IFrameSelector::new()),
         Box::new(UniformSelector::matching_count(
             encoded.frame_count(),
             budget,
         )),
-        Box::new(MseSelector::mse(Budget::Fraction(fraction))),
-        Box::new(SiftSelector::sift(Budget::Fraction(fraction))),
+        Box::new(MseSelector::mse(Budget::Threshold(mse[0].threshold))),
+        Box::new(SiftSelector::sift(Budget::Threshold(sift[0].threshold))),
     ];
-    for selector in &mut selectors {
+    for selector in &selectors {
         let mut nn = OracleDetector::for_video(&video);
         let name = selector.name();
-        let result = analyze(&encoded, selector.as_mut(), &mut nn)
+        let result = analyze(&encoded, selector.as_ref(), &mut nn)
             .unwrap_or_else(|e| panic!("{name} failed: {e}"));
         assert!(!result.selected.is_empty(), "{name} selected nothing");
+        // A calibrated threshold streams to exactly the frames the
+        // calibration pass selected.
+        let calibrated = match name {
+            "mse" => Some(&mse[0].selected),
+            "sift" => Some(&sift[0].selected),
+            _ => None,
+        };
+        if let Some(calibrated) = calibrated {
+            let ids: Vec<usize> = result.selected.iter().map(|&(i, _)| i).collect();
+            assert_eq!(&ids, calibrated, "{name} strayed from its calibration");
+        }
         assert_eq!(result.predicted.len(), encoded.frame_count());
         // Selected tuples carry the detector's labels at their own frames.
         for &(i, labels) in &result.selected {
