@@ -10,7 +10,7 @@ use std::cell::OnceCell;
 use std::hint::black_box;
 
 use sieve_core::{
-    score_encoding, score_selection, simulate_all, tune, ConfigGrid, FrameSelector, ThreeTier,
+    score_encoding, score_selection, select_indices, simulate_all, tune, ConfigGrid, ThreeTier,
     VideoWorkload, WorkloadCosts, NN_INPUT_SIZE,
 };
 use sieve_datasets::{DatasetId, DatasetScale, DatasetSpec, LabelSet, SyntheticVideo};
@@ -294,8 +294,7 @@ pub fn build_workload(prepared: &Prepared, frames_per_video: usize) -> VideoWork
             .find(|p| score_selection(train_labels, &p.selected).accuracy >= goal)
             .map(|p| p.threshold);
         match threshold {
-            Some(t) => MseSelector::mse(Budget::Threshold(t))
-                .select_indices(default_video)
+            Some(t) => select_indices(default_video, &MseSelector::mse(Budget::Threshold(t)))
                 .expect("eval stream decodes")
                 .len(),
             None => (n / 5).max(1),

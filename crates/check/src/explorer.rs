@@ -61,26 +61,31 @@ pub struct Report {
     pub violation: Option<Violation>,
 }
 
-/// Configurable model checker. Defaults: preemption bound 2, up to 4,096
-/// DFS executions, 128 random-schedule executions, 50,000 steps per
-/// execution.
+/// Context switches away from a still-runnable thread allowed per
+/// schedule. Most real concurrency bugs surface within 2 preemptions
+/// (CHESS); raising this grows the space combinatorially.
+const MAX_PREEMPTIONS: usize = 2;
+
+/// Per-execution step budget; exceeding it is reported as a livelock.
+const MAX_STEPS: usize = 50_000;
+
+/// Seed for the random-schedule fallback.
+const SEED: u64 = 0x5EED_CAFE;
+
+/// Configurable model checker. Defaults: up to 4,096 DFS executions and 128
+/// random-schedule executions; every schedule runs with preemption bound
+/// 2 and 50,000 steps.
 #[derive(Debug, Clone)]
 pub struct Checker {
-    max_preemptions: usize,
     max_dfs_executions: usize,
     random_executions: usize,
-    max_steps: usize,
-    seed: u64,
 }
 
 impl Default for Checker {
     fn default() -> Self {
         Self {
-            max_preemptions: 2,
             max_dfs_executions: 4096,
             random_executions: 128,
-            max_steps: 50_000,
-            seed: 0x5EED_CAFE,
         }
     }
 }
@@ -89,15 +94,6 @@ impl Checker {
     /// A checker with default budgets.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Caps context switches away from a still-runnable thread per
-    /// schedule. Most real concurrency bugs surface within 2 preemptions
-    /// (CHESS); raising this grows the space combinatorially.
-    #[must_use]
-    pub fn max_preemptions(mut self, n: usize) -> Self {
-        self.max_preemptions = n;
-        self
     }
 
     /// Caps the number of DFS executions before falling back to random
@@ -115,20 +111,6 @@ impl Checker {
     // lint:allow(dead-pub): the random-schedule budget crates/check-tests/tests/fleet.rs sets per model
     pub fn random_executions(mut self, n: usize) -> Self {
         self.random_executions = n;
-        self
-    }
-
-    /// Per-execution step budget; exceeding it is reported as a livelock.
-    #[must_use]
-    pub fn max_steps(mut self, n: usize) -> Self {
-        self.max_steps = n;
-        self
-    }
-
-    /// Seed for the random-schedule fallback.
-    #[must_use]
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
         self
     }
 
@@ -150,8 +132,8 @@ impl Checker {
                 &f,
                 prefix.clone(),
                 Tail::Default,
-                self.max_steps,
-                self.max_preemptions,
+                MAX_STEPS,
+                MAX_PREEMPTIONS,
             );
             executions += 1;
             if let Some(v) = violation {
@@ -173,7 +155,7 @@ impl Checker {
                         violation: None,
                     };
                 };
-                if let Some(alt) = node.next_alternative(self.max_preemptions) {
+                if let Some(alt) = node.next_alternative(MAX_PREEMPTIONS) {
                     node.tried.push(alt);
                     break alt;
                 }
@@ -191,9 +173,9 @@ impl Checker {
             let (_, violation) = rt::run_once(
                 &f,
                 Vec::new(),
-                Tail::Random(self.seed.wrapping_add(k as u64)),
-                self.max_steps,
-                self.max_preemptions,
+                Tail::Random(SEED.wrapping_add(k as u64)),
+                MAX_STEPS,
+                MAX_PREEMPTIONS,
             );
             executions += 1;
             if let Some(v) = violation {

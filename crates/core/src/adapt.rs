@@ -487,6 +487,7 @@ impl RateController {
     /// The rate the controller is steering toward right now: the requested
     /// target scaled by the coupled [`WanSignal`]'s factor. Equal to the
     /// requested target while the WAN is healthy.
+    // lint:allow(dead-pub): the WAN coupling crates/net/tests/feedback_convergence.rs checks
     pub fn effective_target(&self) -> f64 {
         self.target * self.wan.factor()
     }
@@ -495,7 +496,7 @@ impl RateController {
     /// score arrives it is `-inf`-like (everything is kept while the
     /// distribution is unknown — shipping an extra frame is recoverable,
     /// losing an early event is not).
-    pub fn threshold(&self) -> f64 {
+    fn threshold(&self) -> f64 {
         match self.quantile.estimate() {
             None => f64::NEG_INFINITY,
             Some(q) => q + self.bias,
@@ -580,11 +581,6 @@ impl RateController {
         self.stats.kept.inc();
         self.stats.forced_keeps.inc();
         self.rate.update(1.0);
-    }
-
-    /// Frames observed so far (decided or forced).
-    pub fn observed(&self) -> u64 {
-        self.observed
     }
 
     /// Fraction of observed frames kept, over the whole stream so far.
@@ -744,7 +740,7 @@ mod tests {
     fn forced_keeps_count_toward_achieved_rate() {
         let mut rc = RateController::new(0.5).unwrap();
         rc.note_forced_keep();
-        assert_eq!(rc.observed(), 1);
+        assert_eq!(rc.observed, 1);
         assert!((rc.achieved_rate() - 1.0).abs() < 1e-12);
     }
 

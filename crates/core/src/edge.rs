@@ -5,19 +5,23 @@
 //! costs, an [`EdgeSession`] is what a live edge actually runs per arriving
 //! frame: it drives any [`FrameSelector`]'s streaming [`SelectorSession`]
 //! *in place* — observing each frame's metadata as it arrives, decoding
-//! only when the policy asks, keeping or dropping on the spot. The
-//! `sieve-fleet` scheduler owns one per stream, and the umbrella crate's
-//! `run_live_analysis` is a one-stream fleet, so every live path shares
-//! this one implementation.
+//! only when the policy asks, keeping or dropping on the spot. Nothing
+//! else steps a [`SelectorSession`]: the `sieve-fleet` scheduler owns
+//! one per stream, the umbrella crate's `run_live_analysis` is a one-stream
+//! fleet, and [`analyze`](crate::analyze) and
+//! [`select_indices`](crate::select_indices) step one over a whole encoded
+//! video.
 //!
 //! No whole-video pre-pass: the edge never materialises the full index
 //! vector or a full decode buffer. Lookahead is bounded by the session's
 //! own state (at most one previous decoded frame for the pixel-differencing
-//! policies, none for metadata policies). Decode failures, and a session
-//! that breaks the observe contract, surface as the typed
-//! [`EdgeOutcome::Failed`], distinct from policy drops.
+//! policies, none for metadata policies). A metadata policy may keep only
+//! I-frames; a P-frame it does not drop fails before any decode. Decode
+//! failures, and a session that breaks the observe contract, surface as
+//! the typed [`EdgeOutcome::Failed`], distinct from policy drops, and fail
+//! the whole run in [`analyze`](crate::analyze).
 
-use sieve_video::{Decoder, Frame, FrameType, Resolution};
+use sieve_video::{DecodeError, Decoder, Frame, FrameType, Resolution};
 
 use crate::error::SieveError;
 use crate::select::{Decision, EncodedFrameMeta, FrameSelector, SelectorSession};
@@ -38,7 +42,8 @@ pub enum EdgeOutcome {
 /// One stream's worth of edge-side state: a streaming selection session
 /// plus exactly the decode machinery its policy needs. This is the *single*
 /// implementation of the per-frame edge decision — the `sieve-fleet`
-/// scheduler drives one per stream, and every live run is a fleet.
+/// scheduler drives one per stream, every live run is a fleet, and
+/// [`analyze`](crate::analyze) steps one over a whole video.
 ///
 /// State is bounded by construction: one stateful decoder (pixel policies),
 /// plus whatever the session itself holds (at most one previous decoded
@@ -110,55 +115,76 @@ impl EdgeSession {
     }
 
     /// Observes the next arriving frame (ascending `index` per stream) and
-    /// returns the edge decision. Pixel policies advance the stateful
-    /// decoder through every frame (P-frames chain); metadata policies
-    /// decide first and independently decode survivors only. The payload is
-    /// only read, so a caller that still needs it afterwards (the fleet's
-    /// keep sink ships a kept frame's encoded payload) lends it instead of
-    /// cloning every frame up front.
+    /// returns the edge decision; a frame that fails to decode, and a
+    /// session that breaks the observe contract, fail the frame
+    /// ([`EdgeOutcome::Failed`]). The payload is only read, so a caller
+    /// that still needs it afterwards (the fleet's keep sink ships a kept
+    /// frame's encoded payload) lends it instead of cloning every frame up
+    /// front.
     pub fn observe(
         &mut self,
         index: usize,
         frame_type: FrameType,
         payload: impl AsRef<[u8]>,
     ) -> EdgeOutcome {
-        let payload = payload.as_ref();
+        match self.step(index, frame_type, payload.as_ref()) {
+            Ok(Some(frame)) => EdgeOutcome::Kept(frame),
+            Ok(None) => EdgeOutcome::Dropped,
+            Err(_) => EdgeOutcome::Failed,
+        }
+    }
+
+    /// The edge decision on one frame, with its failure typed: the kept
+    /// frame's pixels, `None` for a drop. Pixel policies advance the
+    /// stateful decoder through every frame (P-frames chain); metadata
+    /// policies decide first and independently decode survivors only.
+    ///
+    /// # Errors
+    ///
+    /// The decode error of a frame that does not decode, including
+    /// [`DecodeError::NotAnIFrame`] for a P-frame a metadata policy does
+    /// not drop, or [`SieveError::Selector`] for a session that demands
+    /// pixels it has already been given.
+    pub(crate) fn step(
+        &mut self,
+        index: usize,
+        frame_type: FrameType,
+        payload: &[u8],
+    ) -> Result<Option<Frame>, SieveError> {
         let meta = EncodedFrameMeta {
             frame_type,
             payload_len: payload.len(),
         };
         if self.session.done() {
-            return EdgeOutcome::Dropped;
+            return Ok(None);
         }
         if self.full_decode {
             // Decode unconditionally: P-frames chain, so the decoder state
             // must advance even through dropped frames. The decoder recycles
             // its frame buffers across the stream; only kept frames are
             // cloned out.
-            let frame = match self.stream_decoder.decode_next_bytes(frame_type, payload) {
-                Ok(f) => f,
-                Err(_) => return EdgeOutcome::Failed,
-            };
+            let frame = self.stream_decoder.decode_next_bytes(frame_type, payload)?;
             let decision = match self.session.observe(index, &meta, None) {
                 Decision::NeedsDecode => self.session.observe(index, &meta, Some(frame)),
                 d => d,
             };
-            return outcome(decision, || frame.clone());
+            return kept(index, decision, || frame.clone());
         }
-        // Metadata path: decide first, decode survivors only.
+        // Metadata path: decide first, decode survivors only, and only
+        // survivors that decode independently.
         let first = self.session.observe(index, &meta, None);
         if first == Decision::Drop {
-            return EdgeOutcome::Dropped;
+            return Ok(None);
         }
-        let frame = match Decoder::decode_iframe(self.resolution, self.quality, payload) {
-            Ok(f) => f,
-            Err(_) => return EdgeOutcome::Failed,
-        };
+        if frame_type != FrameType::I {
+            return Err(DecodeError::NotAnIFrame.into());
+        }
+        let frame = Decoder::decode_iframe(self.resolution, self.quality, payload)?;
         let decision = match first {
             Decision::NeedsDecode => self.session.observe(index, &meta, Some(&frame)),
             d => d,
         };
-        outcome(decision, || frame)
+        kept(index, decision, || frame)
     }
 
     /// End-of-stream hook: flushes the session and surfaces any deferred
@@ -172,23 +198,31 @@ impl EdgeSession {
     }
 }
 
-/// The edge outcome of a session's last word on a frame. A session that
-/// still answers `NeedsDecode` once it has the pixels broke the observe
-/// contract: the frame fails, as `analyze` fails the whole run.
-fn outcome(decision: Decision, kept: impl FnOnce() -> Frame) -> EdgeOutcome {
+/// The pixels of frame `index` if a session's last word on it keeps it. A
+/// session that still answers `NeedsDecode` once it has the pixels broke
+/// the observe contract.
+fn kept(
+    index: usize,
+    decision: Decision,
+    frame: impl FnOnce() -> Frame,
+) -> Result<Option<Frame>, SieveError> {
     match decision {
-        Decision::Keep => EdgeOutcome::Kept(kept()),
-        Decision::Drop => EdgeOutcome::Dropped,
-        Decision::NeedsDecode => EdgeOutcome::Failed,
+        Decision::Keep => Ok(Some(frame())),
+        Decision::Drop => Ok(None),
+        Decision::NeedsDecode => Err(SieveError::selector(format!(
+            "session demanded pixels for frame {index} twice"
+        ))),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::select::{GreedySession, IFrameSelector};
-    use sieve_datasets::{DatasetId, DatasetScale, DatasetSpec};
-    use sieve_video::{EncodedVideo, EncoderConfig};
+    use crate::detector::OracleDetector;
+    use crate::events::analyze;
+    use crate::select::{FixedSelector, GreedySession, IFrameSelector};
+    use sieve_datasets::{DatasetId, DatasetScale, DatasetSpec, LabelSet};
+    use sieve_video::{EncodedFrame, EncodedVideo, EncoderConfig};
 
     /// A session that demands pixels twice fails the frame on both paths,
     /// as `analyze` fails the whole run, instead of passing for a drop.
@@ -217,6 +251,56 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A metadata-only policy may keep only I-frames: a frame marked P that
+    /// it keeps fails before any decode, at the edge and in `analyze`. The
+    /// frame carries an I-frame payload, so only that check can fail it.
+    #[test]
+    fn metadata_policy_keeping_a_p_frame_fails_it() {
+        struct MetadataFixed(FixedSelector);
+        impl FrameSelector for MetadataFixed {
+            fn name(&self) -> &'static str {
+                "metadata-fixed"
+            }
+            fn requires_full_decode(&self) -> bool {
+                false
+            }
+            fn session(&self) -> Box<dyn SelectorSession> {
+                self.0.session()
+            }
+        }
+        let res = Resolution::new(32, 32);
+        let intra = EncodedVideo::encode(
+            res,
+            30,
+            EncoderConfig::new(1, 0),
+            (0..2).map(|_| Frame::grey(res)),
+        );
+        let mut video = EncodedVideo::new(res, 30, intra.quality());
+        for (ef, frame_type) in intra.frames().iter().zip([FrameType::I, FrameType::P]) {
+            video.push(EncodedFrame {
+                frame_type,
+                data: ef.data.clone(),
+            });
+        }
+        let selector = MetadataFixed(FixedSelector::new(vec![0, 1]));
+        let mut edge = EdgeSession::open(&selector, res, video.quality());
+        let outcomes: Vec<_> = video
+            .frames()
+            .iter()
+            .enumerate()
+            .map(|(i, ef)| edge.observe(i, ef.frame_type, &ef.data))
+            .collect();
+        assert!(
+            matches!(outcomes[..], [EdgeOutcome::Kept(_), EdgeOutcome::Failed]),
+            "{outcomes:?}"
+        );
+        let mut oracle = OracleDetector::new(vec![LabelSet::empty(); 2]);
+        assert!(matches!(
+            analyze(&video, &selector, &mut oracle),
+            Err(SieveError::Decode(DecodeError::NotAnIFrame))
+        ));
     }
 
     /// A frame's type from the wrong side of the `frame_type` field.

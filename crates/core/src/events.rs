@@ -6,12 +6,15 @@
 //! object labels)` tuples plus the derived per-frame labels. Every baseline
 //! — SiEVE's I-frame seeking and the image-filter baselines adapted in
 //! `sieve-filters` — runs through [`analyze`]; there is no per-baseline
-//! analysis glue.
+//! analysis glue. [`analyze`] and [`select_indices`] step the live edge's
+//! [`EdgeSession`] over the whole video, frame by frame in order, so an
+//! offline run makes exactly the decisions a live edge would.
 
 use sieve_datasets::{segment_events, Event, LabelSet};
-use sieve_video::EncodedVideo;
+use sieve_video::{EncodedVideo, Frame};
 
 use crate::detector::ObjectDetector;
+use crate::edge::EdgeSession;
 use crate::error::SieveError;
 use crate::metrics::propagate_labels;
 use crate::select::{FrameSelector, IFrameSelector};
@@ -45,32 +48,61 @@ impl AnalysisResult {
 /// The generic analysis path: `selector` chooses and decodes frames,
 /// `detector` labels them, propagation fills in the rest.
 ///
-/// Selection is streamed: policies that decode incrementally (I-frame
-/// seeking) never hold more than one decoded frame in memory, so the path
-/// stays constant-memory on arbitrarily long videos.
+/// Selection is streamed through one [`EdgeSession`], as on a live edge:
+/// policies that decode incrementally (I-frame seeking) never hold more
+/// than one decoded frame in memory, so the path stays constant-memory on
+/// arbitrarily long videos.
 ///
 /// # Errors
 ///
-/// Propagates selection/decode failures as [`SieveError`]; a selector that
-/// yields out-of-range or non-ascending indices surfaces an error rather
-/// than corrupting propagation.
+/// The first frame the edge fails (a decode error, a P-frame kept by a
+/// metadata policy, a session that breaks the observe contract), or the
+/// session's end-of-stream failure, as a [`SieveError`].
 pub fn analyze(
     video: &EncodedVideo,
     selector: &(impl FrameSelector + ?Sized),
     detector: &mut (impl ObjectDetector + ?Sized),
 ) -> Result<AnalysisResult, SieveError> {
-    let frame_count = video.frame_count();
     let mut selected: Vec<(usize, LabelSet)> = Vec::new();
-    selector.select_with(video, &mut |i, frame| {
-        check_selection(selected.last().map(|&(prev, _)| prev), i, frame_count)?;
-        selected.push((i, detector.detect(i, frame)));
-        Ok(())
+    drive_edge(video, selector, |i, frame| {
+        selected.push((i, detector.detect(i, &frame)));
     })?;
-    let predicted = propagate_labels(frame_count, &selected);
+    let predicted = propagate_labels(video.frame_count(), &selected);
     Ok(AnalysisResult {
         selected,
         predicted,
     })
+}
+
+/// The indices of the frames `selector` keeps on `video`, in ascending
+/// order: [`analyze`]'s selection without a detector.
+///
+/// # Errors
+///
+/// Whatever [`analyze`] reports for the same video and selector.
+pub fn select_indices(
+    video: &EncodedVideo,
+    selector: &(impl FrameSelector + ?Sized),
+) -> Result<Vec<usize>, SieveError> {
+    let mut kept = Vec::new();
+    drive_edge(video, selector, |i, _| kept.push(i))?;
+    Ok(kept)
+}
+
+/// Steps one [`EdgeSession`] for `selector` over every frame of `video` in
+/// order, hands each kept frame to `keep`, then finishes the session.
+pub(crate) fn drive_edge(
+    video: &EncodedVideo,
+    selector: &(impl FrameSelector + ?Sized),
+    mut keep: impl FnMut(usize, Frame),
+) -> Result<(), SieveError> {
+    let mut edge = EdgeSession::open(selector, video.resolution(), video.quality());
+    for (i, ef) in video.frames().iter().enumerate() {
+        if let Some(frame) = edge.step(i, ef.frame_type, &ef.data)? {
+            keep(i, frame);
+        }
+    }
+    edge.finish()
 }
 
 /// SiEVE's analysis path: [`analyze`] with the [`IFrameSelector`] policy —
@@ -85,28 +117,6 @@ pub fn analyze_sieve(
     detector: &mut dyn ObjectDetector,
 ) -> Result<AnalysisResult, SieveError> {
     analyze(video, &IFrameSelector::new(), detector)
-}
-
-/// Validates one selection step: in range, and strictly after `prev`. The
-/// single source of the invariants `propagate_labels` asserts, checked by
-/// [`analyze`] so a hostile or buggy selection surfaces as an error instead
-/// of a panic.
-fn check_selection(
-    prev: Option<usize>,
-    index: usize,
-    frame_count: usize,
-) -> Result<(), SieveError> {
-    if index >= frame_count {
-        return Err(SieveError::InvalidSelection { index, frame_count });
-    }
-    if let Some(prev) = prev {
-        if index <= prev {
-            return Err(SieveError::selector(format!(
-                "selection must be strictly increasing: {index} after {prev}"
-            )));
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -163,50 +173,6 @@ mod tests {
         let via_generic =
             analyze(&encoded, &IFrameSelector::new(), &mut oracle).expect("generic analysis");
         assert_eq!(direct, via_generic);
-    }
-
-    /// A selector that visits `indices` as given, on a grey frame: how a
-    /// buggy or hostile `select_with` reaches the driver.
-    struct Replay(Vec<usize>);
-
-    impl FrameSelector for Replay {
-        fn name(&self) -> &'static str {
-            "replay"
-        }
-        fn session(&self) -> Box<dyn crate::select::SelectorSession> {
-            Box::new(crate::select::GreedySession)
-        }
-        fn select_with(
-            &self,
-            video: &EncodedVideo,
-            visit: &mut dyn FnMut(usize, &sieve_video::Frame) -> Result<(), SieveError>,
-        ) -> Result<(), SieveError> {
-            let frame = sieve_video::Frame::grey(video.resolution());
-            self.0.iter().try_for_each(|&i| visit(i, &frame))
-        }
-    }
-
-    #[test]
-    fn analyze_rejects_out_of_range_selection() {
-        let (video, encoded) = setup();
-        let mut oracle = OracleDetector::for_video(&video);
-        let n = encoded.frame_count();
-        assert!(matches!(
-            analyze(&encoded, &Replay(vec![0, n]), &mut oracle),
-            Err(SieveError::InvalidSelection { index, .. }) if index == n
-        ));
-    }
-
-    #[test]
-    fn analyze_rejects_unsorted_selection() {
-        let (video, encoded) = setup();
-        let mut oracle = OracleDetector::for_video(&video);
-        for indices in [vec![3, 1], vec![2, 2]] {
-            assert!(matches!(
-                analyze(&encoded, &Replay(indices), &mut oracle),
-                Err(SieveError::Selector(_))
-            ));
-        }
     }
 
     #[test]

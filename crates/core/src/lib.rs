@@ -59,7 +59,7 @@ pub use adapt::{wan_signal, Ewma, P2Quantile, RateController, WanFeedback, WanSi
 pub use detector::{ObjectDetector, OracleDetector, NN_INPUT_SIZE};
 pub use edge::{EdgeOutcome, EdgeSession};
 pub use error::SieveError;
-pub use events::{analyze, analyze_sieve, AnalysisResult};
+pub use events::{analyze, analyze_sieve, select_indices, AnalysisResult};
 pub use lookup::LookupTable;
 pub use metrics::{label_accuracy, propagate_labels, score_selection, DetectionQuality};
 pub use pipeline::{

@@ -22,17 +22,17 @@
 //!   previous decoded frame), so a live edge can apply any policy without
 //!   ever materialising a whole-video index vector or decode buffer.
 //!
-//! The two batch entry points
-//! ([`select_indices`](FrameSelector::select_indices) and
-//! [`select_with`](FrameSelector::select_with)) are default wrappers that
-//! drive one session over the whole video, decoding lazily: frames past the
-//! last one a session can possibly keep (see [`SelectorSession::done`]) are
-//! never decoded at all.
+//! Every session runs inside the edge's
+//! [`EdgeSession`](crate::EdgeSession), which the fleet steps per arriving
+//! frame and [`analyze`](crate::analyze) and
+//! [`select_indices`](crate::select_indices) step over a whole video.
+//! Frames past the last one a session can possibly keep (see
+//! [`SelectorSession::done`]) are never decoded at all.
 //!
 //! What a policy costs per frame is priced once, by the simulator, in
 //! [`SelectorKind::per_frame_secs`](crate::SelectorKind::per_frame_secs).
 
-use sieve_video::{Decoder, EncodedFrame, EncodedVideo, Frame, FrameType};
+use sieve_video::{EncodedFrame, Frame, FrameType};
 
 use crate::error::SieveError;
 
@@ -111,9 +111,7 @@ pub trait SelectorSession: Send {
 ///
 /// Implementations provide [`session`](Self::session) and
 /// [`name`](Self::name), plus [`requires_full_decode`](Self::requires_full_decode)
-/// and [`target_rate`](Self::target_rate) where the defaults do not fit;
-/// the two batch entry points are default wrappers that drive one session
-/// over the whole video.
+/// and [`target_rate`](Self::target_rate) where the defaults do not fit.
 pub trait FrameSelector {
     /// Short name used in tables and reports ("sieve", "uniform", "mse").
     fn name(&self) -> &'static str;
@@ -124,7 +122,7 @@ pub trait FrameSelector {
     /// independently, like I-frame seeking — the cost asymmetry at the
     /// heart of the paper. Sessions of metadata-only policies may only
     /// `Keep` or `NeedsDecode` frames that decode independently
-    /// (I-frames).
+    /// (I-frames); the edge fails any other frame they do not drop.
     fn requires_full_decode(&self) -> bool {
         true
     }
@@ -139,152 +137,13 @@ pub trait FrameSelector {
     /// Opens a fresh streaming session applying this policy from the next
     /// frame it observes.
     fn session(&self) -> Box<dyn SelectorSession>;
-
-    /// Chooses frame indices only. Default: drives one session without
-    /// materialising pixels for kept frames — for metadata-driven policies
-    /// this is a pure metadata scan with no decoding at all, and pixel
-    /// policies decode only the frames their sessions ask for.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SieveError`] if decoding fails, or the policy cannot be
-    /// applied to this video.
-    fn select_indices(&self, video: &EncodedVideo) -> Result<Vec<usize>, SieveError> {
-        let mut session = self.session();
-        let mut out = Vec::new();
-        drive_session(
-            video,
-            session.as_mut(),
-            self.requires_full_decode(),
-            false,
-            &mut |i, _| {
-                out.push(i);
-                Ok(())
-            },
-        )?;
-        Ok(out)
-    }
-
-    /// Streams the selection through `visit` one decoded frame at a time,
-    /// in ascending index order, holding at most one decoded frame of
-    /// driver state at once.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`FrameSelector::select_indices`], plus
-    /// whatever `visit` returns.
-    fn select_with(
-        &self,
-        video: &EncodedVideo,
-        visit: &mut dyn FnMut(usize, &Frame) -> Result<(), SieveError>,
-    ) -> Result<(), SieveError> {
-        let mut session = self.session();
-        drive_session(
-            video,
-            session.as_mut(),
-            self.requires_full_decode(),
-            true,
-            &mut |i, frame| visit(i, frame.expect("driver supplies pixels for kept frames")),
-        )
-    }
-}
-
-/// The sink a session drive feeds: kept index plus pixels when requested.
-type EmitFn<'a> = dyn FnMut(usize, Option<&Frame>) -> Result<(), SieveError> + 'a;
-
-/// Drives `session` over every frame of `video` in order, decoding lazily.
-///
-/// `full_decode` selects the pixel source (stateful stream decoder vs
-/// independent I-frame decode); `want_pixels` controls whether kept frames
-/// are decoded when the session did not already request pixels. Frames past
-/// [`SelectorSession::done`] are neither observed nor decoded.
-fn drive_session(
-    video: &EncodedVideo,
-    session: &mut dyn SelectorSession,
-    full_decode: bool,
-    want_pixels: bool,
-    emit: &mut EmitFn,
-) -> Result<(), SieveError> {
-    let mut decoder = LazyDecoder::new(video);
-    for (i, ef) in video.frames().iter().enumerate() {
-        if session.done() {
-            break;
-        }
-        let meta = EncodedFrameMeta::of(ef);
-        match session.observe(i, &meta, None) {
-            Decision::Drop => {}
-            Decision::Keep => {
-                if want_pixels {
-                    let frame = decoder.decode(i, full_decode)?;
-                    emit(i, Some(&frame))?;
-                } else {
-                    emit(i, None)?;
-                }
-            }
-            Decision::NeedsDecode => {
-                let frame = decoder.decode(i, full_decode)?;
-                match session.observe(i, &meta, Some(&frame)) {
-                    Decision::Keep => emit(i, want_pixels.then_some(&frame))?,
-                    Decision::Drop => {}
-                    Decision::NeedsDecode => {
-                        return Err(SieveError::selector(format!(
-                            "session demanded pixels for frame {i} twice"
-                        )))
-                    }
-                }
-            }
-        }
-    }
-    session.finish()
-}
-
-/// Sequential decoder that only runs forward to the frames actually
-/// requested: the tail of a stream past the last kept frame is never
-/// decoded, and metadata-only passes decode nothing.
-struct LazyDecoder<'v> {
-    video: &'v EncodedVideo,
-    decoder: Decoder,
-    next: usize,
-}
-
-impl<'v> LazyDecoder<'v> {
-    fn new(video: &'v EncodedVideo) -> Self {
-        Self {
-            video,
-            decoder: Decoder::new(video.resolution(), video.quality()),
-            next: 0,
-        }
-    }
-
-    /// The decoded frame at `index`: independently for the metadata path,
-    /// via the stateful stream decoder (advancing through any undecoded
-    /// predecessors) otherwise.
-    fn decode(&mut self, index: usize, full_decode: bool) -> Result<Frame, SieveError> {
-        if !full_decode {
-            return Ok(self.video.decode_iframe_at(index)?);
-        }
-        if self.next > index {
-            return Err(SieveError::selector(format!(
-                "frame {index} requested out of stream order"
-            )));
-        }
-        // Advance through undecoded predecessors without materialising them;
-        // only the requested frame is cloned out of the decoder's buffers.
-        while self.next < index {
-            self.decoder.decode_next(&self.video.frames()[self.next])?;
-            self.next += 1;
-        }
-        let frame = self.decoder.decode_next(&self.video.frames()[index])?;
-        self.next = index + 1;
-        Ok(frame.clone())
-    }
 }
 
 /// SiEVE's selection policy: keep exactly the I-frames, deciding from the
 /// container metadata alone and decoding survivors independently.
 ///
 /// ```
-/// use sieve_core::{FrameSelector, IFrameSelector};
+/// use sieve_core::{select_indices, FrameSelector, IFrameSelector};
 /// use sieve_video::{EncodedVideo, EncoderConfig, Frame, Resolution};
 ///
 /// let res = Resolution::new(32, 32);
@@ -292,7 +151,7 @@ impl<'v> LazyDecoder<'v> {
 ///                                  (0..7).map(|_| Frame::grey(res)));
 /// let sel = IFrameSelector::new();
 /// assert!(!sel.requires_full_decode());
-/// assert_eq!(sel.select_indices(&video).unwrap(), vec![0, 3, 6]);
+/// assert_eq!(select_indices(&video, &sel).unwrap(), vec![0, 3, 6]);
 /// ```
 #[derive(Debug, Clone, Copy, Default)]
 pub struct IFrameSelector;
@@ -429,7 +288,8 @@ impl SelectorSession for GreedySession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sieve_video::{EncoderConfig, Resolution};
+    use crate::events::{drive_edge, select_indices};
+    use sieve_video::{EncodedVideo, EncoderConfig, Resolution};
 
     fn video(gop: usize, frames: usize) -> EncodedVideo {
         let res = Resolution::new(48, 32);
@@ -449,16 +309,13 @@ mod tests {
         )
     }
 
-    /// The `(index, pixels)` pairs `sel` streams through `select_with`.
+    /// The `(index, pixels)` pairs `sel` keeps on `v`.
     fn picked(
         sel: &impl FrameSelector,
         v: &EncodedVideo,
     ) -> Result<Vec<(usize, Frame)>, SieveError> {
         let mut out = Vec::new();
-        sel.select_with(v, &mut |i, frame| {
-            out.push((i, frame.clone()));
-            Ok(())
-        })?;
+        drive_edge(v, sel, |i, frame| out.push((i, frame)))?;
         Ok(out)
     }
 
@@ -466,7 +323,7 @@ mod tests {
     fn iframe_selector_matches_seeker() {
         let v = video(4, 12);
         let sel = IFrameSelector::new();
-        assert_eq!(sel.select_indices(&v).unwrap(), v.i_frame_indices());
+        assert_eq!(select_indices(&v, &sel).unwrap(), v.i_frame_indices());
         let picked = picked(&sel, &v).unwrap();
         assert_eq!(picked.len(), 3);
         for (i, f) in &picked {
@@ -495,7 +352,7 @@ mod tests {
         let v = video(4, 8);
         let sel = FixedSelector::new(vec![0, 3, 99]);
         assert!(matches!(
-            sel.select_indices(&v),
+            select_indices(&v, &sel),
             Err(SieveError::InvalidSelection { index: 99, .. })
         ));
         assert!(picked(&sel, &v).is_err());
@@ -542,6 +399,6 @@ mod tests {
         let boxed: Box<dyn FrameSelector> = Box::new(IFrameSelector::new());
         assert_eq!(boxed.name(), "sieve");
         assert!(!boxed.requires_full_decode());
-        assert_eq!(boxed.select_indices(&v).unwrap(), vec![0, 3, 6]);
+        assert_eq!(select_indices(&v, boxed.as_ref()).unwrap(), vec![0, 3, 6]);
     }
 }

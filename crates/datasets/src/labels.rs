@@ -149,11 +149,6 @@ impl LabelSet {
             .filter(move |c| self.contains(*c))
     }
 
-    /// The raw bitmask (stable encoding, useful as an NN class id).
-    pub fn bits(&self) -> u8 {
-        self.0
-    }
-
     /// Rebuilds from a raw bitmask, ignoring unknown bits.
     // lint:allow(dead-pub): tests/proptests.rs draws label sets as random bitmasks
     pub fn from_bits(bits: u8) -> Self {
@@ -259,7 +254,7 @@ mod tests {
     #[test]
     fn labelset_bits_roundtrip() {
         let l = LabelSet::from_classes([ObjectClass::Bus, ObjectClass::Person]);
-        assert_eq!(LabelSet::from_bits(l.bits()), l);
+        assert_eq!(LabelSet::from_bits(l.0), l);
         // Unknown bits are masked off.
         assert_eq!(LabelSet::from_bits(0xFF).len(), 5);
     }

@@ -35,7 +35,7 @@ pub enum DatasetScale {
 
 impl DatasetScale {
     /// Duration in frames at this scale.
-    pub fn duration_frames(&self) -> usize {
+    fn duration_frames(&self) -> usize {
         match self {
             DatasetScale::Tiny => 600,
             DatasetScale::Small => 3_000,

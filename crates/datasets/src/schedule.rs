@@ -209,11 +209,6 @@ impl Schedule {
         Self { params, instances }
     }
 
-    /// The arrival parameters this schedule was drawn with.
-    pub fn params(&self) -> &ScheduleParams {
-        &self.params
-    }
-
     /// Instances leaving pixels in `frame` — the labelled set plus objects
     /// mid-approach or mid-departure (see [`ObjectInstance::presence`]).
     pub fn renderable_at(&self, frame: usize) -> impl Iterator<Item = &ObjectInstance> {

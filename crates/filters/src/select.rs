@@ -2,7 +2,8 @@
 //!
 //! These plug the NoScope-style filters into `sieve-core`'s streaming
 //! selection layer. Each adapter is a session factory, and every session
-//! runs on-line:
+//! runs on-line, driven by the edge's `EdgeSession` (live, or over a whole
+//! video through `analyze` and `select_indices`):
 //!
 //! * [`UniformSelector`] decides every frame from its index alone — its
 //!   session never touches pixels, though it still requires the full
@@ -158,11 +159,7 @@ impl<D: ChangeDetector + Clone + Send + 'static> FrameSelector for ChangeSelecto
             Budget::Threshold(t) => Threshold::Fixed(t),
             Budget::TargetRate(r) => match RateController::new(r) {
                 Ok(controller) => Threshold::Adaptive(Box::new(controller)),
-                Err(e) => {
-                    return Box::new(UnresolvedSession {
-                        reason: e.to_string(),
-                    })
-                }
+                Err(e) => return Box::new(UnresolvedSession { error: Some(e) }),
             },
         };
         Box::new(ChangeSession::new(self.detector.clone(), threshold))
@@ -235,9 +232,9 @@ impl<D: ChangeDetector + Send> SelectorSession for ChangeSession<D> {
 }
 
 /// The session behind an invalid target rate: selects nothing and reports
-/// the reason at end of stream.
+/// the controller's own error at end of stream.
 struct UnresolvedSession {
-    reason: String,
+    error: Option<SieveError>,
 }
 
 impl SelectorSession for UnresolvedSession {
@@ -251,7 +248,7 @@ impl SelectorSession for UnresolvedSession {
     }
 
     fn finish(&mut self) -> Result<(), SieveError> {
-        Err(SieveError::selector(self.reason.clone()))
+        self.error.take().map_or(Ok(()), Err)
     }
 }
 
@@ -279,7 +276,7 @@ impl SiftSelector {
 mod tests {
     use super::*;
     use crate::detector::{calibrate_fractions, calibrate_threshold, select_frames};
-    use sieve_core::{analyze, OracleDetector};
+    use sieve_core::{analyze, select_indices, OracleDetector};
     use sieve_video::{Decoder, EncodedVideo, EncoderConfig, FrameType, Resolution};
 
     /// The change score of every consecutive pair of `frames`, from a
@@ -354,14 +351,7 @@ mod tests {
     fn uniform_selector_picks_every_kth() {
         let v = sample_video(20);
         let sel = UniformSelector::new(5);
-        assert_eq!(sel.select_indices(&v).unwrap(), vec![0, 5, 10, 15]);
-        let mut picked = 0;
-        sel.select_with(&v, &mut |_, _| {
-            picked += 1;
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!(picked, 4);
+        assert_eq!(select_indices(&v, &sel).unwrap(), vec![0, 5, 10, 15]);
         assert!(sel.requires_full_decode());
     }
 
@@ -369,7 +359,7 @@ mod tests {
     fn mse_selector_finds_the_cut() {
         let v = sample_video(20);
         let sel = MseSelector::mse(Budget::TargetRate(0.1));
-        let indices = sel.select_indices(&v).unwrap();
+        let indices = select_indices(&v, &sel).unwrap();
         assert!(indices.contains(&0), "frame 0 always selected");
         assert!(
             indices.contains(&10),
@@ -396,7 +386,7 @@ mod tests {
         let scores = score_sequence(&mut MseDetector::new(), &frames);
         let t = calibrate_threshold(&scores, frames.len(), 0.1);
         let sel = MseSelector::mse(Budget::Threshold(t));
-        let indices = sel.select_indices(&v).unwrap();
+        let indices = select_indices(&v, &sel).unwrap();
         assert_eq!(indices, select_frames(&scores, t));
     }
 
@@ -405,7 +395,7 @@ mod tests {
         let v = sample_video(24);
         for budget in [Budget::Threshold(30.0), Budget::TargetRate(0.25)] {
             let sel = MseSelector::mse(budget);
-            let batch = sel.select_indices(&v).unwrap();
+            let batch = select_indices(&v, &sel).unwrap();
             // Drive a session by hand with a stateful decoder, as a live
             // edge would.
             let mut session = sel.session();
@@ -454,7 +444,7 @@ mod tests {
         let points = calibrate_fractions(&mut MseDetector::new(), &v, &[0.1, 0.5]).unwrap();
         for p in &points {
             let sel = MseSelector::mse(Budget::Threshold(p.threshold));
-            assert_eq!(sel.select_indices(&v).unwrap(), p.selected);
+            assert_eq!(select_indices(&v, &sel).unwrap(), p.selected);
         }
     }
 
@@ -487,10 +477,11 @@ mod tests {
     fn target_rate_rejects_bad_rate() {
         let v = sample_video(8);
         let sel = MseSelector::mse(Budget::TargetRate(0.0));
-        assert!(matches!(
-            sel.select_with(&v, &mut |_, _| Ok(())),
-            Err(SieveError::Selector(_))
-        ));
+        let err = select_indices(&v, &sel).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "selector error: target sampling rate 0 outside (0, 1]"
+        );
         // A raw session surfaces the bad rate too.
         let session_err = MseSelector::mse(Budget::TargetRate(1.5)).session().finish();
         assert!(matches!(session_err, Err(SieveError::Selector(_))));

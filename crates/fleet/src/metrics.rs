@@ -178,7 +178,8 @@ pub struct StreamSnapshot {
     pub queue_depth: u64,
     /// Whether the stream has left and its session was flushed.
     pub done: bool,
-    /// The end-of-stream error the session reported, if any.
+    /// The end-of-stream error the session reported, if any: a selector
+    /// error's message, or any other error's display.
     pub finish_error: Option<String>,
 }
 

@@ -44,7 +44,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-use sieve_core::{EdgeOutcome, EdgeSession, FrameSelector, SelectorSession};
+use sieve_core::{EdgeOutcome, EdgeSession, FrameSelector, SelectorSession, SieveError};
 use sieve_simnet::{GuardedPop, PushOutcome, ShardQueue, Steal};
 use sieve_stats::sync::atomic::{AtomicUsize, Ordering};
 use sieve_stats::sync::thread::{self, JoinHandle};
@@ -727,7 +727,11 @@ fn finish_stream(ctx: &ShardCtx, key: u64) {
     };
     // The stream is over; release whatever its sink captured.
     worker.on_keep = None;
-    *slot.cell.finish_error.lock() = result.err().map(|e| e.to_string());
+    *slot.cell.finish_error.lock() = result.err().map(|e| match e {
+        // The message alone, so whoever re-wraps it prints one prefix.
+        SieveError::Selector(message) => message,
+        e => e.to_string(),
+    });
     slot.cell.done.store(true, Ordering::Release);
 }
 

@@ -448,6 +448,7 @@ impl Depacketizer {
     }
 
     /// Blocks still waiting for fragments.
+    // lint:allow(dead-pub): crates/net/tests/hostile_headers.rs checks a hostile stream leaves no block waiting
     pub fn pending(&self) -> usize {
         self.pending.len()
     }

@@ -189,11 +189,6 @@ pub struct Stage {
 }
 
 impl Stage {
-    /// The stage's name prefix.
-    pub fn prefix(&self) -> &str {
-        &self.prefix
-    }
-
     /// The underlying registry.
     pub fn registry(&self) -> &Arc<Registry> {
         &self.registry

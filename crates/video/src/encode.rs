@@ -220,7 +220,7 @@ impl Lookahead {
 /// the scenecut rule. Every I-frame placement in the crate — the encoder's
 /// decision half, which every encode path runs, and
 /// [`RatioTrace::i_frames`] — is this function.
-pub fn frame_type(ratio: Option<f64>, dist: usize, config: &EncoderConfig) -> FrameType {
+fn frame_type(ratio: Option<f64>, dist: usize, config: &EncoderConfig) -> FrameType {
     let Some(ratio) = ratio else {
         return FrameType::I;
     };
@@ -247,9 +247,9 @@ pub fn frame_type(ratio: Option<f64>, dist: usize, config: &EncoderConfig) -> Fr
 
 /// The lookahead ratio of every frame of a sequence, measured once. Because
 /// the ratio depends only on the source frames and the search range,
-/// replaying [`frame_type`] over it gives the I-frames an encode of the
-/// sequence would place, for any GOP size, scenecut and minimum keyframe
-/// interval, without encoding.
+/// replaying the encoder's I/P rule over it gives the I-frames an encode
+/// of the sequence would place, for any GOP size, scenecut and minimum
+/// keyframe interval, without encoding.
 ///
 /// ```
 /// use sieve_video::{EncodedVideo, EncoderConfig, Frame, RatioTrace, Resolution};

@@ -5,9 +5,9 @@
 //!
 //! * a **semantic encoder** ([`Encoder`]) whose GOP size and scenecut
 //!   threshold are tunable per camera, so that I-frames land on semantic
-//!   events (objects entering/leaving the scene); the placement
-//!   ([`frame_type`]) reads only the source, so a [`RatioTrace`] measured
-//!   once replays it for any (GOP, scenecut) without encoding;
+//!   events (objects entering/leaving the scene); the placement reads
+//!   only the source, so a [`RatioTrace`] measured once replays it for any
+//!   (GOP, scenecut) without encoding;
 //! * a **container** ([`EncodedVideo`], [`VideoIndex`]) whose frame-type
 //!   index can be scanned without decoding — the substrate of the I-frame
 //!   seeker;
@@ -47,7 +47,7 @@ pub mod stats;
 
 pub use container::{ContainerError, EncodedVideo, FrameMeta, VideoIndex};
 pub use decode::{DecodeError, Decoder};
-pub use encode::{frame_type, EncodedFrame, Encoder, EncoderConfig, FrameType, RatioTrace};
+pub use encode::{EncodedFrame, Encoder, EncoderConfig, FrameType, RatioTrace};
 pub use frame::{Frame, Plane, Resolution};
 pub use motion::{FrameMotion, MotionVector};
 pub use quant::QuantTable;

@@ -1,6 +1,7 @@
-//! Bitstream statistics: frame-type mix, byte accounting, filtering rate.
+//! Bitstream statistics: frame-type mix and byte accounting.
 //!
-//! The *filtering rate* (fraction of frames that are **not** I-frames) is one
+//! The *filtering rate* (fraction of frames that are **not** I-frames,
+//! `p_frames / frame_count`) is one
 //! half of the paper's tuning objective; the other half, event-detection
 //! accuracy, lives in `sieve-core` because it needs ground-truth labels.
 
@@ -59,16 +60,6 @@ impl BitstreamStats {
             }
         }
     }
-
-    /// The paper's filtering rate `fr`: fraction of frames that are *not*
-    /// I-frames and therefore never decoded or analysed.
-    pub fn filtering_rate(&self) -> f64 {
-        if self.frame_count == 0 {
-            0.0
-        } else {
-            self.p_frames as f64 / self.frame_count as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -99,7 +90,6 @@ mod tests {
         assert_eq!(s.frame_count, 20);
         assert_eq!(s.i_frames, 4);
         assert_eq!(s.p_frames, 16);
-        assert!((s.filtering_rate() - 0.8).abs() < 1e-12);
         assert_eq!(s.total_bytes, s.i_bytes + s.p_bytes);
     }
 
@@ -122,6 +112,6 @@ mod tests {
     fn empty_stream_rates_are_zero() {
         let v = EncodedVideo::new(Resolution::new(16, 16), 30, 75);
         let s = BitstreamStats::from_video(&v);
-        assert_eq!(s.filtering_rate(), 0.0);
+        assert_eq!((s.frame_count, s.p_frames, s.total_bytes), (0, 0, 0));
     }
 }

@@ -25,9 +25,9 @@
 //! does a `pub use` re-export of a function, constant or static; a type's
 //! re-export does count, because a type reaches callers through signatures
 //! without being named. A function counts as used only where it is called
-//! or named as a path or method: at `.name`, `::name`, `name(` or
-//! `name::<`, or inside a `use` item; a local, a field or a struct-literal
-//! key of the same name does not count. The match is by name only, not by
+//! or named as a path: at `::name`, `name(` (so a method call `.name(`) or
+//! `name::<`, or inside a `use` item; a local, a field access `x.name` or a
+//! struct-literal key of the same name does not count. The match is by name only, not by
 //! owner, so a same-named item elsewhere can still hide a dead one; it
 //! never flags a live one that is called in those shapes. Waive a site with
 //! `// lint:allow(dead-pub): reason`, naming the integration test that
@@ -405,14 +405,12 @@ fn use_items(cleaned: &str) -> Vec<(usize, usize, bool)> {
 }
 
 /// Whether the identifier at `text[start..end]` is called or named as a
-/// path or method: `.name`, `::name`, `name(` or `name::<`.
+/// path: `::name`, `name(` or `name::<`. A method call `.name(` counts by
+/// its parenthesis; a bare `.name` can only be a field access, which is not
+/// a use of a function.
 fn called_or_pathed(text: &str, start: usize, end: usize) -> bool {
-    let before = text[..start].trim_end();
     let after = text[end..].trim_start();
-    before.ends_with('.')
-        || before.ends_with("::")
-        || after.starts_with('(')
-        || after.starts_with("::<")
+    text[..start].trim_end().ends_with("::") || after.starts_with('(') || after.starts_with("::<")
 }
 
 /// The Rust code of `source`'s doc examples: the lines between ``` fences
@@ -889,6 +887,19 @@ fn u(q: &demo::Queue) -> usize {
             ),
         ]);
         assert!(f.is_empty(), "{f:?}");
+    }
+
+    #[test]
+    fn dead_pub_flags_a_method_named_only_by_a_field_access() {
+        let f = dead_pub_over(&[
+            ("crates/demo/src/lib.rs", LIB_WITH_METHOD),
+            (
+                "crates/demo/src/user.rs",
+                "fn u(_: &demo::Queue, s: &Stats) -> usize { s.depth + s . depth }\n",
+            ),
+        ]);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert!(f[0].message.contains("`depth`"), "{f:?}");
     }
 
     #[test]

@@ -87,14 +87,18 @@ fn live_run_rejects_invalid_target_rate() {
         OracleDetector::for_video(&video),
         &LiveConfig::default(),
     );
-    assert!(matches!(run, Err(SieveError::Selector(_))), "{run:?}");
+    let err = run.expect_err("an invalid target rate fails the run");
+    assert!(matches!(err, SieveError::Selector(_)), "{err:?}");
+    assert_eq!(
+        err.to_string(),
+        "selector error: target sampling rate 0 outside (0, 1]"
+    );
 }
 
-/// The live driver streams: it must never evaluate the policy with a batch
-/// whole-video call. A selector whose batch entry points panic — only its
-/// session works — completes a live run and matches the offline result.
+/// A selector that is nothing but a session factory, over another policy's
+/// session, completes a live run and matches the offline result.
 #[test]
-fn live_driver_never_batch_selects() {
+fn live_session_only_selector_matches_offline() {
     struct SessionOnly;
     impl FrameSelector for SessionOnly {
         fn name(&self) -> &'static str {
@@ -105,16 +109,6 @@ fn live_driver_never_batch_selects() {
         }
         fn session(&self) -> Box<dyn SelectorSession> {
             IFrameSelector::new().session()
-        }
-        fn select_with(
-            &self,
-            _video: &EncodedVideo,
-            _visit: &mut dyn FnMut(usize, &sieve_video::Frame) -> Result<(), SieveError>,
-        ) -> Result<(), SieveError> {
-            panic!("live driver materialised a whole-video selection");
-        }
-        fn select_indices(&self, _video: &EncodedVideo) -> Result<Vec<usize>, SieveError> {
-            panic!("live driver materialised the full index vector");
         }
     }
 

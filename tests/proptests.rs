@@ -6,7 +6,7 @@
 
 use proptest::prelude::*;
 use sieve::prelude::*;
-use sieve_core::{propagate_labels, Decision, EncodedFrameMeta, FixedSelector};
+use sieve_core::{propagate_labels, select_indices, Decision, EncodedFrameMeta, FixedSelector};
 use sieve_video::bitio::{BitReader, BitWriter};
 use sieve_video::{Decoder, EncodedVideo, VideoIndex};
 
@@ -219,7 +219,7 @@ proptest! {
 
     /// For every registered selection policy, on random synthetic GOP
     /// structures and budgets, the streaming session's kept indices equal
-    /// the batch `select_indices` result exactly — and metadata-only
+    /// the whole-video `select_indices` result exactly — and metadata-only
     /// policies never request pixels, so their sessions hold zero decoded
     /// frames (pixel policies hold at most the previous frame by
     /// construction).
@@ -264,7 +264,7 @@ proptest! {
         ];
         for sel in selectors {
             let name = sel.name();
-            let batch = sel.select_indices(&video).expect("batch selection");
+            let batch = select_indices(&video, sel.as_ref()).expect("batch selection");
             // Drive a session by hand, as a live edge would: one frame at a
             // time, stateful decode, two-phase observe.
             let mut session = sel.session();
