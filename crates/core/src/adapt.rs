@@ -8,16 +8,14 @@
 //! `sieve_filters::Budget::TargetRate` sessions and the `sieve-fleet`
 //! runtime:
 //!
-//! * [`Ewma`] — an exponentially weighted moving average, used both for the
-//!   achieved-rate estimate and for the score-spread scale;
-//! * [`P2Quantile`] — the P² streaming quantile estimator (Jain &
-//!   Chlamtac, CACM 1985): five markers track any quantile of an unbounded
-//!   stream in O(1) memory, no samples stored;
+//! * a private P² streaming quantile estimator (Jain & Chlamtac, CACM
+//!   1985): five markers track any quantile of an unbounded stream in O(1)
+//!   memory, no samples stored;
 //! * [`RateController`] — the controller itself. It thresholds each score
 //!   at the running `(1 - target)`-quantile (the operating point whose keep
-//!   probability is `target` on a stationary stream) plus a small
-//!   stochastic-approximation bias that nudges the achieved rate toward the
-//!   target, correcting estimator bias and slow drift.
+//!   probability is `target` on a stationary stream) plus a bias that a
+//!   Robbins–Monro stochastic-approximation step moves toward the target.
+//!   Its contract is a bound on the keep debt; see [`RateController`].
 //!
 //! The controller is fully deterministic: the same score stream always
 //! yields the same decisions. Every controller also mirrors its activity
@@ -46,49 +44,6 @@ use sieve_stats::Counter;
 
 use crate::error::SieveError;
 
-/// An exponentially weighted moving average with a fixed smoothing factor.
-#[derive(Debug, Clone)]
-pub struct Ewma {
-    alpha: f64,
-    value: Option<f64>,
-}
-
-impl Ewma {
-    /// A new average; `alpha` in `(0, 1]` is the weight of each new sample.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `alpha` is outside `(0, 1]`.
-    pub fn new(alpha: f64) -> Self {
-        assert!(
-            alpha > 0.0 && alpha <= 1.0,
-            "EWMA alpha must be in (0, 1], got {alpha}"
-        );
-        Self { alpha, value: None }
-    }
-
-    /// Folds in one sample and returns the updated average. The first
-    /// sample initialises the average directly.
-    fn update(&mut self, x: f64) -> f64 {
-        let v = match self.value {
-            None => x,
-            Some(v) => v + self.alpha * (x - v),
-        };
-        self.value = Some(v);
-        v
-    }
-
-    /// The current average, or `default` before any sample arrived.
-    fn value_or(&self, default: f64) -> f64 {
-        self.value.unwrap_or(default)
-    }
-
-    /// The current average, if any sample has arrived.
-    pub fn value(&self) -> Option<f64> {
-        self.value
-    }
-}
-
 /// The P² streaming quantile estimator: tracks the `p`-quantile of an
 /// unbounded stream with five markers and no stored samples.
 ///
@@ -96,7 +51,7 @@ impl Ewma {
 /// quantile of the buffered prefix; from the sixth observation on, marker
 /// heights move by the piecewise-parabolic (P²) update.
 #[derive(Debug, Clone)]
-pub struct P2Quantile {
+struct P2Quantile {
     p: f64,
     /// Marker heights (estimated quantile values).
     heights: [f64; 5],
@@ -113,12 +68,7 @@ pub struct P2Quantile {
 
 impl P2Quantile {
     /// An estimator for the `p`-quantile, `p` in `[0, 1]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is outside `[0, 1]`.
-    pub fn new(p: f64) -> Self {
-        assert!((0.0..=1.0).contains(&p), "quantile must be in [0, 1]");
+    fn new(p: f64) -> Self {
         Self {
             p,
             heights: [0.0; 5],
@@ -128,11 +78,6 @@ impl P2Quantile {
             init: Vec::with_capacity(5),
             count: 0,
         }
-    }
-
-    /// Number of observations folded in so far.
-    pub fn count(&self) -> u64 {
-        self.count
     }
 
     /// The current quantile estimate; `None` before the first observation.
@@ -149,7 +94,7 @@ impl P2Quantile {
     }
 
     /// Folds in one observation.
-    pub fn insert(&mut self, x: f64) {
+    fn insert(&mut self, x: f64) {
         self.count += 1;
         if self.count <= 5 {
             let at = self.init.partition_point(|&v| v <= x);
@@ -375,16 +320,34 @@ pub fn wan_signal() -> &'static Arc<WanSignal> {
     SIGNAL.get_or_init(|| Arc::new(WanSignal::new()))
 }
 
+/// Weight of each new sample in the score-spread average.
+const SPREAD_ALPHA: f64 = 0.05;
+/// Steady-state gain of the bias step, in units of the score spread.
+const GAIN: f64 = 0.04;
+
 /// Retargets a change-score threshold on-line so that the keep rate tracks
 /// a requested sampling rate, with no offline calibration pass.
 ///
-/// Per score the controller (1) thresholds at the running
-/// `(1 - target)`-quantile plus a bias term, (2) folds the score into the
-/// [`P2Quantile`] and the keep decision into an achieved-rate [`Ewma`], and
-/// (3) nudges the bias by a stochastic-approximation step proportional to
-/// `(kept - target)` and the score spread — so persistent over-sampling
+/// Per score the controller (1) keeps the frame if the score exceeds the
+/// running P² estimate of the `(1 - target)`-quantile plus a bias, (2) folds
+/// the score into that estimate and into the score spread, an exponential
+/// average of `|score - quantile|`, and (3) moves the bias by a Robbins–Monro
+/// step: the spread times a decaying gain, times the per-frame indicator
+/// `kept - target` plus the clamped keep debt. So persistent over-sampling
 /// raises the threshold and under-sampling lowers it even when the quantile
 /// estimate is biased or the stream drifts.
+///
+/// # Contract
+///
+/// The keep debt after `n` frames is the number of frames kept minus the sum
+/// of [`RateController::effective_target`] over those `n` frames, forced
+/// keeps included. After a warm-up of W = 100 frames, `|debt| <= B` with
+/// B = 163 frames. `crates/core/tests/rate_contract.rs` holds this over nine
+/// stream families (i.i.d., ×10 and ÷10 level shifts, ramps up and down,
+/// constant, 1% spikes, sawtooth and a WAN factor step) at targets 0.02, 0.1
+/// and 0.3 for 20 000 frames. B is 1.5 times the worst debt read there,
+/// 108.1 frames: early spikes wind the bias up in units of a spike-inflated
+/// spread. Every other case stays within 36 frames.
 ///
 /// ```
 /// use sieve_core::adapt::RateController;
@@ -405,10 +368,10 @@ pub fn wan_signal() -> &'static Arc<WanSignal> {
 pub struct RateController {
     target: f64,
     quantile: P2Quantile,
-    rate: Ewma,
-    spread: Ewma,
+    /// Exponential average of `|score - quantile|`, the unit of the bias
+    /// step; `None` before the first score.
+    spread: Option<f64>,
     bias: f64,
-    gain: f64,
     observed: u64,
     kept: u64,
     /// Running integral of the *effective* target over observations: the
@@ -471,10 +434,8 @@ impl RateController {
         Ok(Self {
             target,
             quantile: P2Quantile::new(1.0 - target),
-            rate: Ewma::new(0.02),
-            spread: Ewma::new(0.05),
+            spread: None,
             bias: 0.0,
-            gain: 0.04,
             observed: 0,
             kept: 0,
             target_integral: 0.0,
@@ -518,7 +479,7 @@ impl RateController {
         if (factor - self.last_factor).abs() < 1e-12 {
             return;
         }
-        let scale = self.spread.value_or(0.0);
+        let scale = self.spread.unwrap_or(0.0);
         if scale > 0.0 && factor > 0.0 && self.last_factor > 0.0 {
             self.bias += scale * (self.last_factor / factor).ln();
         }
@@ -536,9 +497,12 @@ impl RateController {
             self.kept += 1;
             self.stats.kept.inc();
         }
-        self.rate.update(if keep { 1.0 } else { 0.0 });
         let base = self.quantile.estimate().unwrap_or(score);
-        self.spread.update((score - base).abs());
+        let deviation = (score - base).abs();
+        self.spread = Some(match self.spread {
+            None => deviation,
+            Some(v) => v + SPREAD_ALPHA * (deviation - v),
+        });
         self.quantile.insert(score);
         // Stochastic-approximation correction: scale the step by the score
         // spread so the controller is unit-free, with a decaying gain —
@@ -546,14 +510,14 @@ impl RateController {
         // (shortening the start-up transient), settling to a small
         // steady-state gain that keeps tracking drift.
         let decay = 10.0 / (1.0 + self.observed as f64 / 8.0);
-        let gain = self.gain * decay.max(1.0);
+        let gain = GAIN * decay.max(1.0);
         // Scale floor: a constant-score stream has zero spread, and a
         // subnormal step would be absorbed by the `quantile + bias`
         // rounding — freezing the controller. Floor at a ppm of the score
         // scale so even degenerate streams keep a live control loop.
         let scale = self
             .spread
-            .value_or(0.0)
+            .unwrap_or(0.0)
             .max(1e-6 * base.abs())
             .max(f64::MIN_POSITIVE);
         let step = gain * scale;
@@ -572,7 +536,7 @@ impl RateController {
     }
 
     /// Records a frame kept unconditionally (e.g. the first frame of a
-    /// stream): it counts toward the achieved rate but carries no score.
+    /// stream): it counts toward the keep debt but carries no score.
     pub fn note_forced_keep(&mut self) {
         self.observed += 1;
         self.kept += 1;
@@ -580,16 +544,6 @@ impl RateController {
         self.stats.observed.inc();
         self.stats.kept.inc();
         self.stats.forced_keeps.inc();
-        self.rate.update(1.0);
-    }
-
-    /// Fraction of observed frames kept, over the whole stream so far.
-    pub fn achieved_rate(&self) -> f64 {
-        if self.observed == 0 {
-            0.0
-        } else {
-            self.kept as f64 / self.observed as f64
-        }
     }
 }
 
@@ -605,22 +559,6 @@ mod tests {
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64
-    }
-
-    #[test]
-    fn ewma_tracks_mean() {
-        let mut e = Ewma::new(0.5);
-        assert_eq!(e.value(), None);
-        e.update(10.0);
-        assert_eq!(e.value(), Some(10.0));
-        e.update(0.0);
-        assert_eq!(e.value(), Some(5.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "alpha")]
-    fn ewma_rejects_zero_alpha() {
-        let _ = Ewma::new(0.0);
     }
 
     #[test]
@@ -738,10 +676,10 @@ mod tests {
 
     #[test]
     fn forced_keeps_count_toward_achieved_rate() {
-        let mut rc = RateController::new(0.5).unwrap();
+        let mut rc = RateController::with_wan_signal(0.5, Arc::new(WanSignal::new())).unwrap();
         rc.note_forced_keep();
-        assert_eq!(rc.observed, 1);
-        assert!((rc.achieved_rate() - 1.0).abs() < 1e-12);
+        assert_eq!((rc.observed, rc.kept), (1, 1));
+        assert!((rc.target_integral - 0.5).abs() < 1e-12);
     }
 
     #[test]

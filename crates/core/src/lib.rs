@@ -11,8 +11,10 @@
 //!   factories (SiEVE's I-frame seeker is [`IFrameSelector`]: metadata
 //!   scan, independent decode) and the incremental [`SelectorSession`]s
 //!   they open;
-//! * [`adapt`] — on-line threshold adaptation (EWMA, P² streaming
-//!   quantile, the [`RateController`] behind `Budget::TargetRate`);
+//! * [`adapt`] — on-line threshold adaptation: the [`RateController`]
+//!   behind `Budget::TargetRate` (a streaming-quantile threshold with a
+//!   stochastic-approximation bias, under a keep-debt bound) and the WAN
+//!   feedback signal that scales its target;
 //! * [`metrics`] — accuracy / filtering rate / F1 with label propagation;
 //! * [`detector`] — the [`ObjectDetector`] interface and the ground-truth
 //!   [`OracleDetector`] the paper's accuracy model assumes;
@@ -55,7 +57,7 @@ pub mod pipeline;
 pub mod select;
 pub mod tuner;
 
-pub use adapt::{wan_signal, Ewma, P2Quantile, RateController, WanFeedback, WanSignal};
+pub use adapt::{wan_signal, RateController, WanFeedback, WanSignal};
 pub use detector::{ObjectDetector, OracleDetector, NN_INPUT_SIZE};
 pub use edge::{EdgeOutcome, EdgeSession};
 pub use error::SieveError;

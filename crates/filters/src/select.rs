@@ -42,8 +42,8 @@ pub enum Budget {
     Threshold(f64),
     /// Continuously retarget the threshold so the achieved sampling rate
     /// tracks this fraction, with no offline pass at all: a session keeps
-    /// a streaming score distribution (EWMA + P² quantile, see
-    /// [`sieve_core::RateController`]) and adapts as frames arrive — the
+    /// a [`sieve_core::RateController`], which thresholds each score at a
+    /// streaming quantile estimate and adapts as frames arrive — the
     /// budget a live edge that never sees the whole video can deploy. A
     /// rate outside `(0, 1]` selects nothing and fails the session's
     /// `finish`.
