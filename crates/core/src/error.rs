@@ -5,13 +5,16 @@
 //! ([`DecodeError`], [`ContainerError`], [`ReadBitsError`]) and I/O errors
 //! all convert into it, so cross-crate drivers (the analysis path, the live
 //! pipeline, persistence) can use `?` throughout and callers match on one
-//! type.
+//! type. It is `Clone` and `PartialEq`, so a stream's end-of-stream error
+//! travels from the edge to the caller unchanged.
+
+use std::sync::Arc;
 
 use sieve_video::bitio::ReadBitsError;
 use sieve_video::{ContainerError, DecodeError};
 
 /// Any failure a SiEVE pipeline can surface.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub enum SieveError {
     /// A frame payload failed to decode.
     Decode(DecodeError),
@@ -19,8 +22,9 @@ pub enum SieveError {
     Container(ContainerError),
     /// A raw bitstream read ran out of input.
     Bits(ReadBitsError),
-    /// An I/O failure (persistence, network transport).
-    Io(std::io::Error),
+    /// An I/O failure (persistence, network transport), shared so the
+    /// error can be cloned.
+    Io(Arc<std::io::Error>),
     /// A frame selection referenced an index outside the video.
     InvalidSelection {
         /// The offending frame index.
@@ -55,13 +59,36 @@ impl std::fmt::Display for SieveError {
     }
 }
 
+/// Two I/O errors are equal when their kind and message are; every other
+/// arm compares its payload.
+impl PartialEq for SieveError {
+    fn eq(&self, other: &Self) -> bool {
+        use SieveError::*;
+        match (self, other) {
+            (Decode(a), Decode(b)) => a == b,
+            (Container(a), Container(b)) => a == b,
+            (Bits(a), Bits(b)) => a == b,
+            (Io(a), Io(b)) => a.kind() == b.kind() && a.to_string() == b.to_string(),
+            (
+                InvalidSelection { index, frame_count },
+                InvalidSelection {
+                    index: i,
+                    frame_count: n,
+                },
+            ) => (index, frame_count) == (i, n),
+            (Selector(a), Selector(b)) => a == b,
+            _ => false,
+        }
+    }
+}
+
 impl std::error::Error for SieveError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             SieveError::Decode(e) => Some(e),
             SieveError::Container(e) => Some(e),
             SieveError::Bits(e) => Some(e),
-            SieveError::Io(e) => Some(e),
+            SieveError::Io(e) => Some(e.as_ref()),
             SieveError::InvalidSelection { .. } | SieveError::Selector(_) => None,
         }
     }
@@ -87,7 +114,7 @@ impl From<ReadBitsError> for SieveError {
 
 impl From<std::io::Error> for SieveError {
     fn from(e: std::io::Error) -> Self {
-        SieveError::Io(e)
+        SieveError::Io(Arc::new(e))
     }
 }
 
@@ -104,6 +131,8 @@ mod tests {
         assert!(e.to_string().contains("container"));
         let e: SieveError = std::io::Error::other("disk on fire").into();
         assert!(e.to_string().contains("disk on fire"));
+        assert_eq!(e.clone(), e);
+        assert_ne!(e, std::io::Error::other("disk cooled").into());
     }
 
     #[test]

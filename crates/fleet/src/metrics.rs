@@ -19,6 +19,7 @@
 
 use std::sync::Arc;
 
+use sieve_core::SieveError;
 use sieve_stats::sync::atomic::{AtomicBool, Ordering};
 use sieve_stats::sync::Mutex;
 use sieve_stats::{Counter, Gauge, Histogram, HistogramSnapshot, Registry, Stage};
@@ -55,13 +56,11 @@ pub(crate) struct StreamCell {
     /// Set once the stream's session has been flushed.
     pub done: AtomicBool,
     /// The session's end-of-stream error, if it reported one.
-    pub finish_error: Mutex<Option<String>>,
+    pub finish_error: Mutex<Option<SieveError>>,
 }
 
 /// Stage-level totals mirrored into the stats registry on every decision,
-/// present only when [`crate::FleetConfig::stats`] is on — the knob the
-/// overhead benchmark flips to compare instrumented against
-/// uninstrumented runs.
+/// present only when [`crate::FleetConfig::stats`] is on.
 #[derive(Debug)]
 pub(crate) struct StageEmit {
     pub processed: Arc<Counter>,
@@ -178,9 +177,9 @@ pub struct StreamSnapshot {
     pub queue_depth: u64,
     /// Whether the stream has left and its session was flushed.
     pub done: bool,
-    /// The end-of-stream error the session reported, if any: a selector
-    /// error's message, or any other error's display.
-    pub finish_error: Option<String>,
+    /// The end-of-stream error the session reported, if any, as the
+    /// session returned it.
+    pub finish_error: Option<SieveError>,
 }
 
 impl StreamSnapshot {

@@ -44,7 +44,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-use sieve_core::{EdgeOutcome, EdgeSession, FrameSelector, SelectorSession, SieveError};
+use sieve_core::{EdgeOutcome, EdgeSession, FrameSelector, SelectorSession};
 use sieve_simnet::{GuardedPop, PushOutcome, ShardQueue, Steal};
 use sieve_stats::sync::atomic::{AtomicUsize, Ordering};
 use sieve_stats::sync::thread::{self, JoinHandle};
@@ -133,8 +133,8 @@ pub struct FleetConfig {
     /// Mirror fleet-wide totals into the stats registry on every decision
     /// (the `"fleet"` stage a [`sieve_stats::Collector`] samples). Off,
     /// only the per-stream cells, steal counters and the decision-latency
-    /// histogram are maintained — the uninstrumented baseline the overhead
-    /// benchmark compares against.
+    /// histogram are maintained. On by default, and every caller in the
+    /// workspace leaves it on.
     pub stats: bool,
 }
 
@@ -727,11 +727,7 @@ fn finish_stream(ctx: &ShardCtx, key: u64) {
     };
     // The stream is over; release whatever its sink captured.
     worker.on_keep = None;
-    *slot.cell.finish_error.lock() = result.err().map(|e| match e {
-        // The message alone, so whoever re-wraps it prints one prefix.
-        SieveError::Selector(message) => message,
-        e => e.to_string(),
-    });
+    *slot.cell.finish_error.lock() = result.err();
     slot.cell.done.store(true, Ordering::Release);
 }
 

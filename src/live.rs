@@ -59,10 +59,12 @@ pub struct LiveAnalysis {
 ///
 /// # Errors
 ///
-/// Returns [`SieveError::Selector`] when the stream's session fails at end
-/// of stream (an invalid target rate, a fixed selection past the end of
-/// the video); per-frame decode failures at the edge surface as the
-/// stream's typed `failed` count.
+/// Returns the error the stream's session reported at end of stream,
+/// unchanged, so it matches the offline `select_indices` error: a
+/// [`SieveError::Selector`] for an invalid target rate, a
+/// [`SieveError::InvalidSelection`] for a fixed selection past the end of
+/// the video. Per-frame decode failures at the edge surface as the stream's
+/// `failed` count.
 ///
 /// # Panics
 ///
@@ -106,8 +108,8 @@ where
         }
     }
     let report = fleet.shutdown();
-    if let Some(reason) = &report.snapshot.streams[0].finish_error {
-        return Err(SieveError::selector(reason.clone()));
+    if let Some(e) = &report.snapshot.streams[0].finish_error {
+        return Err(e.clone());
     }
     // One lane, drained in FIFO order: the tuples arrive sorted by index.
     let selected: Vec<_> = stored.try_iter().collect();

@@ -95,6 +95,73 @@ fn live_run_rejects_invalid_target_rate() {
     );
 }
 
+/// One failure reads the same live and offline. An end-of-stream error
+/// reaches the live caller as the session returned it, so it equals the
+/// offline `select_indices` error in variant and `Display`; a frame the
+/// offline run fails on is the live run's one `failed` frame.
+#[test]
+fn live_and_offline_report_failures_alike() {
+    /// A fixed selection run as a metadata-only policy.
+    struct MetadataFixed(FixedSelector);
+    impl FrameSelector for MetadataFixed {
+        fn name(&self) -> &'static str {
+            "metadata-fixed"
+        }
+        fn requires_full_decode(&self) -> bool {
+            false
+        }
+        fn session(&self) -> Box<dyn SelectorSession> {
+            self.0.session()
+        }
+    }
+
+    let video = jackson();
+    let encoded = EncodedVideo::encode(
+        video.resolution(),
+        video.fps(),
+        EncoderConfig::new(30, 0),
+        video.frames().take(8),
+    );
+    assert_eq!(encoded.frames()[1].frame_type, FrameType::P);
+    let rows: [(&str, Box<dyn FrameSelector>); 3] = [
+        (
+            "index past the end",
+            Box::new(FixedSelector::new(vec![0, 99])),
+        ),
+        (
+            "invalid target rate",
+            Box::new(MseSelector::mse(Budget::TargetRate(0.0))),
+        ),
+        (
+            "metadata policy keeps a P-frame",
+            Box::new(MetadataFixed(FixedSelector::new(vec![0, 1]))),
+        ),
+    ];
+    for (row, selector) in &rows {
+        let offline = sieve_core::select_indices(&encoded, selector.as_ref())
+            .expect_err("every row fails offline");
+        let live = run_live_analysis(
+            &encoded,
+            selector.as_ref(),
+            OracleDetector::for_video(&video),
+            &LiveConfig::default(),
+        );
+        match live {
+            Err(live) => {
+                assert_eq!(live, offline, "{row}");
+                assert_eq!(live.to_string(), offline.to_string(), "{row}");
+            }
+            Ok(run) => {
+                assert!(
+                    matches!(offline, SieveError::Decode(_)),
+                    "{row}: offline {offline:?} is not a frame failure"
+                );
+                assert_eq!(run.report.snapshot.aggregate.failed, 1, "{row}");
+            }
+        }
+    }
+}
+
 /// A selector that is nothing but a session factory, over another policy's
 /// session, completes a live run and matches the offline result.
 #[test]
