@@ -100,9 +100,8 @@ pub struct DecodePoint {
 pub struct CodecArtifact {
     /// Always `"codec"`.
     pub benchmark: String,
-    /// The dispatcher tier the SIMD columns ran at (`"sse2"`/`"avx2"`;
-    /// `"scalar"` would mean the host has no usable SIMD and the ratios
-    /// are all ~1).
+    /// The dispatcher tier the SIMD columns ran at (`"avx2"`; `"scalar"`
+    /// would mean the host has no AVX2 and the ratios are all ~1).
     pub kernel_level: String,
     /// Test content width in luma samples.
     pub width: u32,
@@ -150,7 +149,7 @@ const DECODE: Shape = Shape::Obj(&[
 /// The shape of `BENCH_codec.json`.
 pub const SHAPE: Shape = Shape::Obj(&[
     ("benchmark", Shape::OneOf(&["codec"])),
-    ("kernel_level", Shape::OneOf(&["scalar", "sse2", "avx2"])),
+    ("kernel_level", Shape::OneOf(&["scalar", "avx2"])),
     ("width", Shape::Count),
     ("height", Shape::Count),
     ("frames", Shape::Count),
@@ -275,6 +274,8 @@ mod tests {
     fn rejects_unknown_kernel_level() {
         let mut a = sample();
         a.kernel_level = "neon".into();
+        assert!(validate(&to_json(&a)).is_err());
+        a.kernel_level = "sse2".into();
         assert!(validate(&to_json(&a)).is_err());
     }
 

@@ -6,15 +6,15 @@
 //! lives here, and so does the one vectorized loop of the transport: the
 //! GF(256) multiply-accumulate behind `sieve-net`'s FEC
 //! ([`gf256_mul_acc`]). Dispatch happens in exactly one place. Each kernel
-//! has three tiers:
+//! has two tiers:
 //!
 //! * a **scalar** reference in [`scalar`], written so the compiler can
-//!   autovectorize it and so it is **bit-exact** with the SIMD tiers (same
-//!   accumulation order, same rounding formula, no FMA contraction);
-//! * an **SSE2** tier (the x86-64 baseline, always available there) for the
-//!   integer kernels, where `psadbw`/`pmaddwd` are the big wins;
+//!   autovectorize it and so it is **bit-exact** with the SIMD tier (same
+//!   accumulation order, same rounding formula, no FMA contraction). It is
+//!   what runs off x86-64 and on an x86-64 host without AVX2;
 //! * an **AVX2** tier covering everything, selected at runtime with
-//!   `is_x86_feature_detected!`.
+//!   `is_x86_feature_detected!`. Its block reconstruction is SSE2 code, one
+//!   128-bit vector per row.
 //!
 //! The active tier is resolved once and cached. Building with
 //! `--cfg sieve_force_scalar` pins the scalar tier (CI does, so the
@@ -41,25 +41,21 @@ use std::sync::atomic::{AtomicU8, Ordering};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 // lint:allow(dead-pub): the return type of `active_level`, which codec_bench prints
 pub enum KernelLevel {
-    /// Portable scalar fallback (also the non-x86 path).
+    /// Portable scalar fallback: the path off x86-64 and without AVX2.
     Scalar,
-    /// SSE2 integer kernels (x86-64 baseline); float kernels stay scalar.
-    Sse2,
     /// AVX2 for every kernel.
     Avx2,
 }
 
 impl KernelLevel {
     /// Every tier, slowest first.
-    pub const ALL: [KernelLevel; 3] = [KernelLevel::Scalar, KernelLevel::Sse2, KernelLevel::Avx2];
+    pub const ALL: [KernelLevel; 2] = [KernelLevel::Scalar, KernelLevel::Avx2];
 
     /// Whether this host can run the tier.
     // lint:allow(dead-pub): crates/video/tests/kernel_exactness.rs runs every supported level
     pub fn is_supported(self) -> bool {
         match self {
             KernelLevel::Scalar => true,
-            #[cfg(target_arch = "x86_64")]
-            KernelLevel::Sse2 => true,
             #[cfg(target_arch = "x86_64")]
             KernelLevel::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
             #[cfg(not(target_arch = "x86_64"))]
@@ -72,7 +68,6 @@ impl std::fmt::Display for KernelLevel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             KernelLevel::Scalar => write!(f, "scalar"),
-            KernelLevel::Sse2 => write!(f, "sse2"),
             KernelLevel::Avx2 => write!(f, "avx2"),
         }
     }
@@ -80,8 +75,7 @@ impl std::fmt::Display for KernelLevel {
 
 const LEVEL_UNRESOLVED: u8 = 0;
 const LEVEL_SCALAR: u8 = 1;
-const LEVEL_SSE2: u8 = 2;
-const LEVEL_AVX2: u8 = 3;
+const LEVEL_AVX2: u8 = 2;
 
 static LEVEL: AtomicU8 = AtomicU8::new(LEVEL_UNRESOLVED);
 
@@ -89,17 +83,9 @@ fn detect() -> KernelLevel {
     if cfg!(sieve_force_scalar) {
         return KernelLevel::Scalar;
     }
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx2") {
-            KernelLevel::Avx2
-        } else {
-            // SSE2 is part of the x86-64 baseline.
-            KernelLevel::Sse2
-        }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
+    if KernelLevel::Avx2.is_supported() {
+        KernelLevel::Avx2
+    } else {
         KernelLevel::Scalar
     }
 }
@@ -108,13 +94,11 @@ fn detect() -> KernelLevel {
 pub fn active_level() -> KernelLevel {
     match LEVEL.load(Ordering::Relaxed) {
         LEVEL_SCALAR => KernelLevel::Scalar,
-        LEVEL_SSE2 => KernelLevel::Sse2,
         LEVEL_AVX2 => KernelLevel::Avx2,
         _ => {
             let level = detect();
             let raw = match level {
                 KernelLevel::Scalar => LEVEL_SCALAR,
-                KernelLevel::Sse2 => LEVEL_SSE2,
                 KernelLevel::Avx2 => LEVEL_AVX2,
             };
             LEVEL.store(raw, Ordering::Relaxed);
@@ -187,8 +171,6 @@ pub fn sad16(cur: &[u8], cur_stride: usize, refp: &[u8], ref_stride: usize) -> u
     match active_level() {
         #[cfg(target_arch = "x86_64")]
         KernelLevel::Avx2 => unsafe { x86::sad16_avx2(cur, cur_stride, refp, ref_stride) },
-        #[cfg(target_arch = "x86_64")]
-        KernelLevel::Sse2 => unsafe { x86::sad16_sse2(cur, cur_stride, refp, ref_stride) },
         _ => scalar::sad16(cur, cur_stride, refp, ref_stride),
     }
 }
@@ -213,8 +195,6 @@ pub fn sad16_const(cur: &[u8], stride: usize, value: u8) -> u32 {
     match active_level() {
         #[cfg(target_arch = "x86_64")]
         KernelLevel::Avx2 => unsafe { x86::sad16_const_avx2(cur, stride, value) },
-        #[cfg(target_arch = "x86_64")]
-        KernelLevel::Sse2 => unsafe { x86::sad16_const_sse2(cur, stride, value) },
         _ => scalar::sad16_const(cur, stride, value),
     }
 }
@@ -286,10 +266,6 @@ pub fn sad16_candidates_at(
         KernelLevel::Avx2 => unsafe {
             x86::sad16_candidates_avx2(cur, cur_stride, refp, ref_stride, offsets, out)
         },
-        #[cfg(target_arch = "x86_64")]
-        KernelLevel::Sse2 => unsafe {
-            x86::sad16_candidates_sse2(cur, cur_stride, refp, ref_stride, offsets, out)
-        },
         _ => scalar::sad16_candidates(cur, cur_stride, refp, ref_stride, offsets, out),
     }
 }
@@ -345,7 +321,7 @@ fn assert_block8(data: &[u8], stride: usize, what: &str) {
 /// residual is saturated to `i16` first (`packssdw`), which cannot change a
 /// sum that is about to be clamped to a byte, so the result is exact for
 /// every `i32` residual and no intermediate can overflow. Eight samples are
-/// one 128-bit vector of `i16`, so the AVX2 level runs the SSE2 code.
+/// one 128-bit vector of `i16`, so the AVX2 tier runs SSE2 code.
 ///
 /// # Panics
 ///
@@ -358,9 +334,7 @@ pub fn recon8x8(dst: &mut [u8], stride: usize, pred: &[u8], pred_stride: usize, 
         #[cfg(target_arch = "x86_64")]
         // SAFETY: SSE2 is the x86-64 baseline, and the asserts above are the
         // bounds `recon8x8_sse2` requires of `dst` and `pred`.
-        KernelLevel::Avx2 | KernelLevel::Sse2 => unsafe {
-            x86::recon8x8_sse2(dst, stride, pred, pred_stride, resid)
-        },
+        KernelLevel::Avx2 => unsafe { x86::recon8x8_sse2(dst, stride, pred, pred_stride, resid) },
         _ => scalar::recon8x8(dst, stride, pred, pred_stride, resid),
     }
 }
@@ -376,8 +350,6 @@ pub fn sse_u8(a: &[u8], b: &[u8]) -> u64 {
     match active_level() {
         #[cfg(target_arch = "x86_64")]
         KernelLevel::Avx2 => unsafe { x86::sse_u8_avx2(a, b) },
-        #[cfg(target_arch = "x86_64")]
-        KernelLevel::Sse2 => unsafe { x86::sse_u8_sse2(a, b) },
         _ => scalar::sse_u8(a, b),
     }
 }
@@ -397,8 +369,6 @@ pub fn avg2x2_f32(top: &[f32], bottom: &[f32], out: &mut [f32]) {
     match active_level() {
         #[cfg(target_arch = "x86_64")]
         KernelLevel::Avx2 => unsafe { x86::avg2x2_f32_avx2(top, bottom, out) },
-        #[cfg(target_arch = "x86_64")]
-        KernelLevel::Sse2 => unsafe { x86::avg2x2_f32_sse2(top, bottom, out) },
         _ => scalar::avg2x2_f32(top, bottom, out),
     }
 }
@@ -478,7 +448,6 @@ pub fn gf256_mul_acc(dst: &mut [u8], c: u8, src: &[u8]) {
         KernelLevel::Avx2 => unsafe {
             x86::gf256_mul_acc_avx2(dst, &GF256_NIBBLES[c as usize], src)
         },
-        // `pshufb` is SSSE3, above the SSE2 baseline: that tier stays bytewise.
         _ => scalar::gf256_mul_acc(dst, c, src),
     }
 }
@@ -653,32 +622,13 @@ pub mod scalar {
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    //! SSE2/AVX2 implementations. Callers (the dispatch wrappers) assert
-    //! slice bounds; the `unsafe` here is the intrinsics themselves plus
-    //! raw row loads inside those asserted bounds.
+    //! The AVX2 tier, with the SSE2 block reconstruction it runs. Callers
+    //! (the dispatch wrappers) assert slice bounds; the `unsafe` here is the
+    //! intrinsics themselves plus raw row loads inside those asserted
+    //! bounds.
 
     use super::{dct_tables, gf256_mul_acc_bytes};
     use std::arch::x86_64::*;
-
-    /// # Safety
-    /// Caller asserts both slices hold a 16x16 block at their strides.
-    pub(super) unsafe fn sad16_sse2(
-        cur: &[u8],
-        cur_stride: usize,
-        refp: &[u8],
-        ref_stride: usize,
-    ) -> u32 {
-        unsafe {
-            let mut acc = _mm_setzero_si128();
-            for dy in 0..16 {
-                let c = _mm_loadu_si128(cur.as_ptr().add(dy * cur_stride) as *const __m128i);
-                let r = _mm_loadu_si128(refp.as_ptr().add(dy * ref_stride) as *const __m128i);
-                acc = _mm_add_epi64(acc, _mm_sad_epu8(c, r));
-            }
-            let hi = _mm_unpackhi_epi64(acc, acc);
-            _mm_cvtsi128_si64(_mm_add_epi64(acc, hi)) as u32
-        }
-    }
 
     /// # Safety
     /// Caller asserts bounds; requires AVX2.
@@ -711,37 +661,7 @@ mod x86 {
 
     /// # Safety
     /// Caller asserts `cur` and every candidate block in bounds and `out`
-    /// at least as long as `offsets`.
-    pub(super) unsafe fn sad16_candidates_sse2(
-        cur: &[u8],
-        cur_stride: usize,
-        refp: &[u8],
-        ref_stride: usize,
-        offsets: &[usize],
-        out: &mut [u32],
-    ) {
-        // SAFETY: every load reads a 16-byte row of `cur` or of a candidate
-        // block, in bounds by the caller's guarantee; SSE2 is baseline.
-        unsafe {
-            let mut c = [_mm_setzero_si128(); 16];
-            for (dy, c) in c.iter_mut().enumerate() {
-                *c = _mm_loadu_si128(cur.as_ptr().add(dy * cur_stride) as *const __m128i);
-            }
-            for (o, &off) in out.iter_mut().zip(offsets) {
-                let r = refp.as_ptr().add(off);
-                let mut acc = _mm_setzero_si128();
-                for (dy, c) in c.iter().enumerate() {
-                    let rv = _mm_loadu_si128(r.add(dy * ref_stride) as *const __m128i);
-                    acc = _mm_add_epi64(acc, _mm_sad_epu8(*c, rv));
-                }
-                let hi = _mm_unpackhi_epi64(acc, acc);
-                *o = _mm_cvtsi128_si64(_mm_add_epi64(acc, hi)) as u32;
-            }
-        }
-    }
-
-    /// # Safety
-    /// As [`sad16_candidates_sse2`]; requires AVX2.
+    /// at least as long as `offsets`; requires AVX2.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn sad16_candidates_avx2(
         cur: &[u8],
@@ -779,21 +699,6 @@ mod x86 {
                 );
                 *o = _mm_cvtsi128_si64(_mm_add_epi64(s, _mm_unpackhi_epi64(s, s))) as u32;
             }
-        }
-    }
-
-    /// # Safety
-    /// Caller asserts bounds.
-    pub(super) unsafe fn sad16_const_sse2(cur: &[u8], stride: usize, value: u8) -> u32 {
-        unsafe {
-            let k = _mm_set1_epi8(value as i8);
-            let mut acc = _mm_setzero_si128();
-            for dy in 0..16 {
-                let c = _mm_loadu_si128(cur.as_ptr().add(dy * stride) as *const __m128i);
-                acc = _mm_add_epi64(acc, _mm_sad_epu8(c, k));
-            }
-            let hi = _mm_unpackhi_epi64(acc, acc);
-            _mm_cvtsi128_si64(_mm_add_epi64(acc, hi)) as u32
         }
     }
 
@@ -957,53 +862,6 @@ mod x86 {
         }
     }
 
-    /// Flushes four i32 lanes into a u64 accumulator.
-    ///
-    /// # Safety
-    /// Plain SSE2.
-    unsafe fn hsum_epi32_sse2(v: __m128i) -> u64 {
-        unsafe {
-            let mut lanes = [0i32; 4];
-            _mm_storeu_si128(lanes.as_mut_ptr() as *mut __m128i, v);
-            lanes.iter().map(|&l| l as u64).sum()
-        }
-    }
-
-    /// # Safety
-    /// Caller asserts equal lengths.
-    pub(super) unsafe fn sse_u8_sse2(a: &[u8], b: &[u8]) -> u64 {
-        unsafe {
-            let mut total = 0u64;
-            let zero = _mm_setzero_si128();
-            let chunks = a.len() / 16;
-            let mut acc = _mm_setzero_si128();
-            for i in 0..chunks {
-                let av = _mm_loadu_si128(a.as_ptr().add(i * 16) as *const __m128i);
-                let bv = _mm_loadu_si128(b.as_ptr().add(i * 16) as *const __m128i);
-                let alo = _mm_unpacklo_epi8(av, zero);
-                let ahi = _mm_unpackhi_epi8(av, zero);
-                let blo = _mm_unpacklo_epi8(bv, zero);
-                let bhi = _mm_unpackhi_epi8(bv, zero);
-                let dlo = _mm_sub_epi16(alo, blo);
-                let dhi = _mm_sub_epi16(ahi, bhi);
-                acc = _mm_add_epi32(acc, _mm_madd_epi16(dlo, dlo));
-                acc = _mm_add_epi32(acc, _mm_madd_epi16(dhi, dhi));
-                // Each chunk adds at most 8 * 255^2 per i32 lane; flush well
-                // before any lane can reach i32::MAX.
-                if i % 4096 == 4095 {
-                    total += hsum_epi32_sse2(acc);
-                    acc = _mm_setzero_si128();
-                }
-            }
-            total += hsum_epi32_sse2(acc);
-            for i in chunks * 16..a.len() {
-                let d = a[i] as i64 - b[i] as i64;
-                total += (d * d) as u64;
-            }
-            total
-        }
-    }
-
     /// # Safety
     /// Caller asserts equal lengths; requires AVX2.
     #[target_feature(enable = "avx2")]
@@ -1044,33 +902,6 @@ mod x86 {
             let mut lanes = [0i32; 8];
             _mm256_storeu_si256(lanes.as_mut_ptr() as *mut __m256i, v);
             lanes.iter().map(|&l| l as u64).sum()
-        }
-    }
-
-    /// # Safety
-    /// Caller asserts row lengths.
-    pub(super) unsafe fn avg2x2_f32_sse2(top: &[f32], bottom: &[f32], out: &mut [f32]) {
-        unsafe {
-            let quarter = _mm_set1_ps(0.25);
-            let chunks = out.len() / 4;
-            for i in 0..chunks {
-                let t0 = _mm_loadu_ps(top.as_ptr().add(i * 8));
-                let t1 = _mm_loadu_ps(top.as_ptr().add(i * 8 + 4));
-                let b0 = _mm_loadu_ps(bottom.as_ptr().add(i * 8));
-                let b1 = _mm_loadu_ps(bottom.as_ptr().add(i * 8 + 4));
-                // Gather even/odd lanes so each output is (even + odd), the
-                // same left-to-right pair order as the scalar tier.
-                let te = _mm_shuffle_ps(t0, t1, 0b10_00_10_00);
-                let to = _mm_shuffle_ps(t0, t1, 0b11_01_11_01);
-                let be = _mm_shuffle_ps(b0, b1, 0b10_00_10_00);
-                let bo = _mm_shuffle_ps(b0, b1, 0b11_01_11_01);
-                let s = _mm_add_ps(_mm_add_ps(te, to), _mm_add_ps(be, bo));
-                _mm_storeu_ps(out.as_mut_ptr().add(i * 4), _mm_mul_ps(s, quarter));
-            }
-            for i in chunks * 4..out.len() {
-                out[i] =
-                    ((top[2 * i] + top[2 * i + 1]) + (bottom[2 * i] + bottom[2 * i + 1])) * 0.25;
-            }
         }
     }
 
@@ -1325,7 +1156,6 @@ mod tests {
     #[test]
     fn level_display_names() {
         assert_eq!(KernelLevel::Scalar.to_string(), "scalar");
-        assert_eq!(KernelLevel::Sse2.to_string(), "sse2");
         assert_eq!(KernelLevel::Avx2.to_string(), "avx2");
     }
 }
