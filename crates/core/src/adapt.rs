@@ -499,10 +499,11 @@ impl RateController {
         }
         let base = self.quantile.estimate().unwrap_or(score);
         let deviation = (score - base).abs();
-        self.spread = Some(match self.spread {
+        let spread = match self.spread {
             None => deviation,
             Some(v) => v + SPREAD_ALPHA * (deviation - v),
-        });
+        };
+        self.spread = Some(spread);
         self.quantile.insert(score);
         // Stochastic-approximation correction: scale the step by the score
         // spread so the controller is unit-free, with a decaying gain —
@@ -515,11 +516,7 @@ impl RateController {
         // subnormal step would be absorbed by the `quantile + bias`
         // rounding — freezing the controller. Floor at a ppm of the score
         // scale so even degenerate streams keep a live control loop.
-        let scale = self
-            .spread
-            .unwrap_or(0.0)
-            .max(1e-6 * base.abs())
-            .max(f64::MIN_POSITIVE);
+        let scale = spread.max(1e-6 * base.abs()).max(f64::MIN_POSITIVE);
         let step = gain * scale;
         // Two error terms: the per-frame indicator is the unbiased
         // stochastic gradient, and a bounded integral term on the *keep

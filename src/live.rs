@@ -63,8 +63,10 @@ pub struct LiveAnalysis {
 /// unchanged, so it matches the offline `select_indices` error: a
 /// [`SieveError::Selector`] for an invalid target rate, a
 /// [`SieveError::InvalidSelection`] for a fixed selection past the end of
-/// the video. Per-frame decode failures at the edge surface as the stream's
-/// `failed` count.
+/// the video. The one difference by design: a frame the edge fails to
+/// process (a decode error, a P-frame kept by a metadata policy) fails an
+/// offline run, but live it counts in the stream's `failed` and the run
+/// goes on.
 ///
 /// # Panics
 ///
