@@ -218,10 +218,6 @@ fn assert_block_codes_identically(levels: &[i32; 64], offset: u8) -> Result<(), 
     Ok(())
 }
 
-/// Proptest cases for the writer properties: every case unoptimized is
-/// slow, and CI runs the full count in release.
-const WRITER_CASES: u32 = if cfg!(debug_assertions) { 256 } else { 16384 };
-
 /// One reader operation: `kind % 4` picks it, `arg % 65` is `read_bits`'
 /// count.
 type Op = (u8, u8);
@@ -451,7 +447,7 @@ fn sized(raw: u64) -> u64 {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(WRITER_CASES))]
+    #![proptest_config(ProptestConfig::with_cases(16384))]
 
     /// Arbitrary writer operations — `write_bits` of 0..=64 bits, single
     /// bits, Exp-Golomb codes from 1 to 111 bits long — through both

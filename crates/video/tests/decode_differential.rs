@@ -26,12 +26,6 @@ use sieve_video::{
 
 const QUALITY: u8 = 75;
 
-/// Step through the 384x208 clip's prefixes and through every flipped bit
-/// — 1 (all of them) when optimized, a prime stride when not: the two
-/// decoders run ~60x slower unoptimized, and the full sweep is a quarter of
-/// an hour there. CI runs this file optimized as well.
-const STEP: usize = if cfg!(debug_assertions) { 97 } else { 1 };
-
 /// The parent's frame decoders, verbatim but for the block parse.
 mod oracle {
     use sieve_video::bitio::{BitReader, ReadBitsError};
@@ -422,12 +416,12 @@ impl Stream {
         );
     }
 
-    /// Every `step`-th truncation prefix of frame `k`'s payload, through one
-    /// decoder state for as long as the prefixes fail.
-    fn check_prefixes(&self, k: usize, step: usize) {
+    /// Every truncation prefix of frame `k`'s payload, through one decoder
+    /// state for as long as the prefixes fail.
+    fn check_prefixes(&self, k: usize) {
         let data = &self.frames[k].data;
         let mut decoder = self.before[k].clone();
-        for cut in (0..data.len()).step_by(step) {
+        for cut in 0..data.len() {
             if !self.check(&mut decoder, k, &data[..cut], &format!("prefix {cut}")) {
                 decoder = self.before[k].clone();
             }
@@ -463,24 +457,23 @@ fn golden() -> &'static Stream {
 fn every_prefix_of_the_golden_clip_decodes_like_the_oracle() {
     let stream = golden();
     for k in 0..stream.frames.len() {
-        stream.check_prefixes(k, 1);
+        stream.check_prefixes(k);
     }
 }
 
 /// The golden clip's first I-frame, a P-frame and the crafted P-frame:
-/// single-bit flips, every one of the crafted frame's.
+/// every single-bit flip of each.
 #[test]
 fn bit_flips_of_golden_payloads_decode_like_the_oracle() {
     let stream = golden();
-    stream.check_flips(stream.frames.len() - 1, 1);
-    for k in [0, 1] {
-        stream.check_flips(k, STEP.min(5));
+    for k in [0, 1, stream.frames.len() - 1] {
+        stream.check_flips(k, 1);
     }
 }
 
 /// A 384x208 clip, the size of the end-to-end benchmark's tapes (10.6 KB
 /// I-frame, 5.6 KB P-frame): every prefix of both payloads and every 13th
-/// bit flipped in each (see [`STEP`] for unoptimized builds).
+/// bit flipped in each.
 #[test]
 fn every_prefix_of_a_384x208_clip_decodes_like_the_oracle() {
     let res = Resolution::new(384, 208);
@@ -488,8 +481,8 @@ fn every_prefix_of_a_384x208_clip_decodes_like_the_oracle() {
     assert_eq!(stream.frames[0].frame_type, FrameType::I);
     assert_eq!(stream.frames[1].frame_type, FrameType::P);
     for k in [0, 1] {
-        stream.check_prefixes(k, STEP);
-        stream.check_flips(k, 13 * STEP);
+        stream.check_prefixes(k);
+        stream.check_flips(k, 13);
     }
 }
 

@@ -5,9 +5,8 @@
 //! `DatasetId::ALL` scenes × GOP {60, 120} at scenecut 120, the first 300
 //! frames of each `DatasetScale::Tiny` rendition of
 //! `DatasetSpec::for_stream(id, seed, k)` for tape `k`, at seeds 1 and 2.
-//! Every frame type and payload must equal the one-thread encoder's.
-//! Unoptimized, one shortened tape stands in for the ten. An eval scene's
-//! encode must also decode back to frames of its resolution.
+//! Every frame type and payload must equal the one-thread encoder's. An
+//! eval scene's encode must also decode back to frames of its resolution.
 //!
 //! The edge cases pin the pipeline's contract: empty and one-frame input,
 //! a mid-stream resolution change still panics with the encoder's message,
@@ -21,7 +20,7 @@ use sieve_video::{EncodedFrame, EncodedVideo, Encoder, EncoderConfig, Frame, Res
 
 const GOPS: [usize; 2] = [60, 120];
 const SCENECUT: u16 = 120;
-const TAPE_FRAMES: usize = if cfg!(debug_assertions) { 40 } else { 300 };
+const TAPE_FRAMES: usize = 300;
 
 /// The one-thread oracle: the decision and coding halves on one thread.
 fn one_thread(res: Resolution, config: EncoderConfig, frames: &[Frame]) -> Vec<EncodedFrame> {
@@ -40,14 +39,9 @@ fn assert_same(expected: &[EncodedFrame], got: &EncodedVideo, what: &str) {
 #[test]
 fn pipelined_encode_equals_the_one_thread_encoder_on_the_tapes() {
     let tapes = DatasetId::ALL.len() * GOPS.len();
-    let cases: Vec<(u64, usize)> = if cfg!(debug_assertions) {
-        vec![(1, 0)]
-    } else {
-        [1, 2]
-            .into_iter()
-            .flat_map(|seed| (0..tapes).map(move |k| (seed, k)))
-            .collect()
-    };
+    let cases = [1, 2]
+        .into_iter()
+        .flat_map(|seed| (0..tapes).map(move |k| (seed, k)));
     for (seed, k) in cases {
         let id = DatasetId::ALL[k % DatasetId::ALL.len()];
         let gop = GOPS[k / DatasetId::ALL.len()];

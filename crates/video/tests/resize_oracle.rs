@@ -67,12 +67,8 @@ fn assert_resizes_identically(src: &Plane, new_w: usize, new_h: usize) {
     );
 }
 
-/// Unoptimized, a case costs up to a 400x300 per-pixel oracle pass; CI
-/// runs the full count in release.
-const CASES: u32 = if cfg!(debug_assertions) { 128 } else { 2048 };
-
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(CASES))]
+    #![proptest_config(ProptestConfig::with_cases(2048))]
 
     /// Random planes to random targets of every kind.
     #[test]

@@ -187,12 +187,8 @@ fn assert_searches_identically(cur: &Plane, reference: &Plane, range: u16) {
     );
 }
 
-/// Unoptimized, a case costs up to a 200x200 clamped search pass; CI runs
-/// the full count in release.
-const CASES: u32 = if cfg!(debug_assertions) { 48 } else { 1024 };
-
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(CASES))]
+    #![proptest_config(ProptestConfig::with_cases(1024))]
 
     #[test]
     fn padded_search_matches_the_clamped_search(
