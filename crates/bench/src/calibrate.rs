@@ -23,7 +23,7 @@ pub struct Estimate {
 
 impl Estimate {
     /// Summarizes `samples`; `None` when there are none.
-    pub fn of(mut samples: Vec<Duration>) -> Option<Self> {
+    fn of(mut samples: Vec<Duration>) -> Option<Self> {
         samples.sort();
         let median = *samples.get(samples.len() / 2)?;
         let mut deviations: Vec<Duration> = samples.iter().map(|s| s.abs_diff(median)).collect();

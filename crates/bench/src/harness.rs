@@ -70,7 +70,7 @@ impl Prepared {
     /// The lookahead's ratio trace of the whole feed, at the search range
     /// of every config the experiments use: it places their I-frames
     /// without an encode.
-    pub fn trace(&self) -> &RatioTrace {
+    fn trace(&self) -> &RatioTrace {
         self.trace.get_or_init(|| {
             RatioTrace::measure(EncoderConfig::default().search_range, self.video.frames())
         })

@@ -92,6 +92,7 @@ impl Default for Checker {
 
 impl Checker {
     /// A checker with default budgets.
+    // lint:allow(dead-pub): crates/check-tests/tests/*.rs build every model's checker with it
     pub fn new() -> Self {
         Self::default()
     }
@@ -115,6 +116,7 @@ impl Checker {
     }
 
     /// Explores schedules of `f`, stopping at the first violation.
+    // lint:allow(dead-pub): crates/check-tests/tests/*.rs run every model through it
     pub fn check<F>(&self, f: F) -> Report
     where
         F: Fn() + Send + Sync,

@@ -250,6 +250,7 @@ pub struct WanSignal {
 
 impl WanSignal {
     /// A signal at factor 1.0 (no WAN pressure).
+    // lint:allow(dead-pub): crates/core/tests/rate_contract.rs drives the controller through an explicit signal
     pub fn new() -> Self {
         Self {
             factor_ppm: AtomicU64::new(WAN_PPM as u64),

@@ -28,6 +28,7 @@ pub struct OracleDetector {
 
 impl OracleDetector {
     /// Builds an oracle from per-frame ground truth.
+    // lint:allow(dead-pub): tests/end_to_end.rs scores the eval half against its own labels
     pub fn new(labels: Vec<LabelSet>) -> Self {
         Self { labels }
     }

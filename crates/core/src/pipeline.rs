@@ -152,6 +152,7 @@ impl Baseline {
     /// The registry: each named baseline is one `(selector, deployment)`
     /// row. Adding a baseline is adding a variant plus its row here — the
     /// simulator itself is generic over the spec.
+    // lint:allow(dead-pub): tests/proptests.rs checks each baseline's row
     pub fn spec(&self) -> BaselineSpec {
         let (selector, deployment) = match self {
             Baseline::IFrameEdgeCloudNn => (SelectorKind::IFrame, Deployment::EdgeSelectCloudNn),

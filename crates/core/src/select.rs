@@ -62,6 +62,7 @@ pub struct EncodedFrameMeta {
 
 impl EncodedFrameMeta {
     /// The metadata of an in-memory encoded frame.
+    // lint:allow(dead-pub): tests/proptests.rs steps sessions by hand over in-memory frames
     pub fn of(frame: &EncodedFrame) -> Self {
         Self {
             frame_type: frame.frame_type,
@@ -207,6 +208,7 @@ pub struct FixedSelector {
 impl FixedSelector {
     /// Selects exactly `indices` (sorted and deduplicated; indices must be
     /// in range at selection time or selection errors).
+    // lint:allow(dead-pub): tests/live_pipeline.rs holds live selection to offline selection with it
     pub fn new(mut indices: Vec<usize>) -> Self {
         indices.sort_unstable();
         indices.dedup();

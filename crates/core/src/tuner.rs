@@ -23,14 +23,6 @@ pub struct ConfigGrid {
 }
 
 impl ConfigGrid {
-    /// The paper's grid: five values per parameter (`k = l = 5`).
-    pub fn paper_default() -> Self {
-        Self {
-            gop_sizes: vec![100, 250, 500, 1000, 5000],
-            scenecuts: vec![20, 40, 100, 200, 250],
-        }
-    }
-
     /// All `(gop, scenecut)` combinations as encoder configs.
     // lint:allow(dead-pub): crates/bench/tests/replay_oracle.rs replays every grid config against the encoder
     pub fn configs(&self) -> Vec<EncoderConfig> {
@@ -54,9 +46,13 @@ impl ConfigGrid {
     }
 }
 
+/// The paper's grid: five values per parameter (`k = l = 5`).
 impl Default for ConfigGrid {
     fn default() -> Self {
-        Self::paper_default()
+        Self {
+            gop_sizes: vec![100, 250, 500, 1000, 5000],
+            scenecuts: vec![20, 40, 100, 200, 250],
+        }
     }
 }
 
@@ -136,7 +132,7 @@ mod tests {
 
     #[test]
     fn grid_combinatorics() {
-        let g = ConfigGrid::paper_default();
+        let g = ConfigGrid::default();
         assert_eq!(g.len(), 25);
         assert_eq!(g.configs().len(), 25);
         assert!(!g.is_empty());

@@ -90,6 +90,7 @@ impl SyntheticVideo {
     }
 
     /// The arrival schedule (object instances).
+    // lint:allow(dead-pub): crates/datasets/tests/render_golden.rs picks its frames by the objects on screen
     pub fn schedule(&self) -> &Schedule {
         &self.schedule
     }

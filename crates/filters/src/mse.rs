@@ -57,6 +57,13 @@ mod tests {
     use super::*;
     use sieve_video::{Frame, Resolution};
 
+    /// A grey frame whose luma is `y` everywhere.
+    fn flat(res: Resolution, y: u8) -> Frame {
+        let mut f = Frame::grey(res);
+        f.y_mut().data_mut().fill(y);
+        f
+    }
+
     #[test]
     fn identical_frames_score_zero() {
         let f = Frame::grey(Resolution::new(32, 32));
@@ -86,8 +93,8 @@ mod tests {
     #[test]
     fn known_value() {
         let res = Resolution::new(16, 16);
-        let a = Frame::filled(res, 100, 128, 128);
-        let b = Frame::filled(res, 110, 128, 128);
+        let a = flat(res, 100);
+        let b = flat(res, 110);
         assert!((mse_luma(&a, &b) - 100.0).abs() < 1e-9);
     }
 
@@ -102,8 +109,8 @@ mod tests {
     #[test]
     fn symmetric() {
         let res = Resolution::new(16, 16);
-        let a = Frame::filled(res, 90, 128, 128);
-        let b = Frame::filled(res, 200, 128, 128);
+        let a = flat(res, 90);
+        let b = flat(res, 200);
         assert_eq!(mse_luma(&a, &b), mse_luma(&b, &a));
     }
 }

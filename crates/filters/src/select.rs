@@ -122,7 +122,7 @@ pub struct ChangeSelector<D: ChangeDetector> {
 
 impl<D: ChangeDetector> ChangeSelector<D> {
     /// Wraps `detector` with a selection budget.
-    pub fn new(detector: D, budget: Budget) -> Self {
+    fn new(detector: D, budget: Budget) -> Self {
         Self {
             detector,
             budget,

@@ -16,7 +16,7 @@ impl GrayImage {
     /// # Panics
     ///
     /// Panics if `data.len() != width * height`.
-    pub fn from_data(width: usize, height: usize, data: Vec<f32>) -> Self {
+    pub(crate) fn from_data(width: usize, height: usize, data: Vec<f32>) -> Self {
         assert_eq!(data.len(), width * height, "image data length mismatch");
         Self {
             width,

@@ -216,6 +216,7 @@ pub struct WanChannel {
 }
 
 impl WanChannel {
+    // lint:allow(dead-pub): crates/net/tests/channel_props.rs checks the channel's properties on it
     pub fn new(cfg: WanConfig) -> Result<Self, NetError> {
         cfg.validate()?;
         Ok(Self {

@@ -69,12 +69,6 @@ impl WanTaps {
         }
     }
 
-    /// Registers against the process-global registry — what `fleet_top`
-    /// reads.
-    pub fn global() -> Self {
-        Self::register(sieve_stats::global())
-    }
-
     fn snapshot(&self) -> TapSnapshot {
         TapSnapshot {
             packets_lost: self.packets_lost.get(),

@@ -407,6 +407,7 @@ const DEFAULT_HORIZON: u64 = 8;
 impl Depacketizer {
     /// `mtu` and `fec` must match the sender's — the fragment payload
     /// size is shared configuration, not derivable from the wire.
+    // lint:allow(dead-pub): crates/net/tests/fec_props.rs recovers blocks through it
     pub fn new(mtu: usize, fec: FecConfig) -> Result<Self, NetError> {
         let (frag_payload, fec) = layout(mtu, fec)?;
         Ok(Self {

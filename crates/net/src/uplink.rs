@@ -164,11 +164,6 @@ impl Uplink {
         self
     }
 
-    /// Current virtual time, as advanced by sends.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
     /// Ships one block at virtual time `now`; returns every block the
     /// resulting arrivals resolve (not necessarily this one — delivery
     /// lags by the channel latency).

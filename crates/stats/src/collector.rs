@@ -91,11 +91,6 @@ impl Collector {
         }
     }
 
-    /// The registry this collector samples.
-    pub fn registry(&self) -> &Arc<Registry> {
-        &self.registry
-    }
-
     /// Folds the registry into a point stamped `elapsed_ms` on the
     /// caller's clock (clamped to be non-decreasing across ticks) and
     /// appends it to the series; returns the point. Deterministic given

@@ -189,11 +189,6 @@ pub struct Stage {
 }
 
 impl Stage {
-    /// The underlying registry.
-    pub fn registry(&self) -> &Arc<Registry> {
-        &self.registry
-    }
-
     fn scoped(&self, name: &str) -> String {
         format!("{}.{name}", self.prefix)
     }

@@ -40,6 +40,7 @@ pub struct BitWriter {
 
 impl BitWriter {
     /// Creates an empty writer.
+    // lint:allow(dead-pub): crates/video/tests/bitio_differential.rs holds the writer to the byte-at-a-time one
     pub fn new() -> Self {
         Self::default()
     }

@@ -112,6 +112,7 @@ impl EncoderConfig {
     /// # Panics
     ///
     /// Panics if `quality` is outside `1..=100`.
+    // lint:allow(dead-pub): crates/video/tests/decode_golden.rs pins the decoder at a non-default quality
     pub fn with_quality(mut self, quality: u8) -> Self {
         assert!((1..=100).contains(&quality), "quality must be in 1..=100");
         self.quality = quality;

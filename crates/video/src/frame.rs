@@ -393,7 +393,7 @@ thread_local! {
 ///
 /// ```
 /// use sieve_video::{Frame, Resolution};
-/// let f = Frame::filled(Resolution::new(64, 48), 16, 128, 128);
+/// let f = Frame::grey(Resolution::new(64, 48));
 /// assert_eq!(f.y().data().len(), 64 * 48);
 /// assert_eq!(f.u().data().len(), 32 * 24);
 /// ```
@@ -407,7 +407,7 @@ pub struct Frame {
 
 impl Frame {
     /// Creates a frame with constant Y/U/V values.
-    pub fn filled(resolution: Resolution, y: u8, u: u8, v: u8) -> Self {
+    fn filled(resolution: Resolution, y: u8, u: u8, v: u8) -> Self {
         let (w, h) = (resolution.width() as usize, resolution.height() as usize);
         Self {
             resolution,

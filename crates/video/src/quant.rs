@@ -56,7 +56,7 @@ impl QuantTable {
     /// # Panics
     ///
     /// Panics if `quality` is outside `1..=100`.
-    pub fn with_quality(base: &[u16; BLOCK_LEN], quality: u8) -> Self {
+    fn with_quality(base: &[u16; BLOCK_LEN], quality: u8) -> Self {
         assert!((1..=100).contains(&quality), "quality must be in 1..=100");
         let scale: u32 = if quality < 50 {
             5000 / quality as u32

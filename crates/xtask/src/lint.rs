@@ -24,12 +24,16 @@
 //! `#[cfg(test)]` code and uses in the defining file do not count. Nor
 //! does a `pub use` re-export of a function, constant or static; a type's
 //! re-export does count, because a type reaches callers through signatures
-//! without being named. A function counts as used only where it is called
-//! or named as a path: at `::name`, `name(` (so a method call `.name(`) or
-//! `name::<`, or inside a `use` item; a local, a field access `x.name` or a
-//! struct-literal key of the same name does not count. The match is by name only, not by
-//! owner, so a same-named item elsewhere can still hide a dead one; it
-//! never flags a live one that is called in those shapes. Waive a site with
+//! without being named. A free function counts as used only where it is
+//! called or named as a path: at `::name`, `name(` or `name::<`, or inside
+//! a `use` item; a local, a field access `x.name` or a struct-literal key of
+//! the same name does not count. A method of an `impl T` block counts only
+//! where it is called as a method (`.name(`) or named as the path
+//! `T::name`, `A::name` for an alias `type A = T<…>`, or `Self::name` inside
+//! an `impl T`: another owner's `Q::name` does not count, and neither does a
+//! `use` item, which cannot import a method. Method calls match by name
+//! only, so a same-named method elsewhere can still hide a dead one; the
+//! rule never flags a live item used in those shapes. Waive a site with
 //! `// lint:allow(dead-pub): reason`, naming the integration test that
 //! uses the item as an oracle or the ROADMAP item that will give it a
 //! caller; a marker on an item the rule would not flag is itself a finding.
@@ -413,6 +417,156 @@ fn called_or_pathed(text: &str, start: usize, end: usize) -> bool {
     text[..start].trim_end().ends_with("::") || after.starts_with('(') || after.starts_with("::<")
 }
 
+/// Whether the identifier at `text[start..end]` is called as a method:
+/// `.name(` or `.name::<`.
+fn method_called(text: &str, start: usize, end: usize) -> bool {
+    let after = text[end..].trim_start();
+    text[..start].trim_end().ends_with('.') && (after.starts_with('(') || after.starts_with("::<"))
+}
+
+/// The identifier that ends `text`, if any.
+fn trailing_ident(text: &str) -> Option<&str> {
+    let start = text
+        .char_indices()
+        .rev()
+        .take_while(|&(_, c)| is_ident(c))
+        .last()?
+        .0;
+    Some(&text[start..])
+}
+
+/// A type's name once its generics, path and `&`/`dyn` are stripped
+/// (`&'a fmt::Display<T>` → `Display`).
+fn type_name(text: &str) -> Option<&str> {
+    trailing_ident(text[..text.find('<').unwrap_or(text.len())].trim_end())
+}
+
+/// The offset just past the `>` that closes the `<` at `open`, skipping
+/// the `>` of a `->`.
+fn close_angle(text: &str, open: usize) -> usize {
+    let mut depth = 0usize;
+    let mut prev = ' ';
+    for (p, c) in text[open..].char_indices() {
+        match c {
+            '<' => depth += 1,
+            '>' if prev != '-' => {
+                depth -= 1;
+                if depth == 0 {
+                    return open + p + 1;
+                }
+            }
+            _ => {}
+        }
+        prev = c;
+    }
+    text.len()
+}
+
+/// The `impl` blocks of `text`, as `(body start, body end, self type)`: the
+/// type an inherent impl names, or the one after a trait impl's `for`. Only
+/// an `impl` at item position opens one; `impl Trait` in a signature does
+/// not.
+fn impl_blocks(text: &str) -> Vec<(usize, usize, &str)> {
+    let mut blocks = Vec::new();
+    for at in token_occurrences(text, "impl") {
+        let before = text[..at].trim_end();
+        let item = before.is_empty()
+            || before.ends_with(['}', ';', '{', ']'])
+            || before.ends_with("unsafe");
+        let Some(open) = text[at..].find('{').map(|p| at + p) else {
+            continue;
+        };
+        if !item {
+            continue;
+        }
+        let mut header = &text[at + 4..open];
+        if header.trim_start().starts_with('<') {
+            let lt = header.find('<').unwrap_or(0);
+            header = &header[close_angle(header, lt)..];
+        }
+        if let Some(&w) = token_occurrences(header, "where").first() {
+            header = &header[..w];
+        }
+        if let Some(&f) = token_occurrences(header, "for").first() {
+            header = &header[f + 3..];
+        }
+        let mut depth = 0usize;
+        let close = text[open..]
+            .char_indices()
+            .find(|&(_, c)| {
+                match c {
+                    '{' => depth += 1,
+                    '}' => depth -= 1,
+                    _ => {}
+                }
+                depth == 0
+            })
+            .map_or(text.len(), |(p, _)| open + p);
+        // A macro's `impl $name` has no owner to match; its methods keep
+        // the free-function rule.
+        if let Some(owner) = type_name(header).filter(|o| !header.contains(&format!("${o}"))) {
+            blocks.push((open, close, owner));
+        }
+    }
+    blocks
+}
+
+/// The self type of the innermost `impl` block around offset `at`.
+fn self_type_at<'a>(blocks: &[(usize, usize, &'a str)], at: usize) -> Option<&'a str> {
+    blocks
+        .iter()
+        .filter(|&&(open, close, _)| open < at && at < close)
+        .max_by_key(|&&(open, ..)| open)
+        .map(|&(.., owner)| owner)
+}
+
+/// The owner `Q` of a path use `Q::name` whose `name` starts at `start`,
+/// with `Self` read as the type of the `impl` block around it; a turbofish
+/// `Q::<X>::name` is skipped.
+fn path_owner<'a>(
+    text: &'a str,
+    blocks: &[(usize, usize, &'a str)],
+    start: usize,
+) -> Option<&'a str> {
+    let mut before = text[..start].trim_end().strip_suffix("::")?.trim_end();
+    if before.ends_with('>') {
+        let mut depth = 0usize;
+        let (open, _) = before.char_indices().rev().find(|&(p, c)| {
+            match c {
+                '>' if !before[..p].ends_with('-') => depth += 1,
+                '<' => depth -= 1,
+                _ => {}
+            }
+            depth == 0
+        })?;
+        before = before[..open].trim_end();
+        before = before.strip_suffix("::").unwrap_or(before).trim_end();
+    }
+    match trailing_ident(before)? {
+        "Self" => self_type_at(blocks, start),
+        owner => Some(owner),
+    }
+}
+
+/// The `type A = B<…>;` aliases `text` declares, as `(A, B)`.
+fn type_aliases(text: &str) -> Vec<(&str, &str)> {
+    let mut aliases = Vec::new();
+    for at in token_occurrences(text, "type") {
+        let rest = &text[at + 4..];
+        let Some(&alias) = leading_idents(rest).first() else {
+            continue;
+        };
+        let end = rest.find(';').unwrap_or(rest.len());
+        let target = rest[..end]
+            .split_once('=')
+            .and_then(|(_, rhs)| type_name(rhs.trim()));
+        if let Some(target) = target {
+            aliases.push((alias, target));
+        }
+    }
+    aliases
+}
+
 /// The Rust code of `source`'s doc examples: the lines between ``` fences
 /// in `///` and `//!` comments. Doctests call the library like any other
 /// file does, so another file's example is a use.
@@ -476,13 +630,19 @@ fn dead_pub(files: &[(String, String)]) -> Vec<Finding> {
         .map(|((path, src), s)| production_code(path, src, s))
         .collect();
     // identifier -> the files that name it in production code, outside and
-    // inside their `pub use` statements, and the files that call it or
-    // name it as a path, a method or an import.
+    // inside their `pub use` statements, the files that call it or name it
+    // as a path, a method or an import, and the files that call it as a
+    // method; and the files and owners of its `Q::name` paths.
     let mut named_in: HashMap<&str, Vec<usize>> = HashMap::new();
     let mut reexported_in: HashMap<&str, Vec<usize>> = HashMap::new();
     let mut called_in: HashMap<&str, Vec<usize>> = HashMap::new();
+    let mut method_called_in: HashMap<&str, Vec<usize>> = HashMap::new();
+    let mut pathed_by: HashMap<&str, Vec<(usize, &str)>> = HashMap::new();
+    let mut aliases: HashMap<&str, &str> = HashMap::new();
     for (i, text) in code.iter().enumerate() {
         let uses = use_items(text);
+        let blocks = impl_blocks(text);
+        aliases.extend(type_aliases(text));
         let mut from = 0;
         while let Some(p) = text[from..].find(is_ident) {
             let start = from + p;
@@ -496,6 +656,12 @@ fn dead_pub(files: &[(String, String)]) -> Vec<Finding> {
                     note(&mut named_in, name, i);
                     if in_use.is_some() || called_or_pathed(text, start, end) {
                         note(&mut called_in, name, i);
+                    }
+                    if method_called(text, start, end) {
+                        note(&mut method_called_in, name, i);
+                    }
+                    if let Some(owner) = path_owner(text, &blocks, start) {
+                        pathed_by.entry(name).or_default().push((i, owner));
                     }
                 }
             }
@@ -512,12 +678,25 @@ fn dead_pub(files: &[(String, String)]) -> Vec<Finding> {
             continue;
         }
         let mut dead_lines = Vec::new();
+        let blocks = impl_blocks(&scanned.cleaned);
         for (at, keyword, name) in pub_items(&scanned.cleaned) {
             let line = lexer::line_of(&scanned.cleaned, at);
             // A type reaches callers through signatures without being
             // named, so its re-exports count; a value's do not. A function
-            // is used only where it is called or named as a path.
+            // is used only where it is called or named as a path; a method
+            // of `impl T` only where it is called as a method or named as
+            // the path `T::name` (or through an alias of `T`). No `use`
+            // item can import a method, so a `use` naming it is another
+            // item's.
+            let owner = self_type_at(&blocks, at).filter(|_| keyword == "fn");
             let used = match keyword {
+                "fn" if owner.is_some() => {
+                    let owned_by = |q: &str| Some(q) == owner || aliases.get(q).copied() == owner;
+                    elsewhere(&method_called_in, name, i)
+                        || pathed_by
+                            .get(name)
+                            .is_some_and(|paths| paths.iter().any(|&(f, q)| f != i && owned_by(q)))
+                }
                 "fn" => elsewhere(&called_in, name, i),
                 "const" | "static" => elsewhere(&named_in, name, i),
                 _ => elsewhere(&named_in, name, i) || elsewhere(&reexported_in, name, i),
@@ -897,6 +1076,68 @@ fn u(q: &demo::Queue) -> usize {
                 "crates/demo/src/user.rs",
                 "fn u(_: &demo::Queue, s: &Stats) -> usize { s.depth + s . depth }\n",
             ),
+        ]);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert!(f[0].message.contains("`depth`"), "{f:?}");
+    }
+
+    #[test]
+    fn dead_pub_flags_a_method_named_only_by_another_owners_path() {
+        let f = dead_pub_over(&[
+            ("crates/demo/src/lib.rs", LIB_WITH_METHOD),
+            (
+                "crates/demo/src/user.rs",
+                "fn u(_: &demo::Queue) -> usize { Other::depth() + other::Other::<u8>::depth() }\n",
+            ),
+        ]);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert!(f[0].message.contains("`depth`"), "{f:?}");
+    }
+
+    #[test]
+    fn dead_pub_passes_a_method_named_by_its_owners_path() {
+        let f = dead_pub_over(&[
+            ("crates/demo/src/lib.rs", LIB_WITH_METHOD),
+            (
+                "crates/demo/src/user.rs",
+                "fn u(q: &[demo::Queue]) -> usize { q.iter().map(demo::Queue::depth).sum() }\n",
+            ),
+        ]);
+        assert!(f.is_empty(), "{f:?}");
+    }
+
+    #[test]
+    fn dead_pub_passes_a_method_named_through_an_alias() {
+        let lib = "\
+pub struct Queue<T>(T);
+impl<T: Copy> Queue<T> {
+    pub fn depth(&self) -> usize { 0 }
+}
+pub type ByteQueue = Queue<u8>;
+";
+        let f = dead_pub_over(&[
+            ("crates/demo/src/lib.rs", lib),
+            (
+                "crates/demo/src/user.rs",
+                "fn u(q: &demo::Queue<u8>) -> usize { demo::ByteQueue::depth(q) }\n",
+            ),
+        ]);
+        assert!(f.is_empty(), "{f:?}");
+    }
+
+    #[test]
+    fn dead_pub_reads_self_as_the_enclosing_impls_type() {
+        let user = |owner: &str| {
+            format!("impl {owner} {{\n    fn twice(&self, _: &Queue) -> usize {{ 2 * Self::depth(self) }}\n}}\n")
+        };
+        let f = dead_pub_over(&[
+            ("crates/demo/src/lib.rs", LIB_WITH_METHOD),
+            ("crates/demo/src/user.rs", &user("crate::Queue")),
+        ]);
+        assert!(f.is_empty(), "{f:?}");
+        let f = dead_pub_over(&[
+            ("crates/demo/src/lib.rs", LIB_WITH_METHOD),
+            ("crates/demo/src/user.rs", &user("Stack")),
         ]);
         assert_eq!(f.len(), 1, "{f:?}");
         assert!(f[0].message.contains("`depth`"), "{f:?}");
