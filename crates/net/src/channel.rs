@@ -24,7 +24,8 @@
 //! sequence — that is what makes A/B sweeps (FEC on/off at equal loss)
 //! comparable packet for packet.
 
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
+use std::collections::{binary_heap::PeekMut, BinaryHeap};
 
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use sieve_core::ThreeTier;
@@ -195,6 +196,35 @@ pub struct ChannelCounts {
     pub delivered: u64,
 }
 
+/// A packet on the wire, ordered so that the heap's top is the earliest
+/// arrival; no two share a key.
+#[derive(Debug)]
+struct InFlight {
+    /// Delivery time, then the send's number as the tie-break.
+    key: (SimTime, u64),
+    packet: Packet,
+}
+
+impl PartialEq for InFlight {
+    fn eq(&self, other: &Self) -> bool {
+        self.key == other.key
+    }
+}
+
+impl Eq for InFlight {}
+
+impl PartialOrd for InFlight {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for InFlight {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other.key.cmp(&self.key)
+    }
+}
+
 /// The channel itself. Feed packets with [`send`](Self::send), advance
 /// virtual time and collect arrivals with [`poll`](Self::poll).
 #[derive(Debug)]
@@ -205,12 +235,8 @@ pub struct WanChannel {
     /// Virtual time at which the serialization link frees up.
     link_free_at: SimTime,
     last_now: SimTime,
-    /// Packets in flight, keyed by (delivery time, tie-break).
-    in_flight: BTreeMap<(SimTime, u64), Packet>,
-    /// Fragments in flight per `(stream, block_id)`; an entry leaves with
-    /// its last fragment.
-    in_flight_per_block: BTreeMap<(u16, u64), u32>,
-    next_tie: u64,
+    /// Packets in flight, earliest arrival on top.
+    in_flight: BinaryHeap<InFlight>,
     counts: ChannelCounts,
     taps: Option<WanTaps>,
 }
@@ -225,9 +251,7 @@ impl WanChannel {
             in_bad: false,
             link_free_at: SimTime::ZERO,
             last_now: SimTime::ZERO,
-            in_flight: BTreeMap::new(),
-            in_flight_per_block: BTreeMap::new(),
-            next_tie: 0,
+            in_flight: BinaryHeap::new(),
             counts: ChannelCounts::default(),
             taps: None,
         })
@@ -248,12 +272,14 @@ impl WanChannel {
         self.counts
     }
 
-    /// Offers one packet to the channel at virtual time `now`.
+    /// Offers one packet to the channel at virtual time `now`; returns
+    /// whether it entered flight — `false` when it was lost or
+    /// congestion-dropped, and so will never arrive.
     ///
     /// Exactly four RNG variates are drawn per send — burst-state,
     /// loss, jitter, reorder — on every path, so the random sequence a
     /// seed produces does not depend on which effects fire.
-    pub fn send(&mut self, now: SimTime, packet: Packet) {
+    pub fn send(&mut self, now: SimTime, packet: Packet) -> bool {
         let now = now.max(self.last_now);
         self.last_now = now;
         self.counts.sent += 1;
@@ -274,7 +300,7 @@ impl WanChannel {
             if let Some(t) = &self.taps {
                 t.packets_dropped_congestion.inc();
             }
-            return;
+            return false;
         }
         if backlog_secs > ECN_QUEUE_FRACTION * queue_secs {
             self.counts.marked += 1;
@@ -310,7 +336,7 @@ impl WanChannel {
             if let Some(t) = &self.taps {
                 t.packets_lost.inc();
             }
-            return;
+            return false;
         }
 
         // 3 + 4. Propagation, jitter, and the reorder push-back.
@@ -321,32 +347,22 @@ impl WanChannel {
             delay += self.cfg.reorder_delay_secs * (u_reorder / self.cfg.reorder);
         }
         let ready = self.link_free_at.after_secs(delay);
-        let tie = self.next_tie;
-        self.next_tie += 1;
-        *self
-            .in_flight_per_block
-            .entry((packet.header.stream, packet.header.block_id))
-            .or_insert(0) += 1;
-        self.in_flight.insert((ready, tie), packet);
+        self.in_flight.push(InFlight {
+            key: (ready, self.counts.sent),
+            packet,
+        });
+        true
     }
 
     /// Takes the earliest in-flight packet off the wire, if it has arrived
     /// by `deadline` (`None`: whenever it arrives).
     fn arrive(&mut self, deadline: Option<SimTime>) -> Option<Packet> {
-        let entry = self.in_flight.first_entry()?;
-        if deadline.is_some_and(|now| entry.key().0 > now) {
+        let first = self.in_flight.peek_mut()?;
+        if deadline.is_some_and(|now| first.key.0 > now) {
             return None;
         }
-        let packet = entry.remove();
         self.counts.delivered += 1;
-        let block = (packet.header.stream, packet.header.block_id);
-        if let Some(n) = self.in_flight_per_block.get_mut(&block) {
-            *n -= 1;
-            if *n == 0 {
-                self.in_flight_per_block.remove(&block);
-            }
-        }
-        Some(packet)
+        Some(PeekMut::pop(first).packet)
     }
 
     /// Delivers every packet whose arrival time is at or before `now`,
@@ -358,15 +374,6 @@ impl WanChannel {
     /// Delivers everything still in flight regardless of time.
     pub fn drain(&mut self) -> Vec<Packet> {
         std::iter::from_fn(|| self.arrive(None)).collect()
-    }
-
-    /// True while at least one fragment of the block is still in transit.
-    /// The sending side uses this to tell "not yet arrived" apart from
-    /// "never going to arrive": a sent block with no pending reassembly
-    /// *and* no fragment in flight was dropped wholesale and can be
-    /// declared lost immediately.
-    pub fn block_in_flight(&self, stream: u16, block_id: u64) -> bool {
-        self.in_flight_per_block.contains_key(&(stream, block_id))
     }
 }
 
@@ -522,30 +529,25 @@ mod tests {
     }
 
     #[test]
-    fn per_block_in_flight_count_follows_send_and_poll() {
-        let mut ch = WanChannel::new(WanConfig::clean(1)).expect("channel");
-        let frag = |block_id: u64, seq: u64| Packet {
-            header: PacketHeader {
-                block_id,
-                seq,
-                ..pkt(0, 10).header
-            },
-            payload: vec![0u8; 10],
-        };
-        let t0 = SimTime::ZERO;
-        ch.send(t0, frag(4, 0));
-        ch.send(t0.after_secs(0.1), frag(4, 1));
-        ch.send(SimTime::from_secs_f64(1.0), frag(5, 2));
-        assert!(ch.block_in_flight(0, 4) && ch.block_in_flight(0, 5));
-        assert!(!ch.block_in_flight(0, 6) && !ch.block_in_flight(1, 4));
-        // One fragment of block 4 down, one to go: the block is still out.
-        assert_eq!(ch.poll(t0.after_secs(0.05)).len(), 1);
-        assert!(ch.block_in_flight(0, 4));
-        assert_eq!(ch.poll(SimTime::from_secs_f64(0.5)).len(), 1);
-        assert!(!ch.block_in_flight(0, 4) && ch.block_in_flight(0, 5));
-        assert_eq!(ch.drain().len(), 1);
-        assert!(!ch.block_in_flight(0, 5));
-        assert!(ch.in_flight.is_empty());
+    fn send_reports_whether_the_packet_entered_flight() {
+        let mut cfg = WanConfig::clean(4);
+        cfg.loss = LossModel::Iid { loss: 0.2 };
+        cfg.bandwidth_bps = 1e6;
+        cfg.queue_bytes = 4 * 1024;
+        let mut ch = WanChannel::new(cfg).expect("channel");
+        let mut entered = 0u64;
+        for i in 0..2000u64 {
+            let before = ch.counts();
+            let in_flight = ch.send(SimTime::from_secs_f64(i as f64 * 0.002), pkt(i, 600));
+            let after = ch.counts();
+            let dropped =
+                (after.lost + after.congestion_dropped) - (before.lost + before.congestion_dropped);
+            assert_eq!(in_flight, dropped == 0, "packet {i}: {after:?}");
+            entered += u64::from(in_flight);
+        }
+        let c = ch.counts();
+        assert!(c.lost > 0 && c.congestion_dropped > 0, "{c:?}");
+        assert_eq!(ch.drain().len() as u64, entered);
     }
 
     #[test]

@@ -19,15 +19,15 @@
 //!
 //! Payload bytes are copied once on each side. The packetizer cuts the
 //! block into the fragment `Vec`s it ships and accumulates parity straight
-//! into the parity packets' payloads. The depacketizer appends in-order
-//! fragments to one buffer per block — fragment `i` at `i × frag_payload` —
-//! and hands that buffer over as the delivered payload; a fragment that
-//! arrives past a gap waits as the `Vec` it came in, and only a block that
-//! needs FEC recovery looks at per-fragment views. Everything off the wire
-//! is hostile: a fragment whose header disagrees with the configured
-//! layout, or with its block's first fragment, is counted under
-//! `wan.rejected` and dropped, and reassembly memory grows only with
-//! payload bytes actually received — never from a declared length.
+//! into the parity packets' payloads. The depacketizer keeps each fragment
+//! as the `Vec` it came in, in index order, and copies a block's data
+//! fragments into one buffer of its length when the last is in, or when
+//! FEC has rebuilt the missing ones; a lone fragment's `Vec` is handed over
+//! as it is. Everything off the wire is hostile: a fragment whose header
+//! disagrees with the configured layout, or with its block's first
+//! fragment, is counted under `wan.rejected` and dropped, and reassembly
+//! memory grows only with payload bytes actually received — never from a
+//! declared length.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -246,18 +246,15 @@ pub struct BlockReport {
 }
 
 /// One block with at least one fragment in and no verdict yet. Holds
-/// exactly the payload bytes that arrived for it, nothing sized from a
-/// header field.
+/// exactly the payload bytes that arrived for it, each fragment still the
+/// `Vec` it came in; its lists start at the capacity the configured FEC
+/// group dictates, nothing sized from a header field.
 #[derive(Debug)]
 struct PendingBlock {
     data_frags: u16,
     block_len: u32,
-    /// Data fragments `0..in_order`, fragment `i` at `i × frag_payload`.
-    buf: Vec<u8>,
-    in_order: usize,
-    /// Data fragments that arrived past a gap, ascending by index, each
-    /// still the `Vec` it arrived in.
-    ahead: Vec<(u16, Vec<u8>)>,
+    /// Data fragments, ascending by index.
+    data: Vec<(u16, Vec<u8>)>,
     /// Parity fragments, ascending by parity position.
     parity: Vec<(u16, Vec<u8>)>,
 }
@@ -276,61 +273,37 @@ fn find_sorted(list: &[(u16, Vec<u8>)], index: usize) -> Option<&[u8]> {
 }
 
 impl PendingBlock {
-    fn new(h: &PacketHeader) -> Self {
+    fn new(h: &PacketHeader, fec: FecConfig) -> Self {
         Self {
             data_frags: h.data_frags,
             block_len: h.block_len,
-            buf: Vec::new(),
-            in_order: 0,
-            ahead: Vec::new(),
-            parity: Vec::new(),
+            data: Vec::with_capacity(fec.group_data),
+            parity: Vec::with_capacity(fec.group_parity),
         }
     }
 
     fn complete(&self) -> bool {
-        self.in_order == self.data_frags as usize
-    }
-
-    fn append(&mut self, payload: Vec<u8>) {
-        if self.in_order == 0 {
-            self.buf = payload;
-        } else {
-            self.buf.extend_from_slice(&payload);
-        }
-        self.in_order += 1;
-    }
-
-    fn insert_data(&mut self, index: u16, payload: Vec<u8>) {
-        match (index as usize).cmp(&self.in_order) {
-            std::cmp::Ordering::Less => {} // duplicate
-            std::cmp::Ordering::Greater => insert_sorted(&mut self.ahead, index, payload),
-            std::cmp::Ordering::Equal => {
-                self.append(payload);
-                // The gap closed: take in whatever was waiting right behind it.
-                let mut taken = 0;
-                while taken < self.ahead.len() && self.ahead[taken].0 as usize == self.in_order {
-                    let waiting = std::mem::take(&mut self.ahead[taken].1);
-                    self.append(waiting);
-                    taken += 1;
-                }
-                self.ahead.drain(..taken);
-            }
-        }
-    }
-
-    /// The bytes of data fragment `index`, if it is in.
-    fn data(&self, index: usize, frag_payload: usize) -> Option<&[u8]> {
-        if index < self.in_order {
-            let lo = index * frag_payload;
-            Some(&self.buf[lo..(lo + frag_payload).min(self.buf.len())])
-        } else {
-            find_sorted(&self.ahead, index)
-        }
+        self.data.len() == self.data_frags as usize
     }
 
     fn held_bytes(&self) -> usize {
         let listed = |l: &[(u16, Vec<u8>)]| l.iter().map(|(_, p)| p.len()).sum::<usize>();
-        self.buf.len() + listed(&self.ahead) + listed(&self.parity)
+        listed(&self.data) + listed(&self.parity)
+    }
+
+    /// The payload, once every data fragment is in: a lone fragment's `Vec`
+    /// as it is, otherwise one buffer of `block_len` bytes.
+    fn into_payload(mut self) -> Vec<u8> {
+        if let [(_, lone)] = self.data.as_mut_slice() {
+            return std::mem::take(lone);
+        }
+        let block_len = self.block_len as usize;
+        let mut out = Vec::with_capacity(block_len);
+        for (_, frag) in &self.data {
+            // A rebuilt tail fragment carries FEC zero-padding past the end.
+            out.extend_from_slice(&frag[..frag.len().min(block_len - out.len())]);
+        }
+        out
     }
 }
 
@@ -525,12 +498,12 @@ impl Depacketizer {
         let entry = self
             .pending
             .entry((h.stream, h.block_id))
-            .or_insert_with(|| PendingBlock::new(&h));
+            .or_insert_with(|| PendingBlock::new(&h, self.fec));
         if (entry.data_frags, entry.block_len) != (h.data_frags, h.block_len) {
             return reject(&mut self.rejected, self.taps.as_ref());
         }
         match h.frag_index.checked_sub(h.data_frags) {
-            None => entry.insert_data(h.frag_index, packet.payload),
+            None => insert_sorted(&mut entry.data, h.frag_index, packet.payload),
             Some(position) => insert_sorted(&mut entry.parity, position, packet.payload),
         }
         // Recovery is deliberately *lazy* — jitter routinely lands parity
@@ -569,21 +542,21 @@ impl Depacketizer {
             .collect()
     }
 
-    /// Resolves the block with whatever is present: its buffer if every
-    /// data fragment is in, recovery if possible, otherwise
+    /// Resolves the block with whatever is present: its fragments joined
+    /// if every data fragment is in, recovery if possible, otherwise
     /// [`BlockOutcome::Lost`].
     fn force_resolve(&mut self, stream: u16, block_id: u64) -> BlockReport {
         let outcome = match self.pending.remove(&(stream, block_id)) {
-            Some(entry) if entry.complete() => BlockOutcome::Delivered(entry.buf),
+            Some(entry) if entry.complete() => BlockOutcome::Delivered(entry.into_payload()),
             Some(entry) if self.fec.group_parity > 0 => self.recover(entry),
             _ => BlockOutcome::Lost,
         };
         self.settle(stream, block_id, outcome)
     }
 
-    /// Runs per-group recovery over views of what arrived, then completes
-    /// the block's buffer; [`BlockOutcome::Lost`] if any group lost more
-    /// fragments than it has parity.
+    /// Runs per-group recovery over views of what arrived, then joins the
+    /// arrived and rebuilt fragments; [`BlockOutcome::Lost`] if any group
+    /// lost more fragments than it has parity.
     fn recover(&self, mut entry: PendingBlock) -> BlockOutcome {
         let fp = self.frag_payload;
         let (k, r) = (self.fec.group_data, self.fec.group_parity);
@@ -593,7 +566,7 @@ impl Depacketizer {
         let mut rebuilt: Vec<(usize, Vec<u8>)> = Vec::new();
         for (g, lo) in (0..data_frags).step_by(k).enumerate() {
             let hi = (lo + k).min(data_frags);
-            let data: Vec<Option<&[u8]>> = (lo..hi).map(|i| entry.data(i, fp)).collect();
+            let data: Vec<Option<&[u8]>> = (lo..hi).map(|i| find_sorted(&entry.data, i)).collect();
             if data.iter().all(Option::is_some) {
                 continue;
             }
@@ -610,21 +583,10 @@ impl Depacketizer {
         if let Some(t) = &self.taps {
             t.frags_recovered.add(rebuilt.len() as u64);
         }
-        // Behind the in-order prefix, every index is either rebuilt or was
-        // waiting ahead of the gap; both lists ascend.
-        let mut out = std::mem::take(&mut entry.buf);
-        let mut rebuilt = rebuilt.into_iter().peekable();
-        let mut ahead = entry.ahead.into_iter();
-        for i in entry.in_order..data_frags {
-            let frag = match rebuilt.next_if(|(index, _)| *index == i) {
-                Some((_, frag)) => frag,
-                None => ahead.next().map(|(_, frag)| frag).unwrap_or_default(),
-            };
-            out.extend_from_slice(&frag);
+        for (index, frag) in rebuilt {
+            insert_sorted(&mut entry.data, index as u16, frag);
         }
-        // A rebuilt tail fragment carries FEC zero-padding past the end.
-        out.truncate(block_len);
-        BlockOutcome::Recovered(out)
+        BlockOutcome::Recovered(entry.into_payload())
     }
 
     fn settle(&mut self, stream: u16, block_id: u64, outcome: BlockOutcome) -> BlockReport {

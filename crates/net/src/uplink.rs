@@ -11,6 +11,7 @@
 //! quanta are driven by the simulated camera clock, not by how fast the
 //! benchmark machine happens to decode.
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use sieve_core::adapt::{wan_signal, WanFeedback, WanSignal};
@@ -106,10 +107,14 @@ pub struct Uplink {
     taps: WanTaps,
     feedback_enabled: bool,
     now: SimTime,
-    /// Sent blocks not yet resolved to an outcome. Needed because a block
-    /// whose fragments are *all* dropped never reaches the depacketizer —
-    /// only the sender can notice it is gone.
-    outstanding: std::collections::BTreeSet<u64>,
+    /// Fragments still in flight per sent block from `first_open` on; `None`
+    /// once the block has an outcome. A block whose fragments are *all*
+    /// dropped never reaches the depacketizer — only the sender can notice
+    /// it is gone.
+    in_flight: VecDeque<Option<u32>>,
+    first_open: u64,
+    /// Blocks whose count of fragments in flight reached 0 in this step.
+    emptied: Vec<u64>,
     blocks_sent: u64,
     blocks_delivered: u64,
     blocks_recovered: u64,
@@ -145,7 +150,9 @@ impl Uplink {
             taps,
             feedback_enabled: cfg.feedback,
             now: SimTime::ZERO,
-            outstanding: std::collections::BTreeSet::new(),
+            in_flight: VecDeque::new(),
+            first_open: 0,
+            emptied: Vec::new(),
             blocks_sent: 0,
             blocks_delivered: 0,
             blocks_recovered: 0,
@@ -172,9 +179,12 @@ impl Uplink {
         self.blocks_sent += 1;
         self.taps.blocks_sent.inc();
         let (block_id, packets) = self.packetizer.packetize(payload);
-        self.outstanding.insert(block_id);
+        debug_assert_eq!(block_id, self.first_open + self.in_flight.len() as u64);
+        self.in_flight.push_back(Some(packets.len() as u32));
         for p in packets {
-            self.channel.send(self.now, p);
+            if !self.channel.send(self.now, p) {
+                self.left_flight(block_id);
+            }
         }
         self.pump()
     }
@@ -183,6 +193,7 @@ impl Uplink {
     fn pump(&mut self) -> Vec<BlockReport> {
         let mut reports = Vec::new();
         for p in self.channel.poll(self.now) {
+            self.left_flight(p.header.block_id);
             reports.extend(self.depacketizer.push(p));
         }
         self.absorb(&reports);
@@ -200,6 +211,7 @@ impl Uplink {
     pub fn finish(&mut self) -> Vec<BlockReport> {
         let mut reports = Vec::new();
         for p in self.channel.drain() {
+            self.left_flight(p.header.block_id);
             reports.extend(self.depacketizer.push(p));
         }
         reports.extend(self.depacketizer.finish());
@@ -231,38 +243,53 @@ impl Uplink {
         }
     }
 
-    /// Declares sent blocks lost once no fragment of theirs is pending at
-    /// the receiver or in flight in the channel — the wholesale-drop case
-    /// an arrival-driven depacketizer can never see. Runs before feedback
+    /// The in-flight slot of a sent block, while the window holds it.
+    fn slot(&mut self, block_id: u64) -> Option<&mut Option<u32>> {
+        let at = block_id.checked_sub(self.first_open)?;
+        self.in_flight.get_mut(usize::try_from(at).ok()?)
+    }
+
+    /// Counts one fragment of the block out of flight: dropped or arrived.
+    fn left_flight(&mut self, block_id: u64) {
+        if let Some(Some(n)) = self.slot(block_id) {
+            *n -= 1;
+            if *n == 0 {
+                self.emptied.push(block_id);
+            }
+        }
+    }
+
+    /// Declares lost, in id order, the blocks whose count reached 0 in this
+    /// step while they have no outcome and nothing pending at the receiver:
+    /// the wholesale drop an arrival-driven depacketizer can never see (a
+    /// block still pending then resolves through it). Runs before feedback
     /// collection so a congestion wipeout registers as unrecoverable loss
     /// within the quantum it happens in, not at the end of the run.
     fn reap_wholesale_lost(&mut self) -> Vec<BlockReport> {
-        if self.outstanding.is_empty() {
-            return Vec::new();
-        }
-        let dead: Vec<u64> = self
-            .outstanding
-            .iter()
-            .copied()
-            .filter(|&id| {
-                !self.channel.block_in_flight(0, id) && !self.depacketizer.is_pending(0, id)
-            })
-            .collect();
-        dead.into_iter()
-            .map(|block_id| {
+        let mut emptied = std::mem::take(&mut self.emptied);
+        emptied.sort_unstable();
+        let mut dead = Vec::new();
+        for block_id in emptied.drain(..) {
+            if matches!(self.slot(block_id), Some(Some(_)))
+                && !self.depacketizer.is_pending(0, block_id)
+            {
                 self.taps.blocks_lost.inc();
-                BlockReport {
+                dead.push(BlockReport {
                     stream: 0,
                     block_id,
                     outcome: BlockOutcome::Lost,
-                }
-            })
-            .collect()
+                });
+            }
+        }
+        self.emptied = emptied;
+        dead
     }
 
     fn absorb(&mut self, reports: &[BlockReport]) {
         for r in reports {
-            self.outstanding.remove(&r.block_id);
+            if let Some(slot) = self.slot(r.block_id) {
+                *slot = None;
+            }
             match &r.outcome {
                 BlockOutcome::Delivered(p) => {
                     self.blocks_delivered += 1;
@@ -274,6 +301,10 @@ impl Uplink {
                 }
                 BlockOutcome::Lost => self.blocks_lost += 1,
             }
+        }
+        while self.in_flight.front() == Some(&None) {
+            self.in_flight.pop_front();
+            self.first_open += 1;
         }
     }
 
@@ -365,6 +396,25 @@ mod tests {
         assert_eq!(c.blocks_usable(), 20);
         assert_eq!(c.blocks_lost, 0);
         assert_eq!(c.delivered_bytes, 20 * 5000);
+    }
+
+    #[test]
+    fn a_block_dropped_whole_is_lost_by_the_call_that_sent_it() {
+        let mut wan = WanConfig::clean(5);
+        wan.loss = crate::LossModel::Iid { loss: 1.0 };
+        let mut up = local(UplinkConfig::over(wan));
+        let reports = up.send_block_at(SimTime::ZERO, &block(5000, 0));
+        assert_eq!(
+            reports,
+            [BlockReport {
+                stream: 0,
+                block_id: 0,
+                outcome: BlockOutcome::Lost,
+            }]
+        );
+        assert!(up.finish().is_empty(), "the verdict is given once");
+        let c = up.counts();
+        assert_eq!((c.blocks_lost, c.packets_lost), (1, c.packets_sent));
     }
 
     #[test]
