@@ -411,10 +411,13 @@ fn use_items(cleaned: &str) -> Vec<(usize, usize, bool)> {
 /// Whether the identifier at `text[start..end]` is called or named as a
 /// path: `::name`, `name(` or `name::<`. A method call `.name(` counts by
 /// its parenthesis; a bare `.name` can only be a field access, which is not
-/// a use of a function.
+/// a use of a function, and `fn name(` defines a function of its own.
 fn called_or_pathed(text: &str, start: usize, end: usize) -> bool {
+    let before = text[..start].trim_end();
     let after = text[end..].trim_start();
-    text[..start].trim_end().ends_with("::") || after.starts_with('(') || after.starts_with("::<")
+    before.ends_with("::")
+        || (trailing_ident(before) != Some("fn")
+            && (after.starts_with('(') || after.starts_with("::<")))
 }
 
 /// Whether the identifier at `text[start..end]` is called as a method:
@@ -1153,6 +1156,16 @@ pub type ByteQueue = Queue<u8>;
             ),
         ]);
         assert_eq!(f.len(), 2, "{f:?}");
+    }
+
+    #[test]
+    fn dead_pub_flags_a_function_whose_name_only_another_definition_shares() {
+        let f = dead_pub_over(&[
+            ("crates/demo/src/lib.rs", "pub fn helper() {}\n"),
+            ("crates/demo/src/other.rs", "fn helper() {}\n"),
+        ]);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert!(f[0].message.contains("`helper`"), "{f:?}");
     }
 
     #[test]
