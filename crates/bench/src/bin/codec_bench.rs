@@ -464,9 +464,10 @@ fn main() {
         let est = timed(name, pipeline_samples, || {
             decoder.reset();
             let mut count = 0usize;
-            decoder
-                .decode_batch(encoded.frames(), |_, f| count += f.y().width())
-                .expect("bitstream decodes");
+            for ef in encoded.frames() {
+                let frame = decoder.decode_next(ef).expect("bitstream decodes");
+                count += frame.y().width();
+            }
             count
         });
         kernels::force_scalar(false);

@@ -42,25 +42,25 @@ pub enum EdgeOutcome {
 /// One stream's worth of edge-side state: a streaming selection session
 /// plus exactly the decode machinery its policy needs. This is the *single*
 /// implementation of the per-frame edge decision — the `sieve-fleet`
-/// scheduler drives one per stream, every live run is a fleet, and
-/// [`analyze`](crate::analyze) steps one over a whole video.
+/// scheduler opens one per stream when the stream joins, every live run is
+/// a fleet, and [`analyze`](crate::analyze) steps one over a whole video.
 ///
-/// State is bounded by construction: one stateful decoder (pixel policies),
-/// plus whatever the session itself holds (at most one previous decoded
-/// frame) — never a whole-video decode buffer or index vector.
+/// State is bounded by construction: one stream decoder, whose quant tables
+/// sit inline and whose frame buffers are allocated on its first decode
+/// (only pixel policies decode through it), plus whatever the session
+/// itself holds (at most one previous decoded frame) — never a whole-video
+/// decode buffer or index vector.
 pub struct EdgeSession {
     session: Box<dyn SelectorSession>,
     full_decode: bool,
-    stream_decoder: Decoder,
-    resolution: Resolution,
-    quality: u8,
+    decoder: Decoder,
 }
 
 impl std::fmt::Debug for EdgeSession {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EdgeSession")
             .field("full_decode", &self.full_decode)
-            .field("resolution", &self.resolution)
+            .field("resolution", &self.decoder.resolution())
             .finish()
     }
 }
@@ -76,42 +76,11 @@ impl EdgeSession {
         resolution: Resolution,
         quality: u8,
     ) -> Self {
-        Self::from_parts(
-            selector.session(),
-            selector.requires_full_decode(),
-            Decoder::new(resolution, quality),
-            resolution,
-            quality,
-        )
-    }
-
-    /// Assembles an edge session from an already-created streaming session
-    /// and an externally-owned decoder — the entry point for runtimes that
-    /// pool decoders across streams (`sieve-fleet`'s slab pool) or defer
-    /// decoder construction until a stream's first frame actually arrives.
-    /// The decoder must match the stream's `resolution`/`quality` and
-    /// should be [`Decoder::reset`] if it previously served another stream.
-    pub fn from_parts(
-        session: Box<dyn SelectorSession>,
-        full_decode: bool,
-        stream_decoder: Decoder,
-        resolution: Resolution,
-        quality: u8,
-    ) -> Self {
         Self {
-            session,
-            full_decode,
-            stream_decoder,
-            resolution,
-            quality,
+            session: selector.session(),
+            full_decode: selector.requires_full_decode(),
+            decoder: Decoder::new(resolution, quality),
         }
-    }
-
-    /// Tears the session down and hands its decoder back, so the caller
-    /// can return it to a pool instead of dropping the (reference frame +
-    /// quant table) allocation. Call [`EdgeSession::finish`] first.
-    pub fn into_decoder(self) -> Decoder {
-        self.stream_decoder
     }
 
     /// Observes the next arriving frame (ascending `index` per stream) and
@@ -163,7 +132,7 @@ impl EdgeSession {
             // must advance even through dropped frames. The decoder recycles
             // its frame buffers across the stream; only kept frames are
             // cloned out.
-            let frame = self.stream_decoder.decode_next_bytes(frame_type, payload)?;
+            let frame = self.decoder.decode_next_bytes(frame_type, payload)?;
             let decision = match self.session.observe(index, &meta, None) {
                 Decision::NeedsDecode => self.session.observe(index, &meta, Some(frame)),
                 d => d,
@@ -171,7 +140,9 @@ impl EdgeSession {
             return kept(index, decision, || frame.clone());
         }
         // Metadata path: decide first, decode survivors only, and only
-        // survivors that decode independently.
+        // survivors that decode independently. A survivor decodes into a
+        // fresh frame that the keep hands over, so the stream decoder never
+        // allocates its frame buffers here.
         let first = self.session.observe(index, &meta, None);
         if first == Decision::Drop {
             return Ok(None);
@@ -179,7 +150,8 @@ impl EdgeSession {
         if frame_type != FrameType::I {
             return Err(DecodeError::NotAnIFrame.into());
         }
-        let frame = Decoder::decode_iframe(self.resolution, self.quality, payload)?;
+        let frame =
+            Decoder::decode_iframe(self.decoder.resolution(), self.decoder.quality(), payload)?;
         let decision = match first {
             Decision::NeedsDecode => self.session.observe(index, &meta, Some(&frame)),
             d => d,
@@ -224,6 +196,25 @@ mod tests {
     use sieve_datasets::{DatasetId, DatasetScale, DatasetSpec, LabelSet};
     use sieve_video::{EncodedFrame, EncodedVideo, EncoderConfig};
 
+    /// A test policy on the decode path `full_decode` names, whose sessions
+    /// come from `session`: one session type driven down both paths.
+    struct OnPath {
+        full_decode: bool,
+        session: fn() -> Box<dyn SelectorSession>,
+    }
+
+    impl FrameSelector for OnPath {
+        fn name(&self) -> &'static str {
+            "on-path"
+        }
+        fn requires_full_decode(&self) -> bool {
+            self.full_decode
+        }
+        fn session(&self) -> Box<dyn SelectorSession> {
+            (self.session)()
+        }
+    }
+
     /// A session that demands pixels twice fails the frame on both paths,
     /// as `analyze` fails the whole run, instead of passing for a drop.
     /// Every frame is an I-frame, so the metadata path's decode succeeds
@@ -235,14 +226,11 @@ mod tests {
         let video = EncodedVideo::encode(res, 30, EncoderConfig::new(1, 0), frames);
         assert_eq!(video.i_frame_indices().len(), 4);
         for full_decode in [false, true] {
-            let decoder = Decoder::new(res, video.quality());
-            let mut edge = EdgeSession::from_parts(
-                Box::new(GreedySession),
+            let selector = OnPath {
                 full_decode,
-                decoder,
-                res,
-                video.quality(),
-            );
+                session: || Box::new(GreedySession),
+            };
+            let mut edge = EdgeSession::open(&selector, res, video.quality());
             for (i, ef) in video.frames().iter().enumerate() {
                 let outcome = edge.observe(i, ef.frame_type, &ef.data);
                 assert!(
@@ -342,17 +330,15 @@ mod tests {
             ("a payload cut to half", halved, &[i_target, p_target]),
             ("a payload cut to one byte", one_byte, &[i_target, p_target]),
         ];
-        let selector = IFrameSelector::new();
         for (fault, apply, targets) in cases {
             for &target in targets {
                 for full_decode in [false, true] {
-                    let mut edge = EdgeSession::from_parts(
-                        selector.session(),
+                    let selector = OnPath {
                         full_decode,
-                        Decoder::new(encoded.resolution(), encoded.quality()),
-                        encoded.resolution(),
-                        encoded.quality(),
-                    );
+                        session: || IFrameSelector::new().session(),
+                    };
+                    let mut edge =
+                        EdgeSession::open(&selector, encoded.resolution(), encoded.quality());
                     for (i, ef) in encoded.frames().iter().enumerate() {
                         let (frame_type, payload) = if i == target {
                             apply(ef.frame_type, &ef.data)

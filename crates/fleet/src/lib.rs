@@ -78,7 +78,6 @@
 //! ```
 
 pub mod metrics;
-mod pool;
 pub mod priority;
 pub mod registry;
 pub mod scheduler;

@@ -10,10 +10,10 @@
 //! `global_frame_budget` frame *handles* are queued fleet-wide — a queued
 //! or stolen [`FramePacket`] holds a reference to its payload, not a copy;
 //! the bytes stay owned by whoever produced the [`EncodedFrame`] and are
-//! freed when the last holder lets go — and per-stream decode state is one
-//! pooled decoder (acquired on a stream's first frame, recycled into the
-//! shared slab pool at finish) plus at most one previous frame, never a
-//! whole-stream buffer.
+//! freed when the last holder lets go — and per-stream decode state is the
+//! [`EdgeSession`] opened when the stream joins: one decoder, whose frame
+//! buffers are allocated on its first decode, plus at most one previous
+//! frame, never a whole-stream buffer.
 //!
 //! # Work stealing
 //!
@@ -44,17 +44,16 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-use sieve_core::{EdgeOutcome, EdgeSession, FrameSelector, SelectorSession};
+use sieve_core::{EdgeOutcome, EdgeSession, FrameSelector};
 use sieve_simnet::{GuardedPop, PushOutcome, ShardQueue, Steal};
 use sieve_stats::sync::atomic::{AtomicUsize, Ordering};
 use sieve_stats::sync::thread::{self, JoinHandle};
 use sieve_stats::sync::{Mutex, MutexGuard, RwLock};
-use sieve_video::{EncodedFrame, Frame, FrameType, Resolution};
+use sieve_video::{EncodedFrame, Frame, FrameType};
 
 use sieve_stats::Registry as StatsRegistry;
 
 use crate::metrics::{FleetInstruments, FleetReport, FleetSnapshot, StreamCell};
-use crate::pool::DecoderPool;
 use crate::priority::{initial_ewma, update_ewma, weight_of};
 use crate::registry::{FleetError, StreamConfig, StreamId};
 
@@ -156,67 +155,14 @@ impl Default for FleetConfig {
 /// than half the victim lane's queue.
 const STEAL_BATCH_MAX: usize = 8;
 
-/// A stream's edge machinery, materialised lazily: registered-but-idle
-/// streams hold only their (small) policy session; the decoder — the
-/// dominant allocation — is acquired from the shared pool on the first
-/// frame and recycled at finish.
-enum EdgeState {
-    /// No frame seen yet; no decoder held.
-    Idle {
-        session: Box<dyn SelectorSession>,
-        full_decode: bool,
-        resolution: Resolution,
-        quality: u8,
-    },
-    /// Frames flowing; a pooled decoder is in use. Boxed: the session
-    /// (decoder + selector) dwarfs the other variants.
-    Active(Box<EdgeSession>),
-    /// Placeholder while ownership moves between the variants.
-    Retired,
-}
-
 /// The per-stream worker-side state, touched by exactly one shard at a
 /// time (its home, or for the duration of a stolen batch the claiming
 /// thief).
 struct StreamWorker {
-    state: EdgeState,
+    edge: EdgeSession,
     on_keep: Option<KeepSink>,
     /// EWMA of keep decisions, driving the lane weight.
     keep_ewma: f64,
-}
-
-impl StreamWorker {
-    /// The live edge session, activating it (pool decoder acquisition) on
-    /// the stream's first frame.
-    fn session(&mut self, pool: &DecoderPool) -> &mut EdgeSession {
-        if matches!(self.state, EdgeState::Idle { .. }) {
-            let EdgeState::Idle {
-                session,
-                full_decode,
-                resolution,
-                quality,
-            } = std::mem::replace(&mut self.state, EdgeState::Retired)
-            else {
-                unreachable!("just matched Idle");
-            };
-            let decoder = pool.acquire(resolution, quality);
-            self.state = EdgeState::Active(Box::new(EdgeSession::from_parts(
-                session,
-                full_decode,
-                decoder,
-                resolution,
-                quality,
-            )));
-        }
-        match &mut self.state {
-            EdgeState::Active(edge) => edge,
-            // A stream is retired by its `LaneFinished`, after which its
-            // lane is gone and no frame can be queued for it.
-            EdgeState::Idle { .. } | EdgeState::Retired => {
-                unreachable!("frame delivered to a retired stream")
-            }
-        }
-    }
 }
 
 /// Callback invoked on the shard thread for every kept frame: the frame
@@ -330,7 +276,6 @@ impl Fleet {
         assert!(config.max_streams > 0, "stream cap must be positive");
         let inflight = Arc::new(AtomicUsize::new(0));
         let instruments = Arc::new(FleetInstruments::in_registry(stats_registry, config.stats));
-        let pool = Arc::new(DecoderPool::default());
         let queues: Vec<_> = (0..config.shards)
             .map(|_| Arc::new(ShardQueue::<QueuedFrame>::new(config.queue_capacity)))
             .collect();
@@ -343,7 +288,6 @@ impl Fleet {
                     registry: registry.clone(),
                     inflight: inflight.clone(),
                     instruments: instruments.clone(),
-                    pool: pool.clone(),
                     config,
                 };
                 thread::spawn(move || shard_loop(&ctx))
@@ -376,8 +320,6 @@ impl Fleet {
     /// selector is consulted on the caller's thread (session factory +
     /// metadata); only the session moves to the owning shard. Every policy
     /// is on-line, which is the point: the fleet never sees a whole video.
-    /// No decoder is allocated until the stream's
-    /// first frame arrives.
     ///
     /// # Errors
     ///
@@ -429,12 +371,7 @@ impl Fleet {
         let target_rate = config.target_rate.or_else(|| selector.target_rate());
         let ewma = initial_ewma(config.priority_hint.or(target_rate));
         let worker = StreamWorker {
-            state: EdgeState::Idle {
-                session: selector.session(),
-                full_decode: selector.requires_full_decode(),
-                resolution: config.resolution,
-                quality: config.quality,
-            },
+            edge: EdgeSession::open(selector, config.resolution, config.quality),
             on_keep,
             keep_ewma: ewma,
         };
@@ -640,7 +577,6 @@ struct ShardCtx {
     registry: Arc<RwLock<StreamTable>>,
     inflight: Arc<AtomicUsize>,
     instruments: Arc<FleetInstruments>,
-    pool: Arc<DecoderPool>,
     config: FleetConfig,
 }
 
@@ -658,10 +594,9 @@ fn process_frame(ctx: &ShardCtx, qf: QueuedFrame) -> Option<u32> {
     let packet = &qf.packet;
     let payload_len = packet.payload.len() as u64;
     let mut worker = qf.slot.claimed();
-    let outcome =
-        worker
-            .session(&ctx.pool)
-            .observe(packet.index, packet.frame_type, &packet.payload);
+    let outcome = worker
+        .edge
+        .observe(packet.index, packet.frame_type, &packet.payload);
     let kept = matches!(outcome, EdgeOutcome::Kept(_));
     match outcome {
         EdgeOutcome::Kept(frame) => {
@@ -703,10 +638,9 @@ fn process_frame(ctx: &ShardCtx, qf: QueuedFrame) -> Option<u32> {
         .then(|| weight_of(worker.keep_ewma))
 }
 
-/// Flushes a finished stream on whatever thread delivered its
-/// `LaneFinished`, recycling its decoder into the pool. This is the one
-/// place a worker consults the registry: a finished lane has no item to
-/// carry the slot.
+/// Flushes a finished stream's session on whatever thread delivered its
+/// `LaneFinished`. This is the one place a worker consults the registry: a
+/// finished lane has no item to carry the slot.
 fn finish_stream(ctx: &ShardCtx, key: u64) {
     let registry = ctx.registry.read();
     let slot = registry.entries.get(&key).map(|e| e.slot.clone());
@@ -714,17 +648,7 @@ fn finish_stream(ctx: &ShardCtx, key: u64) {
     // lint:allow(no-unwrap): only admit opens lanes, and it inserts the entry under the same write lock
     let slot = slot.expect("a finished lane belongs to an admitted stream");
     let mut worker = slot.claimed();
-    let result = match std::mem::replace(&mut worker.state, EdgeState::Retired) {
-        EdgeState::Active(mut edge) => {
-            let r = edge.finish();
-            ctx.pool.release(edge.into_decoder());
-            r
-        }
-        // Never saw a frame: no decoder to recycle, still flush the
-        // policy session (deferred policy failures surface here).
-        EdgeState::Idle { mut session, .. } => session.finish(),
-        EdgeState::Retired => Ok(()),
-    };
+    let result = worker.edge.finish();
     // The stream is over; release whatever its sink captured.
     worker.on_keep = None;
     *slot.cell.finish_error.lock() = result.err();

@@ -181,7 +181,9 @@ impl EncodedVideo {
     pub fn decode_all(&self) -> Result<Vec<Frame>, DecodeError> {
         let mut dec = Decoder::new(self.resolution, self.quality);
         let mut out = Vec::with_capacity(self.frames.len());
-        dec.decode_batch(&self.frames, |_, f| out.push(f.clone()))?;
+        for ef in &self.frames {
+            out.push(dec.decode_next(ef)?.clone());
+        }
         Ok(out)
     }
 

@@ -61,9 +61,9 @@ impl From<ReadBitsError> for DecodeError {
 
 /// Stateful decoder mirroring the [`crate::encode::Encoder`] closed loop.
 ///
-/// The decoder owns two frame buffers (the reference and a work frame) and
-/// swaps them after each frame, so the steady-state batch path
-/// ([`Decoder::decode_next`], [`Decoder::decode_batch`]) performs no heap
+/// The decoder owns two frame buffers (the reference and a work frame),
+/// allocated on its first decode, and swaps them after each frame, so a
+/// steady-state loop over [`Decoder::decode_next`] performs no heap
 /// allocation. A clone is a decoder at the same point of the same stream.
 #[derive(Debug, Clone)]
 pub struct Decoder {
@@ -171,27 +171,6 @@ impl Decoder {
                 Ok(self.reference.insert(frame))
             }
         }
-    }
-
-    /// Decodes a run of frames in stream order, handing each decoded frame
-    /// to `sink` as `(index, frame)`. All frame buffers are recycled across
-    /// the run — the allocation-free bulk path the analysis pipelines use.
-    ///
-    /// # Errors
-    ///
-    /// Stops at and returns the first decode failure.
-    pub fn decode_batch<F>(
-        &mut self,
-        frames: &[EncodedFrame],
-        mut sink: F,
-    ) -> Result<(), DecodeError>
-    where
-        F: FnMut(usize, &Frame),
-    {
-        for (i, ef) in frames.iter().enumerate() {
-            sink(i, self.decode_next(ef)?);
-        }
-        Ok(())
     }
 
     /// Decodes a single I-frame with no decoder state, exactly like a JPEG

@@ -903,7 +903,6 @@ unused = []
         for path in [
             "crates/fleet/src/scheduler.rs",
             "crates/fleet/src/priority.rs",
-            "crates/fleet/src/pool.rs",
             "crates/fleet/src/metrics.rs",
         ] {
             let f = check(path, "use std::sync::Mutex;\n");
