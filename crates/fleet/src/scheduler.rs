@@ -13,7 +13,8 @@
 //! freed when the last holder lets go — and per-stream decode state is the
 //! [`EdgeSession`] opened when the stream joins: one decoder, whose frame
 //! buffers are allocated on its first decode, plus at most one previous
-//! frame, never a whole-stream buffer.
+//! frame, never a whole-stream buffer. The session is dropped when the
+//! stream finishes, so a left stream keeps only its metrics entry.
 //!
 //! # Work stealing
 //!
@@ -159,7 +160,10 @@ const STEAL_BATCH_MAX: usize = 8;
 /// time (its home, or for the duration of a stolen batch the claiming
 /// thief).
 struct StreamWorker {
-    edge: EdgeSession,
+    /// The stream's session, taken and flushed when the stream finishes so
+    /// a left stream holds no decoder frame and no selector state. Boxed,
+    /// so the slot a left stream keeps does not carry the inline decoder.
+    edge: Option<Box<EdgeSession>>,
     on_keep: Option<KeepSink>,
     /// EWMA of keep decisions, driving the lane weight.
     keep_ewma: f64,
@@ -371,7 +375,11 @@ impl Fleet {
         let target_rate = config.target_rate.or_else(|| selector.target_rate());
         let ewma = initial_ewma(config.priority_hint.or(target_rate));
         let worker = StreamWorker {
-            edge: EdgeSession::open(selector, config.resolution, config.quality),
+            edge: Some(Box::new(EdgeSession::open(
+                selector,
+                config.resolution,
+                config.quality,
+            ))),
             on_keep,
             keep_ewma: ewma,
         };
@@ -594,9 +602,10 @@ fn process_frame(ctx: &ShardCtx, qf: QueuedFrame) -> Option<u32> {
     let packet = &qf.packet;
     let payload_len = packet.payload.len() as u64;
     let mut worker = qf.slot.claimed();
-    let outcome = worker
-        .edge
-        .observe(packet.index, packet.frame_type, &packet.payload);
+    let edge = worker.edge.as_mut();
+    // lint:allow(no-unwrap): a lane delivers `LaneFinished` only after its last frame, so no frame follows the finish
+    let edge = edge.expect("a stream's frames all precede its finish");
+    let outcome = edge.observe(packet.index, packet.frame_type, &packet.payload);
     let kept = matches!(outcome, EdgeOutcome::Kept(_));
     match outcome {
         EdgeOutcome::Kept(frame) => {
@@ -638,9 +647,11 @@ fn process_frame(ctx: &ShardCtx, qf: QueuedFrame) -> Option<u32> {
         .then(|| weight_of(worker.keep_ewma))
 }
 
-/// Flushes a finished stream's session on whatever thread delivered its
-/// `LaneFinished`. This is the one place a worker consults the registry: a
-/// finished lane has no item to carry the slot.
+/// Flushes and frees a finished stream's session on whatever thread
+/// delivered its `LaneFinished`: the registry keeps a left stream's entry
+/// for metrics, so only dropping the session here releases its decoder
+/// frames and selector state. This is the one place a worker consults the
+/// registry: a finished lane has no item to carry the slot.
 fn finish_stream(ctx: &ShardCtx, key: u64) {
     let registry = ctx.registry.read();
     let slot = registry.entries.get(&key).map(|e| e.slot.clone());
@@ -648,7 +659,9 @@ fn finish_stream(ctx: &ShardCtx, key: u64) {
     // lint:allow(no-unwrap): only admit opens lanes, and it inserts the entry under the same write lock
     let slot = slot.expect("a finished lane belongs to an admitted stream");
     let mut worker = slot.claimed();
-    let result = worker.edge.finish();
+    let edge = worker.edge.take();
+    // lint:allow(no-unwrap): a lane finishes once, so its session is still there
+    let result = edge.expect("a stream finishes once").finish();
     // The stream is over; release whatever its sink captured.
     worker.on_keep = None;
     *slot.cell.finish_error.lock() = result.err();

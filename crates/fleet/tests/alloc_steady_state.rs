@@ -12,13 +12,16 @@
 //! It also prices admission: a stream's `EdgeSession` opens at join, and
 //! its decoder allocates no frame buffer until its first decode, so
 //! joining a stream costs a bounded handful of small allocations — far
-//! below one frame — whatever its policy.
+//! below one frame — whatever its policy. And it prices churn: a stream
+//! that decoded frames and left frees its session, so what the fleet
+//! still holds per left stream (its metrics entry) stays far below one
+//! frame.
 //!
 //! A single `#[test]` in a binary of its own, because the counting
 //! allocator is process-global and sees every thread.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 
 use sieve_core::{FrameSelector, IFrameSelector};
 use sieve_filters::{Budget, MseSelector};
@@ -26,14 +29,15 @@ use sieve_fleet::{Fleet, FleetConfig, FramePacket, Ingest, StreamConfig, StreamI
 use sieve_video::{EncodedVideo, EncoderConfig, Frame, FrameType, Resolution};
 
 /// Forwards to the system allocator, counting the requests and totalling
-/// the bytes requested, and counting the requests of at least [`LARGE`]
-/// bytes (frees are irrelevant to the audit).
+/// the bytes requested, counting the requests of at least [`LARGE`] bytes,
+/// and keeping the bytes currently held in [`LIVE`].
 struct CountingAlloc;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 static BYTES: AtomicU64 = AtomicU64::new(0);
 static LARGE: AtomicUsize = AtomicUsize::new(usize::MAX);
 static LARGE_ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static LIVE: AtomicI64 = AtomicI64::new(0);
 
 fn count(size: usize) {
     ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
@@ -43,18 +47,25 @@ fn count(size: usize) {
     }
 }
 
+fn hold(delta: i64) {
+    LIVE.fetch_add(delta, Ordering::Relaxed);
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count(layout.size());
+        hold(layout.size() as i64);
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        hold(-(layout.size() as i64));
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count(new_size);
+        hold(new_size as i64 - layout.size() as i64);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -128,6 +139,48 @@ fn join_cost<S: FrameSelector>(selector: &S, res: Resolution) -> (f64, f64) {
     )
 }
 
+/// Streams churned through a fleet, after as many warm-up churns.
+const CHURNS: usize = 200;
+
+/// Joins a pixel-policy stream, feeds it the clip's I-frame and first
+/// P-frames, leaves, and waits until its session is flushed.
+fn churn_one<S: FrameSelector>(fleet: &Fleet, selector: &S, video: &EncodedVideo) {
+    let config = StreamConfig::new("churned", video.resolution(), video.quality());
+    let stream = fleet.join(selector, config).expect("join");
+    for (i, ef) in video.frames().iter().enumerate().take(8) {
+        while fleet.push(stream, FramePacket::of(i, ef)).expect("push") != Ingest::Queued {
+            std::thread::yield_now();
+        }
+    }
+    fleet.leave(stream).expect("leave");
+    while !fleet.snapshot().streams.iter().all(|s| s.done) {
+        std::thread::yield_now();
+    }
+}
+
+/// The bytes the fleet still holds per stream that decoded frames and
+/// left: the growth of [`LIVE`] over [`CHURNS`] churns, after as many
+/// warm-up churns, divided by [`CHURNS`].
+fn held_per_left_stream<S: FrameSelector>(selector: &S, video: &EncodedVideo) -> f64 {
+    let fleet = Fleet::new(FleetConfig {
+        shards: 2,
+        max_streams: 4,
+        ..FleetConfig::default()
+    });
+    for _ in 0..CHURNS {
+        churn_one(&fleet, selector, video);
+    }
+    let before = LIVE.load(Ordering::Relaxed);
+    for _ in 0..CHURNS {
+        churn_one(&fleet, selector, video);
+    }
+    let held = LIVE.load(Ordering::Relaxed) - before;
+    let report = fleet.shutdown();
+    assert_eq!(report.snapshot.streams.len(), 2 * CHURNS);
+    assert!(report.snapshot.streams.iter().all(|s| s.processed == 8));
+    held as f64 / CHURNS as f64
+}
+
 #[test]
 fn pushing_and_dropping_a_frame_never_copies_its_payload() {
     let res = Resolution::new(192, 128);
@@ -194,9 +247,9 @@ fn pushing_and_dropping_a_frame_never_copies_its_payload() {
     assert_eq!(s.dropped, ((2 + PASSES) * p_frames.len()) as u64);
     assert_eq!((s.failed, s.queue_depth), (0, 0));
 
-    // Admission, measured at 21.2 allocations and 2 842 B per MSE join and
-    // 8.2 allocations and 2 241 B per seeker join, of which ≈1.1 KiB is the
-    // session's inline decoder. One 384x208 frame is 117 KiB.
+    // Admission, measured at 22.2 allocations and 2 850 B per MSE join and
+    // 9.2 allocations and 2 249 B per seeker join, of which ≈1.1 KiB is the
+    // session's decoder. One 384x208 frame is 117 KiB.
     let res = Resolution::new(384, 208);
     let (adaptive, seeker) = (
         MseSelector::mse(Budget::TargetRate(0.1)),
@@ -212,4 +265,11 @@ fn pushing_and_dropping_a_frame_never_copies_its_payload() {
         );
         assert!(bytes < max_bytes, "{name}: {bytes:.0} B per join");
     }
+
+    // Churn, measured at 891 B still held per left MSE stream. A left
+    // stream that kept its session would hold its decoder's reference and
+    // work frames and the selector's previous frame: about 110 KiB at
+    // 192x128.
+    let held = held_per_left_stream(&adaptive, &video);
+    assert!(held < 4096.0, "{held:.0} B still held per left stream");
 }
